@@ -21,10 +21,17 @@ Semantics implemented:
 Deadlock safety: every blocking call accepts a ``timeout`` (seconds) and
 raises :class:`~repro.errors.CommError` on expiry, so a test that
 mis-pairs operations fails instead of hanging.
+
+Delivery is a direct hand-off (:class:`_Mailbox`): ``send`` gives the
+message to the one parked ``recv`` it matches and wakes only that
+thread, so a remote file retrieval costs two thread wake-ups — the
+serving daemon for the request, the waiting client for the reply —
+like the single MPI round trip it stands for (§V-D site 3).
 """
 
 from __future__ import annotations
 
+import _thread
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -79,20 +86,71 @@ class Request:
             return self._value
 
 
+def _recv_timed_out(source: int, tag: int, timeout: float) -> CommError:
+    return CommError(
+        f"recv(source={source}, tag={tag}) timed out after {timeout}s"
+    )
+
+
+class _Waiter:
+    """One parked receiver: what it wants, the token it blocks on, and
+    the slot a sender fills before releasing that token."""
+
+    __slots__ = ("source", "tag", "token", "msg")
+
+    def __init__(self, source: int, tag: int) -> None:
+        self.source = source
+        self.tag = tag
+        # A raw ``_thread`` lock (what ``threading.Condition`` parks its
+        # own waiters on), not ``threading.Lock``: the receiver takes it
+        # and a *sender* releases it, which the lockdep witness — it
+        # patches ``threading.Lock`` and assumes owner == releaser —
+        # would report as a lock-order cycle.
+        self.token = _thread.allocate_lock()
+        self.token.acquire()
+        self.msg: _Message | None = None
+
+
 class _Mailbox:
-    """Per-rank tagged message store with wildcard matching."""
+    """Per-rank tagged message store with wildcard matching, built as a
+    direct hand-off rendezvous.
+
+    State is one mutex, the arrival-ordered queue of undelivered
+    messages and the arrival-ordered list of parked receivers. A
+    receiver that finds no queued match registers a :class:`_Waiter`
+    and blocks on its private token *outside* the mutex; ``put`` gives
+    a message straight to the oldest parked receiver it matches (fill
+    the slot, release the token) and queues it only when nobody wants
+    it. So a message wakes exactly the thread that consumes it — a
+    reply landing here never disturbs the service thread parked on the
+    request tag — and nobody re-scans the queue after waking.
+
+    Invariant: a waiter is parked only while no queued message matches
+    it (it registers under the mutex after scanning the queue, and
+    ``put`` prefers waiters to the queue), so hand-off cannot overtake
+    an older queued message and FIFO per (source, tag) holds.
+    """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._mutex = threading.Lock()
         self._messages: list[_Message] = []
+        self._waiters: list[_Waiter] = []
         self._closed = False
 
     def put(self, msg: _Message) -> None:
-        with self._cond:
+        with self._mutex:
             if self._closed:
                 raise CommClosedError("mailbox closed")
+            for i, waiter in enumerate(self._waiters):
+                if waiter.source not in (ANY_SOURCE, msg.source):
+                    continue
+                if waiter.tag not in (ANY_TAG, msg.tag):
+                    continue
+                del self._waiters[i]
+                waiter.msg = msg
+                waiter.token.release()
+                return
             self._messages.append(msg)
-            self._cond.notify_all()
 
     def _match(self, source: int, tag: int) -> _Message | None:
         for i, msg in enumerate(self._messages):
@@ -106,33 +164,33 @@ class _Mailbox:
     def get(
         self, source: int, tag: int, timeout: float | None
     ) -> _Message:
-        with self._cond:
+        with self._mutex:
             msg = self._match(source, tag)
             if msg is not None:
                 return msg
-
-            def ready() -> bool:
-                return self._closed or self._match_peek(source, tag)
-
-            if not self._cond.wait_for(ready, timeout):
-                raise CommError(
-                    f"recv(source={source}, tag={tag}) timed out after {timeout}s"
-                )
-            if self._closed and not self._match_peek(source, tag):
+            if self._closed:
                 raise CommClosedError("world torn down during recv")
-            msg = self._match(source, tag)
-            assert msg is not None
-            return msg
-
-    def _match_peek(self, source: int, tag: int) -> bool:
-        return any(
-            source in (ANY_SOURCE, m.source) and tag in (ANY_TAG, m.tag)
-            for m in self._messages
-        )
+            # a spent budget must not reach acquire(): it rejects
+            # negative timeouts and reads -1 as "forever"
+            if timeout is not None and timeout <= 0:
+                raise _recv_timed_out(source, tag, timeout)
+            waiter = _Waiter(source, tag)
+            self._waiters.append(waiter)
+        if not waiter.token.acquire(True, -1 if timeout is None else timeout):
+            with self._mutex:
+                # The timer can fire together with a sender (or close):
+                # whoever takes the waiter off the list under the mutex
+                # wins, so a delivered message is never dropped.
+                if waiter in self._waiters:
+                    self._waiters.remove(waiter)
+                    raise _recv_timed_out(source, tag, timeout)
+        if waiter.msg is None:
+            raise CommClosedError("world torn down during recv")
+        return waiter.msg
 
     def try_get(self, source: int, tag: int) -> _Message | None:
         """Non-blocking matching receive; None when nothing matches."""
-        with self._cond:
+        with self._mutex:
             msg = self._match(source, tag)
             if msg is not None:
                 return msg
@@ -141,18 +199,22 @@ class _Mailbox:
             return None
 
     def close(self) -> None:
-        with self._cond:
+        """Refuse further mail and release every parked receiver, which
+        then raises :class:`CommClosedError` (its slot is empty). Queued
+        messages stay receivable."""
+        with self._mutex:
             self._closed = True
-            self._cond.notify_all()
+            parked, self._waiters = self._waiters, []
+        for waiter in parked:
+            waiter.token.release()
 
     def reopen(self) -> None:
         """Re-arm a closed mailbox for a relaunched rank. Stale mail
         addressed to the previous incarnation is discarded — a fresh
         process must not consume a corpse's backlog."""
-        with self._cond:
+        with self._mutex:
             self._closed = False
             self._messages.clear()
-            self._cond.notify_all()
 
 
 class _CollectiveSlot:

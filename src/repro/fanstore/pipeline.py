@@ -10,7 +10,8 @@ two building blocks that are independent of the daemon itself:
   :class:`~repro.fanstore.store.FanStoreOptions`;
 - :class:`SingleFlight` — a keyed in-flight table: concurrent callers of
   the same key share one execution of the underlying work (one upstream
-  fetch for a miss storm, one decompression for a cache-miss race).
+  fetch for a miss storm, one decompression for a cache-miss race); a
+  flight nobody joins costs a dict insert and a pop, no waiter object.
 
 Everything here is stdlib-only and takes no fanstore locks of its own
 beyond the table mutex, which is never held across the coalesced work.
@@ -86,12 +87,13 @@ class PipelineConfig:
 
 
 class _Flight:
-    """One in-flight execution; followers park on ``done``."""
+    """One in-flight execution. ``done`` stays None until the first
+    follower attaches (under the table lock) and parks on it."""
 
     __slots__ = ("done", "value", "error")
 
     def __init__(self) -> None:
-        self.done = threading.Event()
+        self.done: threading.Event | None = None
         self.value: Any = None
         self.error: BaseException | None = None
 
@@ -106,6 +108,13 @@ class SingleFlight:
     to that round's followers (the same instance — callers must treat it
     as shared). The flight leaves the table before followers wake, so a
     later caller starts a fresh flight rather than reading a stale one.
+
+    The waiter (a ``threading.Event``) is built by the first follower,
+    not by the leader: an uncontended flight — nearly every one on the
+    read path, which runs two per open — allocates and signals nothing.
+    No wake-up is lost, because followers attach only while the flight
+    is in the table and the leader reads ``flight.done`` under the same
+    lock that removes it.
     """
 
     def __init__(self) -> None:
@@ -133,6 +142,10 @@ class SingleFlight:
             if led:
                 flight = _Flight()
                 self._flights[key] = flight
+            else:
+                done = flight.done
+                if done is None:
+                    done = flight.done = threading.Event()
         if led:
             try:
                 flight.value = fn()
@@ -144,9 +157,11 @@ class SingleFlight:
                 # wake starts a fresh flight instead of joining a dead one
                 with self._lock:
                     self._flights.pop(key, None)
-                flight.done.set()
+                    done = flight.done
+                if done is not None:
+                    done.set()
             return flight.value, True
-        if not flight.done.wait(timeout):
+        if not done.wait(timeout):
             raise TimeoutError(f"single-flight wait for {key!r} timed out")
         if flight.error is not None:
             raise flight.error

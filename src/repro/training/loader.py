@@ -98,11 +98,23 @@ class _EpochPlan:
         self.iterations = len(self.files) // max(batch_size, 1)
         if self.iterations == 0:
             self.iterations = 1
+        self._memo: tuple[int, np.ndarray] | None = None
+
+    def _order(self, epoch: int) -> np.ndarray:
+        """The epoch's global shuffle, computed once per epoch: a loader
+        walks an epoch's iterations in order, so a one-entry memo turns
+        O(dataset) per iteration into O(dataset) per epoch. The entry is
+        one tuple, swapped whole, so a concurrent reader of another
+        epoch can cost a recompute but never sees a mismatched pair."""
+        memo = self._memo
+        if memo is None or memo[0] != epoch:
+            rng = np.random.default_rng(self.seed + epoch)
+            memo = self._memo = (epoch, rng.permutation(len(self.files)))
+        return memo[1]
 
     def rank_files(self, epoch: int, iteration: int) -> list[str]:
         """This rank's file paths for one (epoch, iteration)."""
-        rng = np.random.default_rng(self.seed + epoch)
-        order = rng.permutation(len(self.files))
+        order = self._order(epoch)
         start = iteration * self.batch_size
         global_batch = [
             self.files[order[i % len(self.files)]]

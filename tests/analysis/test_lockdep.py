@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lockdep import LockdepWitness, current_witness
+from repro.comm.communicator import World
+from repro.comm.launcher import run_parallel
+from repro.errors import CommError
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -98,6 +101,30 @@ class TestWitness:
                 assert cv.wait_for(lambda: done, timeout=5.0)
             t.join(timeout=5.0)
         assert not w.cycles
+
+    def test_mailbox_handoff_is_not_a_lock_order_cycle(self):
+        """The mailbox parks a receiver on a token that the *sender*
+        releases. The token is a raw ``_thread`` lock for exactly this
+        reason: as a witnessed ``threading.Lock`` the receiver would
+        appear to hold it forever and its next ``recv`` would close a
+        mutex -> token -> mutex cycle."""
+        with LockdepWitness() as w:
+            world = World(2)
+
+            def body(comm):
+                peer = 1 - comm.rank
+                for i in range(20):
+                    if comm.rank == 0:
+                        comm.send(i, peer, tag=3)
+                        assert comm.recv(peer, tag=4, timeout=5) == i
+                    else:
+                        assert comm.recv(peer, tag=3, timeout=5) == i
+                        comm.send(i, peer, tag=4)
+                with pytest.raises(CommError, match="timed out"):
+                    comm.recv(peer, tag=9, timeout=0.02)
+
+            run_parallel(body, 2, world=world, timeout=30)
+        assert not w.cycles, w.report()
 
     def test_uninstall_restores_factories_and_current(self):
         before_lock = threading.Lock

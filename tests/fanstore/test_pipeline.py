@@ -10,8 +10,10 @@ legacy-tuple compatibility shim.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.fanstore.cache import DecompressedCache
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.metadata import FileRecord
+from repro.fanstore import pipeline
 from repro.fanstore.pipeline import PipelineConfig, SingleFlight
 from repro.fanstore.wire import (
     EXPIRED,
@@ -230,13 +233,144 @@ class TestSingleFlightPrimitive:
             time.sleep(0.001)
         with pytest.raises(TimeoutError):
             flight.run("k", lambda: None, timeout=0.05)
+        # the follower gave up alone: the flight is still running and
+        # still joinable, and the leader finishes normally
+        assert lead.is_alive() and "k" in flight._flights
         release.set()
         lead.join(10)
+        assert not lead.is_alive() and not flight._flights
 
     def test_fresh_flight_after_completion(self):
         flight = SingleFlight()
         assert flight.run("k", lambda: 1) == (1, True)
         assert flight.run("k", lambda: 2) == (2, True)
+
+    def test_uncontended_flight_builds_no_waiter(self, monkeypatch):
+        """A flight nobody follows allocates and signals nothing — on
+        success or on error; the first follower is who builds the
+        ``Event`` (one per flight, however many followers)."""
+        built = []
+
+        def counting_event():
+            built.append(1)
+            return threading.Event()
+
+        # swap the module's view of ``threading`` only: Thread() itself
+        # builds an Event, which must not be counted
+        monkeypatch.setattr(
+            pipeline,
+            "threading",
+            types.SimpleNamespace(Event=counting_event, Lock=threading.Lock),
+        )
+        flight = SingleFlight()
+        for i in range(100):
+            assert flight.run(("k", i % 3), lambda: i) == (i, True)
+        with pytest.raises(KeyError):
+            flight.run("k", lambda: {}["missing"])
+        assert not built and not flight._flights
+
+        entered, release = threading.Event(), threading.Event()
+
+        def work():
+            entered.set()
+            assert release.wait(10)
+            return "value"
+
+        out = []
+        threads = [
+            threading.Thread(target=lambda: out.append(flight.run("k", work)))
+            for _ in range(4)
+        ]
+        threads[0].start()
+        assert entered.wait(10)
+        for t in threads[1:]:
+            t.start()
+        stop_at = time.monotonic() + 10
+        while not built:
+            assert time.monotonic() < stop_at
+            time.sleep(0.001)
+        time.sleep(0.1)  # let the other followers attach
+        release.set()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        assert sorted(out) == [("value", False)] * 3 + [("value", True)]
+        assert len(built) == 1
+
+    def test_follower_raises_the_leaders_exception_instance(self):
+        flight = SingleFlight()
+        entered, release = threading.Event(), threading.Event()
+        boom = ValueError("boom")
+
+        def work():
+            entered.set()
+            assert release.wait(10)
+            raise boom
+
+        raised = []
+
+        def call():
+            try:
+                flight.run("k", work)
+            except ValueError as exc:
+                raised.append(exc)
+
+        lead = threading.Thread(target=call)
+        lead.start()
+        assert entered.wait(10)
+        follow = threading.Thread(target=call)
+        follow.start()
+        stop_at = time.monotonic() + 10
+        while flight._flights["k"].done is None:  # follower has attached
+            assert time.monotonic() < stop_at
+            time.sleep(0.001)
+        release.set()
+        for t in (lead, follow):
+            t.join(10)
+            assert not t.is_alive()
+        assert len(raised) == 2 and all(exc is boom for exc in raised)
+        assert flight.run("k", lambda: "fresh") == ("fresh", True)
+
+    def test_colliding_keys_lose_no_wakeup(self):
+        """8 threads hammer the same key sequence: leaders and
+        followers change places thousands of times, and every follower
+        that attached must be woken — a lost wake-up parks its thread
+        until the follower timeout and fails the run."""
+        flight = SingleFlight()
+        n_threads, n_keys = 8, 2000
+        start = threading.Barrier(n_threads)
+        errors: list[BaseException] = []
+        followed = [0] * n_threads
+
+        def worker(me: int) -> None:
+            try:
+                start.wait(10)
+                for key in range(n_keys):
+                    value, led = flight.run(
+                        key, lambda key=key: ("v", key), timeout=20
+                    )
+                    assert value == ("v", key)
+                    followed[me] += not led
+            except BaseException as exc:  # noqa: BLE001 - fails the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force switches inside run()
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,), daemon=True)
+                for i in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive(), "a follower was never woken"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert sum(followed) > 0  # the keys really did collide
+        assert not flight._flights
 
 
 # -- fetch coalescing through the daemon ----------------------------------

@@ -48,6 +48,9 @@ RANKS = 3
 SLOW = 2
 SLOW_S = 0.12  # every data-plane reply from SLOW arrives this late
 RESET_AFTER = 0.4
+#: the control run's fixed hedge delay: far above a clean reply (tens of
+#: microseconds) and any scheduling stall, still inside request_timeout
+_CONTROL_HEDGE_S = 0.25
 
 #: hedging on, tight budgets, breaker tuned so three slow strikes open
 GRAY = dict(
@@ -154,13 +157,25 @@ class TestGrayFailureDrill:
     def test_unhedged_control_run_is_clean(self, seed, prepared_dataset):
         """Without chaos, the gray-failure config changes nothing: no
         hedges fire (the home answers well inside the hedge delay), no
-        breaker moves, no deadline trips."""
-        config = DaemonConfig(**GRAY)
+        breaker moves, no deadline trips.
+
+        The control pins its hedge delay to the configured
+        ``hedge_after_s``. Left adaptive, the delay becomes the peer's
+        p95 floored at 1 ms after the first sample, and a clean reply
+        can take longer than that for reasons that say nothing about
+        the store: three reading rank threads share one GIL (5 ms
+        switch interval), and the host may be busy. Whether a *healthy*
+        rank is ever hedged must not hang on who got the CPU; the
+        adaptive delay is exercised by the slow-rank drill above."""
+        config = DaemonConfig(**{**GRAY, "hedge_after_s": _CONTROL_HEDGE_S})
         world = ChaosWorld(RANKS, FaultPlan(seed))
 
         def body(comm):
             opts = FanStoreOptions(comm=comm, config=config)
             with FanStore(prepared_dataset, opts) as fs:
+                fs.daemon.health.quantile = (
+                    lambda peer, q, default: default
+                )
                 for rec in fs.daemon.metadata.walk_files():
                     fs.client.read_file(rec.path)
                 s = fs.daemon.stats

@@ -4,9 +4,12 @@ shards partition it exactly."""
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.training import loader
 from repro.training.loader import _EpochPlan
 
 plans = st.builds(
@@ -91,3 +94,54 @@ def test_epoch_permutations_cover_all_files(cfg):
     covered = cfg["batch_size"] * plan.iterations
     if covered >= cfg["n_files"]:
         assert len(seen) == cfg["n_files"]
+
+
+def _reference_rank_files(plan, epoch, iteration):
+    """The unmemoised plan: a fresh permutation on every call."""
+    order = np.random.default_rng(plan.seed + epoch).permutation(
+        len(plan.files)
+    )
+    start = iteration * plan.batch_size
+    global_batch = [
+        plan.files[order[i % len(plan.files)]]
+        for i in range(start, start + plan.batch_size)
+    ]
+    return global_batch[plan.rank :: plan.world_size][: plan.per_rank]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1234])
+def test_epoch_memo_keeps_batches_and_permutes_once_per_epoch(
+    seed, monkeypatch
+):
+    """The epoch's shuffle is computed once per epoch, not per
+    iteration, and batch membership is bit-for-bit what the
+    per-iteration permutation gave."""
+    permutations = []
+    real_default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, rng_seed):
+            self._rng = real_default_rng(rng_seed)
+
+        def permutation(self, n):
+            permutations.append(n)
+            return self._rng.permutation(n)
+
+    files = [f"f{i:04d}" for i in range(103)]
+    plans = [
+        _EpochPlan(files, batch_size=16, rank=r, world_size=2, seed=seed)
+        for r in range(2)
+    ]
+    expected = {
+        (r, epoch, it): _reference_rank_files(plans[r], epoch, it)
+        for r in range(2)
+        for epoch in range(2)
+        for it in range(plans[r].iterations)
+    }
+    monkeypatch.setattr(loader.np.random, "default_rng", CountingRng)
+    for (r, epoch, it), want in expected.items():  # rank, epoch, iteration order
+        assert plans[r].rank_files(epoch, it) == want
+    assert permutations == [len(files)] * (2 * 2)  # ranks x epochs
+    # a revisited epoch is recomputed, not served stale
+    assert plans[0].rank_files(0, 1) == expected[(0, 0, 1)]
+    assert len(permutations) == 5
