@@ -1,37 +1,27 @@
-"""Saturation throughput of the pipelined daemon core (PR 9).
+"""Saturation behaviour of the daemon's pipelined scheduler.
 
 One rank serves its in-RAM store while 1/8/64 client threads on a peer
 rank hammer it with small fetches — the many-DataLoader-workers shape
-the paper's training runs produce. Two scheduler configurations face
-the same storm:
-
-- **blocking** — ``pipeline_workers=0, batch_max=1, coalesce=False``:
-  the pre-PR-9 daemon. The service loop serves one request to
-  completion at a time and every client fetch runs its own ladder and
-  its own round trip.
-- **pipelined** — the PR 9 defaults: staged serve-side workers, bounded
-  in-flight dispatch, single-flight coalescing, and per-destination
-  batching (parked requests ride one envelope, up to ``batch_max`` at a
-  time).
+the paper's training runs produce.
 
 Small payloads and an epoch-shaped strided walk on purpose: many
 DataLoader workers pulling the same shuffled shard list collide on
 paths constantly — exactly the traffic single-flight coalesces and the
-batched envelope amortizes — and small stat/fetch requests are where a
-blocking loop saturates first. The
-second test guards the other side of the trade: a *single* client
-running the full table-6 read path (fetch + zlib decompress) must not
-pay more than 5% for the pipelined machinery it does not need.
+batched envelope amortizes.
 
-Writes the repo-root ``BENCH_saturation.json`` perf-trajectory record
-with requests/sec per (mode, clients) point and both gates:
-pipelined/blocking >= 2x at 64 clients, single-client read-path
-overhead <= 1.05x.
+What is asserted is what the scheduler is *for*, in counts: a lone
+client finds the destination idle and pays for none of it (no
+coalesced fetch, no batched flush); 64 clients coalesce colliding
+fetches and ride batched envelopes, every flush the clients count is
+one envelope the server counts, and every reply is byte-exact. The
+requests/sec per point are published, not gated: the speed of the
+cross-rank read path is gated by ``benchmarks/e2e`` (workload
+``remote_16k_memcpy``) on a pinned CPU against the parent commit.
+
+Writes the repo-root ``BENCH_saturation.json`` record.
 
 Run with ``FANSTORE_LOCKDEP=0`` (CI does): the lockdep witness taxes
-every lock acquisition, which lands disproportionately on the
-lock-heavy pipelined paths and distorts exactly the comparison these
-gates make.
+every lock acquisition, which distorts the published rates.
 """
 
 from __future__ import annotations
@@ -44,15 +34,9 @@ from pathlib import Path
 
 from repro.bench.report import PaperComparison
 from repro.comm.launcher import run_parallel
-from repro.datasets.synthetic import generate_dataset
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.metadata import FileRecord
-from repro.fanstore.pipeline import PipelineConfig
-from repro.fanstore.prepare import prepare_dataset
-from repro.fanstore.store import FanStore, FanStoreOptions
-
-import pytest
 
 RANKS = 2
 SERVER = 1
@@ -64,8 +48,8 @@ ROUNDS = 3  # best-of, per point: saturation numbers are noisy
 SEED = 9
 
 #: generous per-attempt budget and a deep admission queue: the storm
-#: must be measured, not shed — both configurations share these.
-BASE = dict(
+#: must be measured, not shed.
+CONFIG = DaemonConfig(
     request_timeout=5.0,
     max_retries=2,
     retry_backoff_base=0.01,
@@ -74,17 +58,7 @@ BASE = dict(
     max_queue_depth=256,
 )
 
-MODES = {
-    "blocking": PipelineConfig(
-        pipeline_workers=0, batch_max=1, coalesce=False
-    ),
-    "pipelined": PipelineConfig(),  # the PR 9 defaults
-}
-
 JSON_OUT = Path(__file__).parents[1] / "BENCH_saturation.json"
-
-SPEEDUP_GATE = 2.0  # pipelined vs blocking requests/sec at 64 clients
-OVERHEAD_GATE = 1.05  # single-client read-path cost, pipelined/blocking
 
 
 def _payloads() -> dict[str, bytes]:
@@ -106,15 +80,14 @@ def _record(path: str, payload: bytes) -> FileRecord:
     )
 
 
-def _run_point(mode: str, clients: int) -> dict:
-    """One (mode, clients) saturation point: wall-clock the storm on
-    the client rank, return requests/sec plus scheduler counters."""
-    config = DaemonConfig(pipeline=MODES[mode], **BASE)
+def _run_point(clients: int) -> dict:
+    """One saturation point: wall-clock the storm on the client rank,
+    return requests/sec plus scheduler counters."""
     payloads = _payloads()
     paths = sorted(payloads)
 
     def body(comm):
-        daemon = FanStoreDaemon(comm, config=config)
+        daemon = FanStoreDaemon(comm, config=CONFIG)
         for path, blob in payloads.items():
             daemon.metadata.insert(_record(path, blob))
         if comm.rank == SERVER:
@@ -140,7 +113,8 @@ def _run_point(mode: str, clients: int) -> dict:
                 # shard list do
                 path = paths[(idx * 5 + j) % len(paths)]
                 try:
-                    daemon.fetch_compressed(path)
+                    data = daemon.fetch_compressed(path)
+                    assert bytes(data) == payloads[path], path
                 except Exception as exc:  # pragma: no cover
                     errors.append(exc)
                     return
@@ -187,117 +161,38 @@ def _run_point(mode: str, clients: int) -> dict:
     }
 
 
-def _read_pass_seconds(prepared, pipeline: PipelineConfig) -> float:
-    """One full-namespace table-6 read pass (fetch + decompress) with a
-    single client thread; returns the read-phase wall time on rank 0."""
-    config = DaemonConfig(pipeline=pipeline, **BASE)
-
-    def body(comm):
-        opts = FanStoreOptions(comm=comm, config=config)
-        with FanStore(prepared, opts) as fs:
-            comm.barrier()  # everyone loaded: time only the read pass
-            t0 = time.perf_counter()
-            for rec in fs.daemon.metadata.walk_files():
-                fs.client.read_file(rec.path)
-            elapsed = time.perf_counter() - t0
-            comm.barrier()
-            return elapsed
-
-    return run_parallel(body, RANKS, timeout=300)[0]
-
-
-@pytest.fixture(scope="module")
-def saturation_dataset(tmp_path_factory):
-    raw = tmp_path_factory.mktemp("saturation-raw")
-    generate_dataset("em", raw, num_files=32, avg_file_size=16_000,
-                     num_dirs=2, seed=SEED)
-    return prepare_dataset(
-        raw, tmp_path_factory.mktemp("saturation-packed"),
-        num_partitions=RANKS, compressor="zlib-1", threads=2,
-    )
-
-
 def test_saturation_throughput(benchmark, emit_report):
-    rows = {
-        mode: [_run_point(mode, n) for n in CLIENT_COUNTS]
-        for mode in MODES
-    }
+    rows = [_run_point(n) for n in CLIENT_COUNTS]
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     report = PaperComparison(
-        "Daemon saturation: blocking vs pipelined scheduler",
+        "Daemon saturation: the pipelined scheduler under 1/8/64 clients",
         f"{N_FILES} x {BLOB_BYTES // 1024} KiB records on 1 server rank; "
         f"{PER_CLIENT} fetches per client",
-        columns=["clients", "blocking req/s", "pipelined req/s", "speedup"],
+        columns=["clients", "req/s", "coalesced", "flushes", "envelopes"],
     )
-    speedups = {}
-    for i, n in enumerate(CLIENT_COUNTS):
-        blocking = rows["blocking"][i]["requests_per_s"]
-        pipelined = rows["pipelined"][i]["requests_per_s"]
-        speedups[n] = pipelined / blocking
-        report.add_row(n, blocking, pipelined, f"{speedups[n]:.2f}x")
-    report.add_note(
-        f"gate: pipelined >= {SPEEDUP_GATE:.0f}x blocking at "
-        f"{CLIENT_COUNTS[-1]} clients (measured "
-        f"{speedups[CLIENT_COUNTS[-1]]:.2f}x)"
-    )
+    for row in rows:
+        report.add_row(
+            row["clients"], row["requests_per_s"], row["coalesced_fetches"],
+            row["batch_flushes"], row["server_batch_envelopes"],
+        )
     emit_report(report)
 
-    payload = {
+    JSON_OUT.write_text(json.dumps({
         "bench": "saturation",
         "ranks": RANKS,
         "files": N_FILES,
         "blob_bytes": BLOB_BYTES,
         "per_client_requests": PER_CLIENT,
-        "modes": rows,
-        "speedup_by_clients": {
-            str(n): round(s, 2) for n, s in speedups.items()
-        },
-        "speedup_gate_64_clients": SPEEDUP_GATE,
-    }
-    if JSON_OUT.exists():
-        payload.update(json.loads(JSON_OUT.read_text()).get("_keep", {}))
-    JSON_OUT.write_text(json.dumps(payload, indent=2) + "\n")
+        "modes": {"pipelined": rows},
+    }, indent=2) + "\n")
 
-    assert speedups[CLIENT_COUNTS[-1]] >= SPEEDUP_GATE, rows
-
-
-def test_single_client_read_overhead(
-    benchmark, saturation_dataset, emit_report
-):
-    """The table-6 read path must not pay for machinery it does not
-    use: one client, full namespace, pipelined vs blocking."""
-    best = {mode: float("inf") for mode in MODES}
-    for _ in range(ROUNDS):
-        for mode, pipeline in MODES.items():
-            best[mode] = min(
-                best[mode], _read_pass_seconds(saturation_dataset, pipeline)
-            )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    overhead = best["pipelined"] / best["blocking"]
-
-    report = PaperComparison(
-        "Single-client read-path overhead of the pipelined scheduler",
-        "full-namespace table-6 read pass (fetch + zlib-1 decompress)",
-        columns=["config", "read pass s"],
-    )
-    for mode, seconds in best.items():
-        report.add_row(mode, round(seconds, 4))
-    report.add_note(
-        f"pipelined/blocking = {overhead:.3f}x "
-        f"(gate: <= {OVERHEAD_GATE:.2f}x at 1 client)"
-    )
-    emit_report(report)
-
-    if JSON_OUT.exists():
-        payload = json.loads(JSON_OUT.read_text())
-    else:
-        payload = {"bench": "saturation"}
-    payload["single_client_read_pass_s"] = {
-        mode: round(seconds, 4) for mode, seconds in best.items()
-    }
-    payload["single_client_overhead_x"] = round(overhead, 3)
-    payload["overhead_gate"] = OVERHEAD_GATE
-    JSON_OUT.write_text(json.dumps(payload, indent=2) + "\n")
-
-    assert overhead <= OVERHEAD_GATE, best
+    lone, storm = rows[0], rows[-1]
+    # an idle destination pays nothing for the scheduler
+    assert lone["coalesced_fetches"] == 0 and lone["batch_flushes"] == 0, lone
+    assert lone["server_batch_envelopes"] == 0, lone
+    # a storm coalesces colliding fetches and rides batched envelopes,
+    # one server-side envelope per client-side flush
+    assert storm["coalesced_fetches"] > 0 and storm["batch_flushes"] > 0, storm
+    for row in rows:
+        assert row["server_batch_envelopes"] == row["batch_flushes"], row

@@ -22,8 +22,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "AST lint for FanStore's project invariants: lock order, "
             "blocking-under-lock, protocol conformance, error "
-            "conventions, determinism, metric catalogue, deprecated "
-            "facades. See docs/static-analysis.md."
+            "conventions, determinism, metric catalogue. See "
+            "docs/static-analysis.md."
         ),
     )
     parser.add_argument(

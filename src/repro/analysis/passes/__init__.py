@@ -11,7 +11,6 @@ from repro.analysis.core import LintPass
 from repro.analysis.passes.blocking import BlockingUnderLockPass
 from repro.analysis.passes.catalogue import MetricCataloguePass
 from repro.analysis.passes.deadline import DeadlinePropagationPass
-from repro.analysis.passes.deprecation import DeprecatedFacadePass
 from repro.analysis.passes.determinism import DeterminismPass
 from repro.analysis.passes.durability import DurableWritePass
 from repro.analysis.passes.errors import ErrorConventionsPass
@@ -21,7 +20,6 @@ from repro.analysis.passes.protocol import ProtocolConformancePass
 __all__ = [
     "BlockingUnderLockPass",
     "DeadlinePropagationPass",
-    "DeprecatedFacadePass",
     "DeterminismPass",
     "DurableWritePass",
     "ErrorConventionsPass",
@@ -42,5 +40,4 @@ def all_passes() -> list[LintPass]:
         DeterminismPass(),
         DurableWritePass(),
         MetricCataloguePass(),
-        DeprecatedFacadePass(),
     ]

@@ -147,14 +147,21 @@ class DecompressedCache:
         if data is not None:
             return data
         while True:
-            def _lead() -> bytes:
+            def _lead() -> bytes | None:
+                # a caller can lose the CPU between its miss above and
+                # taking the flight; an earlier leader may have
+                # installed the entry by then — share it, don't recompute
+                entry = self._entries.get(path)
+                if entry is not None and not entry.doomed:
+                    return None
                 return self.insert(path, factory())
 
             value, led = self._flight.run(path, _lead)
-            if led:
+            if led and value is not None:
                 self.stats.singleflight_leaders += 1
                 return value
-            self.stats.singleflight_followers += 1
+            if not led:
+                self.stats.singleflight_followers += 1
             # the leader's pin is its own: take ours. The entry can have
             # been evicted between the leader's insert and this open
             # (leader closed it already, retention off) — rare; loop and

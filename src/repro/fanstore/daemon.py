@@ -31,19 +31,16 @@ Every request body is a :class:`repro.fanstore.wire.Request` envelope —
 one typed record carrying ``subject``, ``reply_tag``, ``trace_ctx``,
 ``deadline``, ``epoch``, and ``batch`` by name, encoded as a versioned
 self-identifying tuple (see :mod:`repro.fanstore.wire` for the wire
-layout and forward-compatibility rules). Semantics are unchanged from
-the positional era: a traced requester's context is adopted so one
-``client.read`` is reconstructable across every rank it touched; work
-whose absolute deadline already expired is dropped instead of answered
-into the void; queue overflow is shed with an
-``(_OVERLOAD, retry_after_s)`` reply so clients back off instead of
+layout and forward-compatibility rules); any other body is counted in
+``malformed_requests`` and dropped. A traced requester's context is
+adopted so one ``client.read`` is reconstructable across every rank it
+touched; work whose absolute deadline already expired is dropped
+instead of answered into the void; queue overflow is shed with an
+``(OVERLOAD, retry_after_s)`` reply so clients back off instead of
 retry-storming; and a mutating request (``write_meta``) whose fencing
 token (membership view epoch) is older than the server's is answered
-``(_FENCED, server_epoch)`` rather than applied, so a rank healing out
-of a minority partition cannot clobber majority state. Legacy
-positional 2/3/4/5-tuple bodies still decode through the compatibility
-shim in :func:`repro.fanstore.wire.decode_request` (with a
-``DeprecationWarning``) and are served identically.
+``(FENCED, server_epoch)`` rather than applied, so a rank healing out
+of a minority partition cannot clobber majority state.
 
 A ``batch`` envelope is a client-side flush of small same-destination
 requests: its ``batch`` field holds ``(kind, subject, deadline)``
@@ -59,11 +56,10 @@ import logging
 import random
 import threading
 import time
-import warnings
 import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -110,57 +106,63 @@ from repro.fanstore.metadata import (
     RereplicationStep,
     normalize,
 )
-from repro.fanstore.pipeline import PipelineConfig, SingleFlight
+from repro.fanstore.pipeline import (
+    BATCH_MAX,
+    MAX_INFLIGHT,
+    PIPELINE_WORKERS,
+    SingleFlight,
+)
 from repro.fanstore.prepare import PreparedDataset
 from repro.fanstore.wire import (
+    FENCED,
+    OVERLOAD,
     Reply,
     Request,
     decode_batch_reply,
     decode_request,
     encode_batch_reply,
 )
-from repro.fanstore.wire import FENCED as _WIRE_FENCED
-from repro.fanstore.wire import OVERLOAD as _WIRE_OVERLOAD
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, Tracer
 
 TAG_DAEMON = 0x0FA0
 _REPLY_TAG_BASE = 0x1000
 
-#: first element of a shed request's reply — never a valid ``ok`` bool,
-#: so legacy callers cannot mistake it for data. The second element is
-#: the server's suggested back-off in seconds. (Canonical home:
-#: :data:`repro.fanstore.wire.OVERLOAD`; aliased here for the drills.)
-_OVERLOAD = _WIRE_OVERLOAD
-
-#: first element of a fenced-off mutating request's reply: the sender's
-#: fencing token (membership view epoch) was older than the server's,
-#: so the mutation was refused. The second element is the server's
-#: epoch — the sender must catch up to at least that view (rejoin,
-#: merge gossip) before the mutation can be meaningful again.
-#: (Canonical home: :data:`repro.fanstore.wire.FENCED`.)
-_FENCED = _WIRE_FENCED
-
 #: load-time collectives (metadata allgather) are not on the request
 #: hot path; they get a generous fixed budget rather than the per-
 #: request deadline machinery.
 _LOAD_COLLECTIVE_TIMEOUT = 60.0
+
+#: attempts against each replica rank once the home rank is given up on
+#: (replicas are a bonus tier; the shared FS is the floor).
+_FAILOVER_ATTEMPTS = 1
+
+#: hedged reads fire once the home rank has been silent for this
+#: quantile of its recent reply latencies.
+_HEDGE_QUANTILE = 0.95
+
+#: how long one shed (or a backlog at/above half the admission queue)
+#: keeps the daemon in brownout.
+_BROWNOUT_HOLD_S = 0.5
+
+#: service-thread join budget at :meth:`FanStoreDaemon.stop` —
+#: deliberately *not* ``request_timeout`` (a 30 s request budget must
+#: not turn shutdown into a 30 s hang).
+_SHUTDOWN_TIMEOUT = 5.0
 
 _LOG = logging.getLogger(__name__)
 
 
 @dataclass
 class DaemonStats:
-    """Counters surfaced to the benchmarks.
+    """Counters surfaced to the benchmarks and drills.
 
-    .. deprecated::
-        Retained as a thin façade over the unified
-        :class:`~repro.obs.metrics.MetricsRegistry`: every field here is
-        *bound into* the daemon's registry under ``daemon.<field>``
-        (same storage — mutating either side is visible through both),
-        so existing drills keep asserting on ``daemon.stats.<field>``
-        while new code reads ``daemon.metrics``. Prefer the registry;
-        this bag stays only for PR 1–3 compatibility.
+    Every field here is *bound into* the daemon's
+    :class:`~repro.obs.metrics.MetricsRegistry` under
+    ``daemon.<field>`` (same storage — mutating either side is visible
+    through both): the hot path does ``stats.retries += 1``, a bare int
+    add, and readers use ``daemon.stats.<field>`` or ``daemon.metrics``
+    as they prefer.
     """
 
     local_opens: int = 0
@@ -230,8 +232,6 @@ class DaemonStats:
 class DaemonConfig:
     """Tunables of one daemon instance."""
 
-    cache_bytes: int = 1 << 30
-    retain_cache: bool = False  # paper policy: release at refcount zero
     capacity_bytes: int | None = None  # burst-buffer budget; None = unbounded
     extra_partition_budget: int = 0  # additional partitions to replicate
     request_timeout: float = 30.0
@@ -244,9 +244,6 @@ class DaemonConfig:
     retry_backoff_base: float = 0.05
     retry_backoff_max: float = 2.0
     retry_jitter: float = 0.5
-    #: attempts against each replica rank once the home rank is given
-    #: up on (replicas are a bonus tier; the shared FS is the floor).
-    failover_attempts: int = 1
     #: compressor applied to output files at close (None = store raw).
     #: Checkpoints/logs are written once and rarely re-read (§II-B3), so
     #: a slow-but-dense codec is usually the right choice here.
@@ -276,55 +273,38 @@ class DaemonConfig:
     #: body carries its attempt's absolute deadline so servers can drop
     #: work the requester has already abandoned.
     request_deadline: float | None = None
-    #: service-thread join budget at :meth:`FanStoreDaemon.stop` —
-    #: deliberately *not* ``request_timeout`` (a 30 s request budget
-    #: must not turn shutdown into a 30 s hang). A thread that misses
-    #: it is logged and leaked (it is a daemon thread; it dies with the
-    #: process).
-    shutdown_timeout: float = 5.0
-    #: hedged reads: after the home rank has been silent for the
-    #: ``hedge_quantile`` of its recent latencies (``hedge_after_s``
-    #: until enough samples exist), fire the same fetch at the best
+    #: hedged reads: after the home rank has been silent for the 95th
+    #: percentile of its recent latencies (``hedge_after_s`` until
+    #: enough samples exist), fire the same fetch at the best
     #: replica and take the first verified reply. Off by default — the
     #: healthy-cluster overhead is near zero, but hedging is a policy
     #: the operator should opt into.
     hedge_reads: bool = False
     hedge_after_s: float = 0.05
-    hedge_quantile: float = 0.95
     #: circuit breaker per peer: ``breaker_failure_threshold``
     #: consecutive hard failures (timeouts, overload sheds) or
-    #: ``breaker_slow_threshold`` consecutive slow signals (hedge
-    #: fired, or latency above ``breaker_latency_threshold`` when set)
-    #: open it; after ``breaker_reset_after`` seconds it half-opens and
-    #: the next fetch probes.
+    #: ``breaker_slow_threshold`` consecutive slow signals (a hedge
+    #: fired) open it; after ``breaker_reset_after`` seconds it
+    #: half-opens and the next fetch probes.
     breaker_failure_threshold: int = 3
     breaker_slow_threshold: int = 3
     breaker_reset_after: float = 1.0
-    breaker_latency_threshold: float | None = None
     #: admission control: the service loop drains its mailbox into a
     #: bounded queue; overflow sheds the nearest-deadline entry with an
     #: overload reply carrying ``overload_retry_after_s``. Shedding (or
-    #: a backlog at/above ``brownout_queue_depth``, default half the
-    #: queue) enters *brownout* for ``brownout_hold_s``: re-verification
-    #: of already-digest-checked payloads is skipped to shed CPU.
+    #: a backlog at/above half the queue) enters *brownout* for half a
+    #: second: re-verification of already-digest-checked payloads is
+    #: skipped to shed CPU.
     max_queue_depth: int = 64
     overload_retry_after_s: float = 0.05
-    brownout_queue_depth: int | None = None
-    brownout_hold_s: float = 0.5
     #: epoch fencing: every request carries the sender's membership view
     #: epoch, and mutating requests (``write_meta``) stamped with an
     #: epoch older than the server's are refused with a
-    #: ``(_FENCED, server_epoch)`` reply (surfaced to the caller as
+    #: ``(FENCED, server_epoch)`` reply (surfaced to the caller as
     #: :class:`StaleEpochError`). This is what keeps a rank healing out
     #: of a minority partition from clobbering majority state; disable
     #: only to measure what it buys (see ``benchmarks/bench_partition``).
     epoch_fencing: bool = True
-    #: the pipelined-scheduler knob group (worker pool width, in-flight
-    #: bound, client-side batching limits) — see
-    #: :class:`repro.fanstore.pipeline.PipelineConfig` for each knob.
-    #: ``PipelineConfig(pipeline_workers=0, batch_max=1)`` restores the
-    #: fully blocking pre-pipeline daemon.
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
 
 class _BatchTicket:
@@ -379,16 +359,13 @@ class FanStoreDaemon:
         journal_dir: Any = None,
         journal_config: JournalConfig | None = None,
         disk_injector: DiskFaultInjector | None = None,
-        **legacy: Any,
     ) -> None:
         self.comm = comm
-        self.config = self._resolve_config(config, legacy)
+        self.config = config or DaemonConfig()
         self.backend = backend if backend is not None else RamBackend()
         self.registry = registry or default_registry()
         self.metadata = MetadataTable()
-        self.cache = DecompressedCache(
-            self.config.cache_bytes, retain_unpinned=self.config.retain_cache
-        )
+        self.cache = DecompressedCache()
         self.rank = comm.rank if comm else 0
         self.size = comm.size if comm else 1
         #: unified per-rank observability: the stats bag below is bound
@@ -448,18 +425,12 @@ class FanStoreDaemon:
             failure_threshold=cfg.breaker_failure_threshold,
             slow_threshold=cfg.breaker_slow_threshold,
             reset_after=cfg.breaker_reset_after,
-            latency_threshold=cfg.breaker_latency_threshold,
         )
         self.health.on_open = self._on_breaker_open
         self.health.on_probe = self._on_breaker_probe
         self._queue_depth = 0  # service-loop backlog, sampled per drain
         self.metrics.bind_gauge("daemon.queue_depth", self, "_queue_depth")
         self._brownout_until = 0.0
-        self._brownout_depth = (
-            cfg.brownout_queue_depth
-            if cfg.brownout_queue_depth is not None
-            else max(2, cfg.max_queue_depth // 2)
-        )
         self._verified_paths: set[str] = set()
         self._membership: FailureDetector | None = None
         # negative route cache: dest rank → view epoch at the time the
@@ -491,34 +462,6 @@ class FanStoreDaemon:
             self.backend.injector = disk_injector
         if isinstance(self.backend, DiskBackend):
             self.backend.rank = self.rank
-
-    _LEGACY_PIPELINE_KWARGS = (
-        "pipeline_workers", "max_inflight", "batch_max", "batch_linger"
-    )
-
-    @classmethod
-    def _resolve_config(
-        cls, config: DaemonConfig | None, legacy: dict[str, Any]
-    ) -> DaemonConfig:
-        """Fold deprecated ad-hoc scheduler kwargs into the coherent
-        ``config.pipeline`` group. Unknown kwargs stay a TypeError."""
-        base = config or DaemonConfig()
-        if not legacy:
-            return base
-        unknown = [k for k in legacy if k not in cls._LEGACY_PIPELINE_KWARGS]
-        if unknown:
-            raise TypeError(
-                "FanStoreDaemon() got unexpected keyword argument(s): "
-                + ", ".join(sorted(unknown))
-            )
-        warnings.warn(
-            "passing scheduler knobs as FanStoreDaemon keyword arguments "
-            "is deprecated; set DaemonConfig(pipeline=PipelineConfig(...)) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return replace(base, pipeline=replace(base.pipeline, **legacy))
 
     # -- loading ----------------------------------------------------------
 
@@ -661,7 +604,7 @@ class FanStoreDaemon:
     def _fence_token(self) -> int | None:
         """The fencing token stamped on outgoing requests: this rank's
         membership view epoch, or None when fencing is off / no detector
-        is attached (legacy senders are served unfenced)."""
+        is attached (the server then serves the request unfenced)."""
         if not self.config.epoch_fencing or self._membership is None:
             return None
         return self._view_epoch()
@@ -669,9 +612,9 @@ class FanStoreDaemon:
     def _stale_epoch(self, epoch: int | None) -> bool:
         """Server-side fencing check for a mutating request: True when
         the sender stamped a view epoch older than ours. Unfenced
-        senders (no token: legacy wire forms, fencing disabled, no
-        detector) are never fenced — fencing protects against *known*
-        staleness, not missing information."""
+        senders (no token: fencing disabled, or no detector attached)
+        are never fenced — fencing protects against *known* staleness,
+        not missing information."""
         if not self.config.epoch_fencing or self._membership is None:
             return False
         return epoch is not None and epoch < self._view_epoch()
@@ -783,7 +726,7 @@ class FanStoreDaemon:
             try:
                 ok, data = self._request(
                     "fetch", step.path, source,
-                    attempts=max(1, self.config.failover_attempts),
+                    attempts=_FAILOVER_ATTEMPTS,
                 )
             except (RetryExhaustedError, ServerOverloadedError, RankDeadError):
                 continue
@@ -1206,50 +1149,45 @@ class FanStoreDaemon:
 
     def stop(self) -> None:
         """Stop the service loop (idempotent). Shutdown gets its own
-        bounded budget — ``shutdown_timeout``, not ``request_timeout``
-        (a generous request budget must not become a shutdown hang). A
-        service thread that misses it is logged and leaked: it is a
-        daemon thread, so it cannot outlive the process."""
+        bounded budget (:data:`_SHUTDOWN_TIMEOUT`). A service thread
+        that misses it is logged and leaked: it is a daemon thread, so
+        it cannot outlive the process."""
         if self.journal is not None:
             self.journal.close()
         if self.comm is None or self._service_thread is None:
             return
         self.comm.send(("stop", None), self.rank, TAG_DAEMON)
         thread = self._service_thread
-        thread.join(timeout=self.config.shutdown_timeout)
+        thread.join(timeout=_SHUTDOWN_TIMEOUT)
         if thread.is_alive():
             _LOG.warning(
                 "rank %d: daemon service thread still running %.1fs after "
                 "stop; leaking it (daemon thread — dies with the process)",
-                self.rank, self.config.shutdown_timeout,
+                self.rank, _SHUTDOWN_TIMEOUT,
             )
         self._service_thread = None
 
     def _serve(self) -> None:
         """The event loop of the pipelined scheduler. The loop itself
         only *admits* (recv → parse → bounded queue, shedding overflow)
-        and *dispatches*; with ``pipeline.pipeline_workers > 0`` the
-        actual serving — digest verify, backend reads, codec work —
-        happens on a worker pool, bounded by ``pipeline.max_inflight``,
-        so the loop never blocks on one slow request and admission
-        control stays live under load. ``pipeline_workers == 0`` is the
-        legacy inline mode: each request served to completion on this
-        thread (the blocking baseline of the saturation benchmark)."""
+        and *dispatches*; the actual serving — digest verify, backend
+        reads, codec work — happens on a pool of
+        :data:`~repro.fanstore.pipeline.PIPELINE_WORKERS` threads,
+        bounded by :data:`~repro.fanstore.pipeline.MAX_INFLIGHT`, so the
+        loop never blocks on one slow request and admission control
+        stays live under load. A request that finds the daemon idle is
+        served on this thread."""
         comm = self.comm
         assert comm is not None
         queue = AdmissionQueue(self.config.max_queue_depth)
-        workers = self.config.pipeline.pipeline_workers
-        pool: ThreadPoolExecutor | None = None
-        slots: threading.BoundedSemaphore | None = None
+        # a backlog of half the queue is the early overload signal
+        brownout_depth = max(2, self.config.max_queue_depth // 2)
+        pool = ThreadPoolExecutor(
+            max_workers=PIPELINE_WORKERS,
+            thread_name_prefix=f"fanstore-pipe-{self.rank}",
+        )
+        slots = threading.BoundedSemaphore(MAX_INFLIGHT)
         stop = threading.Event()
-        if workers > 0:
-            pool = ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix=f"fanstore-pipe-{self.rank}",
-            )
-            slots = threading.BoundedSemaphore(
-                self.config.pipeline.max_inflight
-            )
         try:
             while True:
                 if not len(queue):
@@ -1276,24 +1214,17 @@ class FanStoreDaemon:
                         return
                 depth = len(queue)
                 self._queue_depth = depth
-                if depth >= self._brownout_depth:
+                if depth >= brownout_depth:
                     self._brownout_until = (
-                        time.monotonic() + self.config.brownout_hold_s
+                        time.monotonic() + _BROWNOUT_HOLD_S
                     )
                 entry = queue.pop()
                 if entry is None:
                     continue
-                if pool is None:
-                    if not self._serve_one(entry):
-                        return
-                    continue
                 # Uncontended fast path: nothing in flight and nothing
                 # queued behind this entry means a pool hop buys no
                 # overlap — serve on the loop thread and skip the
-                # submit/wakeup cost. A lone client pays the same
-                # per-request price as the legacy inline loop (the
-                # single-client overhead gate in bench_saturation.py
-                # holds this to <= 5%); the reads of ``_inflight`` are
+                # submit/wakeup cost. The reads of ``_inflight`` are
                 # racy on purpose — a stale nonzero just takes the pool
                 # path, a concurrent drain-to-zero just serves inline.
                 if self._inflight == 0 and not len(queue):
@@ -1304,7 +1235,6 @@ class FanStoreDaemon:
                 # draining + shedding the mailbox instead of blocking —
                 # a stalled pool must not take admission control down
                 # with it.
-                assert slots is not None
                 while not slots.acquire(timeout=0.02):
                     if stop.is_set():
                         return
@@ -1324,8 +1254,7 @@ class FanStoreDaemon:
                 self._inflight += 1
                 pool.submit(self._serve_async, entry, slots, stop)
         finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
+            pool.shutdown(wait=False)
 
     def _serve_async(
         self,
@@ -1352,8 +1281,8 @@ class FanStoreDaemon:
         A malformed message must not kill the service loop — the daemon
         outlives misbehaving clients (it answers to every peer, not just
         the sender). Bodies decode through
-        :func:`repro.fanstore.wire.decode_request` — v2 envelopes and
-        legacy positional tuples alike; anything neither is malformed.
+        :func:`repro.fanstore.wire.decode_request`; anything that is
+        not a request envelope is malformed.
         A batch envelope is admitted against the *earliest* of its
         items' deadlines: the whole flush is droppable only once every
         waiter behind it has walked away.
@@ -1390,15 +1319,13 @@ class FanStoreDaemon:
         shed = queue.push(entry, deadline_at)
         if shed:
             # shedding is the overload signal: enter brownout
-            self._brownout_until = (
-                time.monotonic() + self.config.brownout_hold_s
-            )
+            self._brownout_until = time.monotonic() + _BROWNOUT_HOLD_S
         retry_after = self.config.overload_retry_after_s
         for _, victim, victim_source in shed:
             self.stats.shed_requests += 1
             try:
                 self.comm.send(
-                    (_OVERLOAD, retry_after), victim_source, victim.reply_tag
+                    (OVERLOAD, retry_after), victim_source, victim.reply_tag
                 )
             except (CommClosedError, CommError):
                 return True
@@ -1461,7 +1388,7 @@ class FanStoreDaemon:
                         self.stats.fenced_rejects += 1
                         span.tag(fenced=True)
                         comm.send(
-                            (_FENCED, self._view_epoch()), source, reply_tag
+                            (FENCED, self._view_epoch()), source, reply_tag
                         )
                     else:
                         self.metadata.insert(subject)
@@ -1568,7 +1495,7 @@ class FanStoreDaemon:
         :class:`DeadlineExpiredError` instead of starting another
         attempt. Either way the wire body carries the attempt's own
         absolute expiry, so the server can drop work this side has
-        already given up on. An ``(_OVERLOAD, retry_after)`` reply is a
+        already given up on. An ``(OVERLOAD, retry_after)`` reply is a
         shed: back off at least ``retry_after`` before the next attempt,
         and raise :class:`ServerOverloadedError` when the budget ends on
         one — overload is the one failure retrying *amplifies*.
@@ -1640,7 +1567,7 @@ class FanStoreDaemon:
                 continue
             if (
                 isinstance(reply, tuple) and len(reply) == 2
-                and reply[0] == _FENCED
+                and reply[0] == FENCED
             ):
                 # a stale fencing token is not retryable: the view this
                 # side acted under is history, and only a membership
@@ -1657,7 +1584,7 @@ class FanStoreDaemon:
                 )
             if (
                 isinstance(reply, tuple) and len(reply) == 2
-                and reply[0] == _OVERLOAD
+                and reply[0] == OVERLOAD
             ):
                 self.stats.overload_backoffs += 1
                 self.health.failure(dest)
@@ -1705,19 +1632,16 @@ class FanStoreDaemon:
 
         The first caller per destination takes the *baton* and runs a
         classic :meth:`_request` (an idle destination pays zero batching
-        overhead — no linger, no envelope change); callers arriving
+        overhead — no wait, no envelope change); callers arriving
         while the baton is out park as tickets. When the baton frees, a
-        parked ticket is elected flush leader: it lingers briefly, packs
-        up to ``batch_max`` parked tickets into one ``batch`` envelope,
-        and fans the item replies back to their waiters. Any batch-level
+        parked ticket is elected flush leader: it packs up to
+        :data:`~repro.fanstore.pipeline.BATCH_MAX` parked tickets into
+        one ``batch`` envelope and fans the item replies back to their
+        waiters. Any batch-level
         failure degrades every waiter to the classic ladder — batching
         is an optimization, never a new failure mode. Hedged fetches and
         mutating requests must not come through here.
         """
-        comm = self.comm
-        cfg = self.config.pipeline
-        if comm is None or cfg.batch_max <= 1:
-            return self._request(kind, subject, dest, deadline=deadline)
         batcher = self._batcher(dest)
         ticket: _BatchTicket | None = None
         with batcher.lock:
@@ -1779,7 +1703,7 @@ class FanStoreDaemon:
     def _lead_flush(
         self, batcher: _DestBatcher, dest: int, own: _BatchTicket
     ) -> tuple[bool, Any]:
-        """Run one batched flush as its elected leader: linger, pack the
+        """Run one batched flush as its elected leader: pack the
         parked tickets, exchange, fan the item replies out. Every
         grouped ticket is answered even when the exchange raises — a
         torn-down world must not strand parked waiters.
@@ -1788,26 +1712,13 @@ class FanStoreDaemon:
         the network round trip — so the next elected leader packs and
         sends while this envelope is still on the wire. Serializing
         flushes behind one baton would cap throughput at one round trip
-        per destination at a time, below the blocking baseline's free
-        concurrency; pipelined flushes keep ``batch_max`` fewer round
-        trips *and* overlapping exchanges."""
-        cfg = self.config.pipeline
+        per destination at a time; pipelined flushes keep the fewer
+        round trips *and* overlapping exchanges."""
         baton_passed = False
         try:
-            if cfg.batch_linger > 0:
-                with batcher.lock:
-                    waiting = len(batcher.pending)
-                # linger only while the batch could still fill: a full
-                # backlog packs immediately, no latency added
-                if waiting < cfg.batch_max - 1:
-                    pause = cfg.batch_linger
-                    if own.deadline is not None:
-                        pause = own.deadline.cap(pause)
-                    if pause > 0:
-                        time.sleep(pause)
             group = [own]
             with batcher.lock:
-                while batcher.pending and len(group) < cfg.batch_max:
+                while batcher.pending and len(group) < BATCH_MAX:
                     ticket = batcher.pending.popleft()
                     if ticket.cancelled:
                         continue
@@ -2007,12 +1918,8 @@ class FanStoreDaemon:
         outcome — a miss storm costs one upstream fetch, and errors are
         shared the same way. A follower whose own deadline lapses while
         the leader is still fetching aborts alone; the flight runs on.
-        ``pipeline.coalesce = False`` opts out: every caller runs its
-        own ladder with fully independent errors.
         """
         norm = normalize(path)
-        if not self.config.pipeline.coalesce:
-            return self._fetch_ladder(norm, deadline)
         try:
             value, led = self._fetch_flight.run(
                 norm,
@@ -2137,11 +2044,11 @@ class FanStoreDaemon:
 
     def _hedge_delay(self, dest: int) -> float:
         """How long to leave the home rank alone before hedging: the
-        configured quantile of its recent reply latencies, or the fixed
-        ``hedge_after_s`` until samples exist."""
+        :data:`_HEDGE_QUANTILE` of its recent reply latencies, or the
+        fixed ``hedge_after_s`` until samples exist."""
         cfg = self.config
         delay = self.health.quantile(
-            dest, cfg.hedge_quantile, cfg.hedge_after_s
+            dest, _HEDGE_QUANTILE, cfg.hedge_after_s
         )
         # floor well above zero so a burst of fast replies cannot turn
         # hedging into send-everything-twice
@@ -2267,7 +2174,7 @@ class FanStoreDaemon:
         "keep racing", anything returned is final."""
         if (
             isinstance(reply, tuple) and len(reply) == 2
-            and reply[0] == _OVERLOAD
+            and reply[0] == OVERLOAD
         ):
             self.stats.overload_backoffs += 1
             self.health.failure(source)
@@ -2387,7 +2294,7 @@ class FanStoreDaemon:
                 with span:
                     ok, data = self._request(
                         "fetch", norm, replica,
-                        attempts=max(1, self.config.failover_attempts),
+                        attempts=_FAILOVER_ATTEMPTS,
                         deadline=deadline,
                     )
             except (RetryExhaustedError, ServerOverloadedError):

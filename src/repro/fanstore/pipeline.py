@@ -1,13 +1,12 @@
 """Scheduler primitives for the pipelined daemon core.
 
 The paper's throughput argument (Eq. 2) assumes fetch and decompress
-*overlap*; PR 9 makes the daemon actually do that. This module holds the
-two building blocks that are independent of the daemon itself:
+*overlap*; the daemon's pipelined scheduler makes that so. This module
+holds what is independent of the daemon itself:
 
-- :class:`PipelineConfig` — the coherent knob group (worker pool width,
-  in-flight bound, batching limits) promoted into
-  :class:`~repro.fanstore.daemon.DaemonConfig` /
-  :class:`~repro.fanstore.store.FanStoreOptions`;
+- the three sizes of that scheduler (:data:`PIPELINE_WORKERS`,
+  :data:`MAX_INFLIGHT`, :data:`BATCH_MAX`) — constants, not options:
+  no workload in this repository has ever needed a second value;
 - :class:`SingleFlight` — a keyed in-flight table: concurrent callers of
   the same key share one execution of the underlying work (one upstream
   fetch for a miss storm, one decompression for a cache-miss race); a
@@ -20,70 +19,24 @@ beyond the table mutex, which is never held across the coalesced work.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
-from repro.errors import FanStoreError
+#: width of the serve-side worker pool: admitted requests that find the
+#: daemon busy are served on this many threads, so the serve loop never
+#: blocks on digest-verify or codec work.
+PIPELINE_WORKERS = 4
 
+#: bound on admitted requests in flight across the worker pool; at the
+#: bound the serve loop stops dispatching but keeps draining and
+#: shedding its mailbox, so admission control stays live under a
+#: stalled pool.
+MAX_INFLIGHT = 32
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Tunables of the daemon's pipelined scheduler.
-
-    ``pipeline_workers`` is the serve-side stage pool: admitted requests
-    are dispatched to this many worker threads so the serve loop never
-    blocks on digest-verify or codec work. ``0`` restores the legacy
-    inline loop (requests served one at a time on the service thread) —
-    the blocking baseline the saturation benchmark measures against.
-
-    ``max_inflight`` bounds how many admitted requests may be in flight
-    across the worker pool at once; the serve loop stops dispatching
-    (but keeps draining + shedding its mailbox) when the bound is hit,
-    so admission control stays live under a stalled pool.
-
-    ``batch_max`` caps how many parked client requests one flush may
-    coalesce into a single batched envelope per destination; ``1``
-    disables client-side batching entirely. ``batch_linger`` is the
-    extra wait (seconds) an elected flush leader spends letting the
-    batch fill before flushing. The default is ``0`` — *opportunistic*
-    batching: a flush packs whatever already parked behind the busy
-    destination and sends immediately, trading no latency at all for
-    its round-trip savings (backlog, not waiting, is what fills
-    batches). A nonzero linger buys bigger batches at the price of
-    added latency on every flush that is not already full — keep it
-    well below typical request latency.
-
-    ``coalesce`` turns single-flight fetch coalescing off: concurrent
-    fetches of the same key each run their own failover ladder, as the
-    pre-pipelining daemon did. Coalescing shares *outcomes* — a
-    follower observes the leader's error as its own — so callers that
-    need per-request error independence (or a true blocking baseline,
-    as the saturation benchmark does) can opt out.
-    """
-
-    pipeline_workers: int = 4
-    max_inflight: int = 32
-    batch_max: int = 16
-    batch_linger: float = 0.0
-    coalesce: bool = True
-
-    def __post_init__(self) -> None:
-        if self.pipeline_workers < 0:
-            raise FanStoreError(
-                f"pipeline_workers must be >= 0, got {self.pipeline_workers}"
-            )
-        if self.max_inflight < 1:
-            raise FanStoreError(
-                f"max_inflight must be >= 1, got {self.max_inflight}"
-            )
-        if self.batch_max < 1:
-            raise FanStoreError(
-                f"batch_max must be >= 1, got {self.batch_max}"
-            )
-        if self.batch_linger < 0:
-            raise FanStoreError(
-                f"batch_linger must be >= 0, got {self.batch_linger}"
-            )
+#: most parked client requests one flush packs into a single batched
+#: envelope per destination. Batching is opportunistic: a flush packs
+#: whatever already parked behind the busy destination and sends at
+#: once (backlog, not waiting, is what fills batches).
+BATCH_MAX = 16
 
 
 class _Flight:

@@ -23,9 +23,7 @@ Multi-node usage, inside :func:`repro.comm.run_parallel`::
 Construction settings live on :class:`FanStoreOptions`; the named
 constructors :meth:`FanStore.with_membership` and
 :meth:`FanStore.rejoined` cover the two non-default lifecycles (the
-self-healing layer, and relaunching a dead rank). The pre-options
-keyword arguments (``FanStore(prepared, comm=..., config=...)``) still
-work but raise :class:`DeprecationWarning`.
+self-healing layer, and relaunching a dead rank).
 
 ``shutdown`` (or context exit) is collective when a communicator is
 present: a barrier guarantees no peer still needs this daemon's data
@@ -37,7 +35,6 @@ that module's docstring.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -47,10 +44,9 @@ from repro.errors import FanStoreError
 from repro.fanstore.backend import DiskBackend, PartitionBackend, RamBackend
 from repro.fanstore.client import FanStoreClient
 from repro.fanstore.crash import DiskFaultInjector
-from repro.fanstore.daemon import DaemonConfig, DaemonStats, FanStoreDaemon
+from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.journal import JournalConfig
 from repro.fanstore.membership import FailureDetector, MembershipConfig
-from repro.fanstore.pipeline import PipelineConfig
 from repro.fanstore.prepare import PreparedDataset
 from repro.fanstore.scrub import ScrubReport, Scrubber
 from repro.obs.metrics import MetricsRegistry
@@ -64,12 +60,11 @@ _SHUTDOWN_BARRIER_TIMEOUT = 60.0
 
 @dataclass(frozen=True)
 class FanStoreOptions:
-    """Everything configurable about one :class:`FanStore` instance.
-
-    Replaces the constructor's keyword sprawl with one value that can
-    be built once and shared across ranks/tests (it is frozen; derive
-    variants with :func:`dataclasses.replace`). All fields default to
-    the single-node, in-RAM, observability-quiet configuration.
+    """Everything configurable about one :class:`FanStore` instance:
+    one value that can be built once and shared across ranks/tests (it
+    is frozen; derive variants with :func:`dataclasses.replace`). All
+    fields default to the single-node, in-RAM, observability-quiet
+    configuration.
     """
 
     #: communicator for the multi-node mesh (None = single node).
@@ -106,17 +101,6 @@ class FanStoreOptions:
     #: by the backend write path and the journal's low-watermark probe
     #: (:class:`~repro.fanstore.crash.DiskFaultInjector`); None = off.
     disk_injector: DiskFaultInjector | None = None
-    #: pipelined-scheduler knobs (worker pool, in-flight bound, request
-    #: batching — :class:`~repro.fanstore.pipeline.PipelineConfig`).
-    #: None defers to ``config.pipeline``; a value here overrides it.
-    pipeline: PipelineConfig | None = None
-
-
-#: constructor keywords accepted pre-FanStoreOptions; each maps 1:1
-#: onto an options field.
-_LEGACY_KWARGS = frozenset(
-    f for f in FanStoreOptions.__dataclass_fields__ if f != "metrics"
-)
 
 
 class FanStore(ServiceMixin):
@@ -126,27 +110,10 @@ class FanStore(ServiceMixin):
         self,
         prepared: PreparedDataset | Path | str,
         options: FanStoreOptions | None = None,
-        **legacy,
     ) -> None:
         """See :class:`FanStoreOptions` for the knobs, and
         :meth:`with_membership` / :meth:`rejoined` for the named
-        lifecycles. ``**legacy`` accepts the pre-options keywords
-        (``comm=``, ``config=``, ...) with a DeprecationWarning."""
-        if legacy:
-            unknown = set(legacy) - _LEGACY_KWARGS
-            if unknown:
-                raise TypeError(
-                    f"FanStore() got unexpected keyword argument(s) "
-                    f"{sorted(unknown)}"
-                )
-            warnings.warn(
-                "passing FanStore construction settings as keyword "
-                f"arguments ({', '.join(sorted(legacy))}) is deprecated; "
-                "build a FanStoreOptions instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = replace(options or FanStoreOptions(), **legacy)
+        lifecycles."""
         opts = options if options is not None else FanStoreOptions()
         self.options = opts
         if isinstance(prepared, (str, Path)):
@@ -163,12 +130,9 @@ class FanStore(ServiceMixin):
         journal_dir = None
         if opts.journal and isinstance(backend, DiskBackend):
             journal_dir = backend.root / "journal"
-        config = opts.config
-        if opts.pipeline is not None:
-            config = replace(config or DaemonConfig(), pipeline=opts.pipeline)
         self.daemon = FanStoreDaemon(
             comm,
-            config=config,
+            config=opts.config,
             backend=backend,
             registry=opts.registry,
             metrics=opts.metrics,
@@ -341,22 +305,6 @@ class FanStore(ServiceMixin):
         and writer election frozen; reads keep serving degraded). Always
         False without a membership detector."""
         return self.membership is not None and self.membership.isolated
-
-    def stats(self) -> DaemonStats:
-        """The legacy counter bag.
-
-        .. deprecated::
-            The fields now live in :attr:`metrics` as ``daemon.<field>``
-            (same storage — see :meth:`DaemonStats.bind`). Kept so
-            pre-observability callers compile; new code should read the
-            registry."""
-        warnings.warn(
-            "FanStore.stats() is deprecated; read FanStore.metrics "
-            "(names daemon.<field>) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.daemon.stats
 
     def export_ownership(self) -> dict:
         """This rank's post-membership ownership map (view epoch,

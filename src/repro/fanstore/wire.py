@@ -1,47 +1,35 @@
 """Typed request/reply envelopes for the daemon wire protocol (v2).
 
-The daemon's wire bodies accreted into positional 2/3/4/5-tuples —
-``(subject, reply_tag[, trace_ctx[, deadline[, epoch]]])`` — that every
-new feature had to thread by hand. This module replaces them with one
-typed :class:`Request` envelope carrying every field by name, encoded
-as a *self-identifying* tuple:
+Every daemon request body is one typed :class:`Request` envelope
+carrying every field by name, encoded as a *self-identifying* tuple:
 
     (WIRE_MAGIC, WIRE_VERSION, subject, reply_tag,
      trace_ctx, deadline, epoch, batch)
 
-``WIRE_MAGIC`` contains NUL bytes, which :func:`~repro.fanstore.
-metadata.normalize` never produces in a path, so a v2 envelope can
-never be mistaken for a legacy tuple whose first element is a subject
-path. Versions above :data:`WIRE_VERSION` decode their known prefix
-(fields are only ever appended), so a v2 server keeps serving v3
-clients.
+Anything else on the request tag is a :class:`~repro.errors.
+WireFormatError` (the server counts it malformed and keeps serving).
+Versions above :data:`WIRE_VERSION` decode their known prefix (fields
+are only ever appended), so a v2 server keeps serving v3 clients.
 
-Legacy positional bodies still decode through :func:`decode_request` —
-a compatibility shim that emits a :class:`DeprecationWarning` — so
-pre-envelope senders keep working for one deprecation cycle.
-
-Replies stay legacy-shaped on the wire (``(True, data)``,
+A reply is a ``(head, value)`` pair — ``(True, data)``,
 ``(False, subject_or_None)``, ``(OVERLOAD, retry_after)``,
-``(FENCED, server_epoch)``) so pre-envelope *clients* parse new
-servers' answers unchanged; :class:`Reply` gives them names. Two new
-markers cover the batched path: ``EXPIRED`` (the server dropped one
-batch item whose deadline had lapsed) and ``FAILED`` (one batch item
-errored — only its waiter falls back, the rest of the batch is
-unaffected). A batch reply is ``(BATCH, (encoded item replies...))``
+``(FENCED, server_epoch)`` — and :class:`Reply` gives the heads names.
+Two more markers cover the batched path: ``EXPIRED`` (the server
+dropped one batch item whose deadline had lapsed) and ``FAILED`` (one
+batch item errored — only its waiter falls back, the rest of the batch
+is unaffected). A batch reply is ``(BATCH, (encoded item replies...))``
 in request-item order.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
 from repro.comm.deadline import wire_deadline
 from repro.errors import WireFormatError
 
-#: first element of every v2 envelope. The embedded NULs keep it out of
-#: the normalized-path value space, so version dispatch is collision-free.
+#: first element of every v2 envelope; what makes a body self-identifying.
 WIRE_MAGIC = "\x00fanstore-wire\x00"
 
 #: the envelope revision this module encodes. Decoders accept any
@@ -50,7 +38,7 @@ WIRE_VERSION = 2
 
 #: reply marker: the request was shed by admission control; the second
 #: element is the server's suggested back-off in seconds. Never a valid
-#: ``ok`` bool, so legacy callers cannot mistake it for data.
+#: ``ok`` bool, so callers cannot mistake it for data.
 OVERLOAD = "__overloaded__"
 
 #: reply marker: a mutating request carried a fencing token older than
@@ -107,96 +95,62 @@ class Request:
         )
 
 
-def _decode_legacy(body: Any) -> Request:
-    """Compatibility shim for pre-envelope positional bodies
-    (2/3/4/5-tuples). Deprecated: senders should build a
-    :class:`Request` and put ``request.encode()`` on the wire."""
-    warnings.warn(
-        "legacy positional daemon wire bodies are deprecated; send "
-        "repro.fanstore.wire.Request(...).encode() instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    try:
-        subject, reply_tag, *rest = body
-    except (TypeError, ValueError) as exc:
-        raise WireFormatError(f"unparseable wire body: {body!r}") from exc
-    if len(rest) > 3:
-        raise WireFormatError(
-            f"legacy wire body has {2 + len(rest)} fields; at most 5 "
-            "(subject, reply_tag, trace_ctx, deadline, epoch) are defined"
-        )
-    trace_ctx = rest[0] if rest else None
-    deadline = wire_deadline(rest[1]) if len(rest) > 1 else None
-    epoch = rest[2] if len(rest) > 2 else None
-    return Request(
-        subject=subject,
-        reply_tag=reply_tag,
-        trace_ctx=trace_ctx,
-        deadline=deadline,
-        epoch=epoch,
-        batch=None,
-    )
-
-
 def decode_request(body: Any) -> Request:
-    """Decode one wire body — v2 envelope or legacy positional tuple —
-    into a validated :class:`Request`.
+    """Decode one wire body into a validated :class:`Request`.
 
-    Hostile headers surface as :class:`WireFormatError` (the server
-    counts them malformed), never as a crash: the deadline is sanitized
-    through :func:`~repro.comm.deadline.wire_deadline`, the reply tag
-    and epoch are type-checked, and a batch must be a tuple.
+    Hostile bodies surface as :class:`WireFormatError` (the server
+    counts them malformed), never as a crash: anything that is not a v2
+    envelope is rejected, the deadline is sanitized through
+    :func:`~repro.comm.deadline.wire_deadline`, the reply tag and epoch
+    are type-checked, and a batch must be a tuple.
     """
-    if (
+    if not (
         isinstance(body, tuple)
         and len(body) >= 2
         and body[0] == WIRE_MAGIC
     ):
-        version = body[1]
-        if not isinstance(version, int) or version < WIRE_VERSION:
-            raise WireFormatError(
-                f"bad envelope version: {version!r} (oldest supported is "
-                f"{WIRE_VERSION})"
-            )
-        if len(body) < 8:
-            raise WireFormatError(
-                f"v{version} envelope has {len(body)} fields; "
-                "8 (magic, version, subject, reply_tag, trace_ctx, "
-                "deadline, epoch, batch) are required"
-            )
-        # forward compatibility: fields are append-only, so a newer
-        # sender's extras are ignorable rather than fatal
-        _, _, subject, reply_tag, trace_ctx, deadline, epoch, batch = body[:8]
-        request = Request(
-            subject=subject,
-            reply_tag=reply_tag,
-            trace_ctx=trace_ctx,
-            deadline=wire_deadline(deadline),
-            epoch=epoch,
-            batch=batch,
+        raise WireFormatError(f"not a request envelope: {body!r}")
+    version = body[1]
+    if not isinstance(version, int) or version < WIRE_VERSION:
+        raise WireFormatError(
+            f"bad envelope version: {version!r} (oldest supported is "
+            f"{WIRE_VERSION})"
         )
-    else:
-        request = _decode_legacy(body)
+    if len(body) < 8:
+        raise WireFormatError(
+            f"v{version} envelope has {len(body)} fields; "
+            "8 (magic, version, subject, reply_tag, trace_ctx, "
+            "deadline, epoch, batch) are required"
+        )
+    # forward compatibility: fields are append-only, so a newer
+    # sender's extras are ignorable rather than fatal
+    _, _, subject, reply_tag, trace_ctx, deadline, epoch, batch = body[:8]
     if (
-        isinstance(request.reply_tag, bool)
-        or not isinstance(request.reply_tag, int)
-        or request.reply_tag < 0
+        isinstance(reply_tag, bool)
+        or not isinstance(reply_tag, int)
+        or reply_tag < 0
     ):
-        raise WireFormatError(f"bad reply tag: {request.reply_tag!r}")
-    if request.epoch is not None and (
-        isinstance(request.epoch, bool) or not isinstance(request.epoch, int)
+        raise WireFormatError(f"bad reply tag: {reply_tag!r}")
+    if epoch is not None and (
+        isinstance(epoch, bool) or not isinstance(epoch, int)
     ):
-        raise WireFormatError(f"bad fencing epoch: {request.epoch!r}")
-    if request.batch is not None and not isinstance(request.batch, tuple):
-        raise WireFormatError(f"bad batch payload: {request.batch!r}")
-    return request
+        raise WireFormatError(f"bad fencing epoch: {epoch!r}")
+    if batch is not None and not isinstance(batch, tuple):
+        raise WireFormatError(f"bad batch payload: {batch!r}")
+    return Request(
+        subject=subject,
+        reply_tag=reply_tag,
+        trace_ctx=trace_ctx,
+        deadline=wire_deadline(deadline),
+        epoch=epoch,
+        batch=batch,
+    )
 
 
 @dataclass(frozen=True)
 class Reply:
-    """One reply, named. ``encode()`` produces the exact legacy wire
-    shapes, so pre-envelope clients keep parsing new servers."""
+    """One reply, named. ``encode()`` produces the ``(head, value)``
+    wire pair."""
 
     status: str
     value: Any = None

@@ -1,5 +1,5 @@
 """error-conventions, determinism, metric-catalogue, and
-deprecated-facade passes on fixture trees."""
+durable-write passes on fixture trees."""
 
 from __future__ import annotations
 
@@ -218,63 +218,6 @@ class TestMetricCatalogue:
         src = "def setup(metrics):\n    metrics.counter('ghost.metric')\n"
         report = lint_tree({"obs.py": src})
         assert not rules_of(report, "metric-catalogue")
-
-
-class TestDeprecatedFacade:
-    def test_stats_call_flagged_but_not_on_self(self, lint_tree):
-        src = textwrap.dedent(
-            """
-            def report(fs):
-                return fs.stats()
-
-            class FanStore:
-                def stats(self):
-                    return self.metrics.snapshot()
-
-                def _dump(self):
-                    return self.stats()
-            """
-        )
-        report = lint_tree({"tools.py": src})
-        findings = rules_of(report, "deprecated-facade")
-        assert len(findings) == 1
-        assert "stats()" in findings[0].message
-
-    def test_legacy_kwargs_flagged(self, lint_tree):
-        src = textwrap.dedent(
-            """
-            def build(prepared, comm):
-                return FanStore(prepared, comm=comm, mount_point="/fanstore")
-            """
-        )
-        report = lint_tree({"bench.py": src})
-        findings = rules_of(report, "deprecated-facade")
-        assert len(findings) == 1
-        assert "comm, mount_point" in findings[0].message
-        assert "FanStoreOptions" in findings[0].message
-
-    def test_options_construction_clean(self, lint_tree):
-        src = textwrap.dedent(
-            """
-            def build(prepared, comm):
-                opts = FanStoreOptions(comm=comm)
-                return FanStore(prepared, opts)
-            """
-        )
-        report = lint_tree({"bench.py": src})
-        assert not rules_of(report, "deprecated-facade")
-
-    def test_waiver_applies(self, lint_tree):
-        src = textwrap.dedent(
-            """
-            def build(prepared, comm):
-                # lint: allow[deprecated-facade] exercises the legacy path on purpose
-                return FanStore(prepared, comm=comm)
-            """
-        )
-        report = lint_tree({"bench.py": src})
-        findings = rules_of(report, "deprecated-facade")
-        assert findings and findings[0].waived
 
 
 class TestDurableWrite:

@@ -134,7 +134,6 @@ class TestCli:
             "error-conventions",
             "determinism",
             "metric-catalogue",
-            "deprecated-facade",
         ):
             assert rule in out
 

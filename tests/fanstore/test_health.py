@@ -16,12 +16,7 @@ from repro.comm.communicator import ANY_SOURCE
 from repro.comm.deadline import Deadline, wire_deadline
 from repro.comm.launcher import run_parallel
 from repro.errors import DeadlineExpiredError, ServerOverloadedError
-from repro.fanstore.daemon import (
-    _OVERLOAD,
-    TAG_DAEMON,
-    DaemonConfig,
-    FanStoreDaemon,
-)
+from repro.fanstore.daemon import TAG_DAEMON, DaemonConfig, FanStoreDaemon
 from repro.fanstore.health import (
     AdmissionQueue,
     BreakerState,
@@ -30,7 +25,7 @@ from repro.fanstore.health import (
 )
 from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.metadata import FileRecord
-from repro.fanstore.wire import decode_request
+from repro.fanstore.wire import OVERLOAD, decode_request
 
 
 class FakeClock:
@@ -399,7 +394,7 @@ class TestOverloadReplies:
     def test_every_attempt_shed_raises_server_overloaded(self):
         def body(comm):
             if comm.rank == 1:
-                return _serve_until_done(comm, reply=(_OVERLOAD, 0.01))
+                return _serve_until_done(comm, reply=(OVERLOAD, 0.01))
             daemon = FanStoreDaemon(comm, config=DaemonConfig(**FAST))
             with pytest.raises(ServerOverloadedError) as ei:
                 daemon._request("fetch", "some/path", 1)
@@ -422,7 +417,7 @@ class TestOverloadReplies:
     def test_overload_trips_the_breaker_like_a_failure(self):
         def body(comm):
             if comm.rank == 1:
-                return _serve_until_done(comm, reply=(_OVERLOAD, 0.0))
+                return _serve_until_done(comm, reply=(OVERLOAD, 0.0))
             cfg = DaemonConfig(breaker_failure_threshold=2, **FAST)
             daemon = FanStoreDaemon(comm, config=cfg)
             with pytest.raises(ServerOverloadedError):

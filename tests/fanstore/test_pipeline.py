@@ -4,8 +4,8 @@ Single-flight fetch coalescing (a miss storm runs one failover ladder),
 the :meth:`DecompressedCache.get_or_compute` double-decompress fix,
 per-destination request batching (parked requests flush as one envelope,
 items keep their own deadlines and error isolation), a hedged miss storm
-installing exactly one cache entry, and the typed wire envelope with its
-legacy-tuple compatibility shim.
+installing exactly one cache entry, and the typed wire envelope (the
+only request form the wire accepts).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.metadata import FileRecord
 from repro.fanstore import pipeline
-from repro.fanstore.pipeline import PipelineConfig, SingleFlight
+from repro.fanstore.pipeline import SingleFlight
 from repro.fanstore.wire import (
     EXPIRED,
     FAILED,
@@ -86,8 +86,8 @@ class TestWireEnvelope:
         assert decode_request(req.encode()) == req
 
     def test_magic_stays_out_of_the_path_value_space(self):
-        # normalized paths never contain NULs, so version dispatch can
-        # never mistake an envelope for a legacy (subject, ...) tuple
+        # normalized paths never contain NULs, so no subject can be
+        # mistaken for the envelope marker
         assert "\x00" in WIRE_MAGIC
 
     def test_newer_version_decodes_known_prefix(self):
@@ -125,7 +125,12 @@ class TestWireEnvelope:
         with pytest.raises(WireFormatError):
             decode_request(tuple(body))
 
-    def test_replies_stay_legacy_shaped(self):
+    def test_bogus_deadline_sanitized(self):
+        body = list(Request(subject="p", reply_tag=9).encode())
+        body[5] = "soon"
+        assert decode_request(tuple(body)).deadline is None
+
+    def test_reply_wire_shape_is_head_value_pair(self):
         assert Reply(Reply.OK, b"d").encode() == (True, b"d")
         assert Reply(Reply.MISS, "p").encode() == (False, "p")
         assert Reply(Reply.OVERLOAD, 0.5).encode() == (OVERLOAD, 0.5)
@@ -156,37 +161,24 @@ class TestWireEnvelope:
 
 
 class TestLegacyShim:
-    def test_two_tuple_round_trips(self):
-        with pytest.warns(DeprecationWarning):
-            req = decode_request(("train/x", 9))
-        assert req == Request(subject="train/x", reply_tag=9)
+    """The positional pre-envelope bodies are no longer a wire form."""
 
-    def test_three_four_five_tuples_round_trip(self):
-        with pytest.warns(DeprecationWarning):
-            r3 = decode_request(("p", 9, ("ctx",)))
-        assert r3.trace_ctx == ("ctx",)
-        assert r3.deadline is None
-        with pytest.warns(DeprecationWarning):
-            r4 = decode_request(("p", 9, None, 55.0))
-        assert r4.deadline == 55.0
-        assert r4.epoch is None
-        with pytest.warns(DeprecationWarning):
-            r5 = decode_request(("p", 9, None, 55.0, 4))
-        assert r5.epoch == 4
-        assert r5.batch is None
-
-    def test_oversized_legacy_tuple_rejected(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(WireFormatError):
-            decode_request(("p", 9, None, None, 1, "extra"))
-
-    def test_unparseable_body_rejected(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(WireFormatError):
-            decode_request(12345)
-
-    def test_bogus_legacy_deadline_sanitized(self):
-        with pytest.warns(DeprecationWarning):
-            req = decode_request(("p", 9, None, "soon"))
-        assert req.deadline is None
+    @pytest.mark.parametrize(
+        "body",
+        [
+            ("train/x", 9),
+            ("p", 9, ("ctx",)),
+            ("p", 9, None, 55.0),
+            ("p", 9, None, 55.0, 4),
+            ("p", 9, None, None, 1, "extra"),
+            12345,
+        ],
+        ids=["2-tuple", "3-tuple", "4-tuple", "5-tuple", "oversized",
+             "non-tuple"],
+    )
+    def test_legacy_body_rejected(self, body):
+        with pytest.raises(WireFormatError):
+            decode_request(body)
 
 
 # -- the single-flight primitive ------------------------------------------
@@ -415,37 +407,6 @@ class TestFetchCoalescing:
         assert results == [b"compressed"] * n
         assert daemon.metrics.get("daemon.pipeline.coalesced_fetches").value == n - 1
 
-    def test_coalesce_off_runs_every_ladder(self):
-        # coalesce=False is the pre-pipelining contract: every caller
-        # runs its own ladder with fully independent errors
-        daemon = FanStoreDaemon(
-            config=DaemonConfig(pipeline=PipelineConfig(coalesce=False))
-        )
-        calls = []
-        gate = threading.Barrier(4)
-
-        def ladder(norm, deadline=None):
-            gate.wait(10)  # hold every ladder open concurrently
-            calls.append(norm)
-            return b"compressed"
-
-        daemon._fetch_ladder = ladder
-        start = threading.Barrier(4)
-        results: list[bytes] = []
-
-        def worker():
-            start.wait(10)
-            results.append(daemon.fetch_compressed("train/x"))
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10)
-        assert calls == ["train/x"] * 4  # no sharing at all
-        assert results == [b"compressed"] * 4
-        assert daemon.metrics.get("daemon.pipeline.coalesced_fetches").value == 0
-
     def test_follower_deadline_aborts_alone(self):
         daemon = FanStoreDaemon()
         entered = threading.Event()
@@ -543,6 +504,30 @@ class TestCacheGetOrCompute:
         # post-flight reopen, late arrivals on their first open
         assert cache.stats.hits == n - 1
         assert cache.stats.misses == 1 + cache.stats.singleflight_followers
+
+    def test_late_leader_shares_the_installed_entry(self):
+        # a caller that loses the CPU between its miss and taking the
+        # flight must not run the factory again: by then another opener
+        # has installed (and still pins) the entry
+        cache = DecompressedCache(1 << 20)
+        calls: list[int] = []
+
+        def factory() -> bytes:
+            calls.append(1)
+            return b"plain"
+
+        real_run = cache._flight.run
+
+        def stalled_run(key, fn, **kwargs):
+            cache._flight.run = real_run
+            assert cache.get_or_compute("d/z", factory) == b"plain"
+            return real_run(key, fn, **kwargs)
+
+        cache._flight.run = stalled_run
+        assert cache.get_or_compute("d/z", factory) == b"plain"
+        assert calls == [1]
+        assert cache.stats.singleflight_leaders == 1
+        assert cache.refcount("d/z") == 2  # each opener holds its own pin
 
     def test_leader_failure_shared_then_fresh_flight(self):
         cache = DecompressedCache(1 << 20)
@@ -846,38 +831,13 @@ class TestHedgedMissStorm:
         assert hits == 5  # everyone else shared it
 
 
-# -- the knob group -------------------------------------------------------
+# -- construction ---------------------------------------------------------
 
 
 class TestPipelineKnobs:
-    def test_defaults_form_a_coherent_group(self):
-        cfg = DaemonConfig()
-        assert cfg.pipeline.pipeline_workers == 4
-        assert cfg.pipeline.max_inflight == 32
-        assert cfg.pipeline.batch_max == 16
-        assert cfg.pipeline.batch_linger == 0.0  # opportunistic batching
-        assert cfg.pipeline.coalesce is True
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            dict(pipeline_workers=-1),
-            dict(max_inflight=0),
-            dict(batch_max=0),
-            dict(batch_linger=-0.1),
-        ],
-    )
-    def test_validation_rejects_nonsense(self, bad):
-        with pytest.raises(FanStoreError):
-            PipelineConfig(**bad)
-
-    def test_legacy_kwargs_deprecated_but_honoured(self):
-        with pytest.warns(DeprecationWarning):
-            daemon = FanStoreDaemon(pipeline_workers=0, batch_max=1)
-        assert daemon.config.pipeline.pipeline_workers == 0
-        assert daemon.config.pipeline.batch_max == 1
-        assert daemon.config.pipeline.max_inflight == 32  # untouched default
-
     def test_unknown_kwarg_rejected(self):
+        # the scheduler's sizes are constants: no keyword reaches them
         with pytest.raises(TypeError):
             FanStoreDaemon(bogus_knob=1)
+        with pytest.raises(TypeError):
+            FanStoreDaemon(pipeline_workers=0)

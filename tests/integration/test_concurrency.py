@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.comm.launcher import run_parallel
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.training.loader import list_training_files
 
 THREADS = 6
@@ -55,7 +55,7 @@ class TestManyIoThreadsPerNode:
         concurrent remote fetches against every daemon."""
 
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm) as fs:
+            with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
                 files = list_training_files(fs.client)
                 results: dict[int, object] = {}
                 threads = [

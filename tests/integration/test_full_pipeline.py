@@ -12,7 +12,7 @@ from repro.datasets.synthetic import generate_dataset
 from repro.fanstore.daemon import DaemonConfig
 from repro.fanstore.interception import intercept
 from repro.fanstore.prepare import PreparedDataset, prepare_dataset
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.training.loader import AsyncLoader, list_training_files
 from repro.training.models import MLP
 from repro.training.trainer import DataParallelTrainer, make_array_collate
@@ -51,7 +51,8 @@ def test_full_pipeline(pipeline_dataset):
     config = DaemonConfig(output_compressor="zlib-1")
 
     def node_main(comm):
-        with FanStore(prepared, comm=comm, config=config) as fs:
+        opts = FanStoreOptions(comm=comm, config=config)
+        with FanStore(prepared, opts) as fs:
             # 1. global view: every file enumerable and statable
             files = list_training_files(fs.client)
             assert len(files) == len(originals)

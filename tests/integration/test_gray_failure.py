@@ -29,7 +29,6 @@ from repro.comm.chaos import ChaosWorld, FaultPlan
 from repro.comm.communicator import ANY_SOURCE
 from repro.comm.launcher import run_parallel
 from repro.fanstore.daemon import (
-    _OVERLOAD,
     _REPLY_TAG_BASE,
     TAG_DAEMON,
     DaemonConfig,
@@ -38,6 +37,7 @@ from repro.fanstore.daemon import (
 from repro.fanstore.health import BreakerState
 from repro.fanstore.metadata import normalize
 from repro.fanstore.store import FanStore, FanStoreOptions
+from repro.fanstore.wire import OVERLOAD, Request
 
 GRAY_SEEDS = (5, 55, 555)
 seeds = pytest.mark.parametrize(
@@ -221,15 +221,15 @@ class TestAdmissionControlBurst:
             deadlines = [now - (_EXPIRED - i) for i in range(_EXPIRED)]
             deadlines += [now + 30.0] * (_BURST - _EXPIRED)
             for tag, dl in zip(tags, deadlines):
-                comm.send(
-                    ("fetch", (f"no/such/{tag:#x}", tag, None, dl)),
-                    0, TAG_DAEMON,
+                request = Request(
+                    subject=f"no/such/{tag:#x}", reply_tag=tag, deadline=dl
                 )
+                comm.send(("fetch", request.encode()), 0, TAG_DAEMON)
             comm.barrier()  # mailbox full; rank 0 starts serving
             overloaded, answered = [], []
             for tag in tags[:2] + tags[_EXPIRED:]:
                 reply = comm.recv(0, tag, timeout=20)
-                if reply[0] == _OVERLOAD:
+                if reply[0] == OVERLOAD:
                     overloaded.append((tag, reply[1]))
                 else:
                     answered.append((tag, reply))

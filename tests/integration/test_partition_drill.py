@@ -27,7 +27,7 @@ from repro.errors import StaleEpochError
 from repro.fanstore.daemon import TAG_DAEMON, DaemonConfig
 from repro.fanstore.membership import MembershipConfig, RankState
 from repro.fanstore.metadata import normalize
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 
 NODES = 3
 MINORITY = 2  # the rank cut off alone
@@ -147,7 +147,8 @@ class TestPartitionDrill:
 
         def body(comm):
             fs = FanStore(
-                prepared_dataset, comm=comm, config=config, membership=MCFG
+                prepared_dataset,
+                FanStoreOptions(comm=comm, config=config, membership=MCFG),
             )
             det = fs.membership
             stats = fs.daemon.stats
@@ -333,8 +334,10 @@ class TestFlappingLink:
 
         def body(comm):
             fs = FanStore(
-                prepared_dataset, comm=comm, config=config,
-                membership=MCFG_FLAP,
+                prepared_dataset,
+                FanStoreOptions(
+                    comm=comm, config=config, membership=MCFG_FLAP
+                ),
             )
             det = fs.membership
             stats = fs.daemon.stats

@@ -1,6 +1,5 @@
-"""The redesigned construction API (FanStoreOptions, named
-constructors, deprecated legacy kwargs) and the shared Service
-contract."""
+"""The construction API (FanStoreOptions, named constructors) and the
+shared Service contract."""
 
 from __future__ import annotations
 
@@ -9,7 +8,6 @@ import dataclasses
 import pytest
 
 from repro.comm.launcher import run_parallel
-from repro.fanstore.daemon import DaemonStats
 from repro.fanstore.membership import FailureDetector
 from repro.fanstore.scrub import Scrubber
 from repro.fanstore.store import FanStore, FanStoreOptions
@@ -42,34 +40,13 @@ class TestFanStoreOptions:
             assert fs.metrics is reg
             assert "daemon.local_opens" in reg
 
-    def test_legacy_kwargs_warn_but_work(self, prepared_dataset):
-        with pytest.deprecated_call(match="FanStoreOptions"):
-            fs = FanStore(prepared_dataset, mount_point="/legacy")
-        try:
-            assert fs.options.mount_point == "/legacy"
-            assert fs.resolve("/legacy/val/x") == "val/x"
-        finally:
-            fs.shutdown()
-
-    def test_legacy_kwargs_layer_over_explicit_options(self, prepared_dataset):
-        base = FanStoreOptions(mount_point="/base")
-        with pytest.deprecated_call():
-            fs = FanStore(prepared_dataset, base, mount_point="/override")
-        try:
-            assert fs.mount_point == "/override"
-            assert base.mount_point == "/base"  # the original is untouched
-        finally:
-            fs.shutdown()
-
     def test_unknown_kwarg_is_a_typeerror(self, prepared_dataset):
         with pytest.raises(TypeError, match="wibble"):
             FanStore(prepared_dataset, wibble=1)
-
-    def test_stats_method_deprecated_but_live(self, single_store):
-        with pytest.deprecated_call(match="FanStore.metrics"):
-            stats = single_store.stats()
-        assert isinstance(stats, DaemonStats)
-        assert stats is single_store.daemon.stats
+        # settings travel in FanStoreOptions only: an options field
+        # name is no more a constructor keyword than a made-up one
+        with pytest.raises(TypeError, match="mount_point"):
+            FanStore(prepared_dataset, mount_point="/legacy")
 
     def test_with_membership_constructor(self, prepared_dataset):
         def body(comm):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +99,15 @@ def test_version_is_consistent():
     assert repro.__version__ == __version__
     parts = __version__.split(".")
     assert len(parts) == 3 and all(p.isdigit() for p in parts)
+
+
+def test_no_deprecation_shims_in_the_package():
+    """Nothing outside this repo calls it, so nothing is ever deprecated
+    here: an API that is superseded is deleted in the same change. A
+    shim cannot come back silently."""
+    offenders = [
+        str(path)
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+        if "DeprecationWarning" in path.read_text(encoding="utf-8")
+    ]
+    assert not offenders, offenders

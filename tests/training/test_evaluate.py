@@ -7,7 +7,7 @@ import pytest
 
 from repro.comm.launcher import run_parallel
 from repro.errors import ReproError
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.training.loader import SyncLoader, list_training_files
 from repro.training.models import MLP
 from repro.training.trainer import DataParallelTrainer, make_array_collate
@@ -68,7 +68,7 @@ class TestEvaluate:
         so evaluation needs no communication and agrees everywhere."""
 
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm) as fs:
+            with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
                 trainer = _trainer(fs, comm)
                 trainer.train()
                 before = fs.daemon.stats.remote_fetches

@@ -8,7 +8,7 @@ import pytest
 
 from repro.comm.launcher import run_parallel
 from repro.fanstore.faults import CheckpointManager
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.training.loader import SyncLoader, list_training_files
 from repro.training.models import MLP
 from repro.training.trainer import DataParallelTrainer, make_array_collate
@@ -105,7 +105,7 @@ class TestCheckpointResume:
 class TestDataParallel:
     def test_replicas_stay_identical(self, prepared_dataset):
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm) as fs:
+            with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
                 trainer = make_trainer(fs, comm=comm, epochs=2)
                 report = trainer.train()
                 return (
@@ -128,7 +128,7 @@ class TestDataParallel:
         serial_report = serial.train()
 
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm) as fs:
+            with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
                 trainer = make_trainer(fs, comm=comm, epochs=1, seed=5)
                 trainer.train()
                 return trainer.model.get_flat_params()
@@ -149,7 +149,8 @@ class TestFusionTraining:
 
         def run(fusion_bytes):
             def body(comm):
-                with FanStore(prepared_dataset, comm=comm) as fs:
+                opts = FanStoreOptions(comm=comm)
+                with FanStore(prepared_dataset, opts) as fs:
                     trainer = make_trainer(fs, comm=comm, epochs=1, seed=8)
                     trainer.fusion_bytes = fusion_bytes
                     trainer.train()
