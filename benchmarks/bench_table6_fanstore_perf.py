@@ -14,6 +14,7 @@ import pytest
 
 from repro.bench.report import PaperComparison
 from repro.cluster.machines import cpu, gtx, v100
+from repro.datasets.synthetic import generate_dataset
 from repro.fanstore.daemon import DaemonConfig
 from repro.fanstore.prepare import prepare_dataset
 from repro.fanstore.store import FanStore, FanStoreOptions
@@ -115,18 +116,14 @@ def test_table6_measured_live_client(benchmark, em_store_raw, emit_report):
         assert snap.value(name) > 0, name
 
 
-def test_table6_instrumentation_overhead(
-    em_dataset_dir, tmp_path_factory, emit_report
-):
-    """The observability layer's read-path cost, measured: the same
-    dataset read through an instrumented store (default sampling) and
-    through one with observation disabled must agree within 5%."""
-    packed = tmp_path_factory.mktemp("em-packed-overhead")
-    prepared = prepare_dataset(
-        em_dataset_dir, packed, num_partitions=2, compressor="zlib-1",
-        threads=2,
-    )
-    instrumented = FanStore(prepared)  # metrics_every=8 default
+def _instrumentation_overhead(prepared, sweeps: int = 15):
+    """Seconds per sweep over every file of ``prepared`` through an
+    instrumented store (default sampling, ``metrics_every=8``) and
+    through one with observation off, each the minimum of ``sweeps``
+    interleaved sweeps: the minimum strips scheduler noise, the
+    interleaving strips drift. Also checks that only the instrumented
+    store observed phase timings."""
+    instrumented = FanStore(prepared)
     bare = FanStore(
         prepared,
         FanStoreOptions(config=DaemonConfig(metrics_every=0)),
@@ -141,27 +138,56 @@ def test_table6_instrumentation_overhead(
             return time.perf_counter() - t0
 
         read_all(instrumented), read_all(bare)  # warm both paths
-        # interleaved min-of-N: the minimum strips scheduler noise, the
-        # interleaving strips drift
-        t_instr = min(read_all(instrumented) for _ in range(7))
-        t_bare = min(read_all(bare) for _ in range(7))
-        ratio = t_instr / t_bare
-
-        report = PaperComparison(
-            "Table VI (instrumentation overhead)",
-            "observed vs unobserved read path, min of 7 sweeps",
-            columns=["configuration", "seconds/sweep"],
-        )
-        report.add_row("metrics_every=8 (default)", round(t_instr, 6))
-        report.add_row("metrics_every=0 (off)", round(t_bare, 6))
-        report.add_row("ratio", round(ratio, 4))
-        emit_report(report)
-
-        # sampled observation must stay within the 5% budget
-        assert ratio <= 1.05, f"instrumentation overhead {ratio:.3f}x > 1.05x"
-        # and the instrumented store actually observed phase timings
+        t_instr = t_bare = float("inf")
+        for _ in range(sweeps):
+            t_instr = min(t_instr, read_all(instrumented))
+            t_bare = min(t_bare, read_all(bare))
         assert instrumented.metrics.snapshot().value("daemon.open_seconds") > 0
         assert bare.metrics.snapshot().value("daemon.open_seconds") == 0
+        return t_instr, t_bare
     finally:
         instrumented.shutdown()
         bare.shutdown()
+
+
+def test_table6_instrumentation_overhead(
+    em_dataset_dir, tmp_path_factory, emit_report
+):
+    """The observability layer's read-path cost, measured: the same
+    dataset read through an instrumented store (default sampling) and
+    through one with observation disabled must agree within 5% — on the
+    EM row, where decode hides the sampled miss's clock reads and
+    histogram updates. The small-file row (1.2 KB ``memcpy``, the
+    ``local_1k_memcpy`` shape: per-open overhead is all there is) is
+    reported, not gated: it is the number ROADMAP item 4b's ``repro.obs``
+    spans have to beat."""
+    prepared = prepare_dataset(
+        em_dataset_dir, tmp_path_factory.mktemp("em-packed-overhead"),
+        num_partitions=2, compressor="zlib-1", threads=2,
+    )
+    small_raw = tmp_path_factory.mktemp("small-raw-overhead")
+    generate_dataset("tokamak", small_raw, num_files=2048,
+                     avg_file_size=1200, num_dirs=4, seed=11)
+    small = prepare_dataset(
+        small_raw, tmp_path_factory.mktemp("small-packed-overhead"),
+        num_partitions=2, compressor="memcpy", threads=2,
+    )
+    report = PaperComparison(
+        "Table VI (instrumentation overhead)",
+        "observed vs unobserved read path, min of 15 interleaved sweeps",
+        columns=["dataset", "configuration", "seconds/sweep"],
+    )
+    ratios = {}
+    for label, dataset in (("EM zlib-1", prepared), ("1.2 KB memcpy", small)):
+        t_instr, t_bare = _instrumentation_overhead(dataset)
+        ratios[label] = t_instr / t_bare
+        report.add_row(label, "metrics_every=8 (default)", round(t_instr, 6))
+        report.add_row(label, "metrics_every=0 (off)", round(t_bare, 6))
+        report.add_row(label, "ratio", round(ratios[label], 4))
+    report.add_note("the <= 1.05 gate is on the EM row; the 1.2 KB row is "
+                    "report-only (ROADMAP item 4b)")
+    emit_report(report)
+
+    # sampled observation must stay within the 5% budget
+    ratio = ratios["EM zlib-1"]
+    assert ratio <= 1.05, f"instrumentation overhead {ratio:.3f}x > 1.05x"

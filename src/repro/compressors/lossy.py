@@ -231,12 +231,15 @@ class ZfpLikeCodec:
         for b in range(n_blocks):
             chunk = flat[b * bs : (b + 1) * bs]
             peak = float(np.max(np.abs(chunk))) if chunk.size else 0.0
-            if peak == 0.0:
-                exps[b] = -(1 << 14)  # "all zero" sentinel
-                continue
             exp = int(np.ceil(np.log2(peak))) if peak > 0 else 0
-            exps[b] = exp
             scale = scale_limit / (2.0 ** exp)
+            if peak == 0.0 or np.isinf(scale):
+                # "all zero" sentinel — also for a peak so deep in the
+                # subnormals that the scale overflows: 0 x inf would
+                # quantize the block's zeros to NaN garbage
+                exps[b] = -(1 << 14)
+                continue
+            exps[b] = exp
             quants[b * bs : (b + 1) * bs] = np.clip(
                 np.rint(chunk * scale), -scale_limit - 1, scale_limit
             ).astype("<i4")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import FanStoreError
-from repro.fanstore.pipeline import SingleFlight
+from repro.fanstore.pipeline import _Flight
 
 
 @dataclass
@@ -72,7 +72,8 @@ class DecompressedCache:
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._resident = 0
         self.stats = CacheStats()
-        self._flight = SingleFlight()
+        # path → the miss being computed for it, guarded by _lock
+        self._flights: dict[str, _Flight] = {}
 
     # -- core protocol ----------------------------------------------------
 
@@ -83,16 +84,20 @@ class DecompressedCache:
         file while the first still has it open shares the entry.
         """
         with self._lock:
-            self.stats.opens += 1
-            entry = self._entries.get(path)
-            if entry is None or entry.doomed:
-                # a doomed entry's bytes came from data that later
-                # failed verification: force a re-fetch + re-verify
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            entry.refcount += 1
-            return entry.data
+            return self._pin(path)
+
+    def _pin(self, path: str) -> bytes | None:
+        """:meth:`open` with ``_lock`` already held."""
+        self.stats.opens += 1
+        entry = self._entries.get(path)
+        if entry is None or entry.doomed:
+            # a doomed entry's bytes came from data that later
+            # failed verification: force a re-fetch + re-verify
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        entry.refcount += 1
+        return entry.data
 
     def insert(self, path: str, data: bytes) -> bytes:
         """Install decompressed bytes for an open miss; pins the entry.
@@ -101,30 +106,34 @@ class DecompressedCache:
         its copy wins and is returned (both threads then share it).
         """
         with self._lock:
-            entry = self._entries.get(path)
-            if entry is not None:
-                if entry.doomed:
-                    # replace the quarantined bytes in place: readers
-                    # already holding the old object keep their (bad)
-                    # reference, but the path serves only fresh,
-                    # re-verified bytes from here on — and refcounts
-                    # stay consistent for every outstanding close().
-                    # The old bytes leave residency here, so this counts
-                    # as an eviction; without it, quarantine-then-reload
-                    # traffic undercounts evictions and the hit-ratio
-                    # accounting drifts.
-                    self.stats.evictions += 1
-                    self._resident += len(data) - len(entry.data)
-                    entry.data = data
-                    entry.doomed = False
-                entry.refcount += 1
-                return entry.data
-            self._make_room(len(data))
-            self._entries[path] = _Entry(data=data, refcount=1)
-            self._resident += len(data)
-            if len(data) > self.capacity_bytes:
-                self.stats.rejected += 1
-            return data
+            return self._install(path, data)
+
+    def _install(self, path: str, data: bytes) -> bytes:
+        """:meth:`insert` with ``_lock`` already held."""
+        entry = self._entries.get(path)
+        if entry is not None:
+            if entry.doomed:
+                # replace the quarantined bytes in place: readers
+                # already holding the old object keep their (bad)
+                # reference, but the path serves only fresh,
+                # re-verified bytes from here on — and refcounts
+                # stay consistent for every outstanding close().
+                # The old bytes leave residency here, so this counts
+                # as an eviction; without it, quarantine-then-reload
+                # traffic undercounts evictions and the hit-ratio
+                # accounting drifts.
+                self.stats.evictions += 1
+                self._resident += len(data) - len(entry.data)
+                entry.data = data
+                entry.doomed = False
+            entry.refcount += 1
+            return entry.data
+        self._make_room(len(data))
+        self._entries[path] = _Entry(data=data, refcount=1)
+        self._resident += len(data)
+        if len(data) > self.capacity_bytes:
+            self.stats.rejected += 1
+        return data
 
     def get_or_compute(
         self, path: str, factory: Callable[[], bytes]
@@ -135,40 +144,52 @@ class DecompressedCache:
         A plain ``open() → factory() → insert()`` sequence lets N
         threads missing the same key decompress N times (the raced
         :meth:`insert` keeps one copy, but the CPU is already burned).
-        Here the first misser becomes the single-flight leader — it runs
-        ``factory`` and installs the result (taking its pin from
-        :meth:`insert`) — and every concurrent misser waits for that
-        flight, then pins the installed entry for itself. A leader
-        failure propagates to that round's followers; the next caller
-        starts a fresh flight. Always returns pinned bytes; pair with
-        :meth:`close`.
+        Here a miss and its in-flight registration are *one* critical
+        section: whoever misses with no flight registered for the key
+        leads — runs ``factory`` outside the lock, then installs the
+        entry (its own pin) and retires the flight in a second one — so
+        nobody can miss, lose the CPU and recompute an entry installed
+        meanwhile. A concurrent misser joins the flight, waits, and
+        re-opens for its own pin (one miss, then one hit; evicted again
+        already — rare — it leads the next flight). A leader failure
+        reaches that round's followers as the same exception instance;
+        the next caller starts afresh. The waiter ``Event`` is built by
+        the first follower, so an uncontended miss has none. Always
+        returns pinned bytes; pair with :meth:`close`.
         """
-        data = self.open(path)
-        if data is not None:
-            return data
         while True:
-            def _lead() -> bytes | None:
-                # a caller can lose the CPU between its miss above and
-                # taking the flight; an earlier leader may have
-                # installed the entry by then — share it, don't recompute
-                entry = self._entries.get(path)
-                if entry is not None and not entry.doomed:
-                    return None
-                return self.insert(path, factory())
-
-            value, led = self._flight.run(path, _lead)
-            if led and value is not None:
-                self.stats.singleflight_leaders += 1
-                return value
-            if not led:
+            with self._lock:
+                data = self._pin(path)
+                if data is not None:
+                    return data
+                flight = self._flights.get(path)
+                if flight is None:
+                    flight = self._flights[path] = _Flight()
+                    break
                 self.stats.singleflight_followers += 1
-            # the leader's pin is its own: take ours. The entry can have
-            # been evicted between the leader's insert and this open
-            # (leader closed it already, retention off) — rare; loop and
-            # become the next leader.
-            data = self.open(path)
-            if data is not None:
-                return data
+                done = flight.done
+                if done is None:
+                    done = flight.done = threading.Event()
+            done.wait()
+            if flight.error is not None:
+                raise flight.error
+        try:
+            data = factory()
+            with self._lock:
+                data = self._install(path, data)
+                self.stats.singleflight_leaders += 1
+                del self._flights[path]
+            return data
+        except BaseException as exc:
+            flight.error = exc
+            with self._lock:
+                self._flights.pop(path, None)
+            raise
+        finally:
+            # the flight left the table under the lock: no follower can
+            # attach any more, so ``done`` is stable to read here
+            if flight.done is not None:
+                flight.done.set()
 
     def close(self, path: str) -> None:
         """Unpin; with the paper's policy a zero count frees the entry

@@ -106,24 +106,31 @@ class FanStoreClient:
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> int:
         """``open(2)``: returns a descriptor. Readers hit the Figure 2
         path (decompress into the pinned cache); writers start an output
-        buffer subject to the single-write rule."""
-        norm = normalize(path)
+        buffer subject to the single-write rule. A reader's ``path``
+        goes down as given: the daemon canonicalises it, once."""
         accmode = flags & _ACCMODE
+        if accmode == O_RDONLY:
+            return self._open_reader(path)
+        norm = normalize(path)
         if accmode == O_RDWR:
             raise WriteViolationError(
                 "FanStore's multi-read single-write model has no O_RDWR",
                 path=norm,
             )
-        if accmode == O_WRONLY:
-            return self._open_writer(norm, flags, mode)
-        return self._open_reader(norm)
+        return self._open_writer(norm, flags, mode)
 
-    def _open_reader(self, path: str) -> int:
+    def _check_not_writing(self, path: str) -> None:
+        """The read side of the single-write rule. ``_writing`` holds
+        canonical paths, so ``path`` is normalized to compare — but only
+        when there is something to compare against."""
         with self._lock:
-            if path in self._writing:
+            if self._writing and normalize(path) in self._writing:
                 raise WriteViolationError(
                     f"{path}: still open for writing", path=path
                 )
+
+    def _open_reader(self, path: str) -> int:
+        self._check_not_writing(path)
         data = self.daemon.open_file(path)  # raises if absent
         with self._lock:
             fd = self._next_fd
@@ -342,12 +349,16 @@ class FanStoreClient:
     # -- conveniences --------------------------------------------------------
 
     def read_file(self, path: str) -> bytes:
-        """Whole-file read with correct open/close pairing."""
-        fd = self.open(path, O_RDONLY)
+        """Whole-file read: pin, take the reference, unpin — the same
+        bytes ``open``/``read``/``close`` return, without the descriptor
+        nobody would see."""
+        self._check_not_writing(path)
+        data = self.daemon.open_file(path)  # raises if absent
         try:
-            return self.read(fd)
+            # read(fd) at offset 0: for bytes the pinned object itself
+            return data[:]
         finally:
-            self.close(fd)
+            self.daemon.close_file(path)
 
     def write_file(self, path: str, data: bytes) -> None:
         """Whole-file write through the single-write path."""

@@ -387,6 +387,8 @@ class FanStoreDaemon:
             "daemon.phase.decompress_seconds"
         )
         self._h_open = self.metrics.histogram("daemon.open_seconds")
+        # compressor id → its three codec.<name>.decode_* handles
+        self._codec_metrics: dict[int, tuple] = {}
         self._h_write = self.metrics.histogram("daemon.write_seconds")
         self._trace_opens = self.config.trace_sample > 0.0
         self._service_thread: threading.Thread | None = None
@@ -1918,6 +1920,10 @@ class FanStoreDaemon:
         outcome — a miss storm costs one upstream fetch, and errors are
         shared the same way. A follower whose own deadline lapses while
         the leader is still fetching aborts alone; the flight runs on.
+
+        For *direct* callers: an :meth:`open_file` miss is already the
+        one in-flight computation of its key (the cache's) and walks
+        :meth:`_fetch_ladder` itself.
         """
         norm = normalize(path)
         try:
@@ -1945,11 +1951,17 @@ class FanStoreDaemon:
         return value
 
     def _fetch_ladder(
-        self, norm: str, deadline: Deadline | None = None
+        self,
+        norm: str,
+        deadline: Deadline | None = None,
+        record: FileRecord | None = None,
     ) -> bytes:
-        """The actual failover ladder behind :meth:`fetch_compressed`
-        (``norm`` pre-normalized; one execution per single-flight)."""
-        record = self._lookup(norm)
+        """The failover ladder itself (``norm`` canonical), run once per
+        key at a time: by a cache-miss leader, which carries the
+        ``record`` its open resolved, or by :meth:`fetch_compressed`'s
+        flight."""
+        if record is None:
+            record = self._lookup(norm)
         if (
             record.home_rank == self.rank
             or self.comm is None
@@ -2351,12 +2363,20 @@ class FanStoreDaemon:
             t0 = time.perf_counter()
             plain = compressor.decompress(data)
             dt = time.perf_counter() - t0
-            name = compressor.name
-            self.metrics.histogram(f"codec.{name}.decode_seconds").observe(dt)
-            self.metrics.counter(f"codec.{name}.decode_bytes").inc(len(plain))
-            self.metrics.counter(
-                f"codec.{name}.decode_compressed_bytes"
-            ).inc(len(data))
+            handles = self._codec_metrics.get(record.compressor_id)
+            if handles is None:
+                name = compressor.name
+                handles = self._codec_metrics[record.compressor_id] = (
+                    self.metrics.histogram(f"codec.{name}.decode_seconds"),
+                    self.metrics.counter(f"codec.{name}.decode_bytes"),
+                    self.metrics.counter(
+                        f"codec.{name}.decode_compressed_bytes"
+                    ),
+                )
+            seconds, plain_bytes, compressed_bytes = handles
+            seconds.observe(dt)
+            plain_bytes.inc(len(plain))
+            compressed_bytes.inc(len(data))
         else:
             plain = compressor.decompress(data)
         self.stats.decompressions += 1
@@ -2372,26 +2392,38 @@ class FanStoreDaemon:
         """Figure 2's open(): cache hit or fetch+decompress+insert.
         Pins the cache entry; pair with :meth:`close_file`.
 
-        The miss pipeline runs under the cache's single-flight table
-        (:meth:`DecompressedCache.get_or_compute`), so a miss storm on
-        one file decompresses it exactly once — concurrent openers share
-        the leader's installed entry, each taking its own pin.
+        Resolved once, carried down: a metadata key is canonical, so an
+        exact-key probe that hits proves ``path`` canonical *and* yields
+        the record — no ``normalize()``, no second lookup below. A probe
+        miss (non-canonical spelling, runtime output not yet in this
+        table, absent file) normalizes, which rejects a path escaping
+        the store root, and leaves the record to the miss's
+        :meth:`_lookup` with its hash-owner fallback.
+
+        The miss pipeline runs as the cache's in-flight computation of
+        the key (:meth:`DecompressedCache.get_or_compute`), so a miss
+        storm on one file fetches and decompresses it exactly once —
+        concurrent openers share the leader's installed entry, each
+        taking its own pin.
 
         Misses take the *observed* branch — per-phase timing plus a
         possible trace root — on every ``metrics_every``-th miss, when
         trace sampling is enabled, or when this thread is already inside
         a trace (so one sampled read never loses its child spans to the
         fast path). Everything else runs the bare pipeline: a hot local
-        read is ~20 µs and always-on timing would dominate it."""
-        norm = normalize(path)
+        read is ~10 µs and always-on timing would dominate it."""
+        record = self.metadata.probe(path)
+        if record is None:
+            path = normalize(path)
         return self.cache.get_or_compute(
-            norm, lambda: self._miss_bytes(norm)
+            path, lambda: self._miss_bytes(path, record)
         )
 
-    def _miss_bytes(self, norm: str) -> bytes:
-        """The cache-miss factory: fetch + decompress, *not* inserted —
-        :meth:`DecompressedCache.get_or_compute` installs and pins the
-        result for every waiter of the flight."""
+    def _miss_bytes(self, norm: str, record: FileRecord | None) -> bytes:
+        """The cache-miss factory: fetch + verify + decompress, *not*
+        inserted — :meth:`DecompressedCache.get_or_compute` installs and
+        pins the result. Its caller leads that flight, so it is the only
+        fetcher of ``norm`` and walks the ladder directly."""
         self._obs_tick = tick = self._obs_tick + 1
         every = self.config.metrics_every
         if (
@@ -2399,24 +2431,28 @@ class FanStoreDaemon:
             or self._trace_opens
             or self.tracer.n_active
         ):
-            return self._observed_miss_bytes(norm)
-        record = self._lookup(norm)
-        compressed = self.fetch_compressed(norm)
-        return self._decompress(record, compressed)
+            return self._observed_miss_bytes(norm, record)
+        if record is None:
+            record = self._lookup(norm)
+        return self._decompress(record, self._fetch_ladder(norm, None, record))
 
-    def _observed_miss_bytes(self, norm: str) -> bytes:
-        """The sampled/traced miss path: same pipeline as
-        :meth:`_miss_bytes`, wrapped in a ``client.read`` span (started
-        or continued per :meth:`Tracer.maybe_root`) with per-phase
-        latencies recorded into the ``daemon.phase.*`` histograms. The
-        fetch phase includes any remote hops; verify is broken out
-        separately via ``_last_verify_s`` (see :meth:`_blob_ok`)."""
+    def _observed_miss_bytes(
+        self, norm: str, record: FileRecord | None
+    ) -> bytes:
+        """The sampled/traced miss: the stages of :meth:`_miss_bytes`
+        and nothing more, a clock read between them, inside a
+        ``client.read`` span (started or continued per
+        :meth:`Tracer.maybe_root`); per-phase latencies go to the
+        ``daemon.phase.*`` histograms. The metadata phase is ≈ 0 for a
+        carried record, the fetch phase includes any remote hops, verify
+        is broken out via ``_last_verify_s`` (see :meth:`_blob_ok`)."""
         with self.tracer.maybe_root("client.read", path=norm):
             t0 = time.perf_counter()
-            record = self._lookup(norm)
+            if record is None:
+                record = self._lookup(norm)
             t1 = time.perf_counter()
             self._last_verify_s = 0.0
-            compressed = self.fetch_compressed(norm)
+            compressed = self._fetch_ladder(norm, None, record)
             t2 = time.perf_counter()
             plain = self._decompress(record, compressed, observed=True)
             t3 = time.perf_counter()
@@ -2428,8 +2464,11 @@ class FanStoreDaemon:
             return plain
 
     def close_file(self, path: str) -> None:
-        """Figure 4's close(): unpin (and free at refcount zero)."""
-        self.cache.close(normalize(path))
+        """Figure 4's close(): unpin (and free at refcount zero). Like
+        :meth:`open_file`, probes before it normalizes."""
+        if self.metadata.probe(path) is None:
+            path = normalize(path)
+        self.cache.close(path)
 
     # -- write path ------------------------------------------------------------
 

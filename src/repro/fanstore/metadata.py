@@ -278,13 +278,23 @@ class MetadataTable:
 
     # -- queries ----------------------------------------------------------
 
-    def get(self, path: str) -> FileRecord:
-        norm = normalize(path)
+    def probe(self, key: str) -> FileRecord | None:
+        """Exact-key lookup, no canonicalisation. Every key is canonical
+        by construction (:meth:`insert` normalizes), so a hit *proves*
+        ``key`` canonical and is the record :meth:`get` would return;
+        ``None`` proves nothing — normalize, then :meth:`get`."""
         with self._lock:
-            try:
-                return self._files[norm]
-            except KeyError:
-                raise FileNotFoundInStoreError(norm) from None
+            return self._files.get(key)
+
+    def get(self, path: str) -> FileRecord:
+        with self._lock:
+            record = self._files.get(path)
+            if record is None:
+                norm = normalize(path)
+                record = self._files.get(norm)
+                if record is None:
+                    raise FileNotFoundInStoreError(norm)
+            return record
 
     def stat(self, path: str) -> FileStat:
         """``stat()``: file records directly, synthesized for directories."""

@@ -9,8 +9,10 @@ holds what is independent of the daemon itself:
   no workload in this repository has ever needed a second value;
 - :class:`SingleFlight` — a keyed in-flight table: concurrent callers of
   the same key share one execution of the underlying work (one upstream
-  fetch for a miss storm, one decompression for a cache-miss race); a
-  flight nobody joins costs a dict insert and a pop, no waiter object.
+  fetch for a storm of direct ``fetch_compressed`` calls); a flight
+  nobody joins costs a dict insert and a pop, no waiter object. An
+  ``open()`` miss never enters it: the cache registers that flight
+  itself, under its own lock.
 
 Everything here is stdlib-only and takes no fanstore locks of its own
 beyond the table mutex, which is never held across the coalesced work.
@@ -41,7 +43,7 @@ BATCH_MAX = 16
 
 class _Flight:
     """One in-flight execution. ``done`` stays None until the first
-    follower attaches (under the table lock) and parks on it."""
+    follower attaches (under its table's lock) and parks on it."""
 
     __slots__ = ("done", "value", "error")
 
@@ -63,8 +65,8 @@ class SingleFlight:
     later caller starts a fresh flight rather than reading a stale one.
 
     The waiter (a ``threading.Event``) is built by the first follower,
-    not by the leader: an uncontended flight — nearly every one on the
-    read path, which runs two per open — allocates and signals nothing.
+    not by the leader: an uncontended flight allocates and signals
+    nothing.
     No wake-up is lost, because followers attach only while the flight
     is in the table and the leader reads ``flight.done`` under the same
     lock that removes it.

@@ -140,6 +140,12 @@ class TestZfpRate:
         out = codec.decompress(codec.compress(arr))
         np.testing.assert_array_equal(out, arr)
 
+    def test_subnormal_peak_decodes_as_zero_block(self):
+        arr = np.zeros(64)
+        arr[3] = 1e-310  # too small to scale: 0 x inf used to give NaN
+        out = ZfpLikeCodec(12).decompress(ZfpLikeCodec(12).compress(arr))
+        assert not np.any(out) and not np.any(np.signbit(out))
+
     def test_parameter_validation(self):
         with pytest.raises(CompressionError):
             ZfpLikeCodec(1)

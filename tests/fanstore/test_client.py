@@ -4,6 +4,8 @@ multi-read single-write model, directory streams."""
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -84,6 +86,111 @@ class TestOpenReadClose:
         fd = client.open(first_file(client))
         assert fd >= 3
         client.close(fd)
+
+
+def spellings(path: str) -> list[str]:
+    """Non-canonical spellings of the canonical ``a/b``-shaped path."""
+    head, tail = path.split("/", 1)
+    return [
+        f"./{head}//{tail}",
+        f"/{path}",
+        f"{head}/./{tail}",
+        path.replace("/", "\\"),
+    ]
+
+
+class TestReadFile:
+    """The descriptor-free whole-file read: same bytes, same rules."""
+
+    def test_every_spelling_reads_the_same_bytes(self, client):
+        path = first_file(client)
+        cache = client.daemon.cache
+        whole = client.read_file(path)
+        assert whole  # non-empty, so equality below means something
+        for spelling in spellings(path):
+            assert client.read_file(spelling) == whole
+            assert cache.refcount(path) == 0
+        assert len(cache) == 0
+
+    def test_every_spelling_shares_one_cache_key(self, client):
+        path = first_file(client)
+        cache = client.daemon.cache
+        fds = [client.open(s) for s in [path, *spellings(path)]]
+        assert len(cache) == 1
+        assert cache.refcount(path) == len(fds)
+        # a whole-file read in between pins and unpins that same entry
+        assert client.read_file(spellings(path)[0]) == client.read(fds[0])
+        assert cache.refcount(path) == len(fds)
+        for fd in fds:
+            client.close(fd)
+        assert cache.refcount(path) == 0 and len(cache) == 0
+
+    def test_reading_while_writing_rejected_under_any_spelling(self, client):
+        fd = client.open("out/wip", O_WRONLY | O_CREAT)
+        client.write(fd, b"partial")
+        for spelling in ("out/wip", "./out//wip", "/out/wip", "out\\wip"):
+            with pytest.raises(WriteViolationError):
+                client.read_file(spelling)
+        client.close(fd)
+        assert client.read_file("./out//wip") == b"partial"
+
+    def test_absent_and_escaping_paths(self, client):
+        with pytest.raises(FileNotFoundInStoreError):
+            client.read_file("does/not/exist")
+        with pytest.raises(FileNotFoundInStoreError):
+            client.read_file("./does//not/exist")
+        with pytest.raises(FanStoreError, match="escapes the store root"):
+            client.read_file("../x")
+        assert len(client.daemon.cache) == 0
+
+    def test_takes_no_descriptor(self, client):
+        path = first_file(client)
+        fd = client.open(path)
+        client.close(fd)
+        for spelling in [path, *spellings(path)]:
+            client.read_file(spelling)
+            assert client.open_fd_count == 0
+        next_fd = client.open(path)
+        client.close(next_fd)
+        assert next_fd == fd + 1
+
+    def test_racing_discard_leaves_nothing_pinned(self, client):
+        path = first_file(client)
+        cache = client.daemon.cache
+        whole = client.read_file(path)
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def quarantine():
+            while not stop.is_set():
+                cache.discard(path)
+
+        def reader():
+            try:
+                for _ in range(500):
+                    assert client.read_file(path) == whole
+            except BaseException as exc:  # pragma: no cover - fails the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        discarder = threading.Thread(target=quarantine)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            discarder.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            stop.set()
+            discarder.join(10)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*threads, discarder])
+        assert not errors, errors
+        assert cache.refcount(path) == 0
+        assert path not in cache and len(cache) == 0
+        assert cache.stats.quarantined > 0  # the race was real
 
 
 class TestLseek:

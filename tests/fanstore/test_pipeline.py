@@ -505,29 +505,71 @@ class TestCacheGetOrCompute:
         assert cache.stats.hits == n - 1
         assert cache.stats.misses == 1 + cache.stats.singleflight_followers
 
-    def test_late_leader_shares_the_installed_entry(self):
-        # a caller that loses the CPU between its miss and taking the
-        # flight must not run the factory again: by then another opener
-        # has installed (and still pins) the entry
+    def test_colliding_opens_never_compute_a_resident_key(self):
+        # the late-leader window, black-box: a caller that loses the CPU
+        # between its miss and its flight must not run the factory for
+        # an entry another opener installed meanwhile — so under forced
+        # preemption no key ever has two factory runs overlapping, nor
+        # one starting while its entry is resident
         cache = DecompressedCache(1 << 20)
-        calls: list[int] = []
+        keys = [f"d/k{i}" for i in range(4)]
+        running = dict.fromkeys(keys, 0)
+        guard = threading.Lock()
+        violations: list[str] = []
 
-        def factory() -> bytes:
-            calls.append(1)
-            return b"plain"
+        def factory_for(key):
+            def factory() -> bytes:
+                with guard:
+                    running[key] += 1
+                    if running[key] > 1:
+                        violations.append(f"{key}: overlapping factory runs")
+                if key in cache:
+                    violations.append(f"{key}: computed while resident")
+                with guard:
+                    running[key] -= 1
+                return key.encode()
+            return factory
 
-        real_run = cache._flight.run
+        factories = {key: factory_for(key) for key in keys}
+        n_threads, rounds = 8, 2000
+        start = threading.Barrier(n_threads)
+        errors: list[BaseException] = []
 
-        def stalled_run(key, fn, **kwargs):
-            cache._flight.run = real_run
-            assert cache.get_or_compute("d/z", factory) == b"plain"
-            return real_run(key, fn, **kwargs)
+        def worker(index: int):
+            try:
+                start.wait(10)
+                for i in range(rounds):
+                    key = keys[(index + i) % len(keys)]
+                    data = cache.get_or_compute(key, factories[key])
+                    assert data == key.encode()
+                    cache.close(key)
+            except BaseException as exc:  # pragma: no cover - fails the test
+                errors.append(exc)
 
-        cache._flight.run = stalled_run
-        assert cache.get_or_compute("d/z", factory) == b"plain"
-        assert calls == [1]
-        assert cache.stats.singleflight_leaders == 1
-        assert cache.refcount("d/z") == 2  # each opener holds its own pin
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert not violations, violations[:5]
+        assert all(cache.refcount(key) == 0 for key in keys)
+        assert len(cache) == 0
+        stats = cache.stats
+        assert stats.opens == stats.hits + stats.misses
+        assert stats.opens >= n_threads * rounds  # followers re-open
+        assert stats.misses == (
+            stats.singleflight_leaders + stats.singleflight_followers
+        )
 
     def test_leader_failure_shared_then_fresh_flight(self):
         cache = DecompressedCache(1 << 20)
