@@ -1,19 +1,30 @@
 """Saturation behaviour of the daemon's pipelined scheduler.
 
 One rank serves its in-RAM store while 1/8/64 client threads on a peer
-rank hammer it with small fetches — the many-DataLoader-workers shape
+rank hammer it with small reads — the many-DataLoader-workers shape
 the paper's training runs produce.
+
+The storm goes through ``open_file``/``close_file``: the path a
+DataLoader worker actually takes (``client.read_file`` is exactly that
+pair), and since the daemon's direct-fetch single-flight was deleted
+for want of a caller, the only one with a coalescing point — the
+cache's in-flight table. (Until PR 19 the storm called
+``fetch_compressed`` directly, a path no reader takes, and published
+~3x the rate in a third of the envelopes.) Under the paper's
+release-at-refcount-zero policy a file is resident only while someone
+holds it open, so colliding readers coalesce only while their opens
+overlap; everyone else is a fresh miss and a fresh fetch.
 
 Small payloads and an epoch-shaped strided walk on purpose: many
 DataLoader workers pulling the same shuffled shard list collide on
-paths constantly — exactly the traffic single-flight coalesces and the
-batched envelope amortizes.
+paths constantly — exactly the traffic the cache's flight coalesces and
+the batched envelope amortizes.
 
 What is asserted is what the scheduler is *for*, in counts: a lone
 client finds the destination idle and pays for none of it (no
-coalesced fetch, no batched flush); 64 clients coalesce colliding
-fetches and ride batched envelopes, every flush the clients count is
-one envelope the server counts, and every reply is byte-exact. The
+coalesced miss, no batched flush); 64 clients coalesce colliding
+misses and ride batched envelopes, every flush the clients count is
+one envelope the server counts, and every read is byte-exact. The
 requests/sec per point are published, not gated: the speed of the
 cross-rank read path is gated by ``benchmarks/e2e`` (workload
 ``remote_16k_memcpy``) on a pinned CPU against the parent commit.
@@ -113,8 +124,11 @@ def _run_point(clients: int) -> dict:
                 # shard list do
                 path = paths[(idx * 5 + j) % len(paths)]
                 try:
-                    data = daemon.fetch_compressed(path)
-                    assert bytes(data) == payloads[path], path
+                    data = daemon.open_file(path)
+                    try:
+                        assert bytes(data) == payloads[path], path
+                    finally:
+                        daemon.close_file(path)
                 except Exception as exc:  # pragma: no cover
                     errors.append(exc)
                     return
@@ -136,7 +150,7 @@ def _run_point(clients: int) -> dict:
             "elapsed_s": elapsed,
             "requests": clients * PER_CLIENT,
             "coalesced": daemon.metrics.get(
-                "daemon.pipeline.coalesced_fetches"
+                "cache.singleflight.followers"
             ).value,
             "batch_flushes": daemon.metrics.get(
                 "daemon.batch.flushes"
@@ -155,7 +169,7 @@ def _run_point(clients: int) -> dict:
         "requests_per_s": round(
             client_side["requests"] / client_side["elapsed_s"], 1
         ),
-        "coalesced_fetches": client_side["coalesced"],
+        "coalesced_misses": client_side["coalesced"],
         "batch_flushes": client_side["batch_flushes"],
         "server_batch_envelopes": server_side["batch_envelopes"],
     }
@@ -168,12 +182,12 @@ def test_saturation_throughput(benchmark, emit_report):
     report = PaperComparison(
         "Daemon saturation: the pipelined scheduler under 1/8/64 clients",
         f"{N_FILES} x {BLOB_BYTES // 1024} KiB records on 1 server rank; "
-        f"{PER_CLIENT} fetches per client",
+        f"{PER_CLIENT} open/close reads per client",
         columns=["clients", "req/s", "coalesced", "flushes", "envelopes"],
     )
     for row in rows:
         report.add_row(
-            row["clients"], row["requests_per_s"], row["coalesced_fetches"],
+            row["clients"], row["requests_per_s"], row["coalesced_misses"],
             row["batch_flushes"], row["server_batch_envelopes"],
         )
     emit_report(report)
@@ -189,10 +203,10 @@ def test_saturation_throughput(benchmark, emit_report):
 
     lone, storm = rows[0], rows[-1]
     # an idle destination pays nothing for the scheduler
-    assert lone["coalesced_fetches"] == 0 and lone["batch_flushes"] == 0, lone
+    assert lone["coalesced_misses"] == 0 and lone["batch_flushes"] == 0, lone
     assert lone["server_batch_envelopes"] == 0, lone
-    # a storm coalesces colliding fetches and rides batched envelopes,
+    # a storm coalesces colliding misses and rides batched envelopes,
     # one server-side envelope per client-side flush
-    assert storm["coalesced_fetches"] > 0 and storm["batch_flushes"] > 0, storm
+    assert storm["coalesced_misses"] > 0 and storm["batch_flushes"] > 0, storm
     for row in rows:
         assert row["server_batch_envelopes"] == row["batch_flushes"], row

@@ -17,11 +17,15 @@ recovers the protocol from the AST and checks:
 
 Recognised idioms: a *dispatcher* is any method that calls
 ``recv``/``try_recv`` with a ``TAG_<NAME>`` constant; its handled kinds
-are the string literals compared against a name inside it. A *request
-helper* is a method that sends ``(param, ...)`` on a tag, where
-``param`` is one of its own parameters — calls to it with a literal
-first argument emit that literal as a kind. An *envelope* is a call to
-a constructor named ``Request``.
+are the string literals compared against a name inside it *or inside
+any method of its class it reaches through* ``self.<method>(...)``
+*calls* (the real daemon's receive loop only admits; the arms live two
+calls down). A *request helper* is a method that sends ``(param, ...)``
+on a tag, where ``param`` is one of its own parameters, or that
+forwards such a parameter as the kind to another request helper —
+calls to it with a literal in that parameter's position emit the
+literal as a kind. An *envelope* is a call to a constructor named
+``Request``.
 """
 
 from __future__ import annotations
@@ -77,9 +81,12 @@ class _MethodInfo:
     def __init__(self, cls: str, node: ast.FunctionDef) -> None:
         self.cls = cls
         self.node = node
-        self.params = {
-            a.arg for a in list(node.args.args) + list(node.args.kwonlyargs)
-        }
+        #: positional parameters as a caller counts them (no ``self``)
+        self.params = [a.arg for a in node.args.args][1:]
+        self.calls = [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        ]
 
 
 def _methods(tree: ast.Module) -> list[_MethodInfo]:
@@ -108,18 +115,18 @@ class ProtocolConformancePass(LintPass):
         methods = _methods(src.tree)
         dispatchers: dict[str, _MethodInfo] = {}
         for m in methods:
-            for node in ast.walk(m.node):
-                if isinstance(node, ast.Call):
-                    tag = _recv_tag(node)
-                    if tag is not None:
-                        dispatchers.setdefault(tag, m)
+            for node in m.calls:
+                tag = _recv_tag(node)
+                if tag is not None:
+                    dispatchers.setdefault(tag, m)
 
-        # kind-forwarding request helpers: method sends (own param, ...) on a tag
-        helpers: dict[str, str] = {}  # method name -> tag
+        # kind-forwarding request helpers, method name -> (tag, position
+        # of the kind parameter): a method that sends (own param, ...) on
+        # a tag, or — to a fixpoint — passes an own param as the kind of
+        # a call to a known helper
+        helpers: dict[str, tuple[str, int]] = {}
         for m in methods:
-            for node in ast.walk(m.node):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in m.calls:
                 parts = _send_parts(node)
                 if parts is None:
                     continue
@@ -130,7 +137,28 @@ class ProtocolConformancePass(LintPass):
                     and isinstance(payload.elts[0], ast.Name)
                     and payload.elts[0].id in m.params
                 ):
-                    helpers.setdefault(m.node.name, tag)
+                    helpers.setdefault(
+                        m.node.name, (tag, m.params.index(payload.elts[0].id))
+                    )
+        grew = True
+        while grew:
+            grew = False
+            for m in methods:
+                if m.node.name in helpers:
+                    continue
+                for node in m.calls:
+                    tag, pos = helpers.get(node.func.attr, (None, 0))
+                    if (
+                        tag is not None
+                        and len(node.args) > pos
+                        and isinstance(node.args[pos], ast.Name)
+                        and node.args[pos].id in m.params
+                    ):
+                        helpers[m.node.name] = (
+                            tag, m.params.index(node.args[pos].id)
+                        )
+                        grew = True
+                        break
 
         # emitted kinds: direct literal sends + literal calls to helpers
         emitted: dict[str, list[tuple[str, int]]] = {}
@@ -151,16 +179,16 @@ class ProtocolConformancePass(LintPass):
                     )
                 continue
             fn = node.func
-            if (
-                isinstance(fn, ast.Attribute)
-                and fn.attr in helpers
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                emitted.setdefault(helpers[fn.attr], []).append(
-                    (node.args[0].value, node.lineno)
-                )
+            if isinstance(fn, ast.Attribute) and fn.attr in helpers:
+                tag, pos = helpers[fn.attr]
+                if (
+                    len(node.args) > pos
+                    and isinstance(node.args[pos], ast.Constant)
+                    and isinstance(node.args[pos].value, str)
+                ):
+                    emitted.setdefault(tag, []).append(
+                        (node.args[pos].value, node.lineno)
+                    )
 
         findings: list[Finding] = []
 
@@ -169,7 +197,7 @@ class ProtocolConformancePass(LintPass):
             dispatcher = dispatchers.get(tag)
             if dispatcher is None:
                 continue  # replies / tags consumed without kind dispatch
-            handled = self._handled_kinds(dispatcher.node)
+            handled = self._handled_kinds(dispatcher, methods)
             if not handled:
                 continue  # receive loop without string dispatch
             for kind, lineno in kinds:
@@ -191,9 +219,29 @@ class ProtocolConformancePass(LintPass):
         return findings
 
     @staticmethod
-    def _handled_kinds(fn: ast.FunctionDef) -> set[str]:
+    def _handled_kinds(
+        dispatcher: _MethodInfo, methods: list[_MethodInfo]
+    ) -> set[str]:
+        """String literals compared against a name in the dispatcher or
+        in any same-class method reachable from it via ``self.`` calls."""
+        by_name = {
+            m.node.name: m for m in methods if m.cls == dispatcher.cls
+        }
+        reached = {dispatcher.node.name: dispatcher}
+        frontier = [dispatcher]
+        while frontier:
+            for call in frontier.pop().calls:
+                fn = call.func
+                if (
+                    isinstance(fn.value, ast.Name)
+                    and fn.value.id == "self"
+                    and fn.attr in by_name
+                    and fn.attr not in reached
+                ):
+                    reached[fn.attr] = by_name[fn.attr]
+                    frontier.append(by_name[fn.attr])
         handled: set[str] = set()
-        for node in ast.walk(fn):
+        for node in (n for m in reached.values() for n in ast.walk(m.node)):
             if not isinstance(node, ast.Compare):
                 continue
             if not isinstance(node.left, ast.Name):

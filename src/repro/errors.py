@@ -98,9 +98,11 @@ class InvalidArgumentError(FanStoreError, OSError):
 
 
 class WireFormatError(FanStoreError, FormatError):
-    """A daemon wire body (request envelope or reply) is structurally
-    malformed — neither a v2 envelope nor a legacy positional tuple. A
-    server counts it as a malformed request; it never crashes on one."""
+    """A daemon wire body is structurally malformed: a request that is
+    not a v2 envelope, or a reply that is not a ``(status, value)`` pair
+    with a known status. A server counts the former as a malformed
+    request and a client the latter as a lost reply; neither crashes on
+    one."""
 
 
 class CapacityError(FanStoreError):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import FanStoreError
-from repro.fanstore.pipeline import _Flight
 
 
 @dataclass
@@ -49,6 +48,17 @@ class _Entry:
     data: bytes
     refcount: int = 0
     doomed: bool = False  # quarantined while pinned; never served again
+
+
+class _Flight:
+    """One in-flight miss computation. ``done`` stays None until the
+    first follower attaches (under the cache lock) and parks on it."""
+
+    __slots__ = ("done", "error")
+
+    def __init__(self) -> None:
+        self.done: threading.Event | None = None
+        self.error: BaseException | None = None
 
 
 class DecompressedCache:

@@ -17,15 +17,19 @@ One daemon runs per node (here: per rank of the in-process world). It
 
 Message protocol (all on ``TAG_DAEMON``; replies on caller-chosen tags):
 
-=========== =============================================  =========================
-kind        payload                                        reply
-=========== =============================================  =========================
-fetch       Request envelope (subject = path)              (ok, compressed|error)
-stat        Request envelope (subject = path)              (ok, FileRecord|None)
-write_meta  Request envelope (subject = FileRecord)        (ok, None)
-batch       Request envelope (batch = item triples)        (BATCH, item replies)
-stop        —                                              —
-=========== =============================================  =========================
+=========== ======================================== ===============================
+kind        payload                                  reply
+=========== ======================================== ===============================
+fetch       Request envelope (subject = path)        (OK, compressed) | (MISS, path)
+stat        Request envelope (subject = path)        (OK, FileRecord) | (MISS, None)
+write_meta  Request envelope (subject = FileRecord)  (OK, None) | (FENCED, epoch)
+batch       Request envelope (batch = item triples)  (BATCH, item replies)
+stop        —                                        —
+=========== ======================================== ===============================
+
+Every reply is a ``(status, value)`` pair with a
+:class:`repro.fanstore.wire.Reply` status, on the wire and inside this
+module alike; anything else on a reply tag counts as a lost reply.
 
 Every request body is a :class:`repro.fanstore.wire.Request` envelope —
 one typed record carrying ``subject``, ``reply_tag``, ``trace_ctx``,
@@ -35,12 +39,12 @@ layout and forward-compatibility rules); any other body is counted in
 ``malformed_requests`` and dropped. A traced requester's context is
 adopted so one ``client.read`` is reconstructable across every rank it
 touched; work whose absolute deadline already expired is dropped
-instead of answered into the void; queue overflow is shed with an
-``(OVERLOAD, retry_after_s)`` reply so clients back off instead of
-retry-storming; and a mutating request (``write_meta``) whose fencing
-token (membership view epoch) is older than the server's is answered
-``(FENCED, server_epoch)`` rather than applied, so a rank healing out
-of a minority partition cannot clobber majority state.
+instead of answered into the void; any request may instead be shed on
+queue overflow with ``(OVERLOAD, retry_after_s)`` so clients back off
+instead of retry-storming; and a mutating request (``write_meta``)
+whose fencing token (membership view epoch) is older than the server's
+is answered ``(FENCED, server_epoch)`` rather than applied, so a rank
+healing out of a minority partition cannot clobber majority state.
 
 A ``batch`` envelope is a client-side flush of small same-destination
 requests: its ``batch`` field holds ``(kind, subject, deadline)``
@@ -106,16 +110,9 @@ from repro.fanstore.metadata import (
     RereplicationStep,
     normalize,
 )
-from repro.fanstore.pipeline import (
-    BATCH_MAX,
-    MAX_INFLIGHT,
-    PIPELINE_WORKERS,
-    SingleFlight,
-)
+from repro.fanstore.pipeline import BATCH_MAX, MAX_INFLIGHT, PIPELINE_WORKERS
 from repro.fanstore.prepare import PreparedDataset
 from repro.fanstore.wire import (
-    FENCED,
-    OVERLOAD,
     Reply,
     Request,
     decode_batch_reply,
@@ -394,18 +391,13 @@ class FanStoreDaemon:
         self._service_thread: threading.Thread | None = None
         self._reply_tags = itertools.count(_REPLY_TAG_BASE + self.rank * 1_000_000)
         self._reply_lock = threading.Lock()
-        #: pipelined scheduler state (PR 9): client-side single-flight
-        #: coalescing of identical fetches, per-destination request
+        #: pipelined scheduler state (PR 9): per-destination request
         #: batchers, and the serve-side in-flight gauge + counters.
-        self._fetch_flight = SingleFlight()
         self._batch_lock = threading.Lock()
         self._batchers: dict[int, _DestBatcher] = {}
         self._inflight = 0
         self.metrics.bind_gauge("daemon.pipeline.inflight", self, "_inflight")
         self._m_dispatched = self.metrics.counter("daemon.pipeline.dispatched")
-        self._m_coalesced = self.metrics.counter(
-            "daemon.pipeline.coalesced_fetches"
-        )
         self._m_batch_flushes = self.metrics.counter("daemon.batch.flushes")
         self._m_batch_items = self.metrics.counter("daemon.batch.items")
         self._m_batch_fallbacks = self.metrics.counter(
@@ -511,29 +503,17 @@ class FanStoreDaemon:
         return payload
 
     def load(self, prepared: PreparedDataset) -> None:
-        """Stage the prepared dataset: local partitions from the shared
-        FS, extra partitions from the ring neighbor, broadcast partition
-        everywhere, then the metadata allgather."""
-        # crash recovery first: adopted client outputs must be in the
-        # table before the allgather announces this rank's holdings
-        self._open_journal()
-        self._prepared = prepared  # kept for degraded shared-FS re-reads
-        assigned = self._assigned_partitions(len(prepared.partitions))
-        partition_paths = prepared.partition_paths()
-        for pid in assigned:
-            nbytes = self._ingest_partition(partition_paths[pid], self.rank)
-            self._charge_capacity(nbytes, f"partition {pid}")
-
-        bcast = prepared.broadcast_path()
-        if bcast is not None:
-            nbytes = self._ingest_partition(bcast, self.rank)
-            self._charge_capacity(nbytes, "broadcast partition")
-
+        """Stage the prepared dataset: what :meth:`load_rejoin` stages
+        off the shared FS (local and broadcast partitions, after crash
+        recovery), then the two collectives a rejoiner cannot run —
+        extra partitions from the ring neighbor and the metadata
+        allgather."""
+        self.load_rejoin(prepared)
         if self.comm is not None:
-            self._replicate_extra_partitions(assigned)
+            self._replicate_extra_partitions()
             self._metadata_allgather()
 
-    def _replicate_extra_partitions(self, assigned: list[int]) -> None:
+    def _replicate_extra_partitions(self) -> None:
         """§V-D site 2: extra partitions are copied from the left ring
         neighbor rather than re-read off the shared file system. Each
         hop ships (path, compressed bytes, record) tuples."""
@@ -726,13 +706,12 @@ class FanStoreDaemon:
             if source == self.rank or self._route_dead(source):
                 continue
             try:
-                ok, data = self._request(
-                    "fetch", step.path, source,
-                    attempts=_FAILOVER_ATTEMPTS,
+                data = self._peer_fetch(
+                    step.path, record, source, attempts=_FAILOVER_ATTEMPTS
                 )
-            except (RetryExhaustedError, ServerOverloadedError, RankDeadError):
+            except RankDeadError:
                 continue
-            if ok and self._blob_ok(record, data):
+            if data is not None:
                 self._durable_put("rereplicate", step.path, data)
                 return data
         # _degraded_read verifies and promotes into the backend itself
@@ -847,14 +826,10 @@ class FanStoreDaemon:
             return True
         record = min(candidates, key=lambda r: r.path)
         try:
-            ok, data = self._request("fetch", record.path, joiner, attempts=1)
-        except (RetryExhaustedError, ServerOverloadedError, RankDeadError):
+            data = self._peer_fetch(record.path, record, joiner, attempts=1)
+        except RankDeadError:
             return False
-        return (
-            bool(ok)
-            and isinstance(data, (bytes, bytearray, memoryview))
-            and self._blob_ok(record, data)
-        )
+        return data is not None
 
     def membership_snapshot(
         self,
@@ -905,8 +880,10 @@ class FanStoreDaemon:
         original cohort's collective sequence has moved on), so its
         bytes come from the shared FS and its metadata from the join
         snapshot applied afterwards."""
+        # crash recovery first: adopted client outputs must be in the
+        # table before anything announces this rank's holdings
         self._open_journal()
-        self._prepared = prepared
+        self._prepared = prepared  # kept for degraded shared-FS re-reads
         assigned = self._assigned_partitions(len(prepared.partitions))
         partition_paths = prepared.partition_paths()
         for pid in assigned:
@@ -1190,6 +1167,19 @@ class FanStoreDaemon:
         )
         slots = threading.BoundedSemaphore(MAX_INFLIGHT)
         stop = threading.Event()
+
+        def drain() -> bool:
+            """Admit what already arrived; True when the loop must exit."""
+            while True:
+                try:
+                    msg = comm.try_recv(ANY_SOURCE, TAG_DAEMON)
+                except (CommClosedError, CommError):
+                    return True
+                if msg is None:
+                    return False
+                if self._admit(queue, msg):
+                    return True
+
         try:
             while True:
                 if not len(queue):
@@ -1205,15 +1195,8 @@ class FanStoreDaemon:
                 # admission control can only shed backlog it can see,
                 # and a burst must not be served strictly
                 # one-recv-at-a-time.
-                while True:
-                    try:
-                        msg = comm.try_recv(ANY_SOURCE, TAG_DAEMON)
-                    except (CommClosedError, CommError):
-                        return
-                    if msg is None:
-                        break
-                    if self._admit(queue, msg):
-                        return
+                if drain():
+                    return
                 depth = len(queue)
                 self._queue_depth = depth
                 if depth >= brownout_depth:
@@ -1229,7 +1212,7 @@ class FanStoreDaemon:
                 # submit/wakeup cost. The reads of ``_inflight`` are
                 # racy on purpose — a stale nonzero just takes the pool
                 # path, a concurrent drain-to-zero just serves inline.
-                if self._inflight == 0 and not len(queue):
+                if self._inflight == 0 and depth == 1:
                     if not self._serve_one(entry):
                         return
                     continue
@@ -1238,17 +1221,8 @@ class FanStoreDaemon:
                 # a stalled pool must not take admission control down
                 # with it.
                 while not slots.acquire(timeout=0.02):
-                    if stop.is_set():
+                    if stop.is_set() or drain():
                         return
-                    while True:
-                        try:
-                            msg = comm.try_recv(ANY_SOURCE, TAG_DAEMON)
-                        except (CommClosedError, CommError):
-                            return
-                        if msg is None:
-                            break
-                        if self._admit(queue, msg):
-                            return
                 if stop.is_set():
                     slots.release()
                     return
@@ -1322,13 +1296,11 @@ class FanStoreDaemon:
         if shed:
             # shedding is the overload signal: enter brownout
             self._brownout_until = time.monotonic() + _BROWNOUT_HOLD_S
-        retry_after = self.config.overload_retry_after_s
+        overloaded = (Reply.OVERLOAD, self.config.overload_retry_after_s)
         for _, victim, victim_source in shed:
             self.stats.shed_requests += 1
             try:
-                self.comm.send(
-                    (OVERLOAD, retry_after), victim_source, victim.reply_tag
-                )
+                self.comm.send(overloaded, victim_source, victim.reply_tag)
             except (CommClosedError, CommError):
                 return True
         return False
@@ -1338,63 +1310,32 @@ class FanStoreDaemon:
         comm = self.comm
         assert comm is not None
         kind, request, source = entry
-        subject = request.subject
-        reply_tag = request.reply_tag
         deadline_at = request.deadline
         if deadline_at is not None and time.monotonic() >= deadline_at:
             # the requester has already timed out and walked away:
             # serving — or even refusing — would be work for nobody
             self.stats.deadline_expired_drops += 1
             return True
-        # Joining the requester's trace: a malformed context yields
-        # NULL_SPAN, never an error — tracing must not change what
-        # gets served.
-        span = (
-            self.tracer.adopt(request.trace_ctx, f"daemon.serve.{kind}",
-                              source=source)
-            if request.trace_ctx is not None else NULL_SPAN
-        )
+        span = NULL_SPAN
+        if request.trace_ctx is not None:
+            # Joining the requester's trace: a malformed context yields
+            # NULL_SPAN, never an error — tracing must not change what
+            # gets served.
+            span = self.tracer.adopt(
+                request.trace_ctx, f"daemon.serve.{kind}", source=source
+            )
+            if kind in ("fetch", "stat"):
+                span.tag(path=request.subject)
         try:
             with span:
-                if kind == "fetch":
-                    self.stats.served_requests += 1
-                    span.tag(path=subject)
-                    try:
-                        data = self._verified_local(subject)
-                    except FileNotFoundInStoreError:
-                        comm.send((False, subject), source, reply_tag)
-                    except DataIntegrityError:
-                        # never serve bytes that failed verification
-                        # and could not be self-repaired; no reply at
-                        # all, so the requester times out and walks
-                        # its own failover ladder (replicas, shared
-                        # FS)
-                        span.tag(unrepairable=True)
-                    else:
-                        comm.send((True, data), source, reply_tag)
-                elif kind == "stat":
-                    span.tag(path=subject)
-                    try:
-                        rec = self.metadata.get(subject)
-                    except FileNotFoundInStoreError:
-                        comm.send((False, None), source, reply_tag)
-                    else:
-                        comm.send((True, rec), source, reply_tag)
-                elif kind == "batch":
+                if kind == "batch":
                     self._serve_batch(request, source)
-                else:  # write_meta
-                    if self._stale_epoch(request.epoch):
-                        # a mutation decided under a pre-partition view:
-                        # fence it off rather than let a healed minority
-                        # clobber majority state
-                        self.stats.fenced_rejects += 1
-                        span.tag(fenced=True)
-                        comm.send(
-                            (FENCED, self._view_epoch()), source, reply_tag
-                        )
-                    else:
-                        self.metadata.insert(subject)
-                        comm.send((True, None), source, reply_tag)
+                else:
+                    answer = self._answer(
+                        kind, request.subject, request.epoch, span
+                    )
+                    if answer is not None:
+                        comm.send(answer, source, request.reply_tag)
         except (CommClosedError, CommError):
             # replying to a torn-down world (or after our own
             # injected death) ends the service loop — a crashed
@@ -1405,6 +1346,41 @@ class FanStoreDaemon:
             # path type, bogus write_meta record) is still malformed
             self.stats.malformed_requests += 1
         return True
+
+    def _answer(
+        self, kind: str, subject: Any, epoch: int | None, span: Any
+    ) -> tuple[str, Any] | None:
+        """The ``(status, value)`` reply to one ``fetch`` / ``stat`` /
+        ``write_meta``, for a classic request and a batch item alike.
+        ``None`` is the deliberate silence for bytes that failed
+        verification and could not be self-repaired — never served; the
+        classic requester times out and walks its own failover
+        (replicas, shared FS), a batch item is told ``FAILED`` so only
+        its waiter falls back."""
+        if kind == "fetch":
+            self.stats.served_requests += 1
+            try:
+                return Reply.OK, self._verified_local(subject)
+            except FileNotFoundInStoreError:
+                return Reply.MISS, subject
+            except DataIntegrityError:
+                span.tag(unrepairable=True)
+                return None
+        if kind == "stat":
+            try:
+                return Reply.OK, self.metadata.get(subject)
+            except FileNotFoundInStoreError:
+                return Reply.MISS, None
+        # write_meta
+        if self._stale_epoch(epoch):
+            # a mutation decided under a pre-partition view: fence it
+            # off rather than let a healed minority clobber majority
+            # state
+            self.stats.fenced_rejects += 1
+            span.tag(fenced=True)
+            return Reply.FENCED, self._view_epoch()
+        self.metadata.insert(subject)
+        return Reply.OK, None
 
     def _serve_batch(self, request: Request, source: int) -> None:
         """Serve one batched flush: every item in order, each with its
@@ -1432,27 +1408,14 @@ class FanStoreDaemon:
             if expiry is not None and time.monotonic() >= expiry:
                 self.stats.deadline_expired_drops += 1
                 return Reply(Reply.EXPIRED, subject)
-            if kind == "fetch":
-                self.stats.served_requests += 1
-                try:
-                    data = self._verified_local(subject)
-                except FileNotFoundInStoreError:
-                    return Reply(Reply.MISS, subject)
-                except DataIntegrityError:
-                    # the batched analog of the classic no-reply
-                    # silence: only this waiter falls back to the
-                    # single-request ladder (replicas, shared FS)
-                    return Reply(Reply.FAILED, subject)
-                return Reply(Reply.OK, data)
-            if kind == "stat":
-                try:
-                    rec = self.metadata.get(subject)
-                except FileNotFoundInStoreError:
-                    return Reply(Reply.MISS, None)
-                return Reply(Reply.OK, rec)
-            # mutating kinds never batch (write_meta needs fencing)
-            self.stats.malformed_requests += 1
-            return Reply(Reply.FAILED, None)
+            if kind not in ("fetch", "stat"):
+                # mutating kinds never batch (write_meta needs fencing)
+                self.stats.malformed_requests += 1
+                return Reply(Reply.FAILED, None)
+            answer = self._answer(kind, subject, None, NULL_SPAN)
+            if answer is None:
+                return Reply(Reply.FAILED, subject)
+            return Reply(*answer)
         except (FanStoreError, TypeError, ValueError, AttributeError):
             self.stats.malformed_requests += 1
             return Reply(Reply.FAILED, None)
@@ -1481,8 +1444,10 @@ class FanStoreDaemon:
         *,
         attempts: int | None = None,
         deadline: Deadline | None = None,
-    ) -> tuple[bool, Any]:
-        """One request/reply exchange with a bounded retry budget.
+    ) -> tuple[str, Any]:
+        """One request/reply exchange with a bounded retry budget;
+        returns the server's ``(status, value)`` pair, status
+        ``Reply.OK`` or ``Reply.MISS``.
 
         Every attempt uses a *fresh* reply tag, so a reply that arrives
         after its attempt already timed out rots harmlessly in the
@@ -1500,7 +1465,8 @@ class FanStoreDaemon:
         already given up on. An ``(OVERLOAD, retry_after)`` reply is a
         shed: back off at least ``retry_after`` before the next attempt,
         and raise :class:`ServerOverloadedError` when the budget ends on
-        one — overload is the one failure retrying *amplifies*.
+        one — overload is the one failure retrying *amplifies*. Anything
+        on the reply tag that is not a reply counts as a lost reply.
 
         Outcomes feed the per-peer health tracker: reply latencies via
         :meth:`HealthTracker.observe`, timeouts and sheds via
@@ -1517,7 +1483,7 @@ class FanStoreDaemon:
         # context rides in the request body for the serving rank to
         # adopt.
         traced = self.tracer.current_context() is not None
-        last_exc: CommError | None = None
+        last_exc: CommError | WireFormatError | None = None
         overload_wait: float | None = None
         for attempt in range(attempts):
             if attempt:
@@ -1567,10 +1533,14 @@ class FanStoreDaemon:
                 last_exc = exc
                 self.health.failure(dest)
                 continue
-            if (
-                isinstance(reply, tuple) and len(reply) == 2
-                and reply[0] == FENCED
-            ):
+            try:
+                status, value = reply
+            except (TypeError, ValueError):
+                status = value = None
+            if status == Reply.OK or status == Reply.MISS:
+                self.health.observe(dest, time.perf_counter() - t0)
+                return reply
+            if status == Reply.FENCED:
                 # a stale fencing token is not retryable: the view this
                 # side acted under is history, and only a membership
                 # catch-up (gossip merge, rejoin) can change that
@@ -1578,27 +1548,22 @@ class FanStoreDaemon:
                 raise StaleEpochError(
                     f"rank {self.rank}: {kind} request to rank {dest} "
                     f"fenced off — our view epoch {self._view_epoch()} is "
-                    f"older than the server's {reply[1]}",
+                    f"older than the server's {value}",
                     path,
-                    server_epoch=(
-                        reply[1] if isinstance(reply[1], int) else 0
-                    ),
+                    server_epoch=value if isinstance(value, int) else 0,
                 )
-            if (
-                isinstance(reply, tuple) and len(reply) == 2
-                and reply[0] == OVERLOAD
-            ):
+            self.health.failure(dest)
+            if status == Reply.OVERLOAD:
                 self.stats.overload_backoffs += 1
-                self.health.failure(dest)
                 last_exc = None
                 overload_wait = (
-                    float(reply[1])
-                    if isinstance(reply[1], (int, float))
+                    float(value)
+                    if isinstance(value, (int, float))
                     else cfg.overload_retry_after_s
                 )
-                continue
-            self.health.observe(dest, time.perf_counter() - t0)
-            return reply
+            else:
+                # garbage on the reply tag is as good as no reply
+                last_exc = WireFormatError(f"unparseable reply: {reply!r}")
         if overload_wait is not None:
             raise ServerOverloadedError(
                 f"rank {self.rank}: {kind} request to rank {dest} shed by "
@@ -1629,7 +1594,7 @@ class FanStoreDaemon:
         dest: int,
         *,
         deadline: Deadline | None = None,
-    ) -> tuple[bool, Any]:
+    ) -> tuple[str, Any]:
         """A small request that may ride a batched flush.
 
         The first caller per destination takes the *baton* and runs a
@@ -1704,7 +1669,7 @@ class FanStoreDaemon:
 
     def _lead_flush(
         self, batcher: _DestBatcher, dest: int, own: _BatchTicket
-    ) -> tuple[bool, Any]:
+    ) -> tuple[str, Any]:
         """Run one batched flush as its elected leader: pack the
         parked tickets, exchange, fan the item replies out. Every
         grouped ticket is answered even when the exchange raises — a
@@ -1818,15 +1783,15 @@ class FanStoreDaemon:
         dest: int,
         deadline: Deadline | None,
         reply: Reply,
-    ) -> tuple[bool, Any]:
-        """Map one batched item reply onto classic ``_request`` return
-        semantics; a FAILED item (integrity failure, malformed subject)
-        retries alone through the classic ladder."""
-        if reply.status == Reply.OK:
-            return True, reply.value
-        if reply.status == Reply.MISS:
-            return False, reply.value
-        if reply.status == Reply.EXPIRED:
+    ) -> tuple[str, Any]:
+        """One batched item reply under classic ``_request`` return
+        semantics: an answer (OK / MISS) is returned as the pair it is;
+        a FAILED item (integrity failure, malformed subject) retries
+        alone through the classic ladder."""
+        status = reply.status
+        if status == Reply.OK or status == Reply.MISS:
+            return reply
+        if status == Reply.EXPIRED:
             self.stats.deadline_aborts += 1
             raise DeadlineExpiredError(
                 f"rank {self.rank}: batched {kind} of {subject!r} to rank "
@@ -1908,47 +1873,17 @@ class FanStoreDaemon:
         (degraded mode) re-read off the shared FS (§IV-C2, Figure 2;
         failover ladder home → replicas → partition file). Every tier's
         bytes are digest-verified before they are accepted; a mismatch
-        anywhere descends the ladder.
+        anywhere descends the ladder. One
+        :class:`~repro.comm.deadline.Deadline` (the caller's, or a fresh
+        one from ``config.request_deadline``) budgets the whole ladder:
+        tiers spend from it rather than stacking timeouts, and a spent
+        budget surfaces as :class:`DeadlineExpiredError`.
 
-        One :class:`~repro.comm.deadline.Deadline` (the caller's, or a
-        fresh one from ``config.request_deadline``) budgets the whole
-        ladder: tiers spend from it rather than stacking timeouts, and
-        a spent budget surfaces as :class:`DeadlineExpiredError`.
-
-        Concurrent fetches of the same key are *single-flighted*: one
-        caller runs the ladder (hedged or not), everyone else shares its
-        outcome — a miss storm costs one upstream fetch, and errors are
-        shared the same way. A follower whose own deadline lapses while
-        the leader is still fetching aborts alone; the flight runs on.
-
-        For *direct* callers: an :meth:`open_file` miss is already the
-        one in-flight computation of its key (the cache's) and walks
-        :meth:`_fetch_ladder` itself.
-        """
-        norm = normalize(path)
-        try:
-            value, led = self._fetch_flight.run(
-                norm,
-                lambda: self._fetch_ladder(norm, deadline),
-                timeout=None if deadline is None else deadline.remaining(),
-            )
-        except CommError:
-            raise
-        except FanStoreError:
-            raise
-        except TimeoutError:
-            # the bare single-flight wait timeout (leader errors are
-            # CommError/FanStoreError and re-raise above): this
-            # follower's budget died waiting on someone else's flight
-            self.stats.deadline_aborts += 1
-            raise DeadlineExpiredError(
-                f"rank {self.rank}: fetch of {norm} abandoned waiting on "
-                "a coalesced in-flight fetch: deadline expired",
-                norm,
-            )
-        if not led:
-            self._m_coalesced.inc()
-        return value
+        The public entry for *direct* callers — ``normalize`` +
+        :meth:`_fetch_ladder`, nothing more. Readers come through
+        :meth:`open_file`, whose miss is the cache's one in-flight
+        computation of its key and walks the ladder itself."""
+        return self._fetch_ladder(normalize(path), deadline)
 
     def _fetch_ladder(
         self,
@@ -1956,10 +1891,10 @@ class FanStoreDaemon:
         deadline: Deadline | None = None,
         record: FileRecord | None = None,
     ) -> bytes:
-        """The failover ladder itself (``norm`` canonical), run once per
-        key at a time: by a cache-miss leader, which carries the
-        ``record`` its open resolved, or by :meth:`fetch_compressed`'s
-        flight."""
+        """The failover ladder itself (``norm`` canonical): local copy,
+        else the home rank, else — for exactly one recorded reason —
+        the :meth:`_failover` walk. A cache-miss leader carries the
+        ``record`` its open resolved."""
         if record is None:
             record = self._lookup(norm)
         if (
@@ -1972,82 +1907,64 @@ class FanStoreDaemon:
         if deadline is None and self.config.request_deadline is not None:
             deadline = Deadline.after(self.config.request_deadline)
         home = record.home_rank
+        # why the home is left: its own failure, or why it was skipped
+        failure: Exception | None = None
+        skipped: str | None = None
         if self._route_dead(home):
             # known-dead home: skip the retry/backoff ladder entirely
             # and jump straight to the failover tiers (still counted as
             # a failover — the fetch did leave the home rank)
             self.stats.dead_route_skips += 1
-            self.stats.failovers += 1
-            return self._failover_fetch(
-                norm, record, deadline,
-                f"rank {self.rank}: fetch of {norm} skipped dead home "
-                f"rank {home} (tag {TAG_DAEMON:#x}) and no replica or "
-                "shared-FS copy answered",
-            )
-        if not self.health.allow(home):
+            skipped = "known-dead route"
+        elif not self.health.allow(home):
             # the breaker saw a gray failure the membership layer has
             # not (yet): route around the slow home without spending a
             # single timeout on it
             self.stats.breaker_skips += 1
-            self.stats.failovers += 1
-            return self._failover_fetch(
-                norm, record, deadline,
-                f"rank {self.rank}: fetch of {norm} skipped home rank "
-                f"{home} (circuit breaker open) and no replica or "
-                "shared-FS copy answered",
-            )
-        try:
-            ok, data = self._home_fetch(norm, record, deadline)
-        except (RetryExhaustedError, ServerOverloadedError) as home_failure:
-            if isinstance(home_failure, RetryExhaustedError):
-                # overload is pressure, not death: don't poison routing
+            skipped = "circuit breaker open"
+        else:
+            try:
+                status, data = self._home_fetch(norm, record, deadline)
+            except RetryExhaustedError as exc:
                 self._note_dead_route(home)
-            self.stats.failovers += 1
-            data = self._fetch_from_replicas(norm, record, deadline=deadline)
-            if data is None:
-                data = self._degraded_read(norm, record)
-            if data is None:
-                raise home_failure
-            return data
-        if not ok:
-            # authoritative not-found from a live home rank: no failover
-            raise FileNotFoundInStoreError(norm)
-        self.stats.remote_fetches += 1
-        self.stats.remote_bytes += len(data)
-        if self._blob_ok(record, data):
-            return data
-        # the home rank served corrupt bytes (and could not self-heal):
-        # same quarantine + ladder as a corrupt local copy
-        return self.repair(norm, record)
-
-    def _failover_fetch(
-        self,
-        norm: str,
-        record: FileRecord,
-        deadline: Deadline | None,
-        exhausted_message: str,
-    ) -> bytes:
-        """Replica tier then shared-FS floor, when the home rank was
-        skipped outright (dead route or open breaker)."""
-        data = self._fetch_from_replicas(norm, record, deadline=deadline)
+                failure = exc
+            except ServerOverloadedError as exc:
+                # overload is pressure, not death: don't poison routing
+                failure = exc
+            else:
+                if status != Reply.OK:
+                    # authoritative not-found from a live home: no failover
+                    raise FileNotFoundInStoreError(norm)
+                self.stats.remote_fetches += 1
+                self.stats.remote_bytes += len(data)
+                if self._blob_ok(record, data):
+                    return data
+                # the home rank served corrupt bytes (and could not
+                # self-heal): same quarantine + walk as a corrupt local
+                # copy, on what is left of this read's budget
+                return self.repair(norm, record, deadline=deadline)
+        self.stats.failovers += 1
+        data = self._failover(norm, record, deadline)
         if data is None:
-            data = self._degraded_read(norm, record)
-        if data is None:
-            raise RetryExhaustedError(exhausted_message, path=norm)
+            raise failure or RetryExhaustedError(
+                f"rank {self.rank}: fetch of {norm} skipped home rank "
+                f"{home} ({skipped}, tag {TAG_DAEMON:#x}) and no replica "
+                "or shared-FS copy answered",
+                path=norm,
+            )
         return data
 
     def _home_fetch(
         self, norm: str, record: FileRecord, deadline: Deadline | None
-    ) -> tuple[bool, Any]:
+    ) -> tuple[str, Any]:
         """The home-rank tier: a plain retried request (batched when the
         destination is busy), or — with ``hedge_reads`` on and a replica
         available — a hedged one (never batched: a hedge is a latency
         bet, and parking it behind a flush would forfeit it)."""
-        if not self.config.hedge_reads:
-            return self._batched_request(
-                "fetch", norm, record.home_rank, deadline=deadline
-            )
-        replicas = self._replica_order(norm, record)
+        replicas = (
+            self._replica_order(norm, record) if self.config.hedge_reads
+            else None
+        )
         if not replicas:
             return self._batched_request(
                 "fetch", norm, record.home_rank, deadline=deadline
@@ -2072,7 +1989,7 @@ class FanStoreDaemon:
         record: FileRecord,
         hedge_dest: int,
         deadline: Deadline | None,
-    ) -> tuple[bool, Any]:
+    ) -> tuple[str, Any]:
         """One fetch, two possible servers: the home rank first; if it
         stays silent past the hedge delay, the same request (same reply
         tag — whichever reply lands first is taken) goes to the best
@@ -2181,40 +2098,49 @@ class FanStoreDaemon:
         record: FileRecord,
         t0: float,
         span: Any,
-    ) -> tuple[bool, Any]:
+    ) -> tuple[str, Any]:
         """Validate one hedged leg's reply; DataIntegrityError means
         "keep racing", anything returned is final."""
-        if (
-            isinstance(reply, tuple) and len(reply) == 2
-            and reply[0] == OVERLOAD
-        ):
-            self.stats.overload_backoffs += 1
-            self.health.failure(source)
-            raise DataIntegrityError(  # caller treats as a dead leg
-                record.path, "hedged leg shed by admission control"
-            )
-        ok, data = reply
-        if not ok:
+        try:
+            status, data = reply
+        except (TypeError, ValueError):
+            status = None
+        if status == Reply.OK:
+            if not self._blob_ok(record, data):
+                raise DataIntegrityError(record.path, "hedged leg corrupt")
+            self.health.observe(source, time.perf_counter() - t0)
+            span.tag(winner=source)
+            return reply
+        if status == Reply.MISS:
             # authoritative not-found travels up only from the home
             # rank; a replica without the record is just a losing leg
             if source == home:
-                return False, data
+                return reply
             raise DataIntegrityError(record.path, "replica missed")
-        if not self._blob_ok(record, data):
-            raise DataIntegrityError(record.path, "hedged leg corrupt")
-        self.health.observe(source, time.perf_counter() - t0)
-        span.tag(winner=source)
-        return True, data
+        # shed by admission control, or garbage on the reply tag: the
+        # caller treats either as a dead leg
+        if status == Reply.OVERLOAD:
+            self.stats.overload_backoffs += 1
+        self.health.failure(source)
+        raise DataIntegrityError(record.path, "hedged leg shed or unparseable")
 
-    def repair(self, path: str, record: FileRecord | None = None) -> bytes:
+    def repair(
+        self,
+        path: str,
+        record: FileRecord | None = None,
+        *,
+        deadline: Deadline | None = None,
+    ) -> bytes:
         """Quarantine a corrupt copy of ``path`` and re-fetch verified
-        bytes through the failover ladder: home rank (when remote) →
-        announced replicas → shared-FS partition re-read. On success the
-        good bytes replace the corrupt copy in the backend and any
-        cached plaintext is discarded; on failure the corruption is
-        unrepairable and a typed :class:`DataIntegrityError` naming the
-        path is raised. Counts ``corruption_detected`` /
-        ``corruption_repaired``."""
+        bytes: the home rank re-asked (when remote), then the
+        :meth:`_failover` walk. On success the good bytes replace the
+        corrupt copy in the backend and any cached plaintext is
+        discarded; on failure the corruption is unrepairable and a typed
+        :class:`DataIntegrityError` naming the path is raised. Counts
+        ``corruption_detected`` / ``corruption_repaired``. Budgeted like
+        any read: by the ``deadline`` of the ladder that found the
+        corruption, else (corrupt local copy, scrubber) by a fresh
+        ``config.request_deadline`` when one is set."""
         norm = normalize(path)
         # Re-resolve the record even when the caller supplied one: after
         # a membership repair the authoritative home may have *moved*,
@@ -2226,30 +2152,26 @@ class FanStoreDaemon:
         except FileNotFoundInStoreError:
             if record is None:
                 raise
+        if deadline is None and self.config.request_deadline is not None:
+            deadline = Deadline.after(self.config.request_deadline)
         self.stats.corruption_detected += 1
         self.cache.discard(norm)
         with self.tracer.span("daemon.repair", path=norm) as span:
             data: bytes | None = None
+            home = record.home_rank
             if (
                 self.comm is not None
-                and record.home_rank != self.rank
-                and not self._route_dead(record.home_rank)
+                and home != self.rank
+                and not self._route_dead(home)
             ):
                 try:
-                    ok, candidate = self._request(
-                        "fetch", norm, record.home_rank
+                    data = self._peer_fetch(
+                        norm, record, home, deadline=deadline
                     )
-                except RetryExhaustedError:
-                    ok, candidate = False, None
-                    self._note_dead_route(record.home_rank)
-                except (ServerOverloadedError, RankDeadError):
-                    ok, candidate = False, None
-                if ok and self._blob_ok(record, candidate):
-                    data = candidate
-            if data is None and self.comm is not None:
-                data = self._fetch_from_replicas(norm, record)
+                except (DeadlineExpiredError, RankDeadError):
+                    pass  # no budget (or no life) left for peers: walk on
             if data is None:
-                data = self._degraded_read(norm, record)
+                data = self._failover(norm, record, deadline)
             if data is None:
                 span.tag(repaired=False)
                 raise DataIntegrityError(
@@ -2283,41 +2205,81 @@ class FanStoreDaemon:
             ),
         )
 
-    def _fetch_from_replicas(
+    def _peer_fetch(
         self,
         norm: str,
         record: FileRecord,
+        peer: int,
         *,
+        attempts: int | None = None,
         deadline: Deadline | None = None,
     ) -> bytes | None:
-        """Second tier of the ladder: ranks that announced a ring-copied
-        (or re-replicated) copy of this path. A replica serving corrupt
-        bytes is skipped the same way an unreachable or overloaded one
-        is; each attempt spends from the shared ladder deadline."""
-        for replica in self._replica_order(norm, record):
-            if deadline is not None and deadline.expired():
-                # out of budget: the caller's floor (shared FS) is
-                # local-only, so let it decide — don't raise here
-                return None
-            # one span per replica attempt: a failed tier shows up as an
-            # errored sibling, not a silent gap in the trace
-            span = self.tracer.span("fetch.replica", rank=replica)
-            try:
-                with span:
-                    ok, data = self._request(
-                        "fetch", norm, replica,
-                        attempts=_FAILOVER_ATTEMPTS,
-                        deadline=deadline,
-                    )
-            except (RetryExhaustedError, ServerOverloadedError):
-                continue
-            except DeadlineExpiredError:
-                return None
-            if ok and self._blob_ok(record, data):
-                self.stats.remote_fetches += 1
-                self.stats.remote_bytes += len(data)
-                return data
+        """One verified fetch of ``norm`` from ``peer`` — ask, type-check,
+        digest-verify. ``None``: this peer cannot supply verified bytes
+        (unreachable, shedding, no copy, corrupt copy) and the caller
+        tries the next place. What a failing peer means, stated once
+        for every tier that asks one:
+
+        - retries exhausted, or shed → ``None``. Only an exhausted
+          *full* budget (``attempts=None``) negative-caches the peer; a
+          bounded probe never does, nor does overload (pressure, not
+          death);
+        - :class:`DeadlineExpiredError` propagates — the budget is gone
+          for every peer, so the caller skips to its local-only floor;
+        - :class:`RankDeadError` (this rank is the corpse) propagates: a
+          read on a killed rank must raise it. Only the background
+          callers — re-replication staging, the promotion gate,
+          repair's home re-ask — swallow it.
+        """
+        try:
+            status, data = self._request(
+                "fetch", norm, peer, attempts=attempts, deadline=deadline
+            )
+        except RetryExhaustedError:
+            if attempts is None:
+                self._note_dead_route(peer)
+            return None
+        except ServerOverloadedError:
+            return None
+        if (
+            status == Reply.OK
+            and isinstance(data, (bytes, bytearray, memoryview))
+            and self._blob_ok(record, data)
+        ):
+            return data
         return None
+
+    def _failover(
+        self, norm: str, record: FileRecord, deadline: Deadline | None
+    ) -> bytes | None:
+        """The one walk below the home rank, shared by a read that left
+        its home and by :meth:`repair`: each announced replica in
+        :meth:`_replica_order` (one attempt, spending from the shared
+        ``deadline``), then the shared-FS floor — local-only, so it runs
+        even on a spent budget. ``None``: no tier holds verified bytes,
+        and the caller raises its own reason."""
+        replicas = (
+            self._replica_order(norm, record) if self.comm is not None else ()
+        )
+        try:
+            for replica in replicas:
+                if deadline is not None and deadline.expired():
+                    break
+                # one span per replica attempt: a failed tier shows up
+                # as a sibling in the trace, not a silent gap
+                with self.tracer.span("fetch.replica", rank=replica) as span:
+                    data = self._peer_fetch(
+                        norm, record, replica,
+                        attempts=_FAILOVER_ATTEMPTS, deadline=deadline,
+                    )
+                    span.tag(verified=data is not None)
+                if data is not None:
+                    self.stats.remote_fetches += 1
+                    self.stats.remote_bytes += len(data)
+                    return data
+        except DeadlineExpiredError:
+            pass  # out of budget for peers; the floor needs none
+        return self._degraded_read(norm, record)
 
     def _degraded_read(self, norm: str, record: FileRecord) -> bytes | None:
         """Floor of the ladder: the prepared partition files never left
@@ -2524,5 +2486,5 @@ class FanStoreDaemon:
         owner = self._live_owner(norm)
         if owner == self.rank:
             return None
-        ok, rec = self._batched_request("stat", norm, owner)
-        return rec if ok else None
+        status, rec = self._batched_request("stat", norm, owner)
+        return rec if status == Reply.OK else None

@@ -100,6 +100,8 @@ from repro.util.service import ServiceMixin
 TAG_MEMBER = 0x0FB0
 TAG_MEMBER_JOIN = 0x0FB1
 TAG_MEMBER_PROMOTE = 0x0FB2
+#: joiner-side bound on each join/promotion handshake round trip.
+_JOIN_TIMEOUT = 10.0
 
 
 class RankState(IntEnum):
@@ -152,8 +154,6 @@ class MembershipConfig:
     heartbeat_interval: float = 0.2
     suspect_after: float = 0.8
     dead_after: float = 2.5
-    #: bound on each join/promotion handshake round trip.
-    join_timeout: float = 10.0
     #: quorum awareness: convictions, epoch bumps, and writer election
     #: require hearing a strict majority of the non-DEAD membership.
     #: Only effective in worlds of 3+ ranks — a 2-rank world cannot
@@ -757,7 +757,7 @@ class FailureDetector(ServiceMixin):
         self.comm.send(("join", self.rank), peer, TAG_MEMBER)
         try:
             view, snapshot = self.comm.recv(
-                peer, TAG_MEMBER_JOIN, timeout=self.config.join_timeout
+                peer, TAG_MEMBER_JOIN, timeout=_JOIN_TIMEOUT
             )
         except CommError as exc:
             raise MembershipError(
@@ -783,7 +783,7 @@ class FailureDetector(ServiceMixin):
         self.comm.send(("promote", self.rank), peer, TAG_MEMBER)
         try:
             ok, body = self.comm.recv(
-                peer, TAG_MEMBER_PROMOTE, timeout=self.config.join_timeout
+                peer, TAG_MEMBER_PROMOTE, timeout=_JOIN_TIMEOUT
             )
         except CommError as exc:
             raise MembershipError(

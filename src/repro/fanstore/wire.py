@@ -11,20 +11,22 @@ WireFormatError` (the server counts it malformed and keeps serving).
 Versions above :data:`WIRE_VERSION` decode their known prefix (fields
 are only ever appended), so a v2 server keeps serving v3 clients.
 
-A reply is a ``(head, value)`` pair — ``(True, data)``,
-``(False, subject_or_None)``, ``(OVERLOAD, retry_after)``,
-``(FENCED, server_epoch)`` — and :class:`Reply` gives the heads names.
-Two more markers cover the batched path: ``EXPIRED`` (the server
-dropped one batch item whose deadline had lapsed) and ``FAILED`` (one
-batch item errored — only its waiter falls back, the rest of the batch
-is unaffected). A batch reply is ``(BATCH, (encoded item replies...))``
-in request-item order.
+A reply is a ``(status, value)`` pair whose first element is one of
+:class:`Reply`'s statuses — ``(OK, data)``, ``(MISS, subject_or_None)``,
+``(OVERLOAD, retry_after)``, ``(FENCED, server_epoch)``, and on batch
+items only ``(EXPIRED, subject)`` (the server dropped an item whose
+deadline had lapsed) and ``(FAILED, subject)`` (one item errored — only
+its waiter falls back, the rest of the batch is unaffected). A served
+reply is sent as a plain tuple and its receiver compares statuses
+inline; a :class:`Reply` *is* such a pair (a tuple subclass), built only
+where a reply is held rather than passed on — batch items. A batch
+reply is ``(BATCH, (item replies...))`` in request-item order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.comm.deadline import wire_deadline
 from repro.errors import WireFormatError
@@ -35,25 +37,6 @@ WIRE_MAGIC = "\x00fanstore-wire\x00"
 #: the envelope revision this module encodes. Decoders accept any
 #: version >= 2 by reading the known 8-field prefix.
 WIRE_VERSION = 2
-
-#: reply marker: the request was shed by admission control; the second
-#: element is the server's suggested back-off in seconds. Never a valid
-#: ``ok`` bool, so callers cannot mistake it for data.
-OVERLOAD = "__overloaded__"
-
-#: reply marker: a mutating request carried a fencing token older than
-#: the server's membership view epoch; the second element is the
-#: server's epoch.
-FENCED = "__stale_epoch__"
-
-#: reply marker (batch items only): the item's deadline had expired when
-#: the server got to it, so it was dropped rather than served.
-EXPIRED = "__deadline_expired__"
-
-#: reply marker (batch items only): this item failed in a way that has
-#: no batched representation (integrity failure, malformed subject);
-#: its waiter retries through the classic single-request ladder.
-FAILED = "__item_failed__"
 
 #: first element of a batched reply; the second is a tuple of encoded
 #: per-item replies in request order.
@@ -147,10 +130,10 @@ def decode_request(body: Any) -> Request:
     )
 
 
-@dataclass(frozen=True)
-class Reply:
-    """One reply, named. ``encode()`` produces the ``(head, value)``
-    wire pair."""
+class Reply(NamedTuple):
+    """One reply, named: the ``(status, value)`` wire pair itself (a
+    tuple subclass, so encoding is the identity). What each status
+    carries is in the module docstring."""
 
     status: str
     value: Any = None
@@ -163,43 +146,31 @@ class Reply:
     FAILED = "failed"
 
     def encode(self) -> tuple:
-        head = {
-            Reply.OK: True,
-            Reply.MISS: False,
-            Reply.OVERLOAD: OVERLOAD,
-            Reply.FENCED: FENCED,
-            Reply.EXPIRED: EXPIRED,
-            Reply.FAILED: FAILED,
-        }.get(self.status)
-        if head is None:
-            raise WireFormatError(f"unknown reply status: {self.status!r}")
-        return (head, self.value)
+        """The wire form — a :class:`Reply` already is the pair."""
+        return self
+
+
+_STATUSES = (
+    Reply.OK, Reply.MISS, Reply.OVERLOAD,
+    Reply.FENCED, Reply.EXPIRED, Reply.FAILED,
+)
 
 
 def decode_reply(raw: Any) -> Reply:
-    """Decode one (item) reply tuple into a :class:`Reply`."""
-    if not isinstance(raw, tuple) or len(raw) != 2:
-        raise WireFormatError(f"unparseable reply: {raw!r}")
-    head, value = raw
-    if head is True:
-        return Reply(Reply.OK, value)
-    if head is False:
-        return Reply(Reply.MISS, value)
-    status = {
-        OVERLOAD: Reply.OVERLOAD,
-        FENCED: Reply.FENCED,
-        EXPIRED: Reply.EXPIRED,
-        FAILED: Reply.FAILED,
-    }.get(head)
-    if status is None:
-        raise WireFormatError(f"unknown reply marker: {head!r}")
+    """Decode one (item) reply pair into a validated :class:`Reply`."""
+    try:
+        status, value = raw
+    except (TypeError, ValueError):
+        raise WireFormatError(f"unparseable reply: {raw!r}") from None
+    if status not in _STATUSES:
+        raise WireFormatError(f"unknown reply status: {status!r}")
     return Reply(status, value)
 
 
 def encode_batch_reply(replies: list[Reply]) -> tuple:
     """The wire form of a batched reply: per-item replies, request
     order."""
-    return (BATCH, tuple(reply.encode() for reply in replies))
+    return (BATCH, tuple(replies))
 
 
 def decode_batch_reply(raw: Any) -> list[Reply] | None:

@@ -3,8 +3,11 @@ envelopes."""
 
 from __future__ import annotations
 
+import shutil
 import textwrap
+from pathlib import Path
 
+from repro.analysis.core import run_lint
 from tests.analysis.conftest import rules_of
 
 CONFORMING = textwrap.dedent(
@@ -159,3 +162,101 @@ class TestEnvelopeConformance:
         )
         report = lint_tree({"comm/communicator.py": src})
         assert not rules_of(report, "protocol-conformance"), report.summary()
+
+
+PIPELINED = textwrap.dedent(
+    """
+    TAG_DAEMON = 0x0FA0
+
+    class Daemon:
+        def _serve(self):
+            while True:
+                msg = self.comm.recv(-1, TAG_DAEMON, timeout=None)
+                if self._admit(msg):
+                    return
+                self._serve_one(self.queue.pop())
+
+        def _admit(self, msg):
+            kind, body = msg
+            if kind == "stop":
+                return True
+            self.queue.push((kind, decode_request(body)))
+            return False
+
+        def _serve_one(self, entry):
+            kind, request = entry
+            answer = self._answer(kind, request.subject)
+            self.comm.send(answer, 0, request.reply_tag)
+
+        def _answer(self, kind, subject):
+            if kind == "fetch":
+                return "ok", self.backend.get(subject)
+            if kind == "stat":
+                return "ok", self.metadata.get(subject)
+            return None
+
+        def _request(self, kind, body, dest):
+            reply_tag = self._next_tag()
+            wire_body = Request(
+                subject=body, reply_tag=reply_tag, epoch=self._fence_token()
+            ).encode()
+            self.comm.send((kind, wire_body), dest, TAG_DAEMON)
+            return self.comm.recv(dest, reply_tag, timeout=self.timeout)
+
+        def _batched_request(self, kind, subject, dest):
+            if self._take_baton(dest):
+                return self._request(kind, subject, dest)
+            return self._park(kind, subject, dest)
+
+        def stat(self, path):
+            return self._batched_request("stat", path, 0)
+
+        def fetch(self, path):
+            return self._batched_request("fetch", path, 0)
+    """
+)
+
+
+class TestPipelinedDaemonShape:
+    """The real daemon's shape: the receive loop compares no strings
+    (it admits and dispatches; the arms live two ``self.`` calls down)
+    and most kinds are emitted through a helper that forwards its own
+    parameter to the request helper. Invariant 1 must still bite."""
+
+    def test_conforming_pipelined_daemon_is_clean(self, lint_tree):
+        report = lint_tree({"fanstore/daemon.py": PIPELINED})
+        assert not rules_of(report, "protocol-conformance"), report.summary()
+
+    def test_unhandled_kind_through_forwarding_helper_flagged(self, lint_tree):
+        src = PIPELINED.replace(
+            'self._batched_request("fetch", path, 0)',
+            'self._batched_request("evict", path, 0)',
+        )
+        assert src != PIPELINED
+        report = lint_tree({"fanstore/daemon.py": src})
+        findings = rules_of(report, "protocol-conformance")
+        assert len(findings) == 1
+        assert "'evict'" in findings[0].message
+        assert "fetch, stat, stop" in findings[0].message
+
+    def test_self_gate_sees_a_bogus_kind_in_the_real_daemon(self, tmp_path):
+        """Mutation check on the shipped tree: rewrite one ``"fetch"`` at
+        a ``_batched_request`` call site and the pass must say so — the
+        clean verdict of ``test_project_clean`` is only worth something
+        while this holds."""
+        repo = Path(__file__).resolve().parents[2]
+        shutil.copytree(repo / "src", tmp_path / "src")
+        daemon = tmp_path / "src" / "repro" / "fanstore" / "daemon.py"
+        text = daemon.read_text(encoding="utf-8")
+        site = '_batched_request(\n                "fetch", norm,'
+        assert site in text
+        daemon.write_text(
+            text.replace(site, site.replace("fetch", "bogus_kind"), 1),
+            encoding="utf-8",
+        )
+        report = run_lint(
+            [tmp_path / "src"], root=tmp_path,
+            rules=["protocol-conformance"],
+        )
+        assert len(report.unwaived) == 1, report.summary()
+        assert "'bogus_kind'" in report.unwaived[0].message

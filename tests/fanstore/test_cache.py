@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import threading
+import types
 
 import pytest
 
 from repro.errors import FanStoreError
+from repro.fanstore import cache as cache_module
 from repro.fanstore.cache import DecompressedCache
 
 
@@ -203,6 +205,36 @@ class TestConcurrency:
         assert not errors
         # all refcounts returned to zero → everything released
         assert cache.resident_bytes == 0
+
+
+def test_uncontended_miss_builds_no_waiter(monkeypatch):
+    """A miss nobody else joins allocates and signals no ``Event`` — on
+    success or on error; the waiter is the first follower's to build.
+    This flight is the store's one coalescing point, so the guarantee
+    (an uncontended read pays nothing for coalescing) lives here."""
+    built = []
+
+    def counting_event():
+        built.append(1)
+        return threading.Event()
+
+    # swap the module's view of ``threading`` only: Thread() itself
+    # builds an Event, which must not be counted
+    monkeypatch.setattr(
+        cache_module,
+        "threading",
+        types.SimpleNamespace(Event=counting_event, Lock=threading.Lock),
+    )
+    cache = DecompressedCache(1 << 20)
+    for i in range(64):
+        key = f"d/k{i % 3}"
+        assert cache.get_or_compute(key, lambda: key.encode()) == key.encode()
+        cache.close(key)
+    with pytest.raises(KeyError):
+        cache.get_or_compute("d/boom", lambda: {}["missing"])
+    assert not built and not cache._flights
+    assert cache.stats.singleflight_leaders == 64
+    assert cache.stats.singleflight_followers == 0
 
 
 def test_capacity_must_be_positive():

@@ -7,7 +7,7 @@ import pytest
 from repro.comm.launcher import run_parallel
 from repro.fanstore.daemon import TAG_DAEMON
 from repro.fanstore.store import FanStore, FanStoreOptions
-from repro.fanstore.wire import Request
+from repro.fanstore.wire import Reply, Request
 
 
 class TestMalformedMessages:
@@ -46,7 +46,7 @@ class TestMalformedMessages:
                 comm.barrier()
                 return ok
 
-        assert run_parallel(body, 2, timeout=60) == [False, False]
+        assert run_parallel(body, 2, timeout=60) == [Reply.MISS] * 2
 
     def test_positional_body_is_malformed_and_unanswered(
         self, prepared_dataset
@@ -75,4 +75,6 @@ class TestMalformedMessages:
                 return (ok, len(data) > 0, unanswered,
                         fs.daemon.stats.malformed_requests)
 
-        assert run_parallel(body, 2, timeout=60) == [(True, True, True, 1)] * 2
+        assert run_parallel(body, 2, timeout=60) == [
+            (Reply.OK, True, True, 1)
+        ] * 2

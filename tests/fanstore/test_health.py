@@ -15,7 +15,11 @@ import pytest
 from repro.comm.communicator import ANY_SOURCE
 from repro.comm.deadline import Deadline, wire_deadline
 from repro.comm.launcher import run_parallel
-from repro.errors import DeadlineExpiredError, ServerOverloadedError
+from repro.errors import (
+    DataIntegrityError,
+    DeadlineExpiredError,
+    ServerOverloadedError,
+)
 from repro.fanstore.daemon import TAG_DAEMON, DaemonConfig, FanStoreDaemon
 from repro.fanstore.health import (
     AdmissionQueue,
@@ -25,7 +29,7 @@ from repro.fanstore.health import (
 )
 from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.metadata import FileRecord
-from repro.fanstore.wire import OVERLOAD, decode_request
+from repro.fanstore.wire import Reply, decode_request
 
 
 class FakeClock:
@@ -332,22 +336,21 @@ class TestAdmissionQueue:
         assert [q.pop(), q.pop(), q.pop()] == ["a", "c", "d"]
 
 
-class TestBrownoutVerificationSkip:
-    def _record(self, payload: bytes) -> FileRecord:
-        return FileRecord(
-            path="data/x",
-            stat=FileStat(st_size=len(payload)).with_digest(
-                blob_crc32(payload)
-            ),
-            compressor_id=1,
-            compressed_size=len(payload),
-            home_rank=0,
-            partition_id=0,
-        )
+def _record(payload: bytes, home_rank: int = 0) -> FileRecord:
+    return FileRecord(
+        path="data/x",
+        stat=FileStat(st_size=len(payload)).with_digest(blob_crc32(payload)),
+        compressor_id=1,
+        compressed_size=len(payload),
+        home_rank=home_rank,
+        partition_id=0,
+    )
 
+
+class TestBrownoutVerificationSkip:
     def test_first_verification_always_runs(self):
         daemon = FanStoreDaemon()
-        rec = self._record(b"payload")
+        rec = _record(b"payload")
         daemon._brownout_until = time.monotonic() + 60.0
         # never verified before: brownout must NOT skip the check
         assert not daemon._blob_ok(rec, b"corrupt")
@@ -355,7 +358,7 @@ class TestBrownoutVerificationSkip:
 
     def test_reverification_skipped_under_brownout(self):
         daemon = FanStoreDaemon()
-        rec = self._record(b"payload")
+        rec = _record(b"payload")
         assert daemon._blob_ok(rec, b"payload")  # verified once, clean
         daemon._brownout_until = time.monotonic() + 60.0
         assert daemon._blob_ok(rec, b"anything goes")
@@ -375,9 +378,11 @@ FAST = dict(
 )
 
 
-def _serve_until_done(comm, reply=None):
+def _serve_until_done(comm, reply=None, first=None):
     """Stub server: answer every daemon request with ``reply`` (or
-    swallow it when None) until a 'done' kind arrives."""
+    swallow it when None) until a 'done' kind arrives; ``first``, when
+    given, answers the first request instead."""
+    answer = reply if first is None else first
     while True:
         payload, src, _tag = comm.recv_with_status(
             ANY_SOURCE, TAG_DAEMON, timeout=30
@@ -385,16 +390,17 @@ def _serve_until_done(comm, reply=None):
         kind, body = payload
         if kind == "done":
             return None
-        if reply is not None:
+        if answer is not None:
             reply_tag = decode_request(body).reply_tag
-            comm.send(reply, src, reply_tag)
+            comm.send(answer, src, reply_tag)
+        answer = reply
 
 
 class TestOverloadReplies:
     def test_every_attempt_shed_raises_server_overloaded(self):
         def body(comm):
             if comm.rank == 1:
-                return _serve_until_done(comm, reply=(OVERLOAD, 0.01))
+                return _serve_until_done(comm, reply=(Reply.OVERLOAD, 0.01))
             daemon = FanStoreDaemon(comm, config=DaemonConfig(**FAST))
             with pytest.raises(ServerOverloadedError) as ei:
                 daemon._request("fetch", "some/path", 1)
@@ -417,7 +423,7 @@ class TestOverloadReplies:
     def test_overload_trips_the_breaker_like_a_failure(self):
         def body(comm):
             if comm.rank == 1:
-                return _serve_until_done(comm, reply=(OVERLOAD, 0.0))
+                return _serve_until_done(comm, reply=(Reply.OVERLOAD, 0.0))
             cfg = DaemonConfig(breaker_failure_threshold=2, **FAST)
             daemon = FanStoreDaemon(comm, config=cfg)
             with pytest.raises(ServerOverloadedError):
@@ -457,3 +463,72 @@ class TestDeadlineBudgetedRetries:
         # 9 stacked timeouts would be >1.3 s; the deadline caps the lot
         assert elapsed < 1.0
         assert aborts == 1
+
+
+class TestRepairHonoursTheDeadline:
+    """No request outlives its deadline — through ``repair`` too. The
+    home re-ask of a repair used to run the full retry budget with no
+    deadline: 3 x ``request_timeout`` on top of whatever the read had
+    already spent."""
+
+    def _daemon(self, comm, **config):
+        daemon = FanStoreDaemon(comm, config=DaemonConfig(
+            max_retries=2, retry_backoff_base=0.01, retry_backoff_max=0.02,
+            retry_jitter=0.0, **config,
+        ))
+        daemon.metadata.insert(_record(b"the-verified-payload", home_rank=1))
+        return daemon
+
+    def test_corrupt_local_copy_silent_home(self):
+        """A corrupt local replica copy whose home never answers: the
+        repair gets a fresh ``request_deadline`` budget and the typed
+        error surfaces inside it, not after three stacked timeouts."""
+
+        def body(comm):
+            if comm.rank == 1:
+                return _serve_until_done(comm, reply=None)  # never answer
+            daemon = self._daemon(
+                comm, request_timeout=0.3, request_deadline=0.2
+            )
+            daemon.backend.put("data/x", b"rotten" * 8)
+            t0 = time.perf_counter()
+            with pytest.raises(DataIntegrityError):
+                daemon.open_file("data/x")
+            elapsed = time.perf_counter() - t0
+            comm.send(("done", None), 1, TAG_DAEMON)
+            stats = daemon.stats
+            return elapsed, stats.retries, stats.corruption_detected
+
+        elapsed, retries, detected = run_parallel(body, 2, timeout=30)[0]
+        assert elapsed < 0.6  # 0.2 s budget; undeadlined it was 0.93 s
+        assert retries <= 1
+        assert detected == 1
+
+    def test_corrupt_home_reply_spends_the_ladders_budget(self):
+        """Entered from a corrupt home reply, the repair runs on what is
+        left of *that read's* deadline — not on a fresh budget (1 s
+        here), let alone an unbounded one (3 s)."""
+
+        def body(comm):
+            if comm.rank == 1:
+                return _serve_until_done(
+                    comm, reply=None, first=(Reply.OK, b"rotten" * 8)
+                )
+            daemon = self._daemon(
+                comm, request_timeout=1.0, request_deadline=1.0
+            )
+            t0 = time.perf_counter()
+            with pytest.raises(DataIntegrityError):
+                daemon.fetch_compressed(
+                    "data/x", deadline=Deadline.after(0.2)
+                )
+            elapsed = time.perf_counter() - t0
+            comm.send(("done", None), 1, TAG_DAEMON)
+            return elapsed, daemon.stats.remote_fetches, daemon.stats.failovers
+
+        elapsed, remote_fetches, failovers = run_parallel(
+            body, 2, timeout=30
+        )[0]
+        assert elapsed < 0.6
+        assert remote_fetches == 1  # the corrupt home reply, nothing else
+        assert failovers == 0  # the home answered: repair, not failover

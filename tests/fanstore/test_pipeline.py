@@ -1,11 +1,12 @@
 """PR 9 concurrency suite: the pipelined scheduler.
 
-Single-flight fetch coalescing (a miss storm runs one failover ladder),
-the :meth:`DecompressedCache.get_or_compute` double-decompress fix,
-per-destination request batching (parked requests flush as one envelope,
-items keep their own deadlines and error isolation), a hedged miss storm
-installing exactly one cache entry, and the typed wire envelope (the
-only request form the wire accepts).
+The one coalescing point (a miss storm on a file runs one
+:meth:`DecompressedCache.get_or_compute` factory), per-destination
+request batching (parked requests flush as one envelope, items keep
+their own deadlines and error isolation), one answer function behind
+both serving entry points, a hedged miss storm installing exactly one
+cache entry, and the typed wire envelope (the only request form the
+wire accepts; replies are ``(status, value)`` pairs).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import sys
 import threading
 import time
-import types
 
 import pytest
 
@@ -22,19 +22,13 @@ from repro.comm.launcher import run_parallel
 from repro.errors import (
     DeadlineExpiredError,
     FanStoreError,
-    FileNotFoundInStoreError,
     WireFormatError,
 )
 from repro.fanstore.cache import DecompressedCache
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.metadata import FileRecord
-from repro.fanstore import pipeline
-from repro.fanstore.pipeline import SingleFlight
 from repro.fanstore.wire import (
-    EXPIRED,
-    FAILED,
-    OVERLOAD,
     WIRE_MAGIC,
     WIRE_VERSION,
     Reply,
@@ -131,11 +125,13 @@ class TestWireEnvelope:
         assert decode_request(tuple(body)).deadline is None
 
     def test_reply_wire_shape_is_head_value_pair(self):
-        assert Reply(Reply.OK, b"d").encode() == (True, b"d")
-        assert Reply(Reply.MISS, "p").encode() == (False, "p")
-        assert Reply(Reply.OVERLOAD, 0.5).encode() == (OVERLOAD, 0.5)
-        assert Reply(Reply.EXPIRED, "p").encode() == (EXPIRED, "p")
-        assert Reply(Reply.FAILED, "p").encode() == (FAILED, "p")
+        # one vocabulary: the head that travels is the Reply status
+        assert Reply(Reply.OK, b"d").encode() == ("ok", b"d")
+        assert Reply(Reply.MISS, "p").encode() == ("miss", "p")
+        assert Reply(Reply.OVERLOAD, 0.5).encode() == ("overload", 0.5)
+        assert Reply(Reply.FENCED, 3).encode() == ("fenced", 3)
+        assert Reply(Reply.EXPIRED, "p").encode() == ("expired", "p")
+        assert Reply(Reply.FAILED, "p").encode() == ("failed", "p")
 
     def test_reply_round_trip_and_unknown_marker(self):
         for reply in (
@@ -144,8 +140,9 @@ class TestWireEnvelope:
             Reply(Reply.EXPIRED, "p"),
         ):
             assert decode_reply(reply.encode()) == reply
-        with pytest.raises(WireFormatError):
-            decode_reply(("__mystery__", None))
+        for garbage in (("__mystery__", None), (True, b"x"), "ok", 7):
+            with pytest.raises(WireFormatError):
+                decode_reply(garbage)
 
     def test_batch_reply_round_trip(self):
         replies = [
@@ -156,8 +153,8 @@ class TestWireEnvelope:
         assert decode_batch_reply(encode_batch_reply(replies)) == replies
 
     def test_non_batch_reply_decodes_to_none(self):
-        assert decode_batch_reply((True, b"payload")) is None
-        assert decode_batch_reply((OVERLOAD, 0.1)) is None
+        assert decode_batch_reply((Reply.OK, b"payload")) is None
+        assert decode_batch_reply((Reply.OVERLOAD, 0.1)) is None
 
 
 class TestLegacyShim:
@@ -179,289 +176,6 @@ class TestLegacyShim:
     def test_legacy_body_rejected(self, body):
         with pytest.raises(WireFormatError):
             decode_request(body)
-
-
-# -- the single-flight primitive ------------------------------------------
-
-
-class TestSingleFlightPrimitive:
-    def test_followers_share_one_execution(self):
-        flight = SingleFlight()
-        entered = threading.Event()
-        release = threading.Event()
-        runs = []
-
-        def work():
-            runs.append(1)
-            entered.set()
-            assert release.wait(10)
-            return "value"
-
-        out = []
-        lead = threading.Thread(target=lambda: out.append(flight.run("k", work)))
-        lead.start()
-        assert entered.wait(10)
-        follow = threading.Thread(
-            target=lambda: out.append(flight.run("k", lambda: "other"))
-        )
-        follow.start()
-        time.sleep(0.1)
-        release.set()
-        lead.join(10)
-        follow.join(10)
-        assert len(runs) == 1
-        assert sorted(out) == [("value", False), ("value", True)]
-
-    def test_follower_timeout_is_bare_timeout_error(self):
-        flight = SingleFlight()
-        release = threading.Event()
-        lead = threading.Thread(
-            target=lambda: flight.run("k", lambda: release.wait(10))
-        )
-        lead.start()
-        stop_at = time.monotonic() + 5
-        while not flight._flights:
-            assert time.monotonic() < stop_at
-            time.sleep(0.001)
-        with pytest.raises(TimeoutError):
-            flight.run("k", lambda: None, timeout=0.05)
-        # the follower gave up alone: the flight is still running and
-        # still joinable, and the leader finishes normally
-        assert lead.is_alive() and "k" in flight._flights
-        release.set()
-        lead.join(10)
-        assert not lead.is_alive() and not flight._flights
-
-    def test_fresh_flight_after_completion(self):
-        flight = SingleFlight()
-        assert flight.run("k", lambda: 1) == (1, True)
-        assert flight.run("k", lambda: 2) == (2, True)
-
-    def test_uncontended_flight_builds_no_waiter(self, monkeypatch):
-        """A flight nobody follows allocates and signals nothing — on
-        success or on error; the first follower is who builds the
-        ``Event`` (one per flight, however many followers)."""
-        built = []
-
-        def counting_event():
-            built.append(1)
-            return threading.Event()
-
-        # swap the module's view of ``threading`` only: Thread() itself
-        # builds an Event, which must not be counted
-        monkeypatch.setattr(
-            pipeline,
-            "threading",
-            types.SimpleNamespace(Event=counting_event, Lock=threading.Lock),
-        )
-        flight = SingleFlight()
-        for i in range(100):
-            assert flight.run(("k", i % 3), lambda: i) == (i, True)
-        with pytest.raises(KeyError):
-            flight.run("k", lambda: {}["missing"])
-        assert not built and not flight._flights
-
-        entered, release = threading.Event(), threading.Event()
-
-        def work():
-            entered.set()
-            assert release.wait(10)
-            return "value"
-
-        out = []
-        threads = [
-            threading.Thread(target=lambda: out.append(flight.run("k", work)))
-            for _ in range(4)
-        ]
-        threads[0].start()
-        assert entered.wait(10)
-        for t in threads[1:]:
-            t.start()
-        stop_at = time.monotonic() + 10
-        while not built:
-            assert time.monotonic() < stop_at
-            time.sleep(0.001)
-        time.sleep(0.1)  # let the other followers attach
-        release.set()
-        for t in threads:
-            t.join(10)
-            assert not t.is_alive()
-        assert sorted(out) == [("value", False)] * 3 + [("value", True)]
-        assert len(built) == 1
-
-    def test_follower_raises_the_leaders_exception_instance(self):
-        flight = SingleFlight()
-        entered, release = threading.Event(), threading.Event()
-        boom = ValueError("boom")
-
-        def work():
-            entered.set()
-            assert release.wait(10)
-            raise boom
-
-        raised = []
-
-        def call():
-            try:
-                flight.run("k", work)
-            except ValueError as exc:
-                raised.append(exc)
-
-        lead = threading.Thread(target=call)
-        lead.start()
-        assert entered.wait(10)
-        follow = threading.Thread(target=call)
-        follow.start()
-        stop_at = time.monotonic() + 10
-        while flight._flights["k"].done is None:  # follower has attached
-            assert time.monotonic() < stop_at
-            time.sleep(0.001)
-        release.set()
-        for t in (lead, follow):
-            t.join(10)
-            assert not t.is_alive()
-        assert len(raised) == 2 and all(exc is boom for exc in raised)
-        assert flight.run("k", lambda: "fresh") == ("fresh", True)
-
-    def test_colliding_keys_lose_no_wakeup(self):
-        """8 threads hammer the same key sequence: leaders and
-        followers change places thousands of times, and every follower
-        that attached must be woken — a lost wake-up parks its thread
-        until the follower timeout and fails the run."""
-        flight = SingleFlight()
-        n_threads, n_keys = 8, 2000
-        start = threading.Barrier(n_threads)
-        errors: list[BaseException] = []
-        followed = [0] * n_threads
-
-        def worker(me: int) -> None:
-            try:
-                start.wait(10)
-                for key in range(n_keys):
-                    value, led = flight.run(
-                        key, lambda key=key: ("v", key), timeout=20
-                    )
-                    assert value == ("v", key)
-                    followed[me] += not led
-            except BaseException as exc:  # noqa: BLE001 - fails the test
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # force switches inside run()
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(i,), daemon=True)
-                for i in range(n_threads)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-                assert not t.is_alive(), "a follower was never woken"
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors, errors
-        assert sum(followed) > 0  # the keys really did collide
-        assert not flight._flights
-
-
-# -- fetch coalescing through the daemon ----------------------------------
-
-
-class TestFetchCoalescing:
-    def test_miss_storm_runs_one_ladder(self):
-        daemon = FanStoreDaemon()
-        calls = []
-        entered = threading.Event()
-        release = threading.Event()
-
-        def ladder(norm, deadline=None):
-            calls.append(norm)
-            entered.set()
-            assert release.wait(10)
-            return b"compressed"
-
-        daemon._fetch_ladder = ladder
-        n = 8
-        start = threading.Barrier(n)
-        results: list[bytes] = []
-        errors: list[Exception] = []
-
-        def worker():
-            start.wait(10)
-            try:
-                results.append(daemon.fetch_compressed("train/x"))
-            except Exception as exc:  # pragma: no cover - fails the test
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(n)]
-        for t in threads:
-            t.start()
-        assert entered.wait(10)
-        time.sleep(0.25)  # let every follower park on the flight
-        release.set()
-        for t in threads:
-            t.join(10)
-        assert not errors, errors
-        assert calls == ["train/x"]  # exactly one upstream fetch
-        assert results == [b"compressed"] * n
-        assert daemon.metrics.get("daemon.pipeline.coalesced_fetches").value == n - 1
-
-    def test_follower_deadline_aborts_alone(self):
-        daemon = FanStoreDaemon()
-        entered = threading.Event()
-        release = threading.Event()
-
-        def ladder(norm, deadline=None):
-            entered.set()
-            assert release.wait(10)
-            return b"payload"
-
-        daemon._fetch_ladder = ladder
-        out = {}
-        lead = threading.Thread(
-            target=lambda: out.setdefault("v", daemon.fetch_compressed("t/x"))
-        )
-        lead.start()
-        assert entered.wait(10)
-        before = daemon.stats.deadline_aborts
-        with pytest.raises(DeadlineExpiredError):
-            daemon.fetch_compressed("t/x", deadline=Deadline.after(0.05))
-        assert daemon.stats.deadline_aborts == before + 1
-        release.set()
-        lead.join(10)
-        assert out["v"] == b"payload"  # the flight ran on unharmed
-
-    def test_leader_error_shared_with_followers(self):
-        daemon = FanStoreDaemon()
-        entered = threading.Event()
-        release = threading.Event()
-
-        def ladder(norm, deadline=None):
-            entered.set()
-            assert release.wait(10)
-            raise FileNotFoundInStoreError(norm)
-
-        daemon._fetch_ladder = ladder
-        errors: list[Exception] = []
-
-        def worker():
-            try:
-                daemon.fetch_compressed("t/y")
-            except FileNotFoundInStoreError as exc:
-                errors.append(exc)
-
-        lead = threading.Thread(target=worker)
-        lead.start()
-        assert entered.wait(10)
-        follow = threading.Thread(target=worker)
-        follow.start()
-        time.sleep(0.1)
-        release.set()
-        lead.join(10)
-        follow.join(10)
-        assert len(errors) == 2
-        assert errors[0] is errors[1]  # shared instance, by contract
 
 
 # -- the cache double-decompress fix --------------------------------------
@@ -672,6 +386,72 @@ class TestServeBatchItems:
         assert daemon.stats.malformed_requests == 1
 
 
+class _Outbox:
+    """The sending half of a communicator: records what was sent."""
+
+    rank, size = 0, 2
+
+    def __init__(self) -> None:
+        self.sent: list[tuple] = []
+
+    def send(self, payload, dest, tag) -> None:
+        self.sent.append((payload, dest, tag))
+
+
+class TestOneAnswerFunction:
+    """A classic request and a batch item are answered by the same
+    function: hit, miss and unrepairable record come out identically
+    through both entry points — silence on the classic reply tag is
+    ``FAILED`` for a batch item, and nothing else differs."""
+
+    GOOD, ROTTEN = b"good-payload", b"rotten-bytes"
+    CASES = {
+        "fetch-hit": ("fetch", "data/good"),
+        "fetch-miss": ("fetch", "data/absent"),
+        "fetch-unrepairable": ("fetch", "data/rotten"),
+        "stat-hit": ("stat", "data/good"),
+        "stat-miss": ("stat", "data/absent"),
+    }
+
+    @pytest.mark.parametrize("entry", ["classic", "batch"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_both_entry_points_answer_identically(self, case, entry):
+        outbox = _Outbox()
+        daemon = FanStoreDaemon(outbox)
+        good = _record("data/good", self.GOOD)
+        daemon.metadata.insert(good)
+        daemon.backend.put("data/good", self.GOOD)
+        # digest of the good bytes over a rotten copy, with no replica
+        # and no shared-FS floor to heal from: unrepairable
+        daemon.metadata.insert(_record("data/rotten", self.GOOD))
+        daemon.backend.put("data/rotten", self.ROTTEN)
+        expected = {
+            "fetch-hit": (Reply.OK, self.GOOD),
+            "fetch-miss": (Reply.MISS, "data/absent"),
+            "fetch-unrepairable": None,
+            "stat-hit": (Reply.OK, good),
+            "stat-miss": (Reply.MISS, None),
+        }[case]
+        kind, subject = self.CASES[case]
+        if entry == "classic":
+            request = Request(subject=subject, reply_tag=0x1234)
+            assert daemon._serve_one((kind, request, 1)) is True
+            answers = [payload for payload, _dest, _tag in outbox.sent]
+            assert [(d, t) for _p, d, t in outbox.sent] == (
+                [] if expected is None else [(1, 0x1234)]
+            )
+        else:
+            reply = daemon._serve_batch_item((kind, subject, None))
+            assert isinstance(reply, Reply)
+            answers = (
+                [] if reply == (Reply.FAILED, subject) else [tuple(reply)]
+            )
+        assert answers == ([] if expected is None else [expected])
+        assert daemon.stats.served_requests == (kind == "fetch")
+        assert daemon.stats.corruption_detected == (expected is None)
+        assert daemon.stats.malformed_requests == 0
+
+
 # -- client-side batching, end to end -------------------------------------
 
 
@@ -738,7 +518,7 @@ class TestBatchedRequests:
         results, flushes, items = out[0]
         for path, blob in PAYLOADS.items():
             ok, data = results[path]
-            assert ok is True
+            assert ok == Reply.OK
             assert bytes(data) == blob
         assert flushes == 1  # one envelope carried all three requests
         assert items == len(PAYLOADS)
@@ -772,12 +552,12 @@ class TestBatchedRequests:
 
         results, flushes = run_parallel(body, 2, timeout=60)[0]
         ok, data = results["fetch-hit"]
-        assert ok is True
+        assert ok == Reply.OK
         assert bytes(data) == blob
         ok, _ = results["fetch-miss"]
-        assert ok is False  # the miss hurt only its own waiter
+        assert ok == Reply.MISS  # the miss hurt only its own waiter
         ok, rec = results["stat-hit"]
-        assert ok is True
+        assert ok == Reply.OK
         assert rec.path == good
         assert flushes == 1
 
@@ -816,7 +596,7 @@ class TestBatchedRequests:
         assert busy is False  # the baton retired cleanly
 
 
-# -- hedged reads through the single-flight layer -------------------------
+# -- hedged reads under the cache's flight --------------------------------
 
 
 class TestHedgedMissStorm:

@@ -282,10 +282,9 @@ class TestCrashThenRejoin:
                 r.path for r in fs.daemon.metadata.records()
                 if not r.is_broadcast and r.partition_id % NODES == DEAD
             )
-            ok, data = fs.daemon._request("fetch", path, DEAD, attempts=2)
-            served_ok = bool(ok) and fs.daemon._blob_ok(
-                fs.daemon.metadata.get(path), data
-            )
+            served_ok = fs.daemon._peer_fetch(
+                path, fs.daemon.metadata.get(path), DEAD, attempts=2
+            ) is not None
             _drain(comm)
             result = {
                 "role": "survivor",

@@ -37,7 +37,7 @@ from repro.fanstore.daemon import (
 from repro.fanstore.health import BreakerState
 from repro.fanstore.metadata import normalize
 from repro.fanstore.store import FanStore, FanStoreOptions
-from repro.fanstore.wire import OVERLOAD, Request
+from repro.fanstore.wire import Reply, Request
 
 GRAY_SEEDS = (5, 55, 555)
 seeds = pytest.mark.parametrize(
@@ -229,7 +229,7 @@ class TestAdmissionControlBurst:
             overloaded, answered = [], []
             for tag in tags[:2] + tags[_EXPIRED:]:
                 reply = comm.recv(0, tag, timeout=20)
-                if reply[0] == OVERLOAD:
+                if reply[0] == Reply.OVERLOAD:
                     overloaded.append((tag, reply[1]))
                 else:
                     answered.append((tag, reply))
@@ -251,5 +251,5 @@ class TestAdmissionControlBurst:
         assert all(ra == pytest.approx(0.07) for _, ra in overloaded)
         # every in-deadline request got an authoritative not-found
         assert [r for _, r in answered] == [
-            (False, f"no/such/{t:#x}") for t in range(0x7103, 0x710a)
+            (Reply.MISS, f"no/such/{t:#x}") for t in range(0x7103, 0x710a)
         ]

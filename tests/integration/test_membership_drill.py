@@ -228,10 +228,9 @@ class TestMembershipDrill:
                     r.path for r in fs.daemon.metadata.records()
                     if not r.is_broadcast and r.partition_id % NODES == DEAD
                 )
-                ok, data = fs.daemon._request("fetch", path, DEAD, attempts=2)
-                assert ok and fs.daemon._blob_ok(
-                    fs.daemon.metadata.get(path), data
-                )
+                assert fs.daemon._peer_fetch(
+                    path, fs.daemon.metadata.get(path), DEAD, attempts=2
+                ) is not None
             if comm.rank == 0:
                 assert det.stats.joins_served == 1
                 assert det.stats.promotions == 1
