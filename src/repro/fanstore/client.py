@@ -21,6 +21,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import (
     BadFileDescriptorError,
@@ -359,6 +360,33 @@ class FanStoreClient:
             return data[:]
         finally:
             self.daemon.close_file(path)
+
+    def read_files(self, paths: Sequence[str]) -> list[bytes]:
+        """``[read_file(p) for p in paths]`` — same bytes, same order,
+        same errors — with the batch's remote files fetched in one
+        exchange per home rank (:meth:`FanStoreDaemon.fetch_many`;
+        ``docs/daemon-pipeline.md`` §3 lists what is never batched). A
+        fetched blob is decompressed as the cache's in-flight miss of
+        its key and pinned only while it is copied, one file at a time;
+        every path the exchange did not settle is a plain
+        :meth:`read_file`."""
+        daemon = self.daemon
+        fetched = daemon.fetch_many(paths)
+        if not fetched:  # one rank, nothing remote, hedged, traced, ...
+            return [self.read_file(path) for path in paths]
+        out = []
+        for path in paths:
+            hit = fetched.pop(path, None)  # a repeated path: fetched once
+            if hit is None:
+                out.append(self.read_file(path))
+                continue
+            self._check_not_writing(path)
+            data = daemon.open_fetched(path, *hit)
+            try:
+                out.append(data[:])
+            finally:
+                daemon.close_file(path)
+        return out
 
     def write_file(self, path: str, data: bytes) -> None:
         """Whole-file write through the single-write path."""

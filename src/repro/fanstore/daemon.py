@@ -65,7 +65,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.comm.communicator import ANY_SOURCE, Communicator
 from repro.comm.deadline import Deadline, wire_deadline
@@ -1698,7 +1698,9 @@ class FanStoreDaemon:
                 )
             replies: list[Reply] | None = None
             try:
-                replies = self._exchange_batch(dest, group)
+                replies = self._exchange_batch(
+                    dest, [(t.kind, t.subject, t.deadline) for t in group]
+                )
             finally:
                 for i, ticket in enumerate(group):
                     if ticket is own:
@@ -1721,12 +1723,14 @@ class FanStoreDaemon:
                 self._pass_baton(batcher)
 
     def _exchange_batch(
-        self, dest: int, group: list[_BatchTicket]
+        self, dest: int, group: list[tuple[str, Any, Deadline | None]]
     ) -> list[Reply] | None:
-        """One batched request/reply exchange; ``None`` means the whole
-        flush must degrade to classic per-item requests (comm timeout,
-        envelope-level shed or fence, malformed reply). World teardown
-        (:class:`CommClosedError`) and our own injected death
+        """One batched request/reply exchange over ``(kind, subject,
+        deadline)`` triples — the parked tickets of :meth:`_lead_flush`
+        or the caller-supplied list of :meth:`fetch_many`; ``None`` means
+        the whole flush must degrade to classic per-item requests (comm
+        timeout, envelope-level shed or fence, malformed reply). World
+        teardown (:class:`CommClosedError`) and our own injected death
         (:class:`RankDeadError`) still raise — no retry survives those.
         """
         comm = self.comm
@@ -1735,13 +1739,13 @@ class FanStoreDaemon:
         now = time.monotonic()
         items = []
         latest = now
-        for ticket in group:
+        for kind, subject, deadline in group:
             expiry = (
-                ticket.deadline.at if ticket.deadline is not None
+                deadline.at if deadline is not None
                 else now + cfg.request_timeout
             )
             latest = max(latest, expiry)
-            items.append((ticket.kind, ticket.subject, expiry))
+            items.append((kind, subject, expiry))
         budget = max(1e-3, min(latest - now, cfg.request_timeout))
         reply_tag = self._next_reply_tag()
         request = Request(
@@ -1800,6 +1804,72 @@ class FanStoreDaemon:
             )
         self._m_batch_fallbacks.inc()
         return self._request(kind, subject, dest, deadline=deadline)
+
+    def fetch_many(
+        self, paths: Iterable[str]
+    ) -> dict[str, tuple[FileRecord, bytes]]:
+        """The caller-supplied batching feeder: ``paths`` grouped by
+        home rank, one ``batch`` envelope per :data:`BATCH_MAX` of a
+        healthy peer's paths, every returned blob digest-checked
+        against the record probed here. Returns ``{path: (record,
+        verified blob)}`` for what the envelopes settled — possibly
+        nothing. Everything else is the caller's to read one file at a
+        time through :meth:`open_file` and its full ladder; which paths
+        are never batched, and why a doubtful item is simply left out,
+        is stated once in ``docs/daemon-pipeline.md`` §3."""
+        if (
+            self.comm is None
+            or self.config.hedge_reads
+            or self._trace_opens
+            or self.tracer.n_active
+        ):
+            return {}
+        by_home: dict[int, dict[str, FileRecord]] = {}
+        for path in paths:
+            record = self.metadata.probe(path)
+            if (
+                record is not None
+                and record.home_rank != self.rank
+                and path not in self.backend
+                and path not in self.cache
+            ):
+                by_home.setdefault(record.home_rank, {})[path] = record
+        budget = self.config.request_deadline
+        fetched: dict[str, tuple[FileRecord, bytes]] = {}
+        for home, records in by_home.items():
+            wanted = list(records.items())
+            for start in range(0, len(wanted), BATCH_MAX):
+                group = wanted[start : start + BATCH_MAX]
+                if (
+                    len(group) < 2  # a classic request with extra framing
+                    or self._route_dead(home)
+                    or not self.health.allow(home)
+                ):
+                    break
+                deadline = None if budget is None else Deadline.after(budget)
+                replies = self._exchange_batch(
+                    home, [("fetch", path, deadline) for path, _ in group]
+                )
+                unsettled = len(group)
+                for (path, record), (status, blob) in zip(
+                    group, replies or ()
+                ):
+                    if (
+                        status == Reply.OK
+                        and isinstance(blob, (bytes, bytearray, memoryview))
+                        and self._blob_ok(record, blob)
+                    ):
+                        self.stats.remote_fetches += 1
+                        self.stats.remote_bytes += len(blob)
+                        fetched[path] = (record, blob)
+                        unsettled -= 1
+                if unsettled:
+                    self._m_batch_fallbacks.inc(unsettled)
+                if replies is None:
+                    # a lost envelope: the rest of this home's paths go
+                    # through the ladder one by one, like its own
+                    break
+        return fetched
 
     def _lookup(self, norm: str) -> FileRecord:
         """Metadata lookup with the runtime-output fallback: paths
@@ -2424,6 +2494,20 @@ class FanStoreDaemon:
             self._h_decompress.observe(t3 - t2)
             self._h_open.observe(time.perf_counter() - t0)
             return plain
+
+    def open_fetched(self, norm: str, record: FileRecord, blob: bytes) -> bytes:
+        """:meth:`open_file` for a path whose verified blob
+        :meth:`fetch_many` already holds: the decompress runs as the
+        cache's in-flight computation of the key, and counts as a miss
+        for the ``metrics_every`` decode sampling like any other."""
+        def miss() -> bytes:
+            self._obs_tick = tick = self._obs_tick + 1
+            every = self.config.metrics_every
+            return self._decompress(
+                record, blob, observed=bool(every and tick % every == 0)
+            )
+
+        return self.cache.get_or_compute(norm, miss)
 
     def close_file(self, path: str) -> None:
         """Figure 4's close(): unpin (and free at refcount zero). Like

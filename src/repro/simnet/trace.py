@@ -136,7 +136,7 @@ class TraceRecorder:
     """Client wrapper that records every call it forwards.
 
     Exposes the same convenience surface the loaders use (``read_file``,
-    ``stat``, ``listdir``, ``write_file``), so a loader pointed at the
+    ``read_files``, ``stat``, ``listdir``, ``write_file``), so a loader pointed at the
     recorder produces a complete trace of a training epoch.
     """
 
@@ -168,6 +168,10 @@ class TraceRecorder:
         self.client.close(fd)
         self._record("close", path, 0, began)
         return data
+
+    def read_files(self, paths: Iterable[str]) -> list[bytes]:
+        # per file on purpose: the replay models cost open/read/close
+        return [self.read_file(path) for path in paths]
 
     def stat(self, path: str):
         began = time.perf_counter()

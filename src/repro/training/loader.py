@@ -12,7 +12,10 @@ Both present the same iterator protocol and the same *global view* with
 deterministic per-epoch shuffling: every rank permutes the identical
 file list with the epoch-seeded RNG and takes its rank-strided slice,
 so batch membership is consistent across ranks — the property §III
-identifies as key to preserving model accuracy.
+identifies as key to preserving model accuracy. Both read a batch with
+one ``client.read_files(paths)``: the loader knows the whole sample list
+before it reads the first byte, so the batch's remote files cost one
+exchange per home rank rather than one round trip per file.
 """
 
 from __future__ import annotations
@@ -163,12 +166,9 @@ class SyncLoader:
     def _load(self, epoch: int, iteration: int) -> Batch:
         t0 = time.perf_counter()
         paths = self.plan.rank_files(epoch, iteration)
-        samples = []
-        nbytes = 0
-        for p in paths:
-            raw = self.client.read_file(p)
-            nbytes += len(raw)
-            samples.append(self.decoder(raw, p))
+        raws = self.client.read_files(paths)
+        nbytes = sum(map(len, raws))
+        samples = [self.decoder(raw, p) for raw, p in zip(raws, paths)]
         if self._h_batch is not None:
             self._h_batch.observe(time.perf_counter() - t0)
             self._c_bytes.inc(nbytes)
@@ -206,15 +206,28 @@ class AsyncLoader(SyncLoader):
             maxsize=self.depth
         )
 
+        stop = threading.Event()
+
+        def _put(item: Batch | None | BaseException) -> bool:
+            """Bounded put: False once the consumer has walked away."""
+            while not stop.is_set():
+                try:
+                    q.put(item, timeout=0.05)
+                    return True
+                except queue.Full:
+                    pass
+            return False
+
         def _producer() -> None:
             try:
                 for epoch in range(self.epochs):
                     for it in range(self.plan.iterations):
-                        q.put(self._load(epoch, it))
+                        if not _put(self._load(epoch, it)):
+                            return
             except BaseException as exc:  # surface in the consumer
-                q.put(exc)
+                _put(exc)
             else:
-                q.put(None)
+                _put(None)
 
         thread = threading.Thread(
             target=_producer, name="fanstore-prefetch", daemon=True
@@ -229,4 +242,7 @@ class AsyncLoader(SyncLoader):
                     raise item
                 yield item
         finally:
+            # an early ``break`` leaves the queue full with nobody to
+            # drain it: tell the producer, then wait for it to leave
+            stop.set()
             thread.join(timeout=5.0)

@@ -17,6 +17,7 @@ from repro.errors import CommClosedError, RankDeadError
 from repro.fanstore.daemon import _REPLY_TAG_BASE, DaemonConfig
 from repro.fanstore.metadata import normalize
 from repro.fanstore.store import FanStore, FanStoreOptions
+from repro.training.loader import SyncLoader
 
 CHAOS_SEEDS = (101, 202, 303)
 seeds = pytest.mark.parametrize(
@@ -209,3 +210,52 @@ class TestDegradedReads:
 
         results = run_parallel(body, RANKS, timeout=120)
         assert results == [(0, 0, 0)] * RANKS
+
+
+class TestBatchedRead:
+    @seeds
+    def test_loader_epochs_survive_lost_and_late_envelope_replies(
+        self, seed, prepared_dataset, originals
+    ):
+        """Two ranks, each a ``SyncLoader`` whose every batch is the
+        whole file list — so every remote file rides a ``batch``
+        envelope — with tracing off (sampling would switch batching
+        off): two replies are lost and three arrive late. Every batch
+        is still byte-exact; a lost envelope costs its items one
+        fallback each through the ladder, never a failed read."""
+        plan = (
+            FaultPlan(seed)
+            .drop(min_tag=_REPLY_TAG_BASE, times=2)
+            .delay(0.05, min_tag=_REPLY_TAG_BASE, times=3, jitter=0.02)
+        )
+        world = ChaosWorld(2, plan)
+        config = DaemonConfig(trace_sample=0.0, **FAST)
+        files = sorted(originals)
+
+        def body(comm):
+            opts = FanStoreOptions(comm=comm, config=config)
+            with FanStore(prepared_dataset, opts) as fs:
+                loader = SyncLoader(
+                    fs.client, files, batch_size=len(files), epochs=4,
+                    seed=seed,
+                )
+                for batch in loader:
+                    assert sorted(batch.paths) == files
+                    for path, sample in zip(batch.paths, batch.samples):
+                        assert sample == originals[path]
+                assert len(fs.daemon.cache) == 0
+                snap = fs.metrics.snapshot()
+                return (
+                    snap.value("daemon.batch.flushes"),
+                    snap.value("daemon.batch.fallbacks"),
+                    fs.daemon.stats.failovers,
+                )
+
+        results = run_parallel(body, 2, world=world, timeout=120)
+        assert plan.stats.dropped == 2
+        assert all(flushes >= 1 for flushes, _, _ in results)
+        # every remote read starts as an envelope item, so the first
+        # lost reply was an envelope's and stranded its (>= 4) items; the
+        # second hit another envelope or one retried classic re-ask
+        assert sum(fallbacks for _, fallbacks, _ in results) >= 4
+        assert all(failovers == 0 for _, _, failovers in results)

@@ -4,8 +4,6 @@ multi-read single-write model, directory streams."""
 from __future__ import annotations
 
 import os
-import sys
-import threading
 
 import pytest
 
@@ -154,43 +152,48 @@ class TestReadFile:
         client.close(next_fd)
         assert next_fd == fd + 1
 
-    def test_racing_discard_leaves_nothing_pinned(self, client):
+    def test_racing_discard_leaves_nothing_pinned(self, client, monkeypatch):
+        """``cache.discard`` at each point of a read it can race with —
+        every interleaving constructed, none hoped for: the bytes are
+        right, nothing stays pinned, and ``quarantined`` counts exactly
+        the discards that found an entry resident."""
         path = first_file(client)
-        cache = client.daemon.cache
+        daemon = client.daemon
+        cache, stats = daemon.cache, daemon.cache.stats
         whole = client.read_file(path)
-        stop = threading.Event()
-        errors: list[BaseException] = []
 
-        def quarantine():
-            while not stop.is_set():
-                cache.discard(path)
+        # (i) inside the miss, before the entry exists: a no-op
+        backend_get = daemon.backend.get
 
-        def reader():
-            try:
-                for _ in range(500):
-                    assert client.read_file(path) == whole
-            except BaseException as exc:  # pragma: no cover - fails the test
-                errors.append(exc)
+        def discard_then_get(key):
+            assert cache.discard(key) is False
+            return backend_get(key)
 
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        discarder = threading.Thread(target=quarantine)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            discarder.start()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-        finally:
-            stop.set()
-            discarder.join(10)
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in [*threads, discarder])
-        assert not errors, errors
+        monkeypatch.setattr(daemon.backend, "get", discard_then_get)
+        assert client.read_file(path) == whole
+        monkeypatch.undo()
+        assert stats.quarantined == 0
+        assert cache.refcount(path) == 0 and len(cache) == 0
+
+        # (ii) while a descriptor pins the entry: it is doomed, the next
+        # read re-misses on it and installs fresh bytes in its place
+        fd = client.open(path)
+        misses, evictions = stats.misses, stats.evictions
+        assert cache.discard(path) is True
+        assert client.read_file(path) == whole
+        assert (stats.misses, stats.evictions) == (misses + 1, evictions + 1)
+        assert stats.quarantined == 1
+        assert cache.refcount(path) == 1  # the descriptor's pin, no more
+        assert client.read(fd) == whole
+        client.close(fd)
+        assert cache.refcount(path) == 0 and len(cache) == 0
+
+        # (iii) after the last close: nothing left to quarantine
+        assert cache.discard(path) is False
+        assert client.read_file(path) == whole
+        assert stats.quarantined == 1
         assert cache.refcount(path) == 0
         assert path not in cache and len(cache) == 0
-        assert cache.stats.quarantined > 0  # the race was real
 
 
 class TestLseek:

@@ -141,6 +141,42 @@ class TestAsyncLoader:
         with pytest.raises(ValueError, match="decoder exploded"):
             list(loader)
 
+    def test_early_break_stops_the_producer(self, client, files):
+        """Leaving the loop early must not wait out a producer parked on
+        a full queue nobody will drain (it used to: 5 s, then a leaked
+        thread)."""
+        loader = AsyncLoader(client, files, batch_size=2, epochs=4, depth=1)
+        start = time.perf_counter()
+        for _batch in loader:
+            break
+        assert time.perf_counter() - start < 0.5
+        assert "fanstore-prefetch" not in {
+            t.name for t in threading.enumerate()
+        }
+
+    def test_producer_exception_surfaces_mid_epoch(self, client, files):
+        """…and the bounded put still delivers a late failure: batches
+        first, then the producer's exception, then no thread."""
+        calls = []
+
+        def decoder(raw, path):
+            calls.append(path)
+            if len(calls) > 6:
+                raise ValueError("decoder exploded late")
+            return raw
+
+        loader = AsyncLoader(
+            client, files, batch_size=2, depth=1, decoder=decoder
+        )
+        seen = []
+        with pytest.raises(ValueError, match="decoder exploded late"):
+            for batch in loader:
+                seen.append(batch.paths)
+        assert len(seen) == 3
+        assert "fanstore-prefetch" not in {
+            t.name for t in threading.enumerate()
+        }
+
     def test_depth_validation(self, client, files):
         with pytest.raises(ReproError):
             AsyncLoader(client, files, batch_size=2, depth=0)
