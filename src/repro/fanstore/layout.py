@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -113,10 +113,13 @@ class FileStat:
         self, home_rank: int, partition_id: int | None = None
     ) -> "FileStat":
         """Copy with the locality extras filled in (done at load time)."""
-        return replace(
-            self,
-            home_rank=home_rank,
-            partition_id=self.partition_id if partition_id is None else partition_id,
+        return FileStat(
+            self.st_mode, self.st_ino, self.st_dev, self.st_nlink,
+            self.st_uid, self.st_gid, self.st_size, self.st_blksize,
+            self.st_blocks, self.st_atime_ns, self.st_mtime_ns,
+            self.st_ctime_ns, home_rank,
+            self.partition_id if partition_id is None else partition_id,
+            self.flags, self.crc32,
         )
 
     @property
@@ -133,7 +136,13 @@ class FileStat:
 
     def with_digest(self, crc32: int) -> "FileStat":
         """Copy with the payload digest recorded and flagged present."""
-        return replace(self, crc32=crc32, flags=self.flags | FLAG_HAS_DIGEST)
+        return FileStat(
+            self.st_mode, self.st_ino, self.st_dev, self.st_nlink,
+            self.st_uid, self.st_gid, self.st_size, self.st_blksize,
+            self.st_blocks, self.st_atime_ns, self.st_mtime_ns,
+            self.st_ctime_ns, self.home_rank, self.partition_id,
+            self.flags | FLAG_HAS_DIGEST, crc32,
+        )
 
 
 def _pack_path(path: str) -> bytes:
@@ -147,14 +156,16 @@ def _pack_path(path: str) -> bytes:
     return encoded.ljust(MAGIC_PATH_LEN, b"\x00")
 
 
-def _unpack_path(raw: bytes) -> str:
-    end = raw.find(b"\x00")
-    if end == 0:
+def _unpack_path(raw: bytes, start: int = 0) -> str:
+    """Decode the NUL-padded path field that begins at ``raw[start]``."""
+    limit = start + MAGIC_PATH_LEN
+    end = raw.find(b"\x00", start, limit)
+    if end == start:
         raise FormatError("empty path in partition entry")
     if end == -1:
-        end = len(raw)
+        end = limit
     try:
-        return raw[:end].decode("utf-8")
+        return raw[start:end].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"undecodable path bytes: {exc}") from exc
 
@@ -263,11 +274,11 @@ def _entries_from_buffer(buf: bytes) -> list[PartitionEntry]:
                 "truncated partition: expected "
                 f"{ENTRY_HEADER_LEN} bytes of entry header"
             )
-        path = _unpack_path(bytes(view[offset:offset + MAGIC_PATH_LEN]))
+        path = _unpack_path(buf, offset)
         offset += MAGIC_PATH_LEN
         compressor_id = _ID_STRUCT.unpack_from(buf, offset)[0]
         offset += COMPRESSOR_ID_LEN
-        stat = FileStat.unpack(bytes(view[offset:offset + STAT_LEN]))
+        stat = FileStat(*_STAT_STRUCT.unpack_from(buf, offset))
         offset += STAT_LEN
         size = _SIZE_STRUCT.unpack_from(buf, offset)[0]
         offset += SIZE_LEN

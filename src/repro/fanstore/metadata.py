@@ -101,28 +101,14 @@ class MetadataTable:
 
     def insert(self, record: FileRecord) -> None:
         """Add or replace one file record and index its ancestors."""
-        path = normalize(record.path)
-        if not path:
-            raise FanStoreError("cannot insert the root as a file")
-        with self._lock:
-            self._files[path] = record
-            child = path
-            parent = posixpath.dirname(child)
-            while True:
-                self._dirs.setdefault(parent, set()).add(
-                    posixpath.basename(child)
-                )
-                if parent == "":
-                    break
-                child = parent
-                parent = posixpath.dirname(child)
+        self._index((record,), lowest_home_wins=False)
 
     def insert_entries(
         self, entries: Iterable[PartitionEntry], home_rank: int
     ) -> None:
         """Index a scanned partition, stamping locality (§IV-C1)."""
-        for e in entries:
-            self.insert(
+        self._index(
+            (
                 FileRecord(
                     path=e.path,
                     stat=e.stat.with_locality(home_rank),
@@ -132,7 +118,10 @@ class MetadataTable:
                     partition_id=e.stat.partition_id,
                     data_offset=e.data_offset,
                 )
-            )
+                for e in entries
+            ),
+            lowest_home_wins=False,
+        )
 
     def merge(self, other_records: Iterable[FileRecord]) -> None:
         """Fold records received from peers (the allgather exchange).
@@ -140,12 +129,40 @@ class MetadataTable:
         Broadcast files may arrive from several ranks; the lowest
         home_rank wins deterministically so every node agrees.
         """
+        self._index(other_records, lowest_home_wins=True)
+
+    def _index(
+        self, records: Iterable[FileRecord], *, lowest_home_wins: bool
+    ) -> None:
+        """Store a batch of records under their canonical keys and index
+        their ancestors, in one lock hold. A packed partition lists a
+        directory's files together, so a record whose parent is the
+        previous record's only adds its name: that parent's ancestors
+        are already indexed."""
+        files, dirs = self._files, self._dirs
+        last_parent, siblings = None, None
         with self._lock:
-            for rec in other_records:
-                existing = self._files.get(normalize(rec.path))
-                if existing is not None and existing.home_rank <= rec.home_rank:
-                    continue
-                self.insert(rec)
+            for record in records:
+                path = normalize(record.path)
+                if not path:
+                    raise FanStoreError("cannot insert the root as a file")
+                if lowest_home_wins:
+                    existing = files.get(path)
+                    if (
+                        existing is not None
+                        and existing.home_rank <= record.home_rank
+                    ):
+                        continue
+                files[path] = record
+                parent, _, name = path.rpartition("/")
+                if parent != last_parent:
+                    last_parent = parent
+                    siblings = dirs.setdefault(parent, set())
+                    child = parent
+                    while child:
+                        child, _, base = child.rpartition("/")
+                        dirs.setdefault(child, set()).add(base)
+                siblings.add(name)
 
     def add_replica(self, path: str, rank: int) -> None:
         """Record that ``rank`` holds a replica of ``path``'s compressed
@@ -328,6 +345,31 @@ class MetadataTable:
                 return sorted(self._dirs[norm])
             except KeyError:
                 raise FileNotFoundInStoreError(norm) from None
+
+    def scan(self, path: str = "") -> list[str]:
+        """The start-up scan (§II-B1): every file path under a
+        directory, in the order a recursive :meth:`listdir` walk visits
+        them (each directory's entries sorted, files and
+        sub-directories interleaved), read off the directory index in
+        one lock hold."""
+        norm = normalize(path)
+        found: list[str] = []
+        with self._lock:
+            dirs = self._dirs
+            if norm not in dirs:
+                raise FileNotFoundInStoreError(norm)
+
+            def _walk(directory: str) -> None:
+                prefix = f"{directory}/" if directory else ""
+                for name in sorted(dirs[directory]):
+                    child = prefix + name
+                    if child in dirs:
+                        _walk(child)
+                    else:
+                        found.append(child)
+
+            _walk(norm)
+        return found
 
     def walk_files(self) -> Iterator[FileRecord]:
         """All file records (snapshot), in path order."""

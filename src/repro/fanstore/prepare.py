@@ -20,21 +20,23 @@ file system and are reused across training runs).
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import hashlib
 import json
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.compressors.registry import CompressorRegistry, default_registry
 from repro.errors import FormatError, ManifestError
 from repro.fanstore.layout import (
-    DEFAULT_BLOCK_SIZE,
     FLAG_BROADCAST,
+    FLAG_HAS_DIGEST,
+    MAGIC_PATH_LEN,
     FileStat,
     blob_crc32,
     write_partition,
@@ -199,27 +201,52 @@ class PreparedDataset:
         return mismatched
 
 
-def _enumerate_files(data_dir: Path) -> list[Path]:
-    """Deterministic (sorted) recursive listing of regular files."""
-    files = [p for p in sorted(data_dir.rglob("*")) if p.is_file()]
+_ENTRY_NAME = operator.attrgetter("name")
+
+
+def _enumerate_files(
+    root: Path, prefix: str = "", skip: Path | None = None
+) -> list[tuple[str, str]]:
+    """Deterministic recursive listing of the regular files under
+    ``root`` as ``(path on disk, store-relative name)`` pairs; a name
+    is ``prefix`` plus the path below ``root``.
+
+    The order is the one sorting ``Path`` objects gives — component by
+    component (``a/x`` before ``a-b/y``, which a plain string sort
+    reverses), so the round-robin partition assignment does not depend
+    on how the listing is produced. Symlinks to files are packed;
+    symlinked directories are not descended. The directory ``skip``
+    (a previous run's output) is left out with everything below it.
+    Every name is checked against the layout's path field here, before
+    any file is read.
+    """
+    try:
+        skipped = os.stat(skip) if skip is not None else None
+    except FileNotFoundError:
+        skipped = None  # nothing was written there yet
+    files: list[tuple[str, str]] = []
+
+    def _walk(directory: str, stem: str) -> None:
+        with os.scandir(directory) as it:
+            entries = sorted(it, key=_ENTRY_NAME)
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                if skipped is None or not os.path.samestat(
+                    entry.stat(follow_symlinks=False), skipped
+                ):
+                    _walk(entry.path, f"{stem}{entry.name}/")
+            elif entry.is_file():
+                name = normalize(stem + entry.name)
+                if len(name.encode("utf-8")) >= MAGIC_PATH_LEN:
+                    raise FormatError(
+                        f"path exceeds {MAGIC_PATH_LEN - 1} bytes: {name!r}"
+                    )
+                files.append((entry.path, name))
+
+    _walk(os.fspath(root), prefix)
     if not files:
-        raise FormatError(f"no files under {data_dir}")
+        raise FormatError(f"no files under {root}")
     return files
-
-
-def _stat_for(path: Path, original_size: int, *, flags: int = 0) -> FileStat:
-    st = path.stat()
-    return FileStat(
-        st_size=original_size,
-        st_blocks=(original_size + 511) // 512,
-        st_blksize=DEFAULT_BLOCK_SIZE,
-        st_mtime_ns=st.st_mtime_ns,
-        st_ctime_ns=st.st_ctime_ns,
-        st_atime_ns=st.st_atime_ns,
-        st_uid=getattr(st, "st_uid", 0),
-        st_gid=getattr(st, "st_gid", 0),
-        flags=flags,
-    )
 
 
 #: candidate set for per-file "auto" selection: a fast/dense spread of
@@ -228,16 +255,16 @@ AUTO_CANDIDATES = ("zlib-1", "zlib-6", "bz2-9", "lzma-0")
 
 
 def _compress_files(
-    files: Sequence[Path],
-    rel_to: Path,
+    files: Sequence[tuple[str, str]],
     compressor_name: str,
     registry: CompressorRegistry,
-    threads: int,
+    run_map: Callable[..., Iterable],
     partition_id: int,
     flags: int = 0,
 ) -> list[tuple[str, int, FileStat, bytes]]:
-    """Compress a file-list chunk with a thread pool (§V-B round-robin
-    worker model), preserving input order in the output.
+    """Compress a chunk of :func:`_enumerate_files` pairs, preserving
+    input order in the output; ``run_map`` is ``map`` or a thread pool's
+    (§V-B round-robin worker model).
 
     ``compressor_name="auto"`` picks the smallest output per file from
     :data:`AUTO_CANDIDATES` — the 2-byte per-file compressor id of the
@@ -247,9 +274,14 @@ def _compress_files(
         candidates = [registry.get(n) for n in AUTO_CANDIDATES]
     else:
         candidates = [registry.get(compressor_name)]
+    flags |= FLAG_HAS_DIGEST
 
-    def _one(path: Path) -> tuple[str, int, FileStat, bytes]:
-        raw = path.read_bytes()
+    def _one(item: tuple[str, str]) -> tuple[str, int, FileStat, bytes]:
+        path, name = item
+        with open(path, "rb") as fh:
+            raw = fh.read()
+            # after the read, as the recorded atime has always been
+            st = os.fstat(fh.fileno())
         packed = raw
         comp_id = 0  # RAW_ID: store raw when compression does not pay
         for compressor in candidates:
@@ -257,16 +289,22 @@ def _compress_files(
             if len(attempt) < len(packed):
                 packed = attempt
                 comp_id = compressor.compressor_id
-        stat = dataclasses.replace(
-            _stat_for(path, len(raw), flags=flags), partition_id=partition_id
-        ).with_digest(blob_crc32(packed))
-        rel = normalize(str(path.relative_to(rel_to)))
-        return rel, comp_id, stat, packed
+        size = len(raw)
+        stat = FileStat(
+            st_uid=st.st_uid,
+            st_gid=st.st_gid,
+            st_size=size,
+            st_blocks=(size + 511) // 512,
+            st_atime_ns=st.st_atime_ns,
+            st_mtime_ns=st.st_mtime_ns,
+            st_ctime_ns=st.st_ctime_ns,
+            partition_id=partition_id,
+            flags=flags,
+            crc32=blob_crc32(packed),
+        )
+        return name, comp_id, stat, packed
 
-    if threads <= 1:
-        return [_one(p) for p in files]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_one, files))
+    return list(run_map(_one, files))
 
 
 def prepare_dataset(
@@ -285,7 +323,8 @@ def prepare_dataset(
     partitions are balanced in file count and — for homogeneous datasets
     — in bytes. ``broadcast_dir`` (optional, may live outside
     ``data_dir``) is packaged into a separate partition that every node
-    loads in full.
+    loads in full. ``out_dir`` may lie inside either directory: what a
+    previous run wrote there is not training data and is not packed.
     """
     data_dir = Path(data_dir)
     out_dir = Path(out_dir)
@@ -294,56 +333,53 @@ def prepare_dataset(
     registry = registry or default_registry()
     if compressor != "auto":
         registry.get(compressor)  # fail fast on unknown names
+
+    # every listing first: a name the layout cannot hold fails the run
+    # before a byte is compressed or written
+    files = _enumerate_files(data_dir, skip=out_dir)
+    partition_names = [
+        PARTITION_PATTERN.format(pid) for pid in range(num_partitions)
+    ]
+    # (partition file, its files, partition id, stat flags); the files
+    # are dealt round-robin over the sorted listing
+    jobs = [
+        (name, files[pid::num_partitions], pid, 0)
+        for pid, name in enumerate(partition_names)
+    ]
+    if broadcast_dir is not None:
+        broadcast_dir = Path(broadcast_dir)
+        # named relative to its parent: the directory's own name stays
+        bfiles = _enumerate_files(
+            broadcast_dir, f"{broadcast_dir.name}/", skip=out_dir
+        )
+        jobs.append((BROADCAST_NAME, bfiles, num_partitions, FLAG_BROADCAST))
+
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    files = _enumerate_files(data_dir)
-    assignments: list[list[Path]] = [[] for _ in range(num_partitions)]
-    for i, path in enumerate(files):
-        assignments[i % num_partitions].append(path)
-
-    partition_names: list[str] = []
     partition_digests: dict[str, str] = {}
     total_original = 0
     total_compressed = 0
     num_files = 0
-    for pid, chunk in enumerate(assignments):
-        entries = _compress_files(
-            chunk, data_dir, compressor, registry, threads, pid
-        )
-        name = PARTITION_PATTERN.format(pid)
-        with atomic_open(out_dir / name) as fh:
-            write_partition(entries, fh)
-        partition_names.append(name)
-        partition_digests[name] = sha256_file(out_dir / name)
-        num_files += len(entries)
-        total_original += sum(e[2].st_size for e in entries)
-        total_compressed += sum(len(e[3]) for e in entries)
-
-    broadcast_name: str | None = None
-    if broadcast_dir is not None:
-        broadcast_dir = Path(broadcast_dir)
-        bfiles = _enumerate_files(broadcast_dir)
-        bentries = _compress_files(
-            bfiles,
-            broadcast_dir.parent,
-            compressor,
-            registry,
-            threads,
-            num_partitions,
-            flags=FLAG_BROADCAST,
-        )
-        broadcast_name = BROADCAST_NAME
-        with atomic_open(out_dir / broadcast_name) as fh:
-            write_partition(bentries, fh)
-        partition_digests[broadcast_name] = sha256_file(out_dir / broadcast_name)
-        num_files += len(bentries)
-        total_original += sum(e[2].st_size for e in bentries)
-        total_compressed += sum(len(e[3]) for e in bentries)
+    with contextlib.ExitStack() as stack:
+        run_map: Callable[..., Iterable] = map
+        if threads > 1:  # one pool per call, not one per partition
+            run_map = stack.enter_context(
+                ThreadPoolExecutor(max_workers=threads)
+            ).map
+        for name, chunk, pid, flags in jobs:
+            entries = _compress_files(
+                chunk, compressor, registry, run_map, pid, flags
+            )
+            with atomic_open(out_dir / name) as fh:
+                write_partition(entries, fh)
+            partition_digests[name] = sha256_file(out_dir / name)
+            num_files += len(entries)
+            total_original += sum(e[2].st_size for e in entries)
+            total_compressed += sum(len(e[3]) for e in entries)
 
     prepared = PreparedDataset(
         root=out_dir,
         partitions=partition_names,
-        broadcast=broadcast_name,
+        broadcast=BROADCAST_NAME if broadcast_dir is not None else None,
         compressor=compressor,
         num_files=num_files,
         original_bytes=total_original,

@@ -59,18 +59,7 @@ def list_training_files(
 ) -> list[str]:
     """Recursive, sorted enumeration through the metadata table — the
     startup scan of §II-B1, served entirely from RAM."""
-    table = client.daemon.metadata
-    files: list[str] = []
-
-    def _walk(d: str) -> None:
-        for name in client.listdir(d):
-            path = f"{d}/{name}" if d else name
-            if table.is_dir(path):
-                _walk(path)
-            else:
-                files.append(path)
-
-    _walk(directory.strip("/"))
+    files = client.daemon.metadata.scan(directory)
     if not files:
         raise ReproError(f"no training files under {directory!r}")
     return files

@@ -39,6 +39,11 @@ from repro.fanstore.store import FanStore, FanStoreOptions
 
 class TestPreparedDigests:
     def test_every_record_carries_its_payload_digest(self, prepared_dataset):
+        """The guard for the packer's one-shot stat: a record packed
+        without ``FLAG_HAS_DIGEST`` still reads fine — ``_blob_ok``
+        passes undigested records — so no read test and no benchmark
+        notices the flag going missing. This test does; do not prune it
+        as redundant (CI's ``tier1`` job names it too)."""
         paths = prepared_dataset.partition_paths()
         paths.append(prepared_dataset.broadcast_path())
         for ppath in paths:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+import repro.fanstore.prepare as prepare_module
 from repro.errors import FormatError
-from repro.fanstore.layout import read_partition
+from repro.fanstore.layout import blob_crc32, iter_partition, read_partition
 from repro.fanstore.prepare import (
     MANIFEST_NAME,
     PreparedDataset,
@@ -56,8 +58,6 @@ class TestPrepare:
         assert all(e.compressed_size < e.stat.st_size for e in entries)
 
     def test_incompressible_files_stored_raw(self, tmp_path):
-        import os
-
         d = tmp_path / "rand"
         d.mkdir()
         (d / "noise.bin").write_bytes(os.urandom(4096))
@@ -85,12 +85,29 @@ class TestPrepare:
         assert all(e.stat.is_broadcast for e in bentries)
         assert bentries[0].path.startswith("val/")
 
-    def test_multithreaded_matches_single(self, raw_dir, tmp_path):
-        p1 = prepare_dataset(raw_dir, tmp_path / "o1", threads=1)
-        p4 = prepare_dataset(raw_dir, tmp_path / "o4", threads=4)
-        e1 = read_partition(p1.partition_paths()[0])
-        e4 = read_partition(p4.partition_paths()[0])
-        assert [(e.path, e.data) for e in e1] == [(e.path, e.data) for e in e4]
+    def test_multithreaded_matches_single(self, raw_dir, tmp_path, monkeypatch):
+        """Byte-identical output, from one pool per call (not one per
+        partition)."""
+        pools = []
+
+        class CountedPool(prepare_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(prepare_module, "ThreadPoolExecutor", CountedPool)
+        val = tmp_path / "val"
+        val.mkdir()
+        (val / "v0.bin").write_bytes(b"validation" * 20)
+        p1 = prepare_dataset(raw_dir, tmp_path / "o1", num_partitions=3,
+                             broadcast_dir=val, threads=1)
+        assert pools == []
+        p4 = prepare_dataset(raw_dir, tmp_path / "o4", num_partitions=3,
+                             broadcast_dir=val, threads=4)
+        assert len(pools) == 1
+        assert p1.partition_digests == p4.partition_digests
+        for name in [*p1.partitions, p1.broadcast]:
+            assert (p1.root / name).read_bytes() == (p4.root / name).read_bytes()
 
     def test_unknown_compressor_fails_fast(self, raw_dir, tmp_path):
         from repro.errors import UnknownCompressorError
@@ -107,6 +124,126 @@ class TestPrepare:
     def test_bad_partition_count_rejected(self, raw_dir, tmp_path):
         with pytest.raises(FormatError):
             prepare_dataset(raw_dir, tmp_path / "out", num_partitions=0)
+
+
+def _packed(prep) -> list:
+    """Every scattered entry, partition by partition."""
+    return [e for p in prep.partition_paths() for e in read_partition(p)]
+
+
+class TestEnumeration:
+    """What is packed, under which name, in which order — pinned,
+    because the round-robin assignment and every manifest digest follow
+    from it."""
+
+    def test_order_is_component_wise_not_string_wise(self, tmp_path):
+        """The order sorting ``Path`` objects gives: ``a/x`` before
+        ``a-b/y`` although ``"a-b/y" < "a/x"`` as strings."""
+        d = tmp_path / "raw"
+        names = ["a/x.bin", "a/b/z.bin", "a-b/y.bin", "a.b/w.bin", "A/v.bin",
+                 "a.bin", "b.bin"]
+        for name in names:
+            (d / name).parent.mkdir(parents=True, exist_ok=True)
+            (d / name).write_bytes(name.encode())
+        prep = prepare_dataset(d, tmp_path / "out", threads=1)
+        listed = [e.path for e in _packed(prep)]
+        assert listed == [
+            "A/v.bin", "a/b/z.bin", "a/x.bin", "a-b/y.bin", "a.b/w.bin",
+            "a.bin", "b.bin",
+        ]
+        by_path_objects = sorted(p for p in d.rglob("*") if p.is_file())
+        assert listed == [str(p.relative_to(d)) for p in by_path_objects]
+        assert listed != sorted(listed)  # a plain string sort differs
+
+    def test_symlinked_file_is_packed_symlinked_dir_is_not(self, tmp_path):
+        d = tmp_path / "raw"
+        (d / "real").mkdir(parents=True)
+        (d / "real" / "f.bin").write_bytes(b"payload")
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "g.bin").write_bytes(b"elsewhere")
+        (d / "link.bin").symlink_to(d / "real" / "f.bin")
+        (d / "linked_dir").symlink_to(outside, target_is_directory=True)
+        (d / "dangling").symlink_to(tmp_path / "nowhere")
+        prep = prepare_dataset(d, tmp_path / "out", threads=1)
+        entries = {e.path: e for e in _packed(prep)}
+        assert sorted(entries) == ["link.bin", "real/f.bin"]
+        assert entries["link.bin"].stat.st_size == len(b"payload")
+
+    def test_nested_out_dir_is_not_packed_again(self, tmp_path):
+        """``out_dir`` inside ``data_dir``: the second run must not
+        pack the first run's manifest and partitions as training data."""
+        d = tmp_path / "raw"
+        d.mkdir()
+        (d / "one.bin").write_bytes(b"1" * 100)
+        (d / "two.bin").write_bytes(b"2" * 200)
+        runs = [
+            prepare_dataset(d, d / "packed", threads=1) for _ in range(3)
+        ]
+        assert [r.num_files for r in runs] == [2, 2, 2]
+        assert [r.original_bytes for r in runs] == [300, 300, 300]
+        assert [e.path for e in _packed(runs[-1])] == ["one.bin", "two.bin"]
+
+    def test_overlong_name_fails_before_anything_is_written(self, tmp_path):
+        """255 bytes of path is the layout's limit; a longer name fails
+        at enumeration — not after its partition was compressed."""
+        d = tmp_path / "raw"
+        deep = d / ("d" * 100) / ("e" * 100)
+        deep.mkdir(parents=True)
+        (d / "fine.bin").write_bytes(b"ok")
+        (deep / ("f" * 60)).write_bytes(b"too deep")
+        out = tmp_path / "out"
+        with pytest.raises(FormatError, match="path exceeds 255 bytes"):
+            prepare_dataset(d, out, threads=1)
+        assert not out.exists()
+        val = tmp_path / ("v" * 200)
+        val.mkdir()
+        (val / ("w" * 60)).write_bytes(b"broadcast name too long")
+        (deep / ("f" * 60)).unlink()
+        with pytest.raises(FormatError, match="path exceeds 255 bytes"):
+            prepare_dataset(d, out, broadcast_dir=val, threads=1)
+        assert not out.exists()
+
+
+class TestPackedRecord:
+    def test_stat_fields_are_what_the_file_system_says(self, raw_dir, tmp_path):
+        prep = prepare_dataset(raw_dir, tmp_path / "out", num_partitions=2,
+                               threads=1)
+        for pid, ppath in enumerate(prep.partition_paths()):
+            for e in read_partition(ppath):
+                st = os.stat(raw_dir / e.path)
+                assert e.stat.st_size == st.st_size
+                assert e.stat.st_blocks == (st.st_size + 511) // 512
+                assert e.stat.st_mtime_ns == st.st_mtime_ns
+                assert e.stat.st_ctime_ns == st.st_ctime_ns
+                assert (e.stat.st_uid, e.stat.st_gid) == (st.st_uid, st.st_gid)
+                assert e.stat.partition_id == pid
+                assert e.stat.home_rank == -1  # stamped at load, not here
+                assert not e.stat.is_broadcast
+                assert e.stat.has_digest
+                assert e.stat.crc32 == blob_crc32(e.data)
+
+    def test_partition_roundtrips_through_every_reader(self, raw_dir, tmp_path):
+        prep = prepare_dataset(raw_dir, tmp_path / "out", threads=1)
+        ppath = prep.partition_paths()[0]
+        streamed = read_partition(ppath)
+        with open(ppath, "rb") as fh:
+            iterated = list(iter_partition(fh))
+        assert iterated == streamed
+        zero_copy = read_partition(ppath, with_data=True, zero_copy=True)
+        assert [
+            (e.path, e.compressor_id, e.stat, e.compressed_size,
+             bytes(e.data), e.data_offset)
+            for e in zero_copy
+        ] == [
+            (e.path, e.compressor_id, e.stat, e.compressed_size,
+             e.data, e.data_offset)
+            for e in streamed
+        ]
+        scanned = read_partition(ppath, with_data=False)
+        assert [(e.path, e.stat, e.data) for e in scanned] == [
+            (e.path, e.stat, None) for e in streamed
+        ]
 
 
 class TestManifest:
@@ -154,8 +291,6 @@ class TestCli:
 
 class TestAutoSelection:
     def test_auto_picks_per_file(self, tmp_path):
-        import os
-
         d = tmp_path / "mixed"
         d.mkdir()
         (d / "text.txt").write_bytes(b"the same words again and again " * 200)
