@@ -3,8 +3,8 @@
 The daemon keeps each partition's compressed file bytes either in RAM
 (a hash table keyed by path — the paper's default when nodes have large
 memory, e.g. the V100 cluster's RAM disk) or on the node-local file
-system (the SSD case). Both present one tiny interface so the daemon is
-backend-agnostic.
+system (the SSD case). All three present one tiny interface,
+:class:`Backend`, so the daemon is backend-agnostic.
 """
 
 from __future__ import annotations
@@ -14,13 +14,42 @@ import hashlib
 import os
 import threading
 from pathlib import Path
+from typing import Protocol
 
 from repro.errors import (
     DataIntegrityError,
     FileNotFoundInStoreError,
     StorageFullError,
 )
-from repro.fanstore.journal import atomic_replace
+from repro.fanstore.journal import atomic_replace, gc_tmp_files
+from repro.fanstore.layout import PartitionEntry, read_partition
+
+
+class Backend(Protocol):
+    """What the daemon asks of a store of compressed objects keyed by
+    store path (``test_backend.py::TestBackendContract`` holds every
+    implementation to it): ``ingest`` makes one prepared partition
+    file's payloads readable and returns its entries, ``get`` raises
+    :class:`FileNotFoundInStoreError` when absent, ``discard``
+    quarantines a (corrupt) copy — True if there was one."""
+
+    def ingest(self, partition_file: Path) -> list[PartitionEntry]: ...
+    def put(self, path: str, data: bytes) -> None: ...
+    def get(self, path: str) -> bytes: ...
+    def discard(self, path: str) -> bool: ...
+    def __contains__(self, path: str) -> bool: ...
+    def __len__(self) -> int: ...
+    @property
+    def resident_bytes(self) -> int: ...
+
+
+def _ingest_by_put(self: Backend, partition_file: Path) -> list[PartitionEntry]:
+    """``ingest`` for a backend that holds the payloads itself: one
+    read of the partition, each payload ``put`` as a slice of it."""
+    entries = read_partition(partition_file, with_data=True, zero_copy=True)
+    for e in entries:
+        self.put(e.path, e.data)
+    return entries
 
 
 class RamBackend:
@@ -29,6 +58,8 @@ class RamBackend:
     def __init__(self) -> None:
         self._objects: dict[str, bytes] = {}
         self._lock = threading.Lock()
+
+    ingest = _ingest_by_put  # zero-copy: the table holds the slices
 
     def put(self, path: str, data: bytes) -> None:
         with self._lock:
@@ -42,8 +73,6 @@ class RamBackend:
                 raise FileNotFoundInStoreError(path) from None
 
     def discard(self, path: str) -> bool:
-        """Quarantine: drop a (corrupt) copy so it is never served
-        again; True if a copy was present."""
         with self._lock:
             return self._objects.pop(path, None) is not None
 
@@ -78,6 +107,15 @@ class PartitionBackend:
         self._overlay: dict[str, bytes] = {}
         self._lock = threading.Lock()
         self._handles: dict[Path, object] = {}
+
+    def ingest(self, partition_file: Path) -> list[PartitionEntry]:
+        """Metadata-only scan: the payloads stay where they are."""
+        entries = read_partition(partition_file, with_data=False)
+        for e in entries:
+            self.register(
+                e.path, partition_file, e.data_offset, e.compressed_size
+            )
+        return entries
 
     def register(
         self, path: str, partition_file: Path, offset: int, size: int
@@ -182,9 +220,12 @@ class DiskBackend:
         #: inside the atomic apply identify the dying rank
         self.rank: int | None = None
 
-    def _blob_path(self, path: str) -> Path:
+    def blob_path(self, path: str) -> Path:
+        """Where ``path``'s blob lives (whether or not it exists yet)."""
         digest = hashlib.sha1(path.encode("utf-8")).hexdigest()
         return self.root / f"{digest}.blob"
+
+    ingest = _ingest_by_put  # one atomic, fsync'd blob per payload
 
     def put(self, path: str, data: bytes) -> None:
         """Atomically install ``data`` as the blob for ``path``: a
@@ -193,7 +234,7 @@ class DiskBackend:
         exhaustion (real or injected) surfaces as the typed
         :class:`~repro.errors.StorageFullError` instead of a half-
         applied write."""
-        blob = self._blob_path(path)
+        blob = self.blob_path(path)
         try:
             if self.injector is not None:
                 self.injector.check_put(path)
@@ -211,17 +252,24 @@ class DiskBackend:
         """Re-index a blob that already exists on disk (restart
         recovery: the bytes survived the crash, only the in-RAM index
         died with the process). True iff the blob file is present."""
-        blob = self._blob_path(path)
+        blob = self.blob_path(path)
         if not blob.is_file():
             return False
         with self._lock:
             self._index[path] = blob
         return True
 
-    def blob_path(self, path: str) -> Path:
-        """Where ``path``'s blob lives (whether or not it exists yet) —
-        recovery digest-checks these without going through ``get``."""
-        return self._blob_path(path)
+    def read_raw(self, path: str) -> bytes | None:
+        """The bytes on disk behind ``path``, indexed or not (restart
+        recovery digest-checks them before adopting), or None."""
+        try:
+            return self.blob_path(path).read_bytes()
+        except OSError:
+            return None
+
+    def gc_tmp(self) -> int:
+        """Remove crashed puts' ``*.tmp`` orphans; returns how many."""
+        return gc_tmp_files(self.root)
 
     def get(self, path: str) -> bytes:
         with self._lock:
@@ -231,13 +279,12 @@ class DiskBackend:
         return blob.read_bytes()
 
     def discard(self, path: str) -> bool:
-        """Quarantine: unlink the (corrupt) blob and forget it."""
+        """Quarantine: forget the (corrupt) blob and unlink it, indexed
+        or not (restart recovery rolls back a torn apply this way)."""
         with self._lock:
-            blob = self._index.pop(path, None)
-        if blob is None:
-            return False
-        blob.unlink(missing_ok=True)
-        return True
+            indexed = self._index.pop(path, None) is not None
+        self.blob_path(path).unlink(missing_ok=True)
+        return indexed
 
     def __contains__(self, path: str) -> bool:
         with self._lock:

@@ -64,7 +64,6 @@ import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.comm.communicator import ANY_SOURCE, Communicator
@@ -84,20 +83,20 @@ from repro.errors import (
     StaleEpochError,
     WireFormatError,
 )
-from repro.fanstore.backend import DiskBackend, RamBackend
+from repro.fanstore.backend import Backend, DiskBackend, RamBackend
 from repro.fanstore.cache import DecompressedCache
 from repro.fanstore.crash import DiskFaultInjector, crash_point
-from repro.fanstore.health import AdmissionQueue, BreakerState, HealthTracker
+from repro.fanstore.health import AdmissionQueue, HealthTracker
 from repro.fanstore.journal import (
     Journal,
     JournalConfig,
     JournalStats,
-    fsync_dir,
+    gc_tmp_files,
     live_entry,
     record_from_wire,
     scan_journal,
 )
-from repro.fanstore.layout import blob_crc32, read_partition
+from repro.fanstore.layout import blob_crc32, partition_payload_bytes
 from repro.fanstore.membership import (
     ClusterView,
     FailureDetector,
@@ -142,6 +141,9 @@ _HEDGE_QUANTILE = 0.95
 #: keeps the daemon in brownout.
 _BROWNOUT_HOLD_S = 0.5
 
+#: the back-off an overload reply asks of the requester it shed.
+_OVERLOAD_RETRY_AFTER_S = 0.05
+
 #: service-thread join budget at :meth:`FanStoreDaemon.stop` —
 #: deliberately *not* ``request_timeout`` (a 30 s request budget must
 #: not turn shutdown into a 30 s hang).
@@ -177,7 +179,6 @@ class DaemonStats:
     corruption_detected: int = 0  # payloads that failed digest verification
     corruption_repaired: int = 0  # of those, healed via the failover ladder
     records_scrubbed: int = 0  # records verified by the background scrubber
-    dead_route_skips: int = 0  # fetches short-circuited past a known-dead home
     rereplicated_records: int = 0  # restored copies staged on this rank
     rereplication_failed: int = 0  # lost records no source could restore
     mean_time_to_repair: float = 0.0  # conviction → repair committed, seconds
@@ -186,7 +187,7 @@ class DaemonStats:
     hedge_losses: int = 0  # of those, the home rank still answered first
     breaker_opens: int = 0  # circuit-breaker transitions into OPEN
     breaker_probes: int = 0  # half-open requests let through as probes
-    breaker_skips: int = 0  # fetches routed around an open-breaker home
+    breaker_skips: int = 0  # fetches the gate routed around their home
     shed_requests: int = 0  # requests dropped by admission control
     deadline_expired_drops: int = 0  # served-side: work abandoned pre-serve
     deadline_aborts: int = 0  # client-side: exchanges abandoned at deadline
@@ -278,22 +279,19 @@ class DaemonConfig:
     #: the operator should opt into.
     hedge_reads: bool = False
     hedge_after_s: float = 0.05
-    #: circuit breaker per peer: ``breaker_failure_threshold``
-    #: consecutive hard failures (timeouts, overload sheds) or
+    #: circuit breaker per peer: three consecutive hard failures
+    #: (timeouts, sheds), one exhausted full-budget exchange, or
     #: ``breaker_slow_threshold`` consecutive slow signals (a hedge
     #: fired) open it; after ``breaker_reset_after`` seconds it
-    #: half-opens and the next fetch probes.
-    breaker_failure_threshold: int = 3
+    #: half-opens and the next fetch probes, with a single attempt.
     breaker_slow_threshold: int = 3
     breaker_reset_after: float = 1.0
     #: admission control: the service loop drains its mailbox into a
     #: bounded queue; overflow sheds the nearest-deadline entry with an
-    #: overload reply carrying ``overload_retry_after_s``. Shedding (or
-    #: a backlog at/above half the queue) enters *brownout* for half a
-    #: second: re-verification of already-digest-checked payloads is
-    #: skipped to shed CPU.
+    #: overload reply. Shedding (or a backlog at/above half the queue)
+    #: enters *brownout* for half a second: re-verification of
+    #: already-digest-checked payloads is skipped to shed CPU.
     max_queue_depth: int = 64
-    overload_retry_after_s: float = 0.05
     #: epoch fencing: every request carries the sender's membership view
     #: epoch, and mutating requests (``write_meta``) stamped with an
     #: epoch older than the server's are refused with a
@@ -350,7 +348,7 @@ class FanStoreDaemon:
         comm: Communicator | None = None,
         *,
         config: DaemonConfig | None = None,
-        backend: RamBackend | DiskBackend | None = None,
+        backend: Backend | None = None,
         registry: CompressorRegistry | None = None,
         metrics: MetricsRegistry | None = None,
         journal_dir: Any = None,
@@ -416,7 +414,6 @@ class FanStoreDaemon:
         cfg = self.config
         self.health = HealthTracker(
             self.rank,
-            failure_threshold=cfg.breaker_failure_threshold,
             slow_threshold=cfg.breaker_slow_threshold,
             reset_after=cfg.breaker_reset_after,
         )
@@ -427,15 +424,10 @@ class FanStoreDaemon:
         self._brownout_until = 0.0
         self._verified_paths: set[str] = set()
         self._membership: FailureDetector | None = None
-        # negative route cache: dest rank → view epoch at the time the
-        # exchange was given up on; a hit counts only while the epoch is
-        # unchanged, so every membership change re-opens the route
-        self._route_lock = threading.Lock()
-        self._dead_routes: dict[int, int] = {}
         self._repair_durations: list[float] = []
+        self._rereplication_lock = threading.Lock()  # the two sets below
         # convictions whose re-replication was frozen (no quorum at the
-        # time); heal reconciliation catches them up. Guarded by
-        # _route_lock (same membership-callback paths).
+        # time); heal reconciliation catches them up
         self._frozen_corpses: set[int] = set()
         # corpses this rank already ran a re-replication pass for —
         # heal catch-up must not double-stage what on_rank_dead did
@@ -452,10 +444,6 @@ class FanStoreDaemon:
         self.journal: Journal | None = None
         self.jstats = JournalStats()
         self.jstats.bind(self.metrics)
-        if disk_injector is not None and hasattr(self.backend, "injector"):
-            self.backend.injector = disk_injector
-        if isinstance(self.backend, DiskBackend):
-            self.backend.rank = self.rank
 
     # -- loading ----------------------------------------------------------
 
@@ -475,32 +463,12 @@ class FanStoreDaemon:
 
     def _ingest_partition(self, partition_path, home_rank: int) -> int:
         """Ingest one partition file; returns payload bytes ingested.
-
-        With a :class:`~repro.fanstore.backend.PartitionBackend` the
-        payloads stay inside the partition file on local disk and only
-        the metadata is scanned (the paper's SSD mode); otherwise the
-        payload bytes are loaded into the backend (the RAM mode).
-        """
-        payload = 0
-        if hasattr(self.backend, "register"):
-            entries = read_partition(partition_path, with_data=False)
-            for e in entries:
-                self.backend.register(
-                    e.path, partition_path, e.data_offset, e.compressed_size
-                )
-                payload += e.compressed_size
-        else:
-            # zero-copy RAM ingest: one read of the whole partition,
-            # payloads stored as memoryview slices of that buffer
-            entries = read_partition(
-                partition_path, with_data=True, zero_copy=True
-            )
-            for e in entries:
-                assert e.data is not None
-                self.backend.put(e.path, e.data)
-                payload += e.compressed_size
+        How they become readable is the backend's business: loaded into
+        RAM, one blob each on local disk, or left inside the partition
+        file (the paper's SSD mode)."""
+        entries = self.backend.ingest(partition_path)
         self.metadata.insert_entries(entries, home_rank)
-        return payload
+        return partition_payload_bytes(entries)
 
     def load(self, prepared: PreparedDataset) -> None:
         """Stage the prepared dataset: what :meth:`load_rejoin` stages
@@ -581,7 +549,7 @@ class FanStoreDaemon:
 
     def _view_epoch(self) -> int:
         det = self._membership
-        return det.view.epoch if det is not None else 0
+        return det.epoch if det is not None else 0
 
     def _fence_token(self) -> int | None:
         """The fencing token stamped on outgoing requests: this rank's
@@ -601,36 +569,18 @@ class FanStoreDaemon:
             return False
         return epoch is not None and epoch < self._view_epoch()
 
-    def _route_dead(self, dest: int) -> bool:
-        """Whether requests to ``dest`` should short-circuit: the view
-        convicted it DEAD, or the negative route cache remembers an
-        exhausted exchange from the *current* view epoch. Stale cache
-        entries (epoch moved on) are dropped on sight."""
-        if dest == self.rank:
-            return False
-        view = self.current_view()
-        if view is not None and view.state(dest) == RankState.DEAD:
-            return True
-        with self._route_lock:
-            cached = self._dead_routes.get(dest)
-            if cached is None:
-                return False
-            if view is not None and cached != view.epoch:
-                del self._dead_routes[dest]
-                return False
-            return True
-
-    def _note_dead_route(self, dest: int) -> None:
-        """Remember that ``dest`` exhausted a full retry ladder, so the
-        next request skips straight to failover even before the
-        detector convicts it."""
-        epoch = self._view_epoch()
-        with self._route_lock:
-            self._dead_routes[dest] = epoch
-
-    def _clear_dead_route(self, dest: int) -> None:
-        with self._route_lock:
-            self._dead_routes.pop(dest, None)
+    def _skip_reason(self, peer: int) -> str | None:
+        """The one answer to "may I ask rank ``peer``?" — ``None`` is
+        yes, else why not: ``"convicted"`` (the view holds it DEAD until
+        :meth:`on_rank_alive` or a heal) or ``"breaker"`` (open, until
+        the cool-off lets a probe through). Every asker calls this once
+        per decision: a half-open breaker's yes is counted as the probe."""
+        det = self._membership
+        if det is not None and det.is_dead(peer):
+            return "convicted"
+        if not self.health.allow(peer):
+            return "breaker"
+        return None
 
     def _on_breaker_open(self, peer: int) -> None:
         self.stats.breaker_opens += 1
@@ -659,13 +609,13 @@ class FanStoreDaemon:
             # Freeze the work; heal reconciliation catches it up if the
             # conviction survives the merged view.
             self.stats.rereplications_frozen += 1
-            with self._route_lock:
+            with self._rereplication_lock:
                 self._frozen_corpses.add(rank)
             return
         # reconcile the breaker with the view: a conviction outranks
         # whatever the latency tracker believed
         self.health.force_open(rank)
-        with self._route_lock:
+        with self._rereplication_lock:
             self._frozen_corpses.discard(rank)
             self._rereplicated_for.add(rank)
         started = time.monotonic()
@@ -703,7 +653,7 @@ class FanStoreDaemon:
         every source failed."""
         record = self.metadata.get(step.path)
         for source in step.source_ranks:
-            if source == self.rank or self._route_dead(source):
+            if source == self.rank or self._skip_reason(source):
                 continue
             try:
                 data = self._peer_fetch(
@@ -723,8 +673,7 @@ class FanStoreDaemon:
         so every rank deterministically announces it as a replica for
         those records. Ownership stays with the post-repair homes —
         handing primaries back would churn routing for no benefit."""
-        self._clear_dead_route(rank)
-        with self._route_lock:
+        with self._rereplication_lock:
             # a live rank owes nobody a re-replication: drop any frozen
             # conviction and forget the completed pass so a *future*
             # death gets a fresh one
@@ -755,9 +704,8 @@ class FanStoreDaemon:
         isolation episode — the partition healed and the gossip views
         merged. Anti-entropy pass:
 
-        1. the negative route cache and open circuit breakers are reset
-           (the epoch moved and the links are plausibly back — probe,
-           don't assume);
+        1. open circuit breakers are half-opened (the links are
+           plausibly back — probe, don't assume);
         2. convictions frozen during isolation are caught up *if* the
            merged view still holds them DEAD (a rank the majority
            revived owes nobody a re-replication);
@@ -774,15 +722,14 @@ class FanStoreDaemon:
         """
         with self.tracer.maybe_root("daemon.heal.reconcile",
                                     epoch=view.epoch) as span:
-            with self._route_lock:
-                self._dead_routes.clear()
+            with self._rereplication_lock:
                 frozen = sorted(self._frozen_corpses)
                 self._frozen_corpses.clear()
             for peer in self.health.open_peers():
                 self.health.half_open(peer)
             caught_up = 0
             for rank in frozen:
-                with self._route_lock:
+                with self._rereplication_lock:
                     done = rank in self._rereplicated_for
                 if done or view.state(rank) != RankState.DEAD:
                     continue
@@ -899,9 +846,8 @@ class FanStoreDaemon:
         replicas) for offline tooling: ``fanstore-inspect --repair``
         must consult post-re-replication owners, not the original
         layout, so integrity repair and membership repair compose."""
-        view = self.current_view()
         return {
-            "epoch": view.epoch if view is not None else 0,
+            "epoch": self._view_epoch(),
             "rank": self.rank,
             "files": {
                 rec.path: {
@@ -959,6 +905,12 @@ class FanStoreDaemon:
         """
         if self._journal_dir is None or self.journal is not None:
             return
+        disk = self.backend
+        if not isinstance(disk, DiskBackend):  # recovery works on blob files
+            raise FanStoreError(
+                f"rank {self.rank}: a journal needs a DiskBackend, got "
+                f"{type(disk).__name__}"
+            )
         t0 = time.monotonic()
         stats = self.jstats
         log = scan_journal(self._journal_dir)
@@ -982,29 +934,30 @@ class FanStoreDaemon:
                 if intent["path"] in adopted:
                     continue
                 entry = live_entry(intent)
-                data = self._read_raw_blob(intent["path"])
+                data = disk.read_raw(intent["path"])
                 if (
                     data is not None
                     and len(data) == entry["size"]
                     and zlib.crc32(data) == entry["crc"]
                 ):
-                    self._recover_entry(intent["path"], entry, live)
+                    self._recover_entry(disk, intent["path"], entry, live)
                     adopted.add(intent["path"])
             for path, entry in log.checkpoint_live.items():
                 if path not in adopted:
-                    self._recover_entry(path, entry, live)
+                    self._recover_entry(disk, path, entry, live)
             for intent in log.committed:
                 if intent["path"] not in adopted:
                     self._recover_entry(
-                        intent["path"], live_entry(intent), live
+                        disk, intent["path"], live_entry(intent), live
                     )
             crash_point("recovery.replayed", self.rank)
             for intent in log.uncommitted:
                 if intent["path"] in adopted:
                     continue
-                self._rollback_intent(intent, live)
+                self._rollback_intent(disk, intent, live)
                 stats.recovery_rolled_back += 1
-            stats.recovery_tmp_gc += self._gc_tmp_files()
+            stats.recovery_tmp_gc += gc_tmp_files(self._journal_dir)
+            stats.recovery_tmp_gc += disk.gc_tmp()
             crash_point("recovery.done", self.rank)
             span.tag(
                 replayed=stats.recovery_replayed,
@@ -1023,21 +976,8 @@ class FanStoreDaemon:
         )
         stats.recovery_seconds = time.monotonic() - t0
 
-    def _read_raw_blob(self, norm: str) -> bytes | None:
-        """The bytes currently on disk behind ``norm``, bypassing the
-        backend index (which died with the previous process)."""
-        backend = self.backend
-        if isinstance(backend, DiskBackend):
-            blob = backend.blob_path(norm)
-            try:
-                return blob.read_bytes() if blob.is_file() else None
-            except OSError:
-                return None
-        # RAM-family backends: nothing survives a process death
-        return None
-
     def _recover_entry(
-        self, path: str, entry: dict, live: dict[str, dict]
+        self, disk: DiskBackend, path: str, entry: dict, live: dict[str, dict]
     ) -> None:
         """Roll one committed intent forward: verify the on-disk bytes
         against the journalled digest and re-adopt them; re-apply from
@@ -1045,24 +985,19 @@ class FanStoreDaemon:
         only when neither is possible, quarantine (count it — the
         crash drill asserts this stays zero, because the protocol
         commits strictly after the apply is durable)."""
-        data = self._read_raw_blob(path)
+        data = disk.read_raw(path)
         if (
             data is not None
             and len(data) == entry["size"]
             and zlib.crc32(data) == entry["crc"]
         ):
-            if isinstance(self.backend, DiskBackend):
-                self.backend.adopt(path)
-            else:
-                self.backend.put(path, data)
+            disk.adopt(path)
             self.jstats.recovery_replayed += 1
         elif "payload" in entry:
-            self.backend.put(path, bytes.fromhex(entry["payload"]))
+            disk.put(path, bytes.fromhex(entry["payload"]))
             self.jstats.recovery_reapplied += 1
         else:
-            self.backend.discard(path)
-            if isinstance(self.backend, DiskBackend):
-                self.backend.blob_path(path).unlink(missing_ok=True)
+            disk.discard(path)
             self.jstats.recovery_quarantined += 1
             return
         wire = entry.get("record")
@@ -1070,39 +1005,21 @@ class FanStoreDaemon:
             self.metadata.insert(record_from_wire(wire))
         live[path] = entry
 
-    def _rollback_intent(self, intent: dict, live: dict[str, dict]) -> None:
+    def _rollback_intent(
+        self, disk: DiskBackend, intent: dict, live: dict[str, dict]
+    ) -> None:
         """Undo one uncommitted intent. The client was never
         acknowledged, so deleting whatever the torn apply left behind
         is always correct — *unless* a committed version of the same
         path owns the current bytes, in which case they stay."""
         path = intent["path"]
         kept = live.get(path)
-        data = self._read_raw_blob(path)
+        data = disk.read_raw(path)
         if data is None:
             return  # the apply never reached the final name
         if kept is not None and zlib.crc32(data) == kept["crc"]:
             return  # these bytes belong to the committed version
-        self.backend.discard(path)
-        if isinstance(self.backend, DiskBackend):
-            self.backend.blob_path(path).unlink(missing_ok=True)
-
-    def _gc_tmp_files(self) -> int:
-        """Remove ``*.tmp`` orphans of crashed atomic applies (the one
-        artefact the tmp+rename protocol can leak) from the backend
-        root and the journal directory."""
-        removed = 0
-        dirs = [Path(self._journal_dir)] if self._journal_dir else []
-        if isinstance(self.backend, DiskBackend):
-            dirs.append(self.backend.root)
-        for directory in dirs:
-            if not directory.is_dir():
-                continue
-            for orphan in directory.glob("*.tmp"):
-                orphan.unlink(missing_ok=True)
-                removed += 1
-            if removed:
-                fsync_dir(directory)
-        return removed
+        disk.discard(path)
 
     # -- service loop -------------------------------------------------------
 
@@ -1296,7 +1213,7 @@ class FanStoreDaemon:
         if shed:
             # shedding is the overload signal: enter brownout
             self._brownout_until = time.monotonic() + _BROWNOUT_HOLD_S
-        overloaded = (Reply.OVERLOAD, self.config.overload_retry_after_s)
+        overloaded = (Reply.OVERLOAD, _OVERLOAD_RETRY_AFTER_S)
         for _, victim, victim_source in shed:
             self.stats.shed_requests += 1
             try:
@@ -1470,12 +1387,15 @@ class FanStoreDaemon:
 
         Outcomes feed the per-peer health tracker: reply latencies via
         :meth:`HealthTracker.observe`, timeouts and sheds via
-        :meth:`HealthTracker.failure`.
+        :meth:`HealthTracker.failure` — which says when the attempt was
+        a half-open breaker's probe that failed: a full-budget exchange
+        ends there (an explicit ``attempts`` is the caller's own bound).
         """
         comm = self.comm
         assert comm is not None
         cfg = self.config
-        if attempts is None:
+        full_budget = attempts is None  # what a failed probe cuts short
+        if full_budget:
             attempts = 1 + max(0, cfg.max_retries)
         path = body if isinstance(body, str) else None
         # Tracing: each attempt gets its own ``rpc.<kind>`` span (so
@@ -1531,7 +1451,8 @@ class FanStoreDaemon:
                 raise
             except CommError as exc:
                 last_exc = exc
-                self.health.failure(dest)
+                if self.health.failure(dest) and full_budget:
+                    break
                 continue
             try:
                 status, value = reply
@@ -1552,29 +1473,31 @@ class FanStoreDaemon:
                     path,
                     server_epoch=value if isinstance(value, int) else 0,
                 )
-            self.health.failure(dest)
+            probe_failed = self.health.failure(dest)
             if status == Reply.OVERLOAD:
                 self.stats.overload_backoffs += 1
                 last_exc = None
                 overload_wait = (
                     float(value)
                     if isinstance(value, (int, float))
-                    else cfg.overload_retry_after_s
+                    else _OVERLOAD_RETRY_AFTER_S
                 )
             else:
                 # garbage on the reply tag is as good as no reply
                 last_exc = WireFormatError(f"unparseable reply: {reply!r}")
+            if probe_failed and full_budget:
+                break
         if overload_wait is not None:
             raise ServerOverloadedError(
                 f"rank {self.rank}: {kind} request to rank {dest} shed by "
-                f"admission control on every one of {attempts} attempt(s)",
+                f"admission control on every one of {attempt + 1} attempt(s)",
                 path,
                 retry_after_s=overload_wait,
             )
         raise RetryExhaustedError(
             f"rank {self.rank}: {kind} request to rank {dest} "
             f"(tag {TAG_DAEMON:#x}, last reply tag {reply_tag:#x}) failed "
-            f"after {attempts} attempt(s): {last_exc}",
+            f"after {attempt + 1} attempt(s): {last_exc}",
             path=path,
         ) from last_exc
 
@@ -1842,8 +1765,7 @@ class FanStoreDaemon:
                 group = wanted[start : start + BATCH_MAX]
                 if (
                     len(group) < 2  # a classic request with extra framing
-                    or self._route_dead(home)
-                    or not self.health.allow(home)
+                    or self._skip_reason(home)
                 ):
                     break
                 deadline = None if budget is None else Deadline.after(budget)
@@ -1979,24 +1901,17 @@ class FanStoreDaemon:
         home = record.home_rank
         # why the home is left: its own failure, or why it was skipped
         failure: Exception | None = None
-        skipped: str | None = None
-        if self._route_dead(home):
-            # known-dead home: skip the retry/backoff ladder entirely
-            # and jump straight to the failover tiers (still counted as
-            # a failover — the fetch did leave the home rank)
-            self.stats.dead_route_skips += 1
-            skipped = "known-dead route"
-        elif not self.health.allow(home):
-            # the breaker saw a gray failure the membership layer has
-            # not (yet): route around the slow home without spending a
-            # single timeout on it
+        skipped = self._skip_reason(home)
+        if skipped is not None:
+            # straight to the failover tiers, not a single timeout spent
+            # on the home (still a failover: the fetch did leave it)
             self.stats.breaker_skips += 1
-            skipped = "circuit breaker open"
+            self.tracer.tag_current(skipped=skipped)
         else:
             try:
                 status, data = self._home_fetch(norm, record, deadline)
             except RetryExhaustedError as exc:
-                self._note_dead_route(home)
+                self.health.force_open(home)  # the next read skips it
                 failure = exc
             except ServerOverloadedError as exc:
                 # overload is pressure, not death: don't poison routing
@@ -2232,7 +2147,7 @@ class FanStoreDaemon:
             if (
                 self.comm is not None
                 and home != self.rank
-                and not self._route_dead(home)
+                and not self._skip_reason(home)
             ):
                 try:
                     data = self._peer_fetch(
@@ -2255,21 +2170,22 @@ class FanStoreDaemon:
             return data
 
     def _replica_order(self, norm: str, record: FileRecord) -> list[int]:
-        """Failover order over the announced replicas: healthy
-        view-ALIVE ranks first (ascending), then SUSPECT ranks, then
-        open-breaker ranks (slow is still better than nothing — replicas
-        are the fallback tier, so they are deprioritized, not skipped);
-        convicted-DEAD and negative-cached ranks are skipped outright."""
-        candidates = [
-            r for r in self.metadata.replica_ranks(norm)
+        """Failover order over the announced replicas, each put to the
+        gate once: healthy view-ALIVE ranks first (ascending), then
+        SUSPECT ranks, then open-breaker ranks (slow is still better
+        than nothing — replicas are the fallback tier, so they are
+        deprioritized, not skipped); convicted ranks are skipped
+        outright."""
+        verdicts = {
+            r: self._skip_reason(r)
+            for r in self.metadata.replica_ranks(norm)
             if r not in (self.rank, record.home_rank)
-            and not self._route_dead(r)
-        ]
+        }
         view = self.current_view()
         return sorted(
-            candidates,
+            (r for r, why in verdicts.items() if why != "convicted"),
             key=lambda r: (
-                self.health.state(r) is BreakerState.OPEN,
+                verdicts[r] is not None,
                 view is not None and view.state(r) == RankState.SUSPECT,
                 r,
             ),
@@ -2291,9 +2207,9 @@ class FanStoreDaemon:
         for every tier that asks one:
 
         - retries exhausted, or shed → ``None``. Only an exhausted
-          *full* budget (``attempts=None``) negative-caches the peer; a
-          bounded probe never does, nor does overload (pressure, not
-          death);
+          *full* budget (``attempts=None``) opens the peer's breaker on
+          the spot; a bounded probe is one more strike at most, and so
+          is overload (pressure, not death);
         - :class:`DeadlineExpiredError` propagates — the budget is gone
           for every peer, so the caller skips to its local-only floor;
         - :class:`RankDeadError` (this rank is the corpse) propagates: a
@@ -2307,7 +2223,7 @@ class FanStoreDaemon:
             )
         except RetryExhaustedError:
             if attempts is None:
-                self._note_dead_route(peer)
+                self.health.force_open(peer)
             return None
         except ServerOverloadedError:
             return None

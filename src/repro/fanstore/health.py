@@ -13,9 +13,10 @@ three mechanisms that close the gap:
   that fired), so the failover ladder routes around a merely-slow rank
   long before the detector would mark it SUSPECT;
 - :class:`HealthTracker` — one breaker plus a latency EWMA and a
-  bounded sample window per peer, thread-safe, reconciled against the
-  membership view by the daemon (a DEAD conviction force-opens, a
-  rejoin half-opens so the first fetch is a probe);
+  bounded sample window per peer, thread-safe: the daemon's only
+  memory of a misbehaving peer (a DEAD conviction or an exhausted
+  exchange force-opens, a rejoin half-opens so the first fetch is a
+  probe, a failed probe costs one attempt);
 - :class:`AdmissionQueue` — the daemon's bounded request queue.
   Overflow sheds the entry closest to (or past) its deadline first: a
   request about to expire is the one least worth serving, and its
@@ -114,15 +115,18 @@ class CircuitBreaker:
         self._slow = 0
         self._state = BreakerState.CLOSED
 
-    def record_failure(self) -> None:
+    def record_failure(self) -> bool:
         """A hard failure (timeout, overload shed). A failed half-open
-        probe re-trips immediately; closed accumulates strikes."""
-        if self.state is not BreakerState.CLOSED:
+        probe re-trips immediately (and returns True: a probe is one
+        attempt, do not retry); closed accumulates strikes."""
+        state = self.state
+        if state is not BreakerState.CLOSED:
             self._trip()
-            return
+            return state is BreakerState.HALF_OPEN
         self._failures += 1
         if self._failures >= self.failure_threshold:
             self._trip()
+        return False
 
     def record_slow(self) -> None:
         """A soft failure: the peer answered, but late (above the
@@ -137,9 +141,9 @@ class CircuitBreaker:
             self._trip()
 
     def force_open(self) -> None:
-        """External conviction (membership DEAD verdict): open
-        unconditionally. Idempotent — an already-open breaker just has
-        its cool-off restarted."""
+        """External verdict (membership DEAD conviction, exhausted
+        full-budget exchange): open unconditionally. Idempotent — an
+        already-open breaker just has its cool-off restarted."""
         already_open = self._state is BreakerState.OPEN
         self._trip()
         if already_open:
@@ -203,12 +207,13 @@ class HealthTracker:
             br = self._breakers[peer] = self._mk_breaker()
         return br
 
-    def _signal(self, peer: int, record: Callable[[], None]) -> None:
+    def _signal(self, peer: int, record: Callable[[], Any]) -> Any:
         br = self._breaker(peer)
         opens_before = br.opens
-        record()
+        outcome = record()
         if br.opens > opens_before and self.on_open is not None:
             self.on_open(peer)
+        return outcome
 
     # -- signal sinks ------------------------------------------------------
 
@@ -233,10 +238,11 @@ class HealthTracker:
             else:
                 self._signal(peer, br.record_success)
 
-    def failure(self, peer: int) -> None:
-        """A hard failure against ``peer`` (timeout, overload shed)."""
+    def failure(self, peer: int) -> bool:
+        """A hard failure against ``peer`` (timeout, overload shed);
+        True when it was a half-open probe that failed."""
         with self._lock:
-            self._signal(peer, self._breaker(peer).record_failure)
+            return self._signal(peer, self._breaker(peer).record_failure)
 
     def note_slow(self, peer: int) -> None:
         """``peer`` missed the hedge delay — the request was answered
@@ -263,9 +269,10 @@ class HealthTracker:
             return self._breaker(peer).state
 
     def force_open(self, peer: int) -> None:
-        """Membership DEAD verdict: stop routing to ``peer`` at once."""
+        """Membership DEAD verdict, or a full-budget exchange was
+        exhausted: stop routing to ``peer`` at once."""
         with self._lock:
-            self._breaker(peer).force_open()
+            self._signal(peer, self._breaker(peer).force_open)
 
     def half_open(self, peer: int) -> None:
         """Membership re-admission: the next request probes ``peer``."""

@@ -73,6 +73,7 @@ __all__ = [
     "atomic_open",
     "atomic_replace",
     "fsync_dir",
+    "gc_tmp_files",
     "live_entry",
     "record_from_wire",
     "record_to_wire",
@@ -139,6 +140,17 @@ def atomic_replace(
     crash_point("apply.renamed", rank)
     fsync_dir(path.parent)
     crash_point("apply.done", rank)
+
+
+def gc_tmp_files(directory: Path | str) -> int:
+    """Remove the ``*.tmp`` orphans of crashed atomic applies (all the
+    tmp+rename protocol can leak) from ``directory``; returns how many."""
+    orphans = list(Path(directory).glob("*.tmp"))  # none if no such directory
+    for orphan in orphans:
+        orphan.unlink(missing_ok=True)
+    if orphans:
+        fsync_dir(directory)
+    return len(orphans)
 
 
 @contextmanager

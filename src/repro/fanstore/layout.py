@@ -328,7 +328,7 @@ def read_partition(
 
 def partition_payload_bytes(entries: Iterable[PartitionEntry]) -> int:
     """Total compressed payload size of a set of entries."""
-    return sum(e.compressed_size for e in entries)
+    return sum([e.compressed_size for e in entries])  # no frame per entry
 
 
 def blob_crc32(data: bytes | bytearray | memoryview) -> int:

@@ -211,8 +211,7 @@ class ClusterView:
     bumps past both inputs (see :meth:`merge`). The *epoch* counts
     membership changes
     that affect routing/ownership — DEAD convictions and verified
-    re-admissions — and is what invalidates the daemon's negative
-    route cache and stale fencing tokens.
+    re-admissions — and is what invalidates stale fencing tokens.
     """
 
     __slots__ = ("size", "epoch", "states", "versions")
@@ -274,8 +273,8 @@ class ClusterView:
         *different* DEAD sets (both sides of a split convicting
         independently). Taking max() there would let two divergent
         membership histories share an epoch number, and everything
-        keyed by epoch — the daemon's negative route cache, fencing
-        tokens — would treat stale state as current across the heal. So
+        keyed by epoch — fencing tokens — would treat stale state as
+        current across the heal. So
         when a merge at equal epochs newly *convicts* a rank (its state
         becomes DEAD), the merged epoch is bumped *past* both inputs.
         In the split-heal case each side learns the other's corpse, so
@@ -439,6 +438,12 @@ class FailureDetector(ServiceMixin):
     def is_dead(self, rank: int) -> bool:
         with self._lock:
             return self._view.states[rank] == RankState.DEAD
+
+    @property
+    def epoch(self) -> int:
+        """The current view epoch, without cloning the view."""
+        with self._lock:
+            return self._view.epoch
 
     @property
     def isolated(self) -> bool:

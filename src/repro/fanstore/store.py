@@ -41,7 +41,7 @@ from pathlib import Path
 from repro.comm.communicator import Communicator
 from repro.compressors.registry import CompressorRegistry
 from repro.errors import FanStoreError
-from repro.fanstore.backend import DiskBackend, PartitionBackend, RamBackend
+from repro.fanstore.backend import Backend, DiskBackend, RamBackend
 from repro.fanstore.client import FanStoreClient
 from repro.fanstore.crash import DiskFaultInjector
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
@@ -75,7 +75,7 @@ class FanStoreOptions:
     #: is given, None = in-RAM backend.
     local_dir: Path | str | None = None
     #: explicit storage backend instance (overrides ``local_dir``).
-    backend: RamBackend | DiskBackend | PartitionBackend | None = None
+    backend: Backend | None = None
     #: compressor registry; None = the default suite.
     registry: CompressorRegistry | None = None
     #: POSIX mount prefix stripped by :meth:`FanStore.resolve`.
@@ -128,8 +128,14 @@ class FanStore(ServiceMixin):
             )
         comm = opts.comm
         journal_dir = None
-        if opts.journal and isinstance(backend, DiskBackend):
-            journal_dir = backend.root / "journal"
+        if isinstance(backend, DiskBackend):
+            # the disk-only wiring, all of it (only blob files survive
+            # a process, so only they get a journal)
+            backend.rank = comm.rank if comm is not None else 0
+            if opts.disk_injector is not None:
+                backend.injector = opts.disk_injector
+            if opts.journal:
+                journal_dir = backend.root / "journal"
         self.daemon = FanStoreDaemon(
             comm,
             config=opts.config,

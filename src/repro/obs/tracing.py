@@ -227,6 +227,12 @@ class Tracer:
             return stack[-1].context()
         return None
 
+    def tag_current(self, **tags: Any) -> None:
+        """Tag the innermost open span on this thread, if any."""
+        stack = getattr(self._tls, "stack", None)
+        if stack:
+            stack[-1].tag(**tags)
+
     def span(self, name: str, **tags: Any) -> Span | _NullSpan:
         """A child of the current span — or :data:`NULL_SPAN` when this
         thread is not inside a trace (child sites never start one)."""

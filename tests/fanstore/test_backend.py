@@ -1,21 +1,52 @@
-"""Compressed-object backends: RAM and local-disk."""
+"""Compressed-object backends: RAM, partition files in place, and
+local-disk blobs — one contract (:class:`repro.fanstore.backend.Backend`),
+then what only the disk one does."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import FileNotFoundInStoreError
-from repro.fanstore.backend import DiskBackend, RamBackend
+from repro.fanstore.backend import DiskBackend, PartitionBackend, RamBackend
+from repro.fanstore.layout import FileStat, write_partition
 
 
-@pytest.fixture(params=["ram", "disk"])
+@pytest.fixture(params=["ram", "partition", "disk"])
 def backend(request, tmp_path):
     if request.param == "ram":
         return RamBackend()
+    if request.param == "partition":
+        return PartitionBackend()
     return DiskBackend(tmp_path / "blobs")
 
 
 class TestBackendContract:
+    def test_ingest_makes_a_partition_readable(self, backend, tmp_path):
+        payloads = {"a/b.bin": b"first payload", "c.bin": b"second" * 9}
+        part = tmp_path / "part-0"
+        with open(part, "wb") as stream:
+            write_partition(
+                [(path, 1, FileStat(st_size=len(data)), data)
+                 for path, data in payloads.items()],
+                stream,
+            )
+        entries = backend.ingest(part)
+        assert [(e.path, e.compressed_size) for e in entries] == [
+            (path, len(data)) for path, data in payloads.items()
+        ]
+        for path, data in payloads.items():
+            assert backend.get(path) == data
+        assert len(backend) == 2
+        assert backend.resident_bytes == sum(map(len, payloads.values()))
+
+    def test_discard(self, backend):
+        backend.put("k", b"corrupt")
+        assert backend.discard("k") is True
+        assert "k" not in backend and len(backend) == 0
+        with pytest.raises(FileNotFoundInStoreError):
+            backend.get("k")
+        assert backend.discard("k") is False  # nothing left to drop
+
     def test_put_get(self, backend):
         backend.put("a/b.bin", b"payload")
         assert backend.get("a/b.bin") == b"payload"
@@ -99,6 +130,25 @@ class TestDiskBackendDurability:
         backend = DiskBackend(tmp_path / "store")
         backend.put("k", b"v")
         assert backend.blob_path("k").read_bytes() == b"v"
+
+    def test_recovery_verbs_reach_blobs_the_index_never_saw(self, tmp_path):
+        """What restart recovery does to a previous incarnation's
+        files: read them unindexed, unlink them unindexed, and sweep
+        the ``*.tmp`` a crashed put leaked."""
+        from repro.fanstore.crash import CrashPlan, SimulatedCrashError
+
+        first = DiskBackend(tmp_path / "store")
+        first.put("k", b"survivor")
+        with CrashPlan().crash_at("apply.tmp_written"):
+            with pytest.raises(SimulatedCrashError):
+                first.put("torn", b"never renamed")
+        second = DiskBackend(tmp_path / "store")
+        assert second.read_raw("k") == b"survivor"
+        assert second.read_raw("torn") is None and "k" not in second
+        assert second.gc_tmp() == 1 and second.gc_tmp() == 0
+        assert second.discard("k") is False  # it was never indexed ...
+        assert second.read_raw("k") is None  # ... and is gone all the same
+        assert not list((tmp_path / "store").iterdir())
 
     def test_injected_enospc_surfaces_as_storage_full(self, tmp_path):
         from repro.errors import StorageFullError

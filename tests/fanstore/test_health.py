@@ -1,8 +1,9 @@
 """Unit drills for the gray-failure primitives: circuit-breaker FSM,
 deadline arithmetic, admission-queue shedding, brownout verification
-skips, and the client side of overload replies. State machines run
-against fake clocks — no sleeps; only the request-exchange tests touch
-a real two-rank world."""
+skips, the breaker as the daemon's memory of a peer it gave up on, and
+the client side of overload replies. State machines run against fake
+clocks — no sleeps; only the request-exchange tests touch a real
+two-rank world."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from repro.comm.launcher import run_parallel
 from repro.errors import (
     DataIntegrityError,
     DeadlineExpiredError,
+    RetryExhaustedError,
     ServerOverloadedError,
 )
 from repro.fanstore.daemon import TAG_DAEMON, DaemonConfig, FanStoreDaemon
@@ -28,8 +30,10 @@ from repro.fanstore.health import (
     HealthTracker,
 )
 from repro.fanstore.layout import FileStat, blob_crc32
+from repro.fanstore.membership import RankState
 from repro.fanstore.metadata import FileRecord
 from repro.fanstore.wire import Reply, decode_request
+from tests.fanstore.test_failover_ladder import StubDetector, StubPeers
 
 
 class FakeClock:
@@ -225,6 +229,33 @@ class TestHealthTracker:
         h.half_open(4)
         assert h.allow(4)  # the rejoin probe
 
+    def test_exhausted_opens_at_once_whatever_the_strike_count(self):
+        h = self.tracker(failure_threshold=3)
+        opened = []
+        h.on_open = opened.append
+        assert h.failure(1) is False  # one strike on the books, of three
+        assert h.state(1) is BreakerState.CLOSED
+        h.force_open(1)  # a full-budget exchange was exhausted
+        assert h.state(1) is BreakerState.OPEN and not h.allow(1)
+        assert opened == [1]
+        h.force_open(1)  # cool-off restarted, not a new transition
+        assert opened == [1]
+
+    def test_a_failed_probe_says_so_and_a_passed_one_closes(self):
+        clock = FakeClock()
+        h = self.tracker(clock=clock, reset_after=1.0)
+        h.force_open(1)
+        clock.advance(1.0)  # exactly the cool-off
+        assert h.state(1) is BreakerState.HALF_OPEN
+        assert h.allow(1)
+        assert h.failure(1) is True  # the probe failed: do not retry
+        assert h.state(1) is BreakerState.OPEN
+        assert h.failure(1) is False  # a straggler, not a probe
+        clock.advance(1.0)
+        assert h.allow(1)
+        h.observe(1, 0.01)
+        assert h.state(1) is BreakerState.CLOSED
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HealthTracker(0, ewma_alpha=0.0)
@@ -347,6 +378,73 @@ def _record(payload: bytes, home_rank: int = 0) -> FileRecord:
     )
 
 
+class TestTheBreakerIsTheMemoryOfAGivenUpPeer:
+    """What a negative route cache used to remember — "that rank
+    exhausted a full retry budget, skip it" — the breaker remembers, and
+    forgets on the clock rather than on a view epoch that, without a
+    detector, never moves. Scripted peers, injected clock."""
+
+    PAYLOAD = b"the-verified-payload"
+    HOME = 1
+
+    def _daemon(self, clock):
+        comm = StubPeers({self.HOME: None})  # silent until told otherwise
+        daemon = FanStoreDaemon(comm, config=DaemonConfig(
+            max_retries=1, retry_backoff_base=0.0, retry_jitter=0.0,
+        ))
+        tracker = HealthTracker(comm.rank, reset_after=1.0, clock=clock)
+        tracker.on_open = daemon.health.on_open
+        tracker.on_probe = daemon.health.on_probe
+        daemon.health = tracker
+        daemon.metadata.insert(_record(self.PAYLOAD, home_rank=self.HOME))
+        return daemon, comm
+
+    def _read_fails(self, daemon):
+        with pytest.raises(RetryExhaustedError):
+            daemon.fetch_compressed("data/x")  # no replica, no floor
+
+    def test_a_daemon_with_no_detector_reasks_a_recovered_peer(self):
+        clock = FakeClock()
+        daemon, comm = self._daemon(clock)
+        stats = daemon.stats
+        self._read_fails(daemon)
+        # two strikes of three, yet open: the spent budget is the verdict
+        assert comm.asked == [self.HOME] * 2
+        assert daemon.health.state(self.HOME) is BreakerState.OPEN
+        assert (stats.breaker_opens, stats.breaker_skips) == (1, 0)
+        self._read_fails(daemon)  # the next read sends it nothing
+        assert comm.asked == [self.HOME] * 2
+        assert (stats.breaker_skips, stats.retries) == (1, 1)
+        clock.advance(1.0)
+        self._read_fails(daemon)  # still down: the probe is one send
+        assert comm.asked == [self.HOME] * 3
+        assert (stats.breaker_probes, stats.retries) == (1, 1)
+        assert daemon.health.state(self.HOME) is BreakerState.OPEN
+        comm.answers[self.HOME] = (Reply.OK, self.PAYLOAD)  # it recovers
+        self._read_fails(daemon)  # ... inside the cool-off: not asked yet
+        assert comm.asked == [self.HOME] * 3
+        clock.advance(1.0)
+        assert daemon.fetch_compressed("data/x") == self.PAYLOAD
+        assert comm.asked == [self.HOME] * 4
+        assert daemon.health.state(self.HOME) is BreakerState.CLOSED
+        assert (stats.breaker_probes, stats.breaker_skips) == (2, 2)
+
+    def test_a_convicted_peer_is_not_probed_until_it_is_readmitted(self):
+        clock = FakeClock()
+        daemon, comm = self._daemon(clock)
+        detector = daemon._membership = StubDetector.convicting(self.HOME)
+        daemon.health.force_open(self.HOME)  # what on_rank_dead does
+        clock.advance(3600.0)  # any cool-off is long over
+        self._read_fails(daemon)
+        assert comm.asked == [] and daemon.stats.breaker_probes == 0
+        detector.view.set_state(self.HOME, RankState.ALIVE, bump_epoch=True)
+        comm.answers[self.HOME] = (Reply.OK, self.PAYLOAD)
+        daemon.on_rank_alive(self.HOME)
+        assert daemon.fetch_compressed("data/x") == self.PAYLOAD
+        assert comm.asked == [self.HOME]
+        assert daemon.stats.breaker_probes == 1
+
+
 class TestBrownoutVerificationSkip:
     def test_first_verification_always_runs(self):
         daemon = FanStoreDaemon()
@@ -424,7 +522,7 @@ class TestOverloadReplies:
         def body(comm):
             if comm.rank == 1:
                 return _serve_until_done(comm, reply=(Reply.OVERLOAD, 0.0))
-            cfg = DaemonConfig(breaker_failure_threshold=2, **FAST)
+            cfg = DaemonConfig(**{**FAST, "max_retries": 2})
             daemon = FanStoreDaemon(comm, config=cfg)
             with pytest.raises(ServerOverloadedError):
                 daemon._request("fetch", "p", 1)

@@ -460,3 +460,18 @@ class TestStatsBinding:
         assert "durability.recovery.replayed" in names
         assert "durability.read_only" in names
         assert "durability.recovery.seconds" in names
+
+
+class TestJournalNeedsBlobFiles:
+    def test_a_journal_over_a_ram_backend_is_a_typed_error(self, jdir):
+        """Restart recovery adopts, digest-checks and unlinks blob
+        files; only a ``DiskBackend`` has any. ``FanStore`` never wires
+        a journal to anything else — a daemon asked to says so before
+        it touches the directory."""
+        from repro.fanstore.backend import RamBackend
+        from repro.fanstore.daemon import FanStoreDaemon
+
+        daemon = FanStoreDaemon(backend=RamBackend(), journal_dir=jdir)
+        with pytest.raises(FanStoreError, match="needs a DiskBackend"):
+            daemon._open_journal()
+        assert daemon.journal is None and not jdir.exists()

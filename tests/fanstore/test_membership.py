@@ -1,8 +1,10 @@
 """Unit tests for the membership layer: view merges, the failure
 detector against an injectable clock (no sleeping), the rejoin
-handshake, ring reassignment planning, and the daemon's negative route
-cache. The full kill → convict → re-replicate → rejoin story runs in
-``tests/integration/test_membership_drill.py``.
+handshake, and ring reassignment planning. The full kill → convict →
+re-replicate → rejoin story runs in
+``tests/integration/test_membership_drill.py``; how the daemon remembers
+a peer it gave up on is the breaker's (``test_health.py``,
+``test_failover_ladder.py``).
 """
 
 from __future__ import annotations
@@ -227,6 +229,9 @@ class TestThresholdEdges:
         view = det0.step()
         assert view.state(1) == RankState.DEAD
         assert view.epoch == 1
+        # the two reads the daemon's gate and fence take without a clone
+        assert det0.is_dead(1) and not det0.is_dead(0)
+        assert det0.epoch == 1
         assert convicted == [1]
         assert det0.stats.convictions == 1
         assert 1 in det0.detected_at
@@ -730,54 +735,9 @@ class TestRereplicationPlanning:
         assert table.get("f1").home_rank == 1
 
 
-class _StubDetector:
-    """Just enough of FailureDetector for routing-cache tests."""
-
-    def __init__(self, view: ClusterView) -> None:
-        self._view = view
-
-    @property
-    def view(self) -> ClusterView:
-        return self._view.clone()
-
-
-class TestNegativeRouteCache:
-    def test_cache_hits_until_epoch_bump(self):
-        daemon = FanStoreDaemon()
-        view = ClusterView(3)
-        daemon._membership = _StubDetector(view)
-        assert not daemon._route_dead(1)
-        daemon._note_dead_route(1)
-        assert daemon._route_dead(1)
-        assert daemon.stats.dead_route_skips == 0  # counting is the caller's
-        view.set_state(2, RankState.DEAD, bump_epoch=True)
-        # the epoch moved: the cached outcome is stale and dropped
-        assert not daemon._route_dead(1)
-        assert not daemon._route_dead(1)
-
-    def test_view_conviction_overrides_everything(self):
-        daemon = FanStoreDaemon()
-        view = ClusterView(3)
-        view.set_state(2, RankState.DEAD, bump_epoch=True)
-        daemon._membership = _StubDetector(view)
-        assert daemon._route_dead(2)
-
-    def test_cache_works_without_membership(self):
-        daemon = FanStoreDaemon()
-        assert not daemon._route_dead(1)
-        daemon._note_dead_route(1)
-        assert daemon._route_dead(1)
-        daemon._clear_dead_route(1)
-        assert not daemon._route_dead(1)
-
-    def test_own_rank_never_dead_routed(self):
-        daemon = FanStoreDaemon()
-        daemon._note_dead_route(0)
-        assert not daemon._route_dead(0)
-
-
-class _SplitStub(_StubDetector):
-    """A detector stub stuck on the minority side of a partition."""
+class _SplitStub:
+    """Just enough of FailureDetector for the daemon's conviction
+    callback: a detector stuck on the minority side of a partition."""
 
     isolated = True
 
@@ -820,7 +780,7 @@ class TestSnapshotAdoption:
 class TestConvictionFreeze:
     def test_isolated_daemon_freezes_rereplication(self):
         daemon = FanStoreDaemon(World(3).comm(0))
-        daemon._membership = _SplitStub(ClusterView(3))
+        daemon._membership = _SplitStub()
         view = ClusterView(3)
         view.set_state(2, RankState.DEAD, bump_epoch=True)
         daemon.on_rank_dead(2, view)

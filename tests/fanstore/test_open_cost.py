@@ -78,6 +78,8 @@ def _cost_vector(operation, paths) -> Counter:
             counts["lookups_in_miss"] += in_miss
         elif name == "_Flight.__init__":
             counts["flights"] += 1
+        elif name == "FanStoreDaemon._skip_reason":
+            counts["gate_calls"] += 1
         elif name == "DecompressedCache.get_or_compute":
             in_miss = True
         elif name.endswith("Backend.get"):
@@ -110,6 +112,7 @@ def test_read_file_cost_vector(store):
     assert counts["lookups"] <= 2 * n
     assert counts["lookups_in_miss"] == 0  # the record is carried
     assert counts["flights"] == 1 * n
+    assert counts["gate_calls"] == 0  # "may I ask rank r?" is a remote question
     assert counts["python_calls"] <= 30 * n
     # exact: the same reads execute the same calls
     assert _cost_vector(client.read_file, paths) == counts
@@ -254,6 +257,8 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         }
         assert counts["flights"] == BATCH
         assert counts["normalize"] == 0
+        # the gate is asked once per decision: per envelope, per lone read
+        assert (counts["gate_calls"], alone["gate_calls"]) == (1, BATCH)
         # bounds, not equalities: a reply that beats its receiver to the
         # mailbox saves the parking calls (the counts above cannot move)
         assert counts["python_calls"] <= 25 * BATCH

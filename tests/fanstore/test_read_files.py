@@ -24,6 +24,7 @@ from repro.fanstore.pipeline import BATCH_MAX
 from repro.fanstore.prepare import prepare_dataset
 from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.fanstore.wire import Reply, decode_request, encode_batch_reply
+from tests.fanstore.test_failover_ladder import StubDetector
 
 # -- equivalence on a live store ------------------------------------------------
 
@@ -266,6 +267,10 @@ def _expect(**moved) -> dict:
     return {**clean, **moved}
 
 
+def _convict_home(daemon: FanStoreDaemon) -> None:
+    daemon._membership = StubDetector.convicting(HOME)
+
+
 #: no envelope goes out: every path is an ordinary read of its own
 UNBATCHED = dict(envelopes=0, asked_home=4, flushes=0, items=0)
 #: an envelope went out and settled nothing: four fallbacks
@@ -313,9 +318,16 @@ CASES = {
         # its digest, as ever) + the replica's good one
         _expect(asked_home=2, asked_replica=1, fallbacks=1,
                 remote_fetches=5, corruption_detected=1)),
-    "home-negative-cached": (
-        {}, {}, lambda d: d._note_dead_route(HOME), None,
+    "home-convicted": (
+        {}, {}, _convict_home, None,
         _expect(**{**UNBATCHED, "asked_home": 0}, asked_replica=4,
+                failovers=4)),
+    "home-negative-cached": (
+        # an earlier full-budget exchange with HOME was exhausted (the
+        # one send counted here): its breaker is the memory of that
+        dict(classic={(HOME, "train/lost"): None}), {},
+        lambda d: d._peer_fetch("train/lost", None, HOME), None,
+        _expect(**{**UNBATCHED, "asked_home": 1}, asked_replica=4,
                 failovers=4)),
     "breaker-open": (
         {}, {}, lambda d: d.health.force_open(HOME), None,

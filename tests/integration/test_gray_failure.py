@@ -29,6 +29,7 @@ from repro.comm.chaos import ChaosWorld, FaultPlan
 from repro.comm.communicator import ANY_SOURCE
 from repro.comm.launcher import run_parallel
 from repro.fanstore.daemon import (
+    _OVERLOAD_RETRY_AFTER_S,
     _REPLY_TAG_BASE,
     TAG_DAEMON,
     DaemonConfig,
@@ -199,9 +200,7 @@ class TestAdmissionControlBurst:
         the two most-overdue requests are shed with overload replies,
         the remaining expired one is admitted but dropped unserved, and
         every in-deadline request is answered."""
-        config = DaemonConfig(
-            max_queue_depth=_CAPACITY, overload_retry_after_s=0.07
-        )
+        config = DaemonConfig(max_queue_depth=_CAPACITY)
 
         def body(comm):
             if comm.rank == 0:
@@ -248,7 +247,7 @@ class TestAdmissionControlBurst:
         # the two most-overdue requests were the ones shed, and each
         # carried the server's suggested back-off
         assert [t for t, _ in overloaded] == [0x7100, 0x7101]
-        assert all(ra == pytest.approx(0.07) for _, ra in overloaded)
+        assert all(ra == _OVERLOAD_RETRY_AFTER_S for _, ra in overloaded)
         # every in-deadline request got an authoritative not-found
         assert [r for _, r in answered] == [
             (Reply.MISS, f"no/such/{t:#x}") for t in range(0x7103, 0x710a)

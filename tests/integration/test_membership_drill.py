@@ -50,8 +50,8 @@ FAST = dict(
 )
 
 #: dead_after is deliberately the slow part: the deterministic probe
-#: reads (full retry ladder, then a negative-route-cache hit) must both
-#: land before the conviction bumps the epoch.
+#: reads (full retry ladder, then an open-breaker skip) must both land
+#: before the conviction makes the skip the view's doing.
 MCFG = MembershipConfig(
     heartbeat_interval=0.05, suspect_after=0.3, dead_after=2.0
 )
@@ -163,7 +163,7 @@ class TestMembershipDrill:
             if comm.rank == KILLER:
                 t_kill = time.monotonic()
                 world.kill(DEAD)
-                probe = _probe_dead_routes(fs)
+                probe = _probe_exhausted_home(fs)
             else:
                 t_kill = None
                 probe = {}
@@ -267,12 +267,12 @@ class TestMembershipDrill:
         assert {r["epoch"] for r in results} == {2}
 
         # the deterministic probe: one full retry ladder on the dead
-        # home, then the negative route cache short-circuits the next
-        # read — failover without a single new retry
+        # home opens its breaker, which short-circuits the next read —
+        # failover without a single new retry
         probe = next(r["probe"] for r in survivors if r["probe"])
         assert probe["first_retries"] >= 1
         assert probe["second_retries"] == 0
-        assert probe["dead_route_skips"] == 1
+        assert probe["breaker_skips"] == 1
 
         # the rejoined incarnation read the full namespace byte-exact
         assert rejoined[0]["files_ok"]
@@ -282,10 +282,11 @@ class TestMembershipDrill:
         assert CheckpointManager(ckpt_dir).epochs() == list(range(TOTAL_EPOCHS))
 
 
-def _probe_dead_routes(fs) -> dict:
+def _probe_exhausted_home(fs) -> dict:
     """Two reads of records homed on the (not yet convicted) corpse:
-    the first pays the full retry ladder and caches the outcome, the
-    second must fail over immediately off the negative route cache."""
+    the first pays the full retry ladder, which opens the corpse's
+    breaker (two strikes, below the threshold — the spent budget does
+    it); the second must fail over immediately off the open breaker."""
     stats = fs.daemon.stats
     victims = sorted(
         r.path for r in fs.daemon.metadata.records()
@@ -294,12 +295,12 @@ def _probe_dead_routes(fs) -> dict:
     assert len(victims) >= 2
     fs.client.read_file(victims[0])  # retry ladder → replica failover
     first_retries = stats.retries
-    skips_before = stats.dead_route_skips
-    fs.client.read_file(victims[1])  # cache hit → straight to replica
+    skips_before = stats.breaker_skips
+    fs.client.read_file(victims[1])  # gate says no → straight to replica
     return {
         "first_retries": first_retries,
         "second_retries": stats.retries - first_retries,
-        "dead_route_skips": stats.dead_route_skips - skips_before,
+        "breaker_skips": stats.breaker_skips - skips_before,
     }
 
 
