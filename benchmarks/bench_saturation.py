@@ -5,8 +5,9 @@ rank hammer it with small reads — the many-DataLoader-workers shape
 the paper's training runs produce.
 
 The storm goes through ``open_file``/``close_file``: the path a
-DataLoader worker actually takes (``client.read_file`` is exactly that
-pair), and since the daemon's direct-fetch single-flight was deleted
+DataLoader worker's intercepted ``open()`` takes (``client.read_file``
+joins the same in-flight table but never pins), and since the daemon's
+direct-fetch single-flight was deleted
 for want of a caller, the only one with a coalescing point — the
 cache's in-flight table. (Until PR 19 the storm called
 ``fetch_compressed`` directly, a path no reader takes, and published

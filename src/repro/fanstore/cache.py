@@ -13,6 +13,26 @@ plus a capacity-bounded retention mode (``retain_unpinned=True``) used
 by the cache-policy ablation benchmark: entries whose count hits zero
 stay cached FIFO-ordered until capacity pressure evicts them, and a
 reopened file becomes a cache hit.
+
+How the paper's verbs map here:
+
+- ``open()`` of a file (Figure 2) is :meth:`DecompressedCache.get_or_compute`
+  — a hit pins the resident entry, a miss decompresses once per miss
+  storm and installs the entry pinned; :meth:`~DecompressedCache.open` /
+  :meth:`~DecompressedCache.insert` are the same two steps, unfused.
+- ``read()`` (Figure 3) copies out of the pinned entry; the cache is not
+  involved.
+- ``close()`` (Figure 4) is :meth:`DecompressedCache.close` — unpin, and
+  free at refcount zero.
+- A whole-file read — ``open``, ``read`` everything, ``close`` with
+  nothing in between — is :meth:`DecompressedCache.read_once`. Under the
+  paper's policy the entry such a read would install is freed by its
+  own close before anyone else could see it, so ``read_once`` skips
+  the residency altogether: a resident entry is read without a pin, a
+  miss joins or leads the key's in-flight computation and hands back
+  its bytes without installing, pinning, unpinning or evicting
+  anything. What other readers observe is unchanged — a descriptor
+  opened during the read still shares the one in-flight computation.
 """
 
 from __future__ import annotations
@@ -35,7 +55,7 @@ class CacheStats:
     evictions: int = 0
     rejected: int = 0  # entries larger than the whole cache
     quarantined: int = 0  # entries discarded after integrity failures
-    singleflight_leaders: int = 0  # get_or_compute misses that ran the factory
+    singleflight_leaders: int = 0  # misses that ran the factory
     singleflight_followers: int = 0  # concurrent misses that shared a flight
 
     @property
@@ -52,13 +72,21 @@ class _Entry:
 
 class _Flight:
     """One in-flight miss computation. ``done`` stays None until the
-    first follower attaches (under the cache lock) and parks on it."""
+    first follower attaches (under the cache lock) and parks on it.
 
-    __slots__ = ("done", "error")
+    The leader leaves its bytes in ``data`` for every follower.
+    ``installed`` says whether they are resident already: a
+    :meth:`DecompressedCache.get_or_compute` leader installs them itself,
+    after a :meth:`DecompressedCache.read_once` leader the first pinning
+    follower does — so a flight's bytes are installed at most once."""
+
+    __slots__ = ("done", "error", "data", "installed")
 
     def __init__(self) -> None:
         self.done: threading.Event | None = None
         self.error: BaseException | None = None
+        self.data: bytes | None = None
+        self.installed = False
 
 
 class DecompressedCache:
@@ -161,11 +189,14 @@ class DecompressedCache:
         nobody can miss, lose the CPU and recompute an entry installed
         meanwhile. A concurrent misser joins the flight, waits, and
         re-opens for its own pin (one miss, then one hit; evicted again
-        already — rare — it leads the next flight). A leader failure
-        reaches that round's followers as the same exception instance;
-        the next caller starts afresh. The waiter ``Event`` is built by
-        the first follower, so an uncontended miss has none. Always
-        returns pinned bytes; pair with :meth:`close`.
+        already — rare — it leads the next flight). When the flight's
+        leader was a :meth:`read_once`, which installs nothing, the
+        first follower to wake installs the leader's bytes and pins them
+        instead (one miss, no second open). A leader failure reaches
+        that round's followers as the same exception instance; the next
+        caller starts afresh. The waiter ``Event`` is built by the first
+        follower, so an uncontended miss has none. Always returns pinned
+        bytes; pair with :meth:`close`.
         """
         while True:
             with self._lock:
@@ -183,10 +214,16 @@ class DecompressedCache:
             done.wait()
             if flight.error is not None:
                 raise flight.error
+            if not flight.installed:
+                with self._lock:
+                    if not flight.installed:
+                        flight.installed = True
+                        return self._install(path, flight.data)
         try:
             data = factory()
             with self._lock:
-                data = self._install(path, data)
+                data = flight.data = self._install(path, data)
+                flight.installed = True
                 self.stats.singleflight_leaders += 1
                 del self._flights[path]
             return data
@@ -198,6 +235,63 @@ class DecompressedCache:
         finally:
             # the flight left the table under the lock: no follower can
             # attach any more, so ``done`` is stable to read here
+            if flight.done is not None:
+                flight.done.set()
+
+    def read_once(self, path: str, factory: Callable[[], bytes]) -> bytes:
+        """``get_or_compute`` + ``close`` with nothing in between, minus
+        the residency nobody could observe: the bytes of ``path``,
+        never pinned.
+
+        A resident entry that is not doomed is a hit, read without
+        touching its refcount. Otherwise this is a miss of the same
+        in-flight table :meth:`get_or_compute` uses: with a flight
+        registered for the key it follows and returns the leader's
+        bytes (whichever kind the leader was); with none it leads — runs
+        ``factory`` outside the lock, hands the bytes to its followers
+        and retires the flight, installing nothing. Every call counts an
+        open and a hit or a miss (and a leader or follower) exactly as
+        :meth:`get_or_compute` would; no call counts an eviction. In the
+        ``retain_unpinned`` ablation mode a reread must hit, so there it
+        *is* ``get_or_compute`` + ``close``.
+        """
+        if self.retain_unpinned:
+            data = self.get_or_compute(path, factory)
+            self.close(path)
+            return data
+        with self._lock:
+            self.stats.opens += 1
+            entry = self._entries.get(path)
+            if entry is not None and not entry.doomed:
+                self.stats.hits += 1
+                return entry.data
+            self.stats.misses += 1
+            flight = self._flights.get(path)
+            if flight is not None:
+                self.stats.singleflight_followers += 1
+                done = flight.done
+                if done is None:
+                    done = flight.done = threading.Event()
+            else:
+                flight = self._flights[path] = _Flight()
+                done = None
+        if done is not None:
+            done.wait()
+            if flight.error is not None:
+                raise flight.error
+            return flight.data
+        try:
+            data = flight.data = factory()
+            with self._lock:
+                self.stats.singleflight_leaders += 1
+                del self._flights[path]
+            return data
+        except BaseException as exc:
+            flight.error = exc
+            with self._lock:
+                self._flights.pop(path, None)
+            raise
+        finally:
             if flight.done is not None:
                 flight.done.set()
 

@@ -123,7 +123,12 @@ class FanStoreClient:
     def _check_not_writing(self, path: str) -> None:
         """The read side of the single-write rule. ``_writing`` holds
         canonical paths, so ``path`` is normalized to compare — but only
-        when there is something to compare against."""
+        when there is something to compare against. With nothing open
+        for writing the lock is not taken either: a reader racing the
+        first writer's ``open`` is ordered before it, as it would be had
+        it taken the lock first."""
+        if not self._writing:
+            return
         with self._lock:
             if self._writing and normalize(path) in self._writing:
                 raise WriteViolationError(
@@ -350,16 +355,11 @@ class FanStoreClient:
     # -- conveniences --------------------------------------------------------
 
     def read_file(self, path: str) -> bytes:
-        """Whole-file read: pin, take the reference, unpin — the same
-        bytes ``open``/``read``/``close`` return, without the descriptor
-        nobody would see."""
+        """Whole-file read: the same bytes ``open``/``read``/``close``
+        return, without the descriptor nobody would see and without the
+        pin nobody could observe (:meth:`FanStoreDaemon.read_file`)."""
         self._check_not_writing(path)
-        data = self.daemon.open_file(path)  # raises if absent
-        try:
-            # read(fd) at offset 0: for bytes the pinned object itself
-            return data[:]
-        finally:
-            self.daemon.close_file(path)
+        return self.daemon.read_file(path)  # raises if absent
 
     def read_files(self, paths: Sequence[str]) -> list[bytes]:
         """``[read_file(p) for p in paths]`` — same bytes, same order,
@@ -367,7 +367,7 @@ class FanStoreClient:
         exchange per home rank (:meth:`FanStoreDaemon.fetch_many`;
         ``docs/daemon-pipeline.md`` §3 lists what is never batched). A
         fetched blob is decompressed as the cache's in-flight miss of
-        its key and pinned only while it is copied, one file at a time;
+        its key and never pinned (:meth:`FanStoreDaemon.read_fetched`);
         every path the exchange did not settle is a plain
         :meth:`read_file`."""
         daemon = self.daemon
@@ -381,11 +381,7 @@ class FanStoreClient:
                 out.append(self.read_file(path))
                 continue
             self._check_not_writing(path)
-            data = daemon.open_fetched(path, *hit)
-            try:
-                out.append(data[:])
-            finally:
-                daemon.close_file(path)
+            out.append(daemon.read_fetched(path, *hit))
         return out
 
     def write_file(self, path: str, data: bytes) -> None:

@@ -374,7 +374,9 @@ class FanStoreDaemon:
         self.stats.bind(self.metrics)
         self.cache.bind_metrics(self.metrics)
         self._obs_tick = 0
-        self._last_verify_s = 0.0  # per-fetch verify cost (see _blob_ok)
+        # an observed miss's verify seconds, None when nobody observes
+        # (see _blob_ok)
+        self._last_verify_s: float | None = None
         self._h_meta = self.metrics.histogram("daemon.phase.metadata_seconds")
         self._h_fetch = self.metrics.histogram("daemon.phase.fetch_seconds")
         self._h_verify = self.metrics.histogram("daemon.phase.verify_seconds")
@@ -1811,27 +1813,37 @@ class FanStoreDaemon:
         """Digest check of compressed bytes against the record; passes
         when verification is off or no digest was recorded.
 
-        Verification time accumulates into ``_last_verify_s`` — an
-        observed open resets it before fetching, so the verify phase
-        histogram captures every digest check the fetch ladder did for
-        that read (a failover verifies at each tier).
+        Verification time accumulates into ``_last_verify_s`` while an
+        observed miss (:meth:`_observed_miss_bytes`) has it set to a
+        number, so the verify phase histogram captures every digest
+        check the fetch ladder did for that read (a failover verifies at
+        each tier); an unobserved check reads no clock.
 
         Brownout: while the service loop is shedding (see
         :meth:`_admit`), *re*-verification of a payload this rank
         already digest-checked once is skipped — the marginal
         protection of the Nth identical check is what overload can
-        afford to lose. First-time checks always run."""
+        afford to lose. First-time checks always run. A rank that has
+        never shed reads no brownout clock."""
         if not self.config.verify_reads or not record.stat.has_digest:
             return True
+        brownout_until = self._brownout_until
         if (
-            record.path in self._verified_paths
-            and time.monotonic() < self._brownout_until
+            brownout_until
+            and record.path in self._verified_paths
+            and time.monotonic() < brownout_until
         ):
             self.stats.brownout_skipped_verifies += 1
             return True
-        t0 = time.perf_counter()
-        ok = blob_crc32(data) == record.stat.crc32
-        self._last_verify_s += time.perf_counter() - t0
+        # one read of the accumulator: another thread's observed miss
+        # may reset it to None at any moment
+        verify_s = self._last_verify_s
+        if verify_s is None:
+            ok = blob_crc32(data) == record.stat.crc32
+        else:
+            t0 = time.perf_counter()
+            ok = blob_crc32(data) == record.stat.crc32
+            self._last_verify_s = verify_s + (time.perf_counter() - t0)
         if ok:
             self._verified_paths.add(record.path)
         else:
@@ -2367,11 +2379,26 @@ class FanStoreDaemon:
             path, lambda: self._miss_bytes(path, record)
         )
 
+    def read_file(self, path: str) -> bytes:
+        """:meth:`open_file`, take the bytes, :meth:`close_file` — as
+        one call that probes once and pins nothing
+        (:meth:`DecompressedCache.read_once`): a resident entry is read
+        in place, a miss runs the same :meth:`_miss_bytes` pipeline as
+        the cache's in-flight computation of the key — joined by, or
+        joining, any concurrent opener — and is never installed."""
+        record = self.metadata.probe(path)
+        if record is None:
+            path = normalize(path)
+        return self.cache.read_once(
+            path, lambda: self._miss_bytes(path, record)
+        )
+
     def _miss_bytes(self, norm: str, record: FileRecord | None) -> bytes:
         """The cache-miss factory: fetch + verify + decompress, *not*
         inserted — :meth:`DecompressedCache.get_or_compute` installs and
-        pins the result. Its caller leads that flight, so it is the only
-        fetcher of ``norm`` and walks the ladder directly."""
+        pins the result, :meth:`DecompressedCache.read_once` hands it
+        over. Its caller leads that flight, so it is the only fetcher of
+        ``norm`` and walks the ladder directly."""
         self._obs_tick = tick = self._obs_tick + 1
         every = self.config.metrics_every
         if (
@@ -2393,29 +2420,36 @@ class FanStoreDaemon:
         :meth:`Tracer.maybe_root`); per-phase latencies go to the
         ``daemon.phase.*`` histograms. The metadata phase is ≈ 0 for a
         carried record, the fetch phase includes any remote hops, verify
-        is broken out via ``_last_verify_s`` (see :meth:`_blob_ok`)."""
+        is broken out via ``_last_verify_s`` (see :meth:`_blob_ok`), which
+        is a number only while this method runs."""
         with self.tracer.maybe_root("client.read", path=norm):
             t0 = time.perf_counter()
             if record is None:
                 record = self._lookup(norm)
             t1 = time.perf_counter()
             self._last_verify_s = 0.0
-            compressed = self._fetch_ladder(norm, None, record)
+            try:
+                compressed = self._fetch_ladder(norm, None, record)
+                # None if a concurrent observed miss finished first
+                verify_s = self._last_verify_s or 0.0
+            finally:
+                self._last_verify_s = None
             t2 = time.perf_counter()
             plain = self._decompress(record, compressed, observed=True)
             t3 = time.perf_counter()
             self._h_meta.observe(t1 - t0)
             self._h_fetch.observe(t2 - t1)
-            self._h_verify.observe(self._last_verify_s)
+            self._h_verify.observe(verify_s)
             self._h_decompress.observe(t3 - t2)
             self._h_open.observe(time.perf_counter() - t0)
             return plain
 
-    def open_fetched(self, norm: str, record: FileRecord, blob: bytes) -> bytes:
-        """:meth:`open_file` for a path whose verified blob
+    def read_fetched(self, norm: str, record: FileRecord, blob: bytes) -> bytes:
+        """:meth:`read_file` for a path whose verified blob
         :meth:`fetch_many` already holds: the decompress runs as the
-        cache's in-flight computation of the key, and counts as a miss
-        for the ``metrics_every`` decode sampling like any other."""
+        cache's in-flight computation of the key, pins nothing, and
+        counts as a miss for the ``metrics_every`` decode sampling like
+        any other."""
         def miss() -> bytes:
             self._obs_tick = tick = self._obs_tick + 1
             every = self.config.metrics_every
@@ -2423,7 +2457,7 @@ class FanStoreDaemon:
                 record, blob, observed=bool(every and tick % every == 0)
             )
 
-        return self.cache.get_or_compute(norm, miss)
+        return self.cache.read_once(norm, miss)
 
     def close_file(self, path: str) -> None:
         """Figure 4's close(): unpin (and free at refcount zero). Like

@@ -180,6 +180,105 @@ class TestQuarantine:
         assert cache.resident_bytes == 0
 
 
+class TestReadOnce:
+    """The whole-file read: open, read everything, close — with the
+    residency nobody could observe left out."""
+
+    def test_miss_installs_nothing_and_counts_an_open(self):
+        cache = DecompressedCache(1000)
+        assert cache.read_once("f", lambda: b"data") == b"data"
+        assert "f" not in cache and cache.resident_bytes == 0
+        stats = cache.stats
+        assert (stats.opens, stats.misses, stats.hits) == (1, 1, 0)
+        assert (stats.singleflight_leaders, stats.evictions) == (1, 0)
+        assert not cache._flights
+
+    def test_resident_entry_is_a_hit_without_a_pin(self):
+        cache = DecompressedCache(1000)
+        cache.open("f")
+        cache.insert("f", b"data")
+
+        def never() -> bytes:
+            raise AssertionError("a resident entry is not recomputed")
+
+        assert cache.read_once("f", never) == b"data"
+        assert cache.refcount("f") == 1  # the opener's pin, no more
+        assert (cache.stats.opens, cache.stats.hits) == (2, 1)
+
+    def test_doomed_entry_is_a_miss_that_leaves_it_doomed(self):
+        cache = DecompressedCache(1000)
+        cache.open("f")
+        cache.insert("f", b"corrupt!")
+        cache.discard("f")
+        assert cache.read_once("f", lambda: b"repaired") == b"repaired"
+        assert cache.open("f") is None  # still never served again
+        cache.close("f")
+        assert "f" not in cache and cache.stats.evictions == 1
+
+    def test_leader_failure_leaves_no_flight(self):
+        cache = DecompressedCache(1000)
+        with pytest.raises(KeyError):
+            cache.read_once("f", lambda: {}["missing"])
+        assert not cache._flights
+        assert cache.read_once("f", lambda: b"ok") == b"ok"
+        assert cache.stats.singleflight_leaders == 1
+
+    def test_a_flights_bytes_are_installed_at_most_once(self, monkeypatch):
+        """Two pinning followers of a ``read_once`` leader: the first to
+        wake installs the leader's bytes; if they are quarantined before
+        the second wakes, the second must not install them again over
+        the doomed entry — it misses and fetches afresh. Constructed: the
+        leader's factory returns only once both followers wait, and each
+        follower wakes only when released."""
+        arrived = {name: threading.Event() for name in ("g1", "g2")}
+        release = {name: threading.Event() for name in ("g1", "g2")}
+
+        class GatedEvent(threading.Event):
+            def wait(self, timeout=None):
+                name = threading.current_thread().name
+                arrived[name].set()
+                super().wait(10)
+                return release[name].wait(10)
+
+        cache = DecompressedCache(1000)
+        monkeypatch.setattr(
+            cache_module, "threading", types.SimpleNamespace(Event=GatedEvent)
+        )
+        got: dict[str, bytes] = {}
+
+        def follower(name):
+            got[name] = cache.get_or_compute("f", lambda: b"fresh")
+
+        threads = {
+            name: threading.Thread(target=follower, args=(name,), name=name)
+            for name in ("g1", "g2")
+        }
+
+        def leader_factory() -> bytes:
+            for name, thread in threads.items():
+                thread.start()
+                assert arrived[name].wait(10)
+            return b"first"
+
+        assert cache.read_once("f", leader_factory) == b"first"
+        release["g1"].set()
+        threads["g1"].join(10)
+        assert got["g1"] == b"first" and cache.refcount("f") == 1
+        assert cache.discard("f") is True  # pinned: doomed
+        release["g2"].set()
+        threads["g2"].join(10)
+        assert got["g2"] == b"fresh"
+        assert cache.stats.singleflight_leaders == 2
+        assert cache.refcount("f") == 2
+
+    def test_retention_mode_keeps_install_and_close(self):
+        cache = DecompressedCache(1000, retain_unpinned=True)
+        assert cache.read_once("f", lambda: b"data") == b"data"
+        assert "f" in cache and cache.refcount("f") == 0
+        assert cache.read_once("f", lambda: b"other") == b"data"  # a hit
+        assert cache.stats.hit_rate == 0.5
+
+
 class TestConcurrency:
     def test_parallel_open_close_stress(self):
         cache = DecompressedCache(1 << 20)

@@ -4,6 +4,8 @@ multi-read single-write model, directory streams."""
 from __future__ import annotations
 
 import os
+import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.errors import (
     FileNotFoundInStoreError,
     WriteViolationError,
 )
+from repro.fanstore import cache as cache_module
 from repro.fanstore.client import O_CREAT, O_RDONLY, O_WRONLY
 
 
@@ -116,7 +119,7 @@ class TestReadFile:
         fds = [client.open(s) for s in [path, *spellings(path)]]
         assert len(cache) == 1
         assert cache.refcount(path) == len(fds)
-        # a whole-file read in between pins and unpins that same entry
+        # a whole-file read in between hits that same entry, unpinned
         assert client.read_file(spellings(path)[0]) == client.read(fds[0])
         assert cache.refcount(path) == len(fds)
         for fd in fds:
@@ -176,24 +179,188 @@ class TestReadFile:
         assert cache.refcount(path) == 0 and len(cache) == 0
 
         # (ii) while a descriptor pins the entry: it is doomed, the next
-        # read re-misses on it and installs fresh bytes in its place
+        # read re-misses on it and returns fresh bytes. A whole-file read
+        # installs nothing, so the doomed bytes are not replaced in place
+        # (no eviction here); they leave residency at the descriptor's
+        # close, the one eviction of this row
         fd = client.open(path)
         misses, evictions = stats.misses, stats.evictions
         assert cache.discard(path) is True
         assert client.read_file(path) == whole
-        assert (stats.misses, stats.evictions) == (misses + 1, evictions + 1)
+        assert (stats.misses, stats.evictions) == (misses + 1, evictions)
         assert stats.quarantined == 1
         assert cache.refcount(path) == 1  # the descriptor's pin, no more
         assert client.read(fd) == whole
         client.close(fd)
+        assert stats.evictions == evictions + 1
         assert cache.refcount(path) == 0 and len(cache) == 0
 
-        # (iii) after the last close: nothing left to quarantine
+        # (iii) after the last close: nothing left to quarantine, and the
+        # read, installing nothing, has nothing to evict either
         assert cache.discard(path) is False
         assert client.read_file(path) == whole
         assert stats.quarantined == 1
+        assert stats.evictions == evictions + 1
         assert cache.refcount(path) == 0
         assert path not in cache and len(cache) == 0
+
+
+def _whole(client, path: str) -> bytes:
+    return client.read_file(path)
+
+
+def _descriptor(client, path: str) -> int:
+    return client.open(path)
+
+
+class TestReadFileSharesTheFlight:
+    """A whole-file read and a descriptor open of one file, one arriving
+    inside the other's miss — in every mix, the file is fetched once.
+
+    Each interleaving is constructed, not raced: the leader's backend
+    fetch starts the follower on a helper thread and returns only after
+    the follower has joined the flight (it has built the flight's waiter
+    ``Event``), so who leads and who follows is fixed before the leader
+    finishes. No sleep, no poll; the verdict cannot depend on the
+    scheduler."""
+
+    KINDS = {"read_file": _whole, "descriptor": _descriptor}
+
+    def _interleave(self, client, monkeypatch, leader, follower, boom=None):
+        """Run ``leader(client, path)`` with ``follower(client, path)``
+        joining its miss; returns the path, the leader's and the
+        follower's outcome (a value, or the exception raised) and the
+        backend fetches made."""
+        daemon, path = client.daemon, first_file(client)
+        joined = threading.Event()
+
+        def waiter_event():  # built by the flight's first follower
+            joined.set()
+            return threading.Event()
+
+        monkeypatch.setattr(
+            cache_module, "threading", SimpleNamespace(Event=waiter_event)
+        )
+        follower_outcome: list = []
+
+        def follow():
+            try:
+                follower_outcome.append(follower(client, path))
+            except BaseException as exc:
+                follower_outcome.append(exc)
+
+        helper = threading.Thread(target=follow)
+        fetches: list[str] = []
+        backend_get = daemon.backend.get
+
+        def leader_get(key):
+            fetches.append(key)
+            if len(fetches) == 1:
+                helper.start()
+                assert joined.wait(10)
+                if boom is not None:
+                    raise boom
+            return backend_get(key)
+
+        monkeypatch.setattr(daemon.backend, "get", leader_get)
+        try:
+            leader_outcome = leader(client, path)
+        except BaseException as exc:
+            leader_outcome = exc
+        helper.join(10)
+        monkeypatch.undo()
+        assert not helper.is_alive() and len(follower_outcome) == 1
+        return path, leader_outcome, follower_outcome[0], fetches
+
+    def test_read_file_follower_of_a_descriptor_leader(
+        self, client, monkeypatch
+    ):
+        path, fd, data, fetches = self._interleave(
+            client, monkeypatch, _descriptor, _whole
+        )
+        cache = client.daemon.cache
+        assert fetches == [path]
+        assert data == client.read(fd)  # the leader's bytes, handed over
+        assert cache.refcount(path) == 1  # the leader's pin, no more
+        stats = cache.stats
+        assert (stats.singleflight_leaders, stats.singleflight_followers) == (
+            1, 1
+        )
+        client.close(fd)
+        assert len(cache) == 0
+
+    def test_descriptor_follower_of_a_read_file_leader(
+        self, client, monkeypatch
+    ):
+        path, data, fd, fetches = self._interleave(
+            client, monkeypatch, _whole, _descriptor
+        )
+        cache = client.daemon.cache
+        assert fetches == [path]
+        # the follower installed the leader's bytes and pinned them
+        assert cache.refcount(path) == 1
+        assert client.read(fd) == data
+        stats = cache.stats
+        assert (stats.singleflight_leaders, stats.singleflight_followers) == (
+            1, 1
+        )
+        assert stats.evictions == 0
+        client.close(fd)
+        assert len(cache) == 0 and stats.evictions == 1
+
+    @pytest.mark.parametrize("follower", sorted(KINDS))
+    @pytest.mark.parametrize("leader", sorted(KINDS))
+    def test_every_mix_fetches_once(self, client, monkeypatch, leader, follower):
+        kinds = self.KINDS
+        path, led, followed, fetches = self._interleave(
+            client, monkeypatch, kinds[leader], kinds[follower]
+        )
+        assert fetches == [path]
+        outcomes = {leader: [led], follower: [followed]}
+        if leader == follower:
+            outcomes[leader] = [led, followed]
+        fds = outcomes.get("descriptor", [])
+        cache = client.daemon.cache
+        assert cache.refcount(path) == len(fds)  # one pin per descriptor
+        whole = [client.read(fd) for fd in fds] + outcomes.get("read_file", [])
+        assert len(set(whole)) == 1 and whole[0]
+        for fd in fds:
+            client.close(fd)
+        assert len(cache) == 0 and not cache._flights
+
+    @pytest.mark.parametrize("follower", sorted(KINDS))
+    @pytest.mark.parametrize("leader", sorted(KINDS))
+    def test_a_leader_failure_reaches_either_follower(
+        self, client, monkeypatch, leader, follower
+    ):
+        boom = FanStoreError("the leader's fetch failed")
+        path, led, followed, fetches = self._interleave(
+            client, monkeypatch, self.KINDS[leader], self.KINDS[follower],
+            boom=boom,
+        )
+        assert fetches == [path]
+        assert led is boom and followed is boom  # one failure, shared
+        cache = client.daemon.cache
+        assert len(cache) == 0 and not cache._flights
+        # the failed flight left the table: the next read leads anew
+        assert client.read_file(path)
+
+    def test_read_file_of_a_pinned_path_is_a_hit(self, client, monkeypatch):
+        path = first_file(client)
+        daemon = client.daemon
+        stats = daemon.cache.stats
+        fd = client.open(path)
+        hits, misses, opens = stats.hits, stats.misses, stats.opens
+        monkeypatch.setattr(
+            daemon.backend, "get",
+            lambda key: pytest.fail("a resident file is not fetched"),
+        )
+        assert client.read_file(path) == client.read(fd)
+        assert (stats.opens, stats.hits, stats.misses) == (
+            opens + 1, hits + 1, misses
+        )
+        assert daemon.cache.refcount(path) == 1  # unchanged
+        client.close(fd)
 
 
 class TestLseek:

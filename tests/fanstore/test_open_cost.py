@@ -8,6 +8,12 @@ close) and none inside the miss, one in-flight registration, and a
 Python-call budget. The parent of the PR that added this file executed
 6 ``normalize``, 2 lookups inside the miss, 2 registrations and 43 calls.
 
+A whole-file read (``read_file``) is cheaper than a descriptor's open,
+read and close: it never makes the entry resident, so it probes the
+table once, installs and evicts nothing, and takes fewer locks — 18
+Python calls and 4 lock acquisitions where the open/close pair it
+replaced took 25 and 7.
+
 The batched remote read (``read_files``) is pinned the same way at the
 end of the file: messages, fetches, misses, digest passes and ``Event``
 constructions per batch of 16 — and, on one rank, that it executes what
@@ -24,6 +30,7 @@ import pytest
 
 import repro.fanstore.daemon as daemon_module
 from repro.comm.launcher import run_parallel
+from repro.fanstore.client import O_CREAT, O_WRONLY
 from repro.datasets.synthetic import generate_dataset
 from repro.fanstore.daemon import DaemonConfig
 from repro.fanstore.prepare import prepare_dataset
@@ -32,20 +39,27 @@ from repro.fanstore.store import FanStore, FanStoreOptions
 N_FILES = 64
 
 
+LOCAL_OPTIONS = FanStoreOptions(config=DaemonConfig(metrics_every=0))
+
+
 @pytest.fixture(scope="module")
-def store(tmp_path_factory):
-    """One rank, RAM backend, ~1.2 KB ``memcpy`` files, sampling off —
-    the ``local_1k_memcpy`` shape."""
+def packed(tmp_path_factory):
+    """~1.2 KB ``memcpy`` files in one partition — the
+    ``local_1k_memcpy`` shape."""
     root = tmp_path_factory.mktemp("open-cost")
     generate_dataset(
         "tokamak", root / "raw", num_files=N_FILES, avg_file_size=1200,
         num_dirs=2, seed=3,
     )
-    prepared = prepare_dataset(
+    return prepare_dataset(
         root / "raw", root / "packed", num_partitions=1, compressor="memcpy"
     )
-    options = FanStoreOptions(config=DaemonConfig(metrics_every=0))
-    with FanStore(prepared, options) as fs:
+
+
+@pytest.fixture(scope="module")
+def store(packed):
+    """One rank, RAM backend, sampling off."""
+    with FanStore(packed, LOCAL_OPTIONS) as fs:
         yield fs
 
 
@@ -54,12 +68,16 @@ def _cost_vector(operation, paths) -> Counter:
 
     Only frames of ``src/repro`` count, without ``repro/analysis`` (the
     lockdep witness's lock proxies run under pytest, not in production).
-    ``lookups_in_miss`` are metadata lookups between entering
-    ``get_or_compute`` and reaching ``backend.get``: there the record
-    must already be in hand.
+    ``lookups_in_miss`` are metadata lookups between entering the cache
+    (``get_or_compute`` / ``read_once``) and reaching ``backend.get``:
+    there the record must already be in hand. ``installs`` and
+    ``evictions`` are entries made and freed resident.
     """
     counts: Counter = Counter()
     in_miss = False
+    entries = {
+        "DecompressedCache.get_or_compute", "DecompressedCache.read_once",
+    }
 
     def profiler(frame, event, _arg):
         nonlocal in_miss
@@ -80,7 +98,11 @@ def _cost_vector(operation, paths) -> Counter:
             counts["flights"] += 1
         elif name == "FanStoreDaemon._skip_reason":
             counts["gate_calls"] += 1
-        elif name == "DecompressedCache.get_or_compute":
+        elif name == "DecompressedCache._install":
+            counts["installs"] += 1
+        elif name == "DecompressedCache._evict":
+            counts["evictions"] += 1
+        elif name in entries:
             in_miss = True
         elif name.endswith("Backend.get"):
             counts["backend_gets"] += 1
@@ -93,6 +115,49 @@ def _cost_vector(operation, paths) -> Counter:
     finally:
         sys.setprofile(None)
     return counts
+
+
+class _CountingLock:
+    """Stands in for a lock (or condition) and counts its acquisitions."""
+
+    def __init__(self, inner, tally: list) -> None:
+        self._inner = inner
+        self._tally = tally
+
+    def acquire(self, *args, **kwargs):
+        self._tally.append(None)
+        return self._inner.acquire(*args, **kwargs)
+
+    def __enter__(self):
+        self._tally.append(None)
+        return self._inner.__enter__()
+
+    def __exit__(self, *exc):
+        return self._inner.__exit__(*exc)
+
+    def __getattr__(self, name):  # release, locked, wait, notify, ...
+        return getattr(self._inner, name)
+
+
+def _lock_acquisitions(fs, operation, paths) -> int:
+    """Lock acquisitions over ``operation(path)`` for every path: every
+    lock held as an attribute by the client, the daemon or one of the
+    daemon's own parts (metadata table, cache, backend, health tracker,
+    ...) is swapped for a counting stand-in for the duration."""
+    tally: list[None] = []
+    owners = [fs.client, fs.daemon, *(
+        part for part in vars(fs.daemon).values()
+        if type(part).__module__.startswith("repro.")
+        and hasattr(part, "__dict__")
+    )]
+    with pytest.MonkeyPatch.context() as patch:
+        for owner in owners:
+            for name, value in list(vars(owner).items()):
+                if hasattr(value, "acquire") and hasattr(value, "__exit__"):
+                    patch.setattr(owner, name, _CountingLock(value, tally))
+        for path in paths:
+            operation(path)
+    return len(tally)
 
 
 def _paths(fs) -> list[str]:
@@ -109,16 +174,45 @@ def test_read_file_cost_vector(store):
     n = len(paths)
     assert counts["backend_gets"] == n  # every read was a real miss
     assert counts["normalize"] <= 1 * n
-    assert counts["lookups"] <= 2 * n
+    assert counts["lookups"] == 1 * n  # the open's probe; there is no close
     assert counts["lookups_in_miss"] == 0  # the record is carried
     assert counts["flights"] == 1 * n
+    # never resident: nothing installed, so nothing to evict
+    assert counts["installs"] == counts["evictions"] == 0
     assert counts["gate_calls"] == 0  # "may I ask rank r?" is a remote question
-    assert counts["python_calls"] <= 30 * n
+    assert counts["python_calls"] <= 18 * n
     # exact: the same reads execute the same calls
     assert _cost_vector(client.read_file, paths) == counts
 
 
+def test_read_file_lock_acquisitions_and_digest_passes(packed, monkeypatch):
+    """Four locks per read: the metadata table's (the probe), the
+    cache's twice (miss + register the flight; retire it) and the RAM
+    backend's. The client's writer guard takes its lock only while
+    something is open for writing — then it is five, and the guard
+    still runs. One digest pass per read, as ever. (A store of its own:
+    the write below adds a file to the table.)"""
+    with FanStore(packed, LOCAL_OPTIONS) as fs:
+        client, paths = fs.client, _paths(fs)
+        n = len(paths)
+        for path in paths:
+            client.read_file(path)
+        assert _lock_acquisitions(fs, client.read_file, paths) == 4 * n
+        digests = _Tally(monkeypatch, daemon_module, "blob_crc32")
+        for path in paths:
+            client.read_file(path)
+        assert len(digests) == n
+        fd = client.open("out/being-written", O_WRONLY | O_CREAT)
+        try:
+            assert _lock_acquisitions(fs, client.read_file, paths) == 5 * n
+        finally:
+            client.close(fd)
+
+
 def test_descriptor_path_cost_vector(store):
+    """``open``/``read``/``close`` executes what it executed before
+    whole-file reads stopped making entries resident — call for call.
+    Its one lock fewer (9, was 10) is the writer guard's."""
     client, paths = store.client, _paths(store)
 
     def open_read_close(path: str) -> None:
@@ -130,13 +224,14 @@ def test_descriptor_path_cost_vector(store):
         open_read_close(path)
     counts = _cost_vector(open_read_close, paths)
     n = len(paths)
-    assert counts["backend_gets"] == n
-    assert counts["normalize"] <= 1 * n
     # one record resolution per open (the other probe is close's
-    # canonicality proof), none of them inside the miss
-    assert counts["lookups"] <= 2 * n
-    assert counts["lookups_in_miss"] == 0
-    assert counts["flights"] == 1 * n
+    # canonicality proof), none of them inside the miss; one entry
+    # installed pinned at the open and evicted at the close
+    assert counts == Counter(
+        python_calls=29 * n, lookups=2 * n, flights=n, installs=n,
+        evictions=n, backend_gets=n,
+    )
+    assert _lock_acquisitions(store, open_read_close, paths) == 9 * n
 
 
 # -- the batched remote read ----------------------------------------------------
@@ -193,11 +288,13 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
     """One ``read_files`` of 16 paths homed on one healthy peer, as
     counts: one request envelope and one reply (the per-file loop it
     replaced sent 16 and received 16, and the server sent 16), one
-    fetch / miss / leader / eviction per path, two digest passes per
-    blob (the server's ``_verified_local``, the requester's
-    ``_blob_ok`` — pinned here, not yet decided), no ``Event``, and at
-    most 25 Python calls under ``src/repro`` per file on the requesting
-    thread (a lone ``read_file`` of a remote path: 58)."""
+    fetch / miss / leader per path and no eviction (a fetched blob is
+    decompressed without becoming resident; with a pin per file there
+    were 16), two digest passes per blob (the server's
+    ``_verified_local``, the requester's ``_blob_ok`` — pinned here, not
+    yet decided), no ``Event``, and at most 18 Python calls under
+    ``src/repro`` per file on the requesting thread (25 while each file
+    was pinned; a lone ``read_file`` of a remote path: 50, was 58)."""
     stores: dict[int, FanStore] = {}
     config = DaemonConfig(metrics_every=0)
 
@@ -251,17 +348,18 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
             name: cache_after[name] - cache_before[name]
             for name in cache_before
         } == {
-            "opens": BATCH, "misses": BATCH, "evictions": BATCH,
+            "opens": BATCH, "misses": BATCH, "evictions": 0,
             "singleflight_leaders": BATCH, "hits": 0,
             "singleflight_followers": 0, "rejected": 0, "quarantined": 0,
         }
         assert counts["flights"] == BATCH
+        assert counts["installs"] == counts["evictions"] == 0
         assert counts["normalize"] == 0
         # the gate is asked once per decision: per envelope, per lone read
         assert (counts["gate_calls"], alone["gate_calls"]) == (1, BATCH)
         # bounds, not equalities: a reply that beats its receiver to the
         # mailbox saves the parking calls (the counts above cannot move)
-        assert counts["python_calls"] <= 25 * BATCH
-        assert alone["python_calls"] <= 58 * BATCH
+        assert counts["python_calls"] <= 18 * BATCH
+        assert alone["python_calls"] <= 50 * BATCH
 
     run_parallel(body, 2, timeout=120)

@@ -285,6 +285,71 @@ class TestCacheGetOrCompute:
             stats.singleflight_leaders + stats.singleflight_followers
         )
 
+    def test_mixed_readers_never_overlap_a_factory(self):
+        # whole-file reads (read_once) and pinning opens (get_or_compute)
+        # colliding on a few keys under forced preemption: one flight per
+        # key at a time whatever kind leads it, every caller gets the
+        # key's bytes, and nothing is left pinned or resident
+        cache = DecompressedCache(1 << 20)
+        keys = [f"d/k{i}" for i in range(4)]
+        running = dict.fromkeys(keys, 0)
+        guard = threading.Lock()
+        violations: list[str] = []
+
+        def factory_for(key):
+            def factory() -> bytes:
+                with guard:
+                    running[key] += 1
+                    if running[key] > 1:
+                        violations.append(f"{key}: overlapping factory runs")
+                with guard:
+                    running[key] -= 1
+                return key.encode()
+            return factory
+
+        factories = {key: factory_for(key) for key in keys}
+        n_threads, rounds = 8, 1000
+        start = threading.Barrier(n_threads)
+        errors: list[BaseException] = []
+
+        def worker(index: int):
+            try:
+                start.wait(10)
+                for i in range(rounds):
+                    key = keys[(index + i) % len(keys)]
+                    if (index + i) % 2:
+                        data = cache.read_once(key, factories[key])
+                    else:
+                        data = cache.get_or_compute(key, factories[key])
+                        cache.close(key)
+                    assert data == key.encode()
+            except BaseException as exc:  # pragma: no cover - fails the test
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert not violations, violations[:5]
+        assert all(cache.refcount(key) == 0 for key in keys)
+        assert len(cache) == 0 and not cache._flights
+        stats = cache.stats
+        assert stats.opens == stats.hits + stats.misses
+        assert stats.misses == (
+            stats.singleflight_leaders + stats.singleflight_followers
+        )
+
     def test_leader_failure_shared_then_fresh_flight(self):
         cache = DecompressedCache(1 << 20)
         boom = FanStoreError("decompress failed")
