@@ -14,7 +14,7 @@ import hashlib
 import os
 import threading
 from pathlib import Path
-from typing import Protocol
+from typing import ClassVar, Protocol
 
 from repro.errors import (
     DataIntegrityError,
@@ -31,7 +31,16 @@ class Backend(Protocol):
     implementation to it): ``ingest`` makes one prepared partition
     file's payloads readable and returns its entries, ``get`` raises
     :class:`FileNotFoundInStoreError` when absent, ``discard``
-    quarantines a (corrupt) copy — True if there was one."""
+    quarantines a (corrupt) copy — True if there was one.
+
+    ``hands_out_stored`` is a class-level fact: True when ``get``
+    returns the very object ``put``/``ingest`` stored (immutable
+    ``bytes``, or read-only slices of a ``bytes`` partition buffer), so
+    the same object is the same content and the daemon need not hash it
+    twice for peers. False when ``get`` is a fresh read of storage that
+    can rot."""
+
+    hands_out_stored: ClassVar[bool]
 
     def ingest(self, partition_file: Path) -> list[PartitionEntry]: ...
     def put(self, path: str, data: bytes) -> None: ...
@@ -54,6 +63,8 @@ def _ingest_by_put(self: Backend, partition_file: Path) -> list[PartitionEntry]:
 
 class RamBackend:
     """Compressed bytes in an in-memory hash table."""
+
+    hands_out_stored = True
 
     def __init__(self) -> None:
         self._objects: dict[str, bytes] = {}
@@ -101,6 +112,8 @@ class PartitionBackend:
     copies them in during load); runtime writes fall back to an overlay
     dict, since partitions are immutable once prepared.
     """
+
+    hands_out_stored = False
 
     def __init__(self) -> None:
         self._index: dict[str, tuple[Path, int, int]] = {}
@@ -207,6 +220,8 @@ class DiskBackend:
     Blob names are content-addressed from the store path so arbitrary
     dataset paths can't escape ``root`` or collide with OS limits.
     """
+
+    hands_out_stored = False
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)

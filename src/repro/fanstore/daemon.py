@@ -137,10 +137,6 @@ _FAILOVER_ATTEMPTS = 1
 #: quantile of its recent reply latencies.
 _HEDGE_QUANTILE = 0.95
 
-#: how long one shed (or a backlog at/above half the admission queue)
-#: keeps the daemon in brownout.
-_BROWNOUT_HOLD_S = 0.5
-
 #: the back-off an overload reply asks of the requester it shed.
 _OVERLOAD_RETRY_AFTER_S = 0.05
 
@@ -192,7 +188,6 @@ class DaemonStats:
     deadline_expired_drops: int = 0  # served-side: work abandoned pre-serve
     deadline_aborts: int = 0  # client-side: exchanges abandoned at deadline
     overload_backoffs: int = 0  # overload replies received (client backed off)
-    brownout_skipped_verifies: int = 0  # re-verifications skipped under load
     fenced_rejects: int = 0  # mutations refused for carrying a stale epoch
     stale_epoch_aborts: int = 0  # client-side: requests fenced off by a server
     rereplications_frozen: int = 0  # convictions deferred for lack of quorum
@@ -288,9 +283,7 @@ class DaemonConfig:
     breaker_reset_after: float = 1.0
     #: admission control: the service loop drains its mailbox into a
     #: bounded queue; overflow sheds the nearest-deadline entry with an
-    #: overload reply. Shedding (or a backlog at/above half the queue)
-    #: enters *brownout* for half a second: re-verification of
-    #: already-digest-checked payloads is skipped to shed CPU.
+    #: overload reply.
     max_queue_depth: int = 64
     #: epoch fencing: every request carries the sender's membership view
     #: epoch, and mutating requests (``write_meta``) stamped with an
@@ -423,8 +416,11 @@ class FanStoreDaemon:
         self.health.on_probe = self._on_breaker_probe
         self._queue_depth = 0  # service-loop backlog, sampled per drain
         self.metrics.bind_gauge("daemon.queue_depth", self, "_queue_depth")
-        self._brownout_until = 0.0
-        self._verified_paths: set[str] = set()
+        # path → (the backend object last hashed clean for a peer, the
+        # digest it matched); see _verified_local. Each entry states a
+        # fact that cannot go stale (an immutable object matched a
+        # digest), so racing writers cost at most a re-hash: no lock.
+        self._hashed: dict[str, tuple[Any, int]] = {}
         self._membership: FailureDetector | None = None
         self._repair_durations: list[float] = []
         self._rereplication_lock = threading.Lock()  # the two sets below
@@ -747,6 +743,7 @@ class FanStoreDaemon:
                     continue
                 if self.backend.discard(rec.path):
                     self.cache.discard(rec.path)
+                    self._hashed.pop(rec.path, None)
                     dropped += 1
             self.stats.duplicate_replicas_dropped += dropped
             # lazy import: repro.fanstore.scrub imports this module
@@ -881,6 +878,9 @@ class FanStoreDaemon:
         the abort — the intent must stay pending on disk, exactly like
         a real ``kill -9``.
         """
+        # the new object is hashed at its first serve anyway; dropping
+        # the old one's trust entry lets its bytes go with it
+        self._hashed.pop(norm, None)
         journal = self.journal
         if journal is None:
             self.backend.put(norm, data)
@@ -1078,8 +1078,6 @@ class FanStoreDaemon:
         comm = self.comm
         assert comm is not None
         queue = AdmissionQueue(self.config.max_queue_depth)
-        # a backlog of half the queue is the early overload signal
-        brownout_depth = max(2, self.config.max_queue_depth // 2)
         pool = ThreadPoolExecutor(
             max_workers=PIPELINE_WORKERS,
             thread_name_prefix=f"fanstore-pipe-{self.rank}",
@@ -1118,10 +1116,6 @@ class FanStoreDaemon:
                     return
                 depth = len(queue)
                 self._queue_depth = depth
-                if depth >= brownout_depth:
-                    self._brownout_until = (
-                        time.monotonic() + _BROWNOUT_HOLD_S
-                    )
                 entry = queue.pop()
                 if entry is None:
                     continue
@@ -1212,9 +1206,6 @@ class FanStoreDaemon:
                 deadline_at = max(live)
         entry = (kind, request, source)
         shed = queue.push(entry, deadline_at)
-        if shed:
-            # shedding is the overload signal: enter brownout
-            self._brownout_until = time.monotonic() + _BROWNOUT_HOLD_S
         overloaded = (Reply.OVERLOAD, _OVERLOAD_RETRY_AFTER_S)
         for _, victim, victim_source in shed:
             self.stats.shed_requests += 1
@@ -1279,7 +1270,7 @@ class FanStoreDaemon:
         if kind == "fetch":
             self.stats.served_requests += 1
             try:
-                return Reply.OK, self._verified_local(subject)
+                return Reply.OK, self._verified_local(subject, serve=True)
             except FileNotFoundInStoreError:
                 return Reply.MISS, subject
             except DataIntegrityError:
@@ -1817,44 +1808,40 @@ class FanStoreDaemon:
         observed miss (:meth:`_observed_miss_bytes`) has it set to a
         number, so the verify phase histogram captures every digest
         check the fetch ladder did for that read (a failover verifies at
-        each tier); an unobserved check reads no clock.
-
-        Brownout: while the service loop is shedding (see
-        :meth:`_admit`), *re*-verification of a payload this rank
-        already digest-checked once is skipped — the marginal
-        protection of the Nth identical check is what overload can
-        afford to lose. First-time checks always run. A rank that has
-        never shed reads no brownout clock."""
+        each tier); an unobserved check reads no clock."""
         if not self.config.verify_reads or not record.stat.has_digest:
-            return True
-        brownout_until = self._brownout_until
-        if (
-            brownout_until
-            and record.path in self._verified_paths
-            and time.monotonic() < brownout_until
-        ):
-            self.stats.brownout_skipped_verifies += 1
             return True
         # one read of the accumulator: another thread's observed miss
         # may reset it to None at any moment
         verify_s = self._last_verify_s
         if verify_s is None:
-            ok = blob_crc32(data) == record.stat.crc32
-        else:
-            t0 = time.perf_counter()
-            ok = blob_crc32(data) == record.stat.crc32
-            self._last_verify_s = verify_s + (time.perf_counter() - t0)
-        if ok:
-            self._verified_paths.add(record.path)
-        else:
-            self._verified_paths.discard(record.path)
+            return blob_crc32(data) == record.stat.crc32
+        t0 = time.perf_counter()
+        ok = blob_crc32(data) == record.stat.crc32
+        self._last_verify_s = verify_s + (time.perf_counter() - t0)
         return ok
 
-    def _verified_local(self, norm: str, record: FileRecord | None = None) -> bytes:
+    def _hashed_before(self, norm: str, data: Any, crc: int) -> bool:
+        """True when ``data`` is the very object this rank last hashed
+        clean for a peer's fetch of ``norm``, against the digest ``crc``."""
+        seen = self._hashed.get(norm)
+        return seen is not None and seen[0] is data and seen[1] == crc
+
+    def _verified_local(
+        self, norm: str, record: FileRecord | None = None, *, serve: bool = False
+    ) -> bytes:
         """Local backend bytes, digest-checked; a corrupt copy is
         quarantined and self-repaired through the failover ladder.
         Raises :class:`DataIntegrityError` when unrepairable and
-        :class:`FileNotFoundInStoreError` when simply absent."""
+        :class:`FileNotFoundInStoreError` when simply absent.
+
+        ``serve`` marks a peer's fetch, whose requester hashes the bytes
+        again on arrival. There an object from a backend that
+        :attr:`~repro.fanstore.backend.Backend.hands_out_stored` is
+        hashed once and then trusted by identity: stored objects are
+        immutable and every ``put`` installs a new one, so the same
+        object under the same digest is the same content. A local read
+        is the end-to-end check and hashes every time."""
         if record is None:
             try:
                 record = self.metadata.get(norm)
@@ -1865,7 +1852,11 @@ class FanStoreDaemon:
         except DataIntegrityError:
             # the backend itself flagged the bytes (torn partition file)
             return self.repair(norm, record)
+        if serve and self._hashed_before(norm, data, record.stat.crc32):
+            return data
         if self._blob_ok(record, data):
+            if serve and self.backend.hands_out_stored:
+                self._hashed[norm] = (data, record.stat.crc32)
             return data
         return self.repair(norm, record)
 

@@ -201,6 +201,20 @@ def test_ladder_outcome_and_counters(tmp_path, leave, below):
     )
 
 
+def test_a_corrupt_reply_never_reaches_the_reader(tmp_path):
+    """Whatever its home hashed or skipped, a requester hashes every
+    blob on arrival — and the mutant: a requester whose ``_blob_ok``
+    always says yes hands a scripted peer's corrupt bytes to the
+    reader."""
+    daemon, _ = _daemon(tmp_path, "corrupt-reply", "nothing")
+    with pytest.raises(DataIntegrityError):
+        daemon.fetch_compressed(PATH)
+
+    mutant, _ = _daemon(tmp_path, "corrupt-reply", "nothing")
+    mutant._blob_ok = lambda record, data: True
+    assert mutant.fetch_compressed(PATH) == ROTTEN
+
+
 def _stage(daemon) -> None:
     daemon._stage_copy(RereplicationStep(
         path=PATH, partition_id=0, old_home=HOME, new_home=ME, stage_rank=ME,

@@ -1,7 +1,7 @@
 """Unit drills for the gray-failure primitives: circuit-breaker FSM,
-deadline arithmetic, admission-queue shedding, brownout verification
-skips, the breaker as the daemon's memory of a peer it gave up on, and
-the client side of overload replies. State machines run against fake
+deadline arithmetic, admission-queue shedding (which never skips a
+digest check), the breaker as the daemon's memory of a peer it gave up
+on, and the client side of overload replies. State machines run against fake
 clocks — no sleeps; only the request-exchange tests touch a real
 two-rank world."""
 
@@ -32,7 +32,7 @@ from repro.fanstore.health import (
 from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.membership import RankState
 from repro.fanstore.metadata import FileRecord
-from repro.fanstore.wire import Reply, decode_request
+from repro.fanstore.wire import Reply, Request, decode_request
 from tests.fanstore.test_failover_ladder import StubDetector, StubPeers
 
 
@@ -445,26 +445,45 @@ class TestTheBreakerIsTheMemoryOfAGivenUpPeer:
         assert daemon.stats.breaker_probes == 1
 
 
-class TestBrownoutVerificationSkip:
-    def test_first_verification_always_runs(self):
-        daemon = FanStoreDaemon()
-        rec = _record(b"payload")
-        daemon._brownout_until = time.monotonic() + 60.0
-        # never verified before: brownout must NOT skip the check
-        assert not daemon._blob_ok(rec, b"corrupt")
-        assert daemon.stats.brownout_skipped_verifies == 0
+class _ShedAware(StubPeers):
+    """Scripted peers that also take the overload replies a shedding
+    daemon sends its victims."""
 
-    def test_reverification_skipped_under_brownout(self):
-        daemon = FanStoreDaemon()
-        rec = _record(b"payload")
-        assert daemon._blob_ok(rec, b"payload")  # verified once, clean
-        daemon._brownout_until = time.monotonic() + 60.0
-        assert daemon._blob_ok(rec, b"anything goes")
-        assert daemon.stats.brownout_skipped_verifies == 1
-        # brownout over: the check is back
-        daemon._brownout_until = 0.0
-        assert not daemon._blob_ok(rec, b"anything goes")
-        assert daemon.stats.brownout_skipped_verifies == 1
+    def __init__(self, answers) -> None:
+        super().__init__(answers)
+        self.overloads: list[int] = []
+
+    def send(self, payload, dest, tag) -> None:
+        if payload[0] == Reply.OVERLOAD:
+            self.overloads.append(dest)
+        else:
+            super().send(payload, dest, tag)
+
+
+class TestOverloadNeverSkipsAVerification:
+    PAYLOAD = b"the-verified-payload"
+    HOME = 1
+
+    def test_a_shedding_rank_rejects_corrupt_bytes_for_a_verified_path(self):
+        """Shedding once bought a pass for *any* bytes of a path this
+        rank had verified before, off the wire included. Now a shedding
+        requester still hashes what arrives, and a corrupt reply is
+        detected, never returned."""
+        comm = _ShedAware({self.HOME: (Reply.OK, self.PAYLOAD)})
+        daemon = FanStoreDaemon(comm, config=DaemonConfig(
+            max_retries=0, retry_backoff_base=0.0, retry_jitter=0.0,
+        ))
+        daemon.metadata.insert(_record(self.PAYLOAD, home_rank=self.HOME))
+        assert daemon.fetch_compressed("data/x") == self.PAYLOAD  # verified
+        queue = AdmissionQueue(1)
+        for reply_tag in (7, 8):  # the second one overflows the queue
+            body = Request(subject="data/x", reply_tag=reply_tag).encode()
+            assert not daemon._admit(queue, (("fetch", body), 2, TAG_DAEMON))
+        assert daemon.stats.shed_requests == 1 and comm.overloads == [2]
+        comm.answers[self.HOME] = (Reply.OK, b"anything goes")
+        with pytest.raises(DataIntegrityError):
+            daemon.fetch_compressed("data/x")  # no replica, no floor
+        assert daemon.stats.corruption_detected == 1
 
 
 FAST = dict(

@@ -4,20 +4,23 @@ error when repair is impossible."""
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import shutil
+import types
 
 import pytest
 
 from repro.errors import (
+    CommError,
     DataIntegrityError,
     FanStoreError,
     FormatError,
     ManifestError,
 )
 from repro.fanstore.corruption import corrupt_backend, corrupt_record
-from repro.fanstore.daemon import DaemonConfig
+from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.layout import (
     FLAG_HAS_DIGEST,
     FileStat,
@@ -31,7 +34,10 @@ from repro.fanstore.prepare import (
     MANIFEST_VERSION,
     PreparedDataset,
 )
+from repro.fanstore.metadata import FileRecord
 from repro.fanstore.store import FanStore, FanStoreOptions
+from repro.fanstore.wire import Reply, decode_request
+from repro.obs.tracing import NULL_SPAN
 
 
 # -- digests recorded at prepare time -----------------------------------
@@ -226,6 +232,128 @@ class TestVerifyOnRead:
         with pytest.raises(DataIntegrityError):
             # runtime outputs have no shared-FS floor to repair from
             fs.client.read_file("out/log.txt")
+
+
+# -- a home hashes a resident object once; a requester every blob -------
+
+PAYLOAD = b"a staged payload " * 16
+OFFSET = 9  # where the floor's copy sits in its "partition file"
+
+
+class _Loopback:
+    """Rank 0's communicator wired straight into ``home``'s serve branch
+    (``FanStoreDaemon._answer``, shared by a classic request and a batch
+    item): each fetch is answered as it is sent, with no thread and no
+    clock. The home's silence (a copy it could not repair) is a lost
+    reply."""
+
+    rank, size = 0, 2
+
+    def __init__(self, home) -> None:
+        self.home = home
+        self._replies: dict[int, tuple | None] = {}
+
+    def send(self, payload, dest, tag) -> None:
+        kind, body = payload
+        request = decode_request(body)
+        self._replies[request.reply_tag] = self.home._answer(
+            kind, request.subject, request.epoch, NULL_SPAN
+        )
+
+    def recv(self, source, tag, timeout=None):
+        reply = self._replies.pop(tag)
+        if reply is None:
+            raise CommError(f"recv from rank {source} timed out")
+        return reply
+
+
+def _home_and_requester(tmp_path):
+    """A RAM home (rank 1) of ``data/x`` with a shared-FS floor to heal
+    from, and a requester (rank 0) with neither a replica nor a floor:
+    whatever it reads came through the home's serve branch."""
+    part = tmp_path / "part-0"
+    part.write_bytes(b"\0" * OFFSET + PAYLOAD)
+    record = FileRecord(
+        path="data/x",
+        stat=FileStat(st_size=len(PAYLOAD)).with_digest(blob_crc32(PAYLOAD)),
+        compressor_id=1,
+        compressed_size=len(PAYLOAD),
+        home_rank=1,
+        partition_id=0,
+        data_offset=OFFSET,
+    )
+    home = FanStoreDaemon()
+    home.metadata.insert(record)
+    home.backend.put(record.path, PAYLOAD)
+    home._prepared = types.SimpleNamespace(
+        partition_paths=lambda: [part], broadcast_path=lambda: None
+    )
+    requester = FanStoreDaemon(_Loopback(home), config=DaemonConfig(
+        max_retries=0, retry_backoff_base=0.0, retry_jitter=0.0,
+    ))
+    requester.metadata.insert(record)
+    return home, requester
+
+
+class TestAHomeTrustsAnObjectNotAPath:
+    def test_a_rotted_object_is_caught_and_repaired_at_its_home(
+        self, tmp_path
+    ):
+        """Mutant (a), trust by path. The home trusts the object it
+        hashed, not the path: once ``corrupt_backend`` swaps the object
+        under a path it has served, its next serve hashes, detects and
+        repairs, and the requester gets clean bytes with no repair of
+        its own. A home that trusts the path serves the corrupt bytes,
+        and only the requester's own check stops them."""
+        home, requester = _home_and_requester(tmp_path)
+        assert requester.fetch_compressed("data/x") == PAYLOAD
+        corrupt_backend(home.backend, "data/x", seed=5)
+        assert requester.fetch_compressed("data/x") == PAYLOAD
+        assert (
+            home.stats.corruption_detected, home.stats.corruption_repaired
+        ) == (1, 1)
+        assert requester.stats.corruption_detected == 0
+
+        home, mutant = _home_and_requester(tmp_path)
+        home._hashed_before = lambda norm, data, crc: norm in home._hashed
+        assert mutant.fetch_compressed("data/x") == PAYLOAD
+        corrupt_backend(home.backend, "data/x", seed=5)
+        with pytest.raises(DataIntegrityError):
+            mutant.fetch_compressed("data/x")  # no floor of its own
+        assert home.stats.corruption_detected == 0
+        assert mutant.stats.corruption_detected == 1
+
+    def test_a_new_digest_over_the_same_object_is_hashed_again(
+        self, tmp_path
+    ):
+        """Mutant (b), digest dropped from the trust key. A record whose
+        digest changed over an unchanged backend object is hashed again:
+        here the object no longer matches, and nothing below matches
+        either, so the home falls silent rather than serve it. A trust
+        key without the digest serves the stale object."""
+        home, _ = _home_and_requester(tmp_path)
+        assert self._serve_under_a_new_digest(home) is None
+        assert home.stats.corruption_detected == 1
+
+        home, _ = _home_and_requester(tmp_path)
+        home._hashed_before = lambda norm, data, crc: (
+            home._hashed.get(norm, (None,))[0] is data
+        )
+        assert self._serve_under_a_new_digest(home) == (Reply.OK, PAYLOAD)
+        assert home.stats.corruption_detected == 0
+
+    @staticmethod
+    def _serve_under_a_new_digest(home):
+        """Serve ``data/x`` once, give its record a new digest over the
+        same backend object, and return the second serve's answer."""
+        assert home._answer("fetch", "data/x", None, NULL_SPAN) == (
+            Reply.OK, PAYLOAD
+        )
+        record = home.metadata.get("data/x")
+        home.metadata.insert(dataclasses.replace(
+            record, stat=record.stat.with_digest(blob_crc32(b"other"))
+        ))
+        return home._answer("fetch", "data/x", None, NULL_SPAN)
 
 
 # -- every registered compressor refuses corrupt payloads ---------------

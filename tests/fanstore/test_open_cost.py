@@ -17,11 +17,14 @@ replaced took 25 and 7.
 The batched remote read (``read_files``) is pinned the same way at the
 end of the file: messages, fetches, misses, digest passes and ``Event``
 constructions per batch of 16 — and, on one rank, that it executes what
-16 ``read_file`` calls execute.
+16 ``read_file`` calls execute. Digest passes are counted on every path:
+a local read hashes every time, a warm RAM home serves a peer without a
+second pass, and a ``DiskBackend`` home hashes every serve.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 from collections import Counter
@@ -209,6 +212,30 @@ def test_read_file_lock_acquisitions_and_digest_passes(packed, monkeypatch):
             client.close(fd)
 
 
+def test_a_local_read_hashes_on_every_read(packed, monkeypatch):
+    """Mutant (c), the serve-side trust consulted on the local path. A
+    local ``read_file`` is the end-to-end check, so every read hashes
+    once, the second pass like the first. With ``_verified_local``
+    treating every read as a peer's fetch, the second pass hashes
+    nothing. (A store of its own: the mutant leaves trust behind.)"""
+    with FanStore(packed, LOCAL_OPTIONS) as fs:
+        client, paths = fs.client, _paths(fs)
+
+        def two_passes() -> int:
+            digests = _Tally(monkeypatch, daemon_module, "blob_crc32")
+            for _ in range(2):
+                for path in paths:
+                    client.read_file(path)
+            monkeypatch.undo()
+            return len(digests)
+
+        assert two_passes() == 2 * len(paths)
+        fs.daemon._verified_local = functools.partial(
+            fs.daemon._verified_local, serve=True
+        )
+        assert two_passes() == len(paths)
+
+
 def test_descriptor_path_cost_vector(store):
     """``open``/``read``/``close`` executes what it executed before
     whole-file reads stopped making entries resident — call for call.
@@ -290,9 +317,10 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
     replaced sent 16 and received 16, and the server sent 16), one
     fetch / miss / leader per path and no eviction (a fetched blob is
     decompressed without becoming resident; with a pin per file there
-    were 16), two digest passes per blob (the server's
-    ``_verified_local``, the requester's ``_blob_ok`` — pinned here, not
-    yet decided), no ``Event``, and at most 18 Python calls under
+    were 16), one digest pass per blob on a warm home (the requester's
+    ``_blob_ok``; the home hashed each resident object at its first
+    serve, and hashing it again at every serve made 32), no ``Event``,
+    and at most 18 Python calls under
     ``src/repro`` per file on the requesting thread (25 while each file
     was pinned; a lone ``read_file`` of a remote path: 50, was 58)."""
     stores: dict[int, FanStore] = {}
@@ -329,7 +357,7 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         monkeypatch.undo()
 
         assert (len(sends), len(recvs), len(served)) == (1, 1, 1)
-        assert len(digests) == 2 * BATCH
+        assert len(digests) == BATCH
         assert len(events) == 0
         assert {
             name: after.value(name) - before.value(name)
@@ -363,3 +391,42 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         assert alone["python_calls"] <= 50 * BATCH
 
     run_parallel(body, 2, timeout=120)
+
+
+@pytest.mark.parametrize("backend", ["ram", "disk"])
+def test_lone_remote_read_digest_passes(remote_packed, tmp_path, monkeypatch,
+                                        backend):
+    """Digest passes of a lone remote ``read_file``, home and requester
+    together. The first serve of a path is hashed at the home, and the
+    requester hashes what arrives: 2 per read. Warm, a RAM home hands
+    out the object it already hashed and the requester's pass is the
+    only one: 1 per read (it was 2). A ``DiskBackend`` home re-reads
+    storage that can rot, so it hashes every serve, still 2 per read,
+    and its trust record holds none of the fresh reads it served."""
+    stores: dict[int, FanStore] = {}
+    passes: dict[str, int] = {}
+    config = DaemonConfig(metrics_every=0)
+
+    def body(comm):
+        local_dir = tmp_path / f"rank{comm.rank}" if backend == "disk" else None
+        options = FanStoreOptions(comm=comm, config=config, local_dir=local_dir)
+        with FanStore(remote_packed, options) as fs:
+            stores[comm.rank] = fs
+            comm.barrier()
+            if comm.rank == 0:
+                paths = [
+                    r.path for r in fs.daemon.metadata.walk_files()
+                    if r.home_rank == 1
+                ][:BATCH]
+                for name in ("cold", "warm"):
+                    digests = _Tally(monkeypatch, daemon_module, "blob_crc32")
+                    for path in paths:
+                        fs.client.read_file(path)
+                    monkeypatch.undo()
+                    passes[name] = len(digests)
+            comm.barrier()  # the peer serves until the count is taken
+
+    run_parallel(body, 2, timeout=120)
+    ram = backend == "ram"
+    assert passes == {"cold": 2 * BATCH, "warm": (1 if ram else 2) * BATCH}
+    assert len(stores[1].daemon._hashed) == (BATCH if ram else 0)
