@@ -83,19 +83,10 @@ from repro.errors import (
     StaleEpochError,
     WireFormatError,
 )
-from repro.fanstore.backend import Backend, DiskBackend, RamBackend
+from repro.fanstore.backend import Backend, RamBackend
 from repro.fanstore.cache import DecompressedCache
-from repro.fanstore.crash import DiskFaultInjector, crash_point
 from repro.fanstore.health import AdmissionQueue, HealthTracker
-from repro.fanstore.journal import (
-    Journal,
-    JournalConfig,
-    JournalStats,
-    gc_tmp_files,
-    live_entry,
-    record_from_wire,
-    scan_journal,
-)
+from repro.fanstore.journal import Journal, JournalConfig, JournalStats
 from repro.fanstore.layout import blob_crc32, partition_payload_bytes
 from repro.fanstore.membership import (
     ClusterView,
@@ -346,7 +337,6 @@ class FanStoreDaemon:
         metrics: MetricsRegistry | None = None,
         journal_dir: Any = None,
         journal_config: JournalConfig | None = None,
-        disk_injector: DiskFaultInjector | None = None,
     ) -> None:
         self.comm = comm
         self.config = config or DaemonConfig()
@@ -403,7 +393,7 @@ class FanStoreDaemon:
         # announced to peers in the metadata allgather
         self._replicated_paths: list[str] = []
         self._retry_rng = random.Random(0x5EED ^ self.rank)
-        #: per-peer latency EWMA/quantiles + circuit breakers; the
+        #: per-peer latency quantiles + circuit breakers; the
         #: breaker transition/probe callbacks land in the stats bag so
         #: the drills assert on them like any other counter
         cfg = self.config
@@ -433,12 +423,12 @@ class FanStoreDaemon:
         #: crash-consistent durability (PR 8): when a journal directory
         #: is configured, every local-store mutation goes intent →
         #: atomic apply → commit through :meth:`_durable_put`, and
-        #: :meth:`load`/:meth:`load_rejoin` run restart recovery before
-        #: ingesting anything. ``None`` journal = legacy fire-and-forget
-        #: (RAM backends, where nothing survives the process anyway).
+        #: :meth:`load`/:meth:`load_rejoin` run restart recovery
+        #: (:meth:`Journal.recover`) before ingesting anything. ``None``
+        #: journal = legacy fire-and-forget (RAM backends, where nothing
+        #: survives the process anyway).
         self._journal_dir = journal_dir
         self._journal_config = journal_config
-        self._disk_injector = disk_injector
         self.journal: Journal | None = None
         self.jstats = JournalStats()
         self.jstats.bind(self.metrics)
@@ -828,7 +818,14 @@ class FanStoreDaemon:
         snapshot applied afterwards."""
         # crash recovery first: adopted client outputs must be in the
         # table before anything announces this rank's holdings
-        self._open_journal()
+        if self._journal_dir is not None and self.journal is None:
+            self.journal, outputs = Journal.recover(
+                self._journal_dir, self.backend,
+                config=self._journal_config, stats=self.jstats,
+                tracer=self.tracer,
+            )
+            for rec in outputs:
+                self.metadata.insert(rec)
         self._prepared = prepared  # kept for degraded shared-FS re-reads
         assigned = self._assigned_partitions(len(prepared.partitions))
         partition_paths = prepared.partition_paths()
@@ -857,7 +854,7 @@ class FanStoreDaemon:
             },
         }
 
-    # -- durability (write-ahead journal + restart recovery) ----------------
+    # -- durability (write-ahead journal) ------------------------------------
 
     def _durable_put(
         self,
@@ -867,177 +864,28 @@ class FanStoreDaemon:
         *,
         record: FileRecord | None = None,
     ) -> None:
-        """The journalled mutation protocol: intent (durable) → atomic
-        apply → commit (durable). Only after this returns may the
-        caller acknowledge anything. With no journal configured this is
-        a plain backend put (legacy fire-and-forget).
-
-        A clean apply failure aborts the intent (recovery would roll it
-        back anyway; aborting just unpins its segment early). A
-        simulated crash is a ``BaseException`` and deliberately skips
-        the abort — the intent must stay pending on disk, exactly like
-        a real ``kill -9``.
-        """
+        """Install ``data`` for ``norm`` so the caller may acknowledge
+        it: :meth:`Journal.put` (intent → atomic apply → commit), or a
+        plain backend put with no journal configured (legacy
+        fire-and-forget)."""
         # the new object is hashed at its first serve anyway; dropping
         # the old one's trust entry lets its bytes go with it
         self._hashed.pop(norm, None)
-        journal = self.journal
-        if journal is None:
+        if self.journal is None:
             self.backend.put(norm, data)
-            return
-        seq = journal.begin(
-            op, norm, data, epoch=self._view_epoch(), record=record
-        )
-        try:
-            self.backend.put(norm, data)
-        except Exception:
-            journal.abort(seq)
-            raise
-        journal.commit(seq)
-
-    def _open_journal(self) -> None:
-        """Restart recovery, then open (a fresh incarnation of) the
-        journal. Idempotent per daemon; no-op without a journal dir.
-
-        Recovery never appends to the journal, and its mutations
-        (adopt, unlink, tmp GC) are idempotent — so a crash at any
-        ``recovery.*`` point simply reruns recovery on the next start.
-        Only the :class:`Journal` constructor afterwards changes the
-        journal itself, and it does so checkpoint-first.
-        """
-        if self._journal_dir is None or self.journal is not None:
-            return
-        disk = self.backend
-        if not isinstance(disk, DiskBackend):  # recovery works on blob files
-            raise FanStoreError(
-                f"rank {self.rank}: a journal needs a DiskBackend, got "
-                f"{type(disk).__name__}"
-            )
-        t0 = time.monotonic()
-        stats = self.jstats
-        log = scan_journal(self._journal_dir)
-        stats.recovery_torn_records += log.torn_records
-        with self.tracer.root(
-            "durability.recover", rank=self.rank,
-            segments=log.segments,
-        ) as span:
-            crash_point("recovery.scanned", self.rank)
-            live: dict[str, dict] = {}
-            # Adoption first: an uncommitted intent whose on-disk bytes
-            # digest-match it finished its apply — the rename + dir
-            # fsync is the durable commit point and only the lazily
-            # synced commit record was lost. Applies replace whole
-            # files atomically, so disk-matching an intent proves that
-            # intent's apply was the last to complete for its path; a
-            # committed (older) version of the same path must then not
-            # re-apply itself over the newer acked bytes.
-            adopted: set[str] = set()
-            for intent in log.uncommitted:
-                if intent["path"] in adopted:
-                    continue
-                entry = live_entry(intent)
-                data = disk.read_raw(intent["path"])
-                if (
-                    data is not None
-                    and len(data) == entry["size"]
-                    and zlib.crc32(data) == entry["crc"]
-                ):
-                    self._recover_entry(disk, intent["path"], entry, live)
-                    adopted.add(intent["path"])
-            for path, entry in log.checkpoint_live.items():
-                if path not in adopted:
-                    self._recover_entry(disk, path, entry, live)
-            for intent in log.committed:
-                if intent["path"] not in adopted:
-                    self._recover_entry(
-                        disk, intent["path"], live_entry(intent), live
-                    )
-            crash_point("recovery.replayed", self.rank)
-            for intent in log.uncommitted:
-                if intent["path"] in adopted:
-                    continue
-                self._rollback_intent(disk, intent, live)
-                stats.recovery_rolled_back += 1
-            stats.recovery_tmp_gc += gc_tmp_files(self._journal_dir)
-            stats.recovery_tmp_gc += disk.gc_tmp()
-            crash_point("recovery.done", self.rank)
-            span.tag(
-                replayed=stats.recovery_replayed,
-                reapplied=stats.recovery_reapplied,
-                rolled_back=stats.recovery_rolled_back,
-                quarantined=stats.recovery_quarantined,
-                torn=stats.recovery_torn_records,
-            )
-        self.journal = Journal(
-            self._journal_dir,
-            rank=self.rank,
-            config=self._journal_config,
-            stats=stats,
-            injector=self._disk_injector,
-            live=live,
-        )
-        stats.recovery_seconds = time.monotonic() - t0
-
-    def _recover_entry(
-        self, disk: DiskBackend, path: str, entry: dict, live: dict[str, dict]
-    ) -> None:
-        """Roll one committed intent forward: verify the on-disk bytes
-        against the journalled digest and re-adopt them; re-apply from
-        the embedded payload when the bytes are missing or torn; and
-        only when neither is possible, quarantine (count it — the
-        crash drill asserts this stays zero, because the protocol
-        commits strictly after the apply is durable)."""
-        data = disk.read_raw(path)
-        if (
-            data is not None
-            and len(data) == entry["size"]
-            and zlib.crc32(data) == entry["crc"]
-        ):
-            disk.adopt(path)
-            self.jstats.recovery_replayed += 1
-        elif "payload" in entry:
-            disk.put(path, bytes.fromhex(entry["payload"]))
-            self.jstats.recovery_reapplied += 1
         else:
-            disk.discard(path)
-            self.jstats.recovery_quarantined += 1
-            return
-        wire = entry.get("record")
-        if wire is not None:
-            self.metadata.insert(record_from_wire(wire))
-        live[path] = entry
-
-    def _rollback_intent(
-        self, disk: DiskBackend, intent: dict, live: dict[str, dict]
-    ) -> None:
-        """Undo one uncommitted intent. The client was never
-        acknowledged, so deleting whatever the torn apply left behind
-        is always correct — *unless* a committed version of the same
-        path owns the current bytes, in which case they stay."""
-        path = intent["path"]
-        kept = live.get(path)
-        data = disk.read_raw(path)
-        if data is None:
-            return  # the apply never reached the final name
-        if kept is not None and zlib.crc32(data) == kept["crc"]:
-            return  # these bytes belong to the committed version
-        disk.discard(path)
+            self.journal.put(
+                op, norm, data, epoch=self._view_epoch(), record=record
+            )
 
     # -- service loop -------------------------------------------------------
 
     def start(self) -> None:
         """Start answering peer requests (no-op single-node)."""
         if self.journal is not None and self.journal.closed:
-            # a restart after stop(): reopen a fresh journal incarnation
-            # over the (already consistent) live state
-            self.journal = Journal(
-                self._journal_dir,
-                rank=self.rank,
-                config=self._journal_config,
-                stats=self.jstats,
-                injector=self._disk_injector,
-                live=self.journal.live_state(),
-            )
+            # a restart after stop(): the closed journal's live state
+            # is already consistent, nothing to recover
+            self.journal = self.journal.reopen()
         if self.comm is None or self._service_thread is not None:
             return
         self._service_thread = threading.Thread(

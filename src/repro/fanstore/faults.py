@@ -143,14 +143,6 @@ class CheckpointManager:
             )
         return Checkpoint(epoch=epoch, path=path, payload=blob["state"])
 
-    def latest_epoch(self) -> int | None:
-        """Epoch of the newest *loadable* checkpoint (None when fresh).
-        A relaunched rank checks this before rejoining the membership
-        view: re-admission is only worth the handshake if there is a
-        resume point to continue from."""
-        latest = self.latest()
-        return None if latest is None else latest.epoch
-
     def latest(self) -> Checkpoint | None:
         """The resume point after a failure (§V-E), or None if fresh.
 

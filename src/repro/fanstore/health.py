@@ -9,12 +9,12 @@ three mechanisms that close the gap:
 
 - :class:`CircuitBreaker` — the classic closed → open → half-open
   machine, tripped by consecutive hard failures (timeouts, overload
-  sheds) *or* consecutive slow signals (latency above threshold, hedges
-  that fired), so the failover ladder routes around a merely-slow rank
-  long before the detector would mark it SUSPECT;
-- :class:`HealthTracker` — one breaker plus a latency EWMA and a
-  bounded sample window per peer, thread-safe: the daemon's only
-  memory of a misbehaving peer (a DEAD conviction or an exhausted
+  sheds) *or* consecutive slow signals (hedges that fired), so the
+  failover ladder routes around a merely-slow rank long before the
+  detector would mark it SUSPECT;
+- :class:`HealthTracker` — one breaker plus a bounded latency sample
+  window per peer, thread-safe: the daemon's only memory of a
+  misbehaving peer (a DEAD conviction or an exhausted
   exchange force-opens, a rejoin half-opens so the first fetch is a
   probe, a failed probe costs one attempt);
 - :class:`AdmissionQueue` — the daemon's bounded request queue.
@@ -35,6 +35,9 @@ from collections import deque
 from typing import Any, Callable
 
 Clock = Callable[[], float]
+
+#: latency samples kept per peer for :meth:`HealthTracker.quantile`
+WINDOW = 128
 
 
 class BreakerState(enum.Enum):
@@ -129,8 +132,8 @@ class CircuitBreaker:
         return False
 
     def record_slow(self) -> None:
-        """A soft failure: the peer answered, but late (above the
-        latency threshold, or only after a hedge fired). Enough
+        """A soft failure: the peer answered, but only after a hedge
+        fired. Enough
         consecutive ones trip the breaker — this is the gray-failure
         path, where nothing ever *fails*."""
         if self.state is not BreakerState.CLOSED:
@@ -157,7 +160,7 @@ class CircuitBreaker:
 
 
 class HealthTracker:
-    """Latency statistics plus one :class:`CircuitBreaker` per peer.
+    """Latency samples plus one :class:`CircuitBreaker` per peer.
 
     All signal sinks (:meth:`observe`, :meth:`failure`,
     :meth:`note_slow`) and the routing gate (:meth:`allow`) are
@@ -174,19 +177,9 @@ class HealthTracker:
         failure_threshold: int = 3,
         slow_threshold: int = 3,
         reset_after: float = 1.0,
-        latency_threshold: float | None = None,
-        ewma_alpha: float = 0.2,
-        window: int = 128,
         clock: Clock = time.monotonic,
     ) -> None:
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha {ewma_alpha} outside (0, 1]")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.rank = rank
-        self.latency_threshold = latency_threshold
-        self._alpha = ewma_alpha
-        self._window = window
         self._clock = clock
         self._mk_breaker = lambda: CircuitBreaker(
             failure_threshold=failure_threshold,
@@ -196,7 +189,6 @@ class HealthTracker:
         )
         self._lock = threading.Lock()
         self._breakers: dict[int, CircuitBreaker] = {}
-        self._ewma: dict[int, float] = {}
         self._samples: dict[int, deque[float]] = {}
         self.on_open: Callable[[int], None] | None = None
         self.on_probe: Callable[[int], None] | None = None
@@ -218,25 +210,15 @@ class HealthTracker:
     # -- signal sinks ------------------------------------------------------
 
     def observe(self, peer: int, seconds: float) -> None:
-        """A completed exchange took ``seconds``. Feeds the EWMA and
-        the quantile window; counts as a success — or as a *slow*
-        strike when above ``latency_threshold``."""
+        """A completed exchange took ``seconds``: feeds the quantile
+        window and counts as a success (slow strikes come from
+        :meth:`note_slow`, when a hedge fires)."""
         with self._lock:
-            prev = self._ewma.get(peer)
-            self._ewma[peer] = (
-                seconds if prev is None
-                else prev + self._alpha * (seconds - prev)
-            )
             samples = self._samples.get(peer)
             if samples is None:
-                samples = self._samples[peer] = deque(maxlen=self._window)
+                samples = self._samples[peer] = deque(maxlen=WINDOW)
             samples.append(seconds)
-            br = self._breaker(peer)
-            threshold = self.latency_threshold
-            if threshold is not None and seconds > threshold:
-                self._signal(peer, br.record_slow)
-            else:
-                self._signal(peer, br.record_success)
+            self._signal(peer, self._breaker(peer).record_success)
 
     def failure(self, peer: int) -> bool:
         """A hard failure against ``peer`` (timeout, overload shed);
@@ -280,10 +262,6 @@ class HealthTracker:
             self._breaker(peer).half_open()
 
     # -- statistics --------------------------------------------------------
-
-    def ewma(self, peer: int) -> float | None:
-        with self._lock:
-            return self._ewma.get(peer)
 
     def quantile(self, peer: int, q: float, default: float) -> float:
         """The ``q``-quantile of the peer's recent latencies, or

@@ -26,7 +26,6 @@ import builtins
 import io
 import os
 import os.path
-import stat as stat_module
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -266,8 +265,3 @@ def intercept(store: FanStore) -> Iterator[FanStore]:
         os.write = orig_os_write
         os.close = orig_os_close
         os.fstat = orig_os_fstat
-
-
-def is_directory_stat(result: _InterceptedStatResult) -> bool:
-    """Helper mirroring ``stat.S_ISDIR`` for intercepted results."""
-    return stat_module.S_ISDIR(result.st_mode)

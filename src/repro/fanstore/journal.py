@@ -1,4 +1,4 @@
-"""Write-ahead journal and atomic store mutation.
+"""Write-ahead journal, atomic store mutation and restart recovery.
 
 FanStore (the paper) treats node-local writes as fire-and-forget: the
 daemon lives exactly as long as the training job, so a rank dying
@@ -6,9 +6,11 @@ mid-mutation is answered by relaunching the whole job from a checkpoint
 (§V-E). Our ROADMAP north-star — a store serving many jobs — cannot
 afford that: a torn blob or a metadata/bytes disagreement must be
 repairable from local evidence alone. This module supplies that
-evidence.
+evidence, and it is the only module that reads it: the daemon calls
+:meth:`Journal.recover` once per launch and :meth:`Journal.put` per
+mutation, and never sees a record.
 
-Protocol (commit-after-durable-apply)::
+Protocol (commit-after-durable-apply, :meth:`Journal.put`)::
 
     intent record appended + group-commit fsync     crash: rolled back
     atomic apply (tmp + fsync + rename + dir fsync) crash: rolled forward
@@ -34,6 +36,15 @@ the journal; small payloads (``embed_payload_max``) are embedded
 anyway so torn applies of in-place patches can be re-applied rather
 than merely detected.
 
+Recovery (:meth:`Journal.recover`, over the rank's ``DiskBackend``)
+scans the directory once and folds the checkpoint and the committed
+intents into one entry per path — under the multi-read/single-write
+model every journalled version of a path holds the same bytes, so the
+newest entry is the only one worth checking. Each entry's blob is then
+checked once: re-indexed, re-applied from its payload, or quarantined.
+The next incarnation is built from that same scan; a restart after
+:meth:`Journal.close` (:meth:`Journal.reopen`) scans nothing.
+
 Segments rotate at a size/record bound and are deleted once a
 checkpoint (a digest-verified snapshot of the committed live state)
 supersedes them. A journal that cannot compact below its segment
@@ -52,18 +63,23 @@ import json
 import os
 import re
 import threading
+import time
 import uuid
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import FanStoreError, StorageFullError
-from repro.fanstore.crash import DiskFaultInjector, crash_point
+from repro.fanstore.crash import crash_point
 from repro.fanstore.layout import FileStat
 from repro.fanstore.metadata import FileRecord
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import NULL_SPAN, Tracer
+
+if TYPE_CHECKING:  # backend.py imports this module
+    from repro.fanstore.backend import DiskBackend
 
 __all__ = [
     "Journal",
@@ -74,9 +90,6 @@ __all__ = [
     "atomic_replace",
     "fsync_dir",
     "gc_tmp_files",
-    "live_entry",
-    "record_from_wire",
-    "record_to_wire",
     "scan_journal",
 ]
 
@@ -181,7 +194,7 @@ def atomic_open(path: Path | str) -> Iterator[Any]:
 # ---------------------------------------------------------------------------
 
 
-def record_to_wire(record: FileRecord) -> dict[str, Any]:
+def _record_to_wire(record: FileRecord) -> dict[str, Any]:
     """JSON-safe form of a :class:`FileRecord` (the metadata a client
     write must get back after a restart — outputs live in no partition,
     so the journal is their only metadata source)."""
@@ -196,7 +209,7 @@ def record_to_wire(record: FileRecord) -> dict[str, Any]:
     }
 
 
-def record_from_wire(wire: dict[str, Any]) -> FileRecord:
+def _record_from_wire(wire: dict[str, Any]) -> FileRecord:
     return FileRecord(
         path=wire["path"],
         stat=FileStat.unpack(bytes.fromhex(wire["stat"])),
@@ -409,24 +422,40 @@ class Journal:
     Thread-safe: appends serialise on one mutex; the fsync barrier is a
     second mutex so concurrent writers coalesce into one fsync(2) (the
     group commit) instead of queueing N of them.
+
+    An existing journal directory opens only through :meth:`recover`
+    (or :meth:`reopen`, after :meth:`close`); the constructor itself
+    takes the committed state it is handed — ``live`` at sequence
+    number ``seq`` — and refuses a directory that already holds a
+    journal when it is handed none. The rank that crash points name
+    and the disk-fault injector are ``disk``'s.
     """
 
     def __init__(
         self,
         directory: Path | str,
+        disk: DiskBackend | None = None,
         *,
-        rank: int = 0,
         config: JournalConfig | None = None,
         stats: JournalStats | None = None,
-        injector: DiskFaultInjector | None = None,
         live: dict[str, dict[str, Any]] | None = None,
+        seq: int = 0,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.rank = rank
+        segments = _segment_files(self.directory)
+        if live is None:
+            if segments or (self.directory / CHECKPOINT_NAME).exists():
+                raise FanStoreError(
+                    f"{self.directory} holds a journal: open it with "
+                    f"Journal.recover"
+                )
+            live = {}
+        self.disk = disk
+        self.rank = disk.rank if disk is not None else 0
+        self.injector = disk.injector if disk is not None else None
         self.config = config or JournalConfig()
         self.stats = stats or JournalStats()
-        self.injector = injector
         # lock order: _sync_lock before _lock, never the reverse
         self._lock = threading.Lock()
         self._sync_lock = threading.Lock()
@@ -435,26 +464,15 @@ class Journal:
         self._retired: list[Any] = []  # rotated-away handles, closed at next sync
         self._needs_compaction = False
         self._closed = False
-
-        # Adopt the pre-existing state: either the caller's recovered
-        # live map (the daemon just verified it against the disk) or a
-        # best-effort self-scan (standalone / test use).
-        prior = scan_journal(self.directory)
-        if live is None:
-            live = dict(prior.checkpoint_live)
-            for entry in prior.committed:
-                live[entry["path"]] = live_entry(entry)
         self._live: dict[str, dict[str, Any]] = dict(live)
-        self._seq = max(prior.max_seq, prior.checkpoint_seq)
+        self._seq = seq
 
         # Open-time compaction: checkpoint the adopted state, then
         # drop every superseded segment — the journal starts each
         # incarnation one checkpoint + one empty segment long.
-        self._segment_index = max(
-            (i for i, _ in _segment_files(self.directory)), default=0
-        )
+        self._segment_index = max((i for i, _ in segments), default=0)
         self._write_checkpoint()
-        for _, path in _segment_files(self.directory):
+        for _, path in segments:
             path.unlink(missing_ok=True)
         fsync_dir(self.directory)
         self._segment_index += 1
@@ -464,6 +482,114 @@ class Journal:
         self._synced_seq = self._seq
         self._read_only = False
         self.stats.journal_segments = 1
+
+    # -- opening: restart recovery ----------------------------------------
+
+    @classmethod
+    def recover(
+        cls,
+        directory: Path | str,
+        disk: DiskBackend,
+        *,
+        config: JournalConfig | None = None,
+        stats: JournalStats | None = None,
+        tracer: Tracer | None = None,
+    ) -> tuple[Journal, list[FileRecord]]:
+        """Restart recovery over ``disk``'s blob files, then the
+        journal's next incarnation. Returns it with the metadata of the
+        recovered outputs, which the caller indexes before it ingests
+        anything (outputs live in no partition).
+
+        One scan, then one entry per path — the checkpoint's, overridden
+        by committed intents in sequence order, overridden by an
+        uncommitted intent whose on-disk bytes digest-match it (the
+        rename + dir fsync is the durable commit point; only the lazily
+        synced commit record was lost, and since applies replace whole
+        files, the match proves that apply was the last). Each entry's
+        blob is checked once: re-indexed when it matches
+        (``recovery_replayed``), re-applied from an embedded payload
+        (``recovery_reapplied``), else quarantined
+        (``recovery_quarantined`` — the crash drill asserts zero, since
+        commit follows a durable apply). The other uncommitted intents
+        were never acked: what their applies left is unlinked unless a
+        recovered entry owns the path (``recovery_rolled_back``). Then
+        tmp orphans go (``recovery_tmp_gc``).
+
+        Recovery never appends to the journal, and its mutations (adopt,
+        re-apply, unlink, tmp GC) are idempotent — so a crash at any
+        ``recovery.*`` point simply reruns it on the next start. Only
+        the constructor afterwards changes the journal itself, and it
+        does so checkpoint-first.
+        """
+        if not hasattr(disk, "read_raw"):  # recovery works on blob files
+            raise FanStoreError(
+                f"a journal needs a DiskBackend, got {type(disk).__name__}"
+            )
+        stats = stats if stats is not None else JournalStats()
+        t0 = time.monotonic()
+        log = scan_journal(directory)
+        stats.recovery_torn_records += log.torn_records
+        span = NULL_SPAN if tracer is None else tracer.root(
+            "durability.recover", rank=disk.rank, segments=log.segments
+        )
+        with span:
+            crash_point("recovery.scanned", disk.rank)
+            entries = dict(log.checkpoint_live)
+            for intent in log.committed:
+                entries[intent["path"]] = _live_entry(intent)
+            adopted: set[str] = set()
+            for intent in log.uncommitted:
+                path = intent["path"]
+                if path not in adopted and _on_disk(disk, path, intent):
+                    entries[path] = _live_entry(intent)
+                    adopted.add(path)
+            live: dict[str, dict[str, Any]] = {}
+            records: list[FileRecord] = []
+            for path, entry in entries.items():
+                if path in adopted or _on_disk(disk, path, entry):
+                    disk.adopt(path)
+                    stats.recovery_replayed += 1
+                elif "payload" in entry:
+                    disk.put(path, bytes.fromhex(entry["payload"]))
+                    stats.recovery_reapplied += 1
+                else:
+                    disk.discard(path)
+                    stats.recovery_quarantined += 1
+                    continue
+                live[path] = entry
+                if "record" in entry:
+                    records.append(_record_from_wire(entry["record"]))
+            crash_point("recovery.replayed", disk.rank)
+            for intent in log.uncommitted:
+                if intent["path"] in adopted:
+                    continue
+                if intent["path"] not in live:
+                    disk.discard(intent["path"])
+                stats.recovery_rolled_back += 1
+            stats.recovery_tmp_gc += gc_tmp_files(directory) + disk.gc_tmp()
+            crash_point("recovery.done", disk.rank)
+            span.tag(
+                replayed=stats.recovery_replayed,
+                reapplied=stats.recovery_reapplied,
+                rolled_back=stats.recovery_rolled_back,
+                quarantined=stats.recovery_quarantined,
+                torn=stats.recovery_torn_records,
+            )
+        journal = cls(
+            directory, disk, config=config, stats=stats, live=live,
+            seq=max(log.max_seq, log.checkpoint_seq),
+        )
+        stats.recovery_seconds = time.monotonic() - t0
+        return journal, records
+
+    def reopen(self) -> Journal:
+        """The next incarnation after :meth:`close`, over this one's
+        live map and sequence number: nothing touched the directory
+        since, so there is nothing to scan or check."""
+        return Journal(
+            self.directory, self.disk, config=self.config,
+            stats=self.stats, live=self._live, seq=self._seq,
+        )
 
     # -- plumbing ----------------------------------------------------------
 
@@ -510,6 +636,35 @@ class Journal:
 
     # -- the write-side protocol ------------------------------------------
 
+    def put(
+        self,
+        op: str,
+        path: str,
+        data: bytes,
+        *,
+        epoch: int = 0,
+        record: FileRecord | None = None,
+    ) -> None:
+        """The journalled mutation: intent (durable) → atomic apply
+        (``DiskBackend.put``) → commit. Only after this returns may the
+        caller acknowledge anything.
+
+        A clean apply failure aborts the intent (recovery would roll it
+        back anyway; aborting just unpins its segment early). A
+        simulated crash is a ``BaseException`` and deliberately skips
+        the abort — the intent must stay pending on disk, exactly like
+        a real ``kill -9``. ``begin`` and ``commit`` are called on the
+        instance, outside the journal's locks, so a probe set on either
+        sees every journalled write.
+        """
+        seq = self.begin(op, path, data, epoch=epoch, record=record)
+        try:
+            self.disk.put(path, data)
+        except Exception:
+            self.abort(seq)
+            raise
+        self.commit(seq)
+
     def begin(
         self,
         op: str,
@@ -552,7 +707,7 @@ class Journal:
         if offset is not None:
             body["offset"] = offset
         if record is not None:
-            body["record"] = record_to_wire(record)
+            body["record"] = _record_to_wire(record)
         if len(data) <= self.config.embed_payload_max:
             body["payload"] = data.hex()
         seq = self._append(body, pending=True)
@@ -639,7 +794,7 @@ class Journal:
                 entry = self._pending.pop(commit_ref, None)
                 self._pending_segment.pop(commit_ref, None)
                 if entry is not None:
-                    self._live[entry["path"]] = live_entry(entry)
+                    self._live[entry["path"]] = _live_entry(entry)
             line_bytes = len(line)
         self.stats.journal_appends += 1
         self.stats.journal_bytes += line_bytes
@@ -759,7 +914,18 @@ class Journal:
                 self._fh.close()
 
 
-def live_entry(intent: dict[str, Any]) -> dict[str, Any]:
+def _on_disk(disk: DiskBackend, path: str, entry: dict[str, Any]) -> bool:
+    """Whether ``path``'s blob holds exactly the bytes ``entry``
+    journalled (size and crc32)."""
+    data = disk.read_raw(path)
+    return (
+        data is not None
+        and len(data) == entry["size"]
+        and zlib.crc32(data) == entry["crc"]
+    )
+
+
+def _live_entry(intent: dict[str, Any]) -> dict[str, Any]:
     """The slice of an intent that the live map / checkpoint keeps."""
     entry = {
         "op": intent["op"],

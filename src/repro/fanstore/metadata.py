@@ -195,16 +195,6 @@ class MetadataTable:
         with self._lock:
             return len(self._replicas)
 
-    def drop_replica(self, path: str, rank: int) -> None:
-        """Forget ``rank``'s replica of ``path`` (its copy is gone)."""
-        norm = normalize(path)
-        with self._lock:
-            holders = self._replicas.get(norm)
-            if holders is not None:
-                holders.discard(rank)
-                if not holders:
-                    del self._replicas[norm]
-
     # -- membership repair (ring reassignment) -----------------------------
 
     def plan_rereplication(

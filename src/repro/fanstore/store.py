@@ -144,7 +144,6 @@ class FanStore(ServiceMixin):
             metrics=opts.metrics,
             journal_dir=journal_dir,
             journal_config=opts.journal_config,
-            disk_injector=opts.disk_injector,
         )
         self.client = FanStoreClient(self.daemon)
         self.membership: FailureDetector | None = None
@@ -287,8 +286,8 @@ class FanStore(ServiceMixin):
 
     @property
     def health(self):
-        """This rank's per-peer health tracker (latency EWMA/quantiles
-        + circuit breakers; :class:`repro.fanstore.health.HealthTracker`)."""
+        """This rank's per-peer health tracker (latency quantiles +
+        circuit breakers; :class:`repro.fanstore.health.HealthTracker`)."""
         return self.daemon.health
 
     @property

@@ -1,7 +1,8 @@
 """The write-ahead journal in isolation: record encoding, the
 commit-after-durable-apply protocol, torn-tail detection, group
-commit, rotation/compaction, brownout, and the crash/disk injectors
-that drive the integration drills."""
+commit, rotation/compaction, brownout, restart recovery over a real
+``DiskBackend`` (a scripted table, no store, thread or clock), and the
+crash/disk injectors that drive the integration drills."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import zlib
 import pytest
 
 from repro.errors import FanStoreError, StorageFullError
+from repro.fanstore.backend import DiskBackend, RamBackend
 from repro.fanstore.crash import (
     CRASH_POINTS,
     CrashPlan,
@@ -39,6 +41,20 @@ SMALL = JournalConfig(
 @pytest.fixture()
 def jdir(tmp_path):
     return tmp_path / "journal"
+
+
+@pytest.fixture()
+def disk(tmp_path):
+    return DiskBackend(tmp_path / "blobs")
+
+
+def reopen(jdir, disk, config=SMALL, stats=None):
+    """The next launch: restart recovery over a fresh index of the same
+    blob directory (the old one died with the process)."""
+    journal, _ = Journal.recover(
+        jdir, DiskBackend(disk.root), config=config, stats=stats
+    )
+    return journal
 
 
 class TestAtomicApply:
@@ -153,26 +169,40 @@ class TestJournalProtocol:
         with pytest.raises(FanStoreError, match="closed"):
             j.begin("write", "out/late", b"x")
 
-    def test_reopen_adopts_committed_live_state(self, jdir):
+    def test_reopen_adopts_committed_live_state(self, jdir, disk):
         j = Journal(jdir, config=SMALL)
         j.commit(j.begin("write", "out/a", b"aa"))
         j.begin("write", "out/b", b"bb")  # never committed
         j.close()
-        j2 = Journal(jdir, config=SMALL)
+        j2 = reopen(jdir, disk)
         live = j2.live_state()
         assert set(live) == {"out/a"}
         assert live["out/a"]["crc"] == zlib.crc32(b"aa")
         j2.close()
 
-    def test_sequence_numbers_never_regress_across_reopen(self, jdir):
+    def test_sequence_numbers_never_regress_across_reopen(self, jdir, disk):
         j = Journal(jdir, config=SMALL)
         last = 0
         for i in range(3):
             last = j.begin("write", f"out/{i}", b"x")
             j.commit(last)
         j.close()
-        j2 = Journal(jdir, config=SMALL)
+        j2 = reopen(jdir, disk)
         assert j2.begin("write", "out/next", b"y") > last
+        j2.close()
+
+    def test_an_existing_journal_opens_only_through_recovery(self, jdir):
+        Journal(jdir, config=SMALL).close()
+        with pytest.raises(FanStoreError, match="Journal.recover"):
+            Journal(jdir, config=SMALL)
+
+    def test_reopen_after_close_continues_the_live_state(self, jdir, disk):
+        j = Journal(jdir, disk, config=SMALL)
+        j.put("write", "out/a", b"aa")
+        j.close()
+        j2 = j.reopen()
+        assert set(j2.live_state()) == {"out/a"}
+        assert j2.begin("write", "out/b", b"bb") > 2
         j2.close()
 
 
@@ -237,14 +267,14 @@ class TestRotationAndCompaction:
         assert not j.read_only
         j.close()
 
-    def test_checkpoint_supersedes_segments(self, jdir):
+    def test_checkpoint_supersedes_segments(self, jdir, disk):
         j = Journal(jdir, config=SMALL)
         for i in range(8):
             j.commit(j.begin("write", f"out/{i}", bytes([i])))
         j.close()
         # reopen: open-time compaction folds everything into the
         # checkpoint and starts one fresh empty segment
-        j2 = Journal(jdir, config=SMALL)
+        j2 = reopen(jdir, disk)
         assert len(list(jdir.glob("segment-*.waj"))) == 1
         assert set(j2.live_state()) == {f"out/{i}" for i in range(8)}
         j2.close()
@@ -304,7 +334,7 @@ class TestGroupCommit:
         assert stats.journal_fsyncs < stats.journal_appends
         assert stats.journal_coalesced_syncs > 0
 
-    def test_all_writes_survive_concurrent_run(self, jdir):
+    def test_all_writes_survive_concurrent_run(self, jdir, disk):
         j = Journal(jdir, config=JournalConfig(low_watermark_bytes=0))
         n, per = 4, 10
 
@@ -318,20 +348,20 @@ class TestGroupCommit:
         for t in threads:
             t.join()
         j.close()
-        j2 = Journal(jdir, config=SMALL)
+        j2 = reopen(jdir, disk)
         assert len(j2.live_state()) == n * per
         j2.close()
 
 
 class TestStorageExhaustion:
-    def test_low_watermark_refuses_before_journalling(self, jdir):
+    def test_low_watermark_refuses_before_journalling(self, jdir, disk):
         stats = JournalStats()
-        inj = DiskFaultInjector().set_free_bytes(1024)
+        disk.injector = DiskFaultInjector().set_free_bytes(1024)
         j = Journal(
             jdir,
+            disk,
             config=JournalConfig(low_watermark_bytes=1 << 20),
             stats=stats,
-            injector=inj,
         )
         with pytest.raises(StorageFullError) as exc_info:
             j.begin("write", "out/full", b"x")
@@ -466,12 +496,134 @@ class TestJournalNeedsBlobFiles:
     def test_a_journal_over_a_ram_backend_is_a_typed_error(self, jdir):
         """Restart recovery adopts, digest-checks and unlinks blob
         files; only a ``DiskBackend`` has any. ``FanStore`` never wires
-        a journal to anything else — a daemon asked to says so before
+        a journal to anything else — recovery asked to says so before
         it touches the directory."""
-        from repro.fanstore.backend import RamBackend
-        from repro.fanstore.daemon import FanStoreDaemon
-
-        daemon = FanStoreDaemon(backend=RamBackend(), journal_dir=jdir)
         with pytest.raises(FanStoreError, match="needs a DiskBackend"):
-            daemon._open_journal()
-        assert daemon.journal is None and not jdir.exists()
+            Journal.recover(jdir, RamBackend())
+        assert not jdir.exists()
+
+
+# -- restart recovery, as a table ---------------------------------------
+#
+# Each row scripts one (journal state, disk state) through the real
+# write-side protocol and a real DiskBackend, "crashes" (the journal is
+# closed, every record it wrote stays), and recovers over a fresh index
+# of the same blob directory. The row's docstring names the mutant of
+# ``Journal.recover`` it kills.
+
+ACKED, UNACKED = b"acked-bytes", b"never-acked"
+BIG = b"z" * 5000  # past embed_payload_max: no payload rides along
+
+
+def _adopted(j, disk):
+    """Uncommitted, bytes on disk match: the apply's rename was the
+    durable commit point, only the commit record was lost. Kills:
+    adoption dropped (an applied write rolled back)."""
+    j.begin("write", "out/a", ACKED)
+    disk.put("out/a", ACKED)
+
+
+def _torn_apply(j, disk):
+    """Uncommitted, the bytes behind the final name are not the
+    intent's. Kills: digest match always true (a torn apply adopted)."""
+    j.begin("write", "out/a", ACKED)
+    disk.blob_path("out/a").write_bytes(ACKED[:4])  # lint: allow[durable-write] test tears its own fixture on purpose
+
+
+def _owned_by_committed(j, disk):
+    """Uncommitted rewrite whose apply never ran, over bytes a
+    committed version owns. Kills: rollback ignoring the committed
+    owner (acked bytes unlinked)."""
+    j.put("write", "out/a", ACKED)
+    j.begin("write", "out/a", UNACKED)
+
+
+def _committed_present(j, disk):
+    """Committed, blob present. Kills: digest match never true (a
+    present blob rewritten from the payload)."""
+    j.put("write", "out/a", ACKED)
+
+
+def _committed_missing(j, disk):
+    """Committed, blob gone, payload embedded. Kills: reapply skipped
+    (a re-creatable write quarantined)."""
+    j.put("write", "out/a", ACKED)
+    disk.blob_path("out/a").unlink()
+
+
+def _committed_torn(j, disk):
+    """Committed, blob torn, payload embedded. Kills: digest match
+    always true (torn bytes re-indexed and served)."""
+    j.put("write", "out/a", ACKED)
+    disk.blob_path("out/a").write_bytes(b"rot")  # lint: allow[durable-write] test tears its own fixture on purpose
+
+
+def _committed_lost(j, disk):
+    """Committed, blob gone, no payload. Kills: digest match always
+    true (a missing blob counted as replayed)."""
+    j.put("write", "out/a", BIG)
+    disk.blob_path("out/a").unlink()
+
+
+def _tmp_orphans(j, disk):
+    """A crashed put's tmp in the blob directory and a crashed
+    checkpoint's in the journal's. Kills: tmp GC dropped."""
+    j.put("write", "out/a", ACKED)
+    (disk.root / "x.blob.1.dead.tmp").write_bytes(b"half")  # lint: allow[durable-write] test plants an orphan on purpose
+    (j.directory / "checkpoint.json.1.dead.tmp").write_bytes(b"{")  # lint: allow[durable-write] test plants an orphan on purpose
+
+
+def _checkpoint_and_later_commit(j, disk):
+    """A path in the checkpoint and in a later committed intent (a
+    re-install of the same bytes). Kills: one check per journalled
+    version instead of one per path (the parent verified it twice)."""
+    j.put("write", "out/a", ACKED)
+    j.compact()
+    j.put("write", "out/a", ACKED)
+
+
+_NONE = dict(replayed=0, reapplied=0, rolled_back=0, quarantined=0, tmp_gc=0)
+
+RECOVERY_TABLE = [
+    pytest.param(_adopted, dict(_NONE, replayed=1), ACKED, {"out/a": ACKED},
+                 id="uncommitted-matching-adopted"),
+    pytest.param(_torn_apply, dict(_NONE, rolled_back=1), None, {},
+                 id="uncommitted-torn-rolled-back"),
+    pytest.param(_owned_by_committed, dict(_NONE, replayed=1, rolled_back=1),
+                 ACKED, {"out/a": ACKED}, id="uncommitted-over-committed-kept"),
+    pytest.param(_committed_present, dict(_NONE, replayed=1), ACKED,
+                 {"out/a": ACKED}, id="committed-present-replayed"),
+    pytest.param(_committed_missing, dict(_NONE, reapplied=1), ACKED,
+                 {"out/a": ACKED}, id="committed-missing-reapplied"),
+    pytest.param(_committed_torn, dict(_NONE, reapplied=1), ACKED,
+                 {"out/a": ACKED}, id="committed-torn-reapplied"),
+    pytest.param(_committed_lost, dict(_NONE, quarantined=1), None, {},
+                 id="committed-missing-no-payload-quarantined"),
+    pytest.param(_tmp_orphans, dict(_NONE, replayed=1, tmp_gc=2), ACKED,
+                 {"out/a": ACKED}, id="tmp-orphans-collected"),
+    pytest.param(_checkpoint_and_later_commit, dict(_NONE, replayed=1),
+                 ACKED, {"out/a": ACKED}, id="checkpoint-and-commit-once"),
+]
+
+
+@pytest.mark.parametrize("script, counters, blob, live", RECOVERY_TABLE)
+def test_recovery_table(jdir, disk, script, counters, blob, live):
+    j = Journal(jdir, disk, config=SMALL)
+    script(j, disk)
+    j.close()
+
+    stats = JournalStats()
+    after = DiskBackend(disk.root)
+    journal, records = Journal.recover(jdir, after, config=SMALL, stats=stats)
+    journal.close()
+
+    assert {
+        name: getattr(stats, f"recovery_{name}") for name in counters
+    } == counters
+    assert after.read_raw("out/a") == blob
+    assert ("out/a" in after) == (blob is not None)
+    assert {
+        path: entry["crc"] for path, entry in journal.live_state().items()
+    } == {path: zlib.crc32(data) for path, data in live.items()}
+    assert records == []  # none of these writes carried a record
+    assert list(disk.root.glob("*.tmp")) == list(jdir.glob("*.tmp")) == []

@@ -16,12 +16,16 @@ calls. Per ingested file ``FanStore(prepared)`` builds the stat twice
 (parsed, then stamped with its home rank), canonicalises once and walks
 no ``dirname``/``basename`` chain: 5 Python calls and 15 C calls, with
 one hold of the table lock per *partition*. The first
-``list_training_files`` reads the directory index in one hold. The
+``list_training_files`` reads the directory index in one hold. A store
+over a ``DiskBackend`` scans its journal directory once per launch and
+not at all when it restarts after ``shutdown()``. The
 parent of the PR that added this file executed, per packed file, 54
 ``pathlib`` and 4 ``dataclasses`` frames, 3 ``FileStat`` constructions,
 11 Python calls under ``src/repro`` and 99 C calls; per ingested file 2
 ``dataclasses`` and 9 ``posixpath`` frames, 7 Python calls, 50 C calls
 and a lock hold; per scanned file a lock hold and a ``normalize``.
+The parent of the PR that moved restart recovery into the journal
+scanned the journal directory twice per launch and once per restart.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from collections import Counter
 
 import pytest
 
+import repro.fanstore.daemon as daemon_mod
+import repro.fanstore.journal as journal_mod
 from repro.fanstore.daemon import DaemonConfig
 from repro.fanstore.layout import FileStat
 from repro.fanstore.metadata import MetadataTable
@@ -224,3 +230,32 @@ def test_first_scan_cost(trees, table_lock_holds):
     assert large["lock_holds"] == small["lock_holds"] <= DIRS + 1
     assert large["normalize"] == small["normalize"] == 1
     assert large["repro_calls"] == small["repro_calls"] <= 4 + 2 * DIRS
+
+
+def test_one_journal_scan_per_launch_and_none_per_restart(
+    trees, tmp_path, monkeypatch
+):
+    """Recovery builds the journal from the scan it made, and a restart
+    reuses the closed journal's live map. Counted at the one module
+    that may scan: the daemon holds no ``scan_journal`` of its own."""
+    assert not hasattr(daemon_mod, "scan_journal")
+    scans = []
+    plain_scan = journal_mod.scan_journal
+
+    def counting_scan(directory):
+        scans.append(directory)
+        return plain_scan(directory)
+
+    monkeypatch.setattr(journal_mod, "scan_journal", counting_scan)
+    options = FanStoreOptions(
+        local_dir=tmp_path / "rank0", config=DaemonConfig(metrics_every=0)
+    )
+    fs = FanStore(_pack(trees, SMALL), options)
+    try:
+        assert fs.journal is not None
+        assert len(scans) == 1  # the launch
+        fs.shutdown()
+        fs.start()
+        assert len(scans) == 1  # the restart scanned nothing
+    finally:
+        fs.shutdown()
