@@ -27,11 +27,24 @@ message to the one parked ``recv`` it matches and wakes only that
 thread, so a remote file retrieval costs two thread wake-ups — the
 serving daemon for the request, the waiting client for the reply —
 like the single MPI round trip it stands for (§V-D site 3).
+
+A parked receiver sleeps on its thread's *wake line* (:class:`_WakeLine`,
+an ``os.pipe`` watched by ``select.poll``, made at the thread's first
+park and closed with its ``threading.local``). The sender takes the
+receiver off the mailbox under the mutex and writes the one wake-up byte
+after leaving it. ``os.write`` drops the GIL for the syscall, so the
+woken thread takes the GIL and runs at once: one context switch per hop.
+A lock released while the sender holds the GIL wakes a thread that
+cannot run yet; it sleeps again until the sender blocks, and a round
+trip costs six switches instead of two. Every wake-up byte is consumed
+by exactly one park, so a line is empty whenever its thread is not
+parked. The comm layer therefore needs ``select.poll``: POSIX hosts.
 """
 
 from __future__ import annotations
 
-import _thread
+import os
+import select
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -92,22 +105,54 @@ def _recv_timed_out(source: int, tag: int, timeout: float) -> CommError:
     )
 
 
-class _Waiter:
-    """One parked receiver: what it wants, the token it blocks on, and
-    the slot a sender fills before releasing that token."""
+class _WakeLine:
+    """One receiving thread's wake line: a pipe and a poll on its read
+    end. Whoever takes the thread's waiter off a mailbox's list writes
+    exactly one byte; every park reads exactly one, so the pipe is empty
+    whenever its thread is not parked. Both ends are closed when the
+    line is dropped, i.e. with its thread's ``threading.local``."""
 
-    __slots__ = ("source", "tag", "token", "msg")
+    __slots__ = ("rfd", "wfd", "_poll")
+
+    def __init__(self) -> None:
+        self.rfd, self.wfd = os.pipe()
+        self._poll = select.poll()
+        self._poll.register(self.rfd, select.POLLIN)
+
+    def wake(self) -> None:
+        # a syscall that drops the GIL: the woken thread runs at once
+        os.write(self.wfd, b"\0")
+
+    def wait(self, timeout: float | None) -> bool:
+        """Park until the byte arrives (True, byte consumed) or
+        ``timeout`` seconds pass (False, nothing consumed)."""
+        if not self._poll.poll(None if timeout is None else timeout * 1e3):
+            return False
+        os.read(self.rfd, 1)
+        return True
+
+    def __del__(self, _close=os.close) -> None:
+        _close(self.rfd)
+        _close(self.wfd)
+
+
+#: each thread's wake line, made at its first park
+_lines = threading.local()
+
+
+class _Waiter:
+    """One parked receiver: what it wants, its thread's wake line, and
+    the slot a sender fills before waking that line."""
+
+    __slots__ = ("source", "tag", "line", "msg")
 
     def __init__(self, source: int, tag: int) -> None:
         self.source = source
         self.tag = tag
-        # A raw ``_thread`` lock (what ``threading.Condition`` parks its
-        # own waiters on), not ``threading.Lock``: the receiver takes it
-        # and a *sender* releases it, which the lockdep witness — it
-        # patches ``threading.Lock`` and assumes owner == releaser —
-        # would report as a lock-order cycle.
-        self.token = _thread.allocate_lock()
-        self.token.acquire()
+        try:
+            self.line: _WakeLine = _lines.line
+        except AttributeError:
+            self.line = _lines.line = _WakeLine()
         self.msg: _Message | None = None
 
 
@@ -118,17 +163,21 @@ class _Mailbox:
     State is one mutex, the arrival-ordered queue of undelivered
     messages and the arrival-ordered list of parked receivers. A
     receiver that finds no queued match registers a :class:`_Waiter`
-    and blocks on its private token *outside* the mutex; ``put`` gives
-    a message straight to the oldest parked receiver it matches (fill
-    the slot, release the token) and queues it only when nobody wants
-    it. So a message wakes exactly the thread that consumes it — a
-    reply landing here never disturbs the service thread parked on the
-    request tag — and nobody re-scans the queue after waking.
+    and sleeps on its thread's wake line *outside* the mutex; ``put``
+    gives a message straight to the oldest parked receiver it matches
+    (take the waiter off the list, fill its slot) and queues it only
+    when nobody wants it. So a message wakes exactly the thread that
+    consumes it — a reply landing here never disturbs the service
+    thread parked on the request tag — and nobody re-scans the queue
+    after waking.
 
-    Invariant: a waiter is parked only while no queued message matches
+    Invariants: a waiter is parked only while no queued message matches
     it (it registers under the mutex after scanning the queue, and
     ``put`` prefers waiters to the queue), so hand-off cannot overtake
-    an older queued message and FIFO per (source, tag) holds.
+    an older queued message and FIFO per (source, tag) holds. Every
+    waiter taken off the list by ``put`` or ``close`` is sent exactly
+    one byte, after the mutex is released, and every park consumes
+    exactly one.
     """
 
     def __init__(self) -> None:
@@ -148,9 +197,11 @@ class _Mailbox:
                     continue
                 del self._waiters[i]
                 waiter.msg = msg
-                waiter.token.release()
+                break
+            else:
+                self._messages.append(msg)
                 return
-            self._messages.append(msg)
+        waiter.line.wake()
 
     def _match(self, source: int, tag: int) -> _Message | None:
         for i, msg in enumerate(self._messages):
@@ -170,13 +221,13 @@ class _Mailbox:
                 return msg
             if self._closed:
                 raise CommClosedError("world torn down during recv")
-            # a spent budget must not reach acquire(): it rejects
-            # negative timeouts and reads -1 as "forever"
+            # a spent budget must not reach poll(): it reads a
+            # negative timeout as "forever"
             if timeout is not None and timeout <= 0:
                 raise _recv_timed_out(source, tag, timeout)
             waiter = _Waiter(source, tag)
             self._waiters.append(waiter)
-        if not waiter.token.acquire(True, -1 if timeout is None else timeout):
+        if not waiter.line.wait(timeout):
             with self._mutex:
                 # The timer can fire together with a sender (or close):
                 # whoever takes the waiter off the list under the mutex
@@ -184,6 +235,9 @@ class _Mailbox:
                 if waiter in self._waiters:
                     self._waiters.remove(waiter)
                     raise _recv_timed_out(source, tag, timeout)
+            # a sender or close() won, and its byte is due: take it, so
+            # this thread's next park does not wake to a stale one
+            waiter.line.wait(None)
         if waiter.msg is None:
             raise CommClosedError("world torn down during recv")
         return waiter.msg
@@ -199,14 +253,14 @@ class _Mailbox:
             return None
 
     def close(self) -> None:
-        """Refuse further mail and release every parked receiver, which
+        """Refuse further mail and wake every parked receiver, which
         then raises :class:`CommClosedError` (its slot is empty). Queued
         messages stay receivable."""
         with self._mutex:
             self._closed = True
             parked, self._waiters = self._waiters, []
         for waiter in parked:
-            waiter.token.release()
+            waiter.line.wake()
 
     def reopen(self) -> None:
         """Re-arm a closed mailbox for a relaunched rank. Stale mail
@@ -321,8 +375,8 @@ class Communicator:
     def _check_rank(self, rank: int, *, wildcard_ok: bool = False) -> None:
         if wildcard_ok and rank == ANY_SOURCE:
             return
-        if not 0 <= rank < self.size:
-            raise RankError(f"rank {rank} outside [0, {self.size})")
+        if not 0 <= rank < self.world.size:
+            raise RankError(f"rank {rank} outside [0, {self.world.size})")
 
     # -- point to point ---------------------------------------------------
 

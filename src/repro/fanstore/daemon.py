@@ -77,6 +77,7 @@ from repro.errors import (
     DeadlineExpiredError,
     FanStoreError,
     FileNotFoundInStoreError,
+    InvalidArgumentError,
     RankDeadError,
     RetryExhaustedError,
     ServerOverloadedError,
@@ -1065,8 +1066,6 @@ class FanStoreDaemon:
 
     def _serve_one(self, entry: tuple) -> bool:
         """Serve one admitted request; False ends the service loop."""
-        comm = self.comm
-        assert comm is not None
         kind, request, source = entry
         deadline_at = request.deadline
         if deadline_at is not None and time.monotonic() >= deadline_at:
@@ -1074,26 +1073,20 @@ class FanStoreDaemon:
             # serving — or even refusing — would be work for nobody
             self.stats.deadline_expired_drops += 1
             return True
-        span = NULL_SPAN
-        if request.trace_ctx is not None:
-            # Joining the requester's trace: a malformed context yields
-            # NULL_SPAN, never an error — tracing must not change what
-            # gets served.
-            span = self.tracer.adopt(
-                request.trace_ctx, f"daemon.serve.{kind}", source=source
-            )
-            if kind in ("fetch", "stat"):
-                span.tag(path=request.subject)
         try:
-            with span:
-                if kind == "batch":
-                    self._serve_batch(request, source)
-                else:
-                    answer = self._answer(
-                        kind, request.subject, request.epoch, span
-                    )
-                    if answer is not None:
-                        comm.send(answer, source, request.reply_tag)
+            if request.trace_ctx is None:
+                self._respond(kind, request, source, NULL_SPAN)
+            else:
+                # Joining the requester's trace: a malformed context
+                # yields NULL_SPAN, never an error — tracing must not
+                # change what gets served.
+                span = self.tracer.adopt(
+                    request.trace_ctx, f"daemon.serve.{kind}", source=source
+                )
+                if kind in ("fetch", "stat"):
+                    span.tag(path=request.subject)
+                with span:
+                    self._respond(kind, request, source, span)
         except (CommClosedError, CommError):
             # replying to a torn-down world (or after our own
             # injected death) ends the service loop — a crashed
@@ -1104,6 +1097,19 @@ class FanStoreDaemon:
             # path type, bogus write_meta record) is still malformed
             self.stats.malformed_requests += 1
         return True
+
+    def _respond(
+        self, kind: str, request: Request, source: int, span: Any
+    ) -> None:
+        """Answer one admitted request on its reply tag: a batch
+        envelope with one batch reply, anything else with its
+        :meth:`_answer` (if any)."""
+        if kind == "batch":
+            self._serve_batch(request, source)
+            return
+        answer = self._answer(kind, request.subject, request.epoch, span)
+        if answer is not None:
+            self.comm.send(answer, source, request.reply_tag)
 
     def _answer(
         self, kind: str, subject: Any, epoch: int | None, span: Any
@@ -1232,18 +1238,26 @@ class FanStoreDaemon:
         a half-open breaker's probe that failed: a full-budget exchange
         ends there (an explicit ``attempts`` is the caller's own bound).
         """
-        comm = self.comm
-        assert comm is not None
+        assert self.comm is not None
         cfg = self.config
         full_budget = attempts is None  # what a failed probe cuts short
+        path = body if isinstance(body, str) else None
         if full_budget:
             attempts = 1 + max(0, cfg.max_retries)
-        path = body if isinstance(body, str) else None
+        elif attempts < 1:
+            raise InvalidArgumentError(
+                f"rank {self.rank}: {kind} request to rank {dest} needs "
+                f"at least one attempt, got attempts={attempts}",
+                path,
+            )
         # Tracing: each attempt gets its own ``rpc.<kind>`` span (so
         # retries are visible as sibling spans) and the attempt's
         # context rides in the request body for the serving rank to
-        # adopt.
-        traced = self.tracer.current_context() is not None
+        # adopt. ``n_active`` is 0 whenever no span is open anywhere.
+        traced = (
+            self.tracer.n_active > 0
+            and self.tracer.current_context() is not None
+        )
         last_exc: CommError | WireFormatError | None = None
         overload_wait: float | None = None
         for attempt in range(attempts):
@@ -1269,25 +1283,20 @@ class FanStoreDaemon:
                 else deadline.cap(cfg.request_timeout)
             )
             reply_tag = self._next_reply_tag()
-            span = (
-                self.tracer.span(f"rpc.{kind}", dest=dest, attempt=attempt)
-                if traced else NULL_SPAN
-            )
             t0 = time.perf_counter()
             try:
-                with span:
-                    ctx = span.context()
-                    wire_body = Request(
-                        subject=body,
-                        reply_tag=reply_tag,
-                        trace_ctx=None if ctx is None else ctx.as_wire(),
-                        deadline=time.monotonic() + attempt_timeout,
-                        # fencing token re-read per attempt: a view that
-                        # advances mid-ladder fences with the fresh epoch
-                        epoch=self._fence_token(),
-                    ).encode()
-                    comm.send((kind, wire_body), dest, TAG_DAEMON)
-                    reply = comm.recv(dest, reply_tag, timeout=attempt_timeout)
+                if not traced:
+                    reply = self._send_recv(
+                        kind, body, dest, reply_tag, attempt_timeout, None
+                    )
+                else:
+                    with self.tracer.span(
+                        f"rpc.{kind}", dest=dest, attempt=attempt
+                    ) as span:
+                        reply = self._send_recv(
+                            kind, body, dest, reply_tag, attempt_timeout,
+                            span.context().as_wire(),
+                        )
             except (CommClosedError, RankDeadError):
                 raise
             except CommError as exc:
@@ -1342,14 +1351,39 @@ class FanStoreDaemon:
             path=path,
         ) from last_exc
 
+    def _send_recv(
+        self,
+        kind: str,
+        body: Any,
+        dest: int,
+        reply_tag: int,
+        timeout: float,
+        trace_ctx: tuple | None,
+    ) -> Any:
+        """One attempt of :meth:`_request` on the wire: the request
+        envelope out, whatever arrives on ``reply_tag`` back."""
+        comm = self.comm
+        wire_body = Request(
+            subject=body,
+            reply_tag=reply_tag,
+            trace_ctx=trace_ctx,
+            deadline=time.monotonic() + timeout,
+            # fencing token re-read per attempt: a view that advances
+            # mid-ladder fences with the fresh epoch
+            epoch=self._fence_token(),
+        ).encode()
+        comm.send((kind, wire_body), dest, TAG_DAEMON)
+        return comm.recv(dest, reply_tag, timeout=timeout)
+
     # -- per-destination request batching ------------------------------------
 
     def _batcher(self, dest: int) -> _DestBatcher:
-        with self._batch_lock:
-            batcher = self._batchers.get(dest)
-            if batcher is None:
-                batcher = self._batchers[dest] = _DestBatcher()
-            return batcher
+        # a dict read needs no lock; only creating a batcher does
+        batcher = self._batchers.get(dest)
+        if batcher is None:
+            with self._batch_lock:
+                batcher = self._batchers.setdefault(dest, _DestBatcher())
+        return batcher
 
     def _batched_request(
         self,

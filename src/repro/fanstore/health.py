@@ -199,10 +199,14 @@ class HealthTracker:
             br = self._breakers[peer] = self._mk_breaker()
         return br
 
-    def _signal(self, peer: int, record: Callable[[], Any]) -> Any:
+    def _signal(
+        self, peer: int, record: Callable[[CircuitBreaker], Any]
+    ) -> Any:
+        """Apply one breaker transition to ``peer``'s breaker (looked up
+        once), reporting a transition into OPEN to ``on_open``."""
         br = self._breaker(peer)
         opens_before = br.opens
-        outcome = record()
+        outcome = record(br)
         if br.opens > opens_before and self.on_open is not None:
             self.on_open(peer)
         return outcome
@@ -212,25 +216,26 @@ class HealthTracker:
     def observe(self, peer: int, seconds: float) -> None:
         """A completed exchange took ``seconds``: feeds the quantile
         window and counts as a success (slow strikes come from
-        :meth:`note_slow`, when a hedge fires)."""
+        :meth:`note_slow`, when a hedge fires). A success never opens a
+        breaker, so there is no transition to report."""
         with self._lock:
             samples = self._samples.get(peer)
             if samples is None:
                 samples = self._samples[peer] = deque(maxlen=WINDOW)
             samples.append(seconds)
-            self._signal(peer, self._breaker(peer).record_success)
+            self._breaker(peer).record_success()
 
     def failure(self, peer: int) -> bool:
         """A hard failure against ``peer`` (timeout, overload shed);
         True when it was a half-open probe that failed."""
         with self._lock:
-            return self._signal(peer, self._breaker(peer).record_failure)
+            return self._signal(peer, CircuitBreaker.record_failure)
 
     def note_slow(self, peer: int) -> None:
         """``peer`` missed the hedge delay — the request was answered
         (or will be) by someone else first."""
         with self._lock:
-            self._signal(peer, self._breaker(peer).record_slow)
+            self._signal(peer, CircuitBreaker.record_slow)
 
     # -- routing gates -----------------------------------------------------
 
@@ -254,7 +259,7 @@ class HealthTracker:
         """Membership DEAD verdict, or a full-budget exchange was
         exhausted: stop routing to ``peer`` at once."""
         with self._lock:
-            self._signal(peer, self._breaker(peer).force_open)
+            self._signal(peer, CircuitBreaker.force_open)
 
     def half_open(self, peer: int) -> None:
         """Membership re-admission: the next request probes ``peer``."""
@@ -320,8 +325,9 @@ class AdmissionQueue:
         return shed
 
     def pop(self) -> Any | None:
-        """Next entry in arrival order, or None when empty."""
+        """Next entry in arrival order, or None when empty. ``push``
+        appends in arrival order and shedding removes without
+        reordering, so the head is always the oldest entry."""
         if not self._items:
             return None
-        victim = min(range(len(self._items)), key=lambda i: self._items[i][1])
-        return self._items.pop(victim)[2]
+        return self._items.pop(0)[2]

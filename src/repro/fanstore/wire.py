@@ -25,7 +25,6 @@ reply is ``(BATCH, (item replies...))`` in request-item order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from repro.comm.deadline import wire_deadline
@@ -43,8 +42,7 @@ WIRE_VERSION = 2
 BATCH = "__batch_reply__"
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One daemon request body, fields by name.
 
     ``subject`` is the request's object (a normalized path for
@@ -55,6 +53,9 @@ class Request:
     None), ``epoch`` the sender's membership-view fencing token (or
     None). ``batch`` is a tuple of ``(kind, subject, deadline)`` item
     triples when this envelope carries a batched flush, else None.
+
+    A ``NamedTuple``, not a frozen dataclass: both sides build one per
+    request, and a tuple is about three times cheaper to construct.
     """
 
     subject: Any
@@ -65,17 +66,9 @@ class Request:
     batch: tuple | None = None
 
     def encode(self) -> tuple:
-        """The versioned wire tuple for this envelope."""
-        return (
-            WIRE_MAGIC,
-            WIRE_VERSION,
-            self.subject,
-            self.reply_tag,
-            self.trace_ctx,
-            self.deadline,
-            self.epoch,
-            self.batch,
-        )
+        """The versioned wire tuple for this envelope (a plain tuple:
+        the fields in order behind the magic and the version)."""
+        return (WIRE_MAGIC, WIRE_VERSION) + self
 
 
 def decode_request(body: Any) -> Request:

@@ -103,11 +103,11 @@ class TestWitness:
         assert not w.cycles
 
     def test_mailbox_handoff_is_not_a_lock_order_cycle(self):
-        """The mailbox parks a receiver on a token that the *sender*
-        releases. The token is a raw ``_thread`` lock for exactly this
-        reason: as a witnessed ``threading.Lock`` the receiver would
-        appear to hold it forever and its next ``recv`` would close a
-        mutex -> token -> mutex cycle."""
+        """The mailbox parks a receiver on its thread's wake line, which
+        the *sender* writes after leaving the mutex. No lock is taken by
+        one thread and released by another, so the hand-off — and the
+        timeout path, which re-takes the mutex after a syscall — leaves
+        the witness nothing but the mutex itself, and no cycle."""
         with LockdepWitness() as w:
             world = World(2)
 

@@ -12,13 +12,16 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.comm.communicator import ANY_SOURCE
+from repro.comm.communicator import ANY_SOURCE, World
 from repro.comm.deadline import Deadline, wire_deadline
 from repro.comm.launcher import run_parallel
 from repro.errors import (
     DataIntegrityError,
     DeadlineExpiredError,
+    InvalidArgumentError,
     RetryExhaustedError,
     ServerOverloadedError,
 )
@@ -352,6 +355,43 @@ class TestAdmissionQueue:
         q.push("d", 40.0)  # sheds "b"
         assert [q.pop(), q.pop(), q.pop()] == ["a", "c", "d"]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("push"), st.none() | st.integers(0, 5)),
+                st.tuples(st.just("pop"), st.none()),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_matches_a_plain_list(self, capacity, ops):
+        """The queue against the contract written as a plain list in
+        arrival order: service pops the head; overflow sheds the entry
+        with the nearest deadline (no deadline counts as the farthest),
+        the earliest arrival among equals, and returns it."""
+        q = AdmissionQueue(capacity)
+        model: list[tuple[int, float]] = []  # (arrival, deadline key)
+        for arrival, (op, deadline) in enumerate(ops):
+            if op == "pop":
+                want = model.pop(0)[0] if model else None
+                assert q.pop() == want
+                continue
+            model.append(
+                (arrival, math.inf if deadline is None else float(deadline))
+            )
+            victims = []
+            while len(model) > capacity:
+                victim = min(model, key=lambda e: (e[1], e[0]))
+                model.remove(victim)
+                victims.append(victim[0])
+            assert q.push(arrival, deadline) == victims
+            assert len(q) == len(model)
+        assert [q.pop() for _ in range(len(model) + 1)] == [
+            arrival for arrival, _ in model
+        ] + [None]
+
 
 def _record(payload: bytes, home_rank: int = 0) -> FileRecord:
     return FileRecord(
@@ -537,6 +577,24 @@ class TestOverloadReplies:
         state, opens = run_parallel(body, 2, timeout=30)[0]
         assert state is BreakerState.OPEN
         assert opens == 1
+
+
+class TestRequestNeedsAnAttempt:
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_no_attempt_is_a_typed_error_and_nothing_is_sent(self, attempts):
+        """An exchange allowed no attempt used to skip its retry loop
+        and crash on the unbound locals of its final error message
+        (``UnboundLocalError``). It is the store's EINVAL now, raised
+        before anything goes on the wire."""
+        world = World(2)
+        daemon = FanStoreDaemon(world.comm(0), config=DaemonConfig(**FAST))
+        with pytest.raises(InvalidArgumentError) as ei:
+            daemon._request("fetch", "some/path", 1, attempts=attempts)
+        assert "at least one attempt" in ei.value.args[0]
+        assert ei.value.errno == errno.EINVAL
+        assert ei.value.filename == "some/path"
+        assert world.comm(1).try_recv() is None
+        assert daemon.stats.retries == 0
 
 
 class TestDeadlineBudgetedRetries:

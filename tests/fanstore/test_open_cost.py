@@ -19,7 +19,10 @@ end of the file: messages, fetches, misses, digest passes and ``Event``
 constructions per batch of 16 — and, on one rank, that it executes what
 16 ``read_file`` calls execute. Digest passes are counted on every path:
 a local read hashes every time, a warm RAM home serves a peer without a
-second pass, and a ``DiskBackend`` home hashes every serve.
+second pass, and a ``DiskBackend`` home hashes every serve. A lone
+remote ``read_file`` is pinned last, as an exact vector on a constructed
+interleaving: wake-line writes, locks with both ranks' mailbox mutexes,
+and Python calls.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ from __future__ import annotations
 import functools
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
 
+import repro.comm.communicator as communicator_module
 import repro.fanstore.daemon as daemon_module
 from repro.comm.launcher import run_parallel
 from repro.fanstore.client import O_CREAT, O_WRONLY
@@ -142,15 +147,19 @@ class _CountingLock:
         return getattr(self._inner, name)
 
 
-def _lock_acquisitions(fs, operation, paths) -> int:
+def _lock_acquisitions(fs, operation, paths, *, also=()) -> int:
     """Lock acquisitions over ``operation(path)`` for every path: every
     lock held as an attribute by the client, the daemon or one of the
     daemon's own parts (metadata table, cache, backend, health tracker,
-    ...) is swapped for a counting stand-in for the duration."""
+    ...) is swapped for a counting stand-in for the duration, and so is
+    every ``(owner, name)`` lock listed in ``also``."""
     tally: list[None] = []
     owners = [fs.client, fs.daemon, *(
         part for part in vars(fs.daemon).values()
         if type(part).__module__.startswith("repro.")
+        # under the lockdep witness a lock is itself a repro object:
+        # counting its inner lock too would count it twice
+        and not type(part).__module__.startswith("repro.analysis.")
         and hasattr(part, "__dict__")
     )]
     with pytest.MonkeyPatch.context() as patch:
@@ -158,6 +167,8 @@ def _lock_acquisitions(fs, operation, paths) -> int:
             for name, value in list(vars(owner).items()):
                 if hasattr(value, "acquire") and hasattr(value, "__exit__"):
                     patch.setattr(owner, name, _CountingLock(value, tally))
+        for owner, name in also:
+            patch.setattr(owner, name, _CountingLock(getattr(owner, name), tally))
         for path in paths:
             operation(path)
     return len(tally)
@@ -322,7 +333,8 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
     serve, and hashing it again at every serve made 32), no ``Event``,
     and at most 18 Python calls under
     ``src/repro`` per file on the requesting thread (25 while each file
-    was pinned; a lone ``read_file`` of a remote path: 50, was 58)."""
+    was pinned; a lone ``read_file`` of a remote path: 44, was 58, then
+    50 — its exact vector is the next test's)."""
     stores: dict[int, FanStore] = {}
     config = DaemonConfig(metrics_every=0)
 
@@ -388,7 +400,7 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         # bounds, not equalities: a reply that beats its receiver to the
         # mailbox saves the parking calls (the counts above cannot move)
         assert counts["python_calls"] <= 18 * BATCH
-        assert alone["python_calls"] <= 50 * BATCH
+        assert alone["python_calls"] <= 44 * BATCH
 
     run_parallel(body, 2, timeout=120)
 
@@ -430,3 +442,92 @@ def test_lone_remote_read_digest_passes(remote_packed, tmp_path, monkeypatch,
     ram = backend == "ram"
     assert passes == {"cold": 2 * BATCH, "warm": (1 if ram else 2) * BATCH}
     assert len(stores[1].daemon._hashed) == (BATCH if ram else 0)
+
+
+def _to_a_parked_receiver(monkeypatch, comm) -> None:
+    """Make ``comm.send`` wait until the destination has a receiver
+    parked on the message's tag, so every message is a hand-off to a
+    sleeping thread: a constructed interleaving, not a raced one."""
+    send = comm.send
+    mailboxes = comm.world._mailboxes
+
+    def send_when_parked(payload, dest, tag=0):
+        while not any(w.tag == tag for w in mailboxes[dest]._waiters):
+            time.sleep(0)
+        send(payload, dest, tag)
+
+    monkeypatch.setattr(comm, "send", send_when_parked)
+
+
+def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
+    """A lone remote ``read_file`` as an exact vector (ROADMAP item 6).
+    Each message is sent only once its receiver is parked, so both hops
+    are hand-offs and no count depends on the scheduler. Per read:
+
+    - 2 wake-line writes, one per hop: the home's service thread for
+      the request, the reading thread for the reply. (The lock token
+      they replaced was released with the GIL held: the woken thread
+      could not run, slept again, and a read cost 6 context switches.)
+    - 14 lock acquisitions on the requesting rank, both ranks' mailbox
+      mutexes included: 5 of them (send and receive on this side;
+      receive, drain and reply at the home), the batcher's twice (take
+      and pass the baton), the health tracker's twice (the gate and the
+      observed latency), the cache's twice, the metadata table's, the
+      RAM backend's (the replica check) and the reply-tag counter's. It
+      was 15: finding the batcher took a lock every time.
+    - 44 Python calls under ``src/repro`` on the reading thread (49
+      before the exchange stopped entering a null span and asking it
+      for a context, and the health tracker looked a breaker up three
+      times per success).
+    """
+    stores: dict[int, FanStore] = {}
+    config = DaemonConfig(metrics_every=0)
+    measured: dict[str, int] = {}
+
+    def body(comm):
+        options = FanStoreOptions(comm=comm, config=config)
+        with FanStore(remote_packed, options) as fs:
+            stores[comm.rank] = fs
+            comm.barrier()
+            if comm.rank == 0:
+                measure(fs, stores[1])
+            comm.barrier()  # the peer serves until the count is taken
+
+    def measure(fs, peer):
+        client, daemon = fs.client, fs.daemon
+        mailboxes = daemon.comm.world._mailboxes
+        paths = [
+            r.path for r in daemon.metadata.walk_files() if r.home_rank == 1
+        ][:BATCH]
+
+        def read_settled(path: str) -> None:
+            client.read_file(path)
+            # the home is back in its receive before the next read
+            while not mailboxes[1]._waiters:
+                time.sleep(0)
+
+        _to_a_parked_receiver(monkeypatch, daemon.comm)
+        _to_a_parked_receiver(monkeypatch, peer.daemon.comm)
+        for path in paths:  # warm: a thread's first park makes its line
+            read_settled(path)
+        writes = _Tally(monkeypatch, communicator_module._WakeLine, "wake")
+        counts = _cost_vector(read_settled, paths)
+        measured["writes"] = len(writes)
+        measured["locks"] = _lock_acquisitions(
+            fs, read_settled, paths,
+            also=[(mailbox, "_mutex") for mailbox in mailboxes]
+            + [(batcher, "lock") for batcher in daemon._batchers.values()],
+        )
+        measured["calls"] = counts["python_calls"]
+        measured["calls_again"] = _cost_vector(
+            read_settled, paths
+        )["python_calls"]
+        monkeypatch.undo()
+
+    run_parallel(body, 2, timeout=120)
+    assert measured == {
+        "writes": 2 * BATCH,
+        "locks": 14 * BATCH,
+        "calls": 44 * BATCH,
+        "calls_again": 44 * BATCH,
+    }
