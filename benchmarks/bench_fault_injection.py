@@ -20,7 +20,8 @@ from repro.comm.chaos import ChaosWorld, FaultPlan
 from repro.comm.launcher import run_parallel
 from repro.datasets.synthetic import generate_dataset
 from repro.errors import CommClosedError, RankDeadError
-from repro.fanstore.daemon import _REPLY_TAG_BASE, DaemonConfig
+from repro.fanstore.daemon import DaemonConfig
+from repro.fanstore.exchange import REPLY_TAG_BASE
 from repro.fanstore.prepare import prepare_dataset
 from repro.fanstore.store import FanStore, FanStoreOptions
 
@@ -35,8 +36,6 @@ _TAG_DONE = 0x0D0E
 FAST = dict(
     request_timeout=0.3,
     max_retries=2,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
 )
 
 
@@ -112,7 +111,7 @@ def test_fault_injection_cost(benchmark, fault_dataset, emit_report):
         ("clean", lambda: _run_healthy(fault_dataset)),
         (f"{LOST_REPLIES} lost replies", lambda: _run_healthy(
             fault_dataset,
-            FaultPlan(seed=29).drop(min_tag=_REPLY_TAG_BASE,
+            FaultPlan(seed=29).drop(min_tag=REPLY_TAG_BASE,
                                     times=LOST_REPLIES),
         )),
         ("dead rank + replica", lambda: _run_dead_rank(fault_dataset, 1)),

@@ -37,8 +37,6 @@ _TAG_DONE = 0x0D0E
 FAST = dict(
     request_timeout=0.3,
     max_retries=2,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
 )
 
 MCFG = MembershipConfig(

@@ -61,8 +61,6 @@ CONFIG = dict(
     extra_partition_budget=1,
     request_timeout=0.4,
     max_retries=1,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
 )
 
 #: fast detector so conviction (or its quorum denial) lands in ~1.5 s;

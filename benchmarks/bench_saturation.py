@@ -64,9 +64,6 @@ SEED = 9
 CONFIG = DaemonConfig(
     request_timeout=5.0,
     max_retries=2,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
-    retry_jitter=0.0,
     max_queue_depth=256,
 )
 

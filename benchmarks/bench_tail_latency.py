@@ -28,7 +28,8 @@ from repro.bench.report import PaperComparison
 from repro.comm.chaos import ChaosWorld, FaultPlan
 from repro.comm.launcher import run_parallel
 from repro.datasets.synthetic import generate_dataset
-from repro.fanstore.daemon import _REPLY_TAG_BASE, DaemonConfig
+from repro.fanstore.daemon import DaemonConfig
+from repro.fanstore.exchange import REPLY_TAG_BASE
 from repro.fanstore.prepare import prepare_dataset
 from repro.fanstore.store import FanStore, FanStoreOptions
 
@@ -44,9 +45,6 @@ BASE = dict(
     extra_partition_budget=1,
     request_timeout=0.5,
     max_retries=1,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
-    retry_jitter=0.0,
     hedge_after_s=0.02,
     breaker_slow_threshold=1000,
 )
@@ -75,7 +73,7 @@ def _run_regime(prepared, *, slow: bool, hedge: bool):
     the request counters the overhead gate needs."""
     plan = FaultPlan(SEED)
     if slow:
-        plan.slow_rank(SLOW, SLOW_S, min_tag=_REPLY_TAG_BASE)
+        plan.slow_rank(SLOW, SLOW_S, min_tag=REPLY_TAG_BASE)
     world = ChaosWorld(RANKS, plan)
     config = DaemonConfig(hedge_reads=hedge, **BASE)
 

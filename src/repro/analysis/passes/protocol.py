@@ -26,6 +26,11 @@ forwards such a parameter as the kind to another request helper —
 calls to it with a literal in that parameter's position emit the
 literal as a kind. An *envelope* is a call to a constructor named
 ``Request``.
+
+Dispatchers, helpers and emitted kinds are collected project-wide: a
+kind emitted in one file through a helper in another meets the
+dispatcher of a third. Helpers match by method name, so a helper must
+not be named like a common method (``request``, say).
 """
 
 from __future__ import annotations
@@ -77,8 +82,36 @@ def _send_parts(call: ast.Call) -> tuple[ast.expr, str] | None:
     return call.args[0], tag
 
 
+def _emitted(
+    call: ast.Call, helpers: dict[str, tuple[str, int]]
+) -> tuple[str, str] | None:
+    """``(tag, kind)`` when ``call`` emits a literal kind: a direct
+    ``send(("kind", ...), dest, TAG_*)``, or a call to a request helper
+    with a string literal in the helper's kind position."""
+    parts = _send_parts(call)
+    if parts is not None:
+        payload, tag = parts
+        if not (isinstance(payload, ast.Tuple) and payload.elts):
+            return None
+        kind = payload.elts[0]
+    else:
+        fn = call.func
+        if not (isinstance(fn, ast.Attribute) and fn.attr in helpers):
+            return None
+        tag, pos = helpers[fn.attr]
+        if len(call.args) <= pos:
+            return None
+        kind = call.args[pos]
+    if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
+        return tag, kind.value
+    return None
+
+
 class _MethodInfo:
-    def __init__(self, cls: str, node: ast.FunctionDef) -> None:
+    def __init__(
+        self, src: SourceFile, cls: str, node: ast.FunctionDef
+    ) -> None:
+        self.src = src
         self.cls = cls
         self.node = node
         #: positional parameters as a caller counts them (no ``self``)
@@ -89,13 +122,13 @@ class _MethodInfo:
         ]
 
 
-def _methods(tree: ast.Module) -> list[_MethodInfo]:
+def _methods(src: SourceFile) -> list[_MethodInfo]:
     out = []
-    for cls in ast.walk(tree):
+    for cls in ast.walk(src.tree):
         if isinstance(cls, ast.ClassDef):
             for item in cls.body:
                 if isinstance(item, ast.FunctionDef):
-                    out.append(_MethodInfo(cls.name, item))
+                    out.append(_MethodInfo(src, cls.name, item))
     return out
 
 
@@ -104,15 +137,8 @@ class ProtocolConformancePass(LintPass):
     title = "every emitted kind has a dispatch arm; every envelope is fenced"
 
     def run(self, project: Project) -> Iterable[Finding]:
-        findings: list[Finding] = []
-        for src in project:
-            if src.parse_error is not None:
-                continue
-            findings.extend(self._check_file(src))
-        return findings
-
-    def _check_file(self, src: SourceFile) -> list[Finding]:
-        methods = _methods(src.tree)
+        sources = [src for src in project if src.parse_error is None]
+        methods = [m for src in sources for m in _methods(src)]
         dispatchers: dict[str, _MethodInfo] = {}
         for m in methods:
             for node in m.calls:
@@ -161,33 +187,16 @@ class ProtocolConformancePass(LintPass):
                         break
 
         # emitted kinds: direct literal sends + literal calls to helpers
-        emitted: dict[str, list[tuple[str, int]]] = {}
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            parts = _send_parts(node)
-            if parts is not None:
-                payload, tag = parts
-                if (
-                    isinstance(payload, ast.Tuple)
-                    and payload.elts
-                    and isinstance(payload.elts[0], ast.Constant)
-                    and isinstance(payload.elts[0].value, str)
-                ):
+        emitted: dict[str, list[tuple[str, SourceFile, int]]] = {}
+        for src in sources:
+            for node in ast.walk(src.tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                hit = _emitted(node, helpers)
+                if hit is not None:
+                    tag, kind = hit
                     emitted.setdefault(tag, []).append(
-                        (payload.elts[0].value, node.lineno)
-                    )
-                continue
-            fn = node.func
-            if isinstance(fn, ast.Attribute) and fn.attr in helpers:
-                tag, pos = helpers[fn.attr]
-                if (
-                    len(node.args) > pos
-                    and isinstance(node.args[pos], ast.Constant)
-                    and isinstance(node.args[pos].value, str)
-                ):
-                    emitted.setdefault(tag, []).append(
-                        (node.args[pos].value, node.lineno)
+                        (kind, src, node.lineno)
                     )
 
         findings: list[Finding] = []
@@ -200,7 +209,7 @@ class ProtocolConformancePass(LintPass):
             handled = self._handled_kinds(dispatcher, methods)
             if not handled:
                 continue  # receive loop without string dispatch
-            for kind, lineno in kinds:
+            for kind, src, lineno in kinds:
                 if kind not in handled:
                     findings.append(
                         self.finding(
@@ -214,8 +223,9 @@ class ProtocolConformancePass(LintPass):
                     )
 
         # 2. every envelope carries a fencing token
-        if "fanstore/" in src.display.replace("\\", "/"):
-            findings.extend(self._check_envelopes(src))
+        for src in sources:
+            if "fanstore/" in src.display.replace("\\", "/"):
+                findings.extend(self._check_envelopes(src))
         return findings
 
     @staticmethod
@@ -225,7 +235,8 @@ class ProtocolConformancePass(LintPass):
         """String literals compared against a name in the dispatcher or
         in any same-class method reachable from it via ``self.`` calls."""
         by_name = {
-            m.node.name: m for m in methods if m.cls == dispatcher.cls
+            m.node.name: m for m in methods
+            if m.src is dispatcher.src and m.cls == dispatcher.cls
         }
         reached = {dispatcher.node.name: dispatcher}
         frontier = [dispatcher]

@@ -5,6 +5,11 @@ can catch package-level failures with one ``except`` clause while still
 discriminating by subsystem.
 """
 
+import errno
+
+# OSError-family errors set ``strerror`` and leave ``filename`` unset
+# without a path: either way ``str()`` would print "None" for it.
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -37,13 +42,12 @@ class DataIntegrityError(FanStoreError, OSError):
     ``errno`` is set accordingly and ``filename`` names the path)."""
 
     def __init__(self, path: str, detail: str = "") -> None:
-        import errno as _errno
-
         message = f"{path}: data integrity violation"
         if detail:
             message += f" ({detail})"
         super().__init__(message)
-        self.errno = _errno.EIO
+        self.errno = errno.EIO
+        self.strerror = message
         self.filename = path
 
 
@@ -52,10 +56,9 @@ class FileNotFoundInStoreError(FanStoreError, FileNotFoundError):
     (``errno`` is ENOENT, ``filename`` names the path)."""
 
     def __init__(self, path: str) -> None:
-        import errno as _errno
-
         super().__init__(path)
-        self.errno = _errno.ENOENT
+        self.errno = errno.ENOENT
+        self.strerror = "no such file in the store"
         self.filename = path
 
 
@@ -65,11 +68,11 @@ class WriteViolationError(FanStoreError, PermissionError):
     ``errno`` is EACCES, ``filename`` names the path when known."""
 
     def __init__(self, detail: str, path: str | None = None) -> None:
-        import errno as _errno
-
         super().__init__(detail)
-        self.errno = _errno.EACCES
-        self.filename = path
+        self.errno = errno.EACCES
+        self.strerror = detail
+        if path is not None:
+            self.filename = path
 
 
 class BadFileDescriptorError(FanStoreError, OSError):
@@ -77,11 +80,11 @@ class BadFileDescriptorError(FanStoreError, OSError):
     EBADF; ``filename`` names the path when the fd resolved to one)."""
 
     def __init__(self, detail: str, path: str | None = None) -> None:
-        import errno as _errno
-
         super().__init__(detail)
-        self.errno = _errno.EBADF
-        self.filename = path
+        self.errno = errno.EBADF
+        self.strerror = detail
+        if path is not None:
+            self.filename = path
 
 
 class InvalidArgumentError(FanStoreError, OSError):
@@ -90,11 +93,11 @@ class InvalidArgumentError(FanStoreError, OSError):
     EINVAL of the store."""
 
     def __init__(self, detail: str, path: str | None = None) -> None:
-        import errno as _errno
-
         super().__init__(detail)
-        self.errno = _errno.EINVAL
-        self.filename = path
+        self.errno = errno.EINVAL
+        self.strerror = detail
+        if path is not None:
+            self.filename = path
 
 
 class WireFormatError(FanStoreError, FormatError):
@@ -141,11 +144,11 @@ class RetryExhaustedError(CommError, TimeoutError):
     one."""
 
     def __init__(self, detail: str, path: str | None = None) -> None:
-        import errno as _errno
-
         super().__init__(detail)
-        self.errno = _errno.ETIMEDOUT
-        self.filename = path
+        self.errno = errno.ETIMEDOUT
+        self.strerror = detail
+        if path is not None:
+            self.filename = path
 
 
 class DeadlineExpiredError(CommError, TimeoutError):
@@ -158,11 +161,11 @@ class DeadlineExpiredError(CommError, TimeoutError):
     path when there is one."""
 
     def __init__(self, detail: str, path: str | None = None) -> None:
-        import errno as _errno
-
         super().__init__(detail)
-        self.errno = _errno.ETIMEDOUT
-        self.filename = path
+        self.errno = errno.ETIMEDOUT
+        self.strerror = detail
+        if path is not None:
+            self.filename = path
 
 
 class ServerOverloadedError(FanStoreError, OSError):
@@ -178,11 +181,11 @@ class ServerOverloadedError(FanStoreError, OSError):
         *,
         retry_after_s: float = 0.0,
     ) -> None:
-        import errno as _errno
-
         super().__init__(detail)
-        self.errno = _errno.EAGAIN
-        self.filename = path
+        self.errno = errno.EAGAIN
+        self.strerror = detail
+        if path is not None:
+            self.filename = path
         self.retry_after_s = retry_after_s
 
 
@@ -201,11 +204,11 @@ class StaleEpochError(FanStoreError, OSError):
         *,
         server_epoch: int = 0,
     ) -> None:
-        import errno as _errno
-
         super().__init__(detail)
-        self.errno = _errno.ESTALE
-        self.filename = path
+        self.errno = errno.ESTALE
+        self.strerror = detail
+        if path is not None:
+            self.filename = path
         self.server_epoch = server_epoch
 
 
@@ -217,13 +220,12 @@ class StorageFullError(FanStoreError, OSError):
     ``filename`` names the path the write was for."""
 
     def __init__(self, path: str, detail: str = "") -> None:
-        import errno as _errno
-
         message = f"{path}: storage full"
         if detail:
             message += f" ({detail})"
         super().__init__(message)
-        self.errno = _errno.ENOSPC
+        self.errno = errno.ENOSPC
+        self.strerror = message
         self.filename = path
 
 

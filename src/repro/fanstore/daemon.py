@@ -15,6 +15,11 @@ One daemon runs per node (here: per rank of the in-process world). It
    dumped to the backend and its metadata forwarded to the rank that
    owns the path's hash slot (§V-D site 4).
 
+This module decides *what* to ask a peer and *whom* (the failover
+ladder, ``fetch_many``'s grouping, the write/stat forwarding) and
+serves what peers ask; *how* a peer is asked is
+:class:`repro.fanstore.exchange.PeerExchange`.
+
 Message protocol (all on ``TAG_DAEMON``; replies on caller-chosen tags):
 
 =========== ======================================== ===============================
@@ -55,13 +60,10 @@ envelope's reply tag.
 
 from __future__ import annotations
 
-import itertools
 import logging
-import random
 import threading
 import time
 import zlib
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -77,15 +79,18 @@ from repro.errors import (
     DeadlineExpiredError,
     FanStoreError,
     FileNotFoundInStoreError,
-    InvalidArgumentError,
     RankDeadError,
     RetryExhaustedError,
     ServerOverloadedError,
-    StaleEpochError,
     WireFormatError,
 )
 from repro.fanstore.backend import Backend, RamBackend
 from repro.fanstore.cache import DecompressedCache
+from repro.fanstore.exchange import (
+    OVERLOAD_RETRY_AFTER_S,
+    TAG_DAEMON,
+    PeerExchange,
+)
 from repro.fanstore.health import AdmissionQueue, HealthTracker
 from repro.fanstore.journal import Journal, JournalConfig, JournalStats
 from repro.fanstore.layout import blob_crc32, partition_payload_bytes
@@ -106,15 +111,11 @@ from repro.fanstore.prepare import PreparedDataset
 from repro.fanstore.wire import (
     Reply,
     Request,
-    decode_batch_reply,
     decode_request,
     encode_batch_reply,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, Tracer
-
-TAG_DAEMON = 0x0FA0
-_REPLY_TAG_BASE = 0x1000
 
 #: load-time collectives (metadata allgather) are not on the request
 #: hot path; they get a generous fixed budget rather than the per-
@@ -124,13 +125,6 @@ _LOAD_COLLECTIVE_TIMEOUT = 60.0
 #: attempts against each replica rank once the home rank is given up on
 #: (replicas are a bonus tier; the shared FS is the floor).
 _FAILOVER_ATTEMPTS = 1
-
-#: hedged reads fire once the home rank has been silent for this
-#: quantile of its recent reply latencies.
-_HEDGE_QUANTILE = 0.95
-
-#: the back-off an overload reply asks of the requester it shed.
-_OVERLOAD_RETRY_AFTER_S = 0.05
 
 #: service-thread join budget at :meth:`FanStoreDaemon.stop` —
 #: deliberately *not* ``request_timeout`` (a 30 s request budget must
@@ -221,14 +215,9 @@ class DaemonConfig:
     extra_partition_budget: int = 0  # additional partitions to replicate
     request_timeout: float = 30.0
     #: retry budget for one request/reply exchange: ``max_retries``
-    #: re-sends after the first attempt, each on a fresh reply tag, with
-    #: exponential backoff (base * 2^(attempt-1), capped at the max)
-    #: plus up to ``retry_jitter`` * backoff of seeded random jitter so
-    #: synchronized peers don't re-stampede a recovering rank.
+    #: re-sends after the first attempt, each on a fresh reply tag,
+    #: after the fixed back-off of :mod:`repro.fanstore.exchange`.
     max_retries: int = 2
-    retry_backoff_base: float = 0.05
-    retry_backoff_max: float = 2.0
-    retry_jitter: float = 0.5
     #: compressor applied to output files at close (None = store raw).
     #: Checkpoints/logs are written once and rarely re-read (§II-B3), so
     #: a slow-but-dense codec is usually the right choice here.
@@ -287,44 +276,6 @@ class DaemonConfig:
     epoch_fencing: bool = True
 
 
-class _BatchTicket:
-    """One parked small request awaiting a batched flush.
-
-    ``outcome`` is written under its batcher's lock and read after
-    ``event`` fires: ``("lead", None)`` elects the waiter as the next
-    flush leader, ``("reply", Reply)`` hands it its decoded item reply,
-    ``("fallback", None)`` tells it to retry through the classic
-    single-request ladder. ``cancelled`` marks a waiter that gave up at
-    its deadline — a flush leader skips it rather than answering a
-    walked-away caller."""
-
-    __slots__ = ("kind", "subject", "deadline", "event", "outcome",
-                 "cancelled")
-
-    def __init__(
-        self, kind: str, subject: Any, deadline: Deadline | None
-    ) -> None:
-        self.kind = kind
-        self.subject = subject
-        self.deadline = deadline
-        self.event = threading.Event()
-        self.outcome: tuple[str, Any] | None = None
-        self.cancelled = False
-
-
-class _DestBatcher:
-    """Per-destination batching state: ``busy`` is the flush baton (one
-    in-flight exchange per destination at a time), ``pending`` the
-    tickets parked behind it."""
-
-    __slots__ = ("lock", "busy", "pending")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.busy = False
-        self.pending: "deque[_BatchTicket]" = deque()
-
-
 class FanStoreDaemon:
     """Per-rank object-store service."""
 
@@ -373,27 +324,16 @@ class FanStoreDaemon:
         self._h_write = self.metrics.histogram("daemon.write_seconds")
         self._trace_opens = self.config.trace_sample > 0.0
         self._service_thread: threading.Thread | None = None
-        self._reply_tags = itertools.count(_REPLY_TAG_BASE + self.rank * 1_000_000)
-        self._reply_lock = threading.Lock()
-        #: pipelined scheduler state (PR 9): per-destination request
-        #: batchers, and the serve-side in-flight gauge + counters.
-        self._batch_lock = threading.Lock()
-        self._batchers: dict[int, _DestBatcher] = {}
+        #: serve-side pipeline state: the in-flight gauge + counters
         self._inflight = 0
         self.metrics.bind_gauge("daemon.pipeline.inflight", self, "_inflight")
         self._m_dispatched = self.metrics.counter("daemon.pipeline.dispatched")
-        self._m_batch_flushes = self.metrics.counter("daemon.batch.flushes")
-        self._m_batch_items = self.metrics.counter("daemon.batch.items")
-        self._m_batch_fallbacks = self.metrics.counter(
-            "daemon.batch.fallbacks"
-        )
         self._m_batch_served = self.metrics.counter("daemon.batch.served")
         self._loaded_bytes = 0
         self._prepared: PreparedDataset | None = None
         # replica paths this rank acquired during ring replication,
         # announced to peers in the metadata allgather
         self._replicated_paths: list[str] = []
-        self._retry_rng = random.Random(0x5EED ^ self.rank)
         #: per-peer latency quantiles + circuit breakers; the
         #: breaker transition/probe callbacks land in the stats bag so
         #: the drills assert on them like any other counter
@@ -405,6 +345,11 @@ class FanStoreDaemon:
         )
         self.health.on_open = self._on_breaker_open
         self.health.on_probe = self._on_breaker_probe
+        #: the request side: how a peer is asked (see exchange.py)
+        self.exchange = PeerExchange(
+            comm, cfg, self.stats, self.health, self.tracer, self.metrics,
+            fence=self._fence_token, verify=self._blob_ok,
+        )
         self._queue_depth = 0  # service-loop backlog, sampled per drain
         self.metrics.bind_gauge("daemon.queue_depth", self, "_queue_depth")
         # path → (the backend object last hashed clean for a peer, the
@@ -1055,7 +1000,7 @@ class FanStoreDaemon:
                 deadline_at = max(live)
         entry = (kind, request, source)
         shed = queue.push(entry, deadline_at)
-        overloaded = (Reply.OVERLOAD, _OVERLOAD_RETRY_AFTER_S)
+        overloaded = (Reply.OVERLOAD, OVERLOAD_RETRY_AFTER_S)
         for _, victim, victim_source in shed:
             self.stats.shed_requests += 1
             try:
@@ -1186,423 +1131,6 @@ class FanStoreDaemon:
 
     # -- data path ------------------------------------------------------------
 
-    def _next_reply_tag(self) -> int:
-        with self._reply_lock:
-            return next(self._reply_tags)
-
-    def _backoff(self, attempt: int) -> float:
-        """Capped exponential backoff with seeded jitter for retry
-        ``attempt`` (1-based)."""
-        cfg = self.config
-        delay = min(
-            cfg.retry_backoff_max,
-            cfg.retry_backoff_base * (2 ** (attempt - 1)),
-        )
-        return delay * (1.0 + cfg.retry_jitter * self._retry_rng.random())
-
-    def _request(
-        self,
-        kind: str,
-        body: Any,
-        dest: int,
-        *,
-        attempts: int | None = None,
-        deadline: Deadline | None = None,
-    ) -> tuple[str, Any]:
-        """One request/reply exchange with a bounded retry budget;
-        returns the server's ``(status, value)`` pair, status
-        ``Reply.OK`` or ``Reply.MISS``.
-
-        Every attempt uses a *fresh* reply tag, so a reply that arrives
-        after its attempt already timed out rots harmlessly in the
-        mailbox instead of being mistaken for the answer to a later
-        request. ``CommClosedError`` (world teardown) and
-        ``RankDeadError`` (this rank is the dead one) are not retried —
-        no amount of resending survives either.
-
-        With a ``deadline``, every attempt's timeout and backoff sleep
-        are capped by the remaining budget (retries no longer *stack*
-        full timeouts), and a spent budget raises
-        :class:`DeadlineExpiredError` instead of starting another
-        attempt. Either way the wire body carries the attempt's own
-        absolute expiry, so the server can drop work this side has
-        already given up on. An ``(OVERLOAD, retry_after)`` reply is a
-        shed: back off at least ``retry_after`` before the next attempt,
-        and raise :class:`ServerOverloadedError` when the budget ends on
-        one — overload is the one failure retrying *amplifies*. Anything
-        on the reply tag that is not a reply counts as a lost reply.
-
-        Outcomes feed the per-peer health tracker: reply latencies via
-        :meth:`HealthTracker.observe`, timeouts and sheds via
-        :meth:`HealthTracker.failure` — which says when the attempt was
-        a half-open breaker's probe that failed: a full-budget exchange
-        ends there (an explicit ``attempts`` is the caller's own bound).
-        """
-        assert self.comm is not None
-        cfg = self.config
-        full_budget = attempts is None  # what a failed probe cuts short
-        path = body if isinstance(body, str) else None
-        if full_budget:
-            attempts = 1 + max(0, cfg.max_retries)
-        elif attempts < 1:
-            raise InvalidArgumentError(
-                f"rank {self.rank}: {kind} request to rank {dest} needs "
-                f"at least one attempt, got attempts={attempts}",
-                path,
-            )
-        # Tracing: each attempt gets its own ``rpc.<kind>`` span (so
-        # retries are visible as sibling spans) and the attempt's
-        # context rides in the request body for the serving rank to
-        # adopt. ``n_active`` is 0 whenever no span is open anywhere.
-        traced = (
-            self.tracer.n_active > 0
-            and self.tracer.current_context() is not None
-        )
-        last_exc: CommError | WireFormatError | None = None
-        overload_wait: float | None = None
-        for attempt in range(attempts):
-            if attempt:
-                self.stats.retries += 1
-                pause = self._backoff(attempt)
-                if overload_wait is not None:
-                    pause = max(pause, overload_wait)
-                    overload_wait = None
-                if deadline is not None:
-                    pause = deadline.cap(pause)
-                time.sleep(pause)
-            if deadline is not None and deadline.expired():
-                self.stats.deadline_aborts += 1
-                raise DeadlineExpiredError(
-                    f"rank {self.rank}: {kind} request to rank {dest} "
-                    f"abandoned after {attempt} attempt(s): deadline "
-                    f"expired (last error: {last_exc})",
-                    path,
-                ) from last_exc
-            attempt_timeout = (
-                cfg.request_timeout if deadline is None
-                else deadline.cap(cfg.request_timeout)
-            )
-            reply_tag = self._next_reply_tag()
-            t0 = time.perf_counter()
-            try:
-                if not traced:
-                    reply = self._send_recv(
-                        kind, body, dest, reply_tag, attempt_timeout, None
-                    )
-                else:
-                    with self.tracer.span(
-                        f"rpc.{kind}", dest=dest, attempt=attempt
-                    ) as span:
-                        reply = self._send_recv(
-                            kind, body, dest, reply_tag, attempt_timeout,
-                            span.context().as_wire(),
-                        )
-            except (CommClosedError, RankDeadError):
-                raise
-            except CommError as exc:
-                last_exc = exc
-                if self.health.failure(dest) and full_budget:
-                    break
-                continue
-            try:
-                status, value = reply
-            except (TypeError, ValueError):
-                status = value = None
-            if status == Reply.OK or status == Reply.MISS:
-                self.health.observe(dest, time.perf_counter() - t0)
-                return reply
-            if status == Reply.FENCED:
-                # a stale fencing token is not retryable: the view this
-                # side acted under is history, and only a membership
-                # catch-up (gossip merge, rejoin) can change that
-                self.stats.stale_epoch_aborts += 1
-                raise StaleEpochError(
-                    f"rank {self.rank}: {kind} request to rank {dest} "
-                    f"fenced off — our view epoch {self._view_epoch()} is "
-                    f"older than the server's {value}",
-                    path,
-                    server_epoch=value if isinstance(value, int) else 0,
-                )
-            probe_failed = self.health.failure(dest)
-            if status == Reply.OVERLOAD:
-                self.stats.overload_backoffs += 1
-                last_exc = None
-                overload_wait = (
-                    float(value)
-                    if isinstance(value, (int, float))
-                    else _OVERLOAD_RETRY_AFTER_S
-                )
-            else:
-                # garbage on the reply tag is as good as no reply
-                last_exc = WireFormatError(f"unparseable reply: {reply!r}")
-            if probe_failed and full_budget:
-                break
-        if overload_wait is not None:
-            raise ServerOverloadedError(
-                f"rank {self.rank}: {kind} request to rank {dest} shed by "
-                f"admission control on every one of {attempt + 1} attempt(s)",
-                path,
-                retry_after_s=overload_wait,
-            )
-        raise RetryExhaustedError(
-            f"rank {self.rank}: {kind} request to rank {dest} "
-            f"(tag {TAG_DAEMON:#x}, last reply tag {reply_tag:#x}) failed "
-            f"after {attempt + 1} attempt(s): {last_exc}",
-            path=path,
-        ) from last_exc
-
-    def _send_recv(
-        self,
-        kind: str,
-        body: Any,
-        dest: int,
-        reply_tag: int,
-        timeout: float,
-        trace_ctx: tuple | None,
-    ) -> Any:
-        """One attempt of :meth:`_request` on the wire: the request
-        envelope out, whatever arrives on ``reply_tag`` back."""
-        comm = self.comm
-        wire_body = Request(
-            subject=body,
-            reply_tag=reply_tag,
-            trace_ctx=trace_ctx,
-            deadline=time.monotonic() + timeout,
-            # fencing token re-read per attempt: a view that advances
-            # mid-ladder fences with the fresh epoch
-            epoch=self._fence_token(),
-        ).encode()
-        comm.send((kind, wire_body), dest, TAG_DAEMON)
-        return comm.recv(dest, reply_tag, timeout=timeout)
-
-    # -- per-destination request batching ------------------------------------
-
-    def _batcher(self, dest: int) -> _DestBatcher:
-        # a dict read needs no lock; only creating a batcher does
-        batcher = self._batchers.get(dest)
-        if batcher is None:
-            with self._batch_lock:
-                batcher = self._batchers.setdefault(dest, _DestBatcher())
-        return batcher
-
-    def _batched_request(
-        self,
-        kind: str,
-        subject: Any,
-        dest: int,
-        *,
-        deadline: Deadline | None = None,
-    ) -> tuple[str, Any]:
-        """A small request that may ride a batched flush.
-
-        The first caller per destination takes the *baton* and runs a
-        classic :meth:`_request` (an idle destination pays zero batching
-        overhead — no wait, no envelope change); callers arriving
-        while the baton is out park as tickets. When the baton frees, a
-        parked ticket is elected flush leader: it packs up to
-        :data:`~repro.fanstore.pipeline.BATCH_MAX` parked tickets into
-        one ``batch`` envelope and fans the item replies back to their
-        waiters. Any batch-level
-        failure degrades every waiter to the classic ladder — batching
-        is an optimization, never a new failure mode. Hedged fetches and
-        mutating requests must not come through here.
-        """
-        batcher = self._batcher(dest)
-        ticket: _BatchTicket | None = None
-        with batcher.lock:
-            if not batcher.busy:
-                batcher.busy = True
-            else:
-                ticket = _BatchTicket(kind, subject, deadline)
-                batcher.pending.append(ticket)
-        if ticket is None:
-            try:
-                return self._request(kind, subject, dest, deadline=deadline)
-            finally:
-                self._pass_baton(batcher)
-        while ticket.outcome is None:
-            timeout = (
-                None if ticket.deadline is None
-                else max(0.0, ticket.deadline.remaining())
-            )
-            if not ticket.event.wait(timeout):
-                with batcher.lock:
-                    aborted = ticket.outcome is None
-                    if aborted:
-                        ticket.cancelled = True
-                        try:
-                            batcher.pending.remove(ticket)
-                        except ValueError:
-                            pass
-                if aborted:
-                    self.stats.deadline_aborts += 1
-                    raise DeadlineExpiredError(
-                        f"rank {self.rank}: batched {kind} request to rank "
-                        f"{dest} abandoned while parked: deadline expired",
-                        subject if isinstance(subject, str) else None,
-                    )
-        action, value = ticket.outcome
-        if action == "lead":
-            return self._lead_flush(batcher, dest, ticket)
-        if action == "reply":
-            return self._consume_item_reply(
-                kind, subject, dest, deadline, value
-            )
-        # "fallback": the flush died at the envelope level; retry classic
-        self._m_batch_fallbacks.inc()
-        return self._request(kind, subject, dest, deadline=deadline)
-
-    def _pass_baton(self, batcher: _DestBatcher) -> None:
-        """Hand the per-destination baton to the oldest live parked
-        ticket (electing it flush leader), or retire it."""
-        with batcher.lock:
-            while batcher.pending:
-                ticket = batcher.pending.popleft()
-                if ticket.cancelled:
-                    continue
-                ticket.outcome = ("lead", None)
-                ticket.event.set()
-                return
-            batcher.busy = False
-
-    def _lead_flush(
-        self, batcher: _DestBatcher, dest: int, own: _BatchTicket
-    ) -> tuple[str, Any]:
-        """Run one batched flush as its elected leader: pack the
-        parked tickets, exchange, fan the item replies out. Every
-        grouped ticket is answered even when the exchange raises — a
-        torn-down world must not strand parked waiters.
-
-        The baton is handed on the moment the group is sealed — before
-        the network round trip — so the next elected leader packs and
-        sends while this envelope is still on the wire. Serializing
-        flushes behind one baton would cap throughput at one round trip
-        per destination at a time; pipelined flushes keep the fewer
-        round trips *and* overlapping exchanges."""
-        baton_passed = False
-        try:
-            group = [own]
-            with batcher.lock:
-                while batcher.pending and len(group) < BATCH_MAX:
-                    ticket = batcher.pending.popleft()
-                    if ticket.cancelled:
-                        continue
-                    group.append(ticket)
-            self._pass_baton(batcher)
-            baton_passed = True
-            if len(group) == 1:
-                return self._request(
-                    own.kind, own.subject, dest, deadline=own.deadline
-                )
-            replies: list[Reply] | None = None
-            try:
-                replies = self._exchange_batch(
-                    dest, [(t.kind, t.subject, t.deadline) for t in group]
-                )
-            finally:
-                for i, ticket in enumerate(group):
-                    if ticket is own:
-                        continue
-                    ticket.outcome = (
-                        ("fallback", None) if replies is None
-                        else ("reply", replies[i])
-                    )
-                    ticket.event.set()
-            if replies is None:
-                self._m_batch_fallbacks.inc()
-                return self._request(
-                    own.kind, own.subject, dest, deadline=own.deadline
-                )
-            return self._consume_item_reply(
-                own.kind, own.subject, dest, own.deadline, replies[0]
-            )
-        finally:
-            if not baton_passed:
-                self._pass_baton(batcher)
-
-    def _exchange_batch(
-        self, dest: int, group: list[tuple[str, Any, Deadline | None]]
-    ) -> list[Reply] | None:
-        """One batched request/reply exchange over ``(kind, subject,
-        deadline)`` triples — the parked tickets of :meth:`_lead_flush`
-        or the caller-supplied list of :meth:`fetch_many`; ``None`` means
-        the whole flush must degrade to classic per-item requests (comm
-        timeout, envelope-level shed or fence, malformed reply). World
-        teardown (:class:`CommClosedError`) and our own injected death
-        (:class:`RankDeadError`) still raise — no retry survives those.
-        """
-        comm = self.comm
-        assert comm is not None
-        cfg = self.config
-        now = time.monotonic()
-        items = []
-        latest = now
-        for kind, subject, deadline in group:
-            expiry = (
-                deadline.at if deadline is not None
-                else now + cfg.request_timeout
-            )
-            latest = max(latest, expiry)
-            items.append((kind, subject, expiry))
-        budget = max(1e-3, min(latest - now, cfg.request_timeout))
-        reply_tag = self._next_reply_tag()
-        request = Request(
-            subject=None,
-            reply_tag=reply_tag,
-            trace_ctx=None,
-            deadline=now + budget,
-            epoch=self._fence_token(),
-            batch=tuple(items),
-        )
-        t0 = time.perf_counter()
-        try:
-            comm.send(("batch", request.encode()), dest, TAG_DAEMON)
-            raw = comm.recv(dest, reply_tag, timeout=budget)
-        except (CommClosedError, RankDeadError):
-            raise
-        except CommError:
-            self.health.failure(dest)
-            return None
-        try:
-            replies = decode_batch_reply(raw)
-        except WireFormatError:
-            replies = None
-        if replies is None or len(replies) != len(group):
-            # an envelope-level shed/fence or a malformed reply: the
-            # classic per-item fallback handles overload and fencing
-            # with their full semantics (backoff, typed errors)
-            self.health.failure(dest)
-            return None
-        self.health.observe(dest, time.perf_counter() - t0)
-        self._m_batch_flushes.inc()
-        self._m_batch_items.inc(len(group))
-        return replies
-
-    def _consume_item_reply(
-        self,
-        kind: str,
-        subject: Any,
-        dest: int,
-        deadline: Deadline | None,
-        reply: Reply,
-    ) -> tuple[str, Any]:
-        """One batched item reply under classic ``_request`` return
-        semantics: an answer (OK / MISS) is returned as the pair it is;
-        a FAILED item (integrity failure, malformed subject) retries
-        alone through the classic ladder."""
-        status = reply.status
-        if status == Reply.OK or status == Reply.MISS:
-            return reply
-        if status == Reply.EXPIRED:
-            self.stats.deadline_aborts += 1
-            raise DeadlineExpiredError(
-                f"rank {self.rank}: batched {kind} of {subject!r} to rank "
-                f"{dest} dropped by the server: item deadline expired",
-                subject if isinstance(subject, str) else None,
-            )
-        self._m_batch_fallbacks.inc()
-        return self._request(kind, subject, dest, deadline=deadline)
-
     def fetch_many(
         self, paths: Iterable[str]
     ) -> dict[str, tuple[FileRecord, bytes]]:
@@ -1632,7 +1160,6 @@ class FanStoreDaemon:
                 and path not in self.cache
             ):
                 by_home.setdefault(record.home_rank, {})[path] = record
-        budget = self.config.request_deadline
         fetched: dict[str, tuple[FileRecord, bytes]] = {}
         for home, records in by_home.items():
             wanted = list(records.items())
@@ -1643,8 +1170,8 @@ class FanStoreDaemon:
                     or self._skip_reason(home)
                 ):
                     break
-                deadline = None if budget is None else Deadline.after(budget)
-                replies = self._exchange_batch(
+                deadline = self._budget()
+                replies = self.exchange.ask_many(
                     home, [("fetch", path, deadline) for path, _ in group]
                 )
                 unsettled = len(group)
@@ -1661,22 +1188,27 @@ class FanStoreDaemon:
                         fetched[path] = (record, blob)
                         unsettled -= 1
                 if unsettled:
-                    self._m_batch_fallbacks.inc(unsettled)
+                    self.exchange.count_fallbacks(unsettled)
                 if replies is None:
                     # a lost envelope: the rest of this home's paths go
                     # through the ladder one by one, like its own
                     break
         return fetched
 
-    def _lookup(self, norm: str) -> FileRecord:
+    def _budget(self) -> Deadline | None:
+        """A fresh ``config.request_deadline`` budget (None: unbounded)."""
+        budget = self.config.request_deadline
+        return None if budget is None else Deadline.after(budget)
+
+    def _lookup(self, norm: str, deadline: Deadline | None) -> FileRecord:
         """Metadata lookup with the runtime-output fallback: paths
         written after the load-time allgather live only on their writer
-        and the hash owner, so a local miss asks the owner and caches
-        the record."""
+        and the hash owner, so a local miss asks the owner — spending
+        from the read's ``deadline`` — and caches the record."""
         try:
             return self.metadata.get(norm)
         except FileNotFoundInStoreError:
-            record = self.stat_any(norm)
+            record = self._stat_owner(norm, deadline)
             if record is None:
                 raise
             self.metadata.insert(record)
@@ -1773,7 +1305,9 @@ class FanStoreDaemon:
         the :meth:`_failover` walk. A cache-miss leader carries the
         ``record`` its open resolved."""
         if record is None:
-            record = self._lookup(norm)
+            if deadline is None:
+                deadline = self._budget()
+            record = self._lookup(norm, deadline)
         if (
             record.home_rank == self.rank
             or self.comm is None
@@ -1781,6 +1315,7 @@ class FanStoreDaemon:
         ):
             self.stats.local_opens += 1
             return self._verified_local(norm, record)
+        # _budget() inlined: the lone remote read makes no call for it
         if deadline is None and self.config.request_deadline is not None:
             deadline = Deadline.after(self.config.request_deadline)
         home = record.home_rank
@@ -1836,163 +1371,10 @@ class FanStoreDaemon:
             else None
         )
         if not replicas:
-            return self._batched_request(
+            return self.exchange.ask_batched(
                 "fetch", norm, record.home_rank, deadline=deadline
             )
-        return self._hedged_fetch(norm, record, replicas[0], deadline)
-
-    def _hedge_delay(self, dest: int) -> float:
-        """How long to leave the home rank alone before hedging: the
-        :data:`_HEDGE_QUANTILE` of its recent reply latencies, or the
-        fixed ``hedge_after_s`` until samples exist."""
-        cfg = self.config
-        delay = self.health.quantile(
-            dest, _HEDGE_QUANTILE, cfg.hedge_after_s
-        )
-        # floor well above zero so a burst of fast replies cannot turn
-        # hedging into send-everything-twice
-        return min(max(delay, 1e-3), cfg.request_timeout)
-
-    def _hedged_fetch(
-        self,
-        norm: str,
-        record: FileRecord,
-        hedge_dest: int,
-        deadline: Deadline | None,
-    ) -> tuple[str, Any]:
-        """One fetch, two possible servers: the home rank first; if it
-        stays silent past the hedge delay, the same request (same reply
-        tag — whichever reply lands first is taken) goes to the best
-        replica. The winner must pass digest verification or the loser
-        gets its chance; the loser's late reply rots harmlessly on the
-        never-reused tag. Raises :class:`RetryExhaustedError` when
-        neither leg answers in time (the caller descends the ladder).
-        """
-        comm = self.comm
-        assert comm is not None
-        cfg = self.config
-        home = record.home_rank
-        if deadline is not None and deadline.expired():
-            self.stats.deadline_aborts += 1
-            raise DeadlineExpiredError(
-                f"rank {self.rank}: hedged fetch of {norm} abandoned "
-                "before send: deadline expired",
-                norm,
-            )
-        budget = (
-            cfg.request_timeout if deadline is None
-            else deadline.cap(cfg.request_timeout)
-        )
-        reply_tag = self._next_reply_tag()
-        traced = self.tracer.current_context() is not None
-        span = (
-            self.tracer.span("rpc.fetch", dest=home, hedge=hedge_dest)
-            if traced else NULL_SPAN
-        )
-        with span:
-            ctx = span.context()
-            wire_body = Request(
-                subject=norm,
-                reply_tag=reply_tag,
-                trace_ctx=None if ctx is None else ctx.as_wire(),
-                deadline=time.monotonic() + budget,
-                epoch=self._fence_token(),
-            ).encode()
-            t0 = time.perf_counter()
-            comm.send(("fetch", wire_body), home, TAG_DAEMON)
-            try:
-                reply = comm.recv(
-                    home, reply_tag,
-                    timeout=min(self._hedge_delay(home), budget),
-                )
-            except CommError:
-                reply = None
-            racing: set[int] = set()
-            if reply is not None:
-                try:
-                    return self._hedge_accept(
-                        reply, home, home, record, t0, span
-                    )
-                except DataIntegrityError:
-                    pass  # home's leg burned (corrupt/shed): hedge it
-            else:
-                # home missed its hedge delay: that is a slow strike
-                # even if it eventually answers
-                self.health.note_slow(home)
-                racing.add(home)
-            # the replica gets the same request on the same reply tag —
-            # whichever leg lands first is the one that counts
-            self.stats.hedged_reads += 1
-            span.tag(hedged=True)
-            comm.send(("fetch", wire_body), hedge_dest, TAG_DAEMON)
-            racing.add(hedge_dest)
-            while racing:
-                remaining = budget - (time.perf_counter() - t0)
-                if deadline is not None:
-                    remaining = deadline.cap(remaining)
-                if remaining <= 0:
-                    break
-                try:
-                    reply, source, _tag = comm.recv_with_status(
-                        ANY_SOURCE, reply_tag, timeout=remaining
-                    )
-                except CommError:
-                    break
-                if source not in racing:
-                    continue  # a duplicate delivery of a counted leg
-                racing.discard(source)
-                if source == hedge_dest:
-                    self.stats.hedge_wins += 1
-                else:
-                    self.stats.hedge_losses += 1
-                try:
-                    return self._hedge_accept(
-                        reply, source, home, record, t0, span
-                    )
-                except DataIntegrityError:
-                    continue  # corrupt leg: let the other one race on
-        for leg in racing:
-            self.health.failure(leg)
-        raise RetryExhaustedError(
-            f"rank {self.rank}: hedged fetch of {norm} from home rank "
-            f"{home} (hedge rank {hedge_dest}, tag {TAG_DAEMON:#x}, reply "
-            f"tag {reply_tag:#x}) got no verified reply in time",
-            path=norm,
-        )
-
-    def _hedge_accept(
-        self,
-        reply: Any,
-        source: int,
-        home: int,
-        record: FileRecord,
-        t0: float,
-        span: Any,
-    ) -> tuple[str, Any]:
-        """Validate one hedged leg's reply; DataIntegrityError means
-        "keep racing", anything returned is final."""
-        try:
-            status, data = reply
-        except (TypeError, ValueError):
-            status = None
-        if status == Reply.OK:
-            if not self._blob_ok(record, data):
-                raise DataIntegrityError(record.path, "hedged leg corrupt")
-            self.health.observe(source, time.perf_counter() - t0)
-            span.tag(winner=source)
-            return reply
-        if status == Reply.MISS:
-            # authoritative not-found travels up only from the home
-            # rank; a replica without the record is just a losing leg
-            if source == home:
-                return reply
-            raise DataIntegrityError(record.path, "replica missed")
-        # shed by admission control, or garbage on the reply tag: the
-        # caller treats either as a dead leg
-        if status == Reply.OVERLOAD:
-            self.stats.overload_backoffs += 1
-        self.health.failure(source)
-        raise DataIntegrityError(record.path, "hedged leg shed or unparseable")
+        return self.exchange.ask_hedged(norm, record, replicas[0], deadline)
 
     def repair(
         self,
@@ -2017,13 +1399,13 @@ class FanStoreDaemon:
         # and healing against the stale owner would race the
         # re-replication engine (the caller's copy is kept only for
         # paths that have since left the table).
+        if deadline is None:
+            deadline = self._budget()
         try:
-            record = self._lookup(norm)
+            record = self._lookup(norm, deadline)
         except FileNotFoundInStoreError:
             if record is None:
                 raise
-        if deadline is None and self.config.request_deadline is not None:
-            deadline = Deadline.after(self.config.request_deadline)
         self.stats.corruption_detected += 1
         self.cache.discard(norm)
         with self.tracer.span("daemon.repair", path=norm) as span:
@@ -2103,7 +1485,7 @@ class FanStoreDaemon:
           repair's home re-ask — swallow it.
         """
         try:
-            status, data = self._request(
+            status, data = self.exchange.ask(
                 "fetch", norm, peer, attempts=attempts, deadline=deadline
             )
         except RetryExhaustedError:
@@ -2280,9 +1662,13 @@ class FanStoreDaemon:
             or self.tracer.n_active
         ):
             return self._observed_miss_bytes(norm, record)
+        deadline = None  # a lookup spends from the read's own budget
         if record is None:
-            record = self._lookup(norm)
-        return self._decompress(record, self._fetch_ladder(norm, None, record))
+            deadline = self._budget()
+            record = self._lookup(norm, deadline)
+        return self._decompress(
+            record, self._fetch_ladder(norm, deadline, record)
+        )
 
     def _observed_miss_bytes(
         self, norm: str, record: FileRecord | None
@@ -2297,12 +1683,14 @@ class FanStoreDaemon:
         is a number only while this method runs."""
         with self.tracer.maybe_root("client.read", path=norm):
             t0 = time.perf_counter()
+            deadline = None
             if record is None:
-                record = self._lookup(norm)
+                deadline = self._budget()
+                record = self._lookup(norm, deadline)
             t1 = time.perf_counter()
             self._last_verify_s = 0.0
             try:
-                compressed = self._fetch_ladder(norm, None, record)
+                compressed = self._fetch_ladder(norm, deadline, record)
                 # None if a concurrent observed miss finished first
                 verify_s = self._last_verify_s or 0.0
             finally:
@@ -2377,21 +1765,30 @@ class FanStoreDaemon:
                 # retried like any request/reply site; RetryExhaustedError
                 # propagates — the caller must know the path is not yet
                 # globally discoverable (bytes are safe on this rank).
-                self._request("write_meta", record, owner)
+                self.exchange.ask("write_meta", record, owner)
         self._h_write.observe(time.perf_counter() - t0)
 
     def stat_any(self, path: str) -> FileRecord | None:
         """Metadata lookup that falls back to the hash owner for paths
-        written after the load-time allgather."""
+        written after the load-time allgather, on a fresh
+        ``request_deadline`` budget."""
         norm = normalize(path)
         try:
             return self.metadata.get(norm)
         except FileNotFoundInStoreError:
-            pass
+            return self._stat_owner(norm, self._budget())
+
+    def _stat_owner(
+        self, norm: str, deadline: Deadline | None
+    ) -> FileRecord | None:
+        """``norm``'s record as its live hash owner knows it; None when
+        this rank is the owner or the owner has none."""
         if self.comm is None:
             return None
         owner = self._live_owner(norm)
         if owner == self.rank:
             return None
-        status, rec = self._batched_request("stat", norm, owner)
+        status, rec = self.exchange.ask_batched(
+            "stat", norm, owner, deadline=deadline
+        )
         return rec if status == Reply.OK else None

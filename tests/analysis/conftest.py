@@ -3,11 +3,14 @@ lint them in isolation."""
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.core import LintReport, run_lint
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -27,3 +30,18 @@ def lint_tree(tmp_path):
 
 def rules_of(report: LintReport, rule: str):
     return [f for f in report.findings if f.rule == rule]
+
+
+def lint_mutant(
+    tmp_path: Path, module: str, site: str, mutant: str, rule: str
+) -> LintReport:
+    """A pass's self-gate on the shipped tree: lint a copy of ``src/``
+    with ``site`` — which must still be in ``repro/<module>`` — replaced
+    once by ``mutant``, under ``rule`` alone. A clean verdict on the
+    real tree is worth something only while the pass sees the mutant."""
+    shutil.copytree(REPO / "src", tmp_path / "src")
+    target = tmp_path / "src" / "repro" / module
+    text = target.read_text(encoding="utf-8")
+    assert site in text, f"the mutated site left {module}"
+    target.write_text(text.replace(site, mutant, 1), encoding="utf-8")
+    return run_lint([tmp_path / "src"], root=tmp_path, rules=[rule])

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import textwrap
 
-from tests.analysis.conftest import rules_of
+from tests.analysis.conftest import lint_mutant, rules_of
 
 RULE = "deadline-propagation"
 
@@ -146,3 +146,16 @@ class TestEnvelopeDeadlines:
         )
         report = lint_tree({"comm/helper.py": src})
         assert not rules_of(report, RULE), report.summary()
+
+
+def test_self_gate_sees_an_untimed_recv_in_the_real_exchange(tmp_path):
+    """Mutation check on the shipped tree: a classic attempt's reply
+    ``recv`` without its ``timeout=`` must be exactly one finding."""
+    site = "return comm.recv(dest, reply_tag, timeout=timeout)"
+    report = lint_mutant(
+        tmp_path, "fanstore/exchange.py", site,
+        "return comm.recv(dest, reply_tag)", RULE,
+    )
+    assert len(report.unwaived) == 1, report.summary()
+    assert report.unwaived[0].path.endswith("exchange.py")
+    assert ".recv() without an explicit timeout" in report.unwaived[0].message

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import textwrap
 
-from tests.analysis.conftest import rules_of
+from tests.analysis.conftest import lint_mutant, rules_of
 
 ABBA = textwrap.dedent(
     '''
@@ -254,3 +254,17 @@ class TestBlockingUnderLock:
         findings = rules_of(report, "blocking-under-lock")
         assert findings and all(f.waived for f in findings)
         assert findings[0].reason == "injector tool; atomic with RNG"
+
+
+def test_self_gate_sees_a_sleep_under_the_real_reply_lock(tmp_path):
+    """Mutation check on the shipped tree: a ``time.sleep`` inside
+    ``_next_reply_tag``'s reply-lock region must be exactly one
+    finding."""
+    site = "with self._reply_lock:\n"
+    report = lint_mutant(
+        tmp_path, "fanstore/exchange.py", site,
+        site + "            time.sleep(0)\n", "blocking-under-lock",
+    )
+    assert len(report.unwaived) == 1, report.summary()
+    assert report.unwaived[0].path.endswith("exchange.py")
+    assert "time.sleep" in report.unwaived[0].message

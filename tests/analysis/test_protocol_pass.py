@@ -3,12 +3,9 @@ envelopes."""
 
 from __future__ import annotations
 
-import shutil
 import textwrap
-from pathlib import Path
 
-from repro.analysis.core import run_lint
-from tests.analysis.conftest import rules_of
+from tests.analysis.conftest import lint_mutant, rules_of
 
 CONFORMING = textwrap.dedent(
     """
@@ -241,22 +238,81 @@ class TestPipelinedDaemonShape:
 
     def test_self_gate_sees_a_bogus_kind_in_the_real_daemon(self, tmp_path):
         """Mutation check on the shipped tree: rewrite one ``"fetch"`` at
-        a ``_batched_request`` call site and the pass must say so — the
-        clean verdict of ``test_project_clean`` is only worth something
-        while this holds."""
-        repo = Path(__file__).resolve().parents[2]
-        shutil.copytree(repo / "src", tmp_path / "src")
-        daemon = tmp_path / "src" / "repro" / "fanstore" / "daemon.py"
-        text = daemon.read_text(encoding="utf-8")
-        site = '_batched_request(\n                "fetch", norm,'
-        assert site in text
-        daemon.write_text(
-            text.replace(site, site.replace("fetch", "bogus_kind"), 1),
-            encoding="utf-8",
-        )
-        report = run_lint(
-            [tmp_path / "src"], root=tmp_path,
-            rules=["protocol-conformance"],
+        the daemon's call site of the exchange's ``ask_batched`` (the
+        helper lives in ``exchange.py``, the dispatcher in
+        ``daemon.py``) and the pass must say so — the clean verdict of
+        ``test_project_clean`` is only worth something while this
+        holds."""
+        site = 'exchange.ask_batched(\n                "fetch", norm,'
+        report = lint_mutant(
+            tmp_path, "fanstore/daemon.py", site,
+            site.replace("fetch", "bogus_kind"), "protocol-conformance",
         )
         assert len(report.unwaived) == 1, report.summary()
         assert "'bogus_kind'" in report.unwaived[0].message
+        assert report.unwaived[0].path.endswith("daemon.py")
+
+
+SERVER = textwrap.dedent(
+    """
+    TAG_DAEMON = 0x0FA0
+
+    class Daemon:
+        def _serve(self):
+            while True:
+                kind, body = self.comm.recv(-1, TAG_DAEMON, timeout=None)
+                if kind not in ("fetch", "stat"):
+                    continue
+                self._answer(kind, decode_request(body))
+    """
+)
+
+ASKER = textwrap.dedent(
+    """
+    from fanstore.server import TAG_DAEMON
+
+    class Asker:
+        def _send_recv(self, kind, body, dest):
+            wire_body = Request(
+                subject=body, reply_tag=7, deadline=None,
+                epoch=self._fence(),
+            ).encode()
+            self.comm.send((kind, wire_body), dest, TAG_DAEMON)
+            return self.comm.recv(dest, 7, timeout=self.timeout)
+
+        def ask_politely(self, kind, body, dest):
+            return self._send_recv(kind, body, dest)
+    """
+)
+
+CALLER = textwrap.dedent(
+    """
+    class Reader:
+        def read(self, path):
+            return self.asker.ask_politely("fetch", path, 1)
+    """
+)
+
+
+class TestProjectWide:
+    """Emitter, request helper and dispatcher in three files: the
+    protocol is one protocol however the code is split."""
+
+    def _lint(self, lint_tree, caller: str):
+        return rules_of(lint_tree({
+            "fanstore/server.py": SERVER,
+            "fanstore/asker.py": ASKER,
+            "fanstore/reader.py": caller,
+        }), "protocol-conformance")
+
+    def test_a_kind_the_far_dispatcher_handles_is_clean(self, lint_tree):
+        assert self._lint(lint_tree, CALLER) == []
+
+    def test_a_kind_the_far_dispatcher_lacks_is_flagged(self, lint_tree):
+        findings = self._lint(
+            lint_tree, CALLER.replace('"fetch"', '"evict"')
+        )
+        assert len(findings) == 1
+        assert findings[0].path.endswith("reader.py")
+        assert "'evict'" in findings[0].message
+        assert "Daemon._serve" in findings[0].message

@@ -14,7 +14,8 @@ import pytest
 from repro.comm.chaos import ChaosWorld, FaultPlan
 from repro.comm.launcher import run_parallel
 from repro.errors import CommClosedError, RankDeadError
-from repro.fanstore.daemon import _REPLY_TAG_BASE, DaemonConfig
+from repro.fanstore.daemon import DaemonConfig
+from repro.fanstore.exchange import REPLY_TAG_BASE
 from repro.fanstore.metadata import normalize
 from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.training.loader import SyncLoader
@@ -36,8 +37,6 @@ _TAG_DONE = 0x0D0E
 FAST = dict(
     request_timeout=0.4,
     max_retries=1,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
 )
 
 
@@ -102,7 +101,7 @@ class TestRetry:
         self, seed, prepared_dataset, originals
     ):
         """One lost reply must cost one retry, never a failed read."""
-        plan = FaultPlan(seed).drop(min_tag=_REPLY_TAG_BASE, times=1)
+        plan = FaultPlan(seed).drop(min_tag=REPLY_TAG_BASE, times=1)
         world = ChaosWorld(RANKS, plan)
         config = DaemonConfig(**FAST)
 
@@ -177,7 +176,7 @@ class TestDegradedReads:
         rank, with zero replication — every read still correct, via
         retry for the drop and shared-FS re-reads for the dead rank's
         partition, all surfaced in DaemonStats."""
-        plan = FaultPlan(seed).drop(min_tag=_REPLY_TAG_BASE, times=1, dest=0)
+        plan = FaultPlan(seed).drop(min_tag=REPLY_TAG_BASE, times=1, dest=0)
         world = ChaosWorld(RANKS, plan)
         config = DaemonConfig(**FAST)
         body = _body_with_dead_rank(
@@ -225,8 +224,8 @@ class TestBatchedRead:
         fallback each through the ladder, never a failed read."""
         plan = (
             FaultPlan(seed)
-            .drop(min_tag=_REPLY_TAG_BASE, times=2)
-            .delay(0.05, min_tag=_REPLY_TAG_BASE, times=3, jitter=0.02)
+            .drop(min_tag=REPLY_TAG_BASE, times=2)
+            .delay(0.05, min_tag=REPLY_TAG_BASE, times=3, jitter=0.02)
         )
         world = ChaosWorld(2, plan)
         config = DaemonConfig(trace_sample=0.0, **FAST)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.comm.launcher import run_parallel
-from repro.fanstore.daemon import TAG_DAEMON
+from repro.fanstore.exchange import TAG_DAEMON
 from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.fanstore.wire import Reply, Request
 

@@ -96,8 +96,7 @@ def _daemon(tmp_path, leave: str, below: str, corpse: int = HOME):
     }
     comm = StubPeers(answers)
     daemon = FanStoreDaemon(comm, config=DaemonConfig(
-        max_retries=1, retry_backoff_base=0.0, retry_jitter=0.0,
-        breaker_reset_after=3600.0,
+        max_retries=1, breaker_reset_after=3600.0,
     ))
     for path in (PATH, SIBLING):
         daemon.metadata.insert(FileRecord(

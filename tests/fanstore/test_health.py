@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import errno
 import math
+import random
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,16 @@ from repro.comm.communicator import ANY_SOURCE, World
 from repro.comm.deadline import Deadline, wire_deadline
 from repro.comm.launcher import run_parallel
 from repro.errors import (
+    CommError,
     DataIntegrityError,
     DeadlineExpiredError,
     InvalidArgumentError,
     RetryExhaustedError,
     ServerOverloadedError,
 )
-from repro.fanstore.daemon import TAG_DAEMON, DaemonConfig, FanStoreDaemon
+from repro.fanstore import exchange as exchange_module
+from repro.fanstore.daemon import DaemonConfig, DaemonStats, FanStoreDaemon
+from repro.fanstore.exchange import TAG_DAEMON, PeerExchange
 from repro.fanstore.health import (
     AdmissionQueue,
     BreakerState,
@@ -36,6 +41,8 @@ from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.membership import RankState
 from repro.fanstore.metadata import FileRecord
 from repro.fanstore.wire import Reply, Request, decode_request
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 from tests.fanstore.test_failover_ladder import StubDetector, StubPeers
 
 
@@ -415,13 +422,11 @@ class TestTheBreakerIsTheMemoryOfAGivenUpPeer:
 
     def _daemon(self, clock):
         comm = StubPeers({self.HOME: None})  # silent until told otherwise
-        daemon = FanStoreDaemon(comm, config=DaemonConfig(
-            max_retries=1, retry_backoff_base=0.0, retry_jitter=0.0,
-        ))
+        daemon = FanStoreDaemon(comm, config=DaemonConfig(max_retries=1))
         tracker = HealthTracker(comm.rank, reset_after=1.0, clock=clock)
         tracker.on_open = daemon.health.on_open
         tracker.on_probe = daemon.health.on_probe
-        daemon.health = tracker
+        daemon.health = daemon.exchange.health = tracker
         daemon.metadata.insert(_record(self.PAYLOAD, home_rank=self.HOME))
         return daemon, comm
 
@@ -496,9 +501,7 @@ class TestOverloadNeverSkipsAVerification:
         requester still hashes what arrives, and a corrupt reply is
         detected, never returned."""
         comm = _ShedAware({self.HOME: (Reply.OK, self.PAYLOAD)})
-        daemon = FanStoreDaemon(comm, config=DaemonConfig(
-            max_retries=0, retry_backoff_base=0.0, retry_jitter=0.0,
-        ))
+        daemon = FanStoreDaemon(comm, config=DaemonConfig(max_retries=0))
         daemon.metadata.insert(_record(self.PAYLOAD, home_rank=self.HOME))
         assert daemon.fetch_compressed("data/x") == self.PAYLOAD  # verified
         queue = AdmissionQueue(1)
@@ -515,9 +518,6 @@ class TestOverloadNeverSkipsAVerification:
 FAST = dict(
     request_timeout=0.3,
     max_retries=1,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.02,
-    retry_jitter=0.0,
 )
 
 
@@ -546,7 +546,7 @@ class TestOverloadReplies:
                 return _serve_until_done(comm, reply=(Reply.OVERLOAD, 0.01))
             daemon = FanStoreDaemon(comm, config=DaemonConfig(**FAST))
             with pytest.raises(ServerOverloadedError) as ei:
-                daemon._request("fetch", "some/path", 1)
+                daemon.exchange.ask("fetch", "some/path", 1)
             comm.send(("done", None), 1, TAG_DAEMON)
             exc = ei.value
             return (
@@ -570,7 +570,7 @@ class TestOverloadReplies:
             cfg = DaemonConfig(**{**FAST, "max_retries": 2})
             daemon = FanStoreDaemon(comm, config=cfg)
             with pytest.raises(ServerOverloadedError):
-                daemon._request("fetch", "p", 1)
+                daemon.exchange.ask("fetch", "p", 1)
             comm.send(("done", None), 1, TAG_DAEMON)
             return daemon.health.state(1), daemon.stats.breaker_opens
 
@@ -589,7 +589,7 @@ class TestRequestNeedsAnAttempt:
         world = World(2)
         daemon = FanStoreDaemon(world.comm(0), config=DaemonConfig(**FAST))
         with pytest.raises(InvalidArgumentError) as ei:
-            daemon._request("fetch", "some/path", 1, attempts=attempts)
+            daemon.exchange.ask("fetch", "some/path", 1, attempts=attempts)
         assert "at least one attempt" in ei.value.args[0]
         assert ei.value.errno == errno.EINVAL
         assert ei.value.filename == "some/path"
@@ -602,17 +602,11 @@ class TestDeadlineBudgetedRetries:
         def body(comm):
             if comm.rank == 1:
                 return _serve_until_done(comm, reply=None)  # never answer
-            cfg = DaemonConfig(
-                request_timeout=0.15,
-                max_retries=8,
-                retry_backoff_base=0.01,
-                retry_backoff_max=0.02,
-                retry_jitter=0.0,
-            )
+            cfg = DaemonConfig(request_timeout=0.15, max_retries=8)
             daemon = FanStoreDaemon(comm, config=cfg)
             t0 = time.perf_counter()
             with pytest.raises(DeadlineExpiredError) as ei:
-                daemon._request(
+                daemon.exchange.ask(
                     "fetch", "p", 1, deadline=Deadline.after(0.4)
                 )
             elapsed = time.perf_counter() - t0
@@ -634,8 +628,7 @@ class TestRepairHonoursTheDeadline:
 
     def _daemon(self, comm, **config):
         daemon = FanStoreDaemon(comm, config=DaemonConfig(
-            max_retries=2, retry_backoff_base=0.01, retry_backoff_max=0.02,
-            retry_jitter=0.0, **config,
+            max_retries=2, **config
         ))
         daemon.metadata.insert(_record(b"the-verified-payload", home_rank=1))
         return daemon
@@ -693,3 +686,112 @@ class TestRepairHonoursTheDeadline:
         assert elapsed < 0.6
         assert remote_fetches == 1  # the corrupt home reply, nothing else
         assert failovers == 0  # the home answered: repair, not failover
+
+
+class _Recorder:
+    """Scripted peers that answer at once — a ``stat`` with ``record``,
+    a ``fetch`` with its payload — and keep each envelope's kind and
+    absolute deadline."""
+
+    rank, size = 0, 2
+
+    def __init__(self, record: FileRecord, payload: bytes) -> None:
+        self.answers = {
+            "stat": (Reply.OK, record), "fetch": (Reply.OK, payload),
+        }
+        self.sent: list[tuple[str, float | None]] = []
+        self._pending: dict[int, tuple] = {}
+
+    def send(self, payload, dest, tag) -> None:
+        kind, body = payload
+        request = decode_request(body)
+        self.sent.append((kind, request.deadline))
+        self._pending[request.reply_tag] = self.answers[kind]
+
+    def recv(self, source, tag, timeout=None):
+        return self._pending.pop(tag)
+
+
+class TestAReadsLookupSpendsItsBudget:
+    """A runtime output this rank has no record of is looked up at its
+    hash owner (``data/x`` hashes to rank 1) — inside the read, so on
+    the read's ``request_deadline``. The ``stat`` used to go out with a
+    full ``request_timeout`` (30 s here) and the ladder then started a
+    fresh budget. Each expiry may exceed start + budget by at most the
+    read's own duration: the budget starts inside the read."""
+
+    PAYLOAD = b"the-runtime-output"
+    BUDGET = 0.2
+
+    def _daemon(self) -> tuple[FanStoreDaemon, _Recorder]:
+        comm = _Recorder(_record(self.PAYLOAD, home_rank=1), self.PAYLOAD)
+        config = DaemonConfig(request_deadline=self.BUDGET)
+        return FanStoreDaemon(comm, config=config), comm
+
+    def test_the_stat_and_the_fetch_expire_within_the_reads_budget(self):
+        daemon, comm = self._daemon()
+        assert daemon.read_file("data/x") == self.PAYLOAD
+        end = time.monotonic()
+        assert [kind for kind, _ in comm.sent] == ["stat", "fetch"]
+        for kind, at in comm.sent:
+            assert at <= end + self.BUDGET, kind
+
+    def test_stat_any_alone_starts_its_own_budget(self):
+        daemon, comm = self._daemon()
+        assert daemon.stat_any("data/x").home_rank == 1
+        end = time.monotonic()
+        [(kind, at)] = comm.sent
+        assert kind == "stat" and at <= end + self.BUDGET
+
+
+class _Silent:
+    """A peer that answers every request with ``reply``, or never (an
+    immediate timeout) when it is None."""
+
+    rank, size = 0, 2
+
+    def __init__(self, reply: tuple | None) -> None:
+        self.reply = reply
+
+    def send(self, payload, dest, tag) -> None:
+        pass
+
+    def recv(self, source, tag, timeout=None):
+        if self.reply is None:
+            raise CommError(f"recv from rank {source} timed out")
+        return self.reply
+
+
+class TestTheBackOffIsFixed:
+    """Retry back-off is constants of the exchange, not configuration:
+    10 ms doubling to a 50 ms cap, times ``1 + 0.5 * U(0,1)`` from the
+    rank's seeded RNG, and never below an overload's ``retry_after``.
+    The pauses are recorded, not slept."""
+
+    def _pauses(self, monkeypatch, reply: tuple | None) -> list[float]:
+        pauses: list[float] = []
+        monkeypatch.setattr(exchange_module, "time", types.SimpleNamespace(
+            sleep=pauses.append,
+            monotonic=time.monotonic,
+            perf_counter=time.perf_counter,
+        ))
+        exchange = PeerExchange(
+            _Silent(reply), DaemonConfig(), DaemonStats(), HealthTracker(0),
+            Tracer(rank=0), MetricsRegistry(rank=0),
+            fence=lambda: None, verify=lambda record, data: True,
+        )
+        with pytest.raises((RetryExhaustedError, ServerOverloadedError)):
+            exchange.ask("fetch", "p", 1, attempts=7)
+        return pauses
+
+    def test_attempts_one_to_six(self, monkeypatch):
+        pauses = self._pauses(monkeypatch, None)
+        rng = random.Random(0x5EED ^ 0)
+        assert len(pauses) == 6
+        for n, pause in enumerate(pauses, start=1):
+            base = min(0.05, 0.01 * 2 ** (n - 1))
+            assert base <= pause <= 1.5 * base <= 0.05 * 1.5
+            assert pause == base * (1.0 + 0.5 * rng.random())
+
+    def test_an_overload_retry_after_is_the_floor(self, monkeypatch):
+        assert self._pauses(monkeypatch, (Reply.OVERLOAD, 0.2)) == [0.2] * 6

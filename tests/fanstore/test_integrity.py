@@ -288,9 +288,9 @@ def _home_and_requester(tmp_path):
     home._prepared = types.SimpleNamespace(
         partition_paths=lambda: [part], broadcast_path=lambda: None
     )
-    requester = FanStoreDaemon(_Loopback(home), config=DaemonConfig(
-        max_retries=0, retry_backoff_base=0.0, retry_jitter=0.0,
-    ))
+    requester = FanStoreDaemon(
+        _Loopback(home), config=DaemonConfig(max_retries=0)
+    )
     requester.metadata.insert(record)
     return home, requester
 

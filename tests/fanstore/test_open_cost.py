@@ -516,7 +516,7 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
         measured["locks"] = _lock_acquisitions(
             fs, read_settled, paths,
             also=[(mailbox, "_mutex") for mailbox in mailboxes]
-            + [(batcher, "lock") for batcher in daemon._batchers.values()],
+            + [(batcher, "lock") for batcher in daemon.exchange._batchers.values()],
         )
         measured["calls"] = counts["python_calls"]
         measured["calls_again"] = _cost_vector(

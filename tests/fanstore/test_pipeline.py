@@ -58,9 +58,6 @@ def _record(path: str, payload: bytes, home_rank: int = 0) -> FileRecord:
 CALM = dict(
     request_timeout=2.0,
     max_retries=1,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.02,
-    retry_jitter=0.0,
 )
 
 
@@ -532,7 +529,7 @@ def _park_all(daemon, batcher, jobs):
 
     def worker(name, kind, subject):
         try:
-            results[name] = daemon._batched_request(
+            results[name] = daemon.exchange.ask_batched(
                 kind, subject, 1, deadline=Deadline.after(10)
             )
         except Exception as exc:  # pragma: no cover - fails the test
@@ -548,7 +545,7 @@ def _park_all(daemon, batcher, jobs):
     while len(batcher.pending) < len(jobs):
         assert time.monotonic() < stop_at, "tickets never parked"
         time.sleep(0.005)
-    daemon._pass_baton(batcher)  # elect a flush leader
+    daemon.exchange._pass_baton(batcher)  # elect a flush leader
     for t in threads:
         t.join(15)
     return results, errors
@@ -566,7 +563,7 @@ class TestBatchedRequests:
                 comm.barrier(timeout=30)
                 daemon.stop()
                 return daemon.metrics.get("daemon.batch.served").value
-            batcher = daemon._batcher(1)
+            batcher = daemon.exchange._batcher(1)
             with batcher.lock:
                 batcher.busy = True  # hold the baton: callers must park
             jobs = {p: ("fetch", p) for p in PAYLOADS}
@@ -602,7 +599,7 @@ class TestBatchedRequests:
                 comm.barrier(timeout=30)
                 daemon.stop()
                 return None
-            batcher = daemon._batcher(1)
+            batcher = daemon.exchange._batcher(1)
             with batcher.lock:
                 batcher.busy = True
             jobs = {
@@ -632,14 +629,14 @@ class TestBatchedRequests:
                 comm.barrier(timeout=30)
                 return None
             daemon = FanStoreDaemon(comm, config=DaemonConfig(**CALM))
-            batcher = daemon._batcher(1)
+            batcher = daemon.exchange._batcher(1)
             with batcher.lock:
                 batcher.busy = True  # baton never returns in time
             caught: list[Exception] = []
 
             def worker():
                 try:
-                    daemon._batched_request(
+                    daemon.exchange.ask_batched(
                         "fetch", "p", 1, deadline=Deadline.after(0.05)
                     )
                 except DeadlineExpiredError as exc:
@@ -649,7 +646,7 @@ class TestBatchedRequests:
             t.start()
             t.join(10)
             aborts = daemon.stats.deadline_aborts
-            daemon._pass_baton(batcher)  # must skip the cancelled ticket
+            daemon.exchange._pass_baton(batcher)  # must skip the cancelled ticket
             with batcher.lock:
                 busy = batcher.busy
             comm.barrier(timeout=30)

@@ -219,8 +219,7 @@ class ScriptedPeers:
 def _client(peers: ScriptedPeers, **config) -> FanStoreClient:
     """Rank ME with PATHS homed on HOME and replicated on REPLICA."""
     daemon = FanStoreDaemon(peers, config=DaemonConfig(
-        max_retries=0, retry_backoff_base=0.0, retry_jitter=0.0,
-        breaker_reset_after=3600.0, metrics_every=0, **config,
+        max_retries=0, breaker_reset_after=3600.0, metrics_every=0, **config,
     ))
     memcpy = daemon.registry.get("memcpy").compressor_id
     for path in PATHS:

@@ -37,8 +37,6 @@ seeds = pytest.mark.parametrize("seed", SEEDS, ids=[f"seed{s}" for s in SEEDS])
 FAST = dict(
     request_timeout=0.4,
     max_retries=1,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
 )
 
 

@@ -172,8 +172,6 @@ MCFG = MembershipConfig(
 FAST = dict(
     request_timeout=0.4,
     max_retries=1,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
 )
 POLL = 0.01
 

@@ -16,7 +16,8 @@ import pytest
 from repro.comm.chaos import ChaosWorld, FaultPlan
 from repro.comm.launcher import ParallelFailure, run_parallel
 from repro.errors import CommError
-from repro.fanstore.daemon import TAG_DAEMON, DaemonConfig
+from repro.fanstore.daemon import DaemonConfig
+from repro.fanstore.exchange import TAG_DAEMON
 from repro.fanstore.faults import CheckpointManager
 from repro.fanstore.metadata import normalize
 from repro.fanstore.store import FanStore, FanStoreOptions
@@ -144,8 +145,6 @@ _TAG_DONE = 0x0D0E
 FAST = dict(
     request_timeout=0.4,
     max_retries=1,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
 )
 
 

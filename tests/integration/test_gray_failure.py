@@ -28,12 +28,11 @@ import pytest
 from repro.comm.chaos import ChaosWorld, FaultPlan
 from repro.comm.communicator import ANY_SOURCE
 from repro.comm.launcher import run_parallel
-from repro.fanstore.daemon import (
-    _OVERLOAD_RETRY_AFTER_S,
-    _REPLY_TAG_BASE,
+from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
+from repro.fanstore.exchange import (
+    OVERLOAD_RETRY_AFTER_S,
+    REPLY_TAG_BASE,
     TAG_DAEMON,
-    DaemonConfig,
-    FanStoreDaemon,
 )
 from repro.fanstore.health import BreakerState
 from repro.fanstore.metadata import normalize
@@ -59,9 +58,6 @@ GRAY = dict(
     request_timeout=0.5,
     request_deadline=1.0,
     max_retries=1,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
-    retry_jitter=0.0,
     hedge_reads=True,
     hedge_after_s=0.03,
     breaker_slow_threshold=3,
@@ -97,7 +93,7 @@ class TestGrayFailureDrill:
         self, seed, prepared_dataset, originals
     ):
         plan = FaultPlan(seed).slow_rank(
-            SLOW, SLOW_S, min_tag=_REPLY_TAG_BASE
+            SLOW, SLOW_S, min_tag=REPLY_TAG_BASE
         )
         world = ChaosWorld(RANKS, plan)
         config = DaemonConfig(**GRAY)
@@ -247,7 +243,7 @@ class TestAdmissionControlBurst:
         # the two most-overdue requests were the ones shed, and each
         # carried the server's suggested back-off
         assert [t for t, _ in overloaded] == [0x7100, 0x7101]
-        assert all(ra == _OVERLOAD_RETRY_AFTER_S for _, ra in overloaded)
+        assert all(ra == OVERLOAD_RETRY_AFTER_S for _, ra in overloaded)
         # every in-deadline request got an authoritative not-found
         assert [r for _, r in answered] == [
             (Reply.MISS, f"no/such/{t:#x}") for t in range(0x7103, 0x710a)

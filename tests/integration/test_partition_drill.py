@@ -24,7 +24,8 @@ import pytest
 from repro.comm.chaos import ChaosWorld, FaultPlan
 from repro.comm.launcher import run_parallel
 from repro.errors import StaleEpochError
-from repro.fanstore.daemon import TAG_DAEMON, DaemonConfig
+from repro.fanstore.daemon import DaemonConfig
+from repro.fanstore.exchange import TAG_DAEMON
 from repro.fanstore.membership import MembershipConfig, RankState
 from repro.fanstore.metadata import normalize
 from repro.fanstore.store import FanStore, FanStoreOptions
@@ -42,8 +43,6 @@ seeds = pytest.mark.parametrize(
 FAST = dict(
     request_timeout=0.4,
     max_retries=1,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
 )
 
 #: dead_after leaves headroom over the CI boxes' scheduling stalls,

@@ -8,7 +8,8 @@ import pytest
 
 from repro.comm.chaos import ChaosWorld, FaultPlan
 from repro.comm.launcher import run_parallel
-from repro.fanstore.daemon import _REPLY_TAG_BASE, DaemonConfig
+from repro.fanstore.daemon import DaemonConfig
+from repro.fanstore.exchange import REPLY_TAG_BASE
 from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.obs import (
     NULL_SPAN,
@@ -30,8 +31,6 @@ REQUESTER, HOME, REPLICA = 1, 2, 0
 FAST = dict(
     request_timeout=0.4,
     max_retries=1,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
 )
 
 
@@ -170,7 +169,7 @@ class TestChaosTraceDrill:
         # retry) and then the replica's one reply. The fourth tier —
         # the degraded shared-FS re-read — needs no reply to lose.
         plan = FaultPlan(101).drop(
-            min_tag=_REPLY_TAG_BASE, dest=REQUESTER, times=3
+            min_tag=REPLY_TAG_BASE, dest=REQUESTER, times=3
         )
         world = ChaosWorld(RANKS, plan)
         config = DaemonConfig(

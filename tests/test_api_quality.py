@@ -93,6 +93,43 @@ def test_os_compatible_errors_catchable_as_builtins():
     assert issubclass(errors.UnknownCompressorError, KeyError)
 
 
+def _os_error_types() -> list[type]:
+    from repro import errors
+
+    return sorted(
+        (
+            obj for obj in vars(errors).values()
+            if inspect.isclass(obj) and issubclass(obj, OSError)
+        ),
+        key=lambda cls: cls.__name__,
+    )
+
+
+@pytest.mark.parametrize(
+    "exc_type", _os_error_types(), ids=lambda cls: cls.__name__
+)
+def test_os_errors_print_their_detail_errno_and_path(exc_type):
+    """``str()`` of a typed OSError-family error names the detail, the
+    errno and the path; it used to print ``None`` for the detail. A
+    path-less error prints no ``None`` for the path either."""
+    params = list(inspect.signature(exc_type).parameters)
+    detail, path = "what went wrong", "a/b"
+    if params[0] == "detail":
+        exc = exc_type(detail, path)
+        assert exc.args[0] == detail
+        bare = exc_type(detail)
+        assert str(bare) == f"[Errno {bare.errno}] {detail}"
+    elif "detail" in params:
+        exc = exc_type(path, detail)
+    else:
+        exc, detail = exc_type(path), path
+    assert isinstance(exc.errno, int) and exc.filename == path
+    text = str(exc)
+    assert text.startswith(f"[Errno {exc.errno}] ")
+    assert detail in text and repr(path) in text
+    assert "None" not in text
+
+
 def test_version_is_consistent():
     from repro._version import __version__
 
