@@ -22,9 +22,9 @@ from repro.errors import CompressionError
 class Codec(abc.ABC):
     """A lossless byte-stream coder.
 
-    Implementations must satisfy ``decompress(compress(x)) == x`` for all
-    byte strings ``x`` (the round-trip property; enforced by the
-    hypothesis suite in ``tests/compressors``).
+    Implementations must satisfy ``decompress(compress(x), size) == x``
+    for all byte strings ``x`` and every ``size`` (the round-trip
+    property; enforced by the hypothesis suite in ``tests/compressors``).
     """
 
     #: short machine name, unique among codecs ("zlib-6", "fastlz-3", ...)
@@ -35,8 +35,12 @@ class Codec(abc.ABC):
         """Compress ``data``; never raises for valid byte input."""
 
     @abc.abstractmethod
-    def decompress(self, data: bytes) -> bytes:
-        """Invert :meth:`compress`; raises CompressionError on corrupt input."""
+    def decompress(self, data: bytes, size: int | None = None) -> bytes:
+        """Invert :meth:`compress`; raises CompressionError on corrupt input.
+
+        ``size`` is the expected output length (a record's ``st_size``),
+        a hint only: a codec may size its output buffer from it or
+        ignore it, and a wrong hint never changes the result."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
@@ -83,8 +87,12 @@ class Compressor:
             data = f.forward(data)
         return self.codec.compress(data)
 
-    def decompress(self, data: bytes) -> bytes:
-        """Run the codec, then the filter chain backward."""
+    def decompress(self, data: bytes, size: int | None = None) -> bytes:
+        """Run the codec, then the filter chain backward. The ``size``
+        hint reaches the codec only without filters: a filter may
+        change the length the codec sees (bitshuffle pads)."""
+        if not self.filters:
+            return self.codec.decompress(data, size)
         data = self.codec.decompress(data)
         for f in reversed(self.filters):
             data = f.backward(data)

@@ -105,7 +105,7 @@ class HuffmanCodec(Codec):
             out.append((bitbuf << (8 - bitcount)) & 0xFF)
         return bytes(out)
 
-    def decompress(self, data: bytes) -> bytes:
+    def decompress(self, data: bytes, size: int | None = None) -> bytes:
         original_len, pos = read_uvarint(data)
         if pos + 128 > len(data):
             raise CompressionError("huffman: truncated length table")

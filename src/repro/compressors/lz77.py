@@ -146,7 +146,7 @@ class Lz77Codec(Codec):
 
     # -- decompression --------------------------------------------------
 
-    def decompress(self, data: bytes) -> bytes:
+    def decompress(self, data: bytes, size: int | None = None) -> bytes:
         original_len, pos = read_uvarint(data)
         out = bytearray()
         n = len(data)

@@ -85,7 +85,10 @@ def bench_compressor(
     t0 = time.perf_counter()
     restored: list[bytes] = []
     for _ in range(repetitions):
-        restored = [compressor.decompress(c) for c in compressed]
+        restored = [
+            compressor.decompress(c, len(s))
+            for c, s in zip(compressed, samples)
+        ]
     decompress_seconds = (time.perf_counter() - t0) / repetitions
     if verify:
         for original, roundtrip in zip(samples, restored):

@@ -72,7 +72,7 @@ class LzwCodec(Codec):
             out.append(bitbuf & 0xFF)
         return bytes(out)
 
-    def decompress(self, data: bytes) -> bytes:
+    def decompress(self, data: bytes, size: int | None = None) -> bytes:
         original_len, pos = read_uvarint(data)
         out = bytearray()
         bitbuf = 0

@@ -17,5 +17,5 @@ class NullCodec(Codec):
     def compress(self, data: bytes) -> bytes:
         return bytes(data)
 
-    def decompress(self, data: bytes) -> bytes:
+    def decompress(self, data: bytes, size: int | None = None) -> bytes:
         return bytes(data)

@@ -73,7 +73,7 @@ class RleCodec(Codec):
         flush_literals(len(data))
         return bytes(out)
 
-    def decompress(self, data: bytes) -> bytes:
+    def decompress(self, data: bytes, size: int | None = None) -> bytes:
         original_len, pos = read_uvarint(data)
         out = bytearray()
         n = len(data)

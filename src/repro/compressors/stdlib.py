@@ -16,6 +16,9 @@ import zlib
 from repro.compressors.base import Codec
 from repro.errors import CompressionError
 
+#: deflate's largest possible expansion, output bytes per input byte
+_DEFLATE_MAX_RATIO = 1032
+
 
 class ZlibCodec(Codec):
     """DEFLATE at a fixed level (1 fastest … 9 best)."""
@@ -29,9 +32,17 @@ class ZlibCodec(Codec):
     def compress(self, data: bytes) -> bytes:
         return zlib.compress(data, self.level)
 
-    def decompress(self, data: bytes) -> bytes:
+    def decompress(self, data: bytes, size: int | None = None) -> bytes:
+        # Inflate into one buffer of the final size: from the default
+        # 16 KiB block CPython grows the output and copies it whole.
+        # Floor: at or below that block the default holds it all (an
+        # exactly full block grows a spare one). Cap: deflate expands
+        # at most 1032:1, whatever an absurd hint says.
+        bufsize = zlib.DEF_BUF_SIZE
+        if size is not None:
+            bufsize = max(bufsize, min(size, _DEFLATE_MAX_RATIO * len(data)))
         try:
-            return zlib.decompress(data)
+            return zlib.decompress(data, zlib.MAX_WBITS, bufsize)
         except zlib.error as exc:
             raise CompressionError(f"zlib: {exc}") from exc
 
@@ -48,7 +59,8 @@ class Bz2Codec(Codec):
     def compress(self, data: bytes) -> bytes:
         return bz2.compress(data, self.level)
 
-    def decompress(self, data: bytes) -> bytes:
+    def decompress(self, data: bytes, size: int | None = None) -> bytes:
+        # the stdlib decompressor has no way to pre-size: size unused
         try:
             return bz2.decompress(data)
         except (OSError, ValueError) as exc:
@@ -72,7 +84,8 @@ class LzmaCodec(Codec):
     def compress(self, data: bytes) -> bytes:
         return lzma.compress(data, preset=self.preset)
 
-    def decompress(self, data: bytes) -> bytes:
+    def decompress(self, data: bytes, size: int | None = None) -> bytes:
+        # the stdlib decompressor has no way to pre-size: size unused
         try:
             return lzma.decompress(data)
         except lzma.LZMAError as exc:

@@ -1572,11 +1572,15 @@ class FanStoreDaemon:
         decode and feeds the per-codec ``codec.<name>.*`` metrics (the
         online counterpart of the lzbench profiles — enough to rebuild a
         ratio/cost profile from production traffic; see
-        :func:`repro.selection.profiling.profile_from_metrics`)."""
+        :func:`repro.selection.profiling.profile_from_metrics`). The
+        record's ``st_size`` goes down as the codec's size hint, so a
+        zlib payload inflates into one buffer of its final size; the
+        length check stays the gate, a hint never is."""
         compressor = self.registry.get(record.compressor_id)
+        size = record.stat.st_size
         if observed:
             t0 = time.perf_counter()
-            plain = compressor.decompress(data)
+            plain = compressor.decompress(data, size)
             dt = time.perf_counter() - t0
             handles = self._codec_metrics.get(record.compressor_id)
             if handles is None:
@@ -1593,13 +1597,13 @@ class FanStoreDaemon:
             plain_bytes.inc(len(plain))
             compressed_bytes.inc(len(data))
         else:
-            plain = compressor.decompress(data)
+            plain = compressor.decompress(data, size)
         self.stats.decompressions += 1
         self.stats.decompressed_bytes += len(plain)
-        if len(plain) != record.stat.st_size:
+        if len(plain) != size:
             raise FanStoreError(
                 f"{record.path}: decompressed to {len(plain)} bytes, "
-                f"stat says {record.stat.st_size}"
+                f"stat says {size}"
             )
         return plain
 

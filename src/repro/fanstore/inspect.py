@@ -149,7 +149,9 @@ def verify_dataset(
                 problems.append(f"{e.path}: payload digest mismatch{note}")
                 continue
             try:
-                plain = registry.get(e.compressor_id).decompress(e.data)
+                plain = registry.get(e.compressor_id).decompress(
+                    e.data, e.stat.st_size
+                )
             except Exception as exc:  # noqa: BLE001 - reported, not raised
                 problems.append(f"{e.path}: decompression failed ({exc}){note}")
                 continue
@@ -243,7 +245,9 @@ def repair_dataset(
             bad = not entry_payload_ok(e)
             if not bad:
                 try:
-                    plain = registry.get(e.compressor_id).decompress(data)
+                    plain = registry.get(e.compressor_id).decompress(
+                        data, e.stat.st_size
+                    )
                     bad = len(plain) != e.stat.st_size
                 except Exception:  # noqa: BLE001 - becomes a repair target
                     bad = True

@@ -213,7 +213,8 @@ class Scrubber(ServiceMixin):
     def _plaintext_ok(self, record: FileRecord, data: bytes) -> bool:
         """Deep check: the payload decompresses to the recorded size."""
         try:
-            plain = self.daemon.registry.get(record.compressor_id).decompress(data)
+            compressor = self.daemon.registry.get(record.compressor_id)
+            plain = compressor.decompress(data, record.stat.st_size)
         except Exception:
             return False
         return len(plain) == record.stat.st_size

@@ -42,18 +42,20 @@ class DecompressionProfile:
 def profile_compressor(
     compressor: Compressor, samples: Sequence[bytes], *, repetitions: int = 3
 ) -> DecompressionProfile:
-    """Measure ``Tpt_decom`` and ratio of a real suite member on samples."""
+    """Measure ``Tpt_decom`` and ratio of a real suite member on samples.
+    Each sample decodes with its length as the size hint, as the read
+    path decodes a record at its ``st_size``."""
     if not samples:
         raise SelectionError("need at least one sample")
-    compressed = [compressor.compress(s) for s in samples]
+    compressed = [(compressor.compress(s), len(s)) for s in samples]
     start = time.perf_counter()
     for _ in range(repetitions):
-        for c in compressed:
-            compressor.decompress(c)
+        for c, size in compressed:
+            compressor.decompress(c, size)
     elapsed = time.perf_counter() - start
     n = len(samples) * repetitions
     total_in = sum(len(s) for s in samples)
-    total_out = sum(len(c) for c in compressed)
+    total_out = sum(len(c) for c, _ in compressed)
     return DecompressionProfile(
         name=compressor.name,
         ratio=total_in / max(total_out, 1),

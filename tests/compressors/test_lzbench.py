@@ -58,7 +58,7 @@ def test_verify_catches_corruption(registry, samples):
         def compress(self, data):
             return data
 
-        def decompress(self, data):
+        def decompress(self, data, size=None):
             return data[:-1] if data else data
 
     from repro.compressors.base import Compressor

@@ -396,3 +396,24 @@ def test_all_registered_compressors_raise_on_corrupt_bytes(registry):
     daemon = FanStoreDaemon(registry=registry)
     for name in registry.names():
         _store_roundtrip_must_not_lie(daemon, name, payload)
+
+
+def test_an_absurd_size_ends_in_the_length_check(single_store):
+    """A record's ``st_size`` is only the decoder's size hint. A zlib
+    record that claims 2**40 bytes decodes into a buffer capped at
+    deflate's 1032:1 bound (an uncapped hint raises ``MemoryError``)
+    and fails the length check as the typed error; every other record
+    still reads."""
+    daemon = single_store.daemon
+    metadata = daemon.metadata
+    records = sorted(metadata.walk_files(), key=lambda r: r.path)
+    victim = records[0]
+    assert daemon.registry.get(victim.compressor_id).name == "zlib-1"
+    metadata.insert(dataclasses.replace(
+        victim, stat=dataclasses.replace(victim.stat, st_size=2**40)
+    ))
+    with pytest.raises(FanStoreError, match=f"stat says {2**40}"):
+        single_store.client.read_file(victim.path)
+    for record in records[1:]:
+        data = single_store.client.read_file(record.path)
+        assert len(data) == record.stat.st_size

@@ -31,6 +31,8 @@ import functools
 import sys
 import threading
 import time
+import tracemalloc
+import zlib
 from collections import Counter
 
 import pytest
@@ -272,6 +274,88 @@ def test_descriptor_path_cost_vector(store):
     assert _lock_acquisitions(store, open_read_close, paths) == 9 * n
 
 
+# -- bytes allocated per decode ------------------------------------------------
+
+#: what a sized decode may allocate beyond the plaintext itself: zlib
+#: grows one spare 64 KiB block before it sees the end of the stream
+DECODE_SLACK = 80 * 1024
+
+
+@pytest.fixture(scope="module")
+def zlib_packed(tmp_path_factory):
+    """``zlib-1`` EM files, one store of ~192 KB files (the
+    ``epoch_2rank_disk`` and ``local_512k_zlib`` shape) and one of
+    ~8 KB files (inside zlib's default 16 KiB first block)."""
+    root = tmp_path_factory.mktemp("decode-bytes")
+    packed = {}
+    for name, size in (("large", 192 * 1024), ("small", 8 * 1024)):
+        generate_dataset(
+            "em", root / name / "raw", num_files=4, avg_file_size=size,
+            num_dirs=1, seed=3,
+        )
+        packed[name] = prepare_dataset(
+            root / name / "raw", root / name / "packed", num_partitions=1,
+            compressor="zlib-1",
+        )
+    return packed
+
+
+def _peak_bytes(operation) -> int:
+    """Peak bytes allocated while ``operation()`` runs (``tracemalloc``,
+    no clock)."""
+    tracemalloc.start()
+    try:
+        operation()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _decode_peaks(packed) -> list[tuple[int, int, int]]:
+    """Per record: ``st_size``, the peak of a local ``read_file`` and
+    the peak of a plain ``zlib.decompress`` of its stored blob."""
+    with FanStore(packed, LOCAL_OPTIONS) as fs:
+        client, backend = fs.client, fs.daemon.backend
+        records = list(fs.daemon.metadata.walk_files())
+        for record in records:  # warm: lazy set-up is not the read's cost
+            client.read_file(record.path)
+        return [
+            (
+                record.stat.st_size,
+                _peak_bytes(lambda: client.read_file(record.path)),
+                _peak_bytes(
+                    lambda: zlib.decompress(backend.get(record.path))
+                ),
+            )
+            for record in records
+        ]
+
+
+def test_a_large_decode_allocates_its_output_once(zlib_packed):
+    """The record's ``st_size`` reaches the codec as a size hint, so a
+    zlib payload inflates into one buffer of its final size: a local
+    ``read_file`` of a >= 128 KiB record peaks within ``DECODE_SLACK``
+    of the plaintext. Decoding with zlib's default 16 KiB first block,
+    the output grows block by block and is copied into the result:
+    2.5-3.7 x ``st_size``, which this gate refuses."""
+    peaks = _decode_peaks(zlib_packed["large"])
+    assert all(size >= 128 * 1024 for size, _, _ in peaks)
+    for size, peak, default in peaks:
+        assert peak <= size + DECODE_SLACK
+        assert default > size + DECODE_SLACK
+
+
+def test_a_small_decode_keeps_the_default_block(zlib_packed):
+    """At or below zlib's default 16 KiB block the hint is not used
+    (an exactly full block would grow one spare 64 KiB block): a
+    ``read_file`` allocates what a plain ``zlib.decompress`` does, plus
+    the read path's few hundred bytes."""
+    peaks = _decode_peaks(zlib_packed["small"])
+    assert all(size <= zlib.DEF_BUF_SIZE for size, _, _ in peaks)
+    for _, peak, default in peaks:
+        assert default <= peak <= default + 1024
+
+
 # -- the batched remote read ----------------------------------------------------
 
 BATCH = 16
@@ -355,7 +439,15 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         ][:BATCH]
         assert len(paths) == BATCH
         client.read_files(paths)  # warm: lazy set-up is not the read's cost
-        alone = _cost_vector(client.read_file, paths)
+        # the lone reads on the next test's constructed interleaving: a
+        # raced reply that beats (or misses) its receiver moves the count
+        read_settled = _settled(fs, client.read_file)
+        _to_a_parked_receiver(monkeypatch, fs.daemon.comm)
+        _to_a_parked_receiver(monkeypatch, peer.daemon.comm)
+        for path in paths:
+            read_settled(path)
+        alone = _cost_vector(read_settled, paths)
+        monkeypatch.undo()
 
         sends = _Tally(monkeypatch, fs.daemon.comm, "send")
         recvs = _Tally(monkeypatch, fs.daemon.comm, "recv")
@@ -397,8 +489,9 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         assert counts["normalize"] == 0
         # the gate is asked once per decision: per envelope, per lone read
         assert (counts["gate_calls"], alone["gate_calls"]) == (1, BATCH)
-        # bounds, not equalities: a reply that beats its receiver to the
-        # mailbox saves the parking calls (the counts above cannot move)
+        # bounds, not equalities: in the raced batch a reply that beats
+        # its receiver to the mailbox saves the parking calls (the
+        # counts above cannot move); the lone reads keep their bound
         assert counts["python_calls"] <= 18 * BATCH
         assert alone["python_calls"] <= 44 * BATCH
 
@@ -459,6 +552,19 @@ def _to_a_parked_receiver(monkeypatch, comm) -> None:
     monkeypatch.setattr(comm, "send", send_when_parked)
 
 
+def _settled(fs, read):
+    """``read(path)``, then wait until the home (rank 1) is back in its
+    receive, so the next read starts from the same state."""
+    home = fs.daemon.comm.world._mailboxes[1]
+
+    def read_settled(path: str) -> None:
+        read(path)
+        while not home._waiters:
+            time.sleep(0)
+
+    return read_settled
+
+
 def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
     """A lone remote ``read_file`` as an exact vector (ROADMAP item 6).
     Each message is sent only once its receiver is parked, so both hops
@@ -499,13 +605,7 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
         paths = [
             r.path for r in daemon.metadata.walk_files() if r.home_rank == 1
         ][:BATCH]
-
-        def read_settled(path: str) -> None:
-            client.read_file(path)
-            # the home is back in its receive before the next read
-            while not mailboxes[1]._waiters:
-                time.sleep(0)
-
+        read_settled = _settled(fs, client.read_file)
         _to_a_parked_receiver(monkeypatch, daemon.comm)
         _to_a_parked_receiver(monkeypatch, peer.daemon.comm)
         for path in paths:  # warm: a thread's first park makes its line

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.comm.launcher import run_parallel
 from repro.errors import DataIntegrityError
 from repro.fanstore.corruption import corrupt_backend, corrupt_record
 from repro.fanstore.daemon import DaemonConfig
+from repro.fanstore.exchange import TAG_DAEMON
 from repro.fanstore.faults import CheckpointManager
 from repro.fanstore.layout import read_partition
 from repro.fanstore.metadata import normalize
@@ -38,6 +40,23 @@ FAST = dict(
     request_timeout=0.4,
     max_retries=1,
 )
+
+
+def _drain_serve_side(fs) -> None:
+    """Return once this rank's daemon serves nothing: its service loop
+    is parked in the receive of the request tag (so no request waits in
+    the mailbox or is served inline) and no pooled request is in
+    flight. Once every rank has stopped reading, nothing new arrives,
+    so the state is final."""
+    daemon = fs.daemon
+    mailbox = daemon.comm.world._mailboxes[daemon.rank]
+    give_up = time.monotonic() + 60
+    while not (
+        any(w.tag == TAG_DAEMON for w in mailbox._waiters)
+        and daemon._inflight == 0
+    ):
+        assert time.monotonic() < give_up, "the serve side never drained"
+        time.sleep(0)
 
 
 def decoder(raw: bytes, path: str):
@@ -159,6 +178,11 @@ class TestCorruptionDrill:
                     for rec in fs.daemon.metadata.walk_files()
                 }
                 assert data == originals
+                # a peer's read can still be repairing this rank's copy
+                # on its serve side: count only once every rank is done
+                # reading and this rank's serve side has drained
+                comm.barrier()
+                _drain_serve_side(fs)
                 stats = fs.daemon.stats
                 # every victim was healed by whoever read it first (this
                 # rank locally, or a peer via the serve path + ladder);
