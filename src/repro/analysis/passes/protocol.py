@@ -13,7 +13,10 @@ recovers the protocol from the AST and checks:
 2. every ``Request(...)`` envelope built under ``repro/fanstore``
    carries an ``epoch=`` fencing token (an envelope without one is a
    mutation the server can never fence as stale — split-brain
-   protection silently dropped; ``epoch=None`` is a visible opt-out).
+   protection silently dropped; ``epoch=None`` is a visible opt-out),
+   and so does every envelope built directly in its wire form, a tuple
+   display led by ``WIRE_MAGIC``: it must list the fields up to and
+   including the epoch, the seventh.
 
 Recognised idioms: a *dispatcher* is any method that calls
 ``recv``/``try_recv`` with a ``TAG_<NAME>`` constant; its handled kinds
@@ -42,6 +45,10 @@ from typing import Iterable
 from repro.analysis.core import Finding, LintPass, Project, SourceFile
 
 _TAG_RE = re.compile(r"^TAG_[A-Z_0-9]+$")
+
+#: where the fencing token sits in a request envelope's wire tuple
+#: (magic, version, subject, reply_tag, trace_ctx, deadline, epoch, ...)
+_WIRE_EPOCH_SLOT = 6
 
 
 def _terminal_name(node: ast.expr) -> str | None:
@@ -282,7 +289,15 @@ class ProtocolConformancePass(LintPass):
                 "decided under a stale membership view",
             )
             for node in ast.walk(src.tree)
-            if isinstance(node, ast.Call)
-            and _terminal_name(node.func) == "Request"
-            and not any(kw.arg == "epoch" for kw in node.keywords)
+            if (
+                isinstance(node, ast.Call)
+                and _terminal_name(node.func) == "Request"
+                and not any(kw.arg == "epoch" for kw in node.keywords)
+            ) or (
+                # the wire form built at once, short of its epoch slot;
+                # the bare (WIRE_MAGIC, WIRE_VERSION) prefix is no envelope
+                isinstance(node, ast.Tuple)
+                and 2 < len(node.elts) <= _WIRE_EPOCH_SLOT
+                and _terminal_name(node.elts[0]) == "WIRE_MAGIC"
+            )
         ]

@@ -46,7 +46,6 @@ from __future__ import annotations
 import os
 import select
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import CommClosedError, CommError, RankError
@@ -58,11 +57,15 @@ ANY_TAG = -1
 _DEFAULT_TIMEOUT = 60.0
 
 
-@dataclass
 class _Message:
-    source: int
-    tag: int
-    payload: Any
+    """One delivered message: who sent it, on which tag, what."""
+
+    __slots__ = ("source", "tag", "payload")
+
+    def __init__(self, source: int, tag: int, payload: Any) -> None:
+        self.source = source
+        self.tag = tag
+        self.payload = payload
 
 
 class Request:
@@ -119,16 +122,20 @@ class _WakeLine:
         self._poll = select.poll()
         self._poll.register(self.rfd, select.POLLIN)
 
-    def wake(self) -> None:
-        # a syscall that drops the GIL: the woken thread runs at once
-        os.write(self.wfd, b"\0")
+    # The syscalls are the ones bound at import (here and in
+    # ``__del__``): FanStore's own I/O never runs through an ``os``
+    # function that ``intercept()`` has since replaced.
 
-    def wait(self, timeout: float | None) -> bool:
+    def wake(self, _write=os.write) -> None:
+        # a syscall that drops the GIL: the woken thread runs at once
+        _write(self.wfd, b"\0")
+
+    def wait(self, timeout: float | None, _read=os.read) -> bool:
         """Park until the byte arrives (True, byte consumed) or
         ``timeout`` seconds pass (False, nothing consumed)."""
         if not self._poll.poll(None if timeout is None else timeout * 1e3):
             return False
-        os.read(self.rfd, 1)
+        _read(self.rfd, 1)
         return True
 
     def __del__(self, _close=os.close) -> None:
@@ -203,22 +210,17 @@ class _Mailbox:
                 return
         waiter.line.wake()
 
-    def _match(self, source: int, tag: int) -> _Message | None:
-        for i, msg in enumerate(self._messages):
-            if source not in (ANY_SOURCE, msg.source):
-                continue
-            if tag not in (ANY_TAG, msg.tag):
-                continue
-            return self._messages.pop(i)
-        return None
-
     def get(
         self, source: int, tag: int, timeout: float | None
     ) -> _Message:
         with self._mutex:
-            msg = self._match(source, tag)
-            if msg is not None:
-                return msg
+            # the oldest queued match (``try_get`` scans the same way)
+            for i, msg in enumerate(self._messages):
+                if (
+                    source in (ANY_SOURCE, msg.source)
+                    and tag in (ANY_TAG, msg.tag)
+                ):
+                    return self._messages.pop(i)
             if self._closed:
                 raise CommClosedError("world torn down during recv")
             # a spent budget must not reach poll(): it reads a
@@ -245,9 +247,12 @@ class _Mailbox:
     def try_get(self, source: int, tag: int) -> _Message | None:
         """Non-blocking matching receive; None when nothing matches."""
         with self._mutex:
-            msg = self._match(source, tag)
-            if msg is not None:
-                return msg
+            for i, msg in enumerate(self._messages):
+                if (
+                    source in (ANY_SOURCE, msg.source)
+                    and tag in (ANY_TAG, msg.tag)
+                ):
+                    return self._messages.pop(i)
             if self._closed:
                 raise CommClosedError("mailbox closed")
             return None
@@ -372,21 +377,24 @@ class Communicator:
     def size(self) -> int:
         return self.world.size
 
-    def _check_rank(self, rank: int, *, wildcard_ok: bool = False) -> None:
-        if wildcard_ok and rank == ANY_SOURCE:
-            return
+    def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.world.size:
             raise RankError(f"rank {rank} outside [0, {self.world.size})")
 
     # -- point to point ---------------------------------------------------
+    #
+    # Each call tests its rank inline and calls ``_check_rank`` only to
+    # raise: a valid rank costs no extra frame on either side of a hop.
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Deliver ``payload`` to ``dest``'s mailbox (eager, non-blocking
         in practice since mailboxes are unbounded)."""
-        self._check_rank(dest)
+        world = self.world
+        if not 0 <= dest < world.size:
+            self._check_rank(dest)
         if tag < 0:
             raise CommError(f"tag must be >= 0, got {tag}")
-        self.world._mailboxes[dest].put(_Message(self.rank, tag, payload))
+        world._mailboxes[dest].put(_Message(self.rank, tag, payload))
 
     def recv(
         self,
@@ -395,9 +403,10 @@ class Communicator:
         timeout: float | None = _DEFAULT_TIMEOUT,
     ) -> Any:
         """Receive one matching message's payload."""
-        self._check_rank(source, wildcard_ok=True)
-        msg = self.world._mailboxes[self.rank].get(source, tag, timeout)
-        return msg.payload
+        world = self.world
+        if source != ANY_SOURCE and not 0 <= source < world.size:
+            self._check_rank(source)
+        return world._mailboxes[self.rank].get(source, tag, timeout).payload
 
     def recv_with_status(
         self,
@@ -406,8 +415,10 @@ class Communicator:
         timeout: float | None = _DEFAULT_TIMEOUT,
     ) -> tuple[Any, int, int]:
         """Like :meth:`recv` but also returns ``(payload, source, tag)``."""
-        self._check_rank(source, wildcard_ok=True)
-        msg = self.world._mailboxes[self.rank].get(source, tag, timeout)
+        world = self.world
+        if source != ANY_SOURCE and not 0 <= source < world.size:
+            self._check_rank(source)
+        msg = world._mailboxes[self.rank].get(source, tag, timeout)
         return msg.payload, msg.source, msg.tag
 
     def try_recv(
@@ -417,8 +428,10 @@ class Communicator:
         matching message, or None when none is queued. This is the
         heartbeat drain primitive — a failure detector must poll its tag
         space without parking a thread per peer."""
-        self._check_rank(source, wildcard_ok=True)
-        msg = self.world._mailboxes[self.rank].try_get(source, tag)
+        world = self.world
+        if source != ANY_SOURCE and not 0 <= source < world.size:
+            self._check_rank(source)
+        msg = world._mailboxes[self.rank].try_get(source, tag)
         if msg is None:
             return None
         return msg.payload, msg.source, msg.tag

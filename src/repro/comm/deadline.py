@@ -21,6 +21,7 @@ The clock is injectable so unit tests can step time by hand.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable
 
@@ -77,7 +78,8 @@ def wire_deadline(value: object) -> float | None:
     anything else (a server must never crash on a hostile header)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
+    try:
+        value = float(value)
+    except OverflowError:  # an int no float can hold
         return None
-    return value
+    return value if math.isfinite(value) else None

@@ -21,7 +21,8 @@ live separately in :mod:`repro.compressors.profiles`.
 from __future__ import annotations
 
 import threading
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from repro.compressors.base import Codec, Compressor, Filter
 from repro.compressors.filters import (
@@ -66,6 +67,10 @@ class CompressorRegistry:
         self._lock = threading.Lock()
         self._by_name: dict[str, Compressor] = {}
         self._by_id: dict[int, Compressor] = {}
+        #: read-only live view of the compressors by numeric id: one
+        #: dict lookup for a hot decode path (:meth:`get` raises the
+        #: typed error for an unknown id)
+        self.by_id: Mapping[int, Compressor] = MappingProxyType(self._by_id)
         self._next_id = 1  # 0 is RAW_ID
         raw = Compressor(
             name=RAW_NAME, codec=NullCodec(), compressor_id=RAW_ID

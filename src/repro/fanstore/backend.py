@@ -24,6 +24,15 @@ from repro.errors import (
 from repro.fanstore.journal import atomic_replace, gc_tmp_files
 from repro.fanstore.layout import PartitionEntry, read_partition
 
+#: The calls a backend reads with, bound at import. ``intercept()``
+#: replaces ``builtins.open``, ``os.pread`` and ``os.stat`` for the
+#: whole program while it is active; a store's own reads must reach the
+#: real calls (the paper's trampolines reach the real libc), not run
+#: through the interposer that serves its clients.
+_open = open
+_pread = os.pread
+_stat = os.stat
+
 
 class Backend(Protocol):
     """What the daemon asks of a store of compressed objects keyed by
@@ -150,7 +159,7 @@ class PartitionBackend:
             handle = self._handles.get(partition_file)
         if handle is not None:
             return handle
-        fresh = open(partition_file, "rb")
+        fresh = _open(partition_file, "rb")
         with self._lock:
             handle = self._handles.setdefault(partition_file, fresh)
         if handle is not fresh:
@@ -166,7 +175,7 @@ class PartitionBackend:
                 raise FileNotFoundInStoreError(path)
             partition_file, offset, size = entry
         handle = self._handle(partition_file)
-        data = os.pread(handle.fileno(), size, offset)
+        data = _pread(handle.fileno(), size, offset)
         if len(data) != size:
             # the entry is indexed but its bytes are gone: a truncated
             # or torn partition file is corruption, not absence
@@ -226,7 +235,9 @@ class DiskBackend:
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._index: dict[str, Path] = {}
+        #: store path -> its blob's file name, kept as ``str`` so a read
+        #: opens it without a trip through ``Path.__fspath__``
+        self._index: dict[str, str] = {}
         self._lock = threading.Lock()
         #: optional :class:`~repro.fanstore.crash.DiskFaultInjector`
         #: consulted before every put (ENOSPC/EMFILE drills)
@@ -261,7 +272,7 @@ class DiskBackend:
                 ) from exc
             raise
         with self._lock:
-            self._index[path] = blob
+            self._index[path] = str(blob)
 
     def adopt(self, path: str) -> bool:
         """Re-index a blob that already exists on disk (restart
@@ -271,7 +282,7 @@ class DiskBackend:
         if not blob.is_file():
             return False
         with self._lock:
-            self._index[path] = blob
+            self._index[path] = str(blob)
         return True
 
     def read_raw(self, path: str) -> bytes | None:
@@ -291,7 +302,8 @@ class DiskBackend:
             blob = self._index.get(path)
         if blob is None:
             raise FileNotFoundInStoreError(path)
-        return blob.read_bytes()
+        with _open(blob, "rb", buffering=0) as fh:
+            return fh.readall()
 
     def discard(self, path: str) -> bool:
         """Quarantine: forget the (corrupt) blob and unlink it, indexed
@@ -313,4 +325,4 @@ class DiskBackend:
     def resident_bytes(self) -> int:
         with self._lock:
             blobs = list(self._index.values())
-        return sum(b.stat().st_size for b in blobs)
+        return sum(_stat(b).st_size for b in blobs)

@@ -61,11 +61,13 @@ envelope's reply tag.
 from __future__ import annotations
 
 import logging
+import sys
 import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable
 
 from repro.comm.communicator import ANY_SOURCE, Communicator
@@ -93,7 +95,11 @@ from repro.fanstore.exchange import (
 )
 from repro.fanstore.health import AdmissionQueue, HealthTracker
 from repro.fanstore.journal import Journal, JournalConfig, JournalStats
-from repro.fanstore.layout import blob_crc32, partition_payload_bytes
+from repro.fanstore.layout import (
+    FLAG_HAS_DIGEST,
+    blob_crc32,
+    partition_payload_bytes,
+)
 from repro.fanstore.membership import (
     ClusterView,
     FailureDetector,
@@ -1010,7 +1016,14 @@ class FanStoreDaemon:
         return False
 
     def _serve_one(self, entry: tuple) -> bool:
-        """Serve one admitted request; False ends the service loop."""
+        """Serve one admitted request — a batch envelope with one batch
+        reply, anything else with its :meth:`_answer` (if any), on the
+        request's reply tag. False ends the service loop.
+
+        An untraced request enters no span. A traced one is answered
+        inside the span adopted from the requester's context, entered
+        and exited by hand so both cases share the answering lines: an
+        exception leaving them marks the span as ``with`` would."""
         kind, request, source = entry
         deadline_at = request.deadline
         if deadline_at is not None and time.monotonic() >= deadline_at:
@@ -1018,10 +1031,9 @@ class FanStoreDaemon:
             # serving — or even refusing — would be work for nobody
             self.stats.deadline_expired_drops += 1
             return True
+        span = NULL_SPAN
         try:
-            if request.trace_ctx is None:
-                self._respond(kind, request, source, NULL_SPAN)
-            else:
+            if request.trace_ctx is not None:
                 # Joining the requester's trace: a malformed context
                 # yields NULL_SPAN, never an error — tracing must not
                 # change what gets served.
@@ -1030,8 +1042,19 @@ class FanStoreDaemon:
                 )
                 if kind in ("fetch", "stat"):
                     span.tag(path=request.subject)
-                with span:
-                    self._respond(kind, request, source, span)
+                span.__enter__()
+            try:
+                if kind == "batch":
+                    self._serve_batch(request, source)
+                else:
+                    answer = self._answer(
+                        kind, request.subject, request.epoch, span
+                    )
+                    if answer is not None:
+                        self.comm.send(answer, source, request.reply_tag)
+            finally:
+                if span is not NULL_SPAN:
+                    span.__exit__(*sys.exc_info())
         except (CommClosedError, CommError):
             # replying to a torn-down world (or after our own
             # injected death) ends the service loop — a crashed
@@ -1042,19 +1065,6 @@ class FanStoreDaemon:
             # path type, bogus write_meta record) is still malformed
             self.stats.malformed_requests += 1
         return True
-
-    def _respond(
-        self, kind: str, request: Request, source: int, span: Any
-    ) -> None:
-        """Answer one admitted request on its reply tag: a batch
-        envelope with one batch reply, anything else with its
-        :meth:`_answer` (if any)."""
-        if kind == "batch":
-            self._serve_batch(request, source)
-            return
-        answer = self._answer(kind, request.subject, request.epoch, span)
-        if answer is not None:
-            self.comm.send(answer, source, request.reply_tag)
 
     def _answer(
         self, kind: str, subject: Any, epoch: int | None, span: Any
@@ -1223,15 +1233,16 @@ class FanStoreDaemon:
         number, so the verify phase histogram captures every digest
         check the fetch ladder did for that read (a failover verifies at
         each tier); an unobserved check reads no clock."""
-        if not self.config.verify_reads or not record.stat.has_digest:
+        stat = record.stat
+        if not self.config.verify_reads or not stat.flags & FLAG_HAS_DIGEST:
             return True
         # one read of the accumulator: another thread's observed miss
         # may reset it to None at any moment
         verify_s = self._last_verify_s
         if verify_s is None:
-            return blob_crc32(data) == record.stat.crc32
+            return blob_crc32(data) == stat.crc32
         t0 = time.perf_counter()
-        ok = blob_crc32(data) == record.stat.crc32
+        ok = blob_crc32(data) == stat.crc32
         self._last_verify_s = verify_s + (time.perf_counter() - t0)
         return ok
 
@@ -1329,7 +1340,23 @@ class FanStoreDaemon:
             self.tracer.tag_current(skipped=skipped)
         else:
             try:
-                status, data = self._home_fetch(norm, record, deadline)
+                # a plain retried request (batched when the destination
+                # is busy), or — with ``hedge_reads`` on and a replica
+                # to hedge at — a hedged one, never batched: a hedge is
+                # a latency bet, and parking it behind a flush would
+                # forfeit it
+                replicas = (
+                    self._replica_order(norm, record)
+                    if self.config.hedge_reads else None
+                )
+                if replicas:
+                    status, data = self.exchange.ask_hedged(
+                        norm, record, replicas[0], deadline
+                    )
+                else:
+                    status, data = self.exchange.ask_batched(
+                        "fetch", norm, home, deadline=deadline
+                    )
             except RetryExhaustedError as exc:
                 self.health.force_open(home)  # the next read skips it
                 failure = exc
@@ -1358,23 +1385,6 @@ class FanStoreDaemon:
                 path=norm,
             )
         return data
-
-    def _home_fetch(
-        self, norm: str, record: FileRecord, deadline: Deadline | None
-    ) -> tuple[str, Any]:
-        """The home-rank tier: a plain retried request (batched when the
-        destination is busy), or — with ``hedge_reads`` on and a replica
-        available — a hedged one (never batched: a hedge is a latency
-        bet, and parking it behind a flush would forfeit it)."""
-        replicas = (
-            self._replica_order(norm, record) if self.config.hedge_reads
-            else None
-        )
-        if not replicas:
-            return self.exchange.ask_batched(
-                "fetch", norm, record.home_rank, deadline=deadline
-            )
-        return self.exchange.ask_hedged(norm, record, replicas[0], deadline)
 
     def repair(
         self,
@@ -1576,7 +1586,11 @@ class FanStoreDaemon:
         record's ``st_size`` goes down as the codec's size hint, so a
         zlib payload inflates into one buffer of its final size; the
         length check stays the gate, a hint never is."""
-        compressor = self.registry.get(record.compressor_id)
+        try:
+            compressor = self.registry.by_id[record.compressor_id]
+        except KeyError:
+            # an id this registry lacks: its typed error, from get()
+            compressor = self.registry.get(record.compressor_id)
         size = record.stat.st_size
         if observed:
             t0 = time.perf_counter()
@@ -1635,7 +1649,7 @@ class FanStoreDaemon:
         if record is None:
             path = normalize(path)
         return self.cache.get_or_compute(
-            path, lambda: self._miss_bytes(path, record)
+            path, partial(self._miss_bytes, path, record)
         )
 
     def read_file(self, path: str) -> bytes:
@@ -1649,7 +1663,7 @@ class FanStoreDaemon:
         if record is None:
             path = normalize(path)
         return self.cache.read_once(
-            path, lambda: self._miss_bytes(path, record)
+            path, partial(self._miss_bytes, path, record)
         )
 
     def _miss_bytes(self, norm: str, record: FileRecord | None) -> bytes:

@@ -38,7 +38,13 @@ from repro.errors import (
 from repro.fanstore.health import HealthTracker
 from repro.fanstore.metadata import FileRecord
 from repro.fanstore.pipeline import BATCH_MAX
-from repro.fanstore.wire import Reply, Request, decode_batch_reply
+from repro.fanstore.wire import (
+    WIRE_MAGIC,
+    WIRE_VERSION,
+    Reply,
+    Request,
+    decode_batch_reply,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, Tracer
 
@@ -207,7 +213,8 @@ class PeerExchange:
                 cfg.request_timeout if deadline is None
                 else deadline.cap(cfg.request_timeout)
             )
-            reply_tag = self._next_reply_tag()
+            with self._reply_lock:  # _next_reply_tag(), without its frame
+                reply_tag = next(self._reply_tags)
             t0 = time.perf_counter()
             try:
                 if not traced:
@@ -282,25 +289,28 @@ class PeerExchange:
     ) -> Any:
         """One attempt on the wire — the request envelope out, whatever
         arrives on ``reply_tag`` back: for :meth:`ask`, and for
-        :meth:`ask_many` with the ``batch`` items."""
+        :meth:`ask_many` with the ``batch`` items.
+
+        The envelope is built as its wire tuple at once — what
+        ``Request(...).encode()`` returns, field for field, without the
+        named tuple in between."""
         comm = self.comm
-        wire_body = Request(
-            subject=body,
-            reply_tag=reply_tag,
-            trace_ctx=trace_ctx,
-            deadline=time.monotonic() + timeout,
+        wire_body = (
+            WIRE_MAGIC, WIRE_VERSION, body, reply_tag, trace_ctx,
+            time.monotonic() + timeout,  # deadline
             # fencing token re-read per attempt: a view that advances
             # mid-ladder fences with the fresh epoch
-            epoch=self._fence(),
-            batch=batch,
-        ).encode()
+            self._fence(),  # epoch
+            batch,
+        )
         comm.send((kind, wire_body), dest, TAG_DAEMON)
         return comm.recv(dest, reply_tag, timeout=timeout)
 
     # -- per-destination request batching ------------------------------------
 
     def _batcher(self, dest: int) -> _DestBatcher:
-        # a dict read needs no lock; only creating a batcher does
+        # a dict read needs no lock; only creating a batcher does, and
+        # only that calls this helper
         batcher = self._batchers.get(dest)
         if batcher is None:
             with self._batch_lock:
@@ -323,7 +333,7 @@ class PeerExchange:
         the classic ladder — batching is an optimization, never a new
         failure mode. Hedged fetches and mutating requests must not come
         through here."""
-        batcher = self._batcher(dest)
+        batcher = self._batchers.get(dest) or self._batcher(dest)
         ticket: _BatchTicket | None = None
         with batcher.lock:
             if not batcher.busy:

@@ -194,6 +194,8 @@ class HealthTracker:
         self.on_probe: Callable[[int], None] | None = None
 
     def _breaker(self, peer: int) -> CircuitBreaker:
+        # the hot sinks read the dict themselves and call this only to
+        # create a peer's breaker
         br = self._breakers.get(peer)
         if br is None:
             br = self._breakers[peer] = self._mk_breaker()
@@ -223,7 +225,8 @@ class HealthTracker:
             if samples is None:
                 samples = self._samples[peer] = deque(maxlen=WINDOW)
             samples.append(seconds)
-            self._breaker(peer).record_success()
+            br = self._breakers.get(peer) or self._breaker(peer)
+            br.record_success()
 
     def failure(self, peer: int) -> bool:
         """A hard failure against ``peer`` (timeout, overload shed);
@@ -240,7 +243,19 @@ class HealthTracker:
     # -- routing gates -----------------------------------------------------
 
     def allow(self, peer: int) -> bool:
-        """Routing gate: False means skip ``peer`` (breaker open)."""
+        """Routing gate: False means skip ``peer`` (breaker open).
+
+        A CLOSED breaker is answered without the lock. That is safe:
+        ``_state`` is written only under the lock, so the read sees
+        either the state before a concurrent transition or the one
+        after it, exactly as if this call had run just before or just
+        after that transition under the lock; and a CLOSED answer has
+        no side effect to serialize (no probe, no time-driven
+        transition). OPEN and HALF_OPEN take the locked path, which
+        turns an elapsed cool-off into HALF_OPEN and counts the probe."""
+        br = self._breakers.get(peer)
+        if br is not None and br._state is BreakerState.CLOSED:
+            return True
         with self._lock:
             br = self._breaker(peer)
             probes_before = br.probes

@@ -151,6 +151,33 @@ class TestEnvelopeConformance:
         report = lint_tree({"fanstore/daemon.py": src})
         assert not rules_of(report, "protocol-conformance"), report.summary()
 
+    def test_a_wire_tuple_is_judged_like_an_envelope(self, lint_tree):
+        # the envelope built at once in its wire form (what
+        # Request(...).encode() returns) must reach its epoch slot; the
+        # bare (WIRE_MAGIC, WIRE_VERSION) prefix is no envelope
+        wire = (
+            "        wire = (WIRE_MAGIC, WIRE_VERSION, None, reply_tag, None,\n"
+            "                self._clock() + self.timeout{epoch_and_batch})\n"
+            "        prefix = (WIRE_MAGIC, WIRE_VERSION)\n"
+            "        self.comm.send((\"batch\", request.encode()), dest, TAG_DAEMON)"
+        )
+        site = (
+            "        self.comm.send((\"batch\", request.encode()), dest, TAG_DAEMON)"
+        )
+        fenced = ENVELOPE.replace(site, wire.format(
+            epoch_and_batch=", self._fence_token(), None"
+        ))
+        unfenced = ENVELOPE.replace(site, wire.format(epoch_and_batch=""))
+        assert fenced != ENVELOPE and unfenced != ENVELOPE
+        report = lint_tree({"fanstore/daemon.py": fenced})
+        assert not rules_of(report, "protocol-conformance"), report.summary()
+        findings = rules_of(
+            lint_tree({"fanstore/daemon.py": unfenced}),
+            "protocol-conformance",
+        )
+        assert len(findings) == 1
+        assert "without an epoch= fencing token" in findings[0].message
+
     def test_envelope_outside_fanstore_is_out_of_scope(self, lint_tree):
         # ``Request`` is also the comm layer's async handle; only
         # repro/fanstore builds wire envelopes
@@ -243,7 +270,7 @@ class TestPipelinedDaemonShape:
         ``daemon.py``) and the pass must say so — the clean verdict of
         ``test_project_clean`` is only worth something while this
         holds."""
-        site = 'exchange.ask_batched(\n                "fetch", norm,'
+        site = 'exchange.ask_batched(\n                        "fetch", norm,'
         report = lint_mutant(
             tmp_path, "fanstore/daemon.py", site,
             site.replace("fetch", "bogus_kind"), "protocol-conformance",

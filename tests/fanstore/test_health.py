@@ -259,6 +259,80 @@ class TestHealthTracker:
             self.tracker().quantile(1, 1.5, default=0.0)
 
 
+class _CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc):
+        return self.inner.__exit__(*exc)
+
+
+class TestLockFreeGate:
+    """``HealthTracker.allow`` answers a CLOSED breaker without the
+    lock; OPEN and HALF_OPEN keep the locked path and its probe
+    accounting. Stepped clock, no sleeps."""
+
+    def tracker(self, clock):
+        h = HealthTracker(0, clock=clock, reset_after=1.0)
+        h._lock = _CountingLock(h._lock)
+        return h
+
+    def test_a_closed_breaker_is_answered_without_the_lock(self):
+        h = self.tracker(FakeClock())
+        assert h.allow(1)  # the first ask makes the breaker, locked
+        locked = h._lock.acquired
+        for _ in range(3):
+            assert h.allow(1)
+        assert h._lock.acquired == locked
+
+    def test_an_open_breaker_answers_no(self):
+        clock = FakeClock()
+        h = self.tracker(clock)
+        probes = []
+        h.on_probe = probes.append
+        assert h.allow(1)
+        for _ in range(3):
+            h.failure(1)
+        locked = h._lock.acquired
+        clock.advance(0.99)  # still cooling off
+        assert not h.allow(1)
+        assert not h.allow(1)
+        assert h._lock.acquired == locked + 2  # both asked under the lock
+        assert probes == []
+
+    def test_a_half_open_breaker_counts_one_probe_per_allow(self):
+        clock = FakeClock()
+        h = self.tracker(clock)
+        probes = []
+        h.on_probe = probes.append
+        h.force_open(1)
+        clock.advance(1.0)  # the cool-off elapsed: OPEN reads HALF_OPEN
+        assert h.allow(1)
+        assert probes == [1]
+        assert h.state(1) is BreakerState.HALF_OPEN
+        h.observe(1, 0.01)  # the probe passed
+        assert h.allow(1)
+        assert probes == [1]  # CLOSED again: no probe, no lock
+        h.force_open(2)
+        h.half_open(2)  # re-admitted: HALF_OPEN without a cool-off
+        assert h.allow(2)
+        assert probes == [1, 2]
+
+    def test_a_force_open_is_seen_by_the_very_next_allow(self):
+        h = self.tracker(FakeClock())
+        assert h.allow(1)
+        assert h.allow(1)  # lock-free
+        h.force_open(1)
+        assert not h.allow(1)
+
+
 class TestDeadline:
     def test_after_and_remaining(self):
         clock = FakeClock(50.0)
@@ -302,6 +376,7 @@ class TestDeadline:
             (float("nan"), None),
             (float("inf"), None),
             (-float("inf"), None),
+            pytest.param(10**400, None, id="int-past-float-range"),
             ("soon", None),
             (None, None),
         ],

@@ -10,9 +10,10 @@ Python-call budget. The parent of the PR that added this file executed
 
 A whole-file read (``read_file``) is cheaper than a descriptor's open,
 read and close: it never makes the entry resident, so it probes the
-table once, installs and evicts nothing, and takes fewer locks — 18
-Python calls and 4 lock acquisitions where the open/close pair it
-replaced took 25 and 7.
+table once, installs and evicts nothing, and takes fewer locks — 15
+Python calls (18 before ``has_digest``, the registry's ``get`` and the
+cache-miss lambda left the path) and 4 lock acquisitions where the
+open/close pair it replaced took 25 and 7.
 
 The batched remote read (``read_files``) is pinned the same way at the
 end of the file: messages, fetches, misses, digest passes and ``Event``
@@ -22,7 +23,9 @@ a local read hashes every time, a warm RAM home serves a peer without a
 second pass, and a ``DiskBackend`` home hashes every serve. A lone
 remote ``read_file`` is pinned last, as an exact vector on a constructed
 interleaving: wake-line writes, locks with both ranks' mailbox mutexes,
-and Python calls.
+and Python calls on the reading thread and on the home's service
+thread; and an intercepted read of one runs the interposer once, for
+the program's own ``open``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from repro.comm.launcher import run_parallel
 from repro.fanstore.client import O_CREAT, O_WRONLY
 from repro.datasets.synthetic import generate_dataset
 from repro.fanstore.daemon import DaemonConfig
+from repro.fanstore.interception import intercept
 from repro.fanstore.prepare import prepare_dataset
 from repro.fanstore.store import FanStore, FanStoreOptions
 
@@ -73,14 +77,20 @@ def store(packed):
         yield fs
 
 
+def _ours(code) -> bool:
+    """A frame of ``src/repro``, not of ``repro/analysis`` (the lockdep
+    witness's lock proxies run under pytest, not in production)."""
+    filename = code.co_filename
+    return "/repro/" in filename and "/repro/analysis/" not in filename
+
+
 def _cost_vector(operation, paths) -> Counter:
     """Per-call-site counts over ``operation(path)`` for every path.
 
-    Only frames of ``src/repro`` count, without ``repro/analysis`` (the
-    lockdep witness's lock proxies run under pytest, not in production).
-    ``lookups_in_miss`` are metadata lookups between entering the cache
-    (``get_or_compute`` / ``read_once``) and reaching ``backend.get``:
-    there the record must already be in hand. ``installs`` and
+    Only frames :func:`_ours` count. ``lookups_in_miss`` are metadata
+    lookups between entering the cache (``get_or_compute`` /
+    ``read_once``) and reaching ``backend.get``: there the record must
+    already be in hand. ``installs`` and
     ``evictions`` are entries made and freed resident.
     """
     counts: Counter = Counter()
@@ -94,8 +104,7 @@ def _cost_vector(operation, paths) -> Counter:
         if event != "call":
             return
         code = frame.f_code
-        filename = code.co_filename
-        if "/repro/" not in filename or "/repro/analysis/" in filename:
+        if not _ours(code):
             return
         counts["python_calls"] += 1
         name = code.co_qualname
@@ -196,7 +205,7 @@ def test_read_file_cost_vector(store):
     # never resident: nothing installed, so nothing to evict
     assert counts["installs"] == counts["evictions"] == 0
     assert counts["gate_calls"] == 0  # "may I ask rank r?" is a remote question
-    assert counts["python_calls"] <= 18 * n
+    assert counts["python_calls"] <= 15 * n
     # exact: the same reads execute the same calls
     assert _cost_vector(client.read_file, paths) == counts
 
@@ -250,9 +259,11 @@ def test_a_local_read_hashes_on_every_read(packed, monkeypatch):
 
 
 def test_descriptor_path_cost_vector(store):
-    """``open``/``read``/``close`` executes what it executed before
-    whole-file reads stopped making entries resident — call for call.
-    Its one lock fewer (9, was 10) is the writer guard's."""
+    """``open``/``read``/``close`` executes what it executed when
+    whole-file reads stopped making entries resident, less three
+    frames that only forwarded: ``has_digest``, the registry's ``get``
+    and the cache-miss lambda (26 calls, was 29). Its one lock fewer
+    (9, was 10) is the writer guard's."""
     client, paths = store.client, _paths(store)
 
     def open_read_close(path: str) -> None:
@@ -268,7 +279,7 @@ def test_descriptor_path_cost_vector(store):
     # canonicality proof), none of them inside the miss; one entry
     # installed pinned at the open and evicted at the close
     assert counts == Counter(
-        python_calls=29 * n, lookups=2 * n, flights=n, installs=n,
+        python_calls=26 * n, lookups=2 * n, flights=n, installs=n,
         evictions=n, backend_gets=n,
     )
     assert _lock_acquisitions(store, open_read_close, paths) == 9 * n
@@ -417,8 +428,8 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
     serve, and hashing it again at every serve made 32), no ``Event``,
     and at most 18 Python calls under
     ``src/repro`` per file on the requesting thread (25 while each file
-    was pinned; a lone ``read_file`` of a remote path: 44, was 58, then
-    50 — its exact vector is the next test's)."""
+    was pinned; a lone ``read_file`` of a remote path: 31, was 58, then
+    50, then 44 — its exact vector is the next test's)."""
     stores: dict[int, FanStore] = {}
     config = DaemonConfig(metrics_every=0)
 
@@ -441,7 +452,7 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         client.read_files(paths)  # warm: lazy set-up is not the read's cost
         # the lone reads on the next test's constructed interleaving: a
         # raced reply that beats (or misses) its receiver moves the count
-        read_settled = _settled(fs, client.read_file)
+        read_settled = _settled(client.read_file, peer)
         _to_a_parked_receiver(monkeypatch, fs.daemon.comm)
         _to_a_parked_receiver(monkeypatch, peer.daemon.comm)
         for path in paths:
@@ -493,7 +504,7 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         # its receiver to the mailbox saves the parking calls (the
         # counts above cannot move); the lone reads keep their bound
         assert counts["python_calls"] <= 18 * BATCH
-        assert alone["python_calls"] <= 44 * BATCH
+        assert alone["python_calls"] <= 31 * BATCH
 
     run_parallel(body, 2, timeout=120)
 
@@ -552,17 +563,65 @@ def _to_a_parked_receiver(monkeypatch, comm) -> None:
     monkeypatch.setattr(comm, "send", send_when_parked)
 
 
-def _settled(fs, read):
-    """``read(path)``, then wait until the home (rank 1) is back in its
-    receive, so the next read starts from the same state."""
-    home = fs.daemon.comm.world._mailboxes[1]
+def _parked(thread: threading.Thread) -> bool:
+    """True while ``thread`` sleeps in its wake line's poll: its
+    innermost Python frame is ``_WakeLine.wait``, whose call has
+    therefore already happened."""
+    frame = sys._current_frames().get(thread.ident)
+    return (
+        frame is not None
+        and frame.f_code is communicator_module._WakeLine.wait.__code__
+    )
+
+
+def _settled(read, home):
+    """``read(path)``, then wait until the ``home`` store's service
+    thread is parked in its receive again, so the next read starts from
+    the same state on both ranks."""
+    thread = home.daemon._service_thread
 
     def read_settled(path: str) -> None:
         read(path)
-        while not home._waiters:
+        while not _parked(thread):
             time.sleep(0)
 
     return read_settled
+
+
+def _profile_service_thread(monkeypatch, home, profiler) -> None:
+    """Run ``profiler`` on the ``home`` store's service thread from its
+    next admission on. ``sys.setprofile`` binds the calling thread only,
+    so that thread installs it itself."""
+    daemon = home.daemon
+    admit = daemon._admit
+
+    def admit_profiled(queue, msg):
+        sys.setprofile(profiler)
+        return admit(queue, msg)
+
+    monkeypatch.setattr(daemon, "_admit", admit_profiled)
+
+
+def _service_thread_calls(monkeypatch, home, read_settled, paths) -> int:
+    """Python calls under ``src/repro`` on the home's service thread
+    over ``read_settled(path)`` for every path. The read that installs
+    the profiler is not counted; each counted read starts and ends with
+    the thread parked, so the window holds whole serves only."""
+    calls = 0
+    counting = False
+
+    def profiler(frame, event, _arg):
+        nonlocal calls
+        if counting and event == "call" and _ours(frame.f_code):
+            calls += 1
+
+    _profile_service_thread(monkeypatch, home, profiler)
+    read_settled(paths[0])
+    counting = True
+    for path in paths:
+        read_settled(path)
+    counting = False
+    return calls
 
 
 def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
@@ -574,17 +633,30 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
       the request, the reading thread for the reply. (The lock token
       they replaced was released with the GIL held: the woken thread
       could not run, slept again, and a read cost 6 context switches.)
-    - 14 lock acquisitions on the requesting rank, both ranks' mailbox
+    - 13 lock acquisitions on the requesting rank, both ranks' mailbox
       mutexes included: 5 of them (send and receive on this side;
       receive, drain and reply at the home), the batcher's twice (take
-      and pass the baton), the health tracker's twice (the gate and the
-      observed latency), the cache's twice, the metadata table's, the
-      RAM backend's (the replica check) and the reply-tag counter's. It
-      was 15: finding the batcher took a lock every time.
-    - 44 Python calls under ``src/repro`` on the reading thread (49
-      before the exchange stopped entering a null span and asking it
-      for a context, and the health tracker looked a breaker up three
-      times per success).
+      and pass the baton), the health tracker's once (the observed
+      latency; the gate reads a CLOSED breaker without it), the cache's
+      twice, the metadata table's, the RAM backend's (the replica
+      check) and the reply-tag counter's. It was 15 while finding the
+      batcher took a lock every time, then 14 while the gate did.
+    - 31 Python calls under ``src/repro`` on the reading thread: one
+      frame per hop, none that only forwards its arguments. It was 49
+      while the exchange entered a null span and asked it for a
+      context, then 44 with the home tier's own frame, the breaker's
+      three-call gate, the batcher and reply-tag helpers, the request
+      envelope's ``encode``, ``has_digest``, the registry's ``get``,
+      the cache-miss lambda, two ``_check_rank`` calls and the
+      mailbox's ``_match``. (The message is a ``__slots__`` class now;
+      its ``__init__`` is counted where the dataclass's generated one,
+      compiled from a string, was not.)
+    - 24 Python calls under ``src/repro`` on the home's service thread
+      per request served, from waking in its receive to parking in the
+      next one: the admission (decode, queue push, drain), the answer
+      (``_answer``, the backend, the trust check) and the reply. It
+      was 29 with a ``_respond`` frame between serving and answering,
+      three ``_check_rank`` calls and two ``_match`` calls.
     """
     stores: dict[int, FanStore] = {}
     config = DaemonConfig(metrics_every=0)
@@ -605,7 +677,7 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
         paths = [
             r.path for r in daemon.metadata.walk_files() if r.home_rank == 1
         ][:BATCH]
-        read_settled = _settled(fs, client.read_file)
+        read_settled = _settled(client.read_file, peer)
         _to_a_parked_receiver(monkeypatch, daemon.comm)
         _to_a_parked_receiver(monkeypatch, peer.daemon.comm)
         for path in paths:  # warm: a thread's first park makes its line
@@ -622,12 +694,83 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
         measured["calls_again"] = _cost_vector(
             read_settled, paths
         )["python_calls"]
+        measured["home_calls"] = _service_thread_calls(
+            monkeypatch, peer, read_settled, paths
+        )
         monkeypatch.undo()
 
     run_parallel(body, 2, timeout=120)
     assert measured == {
         "writes": 2 * BATCH,
-        "locks": 14 * BATCH,
-        "calls": 44 * BATCH,
-        "calls_again": 44 * BATCH,
+        "locks": 13 * BATCH,
+        "calls": 31 * BATCH,
+        "calls_again": 31 * BATCH,
+        "home_calls": 24 * BATCH,
     }
+
+
+def test_an_intercepted_remote_read_runs_the_interposer_once(
+    remote_packed, tmp_path, monkeypatch
+):
+    """FanStore's own I/O never runs through its own interposer: the
+    paper's trampolines reach the real libc, and so does the store. An
+    intercepted ``open()`` read of a remote file, over a
+    ``DiskBackend`` home, runs exactly one ``patched_open`` per read on
+    either rank — the program's own ``open`` — and no ``patched_os_*``
+    frame. The wake lines' ``os.write``/``os.read`` and the home's blob
+    read use the calls bound at import; before, every hop ran
+    ``patched_os_write`` and ``patched_os_read``, and the home's
+    ``Path.read_bytes()`` ran a second ``patched_open``."""
+    stores: dict[int, FanStore] = {}
+    config = DaemonConfig(metrics_every=0)
+    measured: dict[str, Counter] = {}
+
+    def body(comm):
+        options = FanStoreOptions(
+            comm=comm, config=config, local_dir=tmp_path / f"rank{comm.rank}"
+        )
+        with FanStore(remote_packed, options) as fs:
+            stores[comm.rank] = fs
+            comm.barrier()
+            if comm.rank == 0:
+                measure(fs, stores[1])
+            comm.barrier()  # the peer serves until the count is taken
+
+    def measure(fs, peer):
+        paths = [
+            r.path for r in fs.daemon.metadata.walk_files()
+            if r.home_rank == 1
+        ][:BATCH]
+        frames: Counter = Counter()
+        counting = False
+
+        def profiler(frame, event, _arg):
+            if counting and event == "call":
+                name = frame.f_code.co_qualname
+                if name.startswith("intercept.<locals>.patched_"):
+                    frames[name.rpartition(".")[2]] += 1
+
+        def read(path: str) -> None:
+            with open(f"{fs.mount_point}/{path}", "rb") as fh:
+                fh.read()
+
+        read_settled = _settled(read, peer)
+        with intercept(fs):
+            _profile_service_thread(monkeypatch, peer, profiler)
+            read_settled(paths[0])  # the home installs its profiler
+            before = fs.daemon.stats.remote_fetches
+            sys.setprofile(profiler)
+            counting = True
+            try:
+                for path in paths:
+                    read_settled(path)
+            finally:
+                counting = False
+                sys.setprofile(None)
+            measured["fetches"] = fs.daemon.stats.remote_fetches - before
+        monkeypatch.undo()
+        measured["frames"] = frames
+
+    run_parallel(body, 2, timeout=120)
+    assert measured["fetches"] == BATCH  # every read crossed ranks
+    assert measured["frames"] == Counter(patched_open=BATCH)
