@@ -191,54 +191,61 @@ class FanStoreClient:
             return
         assert state.buffer is not None
         data = state.buffer.getvalue()
-        # Optional write-path compression (checkpoints/logs are written
-        # once; a dense codec costs nothing on the training fast path).
-        stored = data
-        compressor_id = 0
-        comp_name = self.daemon.config.output_compressor
-        if comp_name is not None:
-            compressor = self.daemon.registry.get(comp_name)
-            t0 = time.perf_counter()
-            packed = compressor.compress(data)
-            dt = time.perf_counter() - t0
-            # write-path codec metrics mirror the read path's decode
-            # metrics (codec.<name>.decode_*); writes are not hot, so
-            # every encode is observed, not sampled
-            metrics = self.daemon.metrics
-            metrics.histogram(
-                f"codec.{compressor.name}.encode_seconds"
-            ).observe(dt)
-            metrics.counter(
-                f"codec.{compressor.name}.encode_bytes"
-            ).inc(len(data))
-            if len(packed) < len(data):
-                stored = packed
-                compressor_id = compressor.compressor_id
-        now_ns = time.time_ns()
-        stat = FileStat(
-            st_mode=DEFAULT_FILE_MODE,
-            st_size=len(data),
-            st_blksize=DEFAULT_BLOCK_SIZE,
-            st_blocks=(len(data) + 511) // 512,
-            st_mtime_ns=now_ns,
-            st_ctime_ns=now_ns,
-            st_atime_ns=now_ns,
-            home_rank=self.daemon.rank,
-            flags=FLAG_OUTPUT | FLAG_HAS_DIGEST,
-            crc32=blob_crc32(stored),
-        )
-        record = FileRecord(
-            path=state.path,
-            stat=stat,
-            compressor_id=compressor_id,
-            compressed_size=len(stored),
-            home_rank=self.daemon.rank,
-            partition_id=0,
-        )
-        self.daemon.store_output(state.path, stored, record)
-        with self._lock:
-            self._writing.discard(state.path)
-            self._sealed.add(state.path)
+        # a failed seal (ENOSPC, say) leaves no descriptor writing the
+        # path, so the path leaves _writing either way
+        sealed = False
+        try:
+            # Optional write-path compression (checkpoints/logs are written
+            # once; a dense codec costs nothing on the training fast path).
+            stored = data
+            compressor_id = 0
+            comp_name = self.daemon.config.output_compressor
+            if comp_name is not None:
+                compressor = self.daemon.registry.get(comp_name)
+                t0 = time.perf_counter()
+                packed = compressor.compress(data)
+                dt = time.perf_counter() - t0
+                # write-path codec metrics mirror the read path's decode
+                # metrics (codec.<name>.decode_*); writes are not hot, so
+                # every encode is observed, not sampled
+                metrics = self.daemon.metrics
+                metrics.histogram(
+                    f"codec.{compressor.name}.encode_seconds"
+                ).observe(dt)
+                metrics.counter(
+                    f"codec.{compressor.name}.encode_bytes"
+                ).inc(len(data))
+                if len(packed) < len(data):
+                    stored = packed
+                    compressor_id = compressor.compressor_id
+            now_ns = time.time_ns()
+            stat = FileStat(
+                st_mode=DEFAULT_FILE_MODE,
+                st_size=len(data),
+                st_blksize=DEFAULT_BLOCK_SIZE,
+                st_blocks=(len(data) + 511) // 512,
+                st_mtime_ns=now_ns,
+                st_ctime_ns=now_ns,
+                st_atime_ns=now_ns,
+                home_rank=self.daemon.rank,
+                flags=FLAG_OUTPUT | FLAG_HAS_DIGEST,
+                crc32=blob_crc32(stored),
+            )
+            record = FileRecord(
+                path=state.path,
+                stat=stat,
+                compressor_id=compressor_id,
+                compressed_size=len(stored),
+                home_rank=self.daemon.rank,
+                partition_id=0,
+            )
+            self.daemon.store_output(state.path, stored, record)
+            sealed = True
+        finally:
+            with self._lock:
+                self._writing.discard(state.path)
+                if sealed:
+                    self._sealed.add(state.path)
 
     # -- read/seek/write ----------------------------------------------------
 
@@ -271,9 +278,9 @@ class FanStoreClient:
                 f"fd {fd} is write-only", path=state.path
             )
         assert state.data is not None
-        if offset < 0:
+        if offset < 0 or size < 0:
             raise InvalidArgumentError(
-                f"negative pread offset {offset}", path=state.path
+                f"pread of {size} bytes at {offset}", path=state.path
             )
         return state.data[offset : offset + size]
 
@@ -424,7 +431,16 @@ class FanStoreFile:
         self._text = text
         self._closed = False
 
-    def read(self, size: int = -1):
+    def read(self, size: int | None = -1):
+        """``size`` bytes, or the rest for ``-1`` / ``None``; any other
+        negative size is refused (EINVAL), as ``io`` readers refuse it."""
+        if size is None:
+            size = -1
+        elif size < -1:
+            raise InvalidArgumentError(
+                f"read length must be non-negative or -1, not {size}",
+                path=self.name,
+            )
         data = self._client.read(self.fd, size)
         return data.decode("utf-8") if self._text else data
 

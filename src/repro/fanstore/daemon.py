@@ -16,67 +16,28 @@ One daemon runs per node (here: per rank of the in-process world). It
    owns the path's hash slot (§V-D site 4).
 
 This module decides *what* to ask a peer and *whom* (the failover
-ladder, ``fetch_many``'s grouping, the write/stat forwarding) and
-serves what peers ask; *how* a peer is asked is
-:class:`repro.fanstore.exchange.PeerExchange`.
-
-Message protocol (all on ``TAG_DAEMON``; replies on caller-chosen tags):
-
-=========== ======================================== ===============================
-kind        payload                                  reply
-=========== ======================================== ===============================
-fetch       Request envelope (subject = path)        (OK, compressed) | (MISS, path)
-stat        Request envelope (subject = path)        (OK, FileRecord) | (MISS, None)
-write_meta  Request envelope (subject = FileRecord)  (OK, None) | (FENCED, epoch)
-batch       Request envelope (batch = item triples)  (BATCH, item replies)
-stop        —                                        —
-=========== ======================================== ===============================
-
-Every reply is a ``(status, value)`` pair with a
-:class:`repro.fanstore.wire.Reply` status, on the wire and inside this
-module alike; anything else on a reply tag counts as a lost reply.
-
-Every request body is a :class:`repro.fanstore.wire.Request` envelope —
-one typed record carrying ``subject``, ``reply_tag``, ``trace_ctx``,
-``deadline``, ``epoch``, and ``batch`` by name, encoded as a versioned
-self-identifying tuple (see :mod:`repro.fanstore.wire` for the wire
-layout and forward-compatibility rules); any other body is counted in
-``malformed_requests`` and dropped. A traced requester's context is
-adopted so one ``client.read`` is reconstructable across every rank it
-touched; work whose absolute deadline already expired is dropped
-instead of answered into the void; any request may instead be shed on
-queue overflow with ``(OVERLOAD, retry_after_s)`` so clients back off
-instead of retry-storming; and a mutating request (``write_meta``)
-whose fencing token (membership view epoch) is older than the server's
-is answered ``(FENCED, server_epoch)`` rather than applied, so a rank
-healing out of a minority partition cannot clobber majority state.
-
-A ``batch`` envelope is a client-side flush of small same-destination
-requests: its ``batch`` field holds ``(kind, subject, deadline)``
-triples, served in order with per-item deadline checks and per-item
-error isolation, answered as one ``(BATCH, (item replies...))`` on the
-envelope's reply tag.
+ladder, ``fetch_many``'s grouping, the write/stat forwarding) and what
+a peer's request is answered with (:meth:`FanStoreDaemon._answer`,
+fencing included). *How* a peer is asked is
+:class:`repro.fanstore.exchange.PeerExchange`; how a request is served
+is :class:`repro.fanstore.serve.PeerServer`.
 """
 
 from __future__ import annotations
 
 import logging
-import sys
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Iterable
 
-from repro.comm.communicator import ANY_SOURCE, Communicator
-from repro.comm.deadline import Deadline, wire_deadline
+from repro.comm.communicator import Communicator
+from repro.comm.deadline import Deadline
 from repro.compressors.registry import CompressorRegistry, default_registry
 from repro.errors import (
     CapacityError,
-    CommClosedError,
-    CommError,
     DataIntegrityError,
     DeadlineExpiredError,
     FanStoreError,
@@ -84,16 +45,11 @@ from repro.errors import (
     RankDeadError,
     RetryExhaustedError,
     ServerOverloadedError,
-    WireFormatError,
 )
 from repro.fanstore.backend import Backend, RamBackend
 from repro.fanstore.cache import DecompressedCache
-from repro.fanstore.exchange import (
-    OVERLOAD_RETRY_AFTER_S,
-    TAG_DAEMON,
-    PeerExchange,
-)
-from repro.fanstore.health import AdmissionQueue, HealthTracker
+from repro.fanstore.exchange import BATCH_MAX, TAG_DAEMON, PeerExchange
+from repro.fanstore.health import HealthTracker
 from repro.fanstore.journal import Journal, JournalConfig, JournalStats
 from repro.fanstore.layout import (
     FLAG_HAS_DIGEST,
@@ -112,16 +68,13 @@ from repro.fanstore.metadata import (
     RereplicationStep,
     normalize,
 )
-from repro.fanstore.pipeline import BATCH_MAX, MAX_INFLIGHT, PIPELINE_WORKERS
 from repro.fanstore.prepare import PreparedDataset
-from repro.fanstore.wire import (
-    Reply,
-    Request,
-    decode_request,
-    encode_batch_reply,
-)
+from repro.fanstore.serve import PeerServer
+# decode_request stays a name of this module: the traced benchmark's
+# ``wire.request_decode`` probe is keyed by it
+from repro.fanstore.wire import Reply, decode_request  # noqa: F401
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_SPAN, Tracer
+from repro.obs.tracing import Tracer
 
 #: load-time collectives (metadata allgather) are not on the request
 #: hot path; they get a generous fixed budget rather than the per-
@@ -131,11 +84,6 @@ _LOAD_COLLECTIVE_TIMEOUT = 60.0
 #: attempts against each replica rank once the home rank is given up on
 #: (replicas are a bonus tier; the shared FS is the floor).
 _FAILOVER_ATTEMPTS = 1
-
-#: service-thread join budget at :meth:`FanStoreDaemon.stop` —
-#: deliberately *not* ``request_timeout`` (a 30 s request budget must
-#: not turn shutdown into a 30 s hang).
-_SHUTDOWN_TIMEOUT = 5.0
 
 _LOG = logging.getLogger(__name__)
 
@@ -329,12 +277,6 @@ class FanStoreDaemon:
         self._codec_metrics: dict[int, tuple] = {}
         self._h_write = self.metrics.histogram("daemon.write_seconds")
         self._trace_opens = self.config.trace_sample > 0.0
-        self._service_thread: threading.Thread | None = None
-        #: serve-side pipeline state: the in-flight gauge + counters
-        self._inflight = 0
-        self.metrics.bind_gauge("daemon.pipeline.inflight", self, "_inflight")
-        self._m_dispatched = self.metrics.counter("daemon.pipeline.dispatched")
-        self._m_batch_served = self.metrics.counter("daemon.batch.served")
         self._loaded_bytes = 0
         self._prepared: PreparedDataset | None = None
         # replica paths this rank acquired during ring replication,
@@ -356,8 +298,11 @@ class FanStoreDaemon:
             comm, cfg, self.stats, self.health, self.tracer, self.metrics,
             fence=self._fence_token, verify=self._blob_ok,
         )
-        self._queue_depth = 0  # service-loop backlog, sampled per drain
-        self.metrics.bind_gauge("daemon.queue_depth", self, "_queue_depth")
+        #: the serve side: how a peer's request is served (see serve.py)
+        self.server = PeerServer(
+            comm, cfg, self.stats, self.tracer, self.metrics,
+            answer=self._answer,
+        )
         # path → (the backend object last hashed clean for a peer, the
         # digest it matched); see _verified_local. Each entry states a
         # fact that cannot go stale (an immutable object matched a
@@ -830,7 +775,7 @@ class FanStoreDaemon:
                 op, norm, data, epoch=self._view_epoch(), record=record
             )
 
-    # -- service loop -------------------------------------------------------
+    # -- serving peers ------------------------------------------------------
 
     def start(self) -> None:
         """Start answering peer requests (no-op single-node)."""
@@ -838,233 +783,13 @@ class FanStoreDaemon:
             # a restart after stop(): the closed journal's live state
             # is already consistent, nothing to recover
             self.journal = self.journal.reopen()
-        if self.comm is None or self._service_thread is not None:
-            return
-        self._service_thread = threading.Thread(
-            target=self._serve, name=f"fanstore-daemon-{self.rank}", daemon=True
-        )
-        self._service_thread.start()
+        self.server.start()
 
     def stop(self) -> None:
-        """Stop the service loop (idempotent). Shutdown gets its own
-        bounded budget (:data:`_SHUTDOWN_TIMEOUT`). A service thread
-        that misses it is logged and leaked: it is a daemon thread, so
-        it cannot outlive the process."""
+        """Stop answering peer requests (idempotent)."""
         if self.journal is not None:
             self.journal.close()
-        if self.comm is None or self._service_thread is None:
-            return
-        self.comm.send(("stop", None), self.rank, TAG_DAEMON)
-        thread = self._service_thread
-        thread.join(timeout=_SHUTDOWN_TIMEOUT)
-        if thread.is_alive():
-            _LOG.warning(
-                "rank %d: daemon service thread still running %.1fs after "
-                "stop; leaking it (daemon thread — dies with the process)",
-                self.rank, _SHUTDOWN_TIMEOUT,
-            )
-        self._service_thread = None
-
-    def _serve(self) -> None:
-        """The event loop of the pipelined scheduler. The loop itself
-        only *admits* (recv → parse → bounded queue, shedding overflow)
-        and *dispatches*; the actual serving — digest verify, backend
-        reads, codec work — happens on a pool of
-        :data:`~repro.fanstore.pipeline.PIPELINE_WORKERS` threads,
-        bounded by :data:`~repro.fanstore.pipeline.MAX_INFLIGHT`, so the
-        loop never blocks on one slow request and admission control
-        stays live under load. A request that finds the daemon idle is
-        served on this thread."""
-        comm = self.comm
-        assert comm is not None
-        queue = AdmissionQueue(self.config.max_queue_depth)
-        pool = ThreadPoolExecutor(
-            max_workers=PIPELINE_WORKERS,
-            thread_name_prefix=f"fanstore-pipe-{self.rank}",
-        )
-        slots = threading.BoundedSemaphore(MAX_INFLIGHT)
-        stop = threading.Event()
-
-        def drain() -> bool:
-            """Admit what already arrived; True when the loop must exit."""
-            while True:
-                try:
-                    msg = comm.try_recv(ANY_SOURCE, TAG_DAEMON)
-                except (CommClosedError, CommError):
-                    return True
-                if msg is None:
-                    return False
-                if self._admit(queue, msg):
-                    return True
-
-        try:
-            while True:
-                if not len(queue):
-                    try:
-                        msg = comm.recv_with_status(
-                            ANY_SOURCE, TAG_DAEMON, timeout=None
-                        )
-                    except (CommClosedError, CommError):
-                        return
-                    if self._admit(queue, msg):
-                        return
-                # Drain whatever else already arrived before serving:
-                # admission control can only shed backlog it can see,
-                # and a burst must not be served strictly
-                # one-recv-at-a-time.
-                if drain():
-                    return
-                depth = len(queue)
-                self._queue_depth = depth
-                entry = queue.pop()
-                if entry is None:
-                    continue
-                # Uncontended fast path: nothing in flight and nothing
-                # queued behind this entry means a pool hop buys no
-                # overlap — serve on the loop thread and skip the
-                # submit/wakeup cost. The reads of ``_inflight`` are
-                # racy on purpose — a stale nonzero just takes the pool
-                # path, a concurrent drain-to-zero just serves inline.
-                if self._inflight == 0 and depth == 1:
-                    if not self._serve_one(entry):
-                        return
-                    continue
-                # In-flight bound: while the pool is saturated, keep
-                # draining + shedding the mailbox instead of blocking —
-                # a stalled pool must not take admission control down
-                # with it.
-                while not slots.acquire(timeout=0.02):
-                    if stop.is_set() or drain():
-                        return
-                if stop.is_set():
-                    slots.release()
-                    return
-                self._m_dispatched.inc()
-                self._inflight += 1
-                pool.submit(self._serve_async, entry, slots, stop)
-        finally:
-            pool.shutdown(wait=False)
-
-    def _serve_async(
-        self,
-        entry: tuple,
-        slots: threading.BoundedSemaphore,
-        stop: threading.Event,
-    ) -> None:
-        """One pooled request: serve it, then free its in-flight slot.
-        A terminal serve outcome (world teardown) flips ``stop`` so the
-        dispatch loop exits at its next slot acquisition."""
-        try:
-            if not self._serve_one(entry):
-                stop.set()
-        finally:
-            self._inflight -= 1
-            slots.release()
-
-    def _admit(self, queue: AdmissionQueue, msg: tuple) -> bool:
-        """Parse one envelope into the admission queue, shedding
-        overflow with overload replies. Returns True when the service
-        loop must exit (stop request, or the world tore down under a
-        shed reply).
-
-        A malformed message must not kill the service loop — the daemon
-        outlives misbehaving clients (it answers to every peer, not just
-        the sender). Bodies decode through
-        :func:`repro.fanstore.wire.decode_request`; anything that is
-        not a request envelope is malformed.
-        A batch envelope is admitted against the *earliest* of its
-        items' deadlines: the whole flush is droppable only once every
-        waiter behind it has walked away.
-        """
-        payload, source, _tag = msg
-        try:
-            kind, body = payload
-        except (TypeError, ValueError):
-            self.stats.malformed_requests += 1
-            return False
-        if kind == "stop":
-            return True
-        if kind not in ("fetch", "stat", "write_meta", "batch"):
-            self.stats.malformed_requests += 1
-            return False
-        try:
-            request = decode_request(body)
-        except (WireFormatError, TypeError, ValueError):
-            self.stats.malformed_requests += 1
-            return False
-        deadline_at = request.deadline
-        if kind == "batch" and request.batch:
-            item_expiries = [
-                wire_deadline(item[2])
-                for item in request.batch
-                if isinstance(item, tuple) and len(item) == 3
-            ]
-            live = [at for at in item_expiries if at is not None]
-            if live and len(live) == len(item_expiries):
-                # per-item expiry is enforced inside _serve_batch; the
-                # envelope itself is dead only once its *last* waiter is
-                deadline_at = max(live)
-        entry = (kind, request, source)
-        shed = queue.push(entry, deadline_at)
-        overloaded = (Reply.OVERLOAD, OVERLOAD_RETRY_AFTER_S)
-        for _, victim, victim_source in shed:
-            self.stats.shed_requests += 1
-            try:
-                self.comm.send(overloaded, victim_source, victim.reply_tag)
-            except (CommClosedError, CommError):
-                return True
-        return False
-
-    def _serve_one(self, entry: tuple) -> bool:
-        """Serve one admitted request — a batch envelope with one batch
-        reply, anything else with its :meth:`_answer` (if any), on the
-        request's reply tag. False ends the service loop.
-
-        An untraced request enters no span. A traced one is answered
-        inside the span adopted from the requester's context, entered
-        and exited by hand so both cases share the answering lines: an
-        exception leaving them marks the span as ``with`` would."""
-        kind, request, source = entry
-        deadline_at = request.deadline
-        if deadline_at is not None and time.monotonic() >= deadline_at:
-            # the requester has already timed out and walked away:
-            # serving — or even refusing — would be work for nobody
-            self.stats.deadline_expired_drops += 1
-            return True
-        span = NULL_SPAN
-        try:
-            if request.trace_ctx is not None:
-                # Joining the requester's trace: a malformed context
-                # yields NULL_SPAN, never an error — tracing must not
-                # change what gets served.
-                span = self.tracer.adopt(
-                    request.trace_ctx, f"daemon.serve.{kind}", source=source
-                )
-                if kind in ("fetch", "stat"):
-                    span.tag(path=request.subject)
-                span.__enter__()
-            try:
-                if kind == "batch":
-                    self._serve_batch(request, source)
-                else:
-                    answer = self._answer(
-                        kind, request.subject, request.epoch, span
-                    )
-                    if answer is not None:
-                        self.comm.send(answer, source, request.reply_tag)
-            finally:
-                if span is not NULL_SPAN:
-                    span.__exit__(*sys.exc_info())
-        except (CommClosedError, CommError):
-            # replying to a torn-down world (or after our own
-            # injected death) ends the service loop — a crashed
-            # daemon stops serving
-            return False
-        except (FanStoreError, TypeError, ValueError, AttributeError):
-            # a well-framed envelope around a nonsense subject (bad
-            # path type, bogus write_meta record) is still malformed
-            self.stats.malformed_requests += 1
-        return True
+        self.server.stop()
 
     def _answer(
         self, kind: str, subject: Any, epoch: int | None, span: Any
@@ -1100,44 +825,6 @@ class FanStoreDaemon:
             return Reply.FENCED, self._view_epoch()
         self.metadata.insert(subject)
         return Reply.OK, None
-
-    def _serve_batch(self, request: Request, source: int) -> None:
-        """Serve one batched flush: every item in order, each with its
-        own deadline check and error isolation (one poisoned item fails
-        only its own waiter), answered as a single batch reply on the
-        envelope's tag."""
-        replies = [
-            self._serve_batch_item(item) for item in (request.batch or ())
-        ]
-        self._m_batch_served.inc()
-        self.comm.send(
-            encode_batch_reply(replies), source, request.reply_tag
-        )
-
-    def _serve_batch_item(self, item: Any) -> Reply:
-        """One batch item → one item reply; never raises (comm errors
-        excepted — those belong to the envelope send)."""
-        try:
-            kind, subject, expiry = item
-        except (TypeError, ValueError):
-            self.stats.malformed_requests += 1
-            return Reply(Reply.FAILED, None)
-        try:
-            expiry = wire_deadline(expiry)
-            if expiry is not None and time.monotonic() >= expiry:
-                self.stats.deadline_expired_drops += 1
-                return Reply(Reply.EXPIRED, subject)
-            if kind not in ("fetch", "stat"):
-                # mutating kinds never batch (write_meta needs fencing)
-                self.stats.malformed_requests += 1
-                return Reply(Reply.FAILED, None)
-            answer = self._answer(kind, subject, None, NULL_SPAN)
-            if answer is None:
-                return Reply(Reply.FAILED, subject)
-            return Reply(*answer)
-        except (FanStoreError, TypeError, ValueError, AttributeError):
-            self.stats.malformed_requests += 1
-            return Reply(Reply.FAILED, None)
 
     # -- data path ------------------------------------------------------------
 

@@ -37,7 +37,6 @@ from repro.errors import (
 )
 from repro.fanstore.health import HealthTracker
 from repro.fanstore.metadata import FileRecord
-from repro.fanstore.pipeline import BATCH_MAX
 from repro.fanstore.wire import (
     WIRE_MAGIC,
     WIRE_VERSION,
@@ -66,6 +65,12 @@ _BACKOFF_JITTER = 0.5
 #: hedged reads fire once the home rank has been silent for this
 #: quantile of its recent reply latencies.
 _HEDGE_QUANTILE = 0.95
+
+#: most requests one batch envelope carries: the parked tickets one
+#: flush packs (:meth:`PeerExchange._lead_flush`; backlog, not waiting,
+#: fills a batch), or the paths of one ``fetch_many`` envelope. A
+#: constant, not an option: no workload has needed a second value.
+BATCH_MAX = 16
 
 
 class _BatchTicket:
@@ -327,7 +332,7 @@ class PeerExchange:
         classic :meth:`ask` (an idle destination pays zero batching
         overhead); callers arriving while the baton is out park as
         tickets. When the baton frees, a parked ticket is elected flush
-        leader: it packs up to :data:`~repro.fanstore.pipeline.BATCH_MAX`
+        leader: it packs up to :data:`BATCH_MAX`
         parked tickets into one ``batch`` envelope and fans the item
         replies back. Any batch-level failure degrades every waiter to
         the classic ladder — batching is an optimization, never a new

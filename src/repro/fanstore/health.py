@@ -1,11 +1,11 @@
-"""Per-peer health scoring, circuit breakers, and admission queueing.
+"""Per-peer health scoring and circuit breakers.
 
 The membership layer (:mod:`repro.fanstore.membership`) handles ranks
 that *die* — heartbeats stop, the detector convicts, routing heals. A
 *gray* failure is worse precisely because none of that fires: a rank
 mid-GC-pause or behind a saturated NIC keeps heartbeating while every
 fetch it serves limps at the tail. This module gives the daemon the
-three mechanisms that close the gap:
+two mechanisms that close the gap:
 
 - :class:`CircuitBreaker` — the classic closed → open → half-open
   machine, tripped by consecutive hard failures (timeouts, overload
@@ -16,11 +16,7 @@ three mechanisms that close the gap:
   window per peer, thread-safe: the daemon's only memory of a
   misbehaving peer (a DEAD conviction or an exhausted
   exchange force-opens, a rejoin half-opens so the first fetch is a
-  probe, a failed probe costs one attempt);
-- :class:`AdmissionQueue` — the daemon's bounded request queue.
-  Overflow sheds the entry closest to (or past) its deadline first: a
-  request about to expire is the one least worth serving, and its
-  requester is the one already walking away.
+  probe, a failed probe costs one attempt).
 
 Everything takes an injectable monotonic clock so the unit tests step
 time by hand instead of sleeping.
@@ -303,46 +299,3 @@ class HealthTracker:
                 peer for peer, br in self._breakers.items()
                 if br.state is BreakerState.OPEN
             )
-
-
-class AdmissionQueue:
-    """The daemon's bounded request queue: FIFO service order,
-    oldest-deadline-first shedding on overflow.
-
-    Entries are opaque to the queue; the deadline is passed alongside
-    (None = no deadline, shed last and oldest-arrival-first among
-    themselves). Single-consumer (the service thread) — no lock."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._seq = 0
-        self._items: list[tuple[float, int, Any]] = []  # (deadline, seq, item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def push(self, item: Any, deadline_at: float | None = None) -> list[Any]:
-        """Enqueue; returns the entries shed to stay within capacity
-        (possibly including ``item`` itself when it carries the nearest
-        deadline of a full queue)."""
-        self._seq += 1
-        key = float("inf") if deadline_at is None else deadline_at
-        self._items.append((key, self._seq, item))
-        shed: list[Any] = []
-        while len(self._items) > self.capacity:
-            victim = min(
-                range(len(self._items)),
-                key=lambda i: (self._items[i][0], self._items[i][1]),
-            )
-            shed.append(self._items.pop(victim)[2])
-        return shed
-
-    def pop(self) -> Any | None:
-        """Next entry in arrival order, or None when empty. ``push``
-        appends in arrival order and shedding removes without
-        reordering, so the head is always the oldest entry."""
-        if not self._items:
-            return None
-        return self._items.pop(0)[2]

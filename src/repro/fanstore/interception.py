@@ -29,6 +29,7 @@ import os.path
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.errors import InvalidArgumentError
 from repro.fanstore.layout import FileStat
 from repro.fanstore.store import FanStore
 
@@ -203,6 +204,8 @@ def intercept(store: FanStore) -> Iterator[FanStore]:
 
     def patched_os_read(fd, n):
         if fd >= FD_BASE:
+            if n < 0:  # the client's -1 means "the rest"; read(2)'s EINVAL
+                raise InvalidArgumentError(f"negative read size {n}")
             return store.client.read(fd - FD_BASE, n)
         return orig_os_read(fd, n)
 

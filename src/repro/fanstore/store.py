@@ -20,10 +20,9 @@ Multi-node usage, inside :func:`repro.comm.run_parallel`::
         with FanStore(prepared, opts) as fs:
             ...  # every rank sees the identical namespace
 
-Construction settings live on :class:`FanStoreOptions`; the named
-constructors :meth:`FanStore.with_membership` and
-:meth:`FanStore.rejoined` cover the two non-default lifecycles (the
-self-healing layer, and relaunching a dead rank).
+Construction settings live on :class:`FanStoreOptions`, the two
+non-default lifecycles included: ``membership`` turns the self-healing
+layer on, and ``rejoin_peer`` relaunches a dead rank.
 
 ``shutdown`` (or context exit) is collective when a communicator is
 present: a barrier guarantees no peer still needs this daemon's data
@@ -35,7 +34,7 @@ that module's docstring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.comm.communicator import Communicator
@@ -43,7 +42,6 @@ from repro.compressors.registry import CompressorRegistry
 from repro.errors import FanStoreError
 from repro.fanstore.backend import Backend, DiskBackend, RamBackend
 from repro.fanstore.client import FanStoreClient
-from repro.fanstore.crash import DiskFaultInjector
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.journal import JournalConfig
 from repro.fanstore.membership import FailureDetector, MembershipConfig
@@ -80,10 +78,17 @@ class FanStoreOptions:
     registry: CompressorRegistry | None = None
     #: POSIX mount prefix stripped by :meth:`FanStore.resolve`.
     mount_point: str = "/fanstore"
-    #: opt into the self-healing layer: ``True`` for the default
+    #: opt into the self-healing layer — failure detection, dead-route
+    #: avoidance, automatic re-replication: ``True`` for the default
     #: :class:`MembershipConfig`, or a config instance.
     membership: MembershipConfig | bool | None = None
-    #: construct as a relaunched incarnation, syncing from this peer.
+    #: construct as a *relaunched* incarnation of a dead rank, syncing
+    #: from this peer (needs ``comm``; implies ``membership``):
+    #: partitions are re-staged off the shared FS (never a collective —
+    #: the original cohort's collective sequence has moved on),
+    #: metadata comes from the peer's join snapshot, and construction
+    #: only returns after the peer verified a read against this store
+    #: and promoted it back to ALIVE.
     rejoin_peer: int | None = None
     #: share an existing metrics registry (None = the daemon makes its
     #: own per-rank registry, reachable as :attr:`FanStore.metrics`).
@@ -97,10 +102,6 @@ class FanStoreOptions:
     #: journal tunables (:class:`~repro.fanstore.journal.JournalConfig`);
     #: None = defaults.
     journal_config: JournalConfig | None = None
-    #: deterministic ENOSPC/EMFILE + free-space fault injection shared
-    #: by the backend write path and the journal's low-watermark probe
-    #: (:class:`~repro.fanstore.crash.DiskFaultInjector`); None = off.
-    disk_injector: DiskFaultInjector | None = None
 
 
 class FanStore(ServiceMixin):
@@ -111,9 +112,7 @@ class FanStore(ServiceMixin):
         prepared: PreparedDataset | Path | str,
         options: FanStoreOptions | None = None,
     ) -> None:
-        """See :class:`FanStoreOptions` for the knobs, and
-        :meth:`with_membership` / :meth:`rejoined` for the named
-        lifecycles."""
+        """See :class:`FanStoreOptions` for the knobs."""
         opts = options if options is not None else FanStoreOptions()
         self.options = opts
         if isinstance(prepared, (str, Path)):
@@ -132,8 +131,6 @@ class FanStore(ServiceMixin):
             # the disk-only wiring, all of it (only blob files survive
             # a process, so only they get a journal)
             backend.rank = comm.rank if comm is not None else 0
-            if opts.disk_injector is not None:
-                backend.injector = opts.disk_injector
             if opts.journal:
                 journal_dir = backend.root / "journal"
         self.daemon = FanStoreDaemon(
@@ -154,7 +151,6 @@ class FanStore(ServiceMixin):
             raise FanStoreError("rejoin_peer requires a communicator")
         if self._rejoined:
             membership = membership or True
-        if self._rejoined:
             self.daemon.load_rejoin(prepared)
         else:
             self.daemon.load(prepared)
@@ -174,46 +170,6 @@ class FanStore(ServiceMixin):
         if self.membership is not None:
             self.membership.start()
         self._active = True
-
-    # -- named constructors --------------------------------------------------
-
-    @classmethod
-    def with_membership(
-        cls,
-        prepared: PreparedDataset | Path | str,
-        comm: Communicator,
-        *,
-        membership: MembershipConfig | bool = True,
-        options: FanStoreOptions | None = None,
-    ) -> "FanStore":
-        """A store with the self-healing layer on: failure detection,
-        dead-route avoidance, automatic re-replication. ``options``
-        carries any further settings (its ``comm``/``membership`` fields
-        are overridden by the arguments here)."""
-        opts = replace(
-            options or FanStoreOptions(), comm=comm, membership=membership
-        )
-        return cls(prepared, opts)
-
-    @classmethod
-    def rejoined(
-        cls,
-        prepared: PreparedDataset | Path | str,
-        comm: Communicator,
-        peer: int,
-        *,
-        options: FanStoreOptions | None = None,
-    ) -> "FanStore":
-        """A *relaunched* incarnation of a dead rank: partitions are
-        re-staged off the shared FS (never a collective — the original
-        cohort's collective sequence has moved on), metadata comes from
-        ``peer``'s join snapshot, and construction only returns after
-        ``peer`` verified a read against this store and promoted it
-        back to ALIVE. Implies membership."""
-        opts = replace(
-            options or FanStoreOptions(), comm=comm, rejoin_peer=peer
-        )
-        return cls(prepared, opts)
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -3,6 +3,7 @@ multi-read single-write model, directory streams."""
 
 from __future__ import annotations
 
+import errno
 import os
 import threading
 from types import SimpleNamespace
@@ -13,10 +14,15 @@ from repro.errors import (
     BadFileDescriptorError,
     FanStoreError,
     FileNotFoundInStoreError,
+    InvalidArgumentError,
+    StorageFullError,
     WriteViolationError,
 )
 from repro.fanstore import cache as cache_module
+from repro.fanstore.backend import DiskBackend
 from repro.fanstore.client import O_CREAT, O_RDONLY, O_WRONLY
+from repro.fanstore.crash import DiskFaultInjector
+from repro.fanstore.store import FanStore, FanStoreOptions
 
 
 @pytest.fixture()
@@ -58,6 +64,17 @@ class TestOpenReadClose:
         chunk = client.pread(fd, 5, 10)
         assert client.read(fd, 5) == client.read_file(path)[:5]
         assert chunk == client.read_file(path)[10:15]
+        client.close(fd)
+
+    @pytest.mark.parametrize(("size", "offset"), [(-1, 0), (-5, 3), (4, -1)])
+    def test_pread_rejects_a_negative_size_or_offset(self, client, size, offset):
+        """``data[0:-1]`` would answer a negative size with the wrong
+        bytes; pread(2) answers EINVAL, and so does the store."""
+        fd = client.open(first_file(client))
+        with pytest.raises(InvalidArgumentError) as exc_info:
+            client.pread(fd, size, offset)
+        assert exc_info.value.errno == errno.EINVAL
+        assert client.read(fd, -1) == client.read_file(first_file(client))
         client.close(fd)
 
     def test_open_missing_raises(self, client):
@@ -447,6 +464,26 @@ class TestWritePath:
         assert stat.st_mtime_ns > 0
 
 
+class TestFailedClose:
+    def test_a_failed_seal_leaves_the_path_writable(self, prepared_dataset,
+                                                     tmp_path):
+        """A close whose seal fails (ENOSPC) has no descriptor left: the
+        path is neither "being written" nor sealed, so a retry writes it
+        and a reader then reads it."""
+        backend = DiskBackend(tmp_path / "store")
+        backend.injector = DiskFaultInjector().fail_puts("out/*", times=1)
+        with FanStore(prepared_dataset, FanStoreOptions(backend=backend)) as fs:
+            with pytest.raises(StorageFullError):
+                fs.client.write_file("out/ckpt.bin", b"abc")
+            assert fs.client.open_fd_count == 0
+            with pytest.raises(FileNotFoundInStoreError):
+                fs.client.read_file("out/ckpt.bin")
+            fs.client.write_file("out/ckpt.bin", b"abc")
+            assert fs.client.read_file("out/ckpt.bin") == b"abc"
+            with pytest.raises(WriteViolationError, match="sealed"):
+                fs.client.write_file("out/ckpt.bin", b"again")
+
+
 class TestDirectoryStreams:
     def test_opendir_readdir_closedir(self, client):
         handle = client.opendir("cls0000")
@@ -497,6 +534,20 @@ class TestFileObject:
         with client.open_file(path, "rb") as f:
             f.seek(7)
             assert f.tell() == 7
+
+    @pytest.mark.parametrize("size", [-1, None])
+    def test_minus_one_or_none_reads_the_rest(self, client, size):
+        path = first_file(client)
+        with client.open_file(path, "rb") as f:
+            f.seek(3)
+            assert f.read(size) == client.read_file(path)[3:]
+
+    @pytest.mark.parametrize("size", [-2, -5])
+    def test_other_negative_sizes_are_rejected(self, client, size):
+        with client.open_file(first_file(client), "rb") as f:
+            with pytest.raises(InvalidArgumentError, match="or -1"):
+                f.read(size)
+            assert f.tell() == 0
 
     def test_unsupported_mode(self, client):
         with pytest.raises(FanStoreError):

@@ -31,15 +31,11 @@ from repro.errors import (
 from repro.fanstore import exchange as exchange_module
 from repro.fanstore.daemon import DaemonConfig, DaemonStats, FanStoreDaemon
 from repro.fanstore.exchange import TAG_DAEMON, PeerExchange
-from repro.fanstore.health import (
-    AdmissionQueue,
-    BreakerState,
-    CircuitBreaker,
-    HealthTracker,
-)
+from repro.fanstore.health import BreakerState, CircuitBreaker, HealthTracker
 from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.membership import RankState
 from repro.fanstore.metadata import FileRecord
+from repro.fanstore.serve import AdmissionQueue
 from repro.fanstore.wire import Reply, Request, decode_request
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
@@ -582,7 +578,7 @@ class TestOverloadNeverSkipsAVerification:
         queue = AdmissionQueue(1)
         for reply_tag in (7, 8):  # the second one overflows the queue
             body = Request(subject="data/x", reply_tag=reply_tag).encode()
-            assert not daemon._admit(queue, (("fetch", body), 2, TAG_DAEMON))
+            assert not daemon.server._admit(queue, (("fetch", body), 2, TAG_DAEMON))
         assert daemon.stats.shed_requests == 1 and comm.overloads == [2]
         comm.answers[self.HOME] = (Reply.OK, b"anything goes")
         with pytest.raises(DataIntegrityError):

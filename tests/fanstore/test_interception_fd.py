@@ -3,6 +3,7 @@ os.read / os.pread / os.lseek / os.close / os.fstat."""
 
 from __future__ import annotations
 
+import errno
 import os
 
 import pytest
@@ -51,6 +52,31 @@ class TestFdLevelReads:
             os.close(fd)
         assert seeked == expected[5:10]
         assert positional == expected[:4]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fd: os.read(fd, -1),
+            lambda fd: os.read(fd, -7),
+            lambda fd: os.pread(fd, -1, 0),
+            lambda fd: os.pread(fd, -7, 2),
+        ],
+        ids=["read-1", "read-7", "pread-1", "pread-7"],
+    )
+    def test_a_negative_size_is_einval(self, store, call):
+        """As read(2) and pread(2) on a real descriptor: EINVAL, never
+        the rest of the file or a short slice of it; the offset stays."""
+        rel = first_file(store)
+        expected = store.client.read_file(rel)
+        with intercept(store):
+            fd = os.open(f"/fanstore/{rel}", os.O_RDONLY)
+            try:
+                with pytest.raises(OSError) as exc_info:
+                    call(fd)
+                assert exc_info.value.errno == errno.EINVAL
+                assert os.read(fd, len(expected)) == expected
+            finally:
+                os.close(fd)
 
     def test_fstat(self, store):
         rel = first_file(store)

@@ -578,7 +578,7 @@ def _settled(read, home):
     """``read(path)``, then wait until the ``home`` store's service
     thread is parked in its receive again, so the next read starts from
     the same state on both ranks."""
-    thread = home.daemon._service_thread
+    thread = home.daemon.server._service_thread
 
     def read_settled(path: str) -> None:
         read(path)
@@ -592,14 +592,14 @@ def _profile_service_thread(monkeypatch, home, profiler) -> None:
     """Run ``profiler`` on the ``home`` store's service thread from its
     next admission on. ``sys.setprofile`` binds the calling thread only,
     so that thread installs it itself."""
-    daemon = home.daemon
-    admit = daemon._admit
+    server = home.daemon.server
+    admit = server._admit
 
     def admit_profiled(queue, msg):
         sys.setprofile(profiler)
         return admit(queue, msg)
 
-    monkeypatch.setattr(daemon, "_admit", admit_profiled)
+    monkeypatch.setattr(server, "_admit", admit_profiled)
 
 
 def _service_thread_calls(monkeypatch, home, read_settled, paths) -> int:

@@ -394,32 +394,32 @@ class TestServeBatchItems:
 
     def test_live_fetch_and_stat_items_served(self):
         daemon, payload = self._daemon()
-        fetched = daemon._serve_batch_item(("fetch", "data/good", None))
+        fetched = daemon.server._serve_batch_item(("fetch", "data/good", None))
         assert fetched.status == Reply.OK
         assert bytes(fetched.value) == payload
-        stat = daemon._serve_batch_item(("stat", "data/good", None))
+        stat = daemon.server._serve_batch_item(("stat", "data/good", None))
         assert stat.status == Reply.OK
         assert stat.value.path == "data/good"
 
     def test_expired_item_dropped_not_served(self):
         daemon, _ = self._daemon()
-        reply = daemon._serve_batch_item(
+        reply = daemon.server._serve_batch_item(
             ("fetch", "data/good", time.monotonic() - 1.0)
         )
         assert reply.status == Reply.EXPIRED
         assert daemon.stats.deadline_expired_drops == 1
         # a live deadline still serves
-        live = daemon._serve_batch_item(
+        live = daemon.server._serve_batch_item(
             ("fetch", "data/good", time.monotonic() + 30.0)
         )
         assert live.status == Reply.OK
 
     def test_missing_paths_answer_miss(self):
         daemon, _ = self._daemon()
-        assert daemon._serve_batch_item(
+        assert daemon.server._serve_batch_item(
             ("fetch", "data/absent", None)
         ).status == Reply.MISS
-        assert daemon._serve_batch_item(
+        assert daemon.server._serve_batch_item(
             ("stat", "data/absent", None)
         ).status == Reply.MISS
 
@@ -430,7 +430,7 @@ class TestServeBatchItems:
             ("fetch", "data/good", None),
             ("fetch",),  # malformed: not an item triple
         ]
-        replies = [daemon._serve_batch_item(item) for item in batch]
+        replies = [daemon.server._serve_batch_item(item) for item in batch]
         assert [r.status for r in replies] == [
             Reply.FAILED,
             Reply.OK,
@@ -441,7 +441,7 @@ class TestServeBatchItems:
 
     def test_mutating_kinds_never_batch(self):
         daemon, _ = self._daemon()
-        reply = daemon._serve_batch_item(
+        reply = daemon.server._serve_batch_item(
             ("write_meta", _record("data/new", b"x"), None)
         )
         assert reply.status == Reply.FAILED
@@ -497,13 +497,13 @@ class TestOneAnswerFunction:
         kind, subject = self.CASES[case]
         if entry == "classic":
             request = Request(subject=subject, reply_tag=0x1234)
-            assert daemon._serve_one((kind, request, 1)) is True
+            assert daemon.server._serve_one((kind, request, 1)) is True
             answers = [payload for payload, _dest, _tag in outbox.sent]
             assert [(d, t) for _p, d, t in outbox.sent] == (
                 [] if expected is None else [(1, 0x1234)]
             )
         else:
-            reply = daemon._serve_batch_item((kind, subject, None))
+            reply = daemon.server._serve_batch_item((kind, subject, None))
             assert isinstance(reply, Reply)
             answers = (
                 [] if reply == (Reply.FAILED, subject) else [tuple(reply)]

@@ -18,9 +18,9 @@ from repro.datasets.synthetic import generate_dataset
 from repro.errors import CommError, FileNotFoundInStoreError, RankDeadError
 from repro.fanstore.client import FanStoreClient
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
+from repro.fanstore.exchange import BATCH_MAX
 from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.metadata import FileRecord
-from repro.fanstore.pipeline import BATCH_MAX
 from repro.fanstore.prepare import prepare_dataset
 from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.fanstore.wire import Reply, decode_request, encode_batch_reply

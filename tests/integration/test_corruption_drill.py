@@ -53,7 +53,7 @@ def _drain_serve_side(fs) -> None:
     give_up = time.monotonic() + 60
     while not (
         any(w.tag == TAG_DAEMON for w in mailbox._waiters)
-        and daemon._inflight == 0
+        and daemon.server._inflight == 0
     ):
         assert time.monotonic() < give_up, "the serve side never drained"
         time.sleep(0)

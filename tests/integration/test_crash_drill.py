@@ -13,6 +13,7 @@ served to peers afterwards.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
@@ -237,7 +238,7 @@ class TestCrashThenRejoin:
                 assert plan.crashes_delivered == 1
                 world.kill(DEAD)  # the crashed process goes silent
                 fs.membership.stop()
-                serve = fs.daemon._service_thread
+                serve = fs.daemon.server._service_thread
                 if serve is not None:
                     serve.join(timeout=30)
                 _await(
@@ -246,8 +247,8 @@ class TestCrashThenRejoin:
                 )
                 # fresh incarnation over the SAME local dir: journal
                 # recovery first, then the PR 7 rejoin handshake
-                fs2 = FanStore.rejoined(
-                    prepared_dataset, comm, 0, options=opts
+                fs2 = FanStore(
+                    prepared_dataset, dataclasses.replace(opts, rejoin_peer=0)
                 )
                 assert fs2.daemon.jstats.recovery_quarantined == 0
                 recovered = {

@@ -311,7 +311,7 @@ def _corpse_then_rejoin(fs, comm, world, originals) -> dict:
     # blocked receives wake via the closed mailbox); make that
     # deterministic before the rank slot is reused
     fs.membership.stop()
-    serve = fs.daemon._service_thread
+    serve = fs.daemon.server._service_thread
     if serve is not None:
         serve.join(timeout=30)
         assert not serve.is_alive()

@@ -77,7 +77,9 @@ def runtime_names(prepared_dataset):
     names = set(reg.names())
 
     def body(comm):
-        fs = FanStore.with_membership(prepared_dataset, comm)
+        fs = FanStore(
+            prepared_dataset, FanStoreOptions(comm=comm, membership=True)
+        )
         with fs:
             comm.barrier()
         return fs.metrics.names()

@@ -50,7 +50,9 @@ class TestFanStoreOptions:
 
     def test_with_membership_constructor(self, prepared_dataset):
         def body(comm):
-            fs = FanStore.with_membership(prepared_dataset, comm)
+            fs = FanStore(
+                prepared_dataset, FanStoreOptions(comm=comm, membership=True)
+            )
             with fs:
                 assert fs.membership is not None
                 assert fs.membership.running
