@@ -208,7 +208,7 @@ def _run_regime(prepared, *, fenced: bool):
                 # the shipped path back: rejoin handshake, snapshot
                 # adoption, verified promotion, heal anti-entropy
                 snapshot = det.request_join(CONDUCTOR)
-                fs.daemon.apply_membership_snapshot(snapshot)
+                fs.daemon.replication.apply_membership_snapshot(snapshot)
                 det.request_promotion(CONDUCTOR)
         else:
             assert stale_done.wait(60)

@@ -5,7 +5,7 @@ assigned ones, it does not re-read them from the shared file system —
 it copies them from its neighbor in a virtual ring, so every transfer
 is neighbor-to-neighbor and (with equal partition sizes) contention-free
 by construction. This module implements that pattern over the
-communicator and exposes the schedule for the ablation benchmark.
+communicator, for the store's extra-partition copy and the ablation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from typing import Any
 
 from repro.comm.communicator import Communicator
 
-_RING_TAG = 0x7219
+#: below the store's reply band (0x1000 up): a reply-scoped fault plan
+#: never touches a load-time ring copy, and no reply tag equals it
+_RING_TAG = 0x0FA1
 
 
 def ring_neighbors(rank: int, size: int) -> tuple[int, int]:

@@ -16,6 +16,8 @@ Subsystems map one-to-one onto the paper's design sections:
 - :mod:`~repro.fanstore.corruption` — deterministic storage-fault injection
 - :mod:`~repro.fanstore.membership` — failure detection, re-replication,
   and live rank rejoin (the active layer over §IV-C2's replication)
+- :mod:`~repro.fanstore.replication` — placement: staging, ring copies
+  and the reactions to membership changes (§V-D)
 - :mod:`~repro.fanstore.journal` — write-ahead journal, atomic store
   mutation, restart recovery
 - :mod:`~repro.fanstore.crash` — deterministic crash-point and

@@ -2,16 +2,14 @@
 
 One daemon runs per node (here: per rank of the in-process world). It
 
-1. loads its assigned partitions from the shared file system into the
-   local backend, plus any *extra* partitions capacity allows (copied
-   from the ring neighbor, not re-read from the shared FS — §V-D);
-2. exchanges metadata with every peer through one ``allgather`` so all
-   subsequent metadata traffic is node-local (§IV-C1);
-3. serves ``fetch`` requests from peers for compressed bytes it hosts
+1. runs restart recovery over its journal, if any, then stages its
+   partitions and the global view through ``daemon.replication``
+   (:mod:`repro.fanstore.replication`, also the membership reactions);
+2. serves ``fetch`` requests from peers for compressed bytes it hosts
    (MPI send/recv in the paper; the communicator here);
-4. decompresses on ``open()`` into the reference-counted cache and
+3. decompresses on ``open()`` into the reference-counted cache and
    answers ``read()`` from it (Figures 2–4);
-5. accepts the write path: an output file closed by the client is
+4. accepts the write path: an output file closed by the client is
    dumped to the backend and its metadata forwarded to the rank that
    owns the path's hash slot (§V-D site 4).
 
@@ -25,8 +23,6 @@ is :class:`repro.fanstore.serve.PeerServer`.
 
 from __future__ import annotations
 
-import logging
-import threading
 import time
 import zlib
 from dataclasses import dataclass
@@ -37,7 +33,6 @@ from repro.comm.communicator import Communicator
 from repro.comm.deadline import Deadline
 from repro.compressors.registry import CompressorRegistry, default_registry
 from repro.errors import (
-    CapacityError,
     DataIntegrityError,
     DeadlineExpiredError,
     FanStoreError,
@@ -48,44 +43,30 @@ from repro.errors import (
 )
 from repro.fanstore.backend import Backend, RamBackend
 from repro.fanstore.cache import DecompressedCache
-from repro.fanstore.exchange import BATCH_MAX, TAG_DAEMON, PeerExchange
+from repro.fanstore.exchange import (
+    BATCH_MAX,
+    FAILOVER_ATTEMPTS,
+    TAG_DAEMON,
+    PeerExchange,
+)
 from repro.fanstore.health import HealthTracker
 from repro.fanstore.journal import Journal, JournalConfig, JournalStats
-from repro.fanstore.layout import (
-    FLAG_HAS_DIGEST,
-    blob_crc32,
-    partition_payload_bytes,
-)
+from repro.fanstore.layout import FLAG_HAS_DIGEST, blob_crc32
 from repro.fanstore.membership import (
     ClusterView,
     FailureDetector,
     RankState,
     ring_successor,
 )
-from repro.fanstore.metadata import (
-    FileRecord,
-    MetadataTable,
-    RereplicationStep,
-    normalize,
-)
+from repro.fanstore.metadata import FileRecord, MetadataTable, normalize
 from repro.fanstore.prepare import PreparedDataset
+from repro.fanstore.replication import Replication
 from repro.fanstore.serve import PeerServer
 # decode_request stays a name of this module: the traced benchmark's
 # ``wire.request_decode`` probe is keyed by it
 from repro.fanstore.wire import Reply, decode_request  # noqa: F401
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
-
-#: load-time collectives (metadata allgather) are not on the request
-#: hot path; they get a generous fixed budget rather than the per-
-#: request deadline machinery.
-_LOAD_COLLECTIVE_TIMEOUT = 60.0
-
-#: attempts against each replica rank once the home rank is given up on
-#: (replicas are a bonus tier; the shared FS is the floor).
-_FAILOVER_ATTEMPTS = 1
-
-_LOG = logging.getLogger(__name__)
 
 
 @dataclass
@@ -134,10 +115,8 @@ class DaemonStats:
     reconciled_records: int = 0  # placements digest-checked by heal anti-entropy
     duplicate_replicas_dropped: int = 0  # split-era copies GC'd on heal
 
-    #: replication-engine counters live under ``replication.<field>``
-    #: in the registry (the ISSUE-specified namespace for partition-era
-    #: metrics), while everything else keeps the legacy ``daemon.``
-    #: prefix.
+    #: the partition-era counters live under ``replication.<field>``,
+    #: everything else under ``daemon.<field>``
     _REPLICATION_FIELDS = (
         "fenced_rejects",
         "rereplications_frozen",
@@ -277,11 +256,8 @@ class FanStoreDaemon:
         self._codec_metrics: dict[int, tuple] = {}
         self._h_write = self.metrics.histogram("daemon.write_seconds")
         self._trace_opens = self.config.trace_sample > 0.0
-        self._loaded_bytes = 0
+        # the prepared dataset staged here, for degraded shared-FS re-reads
         self._prepared: PreparedDataset | None = None
-        # replica paths this rank acquired during ring replication,
-        # announced to peers in the metadata allgather
-        self._replicated_paths: list[str] = []
         #: per-peer latency quantiles + circuit breakers; the
         #: breaker transition/probe callbacks land in the stats bag so
         #: the drills assert on them like any other counter
@@ -309,123 +285,25 @@ class FanStoreDaemon:
         # digest), so racing writers cost at most a re-hash: no lock.
         self._hashed: dict[str, tuple[Any, int]] = {}
         self._membership: FailureDetector | None = None
-        self._repair_durations: list[float] = []
-        self._rereplication_lock = threading.Lock()  # the two sets below
-        # convictions whose re-replication was frozen (no quorum at the
-        # time); heal reconciliation catches them up
-        self._frozen_corpses: set[int] = set()
-        # corpses this rank already ran a re-replication pass for —
-        # heal catch-up must not double-stage what on_rank_dead did
-        self._rereplicated_for: set[int] = set()
-        #: crash-consistent durability (PR 8): when a journal directory
-        #: is configured, every local-store mutation goes intent →
-        #: atomic apply → commit through :meth:`_durable_put`, and
-        #: :meth:`load`/:meth:`load_rejoin` run restart recovery
-        #: (:meth:`Journal.recover`) before ingesting anything. ``None``
-        #: journal = legacy fire-and-forget (RAM backends, where nothing
-        #: survives the process anyway).
-        self._journal_dir = journal_dir
-        self._journal_config = journal_config
+        #: with a journal directory, restart recovery runs here, before
+        #: anything is staged or announced, and every local-store
+        #: mutation is journalled (:meth:`_durable_put` /
+        #: :meth:`_durable_discard`); none = fire-and-forget (RAM)
         self.journal: Journal | None = None
         self.jstats = JournalStats()
         self.jstats.bind(self.metrics)
-
-    # -- loading ----------------------------------------------------------
-
-    def _assigned_partitions(self, num_partitions: int) -> list[int]:
-        """Round-robin partition→rank assignment (§V-D: rank determines
-        which partitions to load)."""
-        return [p for p in range(num_partitions) if p % self.size == self.rank]
-
-    def _charge_capacity(self, nbytes: int, what: str) -> None:
-        self._loaded_bytes += nbytes
-        cap = self.config.capacity_bytes
-        if cap is not None and self._loaded_bytes > cap:
-            raise CapacityError(
-                f"rank {self.rank}: loading {what} exceeds the "
-                f"{cap}-byte burst buffer ({self._loaded_bytes} needed)"
+        if journal_dir is not None:
+            self.journal, outputs = Journal.recover(
+                journal_dir, self.backend, config=journal_config,
+                stats=self.jstats, tracer=self.tracer,
             )
+            for rec in outputs:
+                self.metadata.insert(rec)
+        #: placement: staging, the ring copy and the membership
+        #: reactions (see replication.py)
+        self.replication = Replication(self)
 
-    def _ingest_partition(self, partition_path, home_rank: int) -> int:
-        """Ingest one partition file; returns payload bytes ingested.
-        How they become readable is the backend's business: loaded into
-        RAM, one blob each on local disk, or left inside the partition
-        file (the paper's SSD mode)."""
-        entries = self.backend.ingest(partition_path)
-        self.metadata.insert_entries(entries, home_rank)
-        return partition_payload_bytes(entries)
-
-    def load(self, prepared: PreparedDataset) -> None:
-        """Stage the prepared dataset: what :meth:`load_rejoin` stages
-        off the shared FS (local and broadcast partitions, after crash
-        recovery), then the two collectives a rejoiner cannot run —
-        extra partitions from the ring neighbor and the metadata
-        allgather."""
-        self.load_rejoin(prepared)
-        if self.comm is not None:
-            self._replicate_extra_partitions()
-            self._metadata_allgather()
-
-    def _replicate_extra_partitions(self) -> None:
-        """§V-D site 2: extra partitions are copied from the left ring
-        neighbor rather than re-read off the shared file system. Each
-        hop ships (path, compressed bytes, record) tuples."""
-        budget = self.config.extra_partition_budget
-        if budget <= 0:
-            return
-        comm = self.comm
-        assert comm is not None
-        block = [
-            (rec.path, self.backend.get(rec.path), rec)
-            for rec in self.metadata.local_records(self.rank)
-            if not rec.is_broadcast
-        ]
-        left = (comm.rank - 1) % comm.size
-        right = (comm.rank + 1) % comm.size
-        current = block
-        for _hop in range(min(budget, comm.size - 1)):
-            comm.send(current, right, TAG_DAEMON + 1)
-            current = comm.recv(left, TAG_DAEMON + 1,
-                                timeout=self.config.request_timeout)
-            nbytes = 0
-            for path, data, _rec in current:
-                self.backend.put(path, data)
-                self._replicated_paths.append(path)
-                nbytes += len(data)
-            self._charge_capacity(nbytes, "extra partition")
-
-    def _metadata_allgather(self) -> None:
-        """§IV-C1: one allgather builds the identical global view on
-        every node. Records keep their *home* rank so remote fetches
-        know where to go; each rank also announces the replica copies it
-        acquired during ring replication, so a fetch whose home rank has
-        died can fail over to a surviving copy."""
-        comm = self.comm
-        assert comm is not None
-        mine = self.metadata.local_records(self.rank)
-        contributions = comm.allgather(
-            (mine, list(self._replicated_paths)),
-            timeout=_LOAD_COLLECTIVE_TIMEOUT,
-        )
-        for sender, (records, replicated) in enumerate(contributions):
-            self.metadata.merge(records)
-            for path in replicated:
-                self.metadata.add_replica(path, sender)
-
-    # -- membership (self-healing) ------------------------------------------
-
-    def attach_membership(self, detector: FailureDetector) -> None:
-        """Wire a failure detector to this daemon: conviction triggers
-        re-replication, re-admission re-announces replicas, and the
-        detector's join/promotion endpoints are backed by this daemon's
-        metadata snapshot and verification read."""
-        self._membership = detector
-        detector.on_dead = self.on_rank_dead
-        detector.on_alive = self.on_rank_alive
-        detector.on_isolated = self.on_isolated
-        detector.on_reconnected = self.reconcile_after_heal
-        detector.verify_read = self.verification_read
-        detector.join_snapshot = self.membership_snapshot
+    # -- membership view and the one gate -------------------------------------
 
     def current_view(self) -> ClusterView | None:
         """Snapshot of the membership view (None when not attached)."""
@@ -457,7 +335,7 @@ class FanStoreDaemon:
     def _skip_reason(self, peer: int) -> str | None:
         """The one answer to "may I ask rank ``peer``?" — ``None`` is
         yes, else why not: ``"convicted"`` (the view holds it DEAD until
-        :meth:`on_rank_alive` or a heal) or ``"breaker"`` (open, until
+        ``replication.on_rank_alive`` or a heal) or ``"breaker"`` (open, until
         the cool-off lets a probe through). Every asker calls this once
         per decision: a half-open breaker's yes is counted as the probe."""
         det = self._membership
@@ -472,284 +350,6 @@ class FanStoreDaemon:
 
     def _on_breaker_probe(self, peer: int) -> None:
         self.stats.breaker_probes += 1
-
-    def on_rank_dead(self, rank: int, view: ClusterView) -> None:
-        """Membership callback: ``rank`` was convicted DEAD.
-
-        Every surviving rank computes the *same* deterministic
-        reassignment plan (pure function of the converged metadata +
-        view) and commits it to its own table, so routing converges
-        without coordination messages. The designated stage rank of each
-        step additionally copies the payload from a surviving copy
-        holder — shared-FS degraded read as the floor — digest-verifies
-        it, and lands it in its backend, restoring the replication
-        factor. Counted in ``rereplicated_records`` and
-        ``mean_time_to_repair``.
-        """
-        det = self._membership
-        if det is not None and (det.isolated or not det.has_quorum()):
-            # No quorum behind this conviction: re-replicating now is
-            # how a split cluster turns into a replication storm (both
-            # sides "restoring" partitions the other side still holds).
-            # Freeze the work; heal reconciliation catches it up if the
-            # conviction survives the merged view.
-            self.stats.rereplications_frozen += 1
-            with self._rereplication_lock:
-                self._frozen_corpses.add(rank)
-            return
-        # reconcile the breaker with the view: a conviction outranks
-        # whatever the latency tracker believed
-        self.health.force_open(rank)
-        with self._rereplication_lock:
-            self._frozen_corpses.discard(rank)
-            self._rereplicated_for.add(rank)
-        started = time.monotonic()
-        plan = self.metadata.plan_rereplication(
-            rank, view.non_dead_ranks(), self.size
-        )
-        restored = 0
-        failed = 0
-        for step in plan:
-            if step.stage_rank != self.rank:
-                continue
-            if step.path in self.backend:
-                restored += 1  # already held (e.g. an unannounced copy)
-                continue
-            if self._stage_copy(step) is None:
-                failed += 1
-            else:
-                restored += 1
-        self.metadata.apply_rereplication(plan, rank)
-        self.stats.rereplicated_records += restored
-        self.stats.rereplication_failed += failed
-        det = self._membership
-        t0 = started
-        if det is not None and det.clock is time.monotonic:
-            t0 = det.detected_at.get(rank, started)
-        self._repair_durations.append(time.monotonic() - t0)
-        self.stats.mean_time_to_repair = sum(self._repair_durations) / len(
-            self._repair_durations
-        )
-
-    def _stage_copy(self, step: RereplicationStep) -> bytes | None:
-        """Fetch one lost record's bytes from a surviving copy holder
-        (shared-FS degraded read as the floor), digest-verify them, and
-        land them in the local backend. Returns the bytes, or None when
-        every source failed."""
-        record = self.metadata.get(step.path)
-        for source in step.source_ranks:
-            if source == self.rank or self._skip_reason(source):
-                continue
-            try:
-                data = self._peer_fetch(
-                    step.path, record, source, attempts=_FAILOVER_ATTEMPTS
-                )
-            except RankDeadError:
-                continue
-            if data is not None:
-                self._durable_put("rereplicate", step.path, data)
-                return data
-        # _degraded_read verifies and promotes into the backend itself
-        return self._degraded_read(step.path, record)
-
-    def on_rank_alive(self, rank: int) -> None:
-        """Membership callback: ``rank`` was re-admitted. Its rejoin
-        re-staged its original round-robin partitions off the shared FS,
-        so every rank deterministically announces it as a replica for
-        those records. Ownership stays with the post-repair homes —
-        handing primaries back would churn routing for no benefit."""
-        with self._rereplication_lock:
-            # a live rank owes nobody a re-replication: drop any frozen
-            # conviction and forget the completed pass so a *future*
-            # death gets a fresh one
-            self._frozen_corpses.discard(rank)
-            self._rereplicated_for.discard(rank)
-        # re-admission half-opens the breaker: the first fetch at the
-        # rejoiner is a probe, not a leap of faith
-        self.health.half_open(rank)
-        for rec in self.metadata.records():
-            if rec.is_broadcast:
-                continue
-            if rec.partition_id % self.size == rank and rec.home_rank != rank:
-                self.metadata.add_replica(rec.path, rank)
-
-    def on_isolated(self) -> None:
-        """Membership callback: this rank lost quorum (minority side of
-        a partition). Nothing to tear down — reads keep serving from
-        local partitions and the degraded shared-FS floor, and the
-        detector itself freezes convictions; this hook exists so
-        operators see the transition in the log stream."""
-        _LOG.warning(
-            "rank %d: ISOLATED — no membership quorum; convictions and "
-            "re-replication frozen, reads continue degraded", self.rank,
-        )
-
-    def reconcile_after_heal(self, view: ClusterView) -> None:
-        """Membership callback: this rank regained quorum after an
-        isolation episode — the partition healed and the gossip views
-        merged. Anti-entropy pass:
-
-        1. open circuit breakers are half-opened (the links are
-           plausibly back — probe, don't assume);
-        2. convictions frozen during isolation are caught up *if* the
-           merged view still holds them DEAD (a rank the majority
-           revived owes nobody a re-replication);
-        3. backend copies this rank holds but is neither home for nor an
-           announced replica of — split-era duplicates and old promoted
-           copies — are garbage-collected;
-        4. every record this rank is responsible for is digest-verified
-           (and repaired through the failover ladder) by one scrubber
-           pass, so divergent placements reconverge digest-clean.
-
-        Counted in ``replication.reconciled_records`` /
-        ``replication.duplicate_replicas_dropped``; the whole pass is
-        one ``daemon.heal.reconcile`` trace span.
-        """
-        with self.tracer.maybe_root("daemon.heal.reconcile",
-                                    epoch=view.epoch) as span:
-            with self._rereplication_lock:
-                frozen = sorted(self._frozen_corpses)
-                self._frozen_corpses.clear()
-            for peer in self.health.open_peers():
-                self.health.half_open(peer)
-            caught_up = 0
-            for rank in frozen:
-                with self._rereplication_lock:
-                    done = rank in self._rereplicated_for
-                if done or view.state(rank) != RankState.DEAD:
-                    continue
-                self.on_rank_dead(rank, view)
-                caught_up += 1
-            dropped = 0
-            for rec in self.metadata.records():
-                if rec.is_broadcast or rec.home_rank == self.rank:
-                    continue
-                if rec.path not in self.backend:
-                    continue
-                if self.rank in self.metadata.replica_ranks(rec.path):
-                    continue
-                if self.backend.discard(rec.path):
-                    self.cache.discard(rec.path)
-                    self._hashed.pop(rec.path, None)
-                    dropped += 1
-            self.stats.duplicate_replicas_dropped += dropped
-            # lazy import: repro.fanstore.scrub imports this module
-            from repro.fanstore.scrub import Scrubber
-
-            report = Scrubber(self, repair=True).run()
-            self.stats.reconciled_records += report.scanned
-            span.tag(
-                caught_up=caught_up,
-                duplicates_dropped=dropped,
-                scrub_clean=report.clean,
-            )
-
-    def verification_read(self, joiner: int) -> bool:
-        """Promotion gate (peer side): fetch one record the joiner must
-        hold — the first of its round-robin partition — straight from
-        its daemon and digest-verify the bytes. A rank that cannot serve
-        a verified read does not get promoted. No candidate record means
-        there is nothing to verify — admit."""
-        candidates = [
-            rec for rec in self.metadata.records()
-            if not rec.is_broadcast
-            and rec.partition_id % self.size == joiner
-        ]
-        if not candidates:
-            return True
-        record = min(candidates, key=lambda r: r.path)
-        try:
-            data = self._peer_fetch(record.path, record, joiner, attempts=1)
-        except RankDeadError:
-            return False
-        return data is not None
-
-    def membership_snapshot(
-        self,
-    ) -> tuple[list[FileRecord], dict[str, tuple[int, ...]]]:
-        """Join payload (peer side): the full record list plus the
-        replica map — everything a relaunched rank needs to rebuild what
-        the load-time allgather originally gave it, *including* any
-        post-repair ownership changes."""
-        records = self.metadata.records()
-        replicas = {
-            rec.path: self.metadata.replica_ranks(rec.path) for rec in records
-        }
-        return records, replicas
-
-    def apply_membership_snapshot(
-        self, snapshot: tuple[list[FileRecord], dict[str, tuple[int, ...]]]
-    ) -> None:
-        """Joiner side: adopt a live peer's metadata wholesale (it is
-        authoritative — it reflects any re-homing done while this rank
-        was dead or partitioned away), then announce the copies of this
-        rank's own round-robin partitions it physically holds as
-        replicas — the *same* deterministic rule every peer applies in
-        :meth:`on_rank_alive`, so both sides of the announcement
-        converge without a message. Copies held beyond that rule
-        (split-era duplicates, old degraded-read promotions) are
-        deliberately *not* announced; :meth:`reconcile_after_heal`
-        garbage-collects them."""
-        records, replicas = snapshot
-        for rec in records:
-            self.metadata.insert(rec)
-            # Replace, not union: a partition survivor's own stale
-            # entries (e.g. itself as holder of a duty re-homed during
-            # the split) must not outlive the adoption.
-            self.metadata.set_replicas(rec.path, replicas.get(rec.path, ()))
-        for rec in records:
-            if rec.is_broadcast:
-                continue
-            if (
-                rec.partition_id % self.size == self.rank
-                and rec.home_rank != self.rank
-                and rec.path in self.backend
-            ):
-                self.metadata.add_replica(rec.path, self.rank)
-
-    def load_rejoin(self, prepared: PreparedDataset) -> None:
-        """Re-stage this rank's round-robin partitions off the shared FS
-        without any collective: a rejoiner cannot allgather (the
-        original cohort's collective sequence has moved on), so its
-        bytes come from the shared FS and its metadata from the join
-        snapshot applied afterwards."""
-        # crash recovery first: adopted client outputs must be in the
-        # table before anything announces this rank's holdings
-        if self._journal_dir is not None and self.journal is None:
-            self.journal, outputs = Journal.recover(
-                self._journal_dir, self.backend,
-                config=self._journal_config, stats=self.jstats,
-                tracer=self.tracer,
-            )
-            for rec in outputs:
-                self.metadata.insert(rec)
-        self._prepared = prepared  # kept for degraded shared-FS re-reads
-        assigned = self._assigned_partitions(len(prepared.partitions))
-        partition_paths = prepared.partition_paths()
-        for pid in assigned:
-            nbytes = self._ingest_partition(partition_paths[pid], self.rank)
-            self._charge_capacity(nbytes, f"partition {pid}")
-        bcast = prepared.broadcast_path()
-        if bcast is not None:
-            nbytes = self._ingest_partition(bcast, self.rank)
-            self._charge_capacity(nbytes, "broadcast partition")
-
-    def export_ownership(self) -> dict:
-        """JSON-ready ownership map (view epoch + per-path home and
-        replicas) for offline tooling: ``fanstore-inspect --repair``
-        must consult post-re-replication owners, not the original
-        layout, so integrity repair and membership repair compose."""
-        return {
-            "epoch": self._view_epoch(),
-            "rank": self.rank,
-            "files": {
-                rec.path: {
-                    "home": rec.home_rank,
-                    "replicas": list(self.metadata.replica_ranks(rec.path)),
-                }
-                for rec in self.metadata.records()
-            },
-        }
 
     # -- durability (write-ahead journal) ------------------------------------
 
@@ -774,6 +374,14 @@ class FanStoreDaemon:
             self.journal.put(
                 op, norm, data, epoch=self._view_epoch(), record=record
             )
+
+    def _durable_discard(self, norm: str) -> bool:
+        """Drop this rank's copy of ``norm`` so a restart keeps it gone
+        (:meth:`Journal.discard`). True when a copy was held."""
+        self._hashed.pop(norm, None)
+        if self.journal is None:
+            return self.backend.discard(norm)
+        return self.journal.discard(norm, epoch=self._view_epoch())
 
     # -- serving peers ------------------------------------------------------
 
@@ -1220,7 +828,7 @@ class FanStoreDaemon:
                 with self.tracer.span("fetch.replica", rank=replica) as span:
                     data = self._peer_fetch(
                         norm, record, replica,
-                        attempts=_FAILOVER_ATTEMPTS, deadline=deadline,
+                        attempts=FAILOVER_ATTEMPTS, deadline=deadline,
                     )
                     span.tag(verified=data is not None)
                 if data is not None:

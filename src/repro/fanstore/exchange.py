@@ -66,6 +66,10 @@ _BACKOFF_JITTER = 0.5
 #: quantile of its recent reply latencies.
 _HEDGE_QUANTILE = 0.95
 
+#: attempts per replica (or re-replication source): a bonus tier above
+#: the shared-FS floor
+FAILOVER_ATTEMPTS = 1
+
 #: most requests one batch envelope carries: the parked tickets one
 #: flush packs (:meth:`PeerExchange._lead_flush`; backlog, not waiting,
 #: fills a batch), or the paths of one ``fetch_many`` envelope. A

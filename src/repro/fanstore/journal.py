@@ -95,6 +95,8 @@ __all__ = [
 
 _SEGMENT_RE = re.compile(r"^segment-(\d{6})\.waj$")
 CHECKPOINT_NAME = "checkpoint.json"
+#: the op of a journalled drop (:meth:`Journal.discard`)
+DROP = "drop"
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +336,6 @@ class RecoveredLog:
     segments: int = 0
     max_seq: int = 0
 
-    @property
-    def empty(self) -> bool:
-        return not (
-            self.checkpoint_live or self.committed or self.uncommitted
-        )
-
 
 def _segment_files(directory: Path) -> list[tuple[int, Path]]:
     found = []
@@ -505,7 +501,8 @@ class Journal:
         uncommitted intent whose on-disk bytes digest-match it (the
         rename + dir fsync is the durable commit point; only the lazily
         synced commit record was lost, and since applies replace whole
-        files, the match proves that apply was the last). Each entry's
+        files, the match proves that apply was the last); a drop so
+        committed or matched (its blob gone) removes it. Each entry's
         blob is checked once: re-indexed when it matches
         (``recovery_replayed``), re-applied from an embedded payload
         (``recovery_reapplied``), else quarantined
@@ -536,12 +533,12 @@ class Journal:
             crash_point("recovery.scanned", disk.rank)
             entries = dict(log.checkpoint_live)
             for intent in log.committed:
-                entries[intent["path"]] = _live_entry(intent)
+                _fold(entries, intent)
             adopted: set[str] = set()
             for intent in log.uncommitted:
                 path = intent["path"]
                 if path not in adopted and _on_disk(disk, path, intent):
-                    entries[path] = _live_entry(intent)
+                    _fold(entries, intent)
                     adopted.add(path)
             live: dict[str, dict[str, Any]] = {}
             records: list[FileRecord] = []
@@ -665,18 +662,30 @@ class Journal:
             raise
         self.commit(seq)
 
+    def discard(self, path: str, *, epoch: int = 0) -> bool:
+        """The journalled drop: intent → unlink → commit, which takes
+        ``path`` out of the live map, so recovery leaves it gone. True
+        when the path was indexed."""
+        seq = self.begin(DROP, path, None, epoch=epoch)
+        try:
+            dropped = self.disk.discard(path)
+        except Exception:
+            self.abort(seq)
+            raise
+        self.commit(seq)
+        return dropped
+
     def begin(
         self,
         op: str,
         path: str,
-        data: bytes,
+        data: bytes | None,
         *,
         epoch: int = 0,
-        offset: int | None = None,
         record: FileRecord | None = None,
     ) -> int:
         """Append + fsync an intent record; returns its sequence number
-        (the handle :meth:`commit` takes). Raises
+        (the handle :meth:`commit` takes); ``data`` None is a drop. Raises
         :class:`~repro.errors.StorageFullError` — before touching the
         journal — when browned out or under the free-space watermark.
         """
@@ -688,28 +697,24 @@ class Journal:
                 path, "journal browned out to read-only (cannot compact)"
             )
         self._check_watermark(path)
-        if (
-            record is not None
-            and record.stat.has_digest
-            and record.compressed_size == len(data)
-        ):
-            crc = record.stat.crc32  # the writer already hashed these bytes
-        else:
-            crc = zlib.crc32(data) & 0xFFFFFFFF
         body: dict[str, Any] = {
-            "t": "intent",
-            "op": op,
-            "path": path,
-            "crc": crc,
-            "size": len(data),
-            "epoch": epoch,
+            "t": "intent", "op": op, "path": path, "epoch": epoch,
         }
-        if offset is not None:
-            body["offset"] = offset
-        if record is not None:
-            body["record"] = _record_to_wire(record)
-        if len(data) <= self.config.embed_payload_max:
-            body["payload"] = data.hex()
+        if data is not None:
+            if (
+                record is not None
+                and record.stat.has_digest
+                and record.compressed_size == len(data)
+            ):
+                crc = record.stat.crc32  # the writer already hashed these
+            else:
+                crc = zlib.crc32(data) & 0xFFFFFFFF
+            body["crc"] = crc
+            body["size"] = len(data)
+            if record is not None:
+                body["record"] = _record_to_wire(record)
+            if len(data) <= self.config.embed_payload_max:
+                body["payload"] = data.hex()
         seq = self._append(body, pending=True)
         self._sync(seq)
         crash_point("journal.intent", self.rank)
@@ -794,7 +799,7 @@ class Journal:
                 entry = self._pending.pop(commit_ref, None)
                 self._pending_segment.pop(commit_ref, None)
                 if entry is not None:
-                    self._live[entry["path"]] = _live_entry(entry)
+                    _fold(self._live, entry)
             line_bytes = len(line)
         self.stats.journal_appends += 1
         self.stats.journal_bytes += line_bytes
@@ -916,8 +921,10 @@ class Journal:
 
 def _on_disk(disk: DiskBackend, path: str, entry: dict[str, Any]) -> bool:
     """Whether ``path``'s blob holds exactly the bytes ``entry``
-    journalled (size and crc32)."""
+    journalled (size and crc32) — for a drop, whether it is gone."""
     data = disk.read_raw(path)
+    if entry["op"] == DROP:
+        return data is None
     return (
         data is not None
         and len(data) == entry["size"]
@@ -925,16 +932,13 @@ def _on_disk(disk: DiskBackend, path: str, entry: dict[str, Any]) -> bool:
     )
 
 
-def _live_entry(intent: dict[str, Any]) -> dict[str, Any]:
-    """The slice of an intent that the live map / checkpoint keeps."""
-    entry = {
-        "op": intent["op"],
-        "crc": intent["crc"],
-        "size": intent["size"],
-        "epoch": intent.get("epoch", 0),
-    }
-    if "record" in intent:
-        entry["record"] = intent["record"]
-    if "payload" in intent:
-        entry["payload"] = intent["payload"]
-    return entry
+def _fold(live: dict[str, dict[str, Any]], intent: dict[str, Any]) -> None:
+    """Apply one committed (or adopted) intent to a live map: a drop
+    removes the path; anything else becomes its entry, the intent less
+    its framing (the checkpoint keeps exactly that)."""
+    if intent["op"] == DROP:
+        live.pop(intent["path"], None)
+    else:
+        live[intent["path"]] = {
+            k: v for k, v in intent.items() if k not in ("t", "seq", "path")
+        }

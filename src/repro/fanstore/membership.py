@@ -20,15 +20,16 @@ This module is the active layer that detects, repairs, and re-admits:
   seconds ⇒ SUSPECT (routing deprioritizes, nothing is repaired — a
   flapping rank recovers by just heartbeating again); ``dead_after``
   seconds ⇒ DEAD, the view epoch bumps, and the ``on_dead`` callback
-  fires exactly once per corpse (the daemon hangs re-replication off
-  it). Convictions learned from a peer's gossiped view fire the same
+  fires exactly once per corpse between re-admissions
+  (:mod:`repro.fanstore.replication` hangs re-replication off it).
+  Convictions learned from a peer's gossiped view fire the same
   callback, so repair work starts everywhere, not only where the
   timeout happened first.
 - the **rejoin handshake** — a relaunched rank calls
   :meth:`FailureDetector.request_join` against any live peer: the peer
   marks it SUSPECT, replies with the current view plus a metadata
-  snapshot (provided by the daemon through ``join_snapshot``), and the
-  joiner re-stages its partitions. :meth:`request_promotion` then asks
+  snapshot (provided by ``Replication`` through ``join_snapshot``), and
+  the joiner re-stages its partitions. :meth:`request_promotion` then asks
   the peer to perform a *verification read* (``verify_read`` — a real
   daemon fetch, digest-checked) against the joiner; only a verified
   read promotes SUSPECT→ALIVE, bumps the epoch, and gossips the
@@ -66,9 +67,10 @@ of isolation (episodes the damper absorbed count as ``damped_flaps``).
 A per-rank conviction damper (``flap_damper``) adds hysteresis on the
 majority side: each recent flap a rank exhibited raises its conviction
 threshold, so a flapping link never triggers a re-replication storm.
-On heal the ``on_reconnected`` callback hands the merged view to the
-daemon, which runs anti-entropy reconciliation (route caches, circuit
-breakers, frozen re-replication, digest scrub).
+On heal the ``on_reconnected`` callback hands the merged view to
+``Replication.reconcile_after_heal`` (circuit breakers, frozen
+re-replication, journalled drops of split-era copies, digest scrub).
+Every callback runs on the detector's one thread.
 
 Known limitation (documented, tested for the common cases): with
 *simultaneous* multi-rank death, ranks that learn of the deaths in
@@ -95,8 +97,8 @@ from repro.errors import (
 )
 from repro.util.service import ServiceMixin
 
-#: dedicated membership tag space (the daemon owns 0x0FA0/0x0FA1 and
-#: the reply band at 0x1000+; membership traffic must never collide).
+#: dedicated membership tag space (daemon requests 0x0FA0, the ring
+#: copy 0x0FA1, replies 0x1000+; membership traffic must never collide).
 TAG_MEMBER = 0x0FB0
 TAG_MEMBER_JOIN = 0x0FB1
 TAG_MEMBER_PROMOTE = 0x0FB2

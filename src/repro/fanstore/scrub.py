@@ -37,16 +37,19 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     DataIntegrityError,
     FanStoreError,
     FileNotFoundInStoreError,
 )
-from repro.fanstore.daemon import FanStoreDaemon
 from repro.fanstore.layout import blob_crc32
 from repro.fanstore.metadata import FileRecord
 from repro.util.service import ServiceMixin
+
+if TYPE_CHECKING:  # the daemon's heal pass builds scrubbers
+    from repro.fanstore.daemon import FanStoreDaemon
 
 
 @dataclass
@@ -94,7 +97,7 @@ class Scrubber(ServiceMixin):
     Progress is visible in the daemon's metrics registry: the
     ``scrub.bytes_scanned`` counter and ``scrub.batch_seconds``
     histogram advance with every batch, and the ``scrub.pending`` gauge
-    reports how far through the current sweep snapshot the cursor is.
+    reports the cursor of whichever scrubber on the rank stepped last.
     """
 
     def __init__(
@@ -125,7 +128,7 @@ class Scrubber(ServiceMixin):
         metrics = daemon.metrics
         self._c_bytes = metrics.counter("scrub.bytes_scanned")
         self._h_batch = metrics.histogram("scrub.batch_seconds")
-        metrics.bind_gauge("scrub.pending", fn=lambda: len(self._pending))
+        self._g_pending = metrics.gauge("scrub.pending")
 
     # -- target selection --------------------------------------------------
 
@@ -157,6 +160,7 @@ class Scrubber(ServiceMixin):
             self._mid_sweep = True
         budget = self.batch if max_records is None else max_records
         batch, self._pending = self._pending[:budget], self._pending[budget:]
+        self._g_pending.set(len(self._pending))
         result = self._verify(batch)
         self.report.merge(result)
         return result

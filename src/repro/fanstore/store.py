@@ -151,21 +151,21 @@ class FanStore(ServiceMixin):
             raise FanStoreError("rejoin_peer requires a communicator")
         if self._rejoined:
             membership = membership or True
-            self.daemon.load_rejoin(prepared)
+            self.daemon.replication.load_rejoin(prepared)
         else:
-            self.daemon.load(prepared)
+            self.daemon.replication.load(prepared)
         self.daemon.start()
         if membership and comm is not None:
             cfg = membership if isinstance(membership, MembershipConfig) else None
             self.membership = FailureDetector(
                 comm, cfg, metrics=self.daemon.metrics
             )
-            self.daemon.attach_membership(self.membership)
+            self.daemon.replication.attach_membership(self.membership)
         if self._rejoined:
             assert self.membership is not None and opts.rejoin_peer is not None
             snapshot = self.membership.request_join(opts.rejoin_peer)
             if snapshot is not None:
-                self.daemon.apply_membership_snapshot(snapshot)
+                self.daemon.replication.apply_membership_snapshot(snapshot)
             self.membership.request_promotion(opts.rejoin_peer)
         if self.membership is not None:
             self.membership.start()
@@ -271,7 +271,7 @@ class FanStore(ServiceMixin):
         """This rank's post-membership ownership map (view epoch,
         per-path home + replicas) — feed it to ``fanstore-inspect
         --ownership`` so offline repair consults the *current* owners."""
-        return self.daemon.export_ownership()
+        return self.daemon.replication.export_ownership()
 
     def resolve(self, path: str) -> str:
         """Strip the mount point from an absolute path (§V-A: directory

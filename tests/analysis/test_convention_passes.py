@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import textwrap
 
-from tests.analysis.conftest import rules_of
+from tests.analysis.conftest import lint_mutant, rules_of
 
 GOOD_ERRORS = textwrap.dedent(
     """
@@ -311,3 +311,17 @@ class TestDurableWrite:
         )
         report = lint_tree({"fanstore/anymode.py": src})
         assert not rules_of(report, "durable-write"), report.summary()
+
+
+def test_self_gate_sees_a_raw_write_in_the_real_disk_backend(tmp_path):
+    """Mutation check on the shipped tree: ``DiskBackend.put`` writing
+    its blob with ``write_bytes`` instead of ``atomic_replace`` must be
+    exactly one durable-write finding."""
+    report = lint_mutant(
+        tmp_path, "fanstore/backend.py",
+        "atomic_replace(blob, data, rank=self.rank)",
+        "blob.write_bytes(data)", "durable-write",
+    )
+    assert len(report.unwaived) == 1, report.summary()
+    assert report.unwaived[0].path.endswith("backend.py")
+    assert report.unwaived[0].message.startswith(".write_bytes")

@@ -268,3 +268,24 @@ def test_self_gate_sees_a_sleep_under_the_real_reply_lock(tmp_path):
     assert len(report.unwaived) == 1, report.summary()
     assert report.unwaived[0].path.endswith("exchange.py")
     assert "time.sleep" in report.unwaived[0].message
+
+
+def test_self_gate_sees_the_replication_lock_nested_in_itself(tmp_path):
+    """Mutation check on the shipped tree: ``Replication``'s lock taken
+    again inside its own region (the conviction freeze) must be exactly
+    one lock-order finding — a non-reentrant self-deadlock."""
+    site = (
+        "            with self._lock:\n"
+        "                self._frozen_corpses.add(rank)\n"
+    )
+    mutant = (
+        "            with self._lock:\n"
+        "                with self._lock:\n"
+        "                    self._frozen_corpses.add(rank)\n"
+    )
+    report = lint_mutant(
+        tmp_path, "fanstore/replication.py", site, mutant, "lock-order"
+    )
+    assert len(report.unwaived) == 1, report.summary()
+    assert report.unwaived[0].path.endswith("replication.py")
+    assert "Replication._lock" in report.unwaived[0].message

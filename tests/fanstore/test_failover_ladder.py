@@ -215,7 +215,7 @@ def test_a_corrupt_reply_never_reaches_the_reader(tmp_path):
 
 
 def _stage(daemon) -> None:
-    daemon._stage_copy(RereplicationStep(
+    daemon.replication._stage_copy(RereplicationStep(
         path=PATH, partition_id=0, old_home=HOME, new_home=ME, stage_rank=ME,
         source_ranks=(HOME, REPLICA), new_replicas=(REPLICA,),
         compressed_size=len(GOOD),

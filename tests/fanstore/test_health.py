@@ -535,13 +535,13 @@ class TestTheBreakerIsTheMemoryOfAGivenUpPeer:
         clock = FakeClock()
         daemon, comm = self._daemon(clock)
         detector = daemon._membership = StubDetector.convicting(self.HOME)
-        daemon.health.force_open(self.HOME)  # what on_rank_dead does
+        daemon.health.force_open(self.HOME)  # what replication.on_rank_dead does
         clock.advance(3600.0)  # any cool-off is long over
         self._read_fails(daemon)
         assert comm.asked == [] and daemon.stats.breaker_probes == 0
         detector.view.set_state(self.HOME, RankState.ALIVE, bump_epoch=True)
         comm.answers[self.HOME] = (Reply.OK, self.PAYLOAD)
-        daemon.on_rank_alive(self.HOME)
+        daemon.replication.on_rank_alive(self.HOME)
         assert daemon.fetch_compressed("data/x") == self.PAYLOAD
         assert comm.asked == [self.HOME]
         assert daemon.stats.breaker_probes == 1

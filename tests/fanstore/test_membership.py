@@ -759,7 +759,7 @@ class TestSnapshotAdoption:
         daemon.metadata.add_replica("train/a", 2)
         daemon.backend.put("train/a", b"x" * 4)
         merged = _record("train/a", home=0, partition=1)
-        daemon.apply_membership_snapshot(([merged], {"train/a": (1,)}))
+        daemon.replication.apply_membership_snapshot(([merged], {"train/a": (1,)}))
         assert daemon.metadata.get("train/a").home_rank == 0
         assert daemon.metadata.replica_ranks("train/a") == (1,)
 
@@ -767,13 +767,13 @@ class TestSnapshotAdoption:
         daemon = FanStoreDaemon(World(3).comm(2))
         mine = _record("train/b", home=0, partition=2)  # 2 % 3 == rank
         daemon.backend.put("train/b", b"y" * 4)
-        daemon.apply_membership_snapshot(([mine], {"train/b": (1,)}))
+        daemon.replication.apply_membership_snapshot(([mine], {"train/b": (1,)}))
         assert daemon.metadata.replica_ranks("train/b") == (1, 2)
 
     def test_copies_not_physically_held_are_not_announced(self):
         daemon = FanStoreDaemon(World(3).comm(2))
         mine = _record("train/c", home=0, partition=2)
-        daemon.apply_membership_snapshot(([mine], {}))
+        daemon.replication.apply_membership_snapshot(([mine], {}))
         assert daemon.metadata.replica_ranks("train/c") == ()
 
 
@@ -783,7 +783,7 @@ class TestConvictionFreeze:
         daemon._membership = _SplitStub()
         view = ClusterView(3)
         view.set_state(2, RankState.DEAD, bump_epoch=True)
-        daemon.on_rank_dead(2, view)
+        daemon.replication.on_rank_dead(2, view)
         assert daemon.stats.rereplications_frozen == 1
         assert daemon.stats.rereplicated_records == 0
-        assert 2 in daemon._frozen_corpses
+        assert 2 in daemon.replication._frozen_corpses

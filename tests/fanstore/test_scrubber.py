@@ -88,6 +88,16 @@ class TestIncremental:
         assert scrubber.report.scanned == 15
         assert scrubber.report.verified == 15
 
+    def test_pending_follows_the_scrubber_that_steps(self, single_store):
+        """``scrub.pending`` is one gauge per rank: after a one-shot
+        sweep built the first scrubber, it still reports the cursor of
+        the one that is stepping."""
+        fs = single_store
+        fs.scrub()
+        scrubber = fs.scrubber(batch=4)
+        scrubber.step()
+        assert fs.metrics.snapshot().value("scrub.pending") == 15 - 4
+
     def test_cursor_wraps_to_fresh_snapshot(self, single_store):
         scrubber = single_store.scrubber(batch=15)
         assert scrubber.step().scanned == 15

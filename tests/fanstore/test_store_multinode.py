@@ -9,6 +9,7 @@ import pytest
 from repro.comm.launcher import run_parallel
 from repro.errors import CapacityError
 from repro.fanstore.daemon import DaemonConfig
+from repro.fanstore.layout import partition_payload_bytes, read_partition
 from repro.fanstore.store import FanStore, FanStoreOptions
 
 
@@ -140,6 +141,30 @@ class TestCapacity:
             isinstance(e, CapacityError)
             for e in exc_info.value.errors.values()
         )
+
+    def test_ring_copies_over_the_budget_raise_on_every_rank(
+        self, prepared_dataset
+    ):
+        """Each rank's own partitions (and the broadcast one) fit the
+        burst buffer; the extra partition the ring copies in does not."""
+        def staged(path) -> int:
+            entries = read_partition(path, with_data=False)
+            return partition_payload_bytes(entries)
+
+        parts = [staged(p) for p in prepared_dataset.partition_paths()]
+        bcast = staged(prepared_dataset.broadcast_path())
+        own = max(parts) + bcast  # 3 ranks, 3 partitions: one each
+        assert own < min(parts) + bcast + min(parts)  # any extra overflows
+        config = DaemonConfig(capacity_bytes=own, extra_partition_budget=1)
+
+        def body(comm):
+            with pytest.raises(CapacityError, match="extra partition"):
+                FanStore(
+                    prepared_dataset, FanStoreOptions(comm=comm, config=config)
+                )
+            return True
+
+        assert run_parallel(body, 3, timeout=60) == [True, True, True]
 
 
 class TestSingleNode:

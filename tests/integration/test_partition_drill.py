@@ -195,7 +195,7 @@ class TestPartitionDrill:
 
                 # -- rejoin through the protocol -------------------------
                 snapshot = det.request_join(CONDUCTOR)
-                fs.daemon.apply_membership_snapshot(snapshot)
+                fs.daemon.replication.apply_membership_snapshot(snapshot)
                 det.request_promotion(CONDUCTOR)
             else:
                 # -- majority: convict behind quorum, keep serving -------
