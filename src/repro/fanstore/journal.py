@@ -687,7 +687,8 @@ class Journal:
         """Append + fsync an intent record; returns its sequence number
         (the handle :meth:`commit` takes); ``data`` None is a drop. Raises
         :class:`~repro.errors.StorageFullError` — before touching the
-        journal — when browned out or under the free-space watermark.
+        journal — when browned out or, unless it is a drop (which only
+        frees space), under the free-space watermark.
         """
         if self._closed:
             raise FanStoreError("journal is closed")
@@ -696,9 +697,13 @@ class Journal:
             raise StorageFullError(
                 path, "journal browned out to read-only (cannot compact)"
             )
-        self._check_watermark(path)
+        if data is not None:
+            self._check_watermark(path)
         body: dict[str, Any] = {
-            "t": "intent", "op": op, "path": path, "epoch": epoch,
+            "t": "intent",
+            "op": op,
+            "path": path,
+            "epoch": epoch,
         }
         if data is not None:
             if (

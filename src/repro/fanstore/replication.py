@@ -19,7 +19,12 @@ from typing import TYPE_CHECKING
 
 from repro.comm.deadline import Deadline
 from repro.comm.ring import ring_replicate
-from repro.errors import CapacityError, DeadlineExpiredError, RankDeadError
+from repro.errors import (
+    CapacityError,
+    DeadlineExpiredError,
+    RankDeadError,
+    StorageFullError,
+)
 from repro.fanstore.exchange import FAILOVER_ATTEMPTS
 from repro.fanstore.layout import partition_payload_bytes
 from repro.fanstore.membership import ClusterView, FailureDetector, RankState
@@ -265,7 +270,8 @@ class Replication:
         3. copies held here that this rank neither homes nor is an
            announced replica of — split-era duplicates, old promotions —
            are dropped through the journal, so a restart keeps them gone
-           (``replication.duplicate_replicas_dropped``);
+           (``replication.duplicate_replicas_dropped``); a browned-out
+           journal refuses a drop, and that copy stays until a later heal;
         4. one scrubber pass digest-verifies (and repairs) the rest
            (``replication.reconciled_records``).
         """
@@ -283,7 +289,7 @@ class Replication:
                     continue
                 self.on_rank_dead(rank, view)
                 caught_up += 1
-            dropped = 0
+            dropped = refused = 0
             for rec in daemon.metadata.records():
                 if rec.is_broadcast or rec.home_rank == daemon.rank:
                     continue
@@ -291,15 +297,26 @@ class Replication:
                     continue
                 if daemon.rank in daemon.metadata.replica_ranks(rec.path):
                     continue
-                if daemon._durable_discard(rec.path):
+                try:
+                    held = daemon._durable_discard(rec.path)
+                except StorageFullError:
+                    refused += 1
+                    continue
+                if held:
                     daemon.cache.discard(rec.path)
                     dropped += 1
             daemon.stats.duplicate_replicas_dropped += dropped
+            if refused:
+                _LOG.warning(
+                    "rank %d: journal refused %d duplicate drop(s); the "
+                    "copies stay until a later heal", daemon.rank, refused,
+                )
             report = Scrubber(daemon, repair=True).run()
             daemon.stats.reconciled_records += report.scanned
             span.tag(
                 caught_up=caught_up,
                 duplicates_dropped=dropped,
+                drops_refused=refused,
                 scrub_clean=report.clean,
             )
 
@@ -331,9 +348,12 @@ class Replication:
     ) -> tuple[list[FileRecord], dict[str, tuple[int, ...]]]:
         """Join payload (peer side): the records and the replica map —
         what the load-time allgather gave, post-repair changes included."""
-        records = self.daemon.metadata.records()
-        replica_ranks = self.daemon.metadata.replica_ranks
-        return records, {rec.path: replica_ranks(rec.path) for rec in records}
+        metadata = self.daemon.metadata
+        records = metadata.records()
+        replicas = {
+            rec.path: metadata.replica_ranks(rec.path) for rec in records
+        }
+        return records, replicas
 
     def apply_membership_snapshot(
         self, snapshot: tuple[list[FileRecord], dict[str, tuple[int, ...]]]
@@ -364,7 +384,8 @@ class Replication:
             "rank": self.daemon.rank,
             "files": {
                 rec.path: {
-                    "home": rec.home_rank, "replicas": list(replicas[rec.path])
+                    "home": rec.home_rank,
+                    "replicas": list(replicas[rec.path]),
                 }
                 for rec in records
             },

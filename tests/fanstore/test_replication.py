@@ -1,14 +1,19 @@
 """Placement reactions of ``daemon.replication`` on one rank: the heal
-pass's catch-up and its journalled drop, and the promotion gate's
-budget. The cluster-wide behaviour is the membership and partition
+pass's catch-up and its journalled drop (which neither a full disk nor
+a browned-out journal turns into an escaping error), and the promotion
+gate's budget. The cluster-wide behaviour is the membership and partition
 drills'; these pin what a drill cannot isolate."""
 
 from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro.comm.communicator import World
+from repro.errors import StorageFullError
 from repro.fanstore.backend import DiskBackend
+from repro.fanstore.crash import DiskFaultInjector
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.journal import Journal, JournalConfig, JournalStats
 from repro.fanstore.layout import FileStat
@@ -82,6 +87,30 @@ class TestHealCatchUp:
         assert daemon.metadata.get("train/x").home_rank == 2
 
 
+def _promoted(root, prepared, copies, **kw) -> FanStoreDaemon:
+    """Rank 0 of three on a journalled disk, holding ``copies`` as
+    degraded-read promotions of rank 1's files: the heal's GC drops
+    them (this rank neither homes them nor is their replica)."""
+    daemon = FanStoreDaemon(
+        World(3).comm(0), backend=DiskBackend(root),
+        journal_dir=root / "journal", **kw,
+    )
+    daemon.replication.load_rejoin(prepared)
+    for path, data in copies.items():
+        daemon.metadata.insert(_record(path, 1, 1, size=len(data)))
+        daemon._durable_put("promote", path, data)  # a degraded read's
+    return daemon
+
+
+def _heal(daemon: FanStoreDaemon) -> None:
+    """Regain quorum the way the detector's thread does: one
+    ``reconnected`` event through ``_fire``, which re-raises whatever
+    the callback raises (and an exception there ends the thread)."""
+    detector = FailureDetector(daemon.comm, MembershipConfig())
+    daemon.replication.attach_membership(detector)
+    detector._fire([("reconnected", -1, ClusterView(3))])
+
+
 def test_a_heal_drop_stays_dropped_across_a_restart(
     tmp_path, prepared_dataset
 ):
@@ -89,16 +118,9 @@ def test_a_heal_drop_stays_dropped_across_a_restart(
     restart neither re-applies the one small enough to ride in its
     intent nor quarantines the one that is not."""
     root = tmp_path / "local"
-    daemon = FanStoreDaemon(
-        World(3).comm(0), backend=DiskBackend(root),
-        journal_dir=root / "journal",
-    )
-    daemon.replication.load_rejoin(prepared_dataset)
     limit = JournalConfig().embed_payload_max
     copies = {"train/small": b"s" * limit, "train/big": b"b" * (limit + 1)}
-    for path, data in copies.items():
-        daemon.metadata.insert(_record(path, 1, 1, size=len(data)))
-        daemon._durable_put("promote", path, data)  # a degraded read's
+    daemon = _promoted(root, prepared_dataset, copies)
     daemon.replication.reconcile_after_heal(ClusterView(3))
     assert daemon.stats.duplicate_replicas_dropped == 2
     daemon.stop()
@@ -111,18 +133,77 @@ def test_a_heal_drop_stays_dropped_across_a_restart(
     assert not any(disk.read_raw(path) for path in copies)
 
 
+def test_a_heal_drop_needs_no_free_space(tmp_path, prepared_dataset):
+    """A drop only frees space: on a disk under the journal's
+    free-space watermark the heal still drops the copy and scrubs."""
+    root = tmp_path / "local"
+    root.mkdir()
+    injector = DiskFaultInjector()
+    backend = DiskBackend(root)
+    backend.injector = injector
+    daemon = FanStoreDaemon(
+        World(3).comm(0), backend=backend, journal_dir=root / "journal"
+    )
+    daemon.replication.load_rejoin(prepared_dataset)
+    daemon.metadata.insert(_record("train/p", 1, 1))
+    daemon._durable_put("promote", "train/p", b"p" * 100)
+    injector.set_free_bytes(0)
+    _heal(daemon)
+    assert daemon.stats.duplicate_replicas_dropped == 1
+    assert "train/p" not in daemon.backend
+    assert daemon.stats.reconciled_records > 0
+    daemon.stop()
+
+
+def test_a_browned_out_journal_keeps_the_copy_and_the_heal_goes_on(
+    tmp_path, prepared_dataset
+):
+    """A journal browned out to read-only refuses the drop: the copy
+    stays (journal and disk agree), and the heal still scrubs rather
+    than raising out of the detector's callback."""
+    small = JournalConfig(
+        segment_max_bytes=512,
+        segment_max_records=4,
+        max_segments=3,
+        low_watermark_bytes=0,
+    )
+    daemon = _promoted(
+        tmp_path / "local", prepared_dataset, {"train/p": b"p" * 100},
+        journal_config=small,
+    )
+    with pytest.raises(StorageFullError):
+        for i in range(100):  # pending intents pin their segments
+            daemon.journal.begin("write", f"out/{i}", b"p" * 48)
+    assert daemon.journal.read_only
+    _heal(daemon)
+    assert daemon.stats.duplicate_replicas_dropped == 0
+    assert "train/p" in daemon.backend
+    assert daemon.stats.reconciled_records > 0
+    daemon.stop()
+
+
 def test_a_silent_joiner_is_refused_within_the_gate_budget():
-    """The promotion gate runs on the detector's thread: a joiner that
-    never answers is refused before ``suspect_after`` runs out, not
-    after a whole ``request_timeout``."""
+    """The promotion gate runs on the detector's thread: its read of a
+    joiner that never answers carries a deadline inside
+    ``suspect_after``, not a whole ``request_timeout``."""
     world = World(2)
     comm = world.comm(0)
-    daemon = FanStoreDaemon(comm, config=DaemonConfig(request_timeout=3.0))
+    daemon = FanStoreDaemon(comm, config=DaemonConfig(request_timeout=10.0))
     mcfg = MembershipConfig(
         heartbeat_interval=0.05, suspect_after=0.3, dead_after=1.0
     )
     daemon.replication.attach_membership(FailureDetector(comm, mcfg))
     daemon.metadata.insert(_record("train/j", home=0, partition=1))
+    budgets = []
+    fetch = daemon._peer_fetch
+
+    def _peer_fetch(*args, deadline=None, **kw):
+        budgets.append(None if deadline is None else deadline.remaining())
+        return fetch(*args, deadline=deadline, **kw)
+
+    daemon._peer_fetch = _peer_fetch
     started = time.monotonic()
     assert daemon.replication.verification_read(1) is False
-    assert time.monotonic() - started < mcfg.suspect_after
+    assert time.monotonic() - started < 10.0 / 2
+    assert len(budgets) == 1 and budgets[0] is not None
+    assert budgets[0] <= mcfg.suspect_after
