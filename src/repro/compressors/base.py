@@ -81,6 +81,14 @@ class Compressor:
     filters: tuple[Filter, ...] = ()
     compressor_id: int = -1
 
+    def __post_init__(self) -> None:
+        # A pipeline without filters is its codec: its ``decompress`` is
+        # the codec's own bound method, so a decode runs no forwarding
+        # frame, and whoever wraps ``compressor.decompress`` (a probe)
+        # still sees every decode.
+        if not self.filters:
+            object.__setattr__(self, "decompress", self.codec.decompress)
+
     def compress(self, data: bytes) -> bytes:
         """Run the filter chain forward, then the codec."""
         for f in self.filters:
@@ -89,10 +97,10 @@ class Compressor:
 
     def decompress(self, data: bytes, size: int | None = None) -> bytes:
         """Run the codec, then the filter chain backward. The ``size``
-        hint reaches the codec only without filters: a filter may
-        change the length the codec sees (bitshuffle pads)."""
-        if not self.filters:
-            return self.codec.decompress(data, size)
+        hint reaches the codec only without filters, where an instance
+        answers with the codec's ``decompress`` itself (see
+        ``__post_init__``): a filter may change the length the codec
+        sees (bitshuffle pads)."""
         data = self.codec.decompress(data)
         for f in reversed(self.filters):
             data = f.backward(data)

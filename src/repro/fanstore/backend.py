@@ -71,7 +71,12 @@ def _ingest_by_put(self: Backend, partition_file: Path) -> list[PartitionEntry]:
 
 
 class RamBackend:
-    """Compressed bytes in an in-memory hash table."""
+    """Compressed bytes in an in-memory hash table.
+
+    ``get`` and ``in`` read without the lock: a stored object is
+    immutable and ``put`` installs a new one, so one dict operation
+    sees the value from just before or just after a concurrent write
+    (the argument of :class:`~repro.fanstore.metadata.MetadataTable`)."""
 
     hands_out_stored = True
 
@@ -86,19 +91,17 @@ class RamBackend:
             self._objects[path] = data
 
     def get(self, path: str) -> bytes:
-        with self._lock:
-            try:
-                return self._objects[path]
-            except KeyError:
-                raise FileNotFoundInStoreError(path) from None
+        try:
+            return self._objects[path]
+        except KeyError:
+            raise FileNotFoundInStoreError(path) from None
 
     def discard(self, path: str) -> bool:
         with self._lock:
             return self._objects.pop(path, None) is not None
 
     def __contains__(self, path: str) -> bool:
-        with self._lock:
-            return path in self._objects
+        return path in self._objects
 
     def __len__(self) -> int:
         with self._lock:

@@ -78,15 +78,16 @@ class _Flight:
     ``installed`` says whether they are resident already: a
     :meth:`DecompressedCache.get_or_compute` leader installs them itself,
     after a :meth:`DecompressedCache.read_once` leader the first pinning
-    follower does — so a flight's bytes are installed at most once."""
+    follower does — so a flight's bytes are installed at most once.
 
-    __slots__ = ("done", "error", "data", "installed")
+    The fields start as class-level defaults and an assignment shadows
+    them per instance, so building a flight runs no Python ``__init__``
+    (every miss builds one)."""
 
-    def __init__(self) -> None:
-        self.done: threading.Event | None = None
-        self.error: BaseException | None = None
-        self.data: bytes | None = None
-        self.installed = False
+    done: threading.Event | None = None
+    error: BaseException | None = None
+    data: bytes | None = None
+    installed: bool = False
 
 
 class DecompressedCache:
@@ -375,8 +376,10 @@ class DecompressedCache:
             return len(self._entries)
 
     def __contains__(self, path: str) -> bool:
-        with self._lock:
-            return path in self._entries
+        # lock-free: one key test reads no entry, and sees the table
+        # from just before or just after a concurrent install or evict
+        # (the argument of MetadataTable's docstring)
+        return path in self._entries
 
     def refcount(self, path: str) -> int:
         with self._lock:

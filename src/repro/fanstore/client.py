@@ -122,13 +122,11 @@ class FanStoreClient:
 
     def _check_not_writing(self, path: str) -> None:
         """The read side of the single-write rule. ``_writing`` holds
-        canonical paths, so ``path`` is normalized to compare — but only
-        when there is something to compare against. With nothing open
-        for writing the lock is not taken either: a reader racing the
-        first writer's ``open`` is ordered before it, as it would be had
-        it taken the lock first."""
-        if not self._writing:
-            return
+        canonical paths, so ``path`` is normalized to compare. Readers
+        call this only while ``_writing`` is non-empty: with nothing
+        open for writing there is nothing to compare against, and no
+        lock is taken — a reader racing the first writer's ``open`` is
+        ordered before it, as it would be had it taken the lock first."""
         with self._lock:
             if self._writing and normalize(path) in self._writing:
                 raise WriteViolationError(
@@ -136,7 +134,8 @@ class FanStoreClient:
                 )
 
     def _open_reader(self, path: str) -> int:
-        self._check_not_writing(path)
+        if self._writing:
+            self._check_not_writing(path)
         data = self.daemon.open_file(path)  # raises if absent
         with self._lock:
             fd = self._next_fd
@@ -365,7 +364,8 @@ class FanStoreClient:
         """Whole-file read: the same bytes ``open``/``read``/``close``
         return, without the descriptor nobody would see and without the
         pin nobody could observe (:meth:`FanStoreDaemon.read_file`)."""
-        self._check_not_writing(path)
+        if self._writing:
+            self._check_not_writing(path)
         return self.daemon.read_file(path)  # raises if absent
 
     def read_files(self, paths: Sequence[str]) -> list[bytes]:
@@ -387,7 +387,8 @@ class FanStoreClient:
             if hit is None:
                 out.append(self.read_file(path))
                 continue
-            self._check_not_writing(path)
+            if self._writing:
+                self._check_not_writing(path)
             out.append(daemon.read_fetched(path, *hit))
         return out
 

@@ -65,7 +65,7 @@ from repro.fanstore.serve import PeerServer
 # decode_request stays a name of this module: the traced benchmark's
 # ``wire.request_decode`` probe is keyed by it
 from repro.fanstore.wire import Reply, decode_request  # noqa: F401
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, observe_all
 from repro.obs.tracing import Tracer
 
 
@@ -161,7 +161,7 @@ class DaemonConfig:
     verify_reads: bool = True
     #: phase-histogram sampling: every Nth cache-missing ``open_file``
     #: records per-phase (metadata/fetch/verify/decompress) latencies.
-    #: A hot local read is ~20 µs, so always-on timing would dominate
+    #: A local 1.2 KB read is ~6 µs, so always-on timing would dominate
     #: it; sampling keeps the instrumentation overhead low while the
     #: histograms still converge. 0 disables phase timing entirely.
     metrics_every: int = 8
@@ -870,43 +870,18 @@ class FanStoreDaemon:
             self._durable_put("promote", norm, data)
             return data
 
-    def _decompress(
-        self, record: FileRecord, data: bytes, *, observed: bool = False
-    ) -> bytes:
-        """Decompress one payload. ``observed`` additionally times the
-        decode and feeds the per-codec ``codec.<name>.*`` metrics (the
-        online counterpart of the lzbench profiles — enough to rebuild a
-        ratio/cost profile from production traffic; see
-        :func:`repro.selection.profiling.profile_from_metrics`). The
-        record's ``st_size`` goes down as the codec's size hint, so a
-        zlib payload inflates into one buffer of its final size; the
-        length check stays the gate, a hint never is."""
+    def _decompress(self, record: FileRecord, data: bytes) -> bytes:
+        """Decompress one payload. The record's ``st_size`` goes down as
+        the codec's size hint, so a zlib payload inflates into one
+        buffer of its final size; the length check stays the gate, a
+        hint never is."""
         try:
             compressor = self.registry.by_id[record.compressor_id]
         except KeyError:
             # an id this registry lacks: its typed error, from get()
             compressor = self.registry.get(record.compressor_id)
         size = record.stat.st_size
-        if observed:
-            t0 = time.perf_counter()
-            plain = compressor.decompress(data, size)
-            dt = time.perf_counter() - t0
-            handles = self._codec_metrics.get(record.compressor_id)
-            if handles is None:
-                name = compressor.name
-                handles = self._codec_metrics[record.compressor_id] = (
-                    self.metrics.histogram(f"codec.{name}.decode_seconds"),
-                    self.metrics.counter(f"codec.{name}.decode_bytes"),
-                    self.metrics.counter(
-                        f"codec.{name}.decode_compressed_bytes"
-                    ),
-                )
-            seconds, plain_bytes, compressed_bytes = handles
-            seconds.observe(dt)
-            plain_bytes.inc(len(plain))
-            compressed_bytes.inc(len(data))
-        else:
-            plain = compressor.decompress(data, size)
+        plain = compressor.decompress(data, size)
         self.stats.decompressions += 1
         self.stats.decompressed_bytes += len(plain)
         if len(plain) != size:
@@ -915,6 +890,22 @@ class FanStoreDaemon:
                 f"stat says {size}"
             )
         return plain
+
+    def _codec_handles(self, compressor_id: int) -> tuple:
+        """Make and keep the ``codec.<name>.decode_seconds`` histogram
+        and the ``decode_bytes`` / ``decode_compressed_bytes`` counters
+        of one compressor, at its first sampled decode (later ones find
+        them in ``_codec_metrics``). A sampled decode feeds them — the
+        online counterpart of the lzbench profiles, enough to rebuild a
+        ratio/cost profile from production traffic
+        (:func:`repro.selection.profiling.profile_from_metrics`)."""
+        name = self.registry.get(compressor_id).name
+        handles = self._codec_metrics[compressor_id] = (
+            self.metrics.histogram(f"codec.{name}.decode_seconds"),
+            self.metrics.counter(f"codec.{name}.decode_bytes"),
+            self.metrics.counter(f"codec.{name}.decode_compressed_bytes"),
+        )
+        return handles
 
     def open_file(self, path: str) -> bytes:
         """Figure 2's open(): cache hit or fetch+decompress+insert.
@@ -934,12 +925,12 @@ class FanStoreDaemon:
         concurrent openers share the leader's installed entry, each
         taking its own pin.
 
-        Misses take the *observed* branch — per-phase timing plus a
-        possible trace root — on every ``metrics_every``-th miss, when
-        trace sampling is enabled, or when this thread is already inside
-        a trace (so one sampled read never loses its child spans to the
-        fast path). Everything else runs the bare pipeline: a hot local
-        read is ~10 µs and always-on timing would dominate it."""
+        Misses take the *observed* branch — per-phase timing — on every
+        ``metrics_every``-th miss, and inside a possible trace root when
+        trace sampling is enabled or this thread is already inside a
+        trace (so one sampled read never loses its child spans to the
+        fast path). Everything else runs the bare pipeline: a local
+        1.2 KB read is ~6 µs and always-on timing would dominate it."""
         record = self.metadata.probe(path)
         if record is None:
             path = normalize(path)
@@ -966,70 +957,97 @@ class FanStoreDaemon:
         inserted — :meth:`DecompressedCache.get_or_compute` installs and
         pins the result, :meth:`DecompressedCache.read_once` hands it
         over. Its caller leads that flight, so it is the only fetcher of
-        ``norm`` and walks the ladder directly."""
+        ``norm``: a record homed here goes straight to
+        :meth:`_verified_local`, any other walks the ladder. A trace can
+        exist only with trace sampling on or a span open somewhere; only
+        then is :meth:`Tracer.maybe_root` asked for a ``client.read``
+        span (an open one continued, or a sampled root)."""
         self._obs_tick = tick = self._obs_tick + 1
+        if self._trace_opens or self.tracer.n_active:
+            with self.tracer.maybe_root("client.read", path=norm):
+                return self._observed_miss_bytes(norm, record)
         every = self.config.metrics_every
-        if (
-            (every and tick % every == 0)
-            or self._trace_opens
-            or self.tracer.n_active
-        ):
+        if every and tick % every == 0:
             return self._observed_miss_bytes(norm, record)
         deadline = None  # a lookup spends from the read's own budget
         if record is None:
             deadline = self._budget()
             record = self._lookup(norm, deadline)
-        return self._decompress(
-            record, self._fetch_ladder(norm, deadline, record)
-        )
+        if record.home_rank == self.rank or self.comm is None:
+            self.stats.local_opens += 1
+            data = self._verified_local(norm, record)
+        else:
+            data = self._fetch_ladder(norm, deadline, record)
+        return self._decompress(record, data)
 
     def _observed_miss_bytes(
         self, norm: str, record: FileRecord | None
     ) -> bytes:
-        """The sampled/traced miss: the stages of :meth:`_miss_bytes`
-        and nothing more, a clock read between them, inside a
-        ``client.read`` span (started or continued per
-        :meth:`Tracer.maybe_root`); per-phase latencies go to the
-        ``daemon.phase.*`` histograms. The metadata phase is ≈ 0 for a
-        carried record, the fetch phase includes any remote hops, verify
-        is broken out via ``_last_verify_s`` (see :meth:`_blob_ok`), which
-        is a number only while this method runs."""
-        with self.tracer.maybe_root("client.read", path=norm):
-            t0 = time.perf_counter()
-            deadline = None
-            if record is None:
-                deadline = self._budget()
-                record = self._lookup(norm, deadline)
-            t1 = time.perf_counter()
-            self._last_verify_s = 0.0
-            try:
-                compressed = self._fetch_ladder(norm, deadline, record)
-                # None if a concurrent observed miss finished first
-                verify_s = self._last_verify_s or 0.0
-            finally:
-                self._last_verify_s = None
-            t2 = time.perf_counter()
-            plain = self._decompress(record, compressed, observed=True)
-            t3 = time.perf_counter()
-            self._h_meta.observe(t1 - t0)
-            self._h_fetch.observe(t2 - t1)
-            self._h_verify.observe(verify_s)
-            self._h_decompress.observe(t3 - t2)
-            self._h_open.observe(time.perf_counter() - t0)
-            return plain
+        """The sampled miss: the stages of :meth:`_miss_bytes` and
+        nothing more, one clock read at each boundary between them. The
+        metadata phase is ≈ 0 for a carried record, the fetch phase
+        includes any remote hops, verify is broken out via
+        ``_last_verify_s`` (see :meth:`_blob_ok`), which is a number
+        only while this method runs. The decode's clock pair times both
+        ``daemon.phase.decompress_seconds`` and the codec's
+        ``decode_seconds``; the six histograms and the codec's two byte
+        counters are fed in one :func:`observe_all`."""
+        t0 = time.perf_counter()
+        deadline = None
+        if record is None:
+            deadline = self._budget()
+            record = self._lookup(norm, deadline)
+        t1 = time.perf_counter()
+        self._last_verify_s = 0.0
+        try:
+            compressed = self._fetch_ladder(norm, deadline, record)
+            # None if a concurrent observed miss finished first
+            verify_s = self._last_verify_s or 0.0
+        finally:
+            self._last_verify_s = None
+        t2 = time.perf_counter()
+        plain = self._decompress(record, compressed)
+        t3 = time.perf_counter()
+        decode_s, plain_bytes, compressed_bytes = (
+            self._codec_metrics.get(record.compressor_id)
+            or self._codec_handles(record.compressor_id)
+        )
+        observe_all(
+            (
+                (self._h_meta, t1 - t0),
+                (self._h_fetch, t2 - t1),
+                (self._h_verify, verify_s),
+                (self._h_decompress, t3 - t2),
+                (decode_s, t3 - t2),
+                (self._h_open, t3 - t0),
+            ),
+            ((plain_bytes, len(plain)), (compressed_bytes, len(compressed))),
+        )
+        return plain
 
     def read_fetched(self, norm: str, record: FileRecord, blob: bytes) -> bytes:
         """:meth:`read_file` for a path whose verified blob
         :meth:`fetch_many` already holds: the decompress runs as the
         cache's in-flight computation of the key, pins nothing, and
         counts as a miss for the ``metrics_every`` decode sampling like
-        any other."""
+        any other (a sampled one feeds the codec's metrics only)."""
         def miss() -> bytes:
             self._obs_tick = tick = self._obs_tick + 1
             every = self.config.metrics_every
-            return self._decompress(
-                record, blob, observed=bool(every and tick % every == 0)
+            if not (every and tick % every == 0):
+                return self._decompress(record, blob)
+            t0 = time.perf_counter()
+            plain = self._decompress(record, blob)
+            t1 = time.perf_counter()
+            decode_s, plain_bytes, compressed_bytes = (
+                self._codec_metrics.get(record.compressor_id)
+                or self._codec_handles(record.compressor_id)
             )
+            observe_all(
+                ((decode_s, t1 - t0),),
+                ((plain_bytes, len(plain)), (compressed_bytes, len(blob))),
+            )
+            return plain
 
         return self.cache.read_once(norm, miss)
 

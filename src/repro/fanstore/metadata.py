@@ -86,7 +86,17 @@ class RereplicationStep:
 
 
 class MetadataTable:
-    """Thread-safe path → record map plus a directory index."""
+    """Thread-safe path → record map plus a directory index.
+
+    Writers take ``_lock``; :meth:`probe` and :meth:`get` read a record
+    without it. That is safe because a record is immutable (a frozen
+    :class:`FileRecord`) and every write installs a whole new one under
+    its key: one dict lookup sees either the value from just before a
+    concurrent write or the one from just after it, exactly as if the
+    lookup had taken the lock just before or just after that write.
+    Each answer is one record from one lookup, so no answer mixes two
+    writes. The same argument covers ``RamBackend.get`` /
+    ``__contains__`` and ``DecompressedCache.__contains__``."""
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
@@ -289,19 +299,20 @@ class MetadataTable:
         """Exact-key lookup, no canonicalisation. Every key is canonical
         by construction (:meth:`insert` normalizes), so a hit *proves*
         ``key`` canonical and is the record :meth:`get` would return;
-        ``None`` proves nothing — normalize, then :meth:`get`."""
-        with self._lock:
-            return self._files.get(key)
+        ``None`` proves nothing — normalize, then :meth:`get`. One
+        lock-free dict lookup (see the class docstring)."""
+        return self._files.get(key)
 
     def get(self, path: str) -> FileRecord:
-        with self._lock:
-            record = self._files.get(path)
+        """The record of ``path`` as given, else of its canonical
+        spelling; lock-free like :meth:`probe`."""
+        record = self._files.get(path)
+        if record is None:
+            norm = normalize(path)
+            record = self._files.get(norm)
             if record is None:
-                norm = normalize(path)
-                record = self._files.get(norm)
-                if record is None:
-                    raise FileNotFoundInStoreError(norm)
-            return record
+                raise FileNotFoundInStoreError(norm)
+        return record
 
     def stat(self, path: str) -> FileStat:
         """``stat()``: file records directly, synthesized for directories."""

@@ -62,15 +62,22 @@ class Replication:
         off the shared FS (at load, and again at a rejoin)."""
         return partition_id % self.daemon.size == rank
 
-    def _restaged_elsewhere(self, rank: int) -> list[FileRecord]:
-        """Records ``rank`` re-stages at a rejoin but is not home for:
-        announced as its replicas by every peer and by ``rank`` itself."""
+    def _staged_by(self, rank: int) -> list[FileRecord]:
+        """Records of the partitions ``rank`` stages by round robin.
+        A broadcast record is on every rank, and an output record is on
+        its writer and hash owner only: its ``partition_id`` of 0 names
+        no partition, so neither counts."""
         return [
             rec for rec in self.daemon.metadata.records()
             if not rec.is_broadcast
-            and rec.home_rank != rank
+            and not rec.stat.is_output
             and self._stages(rank, rec.partition_id)
         ]
+
+    def _restaged_elsewhere(self, rank: int) -> list[FileRecord]:
+        """Records ``rank`` re-stages at a rejoin but is not home for:
+        announced as its replicas by every peer and by ``rank`` itself."""
+        return [rec for rec in self._staged_by(rank) if rec.home_rank != rank]
 
     # -- loading ----------------------------------------------------------
 
@@ -327,10 +334,7 @@ class Replication:
         heartbeat while it waits, so it gets half of ``suspect_after``:
         a silent joiner is refused before a peer could suspect us."""
         daemon = self.daemon
-        candidates = [
-            rec for rec in daemon.metadata.records()
-            if not rec.is_broadcast and self._stages(joiner, rec.partition_id)
-        ]
+        candidates = self._staged_by(joiner)
         if not candidates:
             return True
         record = min(candidates, key=lambda r: r.path)

@@ -2,7 +2,7 @@
 
 Design constraints, in order:
 
-1. **Hot-path cost.** A cached FanStore read is ~20 µs end to end, so
+1. **Hot-path cost.** A local 1.2 KB FanStore read is ~6 µs end to end, so
    the instrumentation the daemon leaves permanently on (counter
    arithmetic) must cost nothing beyond what the pre-existing
    ``DaemonStats`` bag already paid. The registry therefore supports
@@ -236,6 +236,27 @@ class Histogram:
             "min": None if self.count == 0 else self.min,
             "max": None if self.count == 0 else self.max,
         }
+
+
+def observe_all(
+    observations: Iterable[tuple[Histogram, float]],
+    increments: Iterable[tuple[Counter, int | float]] = (),
+) -> None:
+    """``histogram.observe(value)`` for each pair of ``observations``
+    and ``counter.inc(amount)`` for each pair of ``increments``, in one
+    Python frame instead of one per metric. For a sampled read, which
+    feeds six histograms and two counters per observation; the result
+    is the same as the separate calls (``tests/obs/test_metrics.py``)."""
+    for h, value in observations:
+        h.buckets[bisect_left(h.edges, value)] += 1
+        h.count += 1
+        h.sum += value
+        if value < h.min:
+            h.min = value
+        if value > h.max:
+            h.max = value
+    for counter, amount in increments:
+        counter.value += amount
 
 
 Metric = Counter | BoundCounter | Gauge | BoundGauge | Histogram

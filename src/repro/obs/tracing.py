@@ -20,7 +20,7 @@ This module makes that journey reconstructable:
   :func:`format_trace` rebuild and render the tree from the files of
   all ranks (what the chaos trace drill asserts on).
 
-Sampling: creating spans on a ~20 µs hot read would dominate it, so by
+Sampling: creating spans on a ~6 µs local read would dominate it, so by
 default (``sample=0.0``) the tracer only creates spans when an active
 parent exists — i.e. when someone upstream *decided* to trace (a
 sampled root, a user-opened root span, or a remote context arriving in

@@ -67,7 +67,7 @@ def profile_compressor(
 def profile_from_metrics(registry, name: str) -> DecompressionProfile | None:
     """Rebuild a :class:`DecompressionProfile` from the live
     ``codec.<name>.*`` metrics the daemon's observed reads accumulate
-    (:meth:`FanStoreDaemon._decompress` with ``observed=True``) — the
+    (:meth:`FanStoreDaemon._observed_miss_bytes`) — the
     production-traffic counterpart of :func:`profile_compressor`, no
     offline sampling pass needed. Returns None when the codec has no
     observations yet.

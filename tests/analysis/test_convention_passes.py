@@ -325,3 +325,19 @@ def test_self_gate_sees_a_raw_write_in_the_real_disk_backend(tmp_path):
     assert len(report.unwaived) == 1, report.summary()
     assert report.unwaived[0].path.endswith("backend.py")
     assert report.unwaived[0].message.startswith(".write_bytes")
+
+
+def test_self_gate_sees_a_non_os_raise_in_the_real_client(tmp_path):
+    """Mutation check on the shipped tree: ``FanStoreClient.close``
+    raising a bare ``FanStoreError`` (no errno, no filename) for an
+    unknown descriptor instead of ``BadFileDescriptorError`` must be
+    exactly one error-conventions finding, in the client."""
+    report = lint_mutant(
+        tmp_path, "fanstore/client.py",
+        'raise BadFileDescriptorError(f"close of unknown fd {fd}")',
+        'raise FanStoreError(f"close of unknown fd {fd}")',
+        "error-conventions",
+    )
+    assert len(report.unwaived) == 1, report.summary()
+    assert report.unwaived[0].path.endswith("client.py")
+    assert report.unwaived[0].message.startswith("raises FanStoreError")

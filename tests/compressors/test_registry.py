@@ -90,3 +90,17 @@ def test_names_exclude_raw(registry):
 def test_iteration_order_is_id_order(registry):
     ids = [c.compressor_id for c in registry]
     assert ids == sorted(ids)
+
+
+def test_a_filterless_pipeline_decodes_through_its_codec(registry):
+    """Without filters a compressor's ``decompress`` is its codec's own
+    bound method (no forwarding frame on the read path); with filters
+    it is the pipeline's, which runs the chain backward."""
+    plain = registry.get("zlib-1")
+    assert not plain.filters
+    assert plain.decompress == plain.codec.decompress
+    filtered = next(c for c in registry if c.filters)
+    assert filtered.decompress.__func__ is type(filtered).decompress
+    data = bytes(range(256)) * 8
+    for compressor in (plain, filtered):
+        assert compressor.decompress(compressor.compress(data)) == data

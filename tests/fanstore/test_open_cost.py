@@ -10,10 +10,16 @@ Python-call budget. The parent of the PR that added this file executed
 
 A whole-file read (``read_file``) is cheaper than a descriptor's open,
 read and close: it never makes the entry resident, so it probes the
-table once, installs and evicts nothing, and takes fewer locks — 15
-Python calls (18 before ``has_digest``, the registry's ``get`` and the
-cache-miss lambda left the path) and 4 lock acquisitions where the
-open/close pair it replaced took 25 and 7.
+table once, installs and evicts nothing, and takes fewer locks — 11
+Python calls and 2 lock acquisitions, the cache's two sections (15 and
+4 while the writer guard's frame ran with nothing open for writing, a
+flight ran a Python ``__init__``, a local record went through the
+ladder's frame, the pipeline forwarded to its codec, and the metadata
+probe and the RAM backend each took a lock; 18 before ``has_digest``,
+the registry's ``get`` and the cache-miss lambda left the path) where
+the open/close pair it replaced took 25 and 7. A sampled miss
+(``metrics_every``) adds 3 calls and 6 clock reads to that, and one
+observation per histogram.
 
 The batched remote read (``read_files``) is pinned the same way at the
 end of the file: messages, fetches, misses, digest passes and ``Event``
@@ -43,6 +49,7 @@ import pytest
 import repro.comm.communicator as communicator_module
 import repro.fanstore.daemon as daemon_module
 from repro.comm.launcher import run_parallel
+from repro.compressors import get_compressor
 from repro.fanstore.client import O_CREAT, O_WRONLY
 from repro.datasets.synthetic import generate_dataset
 from repro.fanstore.daemon import DaemonConfig
@@ -84,16 +91,19 @@ def _ours(code) -> bool:
     return "/repro/" in filename and "/repro/analysis/" not in filename
 
 
-def _cost_vector(operation, paths) -> Counter:
+def _cost_vector(fs, operation, paths) -> Counter:
     """Per-call-site counts over ``operation(path)`` for every path.
 
     Only frames :func:`_ours` count. ``lookups_in_miss`` are metadata
     lookups between entering the cache (``get_or_compute`` /
     ``read_once``) and reaching ``backend.get``: there the record must
     already be in hand. ``installs`` and
-    ``evictions`` are entries made and freed resident.
+    ``evictions`` are entries made and freed resident. ``flights`` are
+    the in-flight computations ``fs``'s cache led (a flight runs no
+    Python ``__init__``, so it is counted by the cache's own counter).
     """
     counts: Counter = Counter()
+    leaders = fs.daemon.cache.stats.singleflight_leaders
     in_miss = False
     entries = {
         "DecompressedCache.get_or_compute", "DecompressedCache.read_once",
@@ -113,8 +123,6 @@ def _cost_vector(operation, paths) -> Counter:
         elif name.startswith("MetadataTable."):
             counts["lookups"] += 1
             counts["lookups_in_miss"] += in_miss
-        elif name == "_Flight.__init__":
-            counts["flights"] += 1
         elif name == "FanStoreDaemon._skip_reason":
             counts["gate_calls"] += 1
         elif name == "DecompressedCache._install":
@@ -133,7 +141,8 @@ def _cost_vector(operation, paths) -> Counter:
             operation(path)
     finally:
         sys.setprofile(None)
-    return counts
+    counts["flights"] = fs.daemon.cache.stats.singleflight_leaders - leaders
+    return +counts  # zero counts dropped
 
 
 class _CountingLock:
@@ -195,7 +204,7 @@ def test_read_file_cost_vector(store):
     client, paths = store.client, _paths(store)
     for path in paths:  # warm pass: lazy set-up is not the read's cost
         client.read_file(path)
-    counts = _cost_vector(client.read_file, paths)
+    counts = _cost_vector(store, client.read_file, paths)
     n = len(paths)
     assert counts["backend_gets"] == n  # every read was a real miss
     assert counts["normalize"] <= 1 * n
@@ -205,31 +214,32 @@ def test_read_file_cost_vector(store):
     # never resident: nothing installed, so nothing to evict
     assert counts["installs"] == counts["evictions"] == 0
     assert counts["gate_calls"] == 0  # "may I ask rank r?" is a remote question
-    assert counts["python_calls"] <= 15 * n
+    assert counts["python_calls"] == 11 * n
     # exact: the same reads execute the same calls
-    assert _cost_vector(client.read_file, paths) == counts
+    assert _cost_vector(store, client.read_file, paths) == counts
 
 
 def test_read_file_lock_acquisitions_and_digest_passes(packed, monkeypatch):
-    """Four locks per read: the metadata table's (the probe), the
-    cache's twice (miss + register the flight; retire it) and the RAM
-    backend's. The client's writer guard takes its lock only while
-    something is open for writing — then it is five, and the guard
-    still runs. One digest pass per read, as ever. (A store of its own:
-    the write below adds a file to the table.)"""
+    """Two locks per read: the cache's twice (miss + register the
+    flight; retire it). The metadata probe and the RAM backend read an
+    immutable record lock-free (they took one each: four). The
+    client's writer guard runs, and takes its lock, only while
+    something is open for writing — then it is three. One digest pass
+    per read, as ever. (A store of its own: the write below adds a file
+    to the table.)"""
     with FanStore(packed, LOCAL_OPTIONS) as fs:
         client, paths = fs.client, _paths(fs)
         n = len(paths)
         for path in paths:
             client.read_file(path)
-        assert _lock_acquisitions(fs, client.read_file, paths) == 4 * n
+        assert _lock_acquisitions(fs, client.read_file, paths) == 2 * n
         digests = _Tally(monkeypatch, daemon_module, "blob_crc32")
         for path in paths:
             client.read_file(path)
         assert len(digests) == n
         fd = client.open("out/being-written", O_WRONLY | O_CREAT)
         try:
-            assert _lock_acquisitions(fs, client.read_file, paths) == 5 * n
+            assert _lock_acquisitions(fs, client.read_file, paths) == 3 * n
         finally:
             client.close(fd)
 
@@ -259,11 +269,15 @@ def test_a_local_read_hashes_on_every_read(packed, monkeypatch):
 
 
 def test_descriptor_path_cost_vector(store):
-    """``open``/``read``/``close`` executes what it executed when
-    whole-file reads stopped making entries resident, less three
-    frames that only forwarded: ``has_digest``, the registry's ``get``
-    and the cache-miss lambda (26 calls, was 29). Its one lock fewer
-    (9, was 10) is the writer guard's."""
+    """``open``/``read``/``close``: 22 calls and 6 locks. It was 29 and
+    10 when whole-file reads stopped making entries resident, 26 and 9
+    once three frames that only forwarded left (``has_digest``, the
+    registry's ``get``, the cache-miss lambda) and the writer guard
+    stopped locking while nothing is open for writing. Four more frames
+    left with the lone local read's (the writer guard, the flight's
+    ``__init__``, the ladder, the pipeline's ``decompress``), and three
+    locks with the lock-free metadata probes (open and close) and RAM
+    backend read."""
     client, paths = store.client, _paths(store)
 
     def open_read_close(path: str) -> None:
@@ -273,16 +287,103 @@ def test_descriptor_path_cost_vector(store):
 
     for path in paths:
         open_read_close(path)
-    counts = _cost_vector(open_read_close, paths)
+    counts = _cost_vector(store, open_read_close, paths)
     n = len(paths)
     # one record resolution per open (the other probe is close's
     # canonicality proof), none of them inside the miss; one entry
     # installed pinned at the open and evicted at the close
     assert counts == Counter(
-        python_calls=26 * n, lookups=2 * n, flights=n, installs=n,
+        python_calls=22 * n, lookups=2 * n, flights=n, installs=n,
         evictions=n, backend_gets=n,
     )
-    assert _lock_acquisitions(store, open_read_close, paths) == 9 * n
+    assert _lock_acquisitions(store, open_read_close, paths) == 6 * n
+
+
+#: what a sampled miss feeds: these five histograms, and the codec's
+#: ``decode_seconds`` histogram and two byte counters
+PHASE_HISTOGRAMS = (
+    "daemon.phase.metadata_seconds", "daemon.phase.fetch_seconds",
+    "daemon.phase.verify_seconds", "daemon.phase.decompress_seconds",
+    "daemon.open_seconds",
+)
+
+
+def test_a_sampled_miss_costs_what_it_measures(packed, store, monkeypatch):
+    """``metrics_every=1``: every local read is a sampled miss. Over the
+    unsampled read it executes exactly 3 more Python calls (the sampled
+    miss's frame, the ladder's, one :func:`observe_all` for all eight
+    metrics) and 6 clock reads (one at each of the 4 phase boundaries,
+    plus the verify pair; the decode's pair also times the codec), and
+    it observes each of the six histograms once and both byte counters
+    by the read's sizes. No trace can exist, so no span is asked for.
+    It was 12 more calls (the sampled miss's frame, ``maybe_root``, a
+    null span's enter and exit, six ``observe`` and two ``inc``; the
+    ladder's frame was on the unsampled read too) and 9 clock reads."""
+    bare_client, paths = store.client, _paths(store)
+    n = len(paths)
+    for path in paths:
+        bare_client.read_file(path)
+    bare = _cost_vector(store, bare_client.read_file, paths)
+    options = FanStoreOptions(config=DaemonConfig(metrics_every=1))
+    with FanStore(packed, options) as fs:
+        client, metrics = fs.client, fs.metrics
+        records = list(fs.daemon.metadata.walk_files())
+        (codec,) = {
+            fs.daemon.registry.get(r.compressor_id).name for r in records
+        }
+        histograms = (*PHASE_HISTOGRAMS, f"codec.{codec}.decode_seconds")
+        byte_counters = {
+            f"codec.{codec}.decode_bytes":
+                sum(r.stat.st_size for r in records),
+            f"codec.{codec}.decode_compressed_bytes":
+                sum(r.compressed_size for r in records),
+        }
+        for path in paths:  # warm: the codec's metrics are made once
+            client.read_file(path)
+        sampled = _cost_vector(fs, client.read_file, paths)
+        before = {name: metrics.get(name).count for name in histograms}
+        before.update(
+            (name, metrics.get(name).value) for name in byte_counters
+        )
+        clocks = _Tally(monkeypatch, time, "perf_counter")
+        for path in paths:
+            client.read_file(path)
+        monkeypatch.undo()
+        assert sampled - bare == Counter(python_calls=3 * n)
+        assert bare - sampled == Counter()
+        assert len(clocks) == 6 * n
+        assert {
+            name: metrics.get(name).count - before[name] for name in histograms
+        } == dict.fromkeys(histograms, n)
+        assert {
+            name: metrics.get(name).value - before[name]
+            for name in byte_counters
+        } == byte_counters
+
+
+def test_a_wrapped_compressor_sees_every_decode(store):
+    """The traced benchmark books decode time by wrapping the
+    compressor's ``decompress`` attribute (on the frozen instance). A
+    filterless pipeline's is its codec's own method, so the read path
+    decodes without a forwarding frame and the wrapper still sees
+    every decode."""
+    client, paths = store.client, _paths(store)
+    (cid,) = {r.compressor_id for r in store.daemon.metadata.walk_files()}
+    compressor = get_compressor(cid)
+    decode = compressor.decompress
+    decodes: list[None] = []
+
+    def counted(*args):
+        decodes.append(None)
+        return decode(*args)
+
+    object.__setattr__(compressor, "decompress", counted)
+    try:
+        for path in paths:
+            client.read_file(path)
+    finally:
+        object.__setattr__(compressor, "decompress", decode)
+    assert len(decodes) == len(paths)
 
 
 # -- bytes allocated per decode ------------------------------------------------
@@ -379,8 +480,8 @@ def test_read_files_on_one_rank_is_the_read_file_loop(store):
     list comprehension that is the loop."""
     client, paths = store.client, _paths(store)[:BATCH]
     client.read_files(paths)  # warm
-    looped = _cost_vector(client.read_file, paths)
-    batched = _cost_vector(client.read_files, [paths])
+    looped = _cost_vector(store, client.read_file, paths)
+    batched = _cost_vector(store, client.read_files, [paths])
     assert batched - looped == Counter(python_calls=3)
     assert looped - batched == Counter()
 
@@ -426,10 +527,13 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
     were 16), one digest pass per blob on a warm home (the requester's
     ``_blob_ok``; the home hashed each resident object at its first
     serve, and hashing it again at every serve made 32), no ``Event``,
-    and at most 18 Python calls under
-    ``src/repro`` per file on the requesting thread (25 while each file
-    was pinned; a lone ``read_file`` of a remote path: 31, was 58, then
-    50, then 44 — its exact vector is the next test's)."""
+    and exactly 200 Python calls under ``src/repro`` per batch on the
+    requesting thread, on the next test's constructed interleaving (248
+    with the writer guard's frame, ``_Flight.__init__`` and
+    ``Compressor.decompress`` per file; raced, it was bounded by 18 per
+    file, 25 while each file was pinned). A lone ``read_file`` of a
+    remote path: 28, was 58, then 50, 44 and 31 — its full vector is the
+    next test's."""
     stores: dict[int, FanStore] = {}
     config = DaemonConfig(metrics_every=0)
 
@@ -450,15 +554,17 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         ][:BATCH]
         assert len(paths) == BATCH
         client.read_files(paths)  # warm: lazy set-up is not the read's cost
-        # the lone reads on the next test's constructed interleaving: a
-        # raced reply that beats (or misses) its receiver moves the count
+        # the lone reads and the batch on the next test's constructed
+        # interleaving: a raced reply that beats (or misses) its
+        # receiver would move the call counts
         read_settled = _settled(client.read_file, peer)
+        batch_settled = _settled(client.read_files, peer)
         _to_a_parked_receiver(monkeypatch, fs.daemon.comm)
         _to_a_parked_receiver(monkeypatch, peer.daemon.comm)
         for path in paths:
             read_settled(path)
-        alone = _cost_vector(read_settled, paths)
-        monkeypatch.undo()
+        alone = _cost_vector(fs, read_settled, paths)
+        first = _cost_vector(fs, batch_settled, [paths])
 
         sends = _Tally(monkeypatch, fs.daemon.comm, "send")
         recvs = _Tally(monkeypatch, fs.daemon.comm, "recv")
@@ -467,7 +573,7 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         events = _Tally(monkeypatch, threading, "Event")
         before, peer_before = fs.metrics.snapshot(), peer.metrics.snapshot()
         cache_before = vars(fs.daemon.cache.stats).copy()
-        counts = _cost_vector(client.read_files, [paths])
+        counts = _cost_vector(fs, batch_settled, [paths])
         after, peer_after = fs.metrics.snapshot(), peer.metrics.snapshot()
         monkeypatch.undo()
 
@@ -500,11 +606,10 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         assert counts["normalize"] == 0
         # the gate is asked once per decision: per envelope, per lone read
         assert (counts["gate_calls"], alone["gate_calls"]) == (1, BATCH)
-        # bounds, not equalities: in the raced batch a reply that beats
-        # its receiver to the mailbox saves the parking calls (the
-        # counts above cannot move); the lone reads keep their bound
-        assert counts["python_calls"] <= 18 * BATCH
-        assert alone["python_calls"] <= 31 * BATCH
+        # exact, as the interleaving is constructed
+        assert counts == first
+        assert counts["python_calls"] == 200
+        assert alone["python_calls"] == 28 * BATCH
 
     run_parallel(body, 2, timeout=120)
 
@@ -633,16 +738,20 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
       the request, the reading thread for the reply. (The lock token
       they replaced was released with the GIL held: the woken thread
       could not run, slept again, and a read cost 6 context switches.)
-    - 13 lock acquisitions on the requesting rank, both ranks' mailbox
+    - 11 lock acquisitions on the requesting rank, both ranks' mailbox
       mutexes included: 5 of them (send and receive on this side;
       receive, drain and reply at the home), the batcher's twice (take
       and pass the baton), the health tracker's once (the observed
       latency; the gate reads a CLOSED breaker without it), the cache's
-      twice, the metadata table's, the RAM backend's (the replica
-      check) and the reply-tag counter's. It was 15 while finding the
-      batcher took a lock every time, then 14 while the gate did.
-    - 31 Python calls under ``src/repro`` on the reading thread: one
-      frame per hop, none that only forwards its arguments. It was 49
+      twice and the reply-tag counter's. It was 15 while finding the
+      batcher took a lock every time, 14 while the gate did, then 13
+      while the metadata probe and the RAM backend's replica check each
+      took a lock.
+    - 28 Python calls under ``src/repro`` on the reading thread: one
+      frame per hop, none that only forwards its arguments. It was 31
+      with the writer guard's frame (called while nothing was open for
+      writing), ``_Flight.__init__`` and the pipeline's forwarding
+      ``Compressor.decompress``; before that 49
       while the exchange entered a null span and asked it for a
       context, then 44 with the home tier's own frame, the breaker's
       three-call gate, the batcher and reply-tag helpers, the request
@@ -683,7 +792,7 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
         for path in paths:  # warm: a thread's first park makes its line
             read_settled(path)
         writes = _Tally(monkeypatch, communicator_module._WakeLine, "wake")
-        counts = _cost_vector(read_settled, paths)
+        counts = _cost_vector(fs, read_settled, paths)
         measured["writes"] = len(writes)
         measured["locks"] = _lock_acquisitions(
             fs, read_settled, paths,
@@ -692,7 +801,7 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
         )
         measured["calls"] = counts["python_calls"]
         measured["calls_again"] = _cost_vector(
-            read_settled, paths
+            fs, read_settled, paths
         )["python_calls"]
         measured["home_calls"] = _service_thread_calls(
             monkeypatch, peer, read_settled, paths
@@ -702,9 +811,9 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
     run_parallel(body, 2, timeout=120)
     assert measured == {
         "writes": 2 * BATCH,
-        "locks": 13 * BATCH,
-        "calls": 31 * BATCH,
-        "calls_again": 31 * BATCH,
+        "locks": 11 * BATCH,
+        "calls": 28 * BATCH,
+        "calls_again": 28 * BATCH,
         "home_calls": 24 * BATCH,
     }
 

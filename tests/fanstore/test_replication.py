@@ -16,7 +16,7 @@ from repro.fanstore.backend import DiskBackend
 from repro.fanstore.crash import DiskFaultInjector
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.journal import Journal, JournalConfig, JournalStats
-from repro.fanstore.layout import FileStat
+from repro.fanstore.layout import FLAG_OUTPUT, FileStat
 from repro.fanstore.membership import (
     ClusterView,
     FailureDetector,
@@ -35,6 +35,20 @@ def _record(path: str, home: int, partition: int, size: int = 100):
         compressed_size=size,
         home_rank=home,
         partition_id=partition,
+    )
+
+
+def _output(path: str, home: int):
+    """A runtime output record as the write path makes it: flagged
+    ``FLAG_OUTPUT``, ``partition_id=0`` (it belongs to no partition)."""
+    stat = FileStat(st_size=100, flags=FLAG_OUTPUT)
+    return FileRecord(
+        path=path,
+        stat=stat.with_locality(home),
+        compressor_id=0,
+        compressed_size=100,
+        home_rank=home,
+        partition_id=0,
     )
 
 
@@ -207,3 +221,39 @@ def test_a_silent_joiner_is_refused_within_the_gate_budget():
     assert time.monotonic() - started < 10.0 / 2
     assert len(budgets) == 1 and budgets[0] is not None
     assert budgets[0] <= mcfg.suspect_after
+
+
+class TestOutputsAreNoPartitionsCopy:
+    """An output's ``partition_id`` of 0 names no partition: the rank
+    that stages partition 0 holds no copy of an output homed elsewhere,
+    so it is neither announced as its replica nor asked for it."""
+
+    def _daemon(self) -> FanStoreDaemon:
+        daemon = FanStoreDaemon(World(2).comm(1))
+        daemon.metadata.insert(_output("out/ckpt", home=1))
+        return daemon
+
+    def test_a_readmitted_rank_is_no_replica_of_an_output(self):
+        daemon = self._daemon()
+        # re-homed here while rank 0 was away: rank 0 re-stages it
+        daemon.metadata.insert(_record("train/r", home=1, partition=0))
+        daemon.replication.on_rank_alive(0)
+        assert daemon.metadata.replica_ranks("train/r") == (0,)
+        assert daemon.metadata.replica_ranks("out/ckpt") == ()
+
+    def test_the_promotion_gate_reads_a_partition_record(self, monkeypatch):
+        """The gate fetches the first record of the joiner's partition;
+        an output sorting first would be asked of a joiner that never
+        held it, and a healthy joiner refused."""
+        daemon = self._daemon()
+        daemon.metadata.insert(_record("train/x", home=0, partition=0))
+        daemon._membership = FailureDetector(daemon.comm, MembershipConfig())
+        asked = []
+
+        def _peer_fetch(path, record, peer, **kw):
+            asked.append((path, peer))
+            return b"x" * 100
+
+        monkeypatch.setattr(daemon, "_peer_fetch", _peer_fetch)
+        assert daemon.replication.verification_read(0) is True
+        assert asked == [("train/x", 0)]

@@ -18,6 +18,7 @@ from repro.obs import (
     load_snapshots,
     merge_snapshots,
 )
+from repro.obs.metrics import observe_all
 
 
 class TestHistogramBuckets:
@@ -67,6 +68,23 @@ class TestHistogramBuckets:
             Histogram("t", edges=(2.0, 1.0))
         with pytest.raises(ObservabilityError):
             Histogram("t", edges=(1.0, 1.0, 2.0))
+
+
+def test_observe_all_is_observe_and_inc_in_one_frame():
+    """One ``observe_all`` leaves every histogram and counter exactly as
+    the separate ``observe`` / ``inc`` calls do: buckets (the overflow
+    one included), count, sum, min and max."""
+    values = [0.0, 3e-6, 2.0, 1e9, 5e-4, 2.0]
+    fused = [Histogram(f"h{i}") for i in range(len(values))]
+    apart = [Histogram(f"h{i}") for i in range(len(values))]
+    counters = [Counter("fused"), Counter("apart")]
+    for _ in range(2):
+        observe_all(zip(fused, values), [(counters[0], 7)])
+        for h, value in zip(apart, values):
+            h.observe(value)
+        counters[1].inc(7)
+    assert [h.to_dict() for h in fused] == [h.to_dict() for h in apart]
+    assert counters[0].value == counters[1].value == 14
 
 
 class TestHistogramQuantiles:
