@@ -27,8 +27,14 @@ calls down). A *request helper* is a method that sends ``(param, ...)``
 on a tag, where ``param`` is one of its own parameters, or that
 forwards such a parameter as the kind to another request helper —
 calls to it with a literal in that parameter's position emit the
-literal as a kind. An *envelope* is a call to a constructor named
-``Request``.
+literal as a kind. A helper may also take its kinds as a list of item
+tuples, kind first (``ask(dest, [(kind, subject, deadline)])``): it
+sends or forwards a name unpacked from an element of that parameter
+(``kind, subject, deadline = items[0]``), and a call to it emits every
+literal kind of a list display or comprehension of tuples in that
+position; a method that passes its own parameter as an item's kind to
+such a helper is a helper too. An *envelope* is a call to a
+constructor named ``Request``.
 
 Dispatchers, helpers and emitted kinds are collected project-wide: a
 kind emitted in one file through a helper in another meets the
@@ -89,29 +95,49 @@ def _send_parts(call: ast.Call) -> tuple[ast.expr, str] | None:
     return call.args[0], tag
 
 
+#: a request helper: (tag, position of its kind parameter, whether that
+#: parameter is a list of item tuples rather than the kind itself)
+_Helper = tuple[str, int, bool]
+
+
+def _item_kinds(arg: ast.expr) -> list[ast.expr]:
+    """The kind expressions of a list of item tuples, kind first: a
+    list or tuple display of tuples, or a comprehension of one."""
+    if isinstance(arg, (ast.ListComp, ast.GeneratorExp)):
+        elts = [arg.elt]
+    elif isinstance(arg, (ast.List, ast.Tuple)):
+        elts = arg.elts
+    else:
+        return []
+    return [e.elts[0] for e in elts if isinstance(e, ast.Tuple) and e.elts]
+
+
 def _emitted(
-    call: ast.Call, helpers: dict[str, tuple[str, int]]
-) -> tuple[str, str] | None:
-    """``(tag, kind)`` when ``call`` emits a literal kind: a direct
+    call: ast.Call, helpers: dict[str, _Helper]
+) -> list[tuple[str, str]]:
+    """``(tag, kind)`` for every literal kind ``call`` emits: a direct
     ``send(("kind", ...), dest, TAG_*)``, or a call to a request helper
-    with a string literal in the helper's kind position."""
+    with a string literal in the helper's kind position (in an item
+    tuple there, for a helper that takes items)."""
     parts = _send_parts(call)
     if parts is not None:
         payload, tag = parts
         if not (isinstance(payload, ast.Tuple) and payload.elts):
-            return None
-        kind = payload.elts[0]
+            return []
+        kinds = [payload.elts[0]]
     else:
         fn = call.func
         if not (isinstance(fn, ast.Attribute) and fn.attr in helpers):
-            return None
-        tag, pos = helpers[fn.attr]
+            return []
+        tag, pos, items = helpers[fn.attr]
         if len(call.args) <= pos:
-            return None
-        kind = call.args[pos]
-    if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
-        return tag, kind.value
-    return None
+            return []
+        arg = call.args[pos]
+        kinds = _item_kinds(arg) if items else [arg]
+    return [
+        (tag, kind.value) for kind in kinds
+        if isinstance(kind, ast.Constant) and isinstance(kind.value, str)
+    ]
 
 
 class _MethodInfo:
@@ -127,6 +153,31 @@ class _MethodInfo:
             n for n in ast.walk(node)
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
         ]
+        #: names unpacked first from an element of a parameter
+        #: (``kind, subject, deadline = items[0]``) -> that parameter
+        self.item_names = {
+            n.targets[0].elts[0].id: n.value.value.id
+            for n in ast.walk(node)
+            if isinstance(n, ast.Assign)
+            and isinstance(n.targets[0], ast.Tuple)
+            and n.targets[0].elts
+            and isinstance(n.targets[0].elts[0], ast.Name)
+            and isinstance(n.value, ast.Subscript)
+            and isinstance(n.value.value, ast.Name)
+            and n.value.value.id in self.params
+        }
+
+    def kind_source(self, kind: ast.expr) -> tuple[int, bool] | None:
+        """Where a kind this method sends or forwards comes from: (the
+        position of its own parameter, whether that parameter holds
+        item tuples), or None when it is none of its parameters."""
+        if not isinstance(kind, ast.Name):
+            return None
+        if kind.id in self.params:
+            return self.params.index(kind.id), False
+        if kind.id in self.item_names:
+            return self.params.index(self.item_names[kind.id]), True
+        return None
 
 
 def _methods(src: SourceFile) -> list[_MethodInfo]:
@@ -154,25 +205,20 @@ class ProtocolConformancePass(LintPass):
                     dispatchers.setdefault(tag, m)
 
         # kind-forwarding request helpers, method name -> (tag, position
-        # of the kind parameter): a method that sends (own param, ...) on
-        # a tag, or — to a fixpoint — passes an own param as the kind of
-        # a call to a known helper
-        helpers: dict[str, tuple[str, int]] = {}
+        # of the kind parameter, whether it holds item tuples): a method
+        # that sends (own kind, ...) on a tag, or — to a fixpoint —
+        # passes an own kind to a known helper
+        helpers: dict[str, _Helper] = {}
         for m in methods:
             for node in m.calls:
                 parts = _send_parts(node)
                 if parts is None:
                     continue
                 payload, tag = parts
-                if (
-                    isinstance(payload, ast.Tuple)
-                    and payload.elts
-                    and isinstance(payload.elts[0], ast.Name)
-                    and payload.elts[0].id in m.params
-                ):
-                    helpers.setdefault(
-                        m.node.name, (tag, m.params.index(payload.elts[0].id))
-                    )
+                if isinstance(payload, ast.Tuple) and payload.elts:
+                    source = m.kind_source(payload.elts[0])
+                    if source is not None:
+                        helpers.setdefault(m.node.name, (tag, *source))
         grew = True
         while grew:
             grew = False
@@ -180,16 +226,18 @@ class ProtocolConformancePass(LintPass):
                 if m.node.name in helpers:
                     continue
                 for node in m.calls:
-                    tag, pos = helpers.get(node.func.attr, (None, 0))
-                    if (
-                        tag is not None
-                        and len(node.args) > pos
-                        and isinstance(node.args[pos], ast.Name)
-                        and node.args[pos].id in m.params
-                    ):
-                        helpers[m.node.name] = (
-                            tag, m.params.index(node.args[pos].id)
-                        )
+                    tag, pos, items = helpers.get(
+                        node.func.attr, (None, 0, False)
+                    )
+                    if tag is None or len(node.args) <= pos:
+                        continue
+                    arg = node.args[pos]
+                    kinds = _item_kinds(arg) if items else [arg]
+                    source = next(
+                        filter(None, map(m.kind_source, kinds)), None
+                    )
+                    if source is not None:
+                        helpers[m.node.name] = (tag, *source)
                         grew = True
                         break
 
@@ -199,9 +247,7 @@ class ProtocolConformancePass(LintPass):
             for node in ast.walk(src.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                hit = _emitted(node, helpers)
-                if hit is not None:
-                    tag, kind = hit
+                for tag, kind in _emitted(node, helpers):
                     emitted.setdefault(tag, []).append(
                         (kind, src, node.lineno)
                     )

@@ -371,7 +371,7 @@ class FanStoreClient:
     def read_files(self, paths: Sequence[str]) -> list[bytes]:
         """``[read_file(p) for p in paths]`` — same bytes, same order,
         same errors — with the batch's remote files fetched in one
-        exchange per home rank (:meth:`FanStoreDaemon.fetch_many`;
+        envelope per home rank (:meth:`FanStoreDaemon.fetch_many`;
         ``docs/daemon-pipeline.md`` §3 lists what is never batched). A
         fetched blob is decompressed as the cache's in-flight miss of
         its key and never pinned (:meth:`FanStoreDaemon.read_fetched`);
@@ -379,7 +379,7 @@ class FanStoreClient:
         :meth:`read_file`."""
         daemon = self.daemon
         fetched = daemon.fetch_many(paths)
-        if not fetched:  # one rank, nothing remote, hedged, traced, ...
+        if not fetched:  # one rank, nothing remote, nothing settled
             return [self.read_file(path) for path in paths]
         out = []
         for path in paths:

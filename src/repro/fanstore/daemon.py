@@ -181,9 +181,10 @@ class DaemonConfig:
     #: work the requester has already abandoned.
     request_deadline: float | None = None
     #: hedged reads: after the home rank has been silent for the 95th
-    #: percentile of its recent latencies (``hedge_after_s`` until
-    #: enough samples exist), fire the same fetch at the best
-    #: replica and take the first verified reply. Off by default — the
+    #: percentile of its recent per-item latencies, per item asked
+    #: (``hedge_after_s`` until samples exist), send the same fetches —
+    #: a lone read or a loader batch's envelope — to a replica and take
+    #: the first verified reply per item. Off by default — the
     #: healthy-cluster overhead is near zero, but hedging is a policy
     #: the operator should opt into.
     hedge_reads: bool = False
@@ -255,6 +256,7 @@ class FanStoreDaemon:
         # compressor id → its three codec.<name>.decode_* handles
         self._codec_metrics: dict[int, tuple] = {}
         self._h_write = self.metrics.histogram("daemon.write_seconds")
+        self._m_batch_fallbacks = self.metrics.counter("daemon.batch.fallbacks")
         self._trace_opens = self.config.trace_sample > 0.0
         # the prepared dataset staged here, for degraded shared-FS re-reads
         self._prepared: PreparedDataset | None = None
@@ -441,19 +443,15 @@ class FanStoreDaemon:
     ) -> dict[str, tuple[FileRecord, bytes]]:
         """The caller-supplied batching feeder: ``paths`` grouped by
         home rank, one ``batch`` envelope per :data:`BATCH_MAX` of a
-        healthy peer's paths, every returned blob digest-checked
-        against the record probed here. Returns ``{path: (record,
-        verified blob)}`` for what the envelopes settled — possibly
-        nothing. Everything else is the caller's to read one file at a
-        time through :meth:`open_file` and its full ladder; which paths
-        are never batched, and why a doubtful item is simply left out,
-        is stated once in ``docs/daemon-pipeline.md`` §3."""
-        if (
-            self.comm is None
-            or self.config.hedge_reads
-            or self._trace_opens
-            or self.tracer.n_active
-        ):
+        healthy peer's paths — hedged at a replica with ``hedge_reads``
+        on, and sampled as one ``client.read_files`` trace — every
+        returned blob digest-checked against the record probed here.
+        Returns ``{path: (record, verified blob)}`` for what the
+        envelopes settled — possibly nothing. Everything else is the
+        caller's to read one file at a time through :meth:`open_file`
+        and its full ladder; why a doubtful item is simply left out is
+        stated once in ``docs/daemon-pipeline.md`` §3."""
+        if self.comm is None:
             return {}
         by_home: dict[int, dict[str, FileRecord]] = {}
         for path in paths:
@@ -465,36 +463,55 @@ class FanStoreDaemon:
                 and path not in self.cache
             ):
                 by_home.setdefault(record.home_rank, {})[path] = record
+        if not by_home:
+            return {}
+        if self._trace_opens or self.tracer.n_active:
+            with self.tracer.maybe_root("client.read_files"):
+                return self._fetch_envelopes(by_home)
+        return self._fetch_envelopes(by_home)
+
+    def _fetch_envelopes(
+        self, by_home: dict[int, dict[str, FileRecord]]
+    ) -> dict[str, tuple[FileRecord, bytes]]:
+        """:meth:`fetch_many`'s envelopes, one home at a time."""
         fetched: dict[str, tuple[FileRecord, bytes]] = {}
-        for home, records in by_home.items():
-            wanted = list(records.items())
-            for start in range(0, len(wanted), BATCH_MAX):
-                group = wanted[start : start + BATCH_MAX]
+        cfg = self.config
+        for home, wanted in by_home.items():
+            paths, records = list(wanted), list(wanted.values())
+            for start in range(0, len(paths), BATCH_MAX):
+                group = paths[start : start + BATCH_MAX]
                 if (
                     len(group) < 2  # a classic request with extra framing
                     or self._skip_reason(home)
                 ):
                     break
-                deadline = self._budget()
-                replies = self.exchange.ask_many(
-                    home, [("fetch", path, deadline) for path, _ in group]
+                recs = records[start : start + BATCH_MAX]
+                deadline = None  # _budget() inlined, as in _fetch_ladder
+                if cfg.request_deadline is not None:
+                    deadline = Deadline.after(cfg.request_deadline)
+                replies = self.exchange.ask(
+                    home, [("fetch", path, deadline) for path in group],
+                    records=recs, hedge=(
+                        partial(self._hedge_target, group[0], recs[0])
+                        if cfg.hedge_reads else None
+                    ),
                 )
                 unsettled = len(group)
-                for (path, record), (status, blob) in zip(
-                    group, replies or ()
-                ):
+                for path, record, reply in zip(group, recs, replies):
                     if (
-                        status == Reply.OK
-                        and isinstance(blob, (bytes, bytearray, memoryview))
-                        and self._blob_ok(record, blob)
+                        reply is not None
+                        and reply[0] == Reply.OK
+                        and isinstance(reply[1], (bytes, bytearray, memoryview))
+                        and self._blob_ok(record, reply[1])
                     ):
+                        blob = reply[1]
                         self.stats.remote_fetches += 1
                         self.stats.remote_bytes += len(blob)
                         fetched[path] = (record, blob)
                         unsettled -= 1
                 if unsettled:
-                    self.exchange.count_fallbacks(unsettled)
-                if replies is None:
+                    self._m_batch_fallbacks.inc(unsettled)
+                if replies.count(None) == len(group):
                     # a lost envelope: the rest of this home's paths go
                     # through the ladder one by one, like its own
                     break
@@ -636,18 +653,14 @@ class FanStoreDaemon:
         else:
             try:
                 # a plain retried request (batched when the destination
-                # is busy), or — with ``hedge_reads`` on and a replica
-                # to hedge at — a hedged one, never batched: a hedge is
-                # a latency bet, and parking it behind a flush would
-                # forfeit it
-                replicas = (
-                    self._replica_order(norm, record)
-                    if self.config.hedge_reads else None
-                )
-                if replicas:
-                    status, data = self.exchange.ask_hedged(
-                        norm, record, replicas[0], deadline
-                    )
+                # is busy), or with ``hedge_reads`` on a hedged one,
+                # never batched: a hedge is a latency bet, and parking
+                # it behind a flush would forfeit it
+                if self.config.hedge_reads:
+                    status, data = self.exchange.ask(
+                        home, [("fetch", norm, deadline)], records=(record,),
+                        hedge=partial(self._hedge_target, norm, record),
+                    )[0]
                 else:
                     status, data = self.exchange.ask_batched(
                         "fetch", norm, home, deadline=deadline
@@ -763,6 +776,20 @@ class FanStoreDaemon:
             ),
         )
 
+    def _hedge_target(self, norm: str, record: FileRecord) -> int | None:
+        """Where a hedge of ``norm`` goes, decided when it fires: the
+        lowest announced replica the gate lets through. Replicas are
+        put to the gate one at a time and only until one says yes, so
+        a half-open breaker's probe is counted only for the rank that
+        is then asked. None: nobody to hedge at."""
+        for replica in sorted(self.metadata.replica_ranks(norm)):
+            if (
+                replica not in (self.rank, record.home_rank)
+                and self._skip_reason(replica) is None
+            ):
+                return replica
+        return None
+
     def _peer_fetch(
         self,
         norm: str,
@@ -791,8 +818,8 @@ class FanStoreDaemon:
         """
         try:
             status, data = self.exchange.ask(
-                "fetch", norm, peer, attempts=attempts, deadline=deadline
-            )
+                peer, [("fetch", norm, deadline)], attempts=attempts
+            )[0]
         except RetryExhaustedError:
             if attempts is None:
                 self.health.force_open(peer)
@@ -1096,7 +1123,7 @@ class FanStoreDaemon:
                 # retried like any request/reply site; RetryExhaustedError
                 # propagates — the caller must know the path is not yet
                 # globally discoverable (bytes are safe on this rank).
-                self.exchange.ask("write_meta", record, owner)
+                self.exchange.ask(owner, [("write_meta", record, None)])
         self._h_write.observe(time.perf_counter() - t0)
 
     def stat_any(self, path: str) -> FileRecord | None:

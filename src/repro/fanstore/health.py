@@ -212,8 +212,8 @@ class HealthTracker:
     # -- signal sinks ------------------------------------------------------
 
     def observe(self, peer: int, seconds: float) -> None:
-        """A completed exchange took ``seconds``: feeds the quantile
-        window and counts as a success (slow strikes come from
+        """A completed exchange took ``seconds`` per item it carried:
+        feeds the quantile window and counts as a success (slow strikes come from
         :meth:`note_slow`, when a hedge fires). A success never opens a
         breaker, so there is no transition to report."""
         with self._lock:

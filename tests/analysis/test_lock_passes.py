@@ -258,12 +258,12 @@ class TestBlockingUnderLock:
 
 def test_self_gate_sees_a_sleep_under_the_real_reply_lock(tmp_path):
     """Mutation check on the shipped tree: a ``time.sleep`` inside
-    ``_next_reply_tag``'s reply-lock region must be exactly one
-    finding."""
-    site = "with self._reply_lock:\n"
+    the attempt loop's reply-tag draw (``PeerExchange.ask``'s
+    reply-lock region) must be exactly one finding."""
+    site = "            with self._reply_lock:\n"
     report = lint_mutant(
         tmp_path, "fanstore/exchange.py", site,
-        site + "            time.sleep(0)\n", "blocking-under-lock",
+        site + "                time.sleep(0)\n", "blocking-under-lock",
     )
     assert len(report.unwaived) == 1, report.summary()
     assert report.unwaived[0].path.endswith("exchange.py")

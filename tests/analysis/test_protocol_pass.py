@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from tests.analysis.conftest import lint_mutant, rules_of
 
 CONFORMING = textwrap.dedent(
@@ -343,3 +345,63 @@ class TestProjectWide:
         assert findings[0].path.endswith("reader.py")
         assert "'evict'" in findings[0].message
         assert "Daemon._serve" in findings[0].message
+
+
+ITEM_ASKER = textwrap.dedent(
+    """
+    from fanstore.server import TAG_DAEMON
+
+    class Asker:
+        def _send_recv(self, kind, body, dest):
+            self.comm.send((kind, body), dest, TAG_DAEMON)
+            return self.comm.recv(dest, 7, timeout=self.timeout)
+
+        def ask(self, dest, items):
+            kind, subject, deadline = items[0]
+            return [self._send_recv(kind, subject, dest)]
+
+        def ask_alone(self, kind, subject, dest):
+            return self.ask(dest, [(kind, subject, None)])[0]
+    """
+)
+
+ITEM_CALLER = textwrap.dedent(
+    """
+    class Reader:
+        def read(self, path):
+            return self.asker.ask(1, [("fetch", path, None)])
+
+        def read_all(self, paths):
+            return self.asker.ask(1, [("stat", p, None) for p in paths])
+
+        def read_one(self, path):
+            return self.asker.ask_alone("fetch", path, 1)
+    """
+)
+
+
+class TestKindsInItemLists:
+    """A helper that takes its kinds as item tuples, kind first — the
+    exchange's one attempt loop — is followed like one that takes the
+    kind itself: through a list display, a comprehension, and a method
+    that forwards its own kind as an item's."""
+
+    def _lint(self, lint_tree, caller: str):
+        return rules_of(lint_tree({
+            "fanstore/server.py": SERVER,
+            "fanstore/asker.py": ITEM_ASKER,
+            "fanstore/reader.py": caller,
+        }), "protocol-conformance")
+
+    def test_kinds_the_dispatcher_handles_are_clean(self, lint_tree):
+        assert self._lint(lint_tree, ITEM_CALLER) == []
+
+    @pytest.mark.parametrize("site", [
+        '[("fetch", path, None)]', '[("stat", p, None)', '("fetch", path, 1)',
+    ])
+    def test_each_item_site_sees_an_unhandled_kind(self, lint_tree, site):
+        mutant = site.replace('"fetch"', '"evict"').replace('"stat"', '"evict"')
+        findings = self._lint(lint_tree, ITEM_CALLER.replace(site, mutant))
+        assert len(findings) == 1, findings
+        assert findings[0].path.endswith("reader.py")
+        assert "'evict'" in findings[0].message

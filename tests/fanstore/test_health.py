@@ -617,7 +617,7 @@ class TestOverloadReplies:
                 return _serve_until_done(comm, reply=(Reply.OVERLOAD, 0.01))
             daemon = FanStoreDaemon(comm, config=DaemonConfig(**FAST))
             with pytest.raises(ServerOverloadedError) as ei:
-                daemon.exchange.ask("fetch", "some/path", 1)
+                daemon.exchange.ask(1, [("fetch", "some/path", None)])
             comm.send(("done", None), 1, TAG_DAEMON)
             exc = ei.value
             return (
@@ -641,7 +641,7 @@ class TestOverloadReplies:
             cfg = DaemonConfig(**{**FAST, "max_retries": 2})
             daemon = FanStoreDaemon(comm, config=cfg)
             with pytest.raises(ServerOverloadedError):
-                daemon.exchange.ask("fetch", "p", 1)
+                daemon.exchange.ask(1, [("fetch", "p", None)])
             comm.send(("done", None), 1, TAG_DAEMON)
             return daemon.health.state(1), daemon.stats.breaker_opens
 
@@ -660,7 +660,9 @@ class TestRequestNeedsAnAttempt:
         world = World(2)
         daemon = FanStoreDaemon(world.comm(0), config=DaemonConfig(**FAST))
         with pytest.raises(InvalidArgumentError) as ei:
-            daemon.exchange.ask("fetch", "some/path", 1, attempts=attempts)
+            daemon.exchange.ask(
+                1, [("fetch", "some/path", None)], attempts=attempts
+            )
         assert "at least one attempt" in ei.value.args[0]
         assert ei.value.errno == errno.EINVAL
         assert ei.value.filename == "some/path"
@@ -677,9 +679,7 @@ class TestDeadlineBudgetedRetries:
             daemon = FanStoreDaemon(comm, config=cfg)
             t0 = time.perf_counter()
             with pytest.raises(DeadlineExpiredError) as ei:
-                daemon.exchange.ask(
-                    "fetch", "p", 1, deadline=Deadline.after(0.4)
-                )
+                daemon.exchange.ask(1, [("fetch", "p", Deadline.after(0.4))])
             elapsed = time.perf_counter() - t0
             comm.send(("done", None), 1, TAG_DAEMON)
             return ei.value.errno, elapsed, daemon.stats.deadline_aborts
@@ -852,7 +852,7 @@ class TestTheBackOffIsFixed:
             fence=lambda: None, verify=lambda record, data: True,
         )
         with pytest.raises((RetryExhaustedError, ServerOverloadedError)):
-            exchange.ask("fetch", "p", 1, attempts=7)
+            exchange.ask(1, [("fetch", "p", None)], attempts=7)
         return pauses
 
     def test_attempts_one_to_six(self, monkeypatch):
@@ -866,3 +866,38 @@ class TestTheBackOffIsFixed:
 
     def test_an_overload_retry_after_is_the_floor(self, monkeypatch):
         assert self._pauses(monkeypatch, (Reply.OVERLOAD, 0.2)) == [0.2] * 6
+
+
+class TestTheHedgeDelayScalesWithTheItemsAsked:
+    """An envelope of ``n`` items is judged against ``n`` lone items:
+    the health window holds per-item latencies (an envelope's reply
+    feeds it its latency over its item count), and the hedge delay is
+    ``n`` times their p95, floored at 1 ms an item, capped at
+    ``request_timeout``; ``hedge_after_s`` covers the whole request
+    before any sample."""
+
+    def _exchange(self, samples: list[float]) -> PeerExchange:
+        health = HealthTracker(0)
+        for seconds in samples:
+            health.observe(1, seconds)
+        return PeerExchange(
+            _Silent(None), DaemonConfig(hedge_after_s=0.05, request_timeout=1.0),
+            DaemonStats(), health, Tracer(rank=0), MetricsRegistry(rank=0),
+            fence=lambda: None, verify=lambda record, data: True,
+        )
+
+    def test_before_any_sample_the_whole_request_gets_hedge_after_s(self):
+        exchange = self._exchange([])
+        assert exchange._hedge_delay(1, 1) == pytest.approx(0.05)
+        assert exchange._hedge_delay(1, 16) == pytest.approx(0.05)
+
+    def test_n_items_wait_n_times_the_per_item_p95(self):
+        exchange = self._exchange([0.002] * 20)
+        assert exchange._hedge_delay(1, 1) == pytest.approx(0.002)
+        assert exchange._hedge_delay(1, 16) == pytest.approx(0.032)
+
+    def test_the_floor_is_per_item_and_the_cap_is_the_timeout(self):
+        assert self._exchange([1e-5] * 20)._hedge_delay(1, 16) == (
+            pytest.approx(0.016)
+        )
+        assert self._exchange([0.1] * 20)._hedge_delay(1, 16) == 1.0

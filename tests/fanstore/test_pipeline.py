@@ -563,7 +563,7 @@ class TestBatchedRequests:
                 comm.barrier(timeout=30)
                 daemon.stop()
                 return daemon.metrics.get("daemon.batch.served").value
-            batcher = daemon.exchange._batcher(1)
+            batcher = daemon.exchange._batchers[1]
             with batcher.lock:
                 batcher.busy = True  # hold the baton: callers must park
             jobs = {p: ("fetch", p) for p in PAYLOADS}
@@ -599,7 +599,7 @@ class TestBatchedRequests:
                 comm.barrier(timeout=30)
                 daemon.stop()
                 return None
-            batcher = daemon.exchange._batcher(1)
+            batcher = daemon.exchange._batchers[1]
             with batcher.lock:
                 batcher.busy = True
             jobs = {
@@ -629,7 +629,7 @@ class TestBatchedRequests:
                 comm.barrier(timeout=30)
                 return None
             daemon = FanStoreDaemon(comm, config=DaemonConfig(**CALM))
-            batcher = daemon.exchange._batcher(1)
+            batcher = daemon.exchange._batchers[1]
             with batcher.lock:
                 batcher.busy = True  # baton never returns in time
             caught: list[Exception] = []

@@ -13,12 +13,14 @@ import random
 
 import pytest
 
+from repro.comm.communicator import ANY_SOURCE
 from repro.comm.launcher import run_parallel
 from repro.datasets.synthetic import generate_dataset
 from repro.errors import CommError, FileNotFoundInStoreError, RankDeadError
 from repro.fanstore.client import FanStoreClient
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
-from repro.fanstore.exchange import BATCH_MAX
+from repro.fanstore.exchange import BATCH_MAX, REPLY_TAG_BASE, TAG_DAEMON
+from repro.fanstore.health import BreakerState
 from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.metadata import FileRecord
 from repro.fanstore.prepare import prepare_dataset
@@ -170,20 +172,26 @@ ROTTEN = bytes([_good(ODD)[0] ^ 0x01]) + _good(ODD)[1:]  # one flipped bit
 class ScriptedPeers:
     """A communicator whose peers are scripts. A ``fetch`` of ``path``
     from ``rank`` is answered with ``classic[rank, path]`` (default: the
-    good bytes; ``None``: silence). A ``batch`` envelope to ``rank`` is
+    good bytes; ``None``: silence). A ``batch`` envelope to HOME is
     answered item by item from ``items`` (default: the good bytes),
-    unless ``envelope`` says it is lost or what garbage comes back."""
+    unless ``envelope`` says it is lost, late (past any wait on HOME
+    alone, but there for a receive from any rank) or what garbage comes
+    back; one to REPLICA (a hedge) item by item from ``replica_items``.
+    A reply is queued per (rank, reply tag); a receive from any rank
+    takes the latest one queued that is not silence — a hedge outruns
+    the home it hedged."""
 
     rank, size = ME, 3
 
     def __init__(self, *, envelope="served", items=None, classic=None,
-                 dead=False) -> None:
+                 replica_items=None, dead=False) -> None:
         self.envelope = envelope
         self.items = items or {}
         self.classic = classic or {}
+        self.replica_items = replica_items or {}
         self.dead = dead
         self.sent: list[tuple[str, int]] = []
-        self._pending: dict[int, object] = {}
+        self._pending: dict[tuple[int, int], object] = {}
 
     def send(self, payload, dest, tag) -> None:
         if self.dead:
@@ -194,26 +202,48 @@ class ScriptedPeers:
         if kind == "fetch":
             path = request.subject
             reply = self.classic.get((dest, path), (Reply.OK, _good(path)))
-        elif self.envelope == "served":
-            assert all(k == "fetch" for k, _subject, _expiry in request.batch)
-            reply = encode_batch_reply([
-                Reply(*self.items.get(path, (Reply.OK, _good(path))))
-                for _kind, path, _expiry in request.batch
-            ])
-        else:
+        elif dest == HOME and self.envelope not in ("served", "late"):
             reply = {
                 "lost": None,
                 "not-a-batch-reply": (Reply.OVERLOAD, 0.0),
                 "short": encode_batch_reply([Reply(Reply.OK, _good(ODD))]),
                 "bad-status": ("__batch_reply__", (("nonsense", None),) * 4),
             }[self.envelope]
-        self._pending[request.reply_tag] = reply
+        else:
+            assert all(k == "fetch" for k, _subject, _expiry in request.batch)
+            script = self.items if dest == HOME else self.replica_items
+            reply = encode_batch_reply([
+                Reply(*script.get(path, (Reply.OK, _good(path))))
+                for _kind, path, _expiry in request.batch
+            ])
+            if dest == HOME and self.envelope == "late":
+                reply = _Late(reply)
+        self._pending[dest, request.reply_tag] = reply
 
     def recv(self, source, tag, timeout=None):
-        reply = self._pending.pop(tag)
+        reply = self._pending.pop((source, tag))
+        if isinstance(reply, _Late):
+            self._pending[source, tag] = reply.reply  # there for later
+            reply = None
         if reply is None:
             raise CommError(f"recv from rank {source} timed out")
         return reply
+
+    def recv_with_status(self, source, tag, timeout=None):
+        assert source == ANY_SOURCE
+        for rank, reply_tag in reversed(list(self._pending)):
+            if reply_tag == tag:
+                reply = self._pending.pop((rank, tag))
+                if reply is not None:
+                    return reply, rank, tag
+        raise CommError(f"recv on tag {tag:#x} timed out")
+
+
+class _Late:
+    """A reply that misses any wait on its rank alone."""
+
+    def __init__(self, reply) -> None:
+        self.reply = reply
 
 
 def _client(peers: ScriptedPeers, **config) -> FanStoreClient:
@@ -242,8 +272,11 @@ def _vector(client: FanStoreClient, peers: ScriptedPeers) -> dict:
     sent = peers.sent
     return {
         "envelopes": sent.count(("batch", HOME)),
+        "hedge_envelopes": sent.count(("batch", REPLICA)),
         "asked_home": sent.count(("fetch", HOME)),
         "asked_replica": sent.count(("fetch", REPLICA)),
+        "hedged": stats.hedged_reads,
+        "hedge_wins": stats.hedge_wins,
         "remote_fetches": stats.remote_fetches,
         "failovers": stats.failovers,
         "retries": stats.retries,
@@ -258,8 +291,8 @@ def _expect(**moved) -> dict:
     """The counter vector of a clean batched read of PATHS, with what a
     case moves."""
     clean = {
-        "envelopes": 1, "asked_home": 0, "asked_replica": 0,
-        "remote_fetches": 4, "failovers": 0, "retries": 0,
+        "envelopes": 1, "hedge_envelopes": 0, "asked_home": 0,
+        "asked_replica": 0, "hedged": 0, "hedge_wins": 0, "remote_fetches": 4, "failovers": 0, "retries": 0,
         "flushes": 1, "items": 4, "fallbacks": 0, "corruption_detected": 0,
     }
     assert set(moved) <= set(clean)
@@ -332,10 +365,30 @@ CASES = {
         {}, {}, lambda d: d.health.force_open(HOME), None,
         _expect(**{**UNBATCHED, "asked_home": 0}, asked_replica=4,
                 failovers=4)),
-    "hedge-reads": ({}, dict(hedge_reads=True), None, None,
-                    _expect(**UNBATCHED)),
-    "trace-sampling": ({}, dict(trace_sample=1.0), None, None,
-                       _expect(**UNBATCHED)),
+    # a healthy home answers inside its hedge delay: no hedge fires
+    "hedge-reads": ({}, dict(hedge_reads=True), None, None, _expect()),
+    "trace-sampling": ({}, dict(trace_sample=1.0), None, None, _expect()),
+    "hedge-wins": (
+        # the home's envelope is silent past its hedge delay: the same
+        # items go to the replica on the same reply tag, and its one
+        # envelope settles all four
+        dict(envelope="lost"), dict(hedge_reads=True), None, None,
+        _expect(hedge_envelopes=1, hedged=1, hedge_wins=1)),
+    "hedge-races-a-late-home": (
+        # the home answers after its hedge delay, behind the replica,
+        # whose copy of ODD fails its digest: the replica settles three
+        # items, the late home the fourth, and nothing falls back
+        dict(envelope="late", replica_items={ODD: (Reply.OK, ROTTEN)}),
+        dict(hedge_reads=True), None, None,
+        _expect(hedge_envelopes=1, hedged=1, hedge_wins=1, flushes=2,
+                items=8)),
+    "hedge-leg-bit-flipped": (
+        # the replica's copy of ODD fails its digest, so it settles
+        # nothing: only ODD is read alone, from the home
+        dict(envelope="lost", replica_items={ODD: (Reply.OK, ROTTEN)}),
+        dict(hedge_reads=True), None, None,
+        _expect(hedge_envelopes=1, hedged=1, hedge_wins=1,
+                **ONE_FELL_BACK)),
     "rank-dead": (
         dict(dead=True), {}, None, RankDeadError,
         _expect(envelopes=0, remote_fetches=0, flushes=0, items=0)),
@@ -387,3 +440,121 @@ def test_a_repeated_path_is_fetched_once():
     # one envelope of two items, then the repeat as an ordinary read
     assert peers.sent == [("batch", HOME), ("fetch", HOME)]
     assert _vector(client, peers)["items"] == 2
+
+
+def _half_open(daemon: FanStoreDaemon, rank: int) -> None:
+    daemon.health.force_open(rank)
+    daemon.health.half_open(rank)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["read_file", "read_files"])
+def test_a_hedge_that_never_fires_probes_nobody(batched):
+    """A half-open breaker counts a probe only for a request that goes
+    out. With the home healthy no hedge fires, so hedging or not, the
+    half-open replica is neither asked nor counted as probed, and it
+    stays half-open (a hedged read used to pick and gate its replica
+    before asking the home: one phantom probe per read)."""
+    for hedging in (False, True):
+        peers = ScriptedPeers()
+        client = _client(peers, hedge_reads=hedging)
+        daemon = client.daemon
+        _half_open(daemon, REPLICA)
+        if batched:
+            assert client.read_files(PATHS) == [_good(p) for p in PATHS]
+        else:
+            assert [client.read_file(p) for p in PATHS] == [
+                _good(p) for p in PATHS
+            ]
+        assert daemon.stats.breaker_probes == 0
+        assert all(dest == HOME for _kind, dest in peers.sent)
+        assert daemon.health.state(REPLICA) is BreakerState.HALF_OPEN
+
+
+def test_a_hedge_that_fires_probes_the_replica_it_asks():
+    """The hedge target is put to the gate when the hedge fires: a
+    half-open replica is then probed once, by the envelope that goes to
+    it, and closes when that envelope settles every item."""
+    peers = ScriptedPeers(envelope="lost")
+    client = _client(peers, hedge_reads=True)
+    _half_open(client.daemon, REPLICA)
+    assert client.read_files(PATHS) == [_good(p) for p in PATHS]
+    assert peers.sent == [("batch", HOME), ("batch", REPLICA)]
+    assert client.daemon.stats.breaker_probes == 1
+    assert client.daemon.health.state(REPLICA) is BreakerState.CLOSED
+    # the replica's one reply fed the window its latency per item
+    assert len(client.daemon.health._samples[REPLICA]) == 1
+
+
+# -- tracing moves no message ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def two_homes(tmp_path_factory):
+    """Small ``memcpy`` files in two partitions: each rank homes more
+    than ``BATCH_MAX`` of them."""
+    root = tmp_path_factory.mktemp("traced-batch")
+    generate_dataset(
+        "tokamak", root / "raw", num_files=48, avg_file_size=1500,
+        num_dirs=2, seed=8,
+    )
+    return prepare_dataset(
+        root / "raw", root / "packed", num_partitions=2, compressor="memcpy"
+    )
+
+
+def _batch_read_traffic(prepared, sample: float) -> tuple[dict, dict]:
+    """One 16-path ``read_files`` on rank 0 of paths homed on rank 1, at
+    trace sampling ``sample``: the daemon messages each rank sent during
+    it (a request by its kind, a reply as ``"reply"``), and each rank's
+    finished spans."""
+    config = DaemonConfig(trace_sample=sample, metrics_every=0)
+    sent: dict[int, list] = {0: [], 1: []}
+    spans: dict[int, list] = {}
+
+    def body(comm):
+        with FanStore(prepared, FanStoreOptions(comm=comm, config=config)) as fs:
+            send = comm.send
+
+            def recorded(payload, dest, tag=0):
+                if tag == TAG_DAEMON:
+                    sent[comm.rank].append((payload[0], dest))
+                elif tag >= REPLY_TAG_BASE:
+                    sent[comm.rank].append(("reply", dest))
+                send(payload, dest, tag)
+
+            comm.send = recorded
+            comm.barrier()  # both ranks record before the read
+            if comm.rank == 0:
+                paths = [
+                    r.path for r in fs.daemon.metadata.walk_files()
+                    if r.home_rank == 1
+                ][:BATCH_MAX]
+                assert len(paths) == BATCH_MAX
+                fs.client.read_files(paths)
+            comm.barrier()  # the home answered before anyone stops
+            comm.send = send
+        # the stores are shut: every serving thread closed its span
+        spans[comm.rank] = fs.tracer.finished()
+
+    run_parallel(body, 2, timeout=120)
+    return sent, spans
+
+
+def test_tracing_moves_no_message(two_homes):
+    """A remote ``read_files`` of 16 paths sends the same messages on
+    each rank whether every read is traced or none is: one envelope and
+    its one reply. Traced, the envelope is one ``rpc.batch`` span in the
+    batch's ``client.read_files`` trace, joined by the home's
+    ``daemon.serve.batch`` (a traced batch used to be 16 lone reads)."""
+    untraced, none = _batch_read_traffic(two_homes, 0.0)
+    traced, spans = _batch_read_traffic(two_homes, 1.0)
+    assert untraced == traced == {0: [("batch", 1)], 1: [("reply", 0)]}
+    assert none == {0: [], 1: []}
+
+    (rpc,) = [s for s in spans[0] if s.name.startswith("rpc.")]
+    assert rpc.name == "rpc.batch" and rpc.tags["dest"] == 1
+    (root,) = [s for s in spans[0] if s.span_id == rpc.parent_id]
+    assert root.name == "client.read_files" and root.parent_id is None
+    (served,) = [s for s in spans[1] if s.name.startswith("daemon.serve.")]
+    assert served.name == "daemon.serve.batch"
+    assert (served.trace_id, served.parent_id) == (rpc.trace_id, rpc.span_id)

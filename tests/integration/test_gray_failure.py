@@ -78,11 +78,25 @@ def originals(raw_dataset_dir):
     return expected
 
 
-def _timed_read_all(fs, timings):
+#: a loader batch: the namespace is read this many paths per
+#: ``read_files`` call in the batched runs
+LOADER_BATCH = 16
+
+
+def _timed_read_all(fs, timings, batched=False):
+    """Read the whole namespace, one ``read_file`` at a time or in
+    ``read_files`` batches; each call's time goes to ``timings`` (a
+    batch's time bounds every read in it)."""
+    paths = [rec.path for rec in fs.daemon.metadata.walk_files()]
+    step = LOADER_BATCH if batched else 1
     out = {}
-    for rec in fs.daemon.metadata.walk_files():
+    for start in range(0, len(paths), step):
+        chunk = paths[start : start + step]
         t0 = time.perf_counter()
-        out[rec.path] = fs.client.read_file(rec.path)
+        if batched:
+            out.update(zip(chunk, fs.client.read_files(chunk)))
+        else:
+            out[chunk[0]] = fs.client.read_file(chunk[0])
         timings.append(time.perf_counter() - t0)
     return out
 
@@ -92,6 +106,21 @@ class TestGrayFailureDrill:
     def test_slow_rank_hedged_around_then_recovered(
         self, seed, prepared_dataset, originals
     ):
+        self._slow_rank_drill(seed, prepared_dataset, originals, batched=False)
+
+    @seeds
+    def test_slow_rank_hedged_around_then_recovered_in_loader_batches(
+        self, seed, prepared_dataset, originals
+    ):
+        """The same drill through ``read_files``: the namespace is one
+        batch per rank, so rank 1's reads from the slow rank ride one
+        envelope, hedged at the replica item by item. One slow strike
+        per envelope: phase 1 reads the namespace four times, three
+        strikes to open the breaker and one pass that skips it."""
+        self._slow_rank_drill(seed, prepared_dataset, originals, batched=True)
+
+    def _slow_rank_drill(self, seed, prepared_dataset, originals, *, batched):
+        passes = 4 if batched else 1
         plan = FaultPlan(seed).slow_rank(
             SLOW, SLOW_S, min_tag=REPLY_TAG_BASE
         )
@@ -104,7 +133,8 @@ class TestGrayFailureDrill:
                 comm.barrier()  # everyone loaded and serving
                 timings: list[float] = []
                 # phase 1: SLOW limps; reads stay correct and fast
-                assert _timed_read_all(fs, timings) == originals
+                for _ in range(passes):
+                    assert _timed_read_all(fs, timings, batched) == originals
                 comm.barrier()
                 if comm.rank == 0:
                     plan.heal(SLOW)
@@ -112,7 +142,7 @@ class TestGrayFailureDrill:
                 # phase 2: past the cool-off the breaker half-opens;
                 # the first fetch probes the healed rank and closes it
                 time.sleep(RESET_AFTER + 0.15)
-                assert _timed_read_all(fs, timings) == originals
+                assert _timed_read_all(fs, timings, batched) == originals
                 comm.barrier()
                 s = fs.daemon.stats
                 return {
@@ -125,12 +155,16 @@ class TestGrayFailureDrill:
                     "degraded": s.degraded_reads,
                     "slow_state": fs.daemon.health.state(SLOW).value,
                     "max_read_s": max(timings),
+                    "envelopes": fs.metrics.snapshot().value(
+                        "daemon.batch.flushes"
+                    ),
                 }
 
         results = run_parallel(body, RANKS, world=world, timeout=120)
         assert plan.stats.slowed >= 1  # the gray failure actually fired
 
         r1 = results[1]  # the only rank whose remote reads hit SLOW
+        assert (r1["envelopes"] > 0) == batched  # the path under test
         assert r1["hedged"] >= 1 and r1["wins"] >= 1
         assert r1["opens"] >= 1  # slow strikes opened the breaker
         assert r1["skips"] >= 1  # at least one fetch skipped SLOW outright
@@ -152,6 +186,17 @@ class TestGrayFailureDrill:
 
     @seeds
     def test_unhedged_control_run_is_clean(self, seed, prepared_dataset):
+        self._control_run(seed, prepared_dataset, batched=False)
+
+    @seeds
+    def test_unhedged_control_run_is_clean_in_loader_batches(
+        self, seed, prepared_dataset
+    ):
+        """The control through ``read_files``: a healthy envelope is
+        answered inside its hedge delay too."""
+        self._control_run(seed, prepared_dataset, batched=True)
+
+    def _control_run(self, seed, prepared_dataset, *, batched):
         """Without chaos, the gray-failure config changes nothing: no
         hedges fire (the home answers well inside the hedge delay), no
         breaker moves, no deadline trips.
@@ -173,8 +218,7 @@ class TestGrayFailureDrill:
                 fs.daemon.health.quantile = (
                     lambda peer, q, default: default
                 )
-                for rec in fs.daemon.metadata.walk_files():
-                    fs.client.read_file(rec.path)
+                _timed_read_all(fs, [], batched)
                 s = fs.daemon.stats
                 return (s.hedged_reads, s.breaker_opens, s.deadline_aborts,
                         s.overload_backoffs)
