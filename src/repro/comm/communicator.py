@@ -436,6 +436,20 @@ class Communicator:
             return None
         return msg.payload, msg.source, msg.tag
 
+    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
+        """True when a matching message is queued for this rank, without
+        receiving it (MPI's ``Iprobe``). It reads the queue without the
+        mailbox mutex, so a message arriving during the call may or may
+        not be seen: a False means only that nothing matched a moment
+        ago, which is all a caller deciding "idle?" needs."""
+        for msg in self.world._mailboxes[self.rank]._messages:
+            if (
+                tag in (ANY_TAG, msg.tag)
+                and source in (ANY_SOURCE, msg.source)
+            ):
+                return True
+        return False
+
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send; completes immediately (eager protocol)."""
         req = Request()

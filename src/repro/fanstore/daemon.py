@@ -24,6 +24,7 @@ is :class:`repro.fanstore.serve.PeerServer`.
 from __future__ import annotations
 
 import time
+import weakref
 import zlib
 from dataclasses import dataclass
 from functools import partial
@@ -49,7 +50,7 @@ from repro.fanstore.exchange import (
     TAG_DAEMON,
     PeerExchange,
 )
-from repro.fanstore.health import HealthTracker
+from repro.fanstore.health import BreakerState, HealthTracker
 from repro.fanstore.journal import Journal, JournalConfig, JournalStats
 from repro.fanstore.layout import FLAG_HAS_DIGEST, blob_crc32
 from repro.fanstore.membership import (
@@ -65,7 +66,7 @@ from repro.fanstore.serve import PeerServer
 # decode_request stays a name of this module: the traced benchmark's
 # ``wire.request_decode`` probe is keyed by it
 from repro.fanstore.wire import Reply, decode_request  # noqa: F401
-from repro.obs.metrics import MetricsRegistry, observe_all
+from repro.obs.metrics import SAMPLES_MAX, MetricsRegistry
 from repro.obs.tracing import Tracer
 
 
@@ -210,6 +211,14 @@ class DaemonConfig:
     epoch_fencing: bool = True
 
 
+def _count_breaker_open(stats: DaemonStats, peer: int) -> None:
+    stats.breaker_opens += 1
+
+
+def _count_breaker_probe(stats: DaemonStats, peer: int) -> None:
+    stats.breaker_probes += 1
+
+
 class FanStoreDaemon:
     """Per-rank object-store service."""
 
@@ -253,8 +262,10 @@ class FanStoreDaemon:
             "daemon.phase.decompress_seconds"
         )
         self._h_open = self.metrics.histogram("daemon.open_seconds")
-        # compressor id → its three codec.<name>.decode_* handles
-        self._codec_metrics: dict[int, tuple] = {}
+        # compressor id → its two fold plans (see _make_fold_plans)
+        self._fold_plans: dict[int, tuple] = {}
+        # sampled reads append their records here (the registry's own)
+        self._samples = self.metrics.samples
         self._h_write = self.metrics.histogram("daemon.write_seconds")
         self._m_batch_fallbacks = self.metrics.counter("daemon.batch.fallbacks")
         self._trace_opens = self.config.trace_sample > 0.0
@@ -269,17 +280,24 @@ class FanStoreDaemon:
             slow_threshold=cfg.breaker_slow_threshold,
             reset_after=cfg.breaker_reset_after,
         )
-        self.health.on_open = self._on_breaker_open
-        self.health.on_probe = self._on_breaker_probe
+        self.health.on_open = partial(_count_breaker_open, self.stats)
+        self.health.on_probe = partial(_count_breaker_probe, self.stats)
+        # The parts below call back into this daemon through a weak
+        # proxy, never a bound method: a part holding the daemon would
+        # close a cycle through it, and a dropped store would then live
+        # until the cyclic GC ran. ``partial(FanStoreDaemon.method,
+        # proxy)`` runs the method's own frame and no other.
+        me = weakref.proxy(self)
         #: the request side: how a peer is asked (see exchange.py)
         self.exchange = PeerExchange(
             comm, cfg, self.stats, self.health, self.tracer, self.metrics,
-            fence=self._fence_token, verify=self._blob_ok,
+            fence=partial(FanStoreDaemon._fence_token, me),
+            verify=partial(FanStoreDaemon._blob_ok, me),
         )
         #: the serve side: how a peer's request is served (see serve.py)
         self.server = PeerServer(
             comm, cfg, self.stats, self.tracer, self.metrics,
-            answer=self._answer,
+            answer=partial(FanStoreDaemon._answer, me),
         )
         # path → (the backend object last hashed clean for a peer, the
         # digest it matched); see _verified_local. Each entry states a
@@ -303,7 +321,7 @@ class FanStoreDaemon:
                 self.metadata.insert(rec)
         #: placement: staging, the ring copy and the membership
         #: reactions (see replication.py)
-        self.replication = Replication(self)
+        self.replication = Replication(me)
 
     # -- membership view and the one gate -------------------------------------
 
@@ -346,12 +364,6 @@ class FanStoreDaemon:
         if not self.health.allow(peer):
             return "breaker"
         return None
-
-    def _on_breaker_open(self, peer: int) -> None:
-        self.stats.breaker_opens += 1
-
-    def _on_breaker_probe(self, peer: int) -> None:
-        self.stats.breaker_probes += 1
 
     # -- durability (write-ahead journal) ------------------------------------
 
@@ -497,13 +509,9 @@ class FanStoreDaemon:
                     ),
                 )
                 unsettled = len(group)
+                # ``ask`` hashed every blob it calls OK against its record
                 for path, record, reply in zip(group, recs, replies):
-                    if (
-                        reply is not None
-                        and reply[0] == Reply.OK
-                        and isinstance(reply[1], (bytes, bytearray, memoryview))
-                        and self._blob_ok(record, reply[1])
-                    ):
+                    if reply is not None and reply[0] == Reply.OK:
                         blob = reply[1]
                         self.stats.remote_fetches += 1
                         self.stats.remote_bytes += len(blob)
@@ -655,8 +663,10 @@ class FanStoreDaemon:
                 # a plain retried request (batched when the destination
                 # is busy), or with ``hedge_reads`` on a hedged one,
                 # never batched: a hedge is a latency bet, and parking
-                # it behind a flush would forfeit it
-                if self.config.hedge_reads:
+                # it behind a flush would forfeit it. A hedged ask
+                # hashes the blob it returns itself (OK: it passed).
+                hedged = self.config.hedge_reads
+                if hedged:
                     status, data = self.exchange.ask(
                         home, [("fetch", norm, deadline)], records=(record,),
                         hedge=partial(self._hedge_target, norm, record),
@@ -672,12 +682,12 @@ class FanStoreDaemon:
                 # overload is pressure, not death: don't poison routing
                 failure = exc
             else:
-                if status != Reply.OK:
+                if status == Reply.MISS:
                     # authoritative not-found from a live home: no failover
                     raise FileNotFoundInStoreError(norm)
                 self.stats.remote_fetches += 1
                 self.stats.remote_bytes += len(data)
-                if self._blob_ok(record, data):
+                if status == Reply.OK if hedged else self._blob_ok(record, data):
                     return data
                 # the home rank served corrupt bytes (and could not
                 # self-heal): same quarantine + walk as a corrupt local
@@ -755,22 +765,22 @@ class FanStoreDaemon:
             return data
 
     def _replica_order(self, norm: str, record: FileRecord) -> list[int]:
-        """Failover order over the announced replicas, each put to the
-        gate once: healthy view-ALIVE ranks first (ascending), then
-        SUSPECT ranks, then open-breaker ranks (slow is still better
-        than nothing — replicas are the fallback tier, so they are
-        deprioritized, not skipped); convicted ranks are skipped
-        outright."""
-        verdicts = {
-            r: self._skip_reason(r)
-            for r in self.metadata.replica_ranks(norm)
-            if r not in (self.rank, record.home_rank)
-        }
-        view = self.current_view()
+        """Failover order over the announced replicas: healthy
+        view-ALIVE ranks first (ascending), then SUSPECT ranks, then
+        open-breaker ranks (slow is still better than nothing — replicas
+        are the fallback tier, so they are deprioritized, not skipped).
+        Ordering reads the breaker states and the view only, which count
+        no probe: each replica is put to the gate by :meth:`_failover`
+        just before it is asked, so a half-open breaker's probe is
+        counted only for a rank that is then asked."""
+        health, view = self.health, self.current_view()
         return sorted(
-            (r for r, why in verdicts.items() if why != "convicted"),
+            (
+                r for r in self.metadata.replica_ranks(norm)
+                if r not in (self.rank, record.home_rank)
+            ),
             key=lambda r: (
-                verdicts[r] is not None,
+                health.state(r) is BreakerState.OPEN,
                 view is not None and view.state(r) == RankState.SUSPECT,
                 r,
             ),
@@ -850,6 +860,11 @@ class FanStoreDaemon:
             for replica in replicas:
                 if deadline is not None and deadline.expired():
                     break
+                # the gate, once, for the rank about to be asked: a
+                # convicted one is skipped outright, an open breaker
+                # only ordered last (its no is not a skip here)
+                if self._skip_reason(replica) == "convicted":
+                    continue
                 # one span per replica attempt: a failed tier shows up
                 # as a sibling in the trace, not a silent gap
                 with self.tracer.span("fetch.replica", rank=replica) as span:
@@ -918,21 +933,44 @@ class FanStoreDaemon:
             )
         return plain
 
-    def _codec_handles(self, compressor_id: int) -> tuple:
-        """Make and keep the ``codec.<name>.decode_seconds`` histogram
-        and the ``decode_bytes`` / ``decode_compressed_bytes`` counters
-        of one compressor, at its first sampled decode (later ones find
-        them in ``_codec_metrics``). A sampled decode feeds them — the
-        online counterpart of the lzbench profiles, enough to rebuild a
-        ratio/cost profile from production traffic
-        (:func:`repro.selection.profiling.profile_from_metrics`)."""
+    def _make_fold_plans(self, compressor_id: int) -> tuple:
+        """Make and keep the two fold plans of one compressor's sampled
+        reads, at its first one (later ones find them in
+        ``_fold_plans``): a sampled miss's record feeds the five
+        phase histograms and the codec's ``codec.<name>.decode_seconds``
+        histogram and ``decode_bytes`` / ``decode_compressed_bytes``
+        counters; a sampled :meth:`read_fetched` feeds the codec's
+        three. The codec's metrics are the online counterpart of the
+        lzbench profiles, enough to rebuild a ratio/cost profile from
+        production traffic
+        (:func:`repro.selection.profiling.profile_from_metrics`). A
+        plan's ``(metric, j, i)`` reads field ``j`` of the record, less
+        field ``i`` (:meth:`MetricsRegistry.fold`)."""
         name = self.registry.get(compressor_id).name
-        handles = self._codec_metrics[compressor_id] = (
-            self.metrics.histogram(f"codec.{name}.decode_seconds"),
-            self.metrics.counter(f"codec.{name}.decode_bytes"),
-            self.metrics.counter(f"codec.{name}.decode_compressed_bytes"),
+        metrics = self.metrics
+        decode_s = metrics.histogram(f"codec.{name}.decode_seconds")
+        plain_bytes = metrics.counter(f"codec.{name}.decode_bytes")
+        compressed_bytes = metrics.counter(
+            f"codec.{name}.decode_compressed_bytes"
         )
-        return handles
+        # a miss's record: t0 t1 t2 t3 verify_s plain compressed
+        miss = (
+            (self._h_meta, 1, 0),
+            (self._h_fetch, 2, 1),
+            (self._h_verify, 4, None),
+            (self._h_decompress, 3, 2),
+            (decode_s, 3, 2),
+            (self._h_open, 3, 0),
+            (plain_bytes, 5, None),
+            (compressed_bytes, 6, None),
+        )
+        # a fetched blob's record: t0 t1 plain compressed
+        fetched = (
+            (decode_s, 1, 0), (plain_bytes, 2, None),
+            (compressed_bytes, 3, None),
+        )
+        plans = self._fold_plans[compressor_id] = (miss, fetched)
+        return plans
 
     def open_file(self, path: str) -> bytes:
         """Figure 2's open(): cache hit or fetch+decompress+insert.
@@ -1017,8 +1055,11 @@ class FanStoreDaemon:
         ``_last_verify_s`` (see :meth:`_blob_ok`), which is a number
         only while this method runs. The decode's clock pair times both
         ``daemon.phase.decompress_seconds`` and the codec's
-        ``decode_seconds``; the six histograms and the codec's two byte
-        counters are fed in one :func:`observe_all`."""
+        ``decode_seconds``. What it took is recorded, not observed: one
+        record of clock values and sizes appended to the registry's
+        samples, which the registry folds into the six histograms and
+        the codec's two byte counters in bulk
+        (:meth:`MetricsRegistry.fold`)."""
         t0 = time.perf_counter()
         deadline = None
         if record is None:
@@ -1035,21 +1076,16 @@ class FanStoreDaemon:
         t2 = time.perf_counter()
         plain = self._decompress(record, compressed)
         t3 = time.perf_counter()
-        decode_s, plain_bytes, compressed_bytes = (
-            self._codec_metrics.get(record.compressor_id)
-            or self._codec_handles(record.compressor_id)
-        )
-        observe_all(
+        samples = self._samples
+        samples.append((
             (
-                (self._h_meta, t1 - t0),
-                (self._h_fetch, t2 - t1),
-                (self._h_verify, verify_s),
-                (self._h_decompress, t3 - t2),
-                (decode_s, t3 - t2),
-                (self._h_open, t3 - t0),
-            ),
-            ((plain_bytes, len(plain)), (compressed_bytes, len(compressed))),
-        )
+                self._fold_plans.get(record.compressor_id)
+                or self._make_fold_plans(record.compressor_id)
+            )[0],
+            t0, t1, t2, t3, verify_s, len(plain), len(compressed),
+        ))
+        if len(samples) >= SAMPLES_MAX:
+            self.metrics.fold()
         return plain
 
     def read_fetched(self, norm: str, record: FileRecord, blob: bytes) -> bytes:
@@ -1057,7 +1093,7 @@ class FanStoreDaemon:
         :meth:`fetch_many` already holds: the decompress runs as the
         cache's in-flight computation of the key, pins nothing, and
         counts as a miss for the ``metrics_every`` decode sampling like
-        any other (a sampled one feeds the codec's metrics only)."""
+        any other (a sampled one records for the codec's metrics only)."""
         def miss() -> bytes:
             self._obs_tick = tick = self._obs_tick + 1
             every = self.config.metrics_every
@@ -1066,14 +1102,16 @@ class FanStoreDaemon:
             t0 = time.perf_counter()
             plain = self._decompress(record, blob)
             t1 = time.perf_counter()
-            decode_s, plain_bytes, compressed_bytes = (
-                self._codec_metrics.get(record.compressor_id)
-                or self._codec_handles(record.compressor_id)
-            )
-            observe_all(
-                ((decode_s, t1 - t0),),
-                ((plain_bytes, len(plain)), (compressed_bytes, len(blob))),
-            )
+            samples = self._samples
+            samples.append((
+                (
+                    self._fold_plans.get(record.compressor_id)
+                    or self._make_fold_plans(record.compressor_id)
+                )[1],
+                t0, t1, len(plain), len(blob),
+            ))
+            if len(samples) >= SAMPLES_MAX:
+                self.metrics.fold()
             return plain
 
         return self.cache.read_once(norm, miss)

@@ -212,10 +212,13 @@ class PeerExchange:
         None). It cuts the first wait on ``dest`` to
         :meth:`_hedge_delay`; past that the items go to the replica on
         the same reply tag, and ``dest`` is noted slow. From then on the
-        first blob to pass the digest check against ``records`` (the
-        items' records, in order) settles its item, and not-found only
-        from ``dest``. Inside a trace each attempt is an
-        ``rpc.<kind>`` span whose context rides in the request."""
+        first blob to pass the digest check settles its item, and
+        not-found only from ``dest``. Given ``records`` (the items'
+        records, in order), every blob returned, raced or not, has
+        passed that check, once, here — a caller hashes none again — and
+        a blob that failed it comes back ``(FAILED, blob)``. Inside a
+        trace each attempt is an ``rpc.<kind>`` span whose context
+        rides in the request."""
         cfg = self.config
         full_budget = attempts is None  # what a failed probe cuts short
         kind, subject, deadline = items[0]
@@ -277,6 +280,7 @@ class PeerExchange:
                 span.__enter__()
                 ctx = span.context().as_wire()
             legs = [dest]  # the ranks that may still answer this attempt
+            raced = False
             probe_failed = False
             t0 = time.perf_counter()
             try:
@@ -305,6 +309,7 @@ class PeerExchange:
                                 batch, expiry,
                             )
                             legs.append(target)
+                            raced = True
                             replies, settled = [None] * n, [False] * n
                     elif source in legs:
                         legs.remove(source)
@@ -362,17 +367,24 @@ class PeerExchange:
                                 self._m_batch_flushes.inc()
                                 self._m_batch_items.inc(n)
                             if replies is None:  # unraced: dest's answers
-                                return got
+                                if not records:
+                                    return got
+                                # checked item by item, as in a race
+                                replies, settled = [None] * n, [False] * n
                             won = 0
                             for i, reply in enumerate(got):
                                 status, value = reply
                                 if settled[i]:
                                     continue
                                 if status == Reply.OK:
-                                    # racing: a blob must verify to win
+                                    # a blob must verify to settle, and is
+                                    # hashed here only: what fails comes
+                                    # back FAILED
                                     ok = isinstance(value, _BLOB) and (
                                         self._verify(records[i], value)
                                     )
+                                    if not ok:
+                                        reply = Reply(Reply.FAILED, value)
                                 else:  # not-found is the home's word alone
                                     ok = status == Reply.MISS and source == dest
                                 if ok:
@@ -380,7 +392,7 @@ class PeerExchange:
                                     won += 1
                                 if ok or source == dest:
                                     replies[i] = reply
-                            if won:
+                            if won and raced:
                                 if source == dest:
                                     self.stats.hedge_losses += 1
                                 else:

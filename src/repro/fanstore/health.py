@@ -215,7 +215,27 @@ class HealthTracker:
         """A completed exchange took ``seconds`` per item it carried:
         feeds the quantile window and counts as a success (slow strikes come from
         :meth:`note_slow`, when a hedge fires). A success never opens a
-        breaker, so there is no transition to report."""
+        breaker, so there is no transition to report.
+
+        A success against a CLOSED breaker with no strikes changes
+        nothing but the window, and takes no lock: ``deque.append`` is
+        atomic, and so is :meth:`quantile`'s copy of the window (one C
+        call). The strikes are read before the state, and a transition
+        writes the state before it clears the strikes, so the reads see
+        no strikes and CLOSED only at a moment when the breaker was
+        clean and CLOSED — this success then ordered just before
+        whatever transition follows, as if taken under the lock."""
+        samples = self._samples.get(peer)
+        br = self._breakers.get(peer)
+        if (
+            samples is not None
+            and br is not None
+            and not br._failures
+            and not br._slow
+            and br._state is BreakerState.CLOSED
+        ):
+            samples.append(seconds)
+            return
         with self._lock:
             samples = self._samples.get(peer)
             if samples is None:

@@ -331,11 +331,12 @@ def partition_payload_bytes(entries: Iterable[PartitionEntry]) -> int:
     return sum([e.compressed_size for e in entries])  # no frame per entry
 
 
-def blob_crc32(data: bytes | bytearray | memoryview) -> int:
-    """The per-record payload digest (crc32 of the compressed bytes).
-    Accepts any bytes-like buffer — zero-copy reads verify straight off
-    a ``memoryview`` slice."""
-    return zlib.crc32(data) & 0xFFFFFFFF
+#: The per-record payload digest: ``blob_crc32(data)``, the unsigned
+#: crc32 of the compressed bytes. It is zlib's own function (Python 3's
+#: is already unsigned), so a digest pass runs no Python frame. Accepts
+#: any bytes-like buffer — zero-copy reads verify straight off a
+#: ``memoryview`` slice.
+blob_crc32 = zlib.crc32
 
 
 def entry_payload_ok(entry: PartitionEntry) -> bool:

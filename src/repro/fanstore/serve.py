@@ -81,6 +81,9 @@ _SHUTDOWN_TIMEOUT = 5.0
 
 _LOG = logging.getLogger(__name__)
 
+#: what :meth:`PeerServer._decode` returns for a ``stop`` request
+_STOP = ("stop", None, None)
+
 
 class AdmissionQueue:
     """The daemon's bounded request queue: FIFO service order,
@@ -176,15 +179,17 @@ class PeerServer:
         self._service_thread = None
 
     def _serve(self) -> None:
-        """The event loop of the pipelined scheduler. The loop itself
-        only *admits* (recv → parse → bounded queue, shedding overflow)
-        and *dispatches*; under load the serving — digest verify,
-        backend reads, codec work — happens on a pool of
+        """The event loop of the pipelined scheduler. A request that
+        finds the daemon idle — nothing in flight, nothing else waiting
+        in the mailbox — is decoded and answered on this thread straight
+        off its receive: there is nothing for admission to rank or shed,
+        and a pool hop buys no overlap (a lone read costs two context
+        switches). Anything else is a backlog, and the loop only
+        *admits* (parse → bounded queue, shedding overflow) and
+        *dispatches*; under load the serving — digest verify, backend
+        reads, codec work — happens on a pool of
         :data:`PIPELINE_WORKERS` threads, bounded by
-        :data:`MAX_INFLIGHT`, so a stalled pool leaves admission live.
-        A request that finds the daemon idle is served on this thread
-        (no pool hop: a lone read costs two context switches), and
-        holds the loop until it is answered."""
+        :data:`MAX_INFLIGHT`, so a stalled pool leaves admission live."""
         comm = self.comm
         assert comm is not None
         queue = AdmissionQueue(self.config.max_queue_depth)
@@ -209,49 +214,62 @@ class PeerServer:
 
         try:
             while True:
-                if not len(queue):
-                    try:
-                        msg = comm.recv_with_status(
-                            ANY_SOURCE, TAG_DAEMON, timeout=None
-                        )
-                    except (CommClosedError, CommError):
-                        return
-                    if self._admit(queue, msg):
-                        return
-                # Drain whatever else already arrived before serving:
-                # admission control can only shed backlog it can see,
-                # and a burst must not be served strictly
-                # one-recv-at-a-time.
-                if drain():
+                try:
+                    msg = comm.recv_with_status(
+                        ANY_SOURCE, TAG_DAEMON, timeout=None
+                    )
+                except (CommClosedError, CommError):
                     return
-                depth = len(queue)
-                self._queue_depth = depth
-                entry = queue.pop()
+                entry = self._decode(msg)
                 if entry is None:
                     continue
-                # Uncontended fast path: nothing in flight and nothing
-                # queued behind this entry means a pool hop buys no
-                # overlap — serve on the loop thread and skip the
-                # submit/wakeup cost. The reads of ``_inflight`` are
-                # racy on purpose — a stale nonzero just takes the pool
-                # path, a concurrent drain-to-zero just serves inline.
-                if self._inflight == 0 and depth == 1:
+                if entry is _STOP:
+                    return
+                # The idle decision, before admission: nothing in flight
+                # and no other request queued means nothing competes
+                # with this one — serve it here, with no queue push/pop
+                # and no drain. Both reads are racy on purpose: a stale
+                # nonzero ``_inflight`` or a request queued a moment
+                # after the probe just goes through the queue (or is
+                # received next), and a pool that just drained to zero
+                # serves inline.
+                if self._inflight == 0 and not comm.iprobe(
+                    ANY_SOURCE, TAG_DAEMON
+                ):
                     if not self._serve_one(entry):
                         return
                     continue
-                # In-flight bound: while the pool is saturated, keep
-                # draining + shedding the mailbox instead of blocking —
-                # a stalled pool must not take admission control down
-                # with it.
-                while not slots.acquire(timeout=0.02):
-                    if stop.is_set() or drain():
-                        return
-                if stop.is_set():
-                    slots.release()
+                if self._enqueue(queue, entry):
                     return
-                self._m_dispatched.inc()
-                self._inflight += 1
-                pool.submit(self._serve_async, entry, slots, stop)
+                # A backlog: drain whatever else already arrived before
+                # serving — admission control can only shed backlog it
+                # can see, and a burst must not be served strictly
+                # one-recv-at-a-time — until the queue is empty again.
+                while len(queue):
+                    if drain():
+                        return
+                    depth = len(queue)
+                    self._queue_depth = depth
+                    entry = queue.pop()
+                    # the last entry with nothing in flight: serve it on
+                    # the loop thread (racy read, as above)
+                    if self._inflight == 0 and depth == 1:
+                        if not self._serve_one(entry):
+                            return
+                        continue
+                    # In-flight bound: while the pool is saturated, keep
+                    # draining + shedding the mailbox instead of blocking
+                    # — a stalled pool must not take admission control
+                    # down with it.
+                    while not slots.acquire(timeout=0.02):
+                        if stop.is_set() or drain():
+                            return
+                    if stop.is_set():
+                        slots.release()
+                        return
+                    self._m_dispatched.inc()
+                    self._inflight += 1
+                    pool.submit(self._serve_async, entry, slots, stop)
         finally:
             pool.shutdown(wait=False)
 
@@ -271,17 +289,46 @@ class PeerServer:
             self._inflight -= 1
             slots.release()
 
-    def _admit(self, queue: AdmissionQueue, msg: tuple) -> bool:
-        """Parse one envelope into the admission queue, shedding
-        overflow with overload replies. Returns True when the service
-        loop must exit (stop request, or the world tore down under a
-        shed reply).
+    def _decode(self, msg: tuple) -> tuple | None:
+        """One received message as an entry ``(kind, request, source)``,
+        :data:`_STOP` for a stop request, or None for a malformed one
+        (counted in ``malformed_requests``).
 
         A malformed message must not kill the service loop — the daemon
         outlives misbehaving clients (it answers to every peer, not just
         the sender). Bodies decode through
         :func:`repro.fanstore.wire.decode_request`; anything that is
-        not a request envelope is malformed.
+        not a request envelope is malformed."""
+        payload, source, _tag = msg
+        try:
+            kind, body = payload
+        except (TypeError, ValueError):
+            self.stats.malformed_requests += 1
+            return None
+        if kind not in ("fetch", "stat", "write_meta", "batch"):
+            if kind == "stop":
+                return _STOP
+            self.stats.malformed_requests += 1
+            return None
+        try:
+            return kind, decode_request(body), source
+        except (WireFormatError, TypeError, ValueError):
+            self.stats.malformed_requests += 1
+            return None
+
+    def _admit(self, queue: AdmissionQueue, msg: tuple) -> bool:
+        """Decode one message into the admission queue
+        (:meth:`_decode`, :meth:`_enqueue`). Returns True when the
+        service loop must exit (stop request, or the world tore down
+        under a shed reply)."""
+        entry = self._decode(msg)
+        if entry is None:
+            return False
+        return entry is _STOP or self._enqueue(queue, entry)
+
+    def _enqueue(self, queue: AdmissionQueue, entry: tuple) -> bool:
+        """Push one entry, shedding overflow with overload replies;
+        True when the world tore down under a shed reply.
 
         One deadline rule: every entry, a batch envelope included, is
         ranked for shedding by its own ``deadline`` — the one its
@@ -289,23 +336,7 @@ class PeerServer:
         it by. A batch's per-item expiries are checked only when its
         items are served.
         """
-        payload, source, _tag = msg
-        try:
-            kind, body = payload
-        except (TypeError, ValueError):
-            self.stats.malformed_requests += 1
-            return False
-        if kind == "stop":
-            return True
-        if kind not in ("fetch", "stat", "write_meta", "batch"):
-            self.stats.malformed_requests += 1
-            return False
-        try:
-            request = decode_request(body)
-        except (WireFormatError, TypeError, ValueError):
-            self.stats.malformed_requests += 1
-            return False
-        shed = queue.push((kind, request, source), request.deadline)
+        shed = queue.push(entry, entry[1].deadline)
         overloaded = (Reply.OVERLOAD, OVERLOAD_RETRY_AFTER_S)
         for _, victim, victim_source in shed:
             self.stats.shed_requests += 1

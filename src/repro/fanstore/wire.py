@@ -25,6 +25,7 @@ reply is ``(BATCH, (item replies...))`` in request-item order.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Any, NamedTuple
 
 from repro.comm.deadline import wire_deadline
@@ -79,7 +80,48 @@ def decode_request(body: Any) -> Request:
     envelope is rejected, the deadline is sanitized through
     :func:`~repro.comm.deadline.wire_deadline`, the reply tag and epoch
     are type-checked, and a batch must be a tuple.
+
+    One pass for a body of the eight fields this version sends: exact
+    types first (``type(x) is int`` already excludes ``bool``),
+    ``wire_deadline`` only for a deadline that is not a finite float,
+    and the envelope built as its tuple with no keyword binding.
+    Anything else is diagnosed field by field in
+    :func:`_diagnose_request`, which raises for a bad body and accepts
+    what the exact checks were stricter about (a newer version's extra
+    fields, an ``int`` or ``tuple`` subclass).
     """
+    if type(body) is tuple and len(body) == 8:
+        magic, version, subject, reply_tag, trace_ctx, deadline, epoch, batch = (
+            body
+        )
+        if (
+            magic == WIRE_MAGIC
+            and type(version) is int
+            and version >= WIRE_VERSION
+            and type(reply_tag) is int
+            and reply_tag >= 0
+            and (epoch is None or type(epoch) is int)
+            and (batch is None or type(batch) is tuple)
+        ):
+            if deadline is not None and not (
+                type(deadline) is float and isfinite(deadline)
+            ):
+                deadline = wire_deadline(deadline)
+            return _tuple_new(
+                Request,
+                (subject, reply_tag, trace_ctx, deadline, epoch, batch),
+            )
+    return _diagnose_request(body)
+
+
+#: builds a :class:`Request` from its fields in order, with no frame of
+#: the named tuple's own ``__new__``
+_tuple_new = tuple.__new__
+
+
+def _diagnose_request(body: Any) -> Request:
+    """:func:`decode_request`'s field-by-field checks: the reason a body
+    is refused, or the :class:`Request` it still is."""
     if not (
         isinstance(body, tuple)
         and len(body) >= 2

@@ -96,7 +96,7 @@ class Span:
         name: str,
         **tags: Any,
     ) -> None:
-        self.tracer = tracer
+        self.tracer: Tracer | None = tracer
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -124,6 +124,9 @@ class Span:
             self.error = exc_type.__name__
         self.duration_s = time.perf_counter() - self._t0
         self.tracer._pop(self)
+        # a finished span is kept by its tracer and needs it no more:
+        # holding it back would close a cycle through the tracer
+        self.tracer = None
 
     def to_dict(self) -> dict:
         return {

@@ -214,6 +214,26 @@ def test_a_corrupt_reply_never_reaches_the_reader(tmp_path):
     assert mutant.fetch_compressed(PATH) == ROTTEN
 
 
+def test_the_walk_probes_only_the_replica_it_asks(tmp_path):
+    """The failover walk orders the replicas by what the breakers and
+    the view say, which counts no probe, and puts each replica to the
+    gate just before asking it. With a silent home, a healthy replica
+    and a half-open one behind it, the healthy one answers: the
+    half-open one is never asked, no probe is counted, and it stays
+    half-open. (The parent gated every replica while ordering them: one
+    phantom probe, and the breaker still half-open.)"""
+    daemon, comm = _daemon(tmp_path, "exhausted", "replica")
+    comm.size = 4
+    comm.answers[3] = (Reply.OK, GOOD)
+    daemon.metadata.add_replica(PATH, 3)
+    daemon.health.force_open(3)
+    daemon.health.half_open(3)
+    assert daemon.read_file(PATH) == GOOD
+    assert (comm.asked.count(REPLICA), comm.asked.count(3)) == (1, 0)
+    assert daemon.stats.breaker_probes == 0
+    assert daemon.health.state(3) is BreakerState.HALF_OPEN
+
+
 def _stage(daemon) -> None:
     daemon.replication._stage_copy(RereplicationStep(
         path=PATH, partition_id=0, old_home=HOME, new_home=ME, stage_rank=ME,

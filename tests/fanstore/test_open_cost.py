@@ -10,16 +10,22 @@ Python-call budget. The parent of the PR that added this file executed
 
 A whole-file read (``read_file``) is cheaper than a descriptor's open,
 read and close: it never makes the entry resident, so it probes the
-table once, installs and evicts nothing, and takes fewer locks — 11
-Python calls and 2 lock acquisitions, the cache's two sections (15 and
-4 while the writer guard's frame ran with nothing open for writing, a
-flight ran a Python ``__init__``, a local record went through the
-ladder's frame, the pipeline forwarded to its codec, and the metadata
-probe and the RAM backend each took a lock; 18 before ``has_digest``,
-the registry's ``get`` and the cache-miss lambda left the path) where
-the open/close pair it replaced took 25 and 7. A sampled miss
-(``metrics_every``) adds 3 calls and 6 clock reads to that, and one
-observation per histogram.
+table once, installs and evicts nothing, and takes fewer locks — 10
+Python calls and 2 lock acquisitions, the cache's two sections (11
+while the digest ran a Python frame; 15 and 4 while the writer guard's
+frame ran with nothing open for writing, a flight ran a Python
+``__init__``, a local record went through the ladder's frame, the
+pipeline forwarded to its codec, and the metadata probe and the RAM
+backend each took a lock; 18 before ``has_digest``, the registry's
+``get`` and the cache-miss lambda left the path) where the open/close
+pair it replaced took 25 and 7. A sampled miss (``metrics_every``)
+adds 2 calls and 6 clock reads to that and records what it took, which
+the registry folds into one observation per histogram.
+
+Calls are counted with ``sys.setprofile``; what those calls execute is
+counted too, in bytecodes (``sys.settrace`` opcode events in the same
+frames), so that work moved inside a frame shows as well as a frame
+that left. Both are exact.
 
 The batched remote read (``read_files``) is pinned the same way at the
 end of the file: messages, fetches, misses, digest passes and ``Event``
@@ -43,6 +49,7 @@ import time
 import tracemalloc
 import zlib
 from collections import Counter
+from typing import Any
 
 import pytest
 
@@ -56,6 +63,7 @@ from repro.fanstore.daemon import DaemonConfig
 from repro.fanstore.interception import intercept
 from repro.fanstore.prepare import prepare_dataset
 from repro.fanstore.store import FanStore, FanStoreOptions
+from repro.obs.metrics import SAMPLES_MAX, Histogram, MetricsRegistry
 
 N_FILES = 64
 
@@ -145,6 +153,56 @@ def _cost_vector(fs, operation, paths) -> Counter:
     return +counts  # zero counts dropped
 
 
+class _Opcodes:
+    """Counts the bytecodes executed in :func:`_ours` frames, while
+    ``on``, on every thread whose ``sys.settrace`` is :meth:`trace`
+    (opcode events; no clock, so the count repeats exactly)."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.on = False
+
+    def _opcode(self, frame, event, _arg):
+        if event == "opcode" and self.on:
+            self.count += 1
+        return self._opcode
+
+    def _follow(self, frame) -> None:
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        frame.f_trace = self._opcode
+
+    def trace(self, frame, event, _arg):
+        if event != "call" or not _ours(frame.f_code):
+            return None
+        self._follow(frame)
+        return self._opcode
+
+    def install(self) -> None:
+        """Trace this thread from here on, its running frames included
+        (a loop that is already running is counted as it goes round)."""
+        sys.settrace(self.trace)
+        frame = sys._getframe(1)
+        while frame is not None:
+            if _ours(frame.f_code):
+                self._follow(frame)
+            frame = frame.f_back
+
+
+def _opcodes(operation, paths) -> int:
+    """Bytecodes executed in :func:`_ours` frames on this thread over
+    ``operation(path)`` for every path."""
+    opcodes = _Opcodes()
+    opcodes.on = True
+    sys.settrace(opcodes.trace)
+    try:
+        for path in paths:
+            operation(path)
+    finally:
+        sys.settrace(None)
+    return opcodes.count
+
+
 class _CountingLock:
     """Stands in for a lock (or condition) and counts its acquisitions."""
 
@@ -214,9 +272,16 @@ def test_read_file_cost_vector(store):
     # never resident: nothing installed, so nothing to evict
     assert counts["installs"] == counts["evictions"] == 0
     assert counts["gate_calls"] == 0  # "may I ask rank r?" is a remote question
-    assert counts["python_calls"] == 11 * n
+    assert counts["python_calls"] == 10 * n
     # exact: the same reads execute the same calls
     assert _cost_vector(store, client.read_file, paths) == counts
+    # and the same bytecodes: 300 a read, 308 while the digest was a
+    # Python frame of its own
+    assert _opcodes(client.read_file, paths) == LOCAL_READ_OPCODES * n
+
+
+#: bytecodes of one lone local ``read_file`` under ``src/repro``
+LOCAL_READ_OPCODES = 300
 
 
 def test_read_file_lock_acquisitions_and_digest_passes(packed, monkeypatch):
@@ -269,11 +334,12 @@ def test_a_local_read_hashes_on_every_read(packed, monkeypatch):
 
 
 def test_descriptor_path_cost_vector(store):
-    """``open``/``read``/``close``: 22 calls and 6 locks. It was 29 and
-    10 when whole-file reads stopped making entries resident, 26 and 9
-    once three frames that only forwarded left (``has_digest``, the
-    registry's ``get``, the cache-miss lambda) and the writer guard
-    stopped locking while nothing is open for writing. Four more frames
+    """``open``/``read``/``close``: 21 calls and 6 locks (22 while the
+    digest was a Python frame). It was 29 and 10 when whole-file reads
+    stopped making entries resident, 26 and 9 once three frames that
+    only forwarded left (``has_digest``, the registry's ``get``, the
+    cache-miss lambda) and the writer guard stopped locking while
+    nothing is open for writing. Four more frames
     left with the lone local read's (the writer guard, the flight's
     ``__init__``, the ladder, the pipeline's ``decompress``), and three
     locks with the lock-free metadata probes (open and close) and RAM
@@ -293,7 +359,7 @@ def test_descriptor_path_cost_vector(store):
     # canonicality proof), none of them inside the miss; one entry
     # installed pinned at the open and evicted at the close
     assert counts == Counter(
-        python_calls=22 * n, lookups=2 * n, flights=n, installs=n,
+        python_calls=21 * n, lookups=2 * n, flights=n, installs=n,
         evictions=n, backend_gets=n,
     )
     assert _lock_acquisitions(store, open_read_close, paths) == 6 * n
@@ -310,20 +376,28 @@ PHASE_HISTOGRAMS = (
 
 def test_a_sampled_miss_costs_what_it_measures(packed, store, monkeypatch):
     """``metrics_every=1``: every local read is a sampled miss. Over the
-    unsampled read it executes exactly 3 more Python calls (the sampled
-    miss's frame, the ladder's, one :func:`observe_all` for all eight
-    metrics) and 6 clock reads (one at each of the 4 phase boundaries,
-    plus the verify pair; the decode's pair also times the codec), and
-    it observes each of the six histograms once and both byte counters
-    by the read's sizes. No trace can exist, so no span is asked for.
-    It was 12 more calls (the sampled miss's frame, ``maybe_root``, a
-    null span's enter and exit, six ``observe`` and two ``inc``; the
-    ladder's frame was on the unsampled read too) and 9 clock reads."""
+    unsampled read it executes exactly 2 more Python calls (the sampled
+    miss's frame and the ladder's) and 6 clock reads (one at each of
+    the 4 phase boundaries, plus the verify pair; the decode's pair
+    also times the codec), and it appends one record, which the
+    registry folds into one observation of each of the six histograms
+    and both byte counters by the read's sizes. No trace can exist, so
+    no span is asked for. It was 3 more calls and 440 more bytecodes
+    while the read fed the eight metrics itself in one ``observe_all``
+    (now 112, and the fold's share is paid once per
+    :data:`~repro.obs.metrics.SAMPLES_MAX` records), 12 more calls
+    before that (the sampled miss's frame, ``maybe_root``, a null
+    span's enter and exit, six ``observe`` and two ``inc``; the
+    ladder's frame was on the unsampled read too) and 9 clock reads.
+    The windows below start with nothing waiting to fold and hold
+    fewer records than a fold takes."""
     bare_client, paths = store.client, _paths(store)
     n = len(paths)
+    assert n < SAMPLES_MAX
     for path in paths:
         bare_client.read_file(path)
     bare = _cost_vector(store, bare_client.read_file, paths)
+    bare_opcodes = _opcodes(bare_client.read_file, paths)
     options = FanStoreOptions(config=DaemonConfig(metrics_every=1))
     with FanStore(packed, options) as fs:
         client, metrics = fs.client, fs.metrics
@@ -340,7 +414,10 @@ def test_a_sampled_miss_costs_what_it_measures(packed, store, monkeypatch):
         }
         for path in paths:  # warm: the codec's metrics are made once
             client.read_file(path)
+        metrics.fold()
         sampled = _cost_vector(fs, client.read_file, paths)
+        metrics.fold()
+        sampled_opcodes = _opcodes(client.read_file, paths)
         before = {name: metrics.get(name).count for name in histograms}
         before.update(
             (name, metrics.get(name).value) for name in byte_counters
@@ -349,8 +426,9 @@ def test_a_sampled_miss_costs_what_it_measures(packed, store, monkeypatch):
         for path in paths:
             client.read_file(path)
         monkeypatch.undo()
-        assert sampled - bare == Counter(python_calls=3 * n)
+        assert sampled - bare == Counter(python_calls=2 * n)
         assert bare - sampled == Counter()
+        assert sampled_opcodes - bare_opcodes == SAMPLED_SURCHARGE_OPCODES * n
         assert len(clocks) == 6 * n
         assert {
             name: metrics.get(name).count - before[name] for name in histograms
@@ -359,6 +437,99 @@ def test_a_sampled_miss_costs_what_it_measures(packed, store, monkeypatch):
             name: metrics.get(name).value - before[name]
             for name in byte_counters
         } == byte_counters
+
+
+#: bytecodes a sampled miss adds to a lone local read, its record's
+#: append included and its fold not
+SAMPLED_SURCHARGE_OPCODES = 112
+
+
+def test_a_snapshot_folds_what_eager_observation_gives(packed):
+    """What a snapshot reports after sampled reads equals observing each
+    recorded sample as it was taken: bucket counts, count, min and max
+    exactly, the sum up to float rounding, and the byte counters
+    exactly. Three reading threads sample while a fourth snapshots,
+    with a short switch interval, so folds run from full buffers and
+    from snapshots at once; every record is kept as it is appended, and
+    the final snapshot must hold each exactly once — none lost, none
+    folded twice."""
+    metrics = MetricsRegistry()
+    appended: list[tuple] = []
+
+    class Kept(list):
+        def append(self, record):
+            appended.append(record)
+            super().append(record)
+
+    metrics.samples = Kept()
+    options = FanStoreOptions(
+        config=DaemonConfig(metrics_every=1), metrics=metrics
+    )
+    readers_n, passes = 3, 8
+    with FanStore(packed, options) as fs:
+        paths = _paths(fs)
+        stop = threading.Event()
+        torn: list[str] = []  # histograms a snapshot caught mid-fold
+        taken = [0]
+
+        def read(mine: list[str]) -> None:
+            # disjoint shares: no read joins another's flight, so every
+            # read is a sampled miss of its own
+            for _ in range(passes):
+                for path in mine:
+                    fs.client.read_file(path)
+
+        def snapshot() -> None:
+            while not stop.is_set():
+                torn.extend(
+                    m["name"] for m in metrics.snapshot().metrics
+                    if m["type"] == "histogram"
+                    and sum(m["buckets"]) != m["count"]
+                )
+                taken[0] += 1
+
+        threads = [threading.Thread(target=snapshot)] + [
+            threading.Thread(target=read, args=(paths[k::readers_n],))
+            for k in range(readers_n)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads[1:]:
+                thread.join(timeout=60)
+            stop.set()
+            threads[0].join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        final = {m["name"]: m for m in metrics.snapshot().metrics}
+
+    assert len(appended) == passes * len(paths) > SAMPLES_MAX
+    # every snapshot on the way was whole: buckets add up to the count
+    assert taken[0] > 1 and not torn
+    # eager: each record's plan applied by hand, one observation at a time
+    eager: dict[str, Any] = {}
+    for plan, *fields in appended:
+        for metric, j, i in plan:
+            value = fields[j] if i is None else fields[j] - fields[i]
+            if type(metric) is Histogram:
+                eager.setdefault(
+                    metric.name, Histogram(metric.name, metric.edges)
+                ).observe(value)
+            else:
+                eager[metric.name] = eager.get(metric.name, 0) + value
+    assert len(eager) == 8
+    for name, want in eager.items():
+        got = final[name]
+        if isinstance(want, Histogram):
+            want = want.to_dict()
+            assert got.pop("sum") == pytest.approx(want.pop("sum"))
+            assert got == want
+        else:
+            assert got["value"] == want
 
 
 def test_a_wrapped_compressor_sees_every_decode(store):
@@ -527,13 +698,15 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
     were 16), one digest pass per blob on a warm home (the requester's
     ``_blob_ok``; the home hashed each resident object at its first
     serve, and hashing it again at every serve made 32), no ``Event``,
-    and exactly 200 Python calls under ``src/repro`` per batch on the
-    requesting thread, on the next test's constructed interleaving (248
+    and exactly 183 Python calls under ``src/repro`` per batch on the
+    requesting thread, on the next test's constructed interleaving (200
+    while every digest pass and every observed latency ran a Python
+    frame of its own, 248
     with the writer guard's frame, ``_Flight.__init__`` and
     ``Compressor.decompress`` per file; raced, it was bounded by 18 per
     file, 25 while each file was pinned). A lone ``read_file`` of a
-    remote path: 28, was 58, then 50, 44 and 31 — its full vector is the
-    next test's."""
+    remote path: 26, was 58, then 50, 44, 31 and 28 — its full vector is
+    the next test's."""
     stores: dict[int, FanStore] = {}
     config = DaemonConfig(metrics_every=0)
 
@@ -608,8 +781,8 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         assert (counts["gate_calls"], alone["gate_calls"]) == (1, BATCH)
         # exact, as the interleaving is constructed
         assert counts == first
-        assert counts["python_calls"] == 200
-        assert alone["python_calls"] == 28 * BATCH
+        assert counts["python_calls"] == 183
+        assert alone["python_calls"] == 26 * BATCH
 
     run_parallel(body, 2, timeout=120)
 
@@ -693,18 +866,28 @@ def _settled(read, home):
     return read_settled
 
 
+def _on_service_thread(monkeypatch, home, install) -> None:
+    """Run ``install()`` on the ``home`` store's service thread once, at
+    its next decode of a request — every request is decoded on that
+    thread, idle or not, before it is served or admitted.
+    ``sys.setprofile`` and ``sys.settrace`` bind the calling thread
+    only, so that thread installs them itself."""
+    server = home.daemon.server
+    decode = server._decode
+    pending = [install]
+
+    def decode_hooked(msg):
+        while pending:
+            pending.pop()()
+        return decode(msg)
+
+    monkeypatch.setattr(server, "_decode", decode_hooked)
+
+
 def _profile_service_thread(monkeypatch, home, profiler) -> None:
     """Run ``profiler`` on the ``home`` store's service thread from its
-    next admission on. ``sys.setprofile`` binds the calling thread only,
-    so that thread installs it itself."""
-    server = home.daemon.server
-    admit = server._admit
-
-    def admit_profiled(queue, msg):
-        sys.setprofile(profiler)
-        return admit(queue, msg)
-
-    monkeypatch.setattr(server, "_admit", admit_profiled)
+    next decode on."""
+    _on_service_thread(monkeypatch, home, lambda: sys.setprofile(profiler))
 
 
 def _service_thread_calls(monkeypatch, home, read_settled, paths) -> int:
@@ -729,6 +912,20 @@ def _service_thread_calls(monkeypatch, home, read_settled, paths) -> int:
     return calls
 
 
+def _service_thread_opcodes(monkeypatch, home, read_settled, paths) -> int:
+    """Bytecodes executed in :func:`_ours` frames on the home's service
+    thread over ``read_settled(path)`` for every path, its serve loop's
+    own included; windowed like :func:`_service_thread_calls`."""
+    opcodes = _Opcodes()
+    _on_service_thread(monkeypatch, home, opcodes.install)
+    read_settled(paths[0])
+    opcodes.on = True
+    for path in paths:
+        read_settled(path)
+    opcodes.on = False
+    return opcodes.count
+
+
 def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
     """A lone remote ``read_file`` as an exact vector (ROADMAP item 6).
     Each message is sent only once its receiver is parked, so both hops
@@ -738,17 +935,20 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
       the request, the reading thread for the reply. (The lock token
       they replaced was released with the GIL held: the woken thread
       could not run, slept again, and a read cost 6 context switches.)
-    - 11 lock acquisitions on the requesting rank, both ranks' mailbox
-      mutexes included: 5 of them (send and receive on this side;
-      receive, drain and reply at the home), the batcher's twice (take
-      and pass the baton), the health tracker's once (the observed
-      latency; the gate reads a CLOSED breaker without it), the cache's
-      twice and the reply-tag counter's. It was 15 while finding the
-      batcher took a lock every time, 14 while the gate did, then 13
-      while the metadata probe and the RAM backend's replica check each
-      took a lock.
-    - 28 Python calls under ``src/repro`` on the reading thread: one
-      frame per hop, none that only forwards its arguments. It was 31
+    - 9 lock acquisitions on the requesting rank, both ranks' mailbox
+      mutexes included: 4 of them (send and receive on this side;
+      receive and reply at the home, whose idle decision probes its
+      mailbox without the mutex), the batcher's twice (take and pass
+      the baton), the cache's twice and the reply-tag counter's. It was
+      11 while the home drained its mailbox before serving an idle
+      request and the health tracker locked to note a success against
+      a clean CLOSED breaker, 15 while finding the batcher took a lock
+      every time, 14 while the gate did, then 13 while the metadata
+      probe and the RAM backend's replica check each took a lock.
+    - 26 Python calls under ``src/repro`` on the reading thread: one
+      frame per hop, none that only forwards its arguments. It was 28
+      while the digest and a clean breaker's success each ran a frame,
+      31
       with the writer guard's frame (called while nothing was open for
       writing), ``_Flight.__init__`` and the pipeline's forwarding
       ``Compressor.decompress``; before that 49
@@ -760,12 +960,19 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
       mailbox's ``_match``. (The message is a ``__slots__`` class now;
       its ``__init__`` is counted where the dataclass's generated one,
       compiled from a string, was not.)
-    - 24 Python calls under ``src/repro`` on the home's service thread
+    - 17 Python calls under ``src/repro`` on the home's service thread
       per request served, from waking in its receive to parking in the
-      next one: the admission (decode, queue push, drain), the answer
-      (``_answer``, the backend, the trust check) and the reply. It
-      was 29 with a ``_respond`` frame between serving and answering,
-      three ``_check_rank`` calls and two ``_match`` calls.
+      next one: the decode, the idle probe of its mailbox, the answer
+      (``_answer``, the backend, the trust check) and the reply. It was
+      24 while an idle request went through admission (queue push,
+      three ``len``, a drain that found nothing, pop), 29 with a
+      ``_respond`` frame between serving and answering, three
+      ``_check_rank`` calls and two ``_match`` calls.
+    - 969 bytecodes under ``src/repro`` on the reading thread and 562
+      on the home's, its serve loop's own included (983 and 747 while
+      the home admitted an idle request, its decode checked each field
+      in full, the digest and a clean breaker's success ran frames of
+      their own, and a success locked).
     """
     stores: dict[int, FanStore] = {}
     config = DaemonConfig(metrics_every=0)
@@ -803,7 +1010,11 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
         measured["calls_again"] = _cost_vector(
             fs, read_settled, paths
         )["python_calls"]
+        measured["opcodes"] = _opcodes(read_settled, paths)
         measured["home_calls"] = _service_thread_calls(
+            monkeypatch, peer, read_settled, paths
+        )
+        measured["home_opcodes"] = _service_thread_opcodes(
             monkeypatch, peer, read_settled, paths
         )
         monkeypatch.undo()
@@ -811,10 +1022,12 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
     run_parallel(body, 2, timeout=120)
     assert measured == {
         "writes": 2 * BATCH,
-        "locks": 11 * BATCH,
-        "calls": 28 * BATCH,
-        "calls_again": 28 * BATCH,
-        "home_calls": 24 * BATCH,
+        "locks": 9 * BATCH,
+        "calls": 26 * BATCH,
+        "calls_again": 26 * BATCH,
+        "opcodes": 969 * BATCH,
+        "home_calls": 17 * BATCH,
+        "home_opcodes": 562 * BATCH,
     }
 
 

@@ -17,6 +17,7 @@ from repro.comm.communicator import ANY_SOURCE
 from repro.comm.launcher import run_parallel
 from repro.datasets.synthetic import generate_dataset
 from repro.errors import CommError, FileNotFoundInStoreError, RankDeadError
+import repro.fanstore.daemon as daemon_module
 from repro.fanstore.client import FanStoreClient
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.exchange import BATCH_MAX, REPLY_TAG_BASE, TAG_DAEMON
@@ -483,6 +484,49 @@ def test_a_hedge_that_fires_probes_the_replica_it_asks():
     assert client.daemon.health.state(REPLICA) is BreakerState.CLOSED
     # the replica's one reply fed the window its latency per item
     assert len(client.daemon.health._samples[REPLICA]) == 1
+
+
+#: how a hedged read's blobs arrive → (peers' script, digest passes for
+#: the four paths: one ``read_files``, or four lone ``read_file`` calls)
+HEDGED_ARRIVALS = {
+    # the home answers inside its hedge delay: no hedge fires
+    "home-in-time": (dict(), 4),
+    # the home is silent: the replica's envelope (or classic reply) wins
+    "replica-wins": (
+        dict(envelope="lost", classic={(HOME, p): None for p in PATHS}), 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["read_file", "read_files"])
+@pytest.mark.parametrize("arrival", sorted(HEDGED_ARRIVALS))
+def test_a_hedged_blob_is_hashed_once(monkeypatch, arrival, batched):
+    """One digest pass per accepted blob, hedged or not: ``ask`` checks
+    a blob against its record to settle it, and the ladder and
+    ``fetch_many`` take its word instead of hashing it again. When the
+    replica won, the parent hashed every blob twice (8 passes for the
+    batch, 2 per lone read)."""
+    script, passes = HEDGED_ARRIVALS[arrival]
+    peers = ScriptedPeers(**script)
+    client = _client(peers, hedge_reads=True)
+    digests: list[None] = []
+    crc = daemon_module.blob_crc32
+
+    def counted(data):
+        digests.append(None)
+        return crc(data)
+
+    monkeypatch.setattr(daemon_module, "blob_crc32", counted)
+    if batched:
+        assert client.read_files(PATHS) == [_good(p) for p in PATHS]
+    else:
+        assert [client.read_file(p) for p in PATHS] == [
+            _good(p) for p in PATHS
+        ]
+    assert len(digests) == passes
+    # (three lone hedges in a row open the slow home's breaker: the
+    # fourth read then skips it for the replica, still one pass)
+    assert bool(client.daemon.stats.hedge_wins) == (arrival == "replica-wins")
 
 
 # -- tracing moves no message ---------------------------------------------------

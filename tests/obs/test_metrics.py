@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.obs import (
     load_snapshots,
     merge_snapshots,
 )
-from repro.obs.metrics import observe_all
 
 
 class TestHistogramBuckets:
@@ -70,21 +70,67 @@ class TestHistogramBuckets:
             Histogram("t", edges=(1.0, 1.0, 2.0))
 
 
-def test_observe_all_is_observe_and_inc_in_one_frame():
-    """One ``observe_all`` leaves every histogram and counter exactly as
-    the separate ``observe`` / ``inc`` calls do: buckets (the overflow
-    one included), count, sum, min and max."""
+def test_a_folded_record_is_observe_and_inc():
+    """A sampled record folded by the registry leaves every histogram
+    and counter as the separate ``observe`` / ``inc`` calls do: buckets
+    (the overflow one included), count, min and max exactly, the sum up
+    to float rounding. A plan entry with two fields feeds their
+    difference."""
     values = [0.0, 3e-6, 2.0, 1e9, 5e-4, 2.0]
-    fused = [Histogram(f"h{i}") for i in range(len(values))]
+    reg = MetricsRegistry()
+    fused = [reg.histogram(f"h{i}") for i in range(len(values))]
+    span = reg.histogram("span")
     apart = [Histogram(f"h{i}") for i in range(len(values))]
-    counters = [Counter("fused"), Counter("apart")]
+    apart_span = Histogram("span")
+    counters = [reg.counter("fused"), Counter("apart")]
+    plan = (
+        *((h, i, None) for i, h in enumerate(fused)),
+        (span, 2, 1),
+        (counters[0], len(values), None),
+    )
     for _ in range(2):
-        observe_all(zip(fused, values), [(counters[0], 7)])
+        reg.samples.append((plan, *values, 7))
         for h, value in zip(apart, values):
             h.observe(value)
+        apart_span.observe(values[2] - values[1])
         counters[1].inc(7)
-    assert [h.to_dict() for h in fused] == [h.to_dict() for h in apart]
+    reg.fold()
+    assert not reg.samples
+    for got, want in zip([*fused, span], [*apart, apart_span]):
+        got, want = got.to_dict(), want.to_dict()
+        assert got.pop("sum") == pytest.approx(want.pop("sum"))
+        assert got == want
     assert counters[0].value == counters[1].value == 14
+
+
+def test_a_fold_loses_nothing_that_arrives_while_it_runs():
+    """Constructed, not raced: while a fold copies the waiting records,
+    a sampler appends one more and a second fold starts on another
+    thread. The late record waits for the next fold instead of being
+    dropped with the ones copied, and the second fold waits for the
+    first instead of folding the same records again."""
+    reg = MetricsRegistry()
+    h, c = reg.histogram("h"), reg.counter("c")
+    plan = ((h, 0, None), (c, 1, None))
+    second: list[threading.Thread] = []
+
+    class Interleaved(list):
+        def __getitem__(self, index):
+            copied = super().__getitem__(index)
+            if not second:
+                self.append((plan, 3.0, 1))  # a sampler, mid-fold
+                second.append(threading.Thread(target=reg.fold))
+                second[0].start()
+                # a second fold that does not wait would finish here
+                second[0].join(timeout=0.2)
+            return copied
+
+    reg.samples = Interleaved([(plan, 1.0, 1), (plan, 2.0, 1)])
+    reg.fold()
+    second[0].join(timeout=10)
+    assert not second[0].is_alive()
+    assert not reg.samples
+    assert (h.count, h.sum, c.value) == (3, 6.0, 3)
 
 
 class TestHistogramQuantiles:
