@@ -37,8 +37,6 @@ BLOCKING_COMM = {
 #: explicitly non-blocking / lock-protocol attribute calls
 EXEMPT_ATTRS = {
     "try_recv",
-    "irecv",
-    "isend",
     "wait",
     "wait_for",
     "notify",

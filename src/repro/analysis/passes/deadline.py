@@ -39,8 +39,6 @@ TIMEOUT_POS = {
     "recv_with_status": 2,  # (source, tag, timeout)
     "barrier": 0,  # (timeout)
     "allgather": 1,  # (value, timeout)
-    "gather": 2,  # (value, root, timeout)
-    "scatter": 2,  # (values, root, timeout)
     "allreduce": 2,  # (value, op, timeout)
 }
 

@@ -1,7 +1,8 @@
 """MPI-like in-process runtime.
 
 A thread-per-rank :class:`~repro.comm.communicator.Communicator` with
-tagged point-to-point messaging and the standard collectives, the
+tagged point-to-point messaging and the three collectives FanStore and
+the trainer use (``barrier``, ``allgather``, ``allreduce``), the
 ``mpiexec``-style :func:`~repro.comm.launcher.run_parallel` launcher,
 the §V-D virtual-ring transfer pattern, and the seeded fault-injection
 layer (:mod:`~repro.comm.chaos`) the resilience tests run on.
@@ -17,7 +18,6 @@ from repro.comm.communicator import (
     ANY_SOURCE,
     ANY_TAG,
     Communicator,
-    Request,
     World,
 )
 from repro.comm.deadline import Deadline, wire_deadline
@@ -33,7 +33,6 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "Communicator",
-    "Request",
     "World",
     "ChaosCommunicator",
     "ChaosStats",

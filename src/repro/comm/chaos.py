@@ -8,10 +8,9 @@ injects faults *underneath* the communicator API, so every call site
 (daemon service loop, ring replication, collectives) runs unmodified:
 
 - :class:`FaultPlan` — a seeded, deterministic description of what to
-  break: message **drops**, **delays** (with optional seeded jitter),
-  **duplicates**, **amplification** (N copies — the overload/retry-storm
-  case), all matched by source/dest/tag with bounded occurrence counts
-  or seeded probabilities; whole-**rank death**; sustained
+  break: message **drops**, **delays** (with optional seeded jitter)
+  and **duplicates**, matched by source/dest/tag with bounded occurrence
+  counts or seeded probabilities; whole-**rank death**; sustained
   **slow-rank** gray failures (:meth:`FaultPlan.slow_rank` /
   :meth:`FaultPlan.heal`) that delay everything a rank sends until
   healed; and **network partitions** (:meth:`FaultPlan.partition` /
@@ -57,7 +56,6 @@ from repro.errors import CommClosedError, RankDeadError
 DROP = "drop"
 DELAY = "delay"
 DUPLICATE = "duplicate"
-AMPLIFY = "amplify"
 
 
 @dataclass
@@ -70,7 +68,6 @@ class ChaosStats:
     blackholed: int = 0  # messages sent to an already-dead rank
     dead_rank_ops: int = 0  # operations attempted by a dead rank
     slowed: int = 0  # messages delayed by a sustained slow_rank fault
-    amplified: int = 0  # extra copies delivered by amplify rules
     partitioned: int = 0  # messages swallowed by an active partition cut
 
 
@@ -120,7 +117,6 @@ class _Rule:
     probability: float = 1.0
     seconds: float = 0.0  # DELAY only
     jitter: float = 0.0  # DELAY only: extra seeded uniform latency
-    copies: int = 2  # AMPLIFY only
     used: int = field(default=0, compare=False)
 
     def matches(self, source: int, dest: int, tag: int, rng: random.Random) -> bool:
@@ -216,26 +212,6 @@ class FaultPlan:
         """Deliver matching messages twice (the retransmit-race case)."""
         self._rules.append(_Rule(DUPLICATE, source, dest, tag, min_tag,
                                  times, probability))
-        return self
-
-    def amplify(
-        self,
-        *,
-        copies: int = 3,
-        source: int = ANY_SOURCE,
-        dest: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        min_tag: int | None = None,
-        times: int | None = 1,
-        probability: float = 1.0,
-    ) -> "FaultPlan":
-        """Deliver ``copies`` copies of matching messages — the
-        overload case: a burst of identical requests floods the
-        receiver's admission queue the way a retry storm would."""
-        if copies < 2:
-            raise ValueError(f"amplify needs copies >= 2, got {copies}")
-        self._rules.append(_Rule(AMPLIFY, source, dest, tag, min_tag,
-                                 times, probability, copies=copies))
         return self
 
     def slow_rank(
@@ -360,10 +336,6 @@ class FaultPlan:
                 for c in cuts
             )
 
-    def is_slow(self, rank: int) -> bool:
-        with self._lock:
-            return rank in self._slow
-
     def slow_for(self, source: int, tag: int) -> float | None:
         """Delay seconds if ``source`` is marked slow for ``tag``, else
         None. Jitter draws come from the plan RNG under the lock, so
@@ -416,16 +388,13 @@ class FaultPlan:
 
     def decide(self, source: int, dest: int, tag: int) -> tuple[str, float]:
         """(action, value) for one message; first rule wins. The value
-        is delay seconds for DELAY (base plus any seeded jitter draw)
-        and the copy count for AMPLIFY."""
+        is delay seconds for DELAY (base plus any seeded jitter draw)."""
         with self._lock:
             for rule in self._rules:
                 if rule.matches(source, dest, tag, self._rng):
                     if rule.action == DELAY and rule.jitter > 0.0:
                         extra = self._rng.uniform(0.0, rule.jitter)
                         return rule.action, rule.seconds + extra
-                    if rule.action == AMPLIFY:
-                        return rule.action, float(rule.copies)
                     return rule.action, rule.seconds
             return "deliver", 0.0
 
@@ -523,11 +492,6 @@ class ChaosCommunicator(Communicator):
             self.plan.stats.duplicated += 1
             super().send(payload, dest, tag)
             super().send(payload, dest, tag)
-        elif action == AMPLIFY:
-            copies = int(value)
-            self.plan.stats.amplified += copies - 1
-            for _ in range(copies):
-                super().send(payload, dest, tag)
         else:
             super().send(payload, dest, tag)
         self._after_send()

@@ -11,12 +11,12 @@ ranks share one address space and FanStore only ships immutable bytes).
 Semantics implemented:
 
 - tagged point-to-point ``send``/``recv`` with ``ANY_SOURCE``/``ANY_TAG``
-  wildcards and FIFO ordering per (source, tag) pair;
-- non-blocking ``isend``/``irecv`` returning :class:`Request`;
-- collectives ``barrier``, ``bcast``, ``gather``, ``scatter``,
-  ``allgather``, ``alltoall``, ``reduce``, ``allreduce`` — all ranks
-  must call them in the same order (the MPI contract); a per-rank
-  sequence number enforces pairing across concurrent collectives.
+  wildcards and FIFO ordering per (source, tag) pair, plus the
+  non-blocking ``try_recv`` and ``iprobe``;
+- the collectives FanStore and the trainer use: ``barrier``,
+  ``allgather`` and ``allreduce`` — all ranks must call them in the
+  same order (the MPI contract); a per-rank sequence number enforces
+  pairing across concurrent collectives.
 
 Deadlock safety: every blocking call accepts a ``timeout`` (seconds) and
 raises :class:`~repro.errors.CommError` on expiry, so a test that
@@ -46,7 +46,7 @@ from __future__ import annotations
 import os
 import select
 import threading
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.errors import CommClosedError, CommError, RankError
 
@@ -66,40 +66,6 @@ class _Message:
         self.source = source
         self.tag = tag
         self.payload = payload
-
-
-class Request:
-    """Handle for a non-blocking operation (mpi4py's ``Request``)."""
-
-    __slots__ = ("_done", "_value", "_error", "_cond")
-
-    def __init__(self) -> None:
-        self._done = False
-        self._value: Any = None
-        self._error: BaseException | None = None
-        self._cond = threading.Condition()
-
-    def _complete(self, value: Any = None, error: BaseException | None = None) -> None:
-        with self._cond:
-            self._done = True
-            self._value = value
-            self._error = error
-            self._cond.notify_all()
-
-    def test(self) -> bool:
-        """True once the operation has completed."""
-        with self._cond:
-            return self._done
-
-    def wait(self, timeout: float | None = _DEFAULT_TIMEOUT) -> Any:
-        """Block until completion; returns the received payload (irecv)
-        or None (isend)."""
-        with self._cond:
-            if not self._cond.wait_for(lambda: self._done, timeout):
-                raise CommError("request timed out")
-            if self._error is not None:
-                raise self._error
-            return self._value
 
 
 def _recv_timed_out(source: int, tag: int, timeout: float) -> CommError:
@@ -450,34 +416,6 @@ class Communicator:
                 return True
         return False
 
-    def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
-        """Non-blocking send; completes immediately (eager protocol)."""
-        req = Request()
-        try:
-            self.send(payload, dest, tag)
-        except BaseException as exc:  # propagate through wait()
-            req._complete(error=exc)
-        else:
-            req._complete()
-        return req
-
-    def irecv(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> Request:
-        """Non-blocking receive serviced by a helper thread."""
-        req = Request()
-
-        def _worker() -> None:
-            try:
-                payload = self.recv(source, tag, timeout=None)
-            except BaseException as exc:
-                req._complete(error=exc)
-            else:
-                req._complete(payload)
-
-        threading.Thread(target=_worker, daemon=True).start()
-        return req
-
     # -- collectives -------------------------------------------------------
 
     def _exchange(self, value: Any, timeout: float | None) -> dict[int, Any]:
@@ -500,69 +438,6 @@ class Communicator:
         list. This is the §IV-C1 global-metadata-view primitive."""
         values = self._exchange(value, timeout)
         return [values[r] for r in range(self.size)]
-
-    def bcast(
-        self, value: Any, root: int = 0, timeout: float | None = _DEFAULT_TIMEOUT
-    ) -> Any:
-        """Root's value is returned on every rank."""
-        self._check_rank(root)
-        values = self._exchange(value if self.rank == root else None, timeout)
-        return values[root]
-
-    def gather(
-        self, value: Any, root: int = 0, timeout: float | None = _DEFAULT_TIMEOUT
-    ) -> list[Any] | None:
-        """All values to root (rank order); None elsewhere."""
-        self._check_rank(root)
-        values = self._exchange(value, timeout)
-        if self.rank != root:
-            return None
-        return [values[r] for r in range(self.size)]
-
-    def scatter(
-        self,
-        values: Sequence[Any] | None,
-        root: int = 0,
-        timeout: float | None = _DEFAULT_TIMEOUT,
-    ) -> Any:
-        """Root supplies one value per rank; each rank gets its own."""
-        self._check_rank(root)
-        if self.rank == root:
-            if values is None or len(values) != self.size:
-                raise CommError(
-                    f"scatter at root needs exactly {self.size} values"
-                )
-            contributed: Any = list(values)
-        else:
-            contributed = None
-        all_values = self._exchange(contributed, timeout)
-        return all_values[root][self.rank]
-
-    def alltoall(
-        self, values: Sequence[Any], timeout: float | None = _DEFAULT_TIMEOUT
-    ) -> list[Any]:
-        """Rank i's j-th value goes to rank j's i-th slot."""
-        if len(values) != self.size:
-            raise CommError(f"alltoall needs exactly {self.size} values")
-        exchanged = self._exchange(list(values), timeout)
-        return [exchanged[r][self.rank] for r in range(self.size)]
-
-    def reduce(
-        self,
-        value: Any,
-        op: Callable[[Any, Any], Any],
-        root: int = 0,
-        timeout: float | None = _DEFAULT_TIMEOUT,
-    ) -> Any | None:
-        """Pairwise-fold all values at root (rank order); None elsewhere."""
-        self._check_rank(root)
-        values = self._exchange(value, timeout)
-        if self.rank != root:
-            return None
-        acc = values[0]
-        for r in range(1, self.size):
-            acc = op(acc, values[r])
-        return acc
 
     def allreduce(
         self,

@@ -41,11 +41,13 @@ from repro.errors import (
     RankDeadError,
     RetryExhaustedError,
     ServerOverloadedError,
+    StorageFullError,
 )
 from repro.fanstore.backend import Backend, RamBackend
 from repro.fanstore.cache import DecompressedCache
 from repro.fanstore.exchange import (
     BATCH_MAX,
+    BLOB_TYPES,
     FAILOVER_ATTEMPTS,
     TAG_DAEMON,
     PeerExchange,
@@ -389,6 +391,19 @@ class FanStoreDaemon:
                 op, norm, data, epoch=self._view_epoch(), record=record
             )
 
+    def _write_back(self, op: str, norm: str, data: bytes, span: Any) -> bool:
+        """:meth:`_durable_put` of verified bytes a read already holds.
+        A full disk or a browned-out journal refuses it: the read still
+        returns the bytes (brownout is read-only, not unreadable), and
+        ``span`` is tagged with the skipped write-back. True when
+        installed."""
+        try:
+            self._durable_put(op, norm, data)
+        except StorageFullError:
+            span.tag(write_back="refused")
+            return False
+        return True
+
     def _durable_discard(self, norm: str) -> bool:
         """Drop this rank's copy of ``norm`` so a restart keeps it gone
         (:meth:`Journal.discard`). True when a copy was held."""
@@ -686,12 +701,15 @@ class FanStoreDaemon:
                     # authoritative not-found from a live home: no failover
                     raise FileNotFoundInStoreError(norm)
                 self.stats.remote_fetches += 1
-                self.stats.remote_bytes += len(data)
-                if status == Reply.OK if hedged else self._blob_ok(record, data):
-                    return data
-                # the home rank served corrupt bytes (and could not
-                # self-heal): same quarantine + walk as a corrupt local
-                # copy, on what is left of this read's budget
+                if isinstance(data, BLOB_TYPES):
+                    self.stats.remote_bytes += len(data)
+                    if status == Reply.OK if hedged else self._blob_ok(
+                        record, data
+                    ):
+                        return data
+                # the home rank served corrupt bytes, or no bytes at all
+                # (and could not self-heal): same quarantine + walk as a
+                # corrupt local copy, on what is left of this read's budget
                 return self.repair(norm, record, deadline=deadline)
         self.stats.failovers += 1
         data = self._failover(norm, record, deadline)
@@ -714,8 +732,10 @@ class FanStoreDaemon:
         """Quarantine a corrupt copy of ``path`` and re-fetch verified
         bytes: the home rank re-asked (when remote), then the
         :meth:`_failover` walk. On success the good bytes replace the
-        corrupt copy in the backend and any cached plaintext is
-        discarded; on failure the corruption is unrepairable and a typed
+        corrupt copy in the backend (unless a full disk refuses the
+        write-back: the bytes are still returned, but the copy is not
+        counted repaired) and any cached plaintext is discarded; on
+        failure the corruption is unrepairable and a typed
         :class:`DataIntegrityError` naming the path is raised. Counts
         ``corruption_detected`` / ``corruption_repaired``. Budgeted like
         any read: by the ``deadline`` of the ladder that found the
@@ -759,9 +779,10 @@ class FanStoreDaemon:
                     "compressed payload failed digest verification and no "
                     "replica or shared-FS copy could repair it",
                 )
-            span.tag(repaired=True)
-            self.stats.corruption_repaired += 1
-            self._durable_put("repair", norm, data)
+            repaired = self._write_back("repair", norm, data, span)
+            span.tag(repaired=repaired)
+            if repaired:
+                self.stats.corruption_repaired += 1
             return data
 
     def _replica_order(self, norm: str, record: FileRecord) -> list[int]:
@@ -838,7 +859,7 @@ class FanStoreDaemon:
             return None
         if (
             status == Reply.OK
-            and isinstance(data, (bytes, bytearray, memoryview))
+            and isinstance(data, BLOB_TYPES)
             and self._blob_ok(record, data)
         ):
             return data
@@ -891,7 +912,7 @@ class FanStoreDaemon:
         shared-FS round trip, not one per epoch."""
         if self._prepared is None or record.data_offset < 0:
             return None  # runtime output: bytes exist only on its writer
-        with self.tracer.span("fetch.degraded", path=norm):
+        with self.tracer.span("fetch.degraded", path=norm) as span:
             paths = self._prepared.partition_paths()
             if record.partition_id < len(paths):
                 part = paths[record.partition_id]
@@ -909,7 +930,7 @@ class FanStoreDaemon:
             if not self._blob_ok(record, data):
                 return None
             self.stats.degraded_reads += 1
-            self._durable_put("promote", norm, data)
+            self._write_back("promote", norm, data, span)
             return data
 
     def _decompress(self, record: FileRecord, data: bytes) -> bytes:

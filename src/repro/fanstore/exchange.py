@@ -69,9 +69,10 @@ FAILOVER_ATTEMPTS = 1
 #: not an option: no workload has needed a second value.
 BATCH_MAX = 16
 
-#: the item replies that settle an item, and what a blob arrives as
+#: the item replies that settle an item
 _ANSWERS = (Reply.OK, Reply.MISS)
-_BLOB = (bytes, bytearray, memoryview)
+#: what a fetched blob arrives as; any other value is a bad reply
+BLOB_TYPES = (bytes, bytearray, memoryview)
 
 
 def _envelope(
@@ -380,7 +381,7 @@ class PeerExchange:
                                     # a blob must verify to settle, and is
                                     # hashed here only: what fails comes
                                     # back FAILED
-                                    ok = isinstance(value, _BLOB) and (
+                                    ok = isinstance(value, BLOB_TYPES) and (
                                         self._verify(records[i], value)
                                     )
                                     if not ok:

@@ -95,7 +95,7 @@ from repro.errors import (
     MembershipError,
     RankDeadError,
 )
-from repro.util.service import ServiceMixin
+from repro.util.service import StepLoop
 
 #: dedicated membership tag space (daemon requests 0x0FA0, the ring
 #: copy 0x0FA1, replies 0x1000+; membership traffic must never collide).
@@ -350,7 +350,7 @@ def ring_successor(start: int, alive: set[int], size: int) -> int | None:
     return None
 
 
-class FailureDetector(ServiceMixin):
+class FailureDetector(StepLoop):
     """Heartbeat failure detector + gossip + rejoin endpoint, per rank.
 
     Drive it either incrementally (:meth:`step`, with an injectable
@@ -425,9 +425,6 @@ class FailureDetector(ServiceMixin):
         self._quorum_since: float | None = None  # quorum regained, damper arming
         self._denied: set[int] = set()  # overdue corpses frozen for lack of quorum
         self._flaps: dict[int, list[float]] = {}  # recent flap times per rank
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-        self._halted = False  # set once our own comm reports us dead
 
     # -- introspection ----------------------------------------------------
 
@@ -515,7 +512,10 @@ class FailureDetector(ServiceMixin):
             # thread, or it would steal heartbeats from the relaunched
             # rank's fresh detector.
             self._halted = True
-        self._fire(events)
+        try:
+            self._fire(events)
+        except (RankDeadError, CommClosedError):
+            self._halted = True  # a callback found this rank dead
         return self.view
 
     def _drain(self, events: list) -> None:
@@ -804,41 +804,11 @@ class FailureDetector(ServiceMixin):
             self._view.merge(body)
         return self.view
 
-    # -- background mode ---------------------------------------------------
+    # -- background mode: ``start()`` runs :meth:`step` until ``stop()``
+    # or until a step finds this rank dead (``_halted``)
 
-    def start(self) -> None:
-        """Run :meth:`step` on a daemon thread (no-op when running)."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        poll = self.config.heartbeat_interval / 2
+    def loop_interval(self) -> float:
+        return self.config.heartbeat_interval / 2
 
-        def _loop() -> None:
-            while not self._stop.is_set():
-                try:
-                    self.step()
-                except (RankDeadError, CommClosedError):
-                    return  # crashed rank / torn-down world: stop observing
-                if self._halted:
-                    return  # step() saw our own death: stop observing
-                if self._stop.wait(poll):
-                    return
-
-        self._thread = threading.Thread(
-            target=_loop, name=f"fanstore-membership-{self.rank}", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, timeout: float | None = 5.0) -> None:
-        """Stop the background loop (idempotent)."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=timeout)
-        self._thread = None
-
-    @property
-    def running(self) -> bool:
-        """Whether the background loop is live (Service contract)."""
-        thread = self._thread
-        return thread is not None and thread.is_alive()
+    def loop_name(self) -> str:
+        return f"fanstore-membership-{self.rank}"

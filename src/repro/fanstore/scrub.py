@@ -34,7 +34,6 @@ lost.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -46,7 +45,7 @@ from repro.errors import (
 )
 from repro.fanstore.layout import blob_crc32
 from repro.fanstore.metadata import FileRecord
-from repro.util.service import ServiceMixin
+from repro.util.service import StepLoop
 
 if TYPE_CHECKING:  # the daemon's heal pass builds scrubbers
     from repro.fanstore.daemon import FanStoreDaemon
@@ -91,7 +90,7 @@ class ScrubReport:
         )
 
 
-class Scrubber(ServiceMixin):
+class Scrubber(StepLoop):
     """Incremental, rate-limited digest sweep over one rank's records.
 
     Progress is visible in the daemon's metrics registry: the
@@ -123,8 +122,6 @@ class Scrubber(ServiceMixin):
         self.report = ScrubReport()  # cumulative across step() calls
         self._pending: list[str] = []
         self._mid_sweep = False
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
         metrics = daemon.metrics
         self._c_bytes = metrics.counter("scrub.bytes_scanned")
         self._h_batch = metrics.histogram("scrub.batch_seconds")
@@ -227,15 +224,21 @@ class Scrubber(ServiceMixin):
         report.corrupted += 1
         if not self.repair:
             return
+        daemon = self.daemon
         try:
             # by path, not by the snapshot's record: repair() re-resolves
             # ownership, so a record re-homed by the membership layer is
             # healed from its *current* owner, not the dead original
-            self.daemon.repair(record.path)
+            good = daemon.repair(record.path)
+            # a full disk may refuse the write-back: the read got good
+            # bytes, but the copy on this rank is still the bad one
+            healed = daemon.backend.get(record.path) == good
         except DataIntegrityError:
-            report.unrepaired.append(record.path)
-        else:
+            healed = False
+        if healed:
             report.repaired += 1
+        else:
+            report.unrepaired.append(record.path)
 
     def _throttle(self, report: ScrubReport, start: float) -> None:
         limit = self.rate_limit_bytes_per_s
@@ -246,38 +249,10 @@ class Scrubber(ServiceMixin):
         if delay > 0:
             time.sleep(delay)
 
-    # -- background mode ---------------------------------------------------
+    # -- background mode: ``start()`` runs :meth:`step` until ``stop()``
 
-    def start(self) -> None:
-        """Run :meth:`step` on a daemon thread until :meth:`stop`,
-        sleeping ``interval_s`` between batches (no-op if running)."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
+    def loop_interval(self) -> float:
+        return self.interval_s
 
-        def _loop() -> None:
-            while not self._stop.is_set():
-                self.step()
-                if self._stop.wait(self.interval_s):
-                    return
-
-        self._thread = threading.Thread(
-            target=_loop,
-            name=f"fanstore-scrubber-{self.daemon.rank}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self, timeout: float | None = 5.0) -> None:
-        """Stop the background sweep (idempotent)."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=timeout)
-        self._thread = None
-
-    @property
-    def running(self) -> bool:
-        """Whether the background sweep is live (Service contract)."""
-        thread = self._thread
-        return thread is not None and thread.is_alive()
+    def loop_name(self) -> str:
+        return f"fanstore-scrubber-{self.daemon.rank}"

@@ -181,9 +181,13 @@ class DataParallelTrainer:
             )
 
     def _try_resume(self) -> int | None:
-        """Restore the latest checkpoint (§V-E); returns its epoch."""
+        """Restore the latest checkpoint (§V-E); returns its epoch. The
+        writer first clears the tmp files of a save that crashed before
+        its rename (no other rank saves, so none is live)."""
         if self.checkpoints is None:
             return None
+        if self._is_writer():
+            self.checkpoints.gc_orphans()
         latest = self.checkpoints.latest()
         if latest is None:
             return None

@@ -1,7 +1,7 @@
 """Small shared utilities: units, statistics, deterministic RNG, timing,
 and the shared background-:class:`~repro.util.service.Service` contract."""
 
-from repro.util.service import Service, ServiceMixin, stop_all
+from repro.util.service import Service, ServiceMixin, StepLoop, stop_all
 from repro.util.units import (
     KB,
     MB,
@@ -39,5 +39,6 @@ __all__ = [
     "measure_throughput",
     "Service",
     "ServiceMixin",
+    "StepLoop",
     "stop_all",
 ]

@@ -86,18 +86,6 @@ class TestPointToPoint:
         with pytest.raises(CommError):
             world.comm(0).send("x", dest=1, tag=-2)
 
-    def test_isend_irecv(self):
-        def body(comm):
-            if comm.rank == 0:
-                req = comm.isend({"k": 1}, dest=1, tag=3)
-                req.wait(timeout=5)
-                return None
-            req = comm.irecv(source=0, tag=3)
-            assert not req.test() or True  # may complete quickly
-            return req.wait(timeout=5)
-
-        assert run_parallel(body, 2, timeout=10)[1] == {"k": 1}
-
 
 class TestCollectives:
     def test_allgather_orders_by_rank(self):
@@ -105,43 +93,6 @@ class TestCollectives:
             lambda c: c.allgather(c.rank * 11, timeout=5), 4, timeout=10
         )
         assert all(r == [0, 11, 22, 33] for r in results)
-
-    def test_bcast_from_nonzero_root(self):
-        def body(comm):
-            value = "payload" if comm.rank == 2 else None
-            return comm.bcast(value, root=2, timeout=5)
-
-        assert run_parallel(body, 4, timeout=10) == ["payload"] * 4
-
-    def test_gather_only_at_root(self):
-        results = run_parallel(
-            lambda c: c.gather(c.rank**2, root=1, timeout=5), 3, timeout=10
-        )
-        assert results[0] is None and results[2] is None
-        assert results[1] == [0, 1, 4]
-
-    def test_scatter(self):
-        def body(comm):
-            values = [f"v{i}" for i in range(3)] if comm.rank == 0 else None
-            return comm.scatter(values, root=0, timeout=5)
-
-        assert run_parallel(body, 3, timeout=10) == ["v0", "v1", "v2"]
-
-    def test_scatter_wrong_count_raises(self):
-        def body(comm):
-            values = ["only-one"] if comm.rank == 0 else None
-            return comm.scatter(values, root=0, timeout=5)
-
-        with pytest.raises(CommError):
-            run_parallel(body, 3, timeout=10)
-
-    def test_alltoall(self):
-        def body(comm):
-            out = [f"{comm.rank}->{j}" for j in range(comm.size)]
-            return comm.alltoall(out, timeout=5)
-
-        results = run_parallel(body, 3, timeout=10)
-        assert results[1] == ["0->1", "1->1", "2->1"]
 
     def test_allreduce_numpy(self):
         def body(comm):
@@ -151,14 +102,6 @@ class TestCollectives:
         results = run_parallel(body, 3, timeout=10)
         for r in results:
             np.testing.assert_allclose(r, np.full(4, 6.0))
-
-    def test_reduce_custom_op(self):
-        def body(comm):
-            return comm.reduce(comm.rank + 1, lambda a, b: a * b, root=0,
-                               timeout=5)
-
-        results = run_parallel(body, 4, timeout=10)
-        assert results[0] == 24
 
     def test_barrier_synchronizes(self):
         order = []
@@ -227,12 +170,6 @@ class TestTeardown:
         thread, caught = self._park(
             lambda: world.comm(0).recv(source=1, timeout=30)
         )
-        self._close_and_check(world, thread, caught)
-
-    def test_close_unblocks_parked_irecv(self):
-        world = World(2)
-        req = world.comm(0).irecv(source=1, tag=3)
-        thread, caught = self._park(lambda: req.wait(timeout=30))
         self._close_and_check(world, thread, caught)
 
     def test_close_unblocks_half_arrived_collective(self):

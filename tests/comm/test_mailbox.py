@@ -381,12 +381,14 @@ class TestWakeLines:
     def test_short_lived_receivers_leave_no_descriptor_behind(self):
         """A wake line is two descriptors made at a thread's first park
         and closed with the thread's ``threading.local``: 500
-        short-lived receiving threads — half of them ``irecv`` helpers —
-        leave the process's open-descriptor count where it was."""
+        short-lived receiving threads — half of them timing out, half
+        handed a message by ``send`` — leave the process's
+        open-descriptor count where it was."""
         mb = _Mailbox()
         world = World(2)
         comm0, comm1 = world.comm(0), world.comm(1)
         timed_out: list[bool] = []
+        received: list[int] = []
 
         def receiver() -> None:
             try:
@@ -394,24 +396,24 @@ class TestWakeLines:
             except CommError as exc:  # keep no traceback: it holds the line
                 timed_out.append("timed out" in str(exc))
 
-        baseline = threading.active_count()
+        def handed(tag: int) -> None:
+            received.append(comm0.recv(1, tag=tag, timeout=10))
+
         before = _open_fds()
         for i in range(250):
             thread = threading.Thread(target=receiver)
             thread.start()
             thread.join()
-            request = comm0.irecv(1, tag=i)
+            thread = threading.Thread(target=handed, args=(i,))
+            thread.start()
             stop_at = time.monotonic() + 10
-            while not world._mailboxes[0]._waiters:  # the helper parked
+            while not world._mailboxes[0]._waiters:  # the receiver parked
                 assert time.monotonic() < stop_at
                 time.sleep(0.0001)
             comm1.send(i, 0, tag=i)
-            assert request.wait(10) == i
-        stop_at = time.monotonic() + 10
-        while threading.active_count() > baseline:  # helpers exit
-            assert time.monotonic() < stop_at
-            time.sleep(0.001)
+            thread.join(10)
         assert timed_out == [True] * 250
+        assert received == list(range(250))
         # <=, not ==: a thread another test left parked may exit meanwhile
         assert _open_fds() <= before
 

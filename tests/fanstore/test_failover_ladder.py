@@ -87,6 +87,7 @@ def _daemon(tmp_path, leave: str, below: str, corpse: int = HOME):
         HOME: {
             "overload": (Reply.OVERLOAD, 0.0),
             "corrupt-reply": (Reply.OK, ROTTEN),
+            "non-bytes-reply": (Reply.OK, 12345),
             "garbage": (True, GOOD, "not a reply"),
         }.get(leave),  # dead route / open breaker / exhausted / probe: silent
         REPLICA: {
@@ -144,6 +145,8 @@ LEAVE = {
     # not a failover: the home answered, so the read goes to repair,
     # which re-asks it once (full budget, answered at once) and walks
     "corrupt-reply": (0, 0, 2, False, DataIntegrityError, PATH),
+    # an OK whose value is no blob is a corrupt reply too, not a crash
+    "non-bytes-reply": (0, 0, 2, False, DataIntegrityError, PATH),
 }
 #: below → (replica asked, replica fetches counted, degraded reads)
 BELOW = {
@@ -166,7 +169,7 @@ def test_ladder_outcome_and_counters(tmp_path, leave, below):
         assert says in raised.value.args[0]
     else:
         assert daemon.fetch_compressed(PATH) == GOOD
-    corrupt = leave == "corrupt-reply"
+    corrupt = leave in ("corrupt-reply", "non-bytes-reply")
     stats, health = daemon.stats, daemon.health
     assert {
         "failovers": stats.failovers,

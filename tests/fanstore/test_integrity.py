@@ -20,6 +20,7 @@ from repro.errors import (
     ManifestError,
 )
 from repro.fanstore.corruption import corrupt_backend, corrupt_record
+from repro.fanstore.crash import DiskFaultInjector
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.layout import (
     FLAG_HAS_DIGEST,
@@ -183,6 +184,36 @@ class TestVerifyOnRead:
         # the healed copy is promoted: the next read is clean and local
         assert fs.client.read_file(victim) == good
         assert fs.daemon.stats.corruption_detected == 1
+
+    def test_a_full_disk_still_returns_the_healed_bytes(
+        self, prepared_dataset, tmp_path
+    ):
+        """A journal under its free-space watermark refuses the floor's
+        promote and the repair's write-back, but the read holds verified
+        bytes: it returns them (brownout is read-only, not unreadable),
+        the bad copy stays, and both spans say the write-back was
+        refused."""
+        config = DaemonConfig(trace_sample=1.0)
+        options = FanStoreOptions(config=config, local_dir=tmp_path / "local")
+        with FanStore(prepared_dataset, options) as fs:
+            daemon = fs.daemon
+            victim = sorted(r.path for r in daemon.metadata.records())[0]
+            good = fs.client.read_file(victim)
+            bad = corrupt_backend(daemon.backend, victim, seed=5)
+            full = DiskFaultInjector().set_free_bytes(0)
+            daemon.backend.injector = daemon.journal.injector = full
+            assert fs.client.read_file(victim) == good
+            stats = daemon.stats
+            assert stats.corruption_detected == 1
+            assert stats.corruption_repaired == 0  # the copy is still bad
+            assert stats.degraded_reads == 1
+            assert daemon.backend.get(victim) == bad
+            refused = sorted(
+                span.name for span in fs.tracer.finished()
+                if span.tags.get("write_back") == "refused"
+            )
+            assert refused == ["daemon.repair", "fetch.degraded"]
+            full.set_free_bytes(None)
 
     def test_cached_plaintext_is_quarantined_on_repair(self, single_store):
         fs = single_store

@@ -13,8 +13,9 @@ import threading
 
 import pytest
 
+from repro.comm.chaos import ChaosWorld
 from repro.comm.communicator import World
-from repro.errors import MembershipError
+from repro.errors import MembershipError, RankDeadError
 from repro.fanstore.daemon import FanStoreDaemon
 from repro.fanstore.layout import FLAG_BROADCAST, FileStat
 from repro.fanstore.membership import (
@@ -209,6 +210,35 @@ class TestConfigValidation:
             MembershipConfig(
                 heartbeat_interval=1.0, suspect_after=3.0, dead_after=3.0
             )
+
+
+class TestBackgroundLoop:
+    def test_the_loop_of_a_dead_rank_ends_by_itself(self):
+        """Once a step finds its own rank dead the background thread
+        stops observing without a ``stop()``: a relaunched rank's fresh
+        detector must not race this incarnation's for heartbeats."""
+        world = ChaosWorld(2)
+        det = FailureDetector(world.comm(0), MembershipConfig(
+            heartbeat_interval=0.01, suspect_after=0.05, dead_after=0.1,
+        ))
+        det.start()
+        thread = det._thread
+        world.kill(0)
+        thread.join(10)
+        assert not thread.is_alive() and not det.running
+        det.stop()
+
+    def test_a_callback_that_finds_its_rank_dead_halts_the_step(self):
+        """A reaction that finds this rank dead (the daemon's staging
+        sends through the crashed rank's comm) ends the loop the same
+        way: ``step`` raises nothing and halts."""
+        def on_dead(rank, view):
+            raise RankDeadError("rank 0 is dead")
+
+        world, clock, dets = _pair(on_dead=on_dead)
+        clock.advance(CFG.dead_after)  # rank 1 never steps
+        assert dets[0].step().state(1) == RankState.DEAD
+        assert dets[0]._halted
 
 
 class TestThresholdEdges:

@@ -968,11 +968,13 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
       three ``len``, a drain that found nothing, pop), 29 with a
       ``_respond`` frame between serving and answering, three
       ``_check_rank`` calls and two ``_match`` calls.
-    - 969 bytecodes under ``src/repro`` on the reading thread and 562
-      on the home's, its serve loop's own included (983 and 747 while
-      the home admitted an idle request, its decode checked each field
-      in full, the digest and a clean breaker's success ran frames of
-      their own, and a success locked).
+    - 975 bytecodes under ``src/repro`` on the reading thread and 562
+      on the home's, its serve loop's own included. The reader's 6 over
+      969 are the type check that makes an OK reply whose value is no
+      blob a corrupt reply (it raised ``TypeError`` before). It was 983
+      and 747 while the home admitted an idle request, its decode
+      checked each field in full, the digest and a clean breaker's
+      success ran frames of their own, and a success locked.
     """
     stores: dict[int, FanStore] = {}
     config = DaemonConfig(metrics_every=0)
@@ -1025,7 +1027,7 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
         "locks": 9 * BATCH,
         "calls": 26 * BATCH,
         "calls_again": 26 * BATCH,
-        "opcodes": 969 * BATCH,
+        "opcodes": 975 * BATCH,
         "home_calls": 17 * BATCH,
         "home_opcodes": 562 * BATCH,
     }

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+import threading
 import time
 
 import pytest
 
 from repro.fanstore.corruption import corrupt_backend
+from repro.fanstore.crash import DiskFaultInjector
 from repro.fanstore.metadata import FileRecord
 from repro.fanstore.scrub import ScrubReport, Scrubber
+from repro.fanstore.store import FanStore, FanStoreOptions
 
 SEEDS = (11, 22, 33)
 seeds = pytest.mark.parametrize("seed", SEEDS, ids=[f"seed{s}" for s in SEEDS])
@@ -185,6 +188,43 @@ class TestBackground:
         scrubber.stop()  # idempotent
         assert scrubber.report.repaired == len(victims)
         assert fs.scrub().corrupted == 0
+
+    def test_a_refused_write_back_is_unrepaired_and_the_sweep_goes_on(
+        self, prepared_dataset, tmp_path
+    ):
+        """On a disk under the journal's free-space watermark the repair
+        gets verified bytes but cannot install them: the path is
+        reported unrepaired (the copy on disk is still the bad one) and
+        the background sweep keeps running."""
+        options = FanStoreOptions(local_dir=tmp_path / "local")
+        with FanStore(prepared_dataset, options) as fs:
+            daemon = fs.daemon
+            victim = sorted(r.path for r in daemon.metadata.records())[0]
+            bad = corrupt_backend(daemon.backend, victim, seed=6)
+            full = DiskFaultInjector().set_free_bytes(0)
+            daemon.backend.injector = daemon.journal.injector = full
+            # one step is one whole sweep; the next is an hour away
+            scrubber = fs.scrubber(batch=1000, interval_s=3600.0)
+            swept = threading.Event()
+            step = scrubber.step
+
+            def stepped(*args):
+                try:
+                    return step(*args)
+                finally:
+                    swept.set()
+
+            scrubber.step = stepped
+            scrubber.start()
+            assert swept.wait(30)
+            report = scrubber.report
+            assert (report.scanned, report.corrupted) == (15, 1)
+            assert (report.repaired, report.unrepaired) == (0, [victim])
+            assert scrubber.running  # the sweep survived the refusal
+            scrubber.stop()
+            assert daemon.backend.get(victim) == bad
+            assert daemon.stats.corruption_repaired == 0
+            full.set_free_bytes(None)
 
 
 class TestReport:

@@ -93,6 +93,20 @@ class TestCheckpointResume:
             resumed.model.get_flat_params(), full.model.get_flat_params()
         )
 
+    def test_resume_clears_a_crashed_savers_tmp(self, single_store, tmp_path):
+        mgr = CheckpointManager(tmp_path)
+        make_trainer(single_store, checkpoints=mgr, epochs=1).train()
+        # what a saver that died before its rename leaves behind
+        orphan = tmp_path / (
+            "checkpoint-000001.ckpt.12345." + "ab" * 16 + ".tmp"
+        )
+        orphan.write_bytes(b"half a checkpoint")
+        report = make_trainer(single_store, checkpoints=mgr, epochs=1).train(
+            resume=True
+        )
+        assert report.resumed_from_epoch == 0
+        assert not orphan.exists()
+
     def test_partial_resume_continues(self, single_store, tmp_path):
         mgr = CheckpointManager(tmp_path)
         make_trainer(single_store, checkpoints=mgr, epochs=1).train()
