@@ -407,8 +407,11 @@ class Communicator:
         receiving it (MPI's ``Iprobe``). It reads the queue without the
         mailbox mutex, so a message arriving during the call may or may
         not be seen: a False means only that nothing matched a moment
-        ago, which is all a caller deciding "idle?" needs."""
-        for msg in self.world._mailboxes[self.rank]._messages:
+        ago, which is all a caller deciding "idle?" needs. It scans a
+        snapshot (one C call under the GIL): another thread of this
+        rank receiving an older message mid-scan shifts the live list,
+        which would skip a message queued before the call."""
+        for msg in tuple(self.world._mailboxes[self.rank]._messages):
             if (
                 tag in (ANY_TAG, msg.tag)
                 and source in (ANY_SOURCE, msg.source)

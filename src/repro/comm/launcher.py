@@ -17,15 +17,25 @@ from repro.errors import CommError
 
 
 class ParallelFailure(CommError):
-    """One or more ranks raised; carries every rank's exception."""
+    """One or more ranks raised; carries every rank's exception.
+
+    ``errors`` is in the order the ranks failed, and the message names
+    the first: the rank whose error started the failure. The launcher
+    closes the world only after recording it, so the ranks that the
+    teardown wakes (``CommClosedError``) are listed after it."""
 
     def __init__(self, errors: dict[int, BaseException]) -> None:
         self.errors = errors
-        first_rank = min(errors)
-        super().__init__(
-            f"{len(errors)} rank(s) failed; rank {first_rank}: "
-            f"{errors[first_rank]!r}"
+        first, *then = errors
+        message = (
+            f"{len(errors)} rank(s) failed; first rank {first}: "
+            f"{errors[first]!r}"
         )
+        if then:
+            message += "; then " + ", ".join(
+                f"rank {rank}: {errors[rank]!r}" for rank in then
+            )
+        super().__init__(message)
 
 
 def run_parallel(
@@ -46,7 +56,7 @@ def run_parallel(
     if world.size != size:
         raise CommError(f"world size {world.size} != requested size {size}")
     results: list[Any] = [None] * size
-    errors: dict[int, BaseException] = {}
+    errors: dict[int, BaseException] = {}  # in the order the ranks failed
     errors_lock = threading.Lock()
 
     def _run(comm: Communicator) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.comm.launcher import ParallelFailure, run_parallel
@@ -29,6 +31,30 @@ def test_single_failure_propagates_and_unblocks_peers():
     with pytest.raises(ParallelFailure) as exc_info:
         run_parallel(body, 2, timeout=10)
     assert isinstance(exc_info.value.errors[1], RuntimeError)
+
+
+def test_the_failure_names_the_rank_that_started_it():
+    """Rank 0 is about to park in a receive when rank 1 raises; the
+    teardown then wakes rank 0, which fails after it. The message names
+    rank 1 first (it named the lowest rank, the survivor, before) and
+    lists rank 0 after it."""
+    receiving = threading.Event()
+
+    def body(comm):
+        if comm.rank == 1:
+            assert receiving.wait(timeout=30)
+            raise RuntimeError("boom")
+        receiving.set()
+        comm.recv(source=1, timeout=30)
+
+    with pytest.raises(ParallelFailure) as exc_info:
+        run_parallel(body, 2, timeout=10)
+    failure = exc_info.value
+    assert list(failure.errors) == [1, 0]
+    assert str(failure) == (
+        "2 rank(s) failed; first rank 1: RuntimeError('boom'); then "
+        "rank 0: CommClosedError('world torn down during recv')"
+    )
 
 
 def test_multiple_failures_aggregated():

@@ -18,6 +18,11 @@ check it, and neither verdict depends on timing:
   module under test (a line tracer), so every state a write passes
   through between lines is read — a write that installed a value in
   two steps would show its half-made one here on every run.
+
+``Communicator.iprobe`` reads a rank's mailbox queue without its mutex
+too. There the reader is the one stepped: another thread of the rank
+receives an older message at each line of the probe in turn, and the
+probe must still see a message queued before it was called.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import sys
 import threading
 
+from repro.comm.communicator import Communicator, World
 from repro.errors import FileNotFoundInStoreError
 from repro.fanstore import backend as backend_module
 from repro.fanstore import cache as cache_module
@@ -239,3 +245,44 @@ def test_cache_membership_is_a_plain_answer():
     write, contains, _ = check(DecompressedCache())
     wrong, lines = _stepped(cache_module, write, contains)
     assert wrong == [] and lines > 0
+
+
+def test_iprobe_sees_a_message_queued_before_it():
+    """Rank 0's queue holds an older message and then the one probed
+    for. At the k-th line the probe executes, for every k in turn,
+    another thread of the rank receives the older one (``try_recv``
+    pops it from the queue); the probe must answer True at every step.
+    Scanning the live list, the pop at the first comparison shifted
+    the probed message under the iterator and the probe answered
+    False."""
+    older, probed = 0x41, 0x42
+    probe_code = Communicator.iprobe.__code__
+    answers: list[bool] = []
+    step = 0
+    while True:
+        step += 1
+        world = World(2)
+        home = world.comm(0)
+        world.comm(1).send("older", dest=0, tag=older)
+        world.comm(1).send("probed", dest=0, tag=probed)
+        lines = 0
+
+        def tracer(frame, event, _arg):
+            nonlocal lines
+            if frame.f_code is not probe_code:
+                return None
+            if event == "line":
+                lines += 1
+                if lines == step:
+                    assert home.try_recv(tag=older) is not None
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            answers.append(home.iprobe(tag=probed))
+        finally:
+            sys.settrace(None)
+        world.close()
+        if lines < step:  # the receive fell after the probe's last line
+            break
+    assert len(answers) > 2 and all(answers), answers

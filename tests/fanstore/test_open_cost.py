@@ -37,7 +37,9 @@ remote ``read_file`` is pinned last, as an exact vector on a constructed
 interleaving: wake-line writes, locks with both ranks' mailbox mutexes,
 and Python calls on the reading thread and on the home's service
 thread; and an intercepted read of one runs the interposer once, for
-the program's own ``open``.
+the program's own ``open``. Which inflate a read runs is counted too:
+one libdeflate call for a large zlib record, no foreign call for a
+``memcpy`` one.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from typing import Any
 import pytest
 
 import repro.comm.communicator as communicator_module
+import repro.compressors.stdlib as stdlib
 import repro.fanstore.daemon as daemon_module
 from repro.comm.launcher import run_parallel
 from repro.compressors import get_compressor
@@ -64,6 +67,7 @@ from repro.fanstore.interception import intercept
 from repro.fanstore.prepare import prepare_dataset
 from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.obs.metrics import SAMPLES_MAX, Histogram, MetricsRegistry
+from tests.compressors.test_libdeflate import CountingBinding
 
 N_FILES = 64
 
@@ -561,6 +565,8 @@ def test_a_wrapped_compressor_sees_every_decode(store):
 
 #: what a sized decode may allocate beyond the plaintext itself: zlib
 #: grows one spare 64 KiB block before it sees the end of the stream
+#: (libdeflate inflates into its thread's scratch, kept from the warm
+#: read, and allocates only the bytes it returns)
 DECODE_SLACK = 80 * 1024
 
 
@@ -637,6 +643,58 @@ def test_a_small_decode_keeps_the_default_block(zlib_packed):
     assert all(size <= zlib.DEF_BUF_SIZE for size, _, _ in peaks)
     for _, peak, default in peaks:
         assert default <= peak <= default + 1024
+
+
+# -- which inflate a read runs --------------------------------------------
+
+
+def _inflate_calls(monkeypatch, read) -> dict[str, int]:
+    """The libdeflate calls and ``zlib.decompress`` calls ``read()``
+    makes: the module's binding and zlib's function are swapped for
+    counting ones around it."""
+    binding = CountingBinding(stdlib._LIBDEFLATE)
+    decompress = zlib.decompress
+    calls = binding.calls
+    calls["zlib.decompress"] = 0
+
+    def counted(*args):
+        calls["zlib.decompress"] += 1
+        return decompress(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stdlib, "_LIBDEFLATE", binding)
+        patch.setattr(zlib, "decompress", counted)
+        read()
+    return +Counter(calls)
+
+
+@pytest.mark.skipif(
+    stdlib._LIBDEFLATE is None, reason="libdeflate.so.0 is not installed"
+)
+def test_a_large_zlib_read_inflates_once_through_libdeflate(
+    zlib_packed, monkeypatch
+):
+    """A local read of a >= 128 KiB ``zlib-1`` record makes one
+    libdeflate call and no ``zlib.decompress`` call, so a fast path
+    that silently fell back to zlib would show here."""
+    with FanStore(zlib_packed["large"], LOCAL_OPTIONS) as fs:
+        client = fs.client
+        for record in fs.daemon.metadata.walk_files():
+            assert record.stat.st_size >= 128 * 1024
+            client.read_file(record.path)  # warm: the scratch is set up
+            calls = _inflate_calls(
+                monkeypatch, lambda: client.read_file(record.path)
+            )
+            assert calls == {"libdeflate_zlib_decompress": 1}
+
+
+def test_a_memcpy_read_makes_no_foreign_call(store, monkeypatch):
+    """A 1.2 KB ``memcpy`` read reaches neither inflate."""
+    client, paths = store.client, _paths(store)
+    calls = _inflate_calls(
+        monkeypatch, lambda: [client.read_file(path) for path in paths]
+    )
+    assert calls == {}
 
 
 # -- the batched remote read ----------------------------------------------------
@@ -968,10 +1026,12 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
       three ``len``, a drain that found nothing, pop), 29 with a
       ``_respond`` frame between serving and answering, three
       ``_check_rank`` calls and two ``_match`` calls.
-    - 975 bytecodes under ``src/repro`` on the reading thread and 562
+    - 975 bytecodes under ``src/repro`` on the reading thread and 565
       on the home's, its serve loop's own included. The reader's 6 over
       969 are the type check that makes an OK reply whose value is no
-      blob a corrupt reply (it raised ``TypeError`` before). It was 983
+      blob a corrupt reply (it raised ``TypeError`` before). The home's
+      3 over 562 are the idle probe's ``tuple`` snapshot of its queue
+      (a live-list scan could skip a queued request). It was 983
       and 747 while the home admitted an idle request, its decode
       checked each field in full, the digest and a clean breaker's
       success ran frames of their own, and a success locked.
@@ -1029,7 +1089,7 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
         "calls_again": 26 * BATCH,
         "opcodes": 975 * BATCH,
         "home_calls": 17 * BATCH,
-        "home_opcodes": 562 * BATCH,
+        "home_opcodes": 565 * BATCH,
     }
 
 
