@@ -129,7 +129,7 @@ class ZlibCodec(Codec):
             scratch.reserve(size)
         if type(data) is bytes:
             source, length = data, len(data)
-        else:  # a read-only view (``RamBackend``): its address, no copy
+        else:  # any other buffer (a caller's view): its address, no copy
             array = np.frombuffer(data, np.uint8)  # refuses a strided one
             source, length = array.ctypes.data, array.size
         if lib.libdeflate_zlib_decompress(

@@ -44,7 +44,7 @@ class Backend(Protocol):
 
     ``hands_out_stored`` is a class-level fact: True when ``get``
     returns the very object ``put``/``ingest`` stored (immutable
-    ``bytes``, or read-only slices of a ``bytes`` partition buffer), so
+    ``bytes``), so
     the same object is the same content and the daemon need not hash it
     twice for peers. False when ``get`` is a fresh read of storage that
     can rot."""
@@ -63,8 +63,9 @@ class Backend(Protocol):
 
 def _ingest_by_put(self: Backend, partition_file: Path) -> list[PartitionEntry]:
     """``ingest`` for a backend that holds the payloads itself: one
-    read of the partition, each payload ``put`` as a slice of it."""
-    entries = read_partition(partition_file, with_data=True, zero_copy=True)
+    read of the partition, each payload ``put`` as a ``bytes`` slice of
+    it (the partition's buffer is dropped)."""
+    entries = read_partition(partition_file, with_data=True)
     for e in entries:
         self.put(e.path, e.data)
     return entries
@@ -84,7 +85,7 @@ class RamBackend:
         self._objects: dict[str, bytes] = {}
         self._lock = threading.Lock()
 
-    ingest = _ingest_by_put  # zero-copy: the table holds the slices
+    ingest = _ingest_by_put
 
     def put(self, path: str, data: bytes) -> None:
         with self._lock:

@@ -54,7 +54,7 @@ from repro.fanstore.exchange import (
 )
 from repro.fanstore.health import BreakerState, HealthTracker
 from repro.fanstore.journal import Journal, JournalConfig, JournalStats
-from repro.fanstore.layout import FLAG_HAS_DIGEST, blob_crc32
+from repro.fanstore.layout import CRC32_FLOOR, FLAG_HAS_DIGEST, blob_crc32
 from repro.fanstore.membership import (
     ClusterView,
     FailureDetector,
@@ -571,13 +571,16 @@ class FanStoreDaemon:
         stat = record.stat
         if not self.config.verify_reads or not stat.flags & FLAG_HAS_DIGEST:
             return True
+        # under the floor ``blob_crc32`` is zlib's: called straight, a
+        # small read's digest runs no Python frame
+        digest = zlib.crc32 if len(data) < CRC32_FLOOR else blob_crc32
         # one read of the accumulator: another thread's observed miss
         # may reset it to None at any moment
         verify_s = self._last_verify_s
         if verify_s is None:
-            return blob_crc32(data) == stat.crc32
+            return digest(data) == stat.crc32
         t0 = time.perf_counter()
-        ok = blob_crc32(data) == stat.crc32
+        ok = digest(data) == stat.crc32
         self._last_verify_s = verify_s + (time.perf_counter() - t0)
         return ok
 

@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import FanStoreError, StorageFullError
 from repro.fanstore.crash import crash_point
-from repro.fanstore.layout import FileStat
+from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.metadata import FileRecord
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, Tracer
@@ -713,7 +713,7 @@ class Journal:
             ):
                 crc = record.stat.crc32  # the writer already hashed these
             else:
-                crc = zlib.crc32(data) & 0xFFFFFFFF
+                crc = blob_crc32(data)
             body["crc"] = crc
             body["size"] = len(data)
             if record is not None:
@@ -933,7 +933,7 @@ def _on_disk(disk: DiskBackend, path: str, entry: dict[str, Any]) -> bool:
     return (
         data is not None
         and len(data) == entry["size"]
-        and zlib.crc32(data) == entry["crc"]
+        and blob_crc32(data) == entry["crc"]
     )
 
 

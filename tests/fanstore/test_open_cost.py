@@ -57,7 +57,7 @@ import pytest
 
 import repro.comm.communicator as communicator_module
 import repro.compressors.stdlib as stdlib
-import repro.fanstore.daemon as daemon_module
+import repro.fanstore.layout as layout
 from repro.comm.launcher import run_parallel
 from repro.compressors import get_compressor
 from repro.fanstore.client import O_CREAT, O_WRONLY
@@ -68,6 +68,7 @@ from repro.fanstore.prepare import prepare_dataset
 from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.obs.metrics import SAMPLES_MAX, Histogram, MetricsRegistry
 from tests.compressors.test_libdeflate import CountingBinding
+from tests.fanstore.test_digest import DigestCalls
 
 N_FILES = 64
 
@@ -279,13 +280,15 @@ def test_read_file_cost_vector(store):
     assert counts["python_calls"] == 10 * n
     # exact: the same reads execute the same calls
     assert _cost_vector(store, client.read_file, paths) == counts
-    # and the same bytecodes: 300 a read, 308 while the digest was a
-    # Python frame of its own
+    # and the same bytecodes: 312 a read. The 12 over 300 are the size
+    # test that sends a payload under the floor to zlib's crc32
+    # straight, with no frame (308 while the digest was a Python frame
+    # of its own)
     assert _opcodes(client.read_file, paths) == LOCAL_READ_OPCODES * n
 
 
 #: bytecodes of one lone local ``read_file`` under ``src/repro``
-LOCAL_READ_OPCODES = 300
+LOCAL_READ_OPCODES = 312
 
 
 def test_read_file_lock_acquisitions_and_digest_passes(packed, monkeypatch):
@@ -294,18 +297,18 @@ def test_read_file_lock_acquisitions_and_digest_passes(packed, monkeypatch):
     immutable record lock-free (they took one each: four). The
     client's writer guard runs, and takes its lock, only while
     something is open for writing — then it is three. One digest pass
-    per read, as ever. (A store of its own: the write below adds a file
-    to the table.)"""
+    per read, as ever, zlib's: a 1.2 KB payload is under the floor.
+    (A store of its own: the write below adds a file to the table.)"""
     with FanStore(packed, LOCAL_OPTIONS) as fs:
         client, paths = fs.client, _paths(fs)
         n = len(paths)
         for path in paths:
             client.read_file(path)
         assert _lock_acquisitions(fs, client.read_file, paths) == 2 * n
-        digests = _Tally(monkeypatch, daemon_module, "blob_crc32")
+        digests = DigestCalls(monkeypatch)
         for path in paths:
             client.read_file(path)
-        assert len(digests) == n
+        assert digests.counts() == Counter(zlib=n)
         fd = client.open("out/being-written", O_WRONLY | O_CREAT)
         try:
             assert _lock_acquisitions(fs, client.read_file, paths) == 3 * n
@@ -323,7 +326,7 @@ def test_a_local_read_hashes_on_every_read(packed, monkeypatch):
         client, paths = fs.client, _paths(fs)
 
         def two_passes() -> int:
-            digests = _Tally(monkeypatch, daemon_module, "blob_crc32")
+            digests = DigestCalls(monkeypatch)
             for _ in range(2):
                 for path in paths:
                     client.read_file(path)
@@ -701,6 +704,9 @@ def test_a_memcpy_read_makes_no_foreign_call(store, monkeypatch):
 
 BATCH = 16
 
+#: what digests a payload past the floor, such as these 16 KB ones
+LARGE_DIGEST = "libdeflate" if layout._LIBDEFLATE_CRC32 else "zlib"
+
 
 def test_read_files_on_one_rank_is_the_read_file_loop(store):
     """No peers, no envelope: ``read_files`` executes exactly what
@@ -756,15 +762,18 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
     were 16), one digest pass per blob on a warm home (the requester's
     ``_blob_ok``; the home hashed each resident object at its first
     serve, and hashing it again at every serve made 32), no ``Event``,
-    and exactly 183 Python calls under ``src/repro`` per batch on the
-    requesting thread, on the next test's constructed interleaving (200
+    and exactly 199 Python calls under ``src/repro`` per batch on the
+    requesting thread, on the next test's constructed interleaving. The
+    16 over 183 are one ``blob_crc32`` frame per blob: past the floor
+    the digest is the router that hands a payload to libdeflate, where
+    it was zlib's ``crc32`` called straight (200
     while every digest pass and every observed latency ran a Python
     frame of its own, 248
     with the writer guard's frame, ``_Flight.__init__`` and
     ``Compressor.decompress`` per file; raced, it was bounded by 18 per
     file, 25 while each file was pinned). A lone ``read_file`` of a
-    remote path: 26, was 58, then 50, 44, 31 and 28 — its full vector is
-    the next test's."""
+    remote path: 27, was 58, then 50, 44, 31, 28 and 26 — its full
+    vector is the next test's."""
     stores: dict[int, FanStore] = {}
     config = DaemonConfig(metrics_every=0)
 
@@ -800,7 +809,7 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         sends = _Tally(monkeypatch, fs.daemon.comm, "send")
         recvs = _Tally(monkeypatch, fs.daemon.comm, "recv")
         served = _Tally(monkeypatch, peer.daemon.comm, "send")
-        digests = _Tally(monkeypatch, daemon_module, "blob_crc32")
+        digests = DigestCalls(monkeypatch)
         events = _Tally(monkeypatch, threading, "Event")
         before, peer_before = fs.metrics.snapshot(), peer.metrics.snapshot()
         cache_before = vars(fs.daemon.cache.stats).copy()
@@ -809,7 +818,7 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         monkeypatch.undo()
 
         assert (len(sends), len(recvs), len(served)) == (1, 1, 1)
-        assert len(digests) == BATCH
+        assert digests.counts() == Counter({LARGE_DIGEST: BATCH})
         assert len(events) == 0
         assert {
             name: after.value(name) - before.value(name)
@@ -839,8 +848,8 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         assert (counts["gate_calls"], alone["gate_calls"]) == (1, BATCH)
         # exact, as the interleaving is constructed
         assert counts == first
-        assert counts["python_calls"] == 183
-        assert alone["python_calls"] == 26 * BATCH
+        assert counts["python_calls"] == 199
+        assert alone["python_calls"] == 27 * BATCH
 
     run_parallel(body, 2, timeout=120)
 
@@ -871,16 +880,19 @@ def test_lone_remote_read_digest_passes(remote_packed, tmp_path, monkeypatch,
                     if r.home_rank == 1
                 ][:BATCH]
                 for name in ("cold", "warm"):
-                    digests = _Tally(monkeypatch, daemon_module, "blob_crc32")
+                    digests = DigestCalls(monkeypatch)
                     for path in paths:
                         fs.client.read_file(path)
                     monkeypatch.undo()
-                    passes[name] = len(digests)
+                    passes[name] = digests.counts()
             comm.barrier()  # the peer serves until the count is taken
 
     run_parallel(body, 2, timeout=120)
     ram = backend == "ram"
-    assert passes == {"cold": 2 * BATCH, "warm": (1 if ram else 2) * BATCH}
+    assert passes == {
+        "cold": Counter({LARGE_DIGEST: 2 * BATCH}),
+        "warm": Counter({LARGE_DIGEST: (1 if ram else 2) * BATCH}),
+    }
     assert len(stores[1].daemon._hashed) == (BATCH if ram else 0)
 
 
@@ -1003,8 +1015,11 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
       a clean CLOSED breaker, 15 while finding the batcher took a lock
       every time, 14 while the gate did, then 13 while the metadata
       probe and the RAM backend's replica check each took a lock.
-    - 26 Python calls under ``src/repro`` on the reading thread: one
-      frame per hop, none that only forwards its arguments. It was 28
+    - 27 Python calls under ``src/repro`` on the reading thread: one
+      frame per hop, none that only forwards its arguments, and the
+      digest's router, ``blob_crc32``, which hands the 16 KB payload
+      to libdeflate. It was 26 while the digest was zlib's ``crc32``
+      called straight, 28
       while the digest and a clean breaker's success each ran a frame,
       31
       with the writer guard's frame (called while nothing was open for
@@ -1026,9 +1041,12 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
       three ``len``, a drain that found nothing, pop), 29 with a
       ``_respond`` frame between serving and answering, three
       ``_check_rank`` calls and two ``_match`` calls.
-    - 975 bytecodes under ``src/repro`` on the reading thread and 565
-      on the home's, its serve loop's own included. The reader's 6 over
-      969 are the type check that makes an OK reply whose value is no
+    - 1,020 bytecodes under ``src/repro`` on the reading thread and
+      565 on the home's, its serve loop's own included. The reader's
+      45 over 975 are the digest's size test (12) and ``blob_crc32``'s
+      frame (33); on a host without libdeflate that frame returns at
+      its first test, and the reader runs 995. Its 6 over 969 before
+      that are the type check that makes an OK reply whose value is no
       blob a corrupt reply (it raised ``TypeError`` before). The home's
       3 over 562 are the idle probe's ``tuple`` snapshot of its queue
       (a live-list scan could skip a queued request). It was 983
@@ -1085,9 +1103,9 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
     assert measured == {
         "writes": 2 * BATCH,
         "locks": 9 * BATCH,
-        "calls": 26 * BATCH,
-        "calls_again": 26 * BATCH,
-        "opcodes": 975 * BATCH,
+        "calls": 27 * BATCH,
+        "calls_again": 27 * BATCH,
+        "opcodes": (1020 if LARGE_DIGEST == "libdeflate" else 995) * BATCH,
         "home_calls": 17 * BATCH,
         "home_opcodes": 565 * BATCH,
     }

@@ -17,7 +17,6 @@ from repro.comm.communicator import ANY_SOURCE
 from repro.comm.launcher import run_parallel
 from repro.datasets.synthetic import generate_dataset
 from repro.errors import CommError, FileNotFoundInStoreError, RankDeadError
-import repro.fanstore.daemon as daemon_module
 from repro.fanstore.client import FanStoreClient
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.exchange import BATCH_MAX, REPLY_TAG_BASE, TAG_DAEMON
@@ -27,6 +26,7 @@ from repro.fanstore.metadata import FileRecord
 from repro.fanstore.prepare import prepare_dataset
 from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.fanstore.wire import Reply, decode_request, encode_batch_reply
+from tests.fanstore.test_digest import DigestCalls
 from tests.fanstore.test_failover_ladder import StubDetector
 
 # -- equivalence on a live store ------------------------------------------------
@@ -509,14 +509,7 @@ def test_a_hedged_blob_is_hashed_once(monkeypatch, arrival, batched):
     script, passes = HEDGED_ARRIVALS[arrival]
     peers = ScriptedPeers(**script)
     client = _client(peers, hedge_reads=True)
-    digests: list[None] = []
-    crc = daemon_module.blob_crc32
-
-    def counted(data):
-        digests.append(None)
-        return crc(data)
-
-    monkeypatch.setattr(daemon_module, "blob_crc32", counted)
+    digests = DigestCalls(monkeypatch)
     if batched:
         assert client.read_files(PATHS) == [_good(p) for p in PATHS]
     else:
