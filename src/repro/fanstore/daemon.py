@@ -423,10 +423,12 @@ class FanStoreDaemon:
         self.server.start()
 
     def stop(self) -> None:
-        """Stop answering peer requests (idempotent)."""
+        """Stop answering peer requests (idempotent). The server stops
+        first: a request served until then may still write back (a
+        repair, a degraded-read promote) through the journal."""
+        self.server.stop()
         if self.journal is not None:
             self.journal.close()
-        self.server.stop()
 
     def _answer(
         self, kind: str, subject: Any, epoch: int | None, span: Any

@@ -4,10 +4,10 @@
 In the paper each node runs one daemon that answers its peers' fetches
 over MPI. :class:`PeerServer` owns every decision about *how* a peer's
 request is served: receive, decode, the bounded admission queue and its
-shedding, the inline fast path, the worker pool and its in-flight
-bound, deadline drops, span adoption and the batch envelope. The daemon
-keeps *what* each kind is answered with and lends the server that one
-callable, ``answer``.
+shedding, the one service thread that serves every request, deadline
+drops, span adoption and the batch envelope. The daemon keeps *what*
+each kind is answered with and lends the server that one callable,
+``answer``.
 
 Message protocol (all on ``TAG_DAEMON``; replies on caller-chosen tags):
 
@@ -39,7 +39,6 @@ import logging
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.comm.communicator import ANY_SOURCE, Communicator
@@ -62,18 +61,6 @@ from repro.obs.tracing import NULL_SPAN, Tracer
 
 if TYPE_CHECKING:
     from repro.fanstore.daemon import DaemonConfig, DaemonStats
-
-#: width of the serve-side worker pool: admitted requests that find the
-#: daemon busy are served on this many threads. This and
-#: :data:`MAX_INFLIGHT` are constants, not options: no workload here has
-#: ever needed a second value.
-PIPELINE_WORKERS = 4
-
-#: bound on admitted requests in flight across the worker pool; at the
-#: bound the serve loop stops dispatching but keeps draining and
-#: shedding its mailbox, so admission control stays live under a
-#: stalled pool.
-MAX_INFLIGHT = 32
 
 #: service-thread join budget at :meth:`PeerServer.stop`, deliberately
 #: not ``request_timeout`` (a 30 s request must not hang shutdown).
@@ -144,9 +131,6 @@ class PeerServer:
         self.rank = comm.rank if comm else 0
         self._answer = answer
         self._service_thread: threading.Thread | None = None
-        self._inflight = 0
-        metrics.bind_gauge("daemon.pipeline.inflight", self, "_inflight")
-        self._m_dispatched = metrics.counter("daemon.pipeline.dispatched")
         self._m_batch_served = metrics.counter("daemon.batch.served")
         self._queue_depth = 0  # service-loop backlog, sampled per drain
         metrics.bind_gauge("daemon.queue_depth", self, "_queue_depth")
@@ -161,10 +145,12 @@ class PeerServer:
         self._service_thread.start()
 
     def stop(self) -> None:
-        """Stop the service loop (idempotent). Shutdown gets its own
-        bounded budget (:data:`_SHUTDOWN_TIMEOUT`). A service thread
-        that misses it is logged and leaked: it is a daemon thread, so
-        it cannot outlive the process."""
+        """Stop the service loop (idempotent). Every request is served
+        on the service thread, so once it has joined nothing is being
+        served. Shutdown gets its own bounded budget
+        (:data:`_SHUTDOWN_TIMEOUT`). A service thread that misses it is
+        logged and leaked: it is a daemon thread, so it cannot outlive
+        the process."""
         if self.comm is None or self._service_thread is None:
             return
         self.comm.send(("stop", None), self.rank, TAG_DAEMON)
@@ -179,115 +165,61 @@ class PeerServer:
         self._service_thread = None
 
     def _serve(self) -> None:
-        """The event loop of the pipelined scheduler. A request that
-        finds the daemon idle — nothing in flight, nothing else waiting
-        in the mailbox — is decoded and answered on this thread straight
-        off its receive: there is nothing for admission to rank or shed,
-        and a pool hop buys no overlap (a lone read costs two context
-        switches). Anything else is a backlog, and the loop only
-        *admits* (parse → bounded queue, shedding overflow) and
-        *dispatches*; under load the serving — digest verify, backend
-        reads, codec work — happens on a pool of
-        :data:`PIPELINE_WORKERS` threads, bounded by
-        :data:`MAX_INFLIGHT`, so a stalled pool leaves admission live."""
+        """The service loop: every request is served on this thread. A
+        request that finds nothing else waiting in the mailbox is
+        decoded and answered straight off its receive: there is nothing
+        for admission to rank or shed. Anything else is a backlog: the
+        loop admits what has arrived (parse → bounded queue, shedding
+        overflow), serves the oldest entry, and admits again before
+        serving the next, until the queue is empty. The price: while one
+        request is served, nothing else is admitted or shed."""
         comm = self.comm
         assert comm is not None
         queue = AdmissionQueue(self.config.max_queue_depth)
-        pool = ThreadPoolExecutor(
-            max_workers=PIPELINE_WORKERS,
-            thread_name_prefix=f"fanstore-pipe-{self.rank}",
-        )
-        slots = threading.BoundedSemaphore(MAX_INFLIGHT)
-        stop = threading.Event()
-
-        def drain() -> bool:
-            """Admit what already arrived; True when the loop must exit."""
-            while True:
-                try:
-                    msg = comm.try_recv(ANY_SOURCE, TAG_DAEMON)
-                except (CommClosedError, CommError):
-                    return True
-                if msg is None:
-                    return False
-                if self._admit(queue, msg):
-                    return True
-
-        try:
-            while True:
-                try:
-                    msg = comm.recv_with_status(
-                        ANY_SOURCE, TAG_DAEMON, timeout=None
-                    )
-                except (CommClosedError, CommError):
+        while True:
+            try:
+                msg = comm.recv_with_status(
+                    ANY_SOURCE, TAG_DAEMON, timeout=None
+                )
+            except (CommClosedError, CommError):
+                return
+            entry = self._decode(msg)
+            if entry is None:
+                continue
+            if entry is _STOP:
+                return
+            # The idle decision, before admission: no other request
+            # queued means nothing competes with this one — serve it
+            # here, with no queue push/pop and no drain. The probe is
+            # racy on purpose: a request queued a moment after it is
+            # received next.
+            if not comm.iprobe(ANY_SOURCE, TAG_DAEMON):
+                if not self._serve_one(entry):
                     return
-                entry = self._decode(msg)
-                if entry is None:
-                    continue
-                if entry is _STOP:
+                continue
+            if self._enqueue(queue, entry):
+                return
+            # A backlog: admit whatever else already arrived before each
+            # serve — admission control can only shed backlog it can
+            # see — until the queue is empty again.
+            while len(queue):
+                if self._drain(queue):
                     return
-                # The idle decision, before admission: nothing in flight
-                # and no other request queued means nothing competes
-                # with this one — serve it here, with no queue push/pop
-                # and no drain. Both reads are racy on purpose: a stale
-                # nonzero ``_inflight`` or a request queued a moment
-                # after the probe just goes through the queue (or is
-                # received next), and a pool that just drained to zero
-                # serves inline.
-                if self._inflight == 0 and not comm.iprobe(
-                    ANY_SOURCE, TAG_DAEMON
-                ):
-                    if not self._serve_one(entry):
-                        return
-                    continue
-                if self._enqueue(queue, entry):
+                self._queue_depth = len(queue)
+                if not self._serve_one(queue.pop()):
                     return
-                # A backlog: drain whatever else already arrived before
-                # serving — admission control can only shed backlog it
-                # can see, and a burst must not be served strictly
-                # one-recv-at-a-time — until the queue is empty again.
-                while len(queue):
-                    if drain():
-                        return
-                    depth = len(queue)
-                    self._queue_depth = depth
-                    entry = queue.pop()
-                    # the last entry with nothing in flight: serve it on
-                    # the loop thread (racy read, as above)
-                    if self._inflight == 0 and depth == 1:
-                        if not self._serve_one(entry):
-                            return
-                        continue
-                    # In-flight bound: while the pool is saturated, keep
-                    # draining + shedding the mailbox instead of blocking
-                    # — a stalled pool must not take admission control
-                    # down with it.
-                    while not slots.acquire(timeout=0.02):
-                        if stop.is_set() or drain():
-                            return
-                    if stop.is_set():
-                        slots.release()
-                        return
-                    self._m_dispatched.inc()
-                    self._inflight += 1
-                    pool.submit(self._serve_async, entry, slots, stop)
-        finally:
-            pool.shutdown(wait=False)
 
-    def _serve_async(
-        self,
-        entry: tuple,
-        slots: threading.BoundedSemaphore,
-        stop: threading.Event,
-    ) -> None:
-        """One pooled request: serve it, then free its in-flight slot.
-        A terminal serve outcome (world teardown) flips ``stop`` so the
-        dispatch loop exits at its next slot acquisition."""
-        try:
-            if not self._serve_one(entry):
-                stop.set()
-        finally:
-            self._inflight -= 1
-            slots.release()
+    def _drain(self, queue: AdmissionQueue) -> bool:
+        """Admit what already arrived; True when the loop must exit."""
+        while True:
+            try:
+                msg = self.comm.try_recv(ANY_SOURCE, TAG_DAEMON)
+            except (CommClosedError, CommError):
+                return True
+            if msg is None:
+                return False
+            if self._admit(queue, msg):
+                return True
 
     def _decode(self, msg: tuple) -> tuple | None:
         """One received message as an entry ``(kind, request, source)``,

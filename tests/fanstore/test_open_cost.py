@@ -1042,7 +1042,10 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
       ``_respond`` frame between serving and answering, three
       ``_check_rank`` calls and two ``_match`` calls.
     - 1,020 bytecodes under ``src/repro`` on the reading thread and
-      565 on the home's, its serve loop's own included. The reader's
+      560 on the home's, its serve loop's own included. The home ran
+      565 while its idle decision also read the worker pool's in-flight
+      count (``self._inflight == 0``: 5 bytecodes); one thread serves
+      every request now, so only the mailbox probe decides. The reader's
       45 over 975 are the digest's size test (12) and ``blob_crc32``'s
       frame (33); on a host without libdeflate that frame returns at
       its first test, and the reader runs 995. Its 6 over 969 before
@@ -1107,7 +1110,7 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
         "calls_again": 27 * BATCH,
         "opcodes": (1020 if LARGE_DIGEST == "libdeflate" else 995) * BATCH,
         "home_calls": 17 * BATCH,
-        "home_opcodes": 565 * BATCH,
+        "home_opcodes": 560 * BATCH,
     }
 
 

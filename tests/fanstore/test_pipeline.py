@@ -570,6 +570,10 @@ class TestBatchedRequests:
             results, errors = _park_all(daemon, batcher, jobs)
             comm.barrier(timeout=30)
             assert not errors, errors
+            # the leader handed the baton on: a later lone ask to this
+            # rank takes it at once instead of parking behind a baton
+            # that nobody passes on
+            assert not batcher.busy and not batcher.pending
             return (
                 results,
                 daemon.metrics.get("daemon.batch.flushes").value,

@@ -1,22 +1,27 @@
 """The serve side (:class:`repro.fanstore.serve.PeerServer`), driven
-directly with a fake ``answer``: what keeps admission control alive
-under a stalled pool, and the one deadline rule that ranks every entry.
+directly with a fake ``answer``: the one-thread rule that admits what
+arrives during a serve before the next, the one deadline rule that
+ranks every entry, and the stop order that keeps the journal open for
+a serve still running.
 
-No verdict here waits on a sleep: every reply is awaited by a receive
-with a bounded timeout, and every count follows from the queue's
-capacity and :data:`MAX_INFLIGHT`, whatever the interleaving."""
+No verdict here waits on a sleep: every serve is held and released by
+hand, every reply is awaited by a receive with a bounded timeout, and
+every count follows from the queue's capacity, whatever the
+interleaving."""
 
 from __future__ import annotations
 
 import threading
 import time
+from queue import Queue
 
 import pytest
 
-from repro.comm.communicator import World
-from repro.fanstore.daemon import DaemonConfig, DaemonStats
+from repro.comm.communicator import ANY_TAG, World
+from repro.fanstore.backend import DiskBackend
+from repro.fanstore.daemon import DaemonConfig, DaemonStats, FanStoreDaemon
 from repro.fanstore.exchange import TAG_DAEMON
-from repro.fanstore.serve import MAX_INFLIGHT, AdmissionQueue, PeerServer
+from repro.fanstore.serve import AdmissionQueue, PeerServer
 from repro.fanstore.wire import Reply, Request
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
@@ -35,78 +40,155 @@ def _server(comm, answer, max_queue_depth: int) -> PeerServer:
     )
 
 
-def _fetch(subject: str, deadline: float | None = None) -> tuple:
+def _fetch(
+    subject: str, deadline: float | None = None, reply_tag: int = REPLY_TAG
+) -> tuple:
     body = Request(
-        subject=subject, reply_tag=REPLY_TAG, deadline=deadline, epoch=None
+        subject=subject, reply_tag=reply_tag, deadline=deadline, epoch=None
     ).encode()
     return ("fetch", body)
 
 
-class TestStalledPool:
-    def test_admission_sheds_while_the_pool_is_stalled(self):
-        """The pool holds :data:`MAX_INFLIGHT` requests that cannot
-        finish, and the loop holds one more. Every request past the
-        queue's capacity must still be told ``OVERLOAD`` *before* the
-        pool moves again; after it moves, every admitted request is
-        answered. A loop that blocked on a free in-flight slot would
-        stop draining its mailbox, and no shed reply would come."""
-        capacity = MAX_INFLIGHT + 8
-        held = MAX_INFLIGHT + 1  # in the pool, plus the one the loop holds
-        shed = 5
-        release = threading.Event()
-        answered: list[str] = []
-
-        def stalled_answer(kind, subject, epoch, span):
-            assert release.wait(60)
-            answered.append(subject)
-            return Reply.OK, subject
-
+class TestOneThreadRule:
+    def test_arrivals_during_a_serve_are_admitted_before_the_next(self):
+        """Every serve is held until the test releases it. What arrives
+        while one request is served waits in the mailbox; before the
+        next serve the loop admits all of it, telling the overflow
+        ``OVERLOAD`` nearest deadline first, and an entry that expired
+        in the queue is dropped unserved. The requests answer on tags
+        of their own, so the reply order on the asker is the loop's
+        order of sends."""
+        capacity = 3
+        entered: Queue[str] = Queue()
+        gate = threading.Semaphore(0)
+        seen: list[tuple[str, int, int]] = []
         world = World(2)
         home, asker = world.comm(0), world.comm(1)
-        server = _server(home, stalled_answer, capacity)
-        # queued before the loop runs: its first pass admits them all,
-        # so none is served inline and the pool takes them in order
-        first = [f"first/{i}" for i in range(capacity)]
-        for path in first:
-            asker.send(_fetch(path), 0, TAG_DAEMON)
+
+        def held_answer(kind, subject, epoch, span):
+            seen.append(
+                (subject, server.stats.shed_requests, server._queue_depth)
+            )
+            entered.put(subject)
+            assert gate.acquire(timeout=WAIT_S)
+            return Reply.OK, subject
+
+        server = _server(home, held_answer, capacity)
+        tags = {}
+
+        def send(subject: str, deadline: float | None = None) -> None:
+            tags[subject] = REPLY_TAG + len(tags)
+            asker.send(_fetch(subject, deadline, tags[subject]), 0, TAG_DAEMON)
+
+        def serving(subject: str) -> None:
+            assert entered.get(timeout=WAIT_S) == subject
+
+        # alone in the mailbox: served straight off its receive
+        send("r0")
         server.start()
         try:
-            # the loop dispatched MAX_INFLIGHT and popped one more; what
-            # arrives from here on is drained only by the spin that
-            # waits for a free slot
-            give_up = time.monotonic() + WAIT_S
-            while not (
-                server._inflight == MAX_INFLIGHT
-                and server._queue_depth == capacity - MAX_INFLIGHT
-            ):
-                assert time.monotonic() < give_up, "the pool never filled"
-                time.sleep(0)
-            # later deadlines than the first wave's (none): overflow
-            # sheds these, earliest deadline first
+            serving("r0")
+            # arrive during r0's serve; a2 and a4 carry the nearest
+            # deadlines, so the two arrivals past capacity shed them
             at = time.monotonic() + 600
-            more = [f"more/{i}" for i in range(held + shed)]
-            for i, path in enumerate(more):
-                asker.send(_fetch(path, at + i), 0, TAG_DAEMON)
-            for _ in range(shed):
-                status, _retry_after = asker.recv(
-                    0, REPLY_TAG, timeout=WAIT_S
-                )
-                assert status == Reply.OVERLOAD
-            assert not answered and server.stats.shed_requests == shed
-            release.set()
+            for subject, offset in (
+                ("a1", 3), ("a2", 1), ("a3", 5), ("a4", 2), ("a5", 4)
+            ):
+                send(subject, at + offset)
+            gate.release()
+            serving("a1")
+            # expired on arrival, and the queue has room: admitted, not
+            # shed, then dropped when its turn comes
+            send("expired", time.monotonic() - 1.0)
+            gate.release()
+            serving("a3")
+            gate.release()
+            serving("a5")
+            gate.release()
+            send("last")  # answered after the drop: the loop passed it
+            serving("last")
+            gate.release()
             replies = [
-                asker.recv(0, REPLY_TAG, timeout=WAIT_S)
-                for _ in range(capacity + held)
+                asker.recv_with_status(0, ANY_TAG, timeout=WAIT_S)
+                for _ in range(7)
             ]
+            assert not asker.iprobe(0, ANY_TAG)
         finally:
-            release.set()
+            for _ in range(8):
+                gate.release()
             server.stop()
             world.close()
-        assert {status for status, _ in replies} == {Reply.OK}
-        assert sorted(path for _, path in replies) == sorted(
-            first + more[shed:]
+        by_tag = {tag: subject for subject, tag in tags.items()}
+        assert [(by_tag[tag], reply[0]) for reply, _src, tag in replies] == [
+            ("r0", Reply.OK),
+            ("a2", Reply.OVERLOAD),
+            ("a4", Reply.OVERLOAD),
+            ("a1", Reply.OK),
+            ("a3", Reply.OK),
+            ("a5", Reply.OK),
+            ("last", Reply.OK),
+        ]
+        # (subject, shed so far, queue depth before its pop): both sheds
+        # came before a1's serve, and "expired" was queued before a3's
+        assert seen[:4] == [
+            ("r0", 0, 0), ("a1", 2, 3), ("a3", 2, 3), ("a5", 2, 2)
+        ]
+        assert server.stats.shed_requests == 2
+        assert server.stats.deadline_expired_drops == 1
+
+
+class TestStopOrder:
+    def test_a_serve_running_at_stop_writes_through_an_open_journal(
+        self, tmp_path
+    ):
+        """``FanStoreDaemon.stop`` stops serving before it closes the
+        journal: a request whose answer is still running when ``stop``
+        begins can write back (a repair, a degraded-read promote). The
+        held answer is released by whichever comes first, the server's
+        stop or the journal's close, so the other order fails here."""
+        world = World(2)
+        daemon = FanStoreDaemon(
+            world.comm(0), backend=DiskBackend(tmp_path / "store"),
+            journal_dir=tmp_path / "journal",
         )
-        assert server.stats.shed_requests == shed
+        entered, release = threading.Event(), threading.Event()
+        journal_open: list[bool] = []
+
+        def held_answer(kind, subject, epoch, span):
+            entered.set()
+            assert release.wait(WAIT_S)
+            journal_open.append(not daemon.journal.closed)
+            daemon._durable_put("promote", subject, b"written back")
+            return Reply.OK, subject
+
+        server, journal = daemon.server, daemon.journal
+        stop_server, close_journal = server.stop, journal.close
+
+        def server_stop():
+            release.set()
+            stop_server()
+
+        def journal_close():
+            close_journal()
+            release.set()
+
+        server._answer = held_answer
+        server.stop, journal.close = server_stop, journal_close
+        daemon.start()
+        try:
+            world.comm(1).send(_fetch("train/x"), 0, TAG_DAEMON)
+            assert entered.wait(WAIT_S)
+            daemon.stop()
+            # stop() returned: the serve is over, its reply sent or not
+            reply = world.comm(1).try_recv(0, REPLY_TAG)
+        finally:
+            release.set()
+            daemon.stop()
+            world.close()
+        assert journal_open == [True]
+        assert reply is not None and tuple(reply[0]) == (Reply.OK, "train/x")
+        assert daemon.stats.malformed_requests == 0
+        assert daemon.backend.get("train/x") == b"written back"
 
 
 def _never_answered(kind, subject, epoch, span):
