@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from repro.comm.communicator import Communicator
+from repro.comm.communicator import _DEFAULT_TIMEOUT, Communicator
 from repro.errors import CommError
 from repro.simnet.network import InterconnectModel
 
@@ -46,14 +46,22 @@ class FusionBuffer:
             buf.add(grad)
         averaged = buf.flush()     # rank-identical, submission order
 
-    The buffer averages (sum/size) like data-parallel SGD expects.
+    The buffer averages (sum/size) like data-parallel SGD expects. Each
+    bucket's allreduce waits at most ``timeout`` seconds (None =
+    forever) and raises :class:`CommError` past it.
     """
 
-    def __init__(self, comm: Communicator, capacity_bytes: int) -> None:
+    def __init__(
+        self,
+        comm: Communicator,
+        capacity_bytes: int,
+        timeout: float | None = _DEFAULT_TIMEOUT,
+    ) -> None:
         if capacity_bytes < 1:
             raise CommError(f"capacity must be >= 1 byte, got {capacity_bytes}")
         self.comm = comm
         self.capacity_bytes = capacity_bytes
+        self.timeout = timeout
         self.stats = FusionStats()
         self._pending: list[np.ndarray] = []
         self._pending_bytes = 0
@@ -73,7 +81,10 @@ class FusionBuffer:
             return
         shapes = [a.shape for a in self._pending]
         flat = np.concatenate([a.ravel() for a in self._pending])
-        total = self.comm.allreduce(flat, np.add) / self.comm.size
+        total = (
+            self.comm.allreduce(flat, np.add, timeout=self.timeout)
+            / self.comm.size
+        )
         self.stats.allreduce_calls += 1
         self.stats.bytes_reduced += flat.nbytes
         offset = 0
@@ -94,10 +105,14 @@ class FusionBuffer:
 
 
 def bucketed_allreduce(
-    comm: Communicator, flat: np.ndarray, bucket_bytes: int
+    comm: Communicator,
+    flat: np.ndarray,
+    bucket_bytes: int,
+    timeout: float | None = _DEFAULT_TIMEOUT,
 ) -> np.ndarray:
-    """Average one flat vector through fusion-sized buckets."""
-    buf = FusionBuffer(comm, bucket_bytes)
+    """Average one flat vector through fusion-sized buckets, each
+    bucket's allreduce bounded by ``timeout``."""
+    buf = FusionBuffer(comm, bucket_bytes, timeout)
     per_bucket = max(bucket_bytes // flat.itemsize, 1)
     for start in range(0, flat.size, per_bucket):
         buf.add(flat[start : start + per_bucket])

@@ -3,16 +3,15 @@
 FanStore decompresses a file on ``open()`` into a shared cache region
 and serves ``read()`` from it. Because DL training touches every file
 with equal probability each epoch, retention buys little; the paper's
-policy is therefore *minimum RAM*: a FIFO variant where an entry is
-pinned while any I/O thread has the file open (a per-entry reference
-count incremented on open, decremented on close) and released once its
-count returns to zero.
+policy is therefore *minimum RAM*: an entry is pinned while any I/O
+thread has the file open (a per-entry reference count incremented on
+open, decremented on close) and released once its count returns to
+zero.
 
-This module implements that policy exactly (``retain_unpinned=False``),
-plus a capacity-bounded retention mode (``retain_unpinned=True``) used
-by the cache-policy ablation benchmark: entries whose count hits zero
-stay cached FIFO-ordered until capacity pressure evicts them, and a
-reopened file becomes a cache hit.
+This module implements that policy and no other: every resident entry
+is pinned, so nothing is ever evicted to make room. The retaining FIFO
+the paper argues against lives only as a model in the cache-policy
+ablation (``benchmarks/bench_ablation_cache.py``).
 
 How the paper's verbs map here:
 
@@ -38,7 +37,6 @@ How the paper's verbs map here:
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,7 +51,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    rejected: int = 0  # entries larger than the whole cache
     quarantined: int = 0  # entries discarded after integrity failures
     singleflight_leaders: int = 0  # misses that ran the factory
     singleflight_followers: int = 0  # concurrent misses that shared a flight
@@ -91,24 +88,17 @@ class _Flight:
 
 
 class DecompressedCache:
-    """Reference-counted FIFO cache of decompressed file bytes.
+    """Reference-counted cache of decompressed file bytes.
 
-    ``capacity_bytes`` bounds resident bytes. Pinned entries (refcount
-    > 0) are never evicted; if an insert cannot fit even after evicting
-    everything unpinned, the insert still succeeds but is flagged in the
-    stats (the shared-memory pool would grow — the paper sizes the pool
-    for the largest working set).
+    Every resident entry is pinned (refcount > 0): an install pins, the
+    last :meth:`close` frees, and :meth:`read_once` installs nothing.
+    Resident bytes are therefore the open files' bytes, which is the
+    working set the paper sizes its shared-memory pool for.
     """
 
-    def __init__(
-        self, capacity_bytes: int = 1 << 30, *, retain_unpinned: bool = False
-    ) -> None:
-        if capacity_bytes <= 0:
-            raise FanStoreError("cache capacity must be positive")
-        self.capacity_bytes = capacity_bytes
-        self.retain_unpinned = retain_unpinned
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries: dict[str, _Entry] = {}
         self._resident = 0
         self.stats = CacheStats()
         # path → the miss being computed for it, guarded by _lock
@@ -167,11 +157,8 @@ class DecompressedCache:
                 entry.doomed = False
             entry.refcount += 1
             return entry.data
-        self._make_room(len(data))
         self._entries[path] = _Entry(data=data, refcount=1)
         self._resident += len(data)
-        if len(data) > self.capacity_bytes:
-            self.stats.rejected += 1
         return data
 
     def get_or_compute(
@@ -189,11 +176,11 @@ class DecompressedCache:
         entry (its own pin) and retires the flight in a second one — so
         nobody can miss, lose the CPU and recompute an entry installed
         meanwhile. A concurrent misser joins the flight, waits, and
-        re-opens for its own pin (one miss, then one hit; evicted again
-        already — rare — it leads the next flight). When the flight's
-        leader was a :meth:`read_once`, which installs nothing, the
-        first follower to wake installs the leader's bytes and pins them
-        instead (one miss, no second open). A leader failure reaches
+        re-opens for its own pin (one miss, then one hit; freed by its
+        last close already — rare — it leads the next flight). When the
+        flight's leader was a :meth:`read_once`, which installs nothing,
+        the first follower to wake installs the leader's bytes and pins
+        them instead (one miss, no second open). A leader failure reaches
         that round's followers as the same exception instance; the next
         caller starts afresh. The waiter ``Event`` is built by the first
         follower, so an uncontended miss has none. Always returns pinned
@@ -252,14 +239,8 @@ class DecompressedCache:
         ``factory`` outside the lock, hands the bytes to its followers
         and retires the flight, installing nothing. Every call counts an
         open and a hit or a miss (and a leader or follower) exactly as
-        :meth:`get_or_compute` would; no call counts an eviction. In the
-        ``retain_unpinned`` ablation mode a reread must hit, so there it
-        *is* ``get_or_compute`` + ``close``.
+        :meth:`get_or_compute` would; no call counts an eviction.
         """
-        if self.retain_unpinned:
-            data = self.get_or_compute(path, factory)
-            self.close(path)
-            return data
         with self._lock:
             self.stats.opens += 1
             entry = self._entries.get(path)
@@ -297,30 +278,25 @@ class DecompressedCache:
                 flight.done.set()
 
     def close(self, path: str) -> None:
-        """Unpin; with the paper's policy a zero count frees the entry
-        immediately (Figure 4)."""
+        """Unpin; a zero count frees the entry immediately (Figure 4)."""
         with self._lock:
             entry = self._entries.get(path)
-            if entry is None or entry.refcount <= 0:
+            if entry is None:
                 raise FanStoreError(f"close of non-open cache entry {path!r}")
             entry.refcount -= 1
-            if entry.refcount == 0 and (entry.doomed or not self.retain_unpinned):
+            if entry.refcount == 0:
                 self._evict(path)
 
     def discard(self, path: str) -> bool:
-        """Quarantine a path whose source bytes failed verification:
-        an unpinned entry is evicted immediately; a pinned one is
-        doomed — never served to a new open, freed at its last close.
-        Returns True if an entry was present."""
+        """Quarantine a path whose source bytes failed verification: its
+        (pinned) entry is doomed — never served to a new open, freed at
+        its last close. Returns True if an entry was present."""
         with self._lock:
             entry = self._entries.get(path)
             if entry is None:
                 return False
             self.stats.quarantined += 1
-            if entry.refcount == 0:
-                self._evict(path)
-            else:
-                entry.doomed = True
+            entry.doomed = True
             return True
 
     # -- internals ----------------------------------------------------------
@@ -329,16 +305,6 @@ class DecompressedCache:
         entry = self._entries.pop(path)
         self._resident -= len(entry.data)
         self.stats.evictions += 1
-
-    def _make_room(self, incoming: int) -> None:
-        if self._resident + incoming <= self.capacity_bytes:
-            return
-        # FIFO order, skipping pinned entries (the paper's exception).
-        for path in list(self._entries):
-            if self._resident + incoming <= self.capacity_bytes:
-                break
-            if self._entries[path].refcount == 0:
-                self._evict(path)
 
     # -- observability ------------------------------------------------------
 
@@ -351,7 +317,7 @@ class DecompressedCache:
         plain ``+=`` and snapshots still see every update.
         """
         for name in (
-            "opens", "hits", "misses", "evictions", "rejected", "quarantined"
+            "opens", "hits", "misses", "evictions", "quarantined"
         ):
             metrics.bind_counter(f"cache.{name}", self.stats, name)
         metrics.bind_counter(

@@ -35,6 +35,10 @@ Clock = Callable[[], float]
 #: latency samples kept per peer for :meth:`HealthTracker.quantile`
 WINDOW = 128
 
+#: consecutive hard failures that trip a closed breaker — the default
+#: ladder's 1 + ``max_retries`` attempts
+FAILURE_THRESHOLD = 3
+
 
 class BreakerState(enum.Enum):
     """Where a peer's breaker is in the closed → open → half-open
@@ -53,22 +57,16 @@ class CircuitBreaker:
     def __init__(
         self,
         *,
-        failure_threshold: int = 3,
         slow_threshold: int = 3,
         reset_after: float = 1.0,
         clock: Clock = time.monotonic,
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
         if slow_threshold < 1:
             raise ValueError(
                 f"slow_threshold must be >= 1, got {slow_threshold}"
             )
         if reset_after < 0:
             raise ValueError(f"reset_after must be >= 0, got {reset_after}")
-        self.failure_threshold = failure_threshold
         self.slow_threshold = slow_threshold
         self.reset_after = reset_after
         self._clock = clock
@@ -123,7 +121,7 @@ class CircuitBreaker:
             self._trip()
             return state is BreakerState.HALF_OPEN
         self._failures += 1
-        if self._failures >= self.failure_threshold:
+        if self._failures >= FAILURE_THRESHOLD:
             self._trip()
         return False
 
@@ -170,7 +168,6 @@ class HealthTracker:
         self,
         rank: int = 0,
         *,
-        failure_threshold: int = 3,
         slow_threshold: int = 3,
         reset_after: float = 1.0,
         clock: Clock = time.monotonic,
@@ -178,7 +175,6 @@ class HealthTracker:
         self.rank = rank
         self._clock = clock
         self._mk_breaker = lambda: CircuitBreaker(
-            failure_threshold=failure_threshold,
             slow_threshold=slow_threshold,
             reset_after=reset_after,
             clock=clock,

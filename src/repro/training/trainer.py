@@ -131,7 +131,7 @@ class DataParallelTrainer:
             log_path = f"logs/train-{next(_run_counter):04d}.log"
         self.log_path = log_path
         #: §II-A's fusion buffer: gradients allreduce in buckets of this
-        #: many bytes instead of one monolithic call. None = monolithic.
+        #: many bytes. None = one bucket of the whole gradient.
         self.fusion_bytes = fusion_bytes
         #: bound on each gradient allreduce (None = communicator
         #: default). Fault-recovery drills set this low so survivors of
@@ -232,12 +232,10 @@ class DataParallelTrainer:
                     kw = {} if self.comm_timeout is None else {
                         "timeout": self.comm_timeout
                     }
-                    if self.fusion_bytes is not None:
-                        grads = bucketed_allreduce(
-                            self.comm, grads, self.fusion_bytes
-                        )
-                    else:
-                        grads = self.comm.allreduce(grads, np.add, **kw) / self.comm.size
+                    bucket = self.fusion_bytes
+                    if bucket is None:  # monolithic: one bucket
+                        bucket = max(grads.nbytes, 1)
+                    grads = bucketed_allreduce(self.comm, grads, bucket, **kw)
                     loss = self.comm.allreduce(loss, lambda a, b: a + b, **kw) / self.comm.size
             t_reduce = time.perf_counter()
             self.model.apply_gradients(grads, self.lr)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,27 @@ class TestBucketedAllreduce:
         results = run_parallel(body, 3, timeout=30)
         assert all(ok for ok, _ in results)
         assert all(n == 37 for _, n in results)
+
+
+    def test_a_bucket_gives_up_at_its_timeout(self):
+        """A rank that stays alive but never reduces holds the others
+        only for ``timeout``, not for the communicator's default wait:
+        a fused trainer's ``comm_timeout`` reaches every bucket."""
+
+        def body(comm):
+            if comm.rank == 1:  # alive, never reduces; leaves when told
+                comm.recv(source=0, tag=7, timeout=30)
+                return None
+            start = time.monotonic()
+            try:
+                with pytest.raises(CommError, match="timed out"):
+                    bucketed_allreduce(comm, np.ones(8), 16, timeout=0.3)
+                return time.monotonic() - start
+            finally:
+                comm.send(None, 1, tag=7)
+
+        elapsed = run_parallel(body, 2, timeout=30)[0]
+        assert 0.3 <= elapsed < 1.0
 
 
 class TestModeledSchedule:

@@ -1,4 +1,5 @@
-"""The §IV-C3 cache: refcount pinning, FIFO eviction, both policies."""
+"""The §IV-C3 cache: refcount pinning and release at zero (the paper's
+minimum-RAM policy, the only one the store implements)."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import threading
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FanStoreError
 from repro.fanstore import cache as cache_module
@@ -13,10 +16,10 @@ from repro.fanstore.cache import DecompressedCache
 
 
 class TestPaperPolicy:
-    """retain_unpinned=False: release at refcount zero (Figure 4)."""
+    """Release at refcount zero (Figure 4)."""
 
     def test_open_miss_insert_close_releases(self):
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         assert cache.open("f") is None
         cache.insert("f", b"data")
         assert "f" in cache
@@ -25,7 +28,7 @@ class TestPaperPolicy:
         assert cache.resident_bytes == 0
 
     def test_concurrent_opens_share_entry(self):
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         cache.open("f")
         cache.insert("f", b"data")
         assert cache.open("f") == b"data"  # second thread: hit
@@ -36,7 +39,7 @@ class TestPaperPolicy:
         assert "f" not in cache
 
     def test_racing_insert_first_wins(self):
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         cache.open("f")
         cache.open("f")
         first = cache.insert("f", b"v1")
@@ -45,12 +48,12 @@ class TestPaperPolicy:
         assert cache.refcount("f") == 2
 
     def test_close_unopened_raises(self):
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         with pytest.raises(FanStoreError):
             cache.close("ghost")
 
     def test_double_close_raises(self):
-        cache = DecompressedCache(1000, retain_unpinned=True)
+        cache = DecompressedCache()
         cache.open("f")
         cache.insert("f", b"x")
         cache.close("f")
@@ -58,7 +61,7 @@ class TestPaperPolicy:
             cache.close("f")
 
     def test_stats_counters(self):
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         cache.open("a")  # miss
         cache.insert("a", b"1")
         cache.open("a")  # hit
@@ -71,65 +74,17 @@ class TestPaperPolicy:
         assert cache.stats.evictions == 1
 
 
-class TestRetentionPolicy:
-    """retain_unpinned=True: the ablation's capacity-bounded FIFO."""
-
-    def test_reopen_hits(self):
-        cache = DecompressedCache(1000, retain_unpinned=True)
-        cache.open("f")
-        cache.insert("f", b"data")
-        cache.close("f")
-        assert "f" in cache
-        assert cache.open("f") == b"data"
-
-    def test_fifo_eviction_under_pressure(self):
-        cache = DecompressedCache(100, retain_unpinned=True)
-        for name in ("a", "b", "c"):
-            cache.open(name)
-            cache.insert(name, bytes(40))
-            cache.close(name)
-        # inserting c (40B) over a+b (80B) must evict "a" (oldest) only
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-
-    def test_pinned_entries_survive_pressure(self):
-        cache = DecompressedCache(100, retain_unpinned=True)
-        cache.open("pinned")
-        cache.insert("pinned", bytes(60))  # stays pinned
-        cache.open("x")
-        cache.insert("x", bytes(60))  # needs eviction, but can't evict pinned
-        assert "pinned" in cache
-        assert cache.refcount("pinned") == 1
-
-    def test_oversized_entry_flagged(self):
-        cache = DecompressedCache(10, retain_unpinned=True)
-        cache.open("big")
-        cache.insert("big", bytes(100))
-        assert cache.stats.rejected == 1
-        assert cache.open("big") is not None  # still served
-
-
 class TestQuarantine:
     """discard(): the integrity layer's hook — a path whose source
     bytes failed verification must never be served again."""
 
-    def test_discard_unpinned_evicts_immediately(self):
-        cache = DecompressedCache(1000, retain_unpinned=True)
-        cache.open("f")
-        cache.insert("f", b"data")
-        cache.close("f")
-        assert cache.discard("f") is True
-        assert "f" not in cache
-        assert cache.stats.quarantined == 1
-        assert cache.open("f") is None  # re-verify on next open
-
     def test_discard_absent_is_noop(self):
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         assert cache.discard("ghost") is False
         assert cache.stats.quarantined == 0
 
     def test_discard_pinned_dooms_instead_of_evicting(self):
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         cache.open("f")
         cache.insert("f", b"bad")
         assert cache.discard("f") is True
@@ -137,19 +92,11 @@ class TestQuarantine:
         assert cache.open("f") is None  # ...but never served again
         assert cache.refcount("f") == 1
 
-    def test_doomed_entry_freed_at_last_close_even_when_retaining(self):
-        cache = DecompressedCache(1000, retain_unpinned=True)
-        cache.open("f")
-        cache.insert("f", b"bad")
-        cache.discard("f")
-        cache.close("f")
-        assert "f" not in cache  # retention does not apply to the doomed
-
     def test_doomed_replacement_counts_an_eviction(self):
         """Regression: the in-place replacement of quarantined bytes
         drops the old data from residency, so it must count as an
         eviction — quarantine-then-reload traffic used to undercount."""
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         cache.open("f")
         cache.insert("f", b"corrupt!")
         cache.discard("f")  # pinned → doomed, not evicted
@@ -166,7 +113,7 @@ class TestQuarantine:
         """The repair path re-verifies and re-inserts while an old
         reader still holds the entry open: fresh bytes are served from
         then on, and the old reader's close() still balances."""
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         cache.open("f")
         cache.insert("f", b"corrupt!")  # reader A pins the bad bytes
         cache.discard("f")
@@ -185,7 +132,7 @@ class TestReadOnce:
     residency nobody could observe left out."""
 
     def test_miss_installs_nothing_and_counts_an_open(self):
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         assert cache.read_once("f", lambda: b"data") == b"data"
         assert "f" not in cache and cache.resident_bytes == 0
         stats = cache.stats
@@ -194,7 +141,7 @@ class TestReadOnce:
         assert not cache._flights
 
     def test_resident_entry_is_a_hit_without_a_pin(self):
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         cache.open("f")
         cache.insert("f", b"data")
 
@@ -206,7 +153,7 @@ class TestReadOnce:
         assert (cache.stats.opens, cache.stats.hits) == (2, 1)
 
     def test_doomed_entry_is_a_miss_that_leaves_it_doomed(self):
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         cache.open("f")
         cache.insert("f", b"corrupt!")
         cache.discard("f")
@@ -216,7 +163,7 @@ class TestReadOnce:
         assert "f" not in cache and cache.stats.evictions == 1
 
     def test_leader_failure_leaves_no_flight(self):
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         with pytest.raises(KeyError):
             cache.read_once("f", lambda: {}["missing"])
         assert not cache._flights
@@ -240,7 +187,7 @@ class TestReadOnce:
                 super().wait(10)
                 return release[name].wait(10)
 
-        cache = DecompressedCache(1000)
+        cache = DecompressedCache()
         monkeypatch.setattr(
             cache_module, "threading", types.SimpleNamespace(Event=GatedEvent)
         )
@@ -271,17 +218,9 @@ class TestReadOnce:
         assert cache.stats.singleflight_leaders == 2
         assert cache.refcount("f") == 2
 
-    def test_retention_mode_keeps_install_and_close(self):
-        cache = DecompressedCache(1000, retain_unpinned=True)
-        assert cache.read_once("f", lambda: b"data") == b"data"
-        assert "f" in cache and cache.refcount("f") == 0
-        assert cache.read_once("f", lambda: b"other") == b"data"  # a hit
-        assert cache.stats.hit_rate == 0.5
-
-
 class TestConcurrency:
     def test_parallel_open_close_stress(self):
-        cache = DecompressedCache(1 << 20)
+        cache = DecompressedCache()
         errors = []
 
         def worker(tid):
@@ -324,7 +263,7 @@ def test_uncontended_miss_builds_no_waiter(monkeypatch):
         "threading",
         types.SimpleNamespace(Event=counting_event, Lock=threading.Lock),
     )
-    cache = DecompressedCache(1 << 20)
+    cache = DecompressedCache()
     for i in range(64):
         key = f"d/k{i % 3}"
         assert cache.get_or_compute(key, lambda: key.encode()) == key.encode()
@@ -336,17 +275,12 @@ def test_uncontended_miss_builds_no_waiter(monkeypatch):
     assert cache.stats.singleflight_followers == 0
 
 
-def test_capacity_must_be_positive():
-    with pytest.raises(FanStoreError):
-        DecompressedCache(0)
-
-
 def test_bind_metrics_reads_through_live_counters():
     """``cache.*`` registry metrics share storage with CacheStats and
     the hit-ratio gauge is computed at snapshot time."""
     from repro.obs import MetricsRegistry
 
-    cache = DecompressedCache(1000)
+    cache = DecompressedCache()
     reg = MetricsRegistry()
     cache.bind_metrics(reg)
     cache.open("a")  # miss
@@ -358,3 +292,78 @@ def test_bind_metrics_reads_through_live_counters():
     assert snap.value("cache.misses") == 1
     assert snap.value("cache.hit_ratio") == pytest.approx(0.5)
     assert snap.value("cache.resident_bytes") == 2
+
+
+# -- model test -------------------------------------------------------------
+
+_KEYS = st.sampled_from(["a", "b", "c"])
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["open", "insert", "get_or_compute", "read_once", "close",
+             "discard"]
+        ),
+        _KEYS,
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPS)
+def test_every_resident_entry_is_pinned(ops):
+    """The paper's policy as one invariant, checked op by op against a
+    model: every resident entry is pinned by an outstanding open, the
+    resident bytes are the resident entries' bytes, a quarantined
+    (doomed) entry's bytes are never handed out, and the cache holds
+    exactly the keys some caller still has open."""
+    cache = DecompressedCache()
+    pins = dict.fromkeys(("a", "b", "c"), 0)  # outstanding opens
+    resident: dict[str, bytes] = {}  # what each resident key holds
+    doomed: set[str] = set()
+    quarantined: list[bytes] = []  # every doomed entry's bytes
+    for serial, (op, key) in enumerate(ops):
+        fresh = f"{key}{serial}".encode()
+        servable = key in resident and key not in doomed
+        got = None
+        if op == "open":
+            got = cache.open(key)
+            assert got == (resident[key] if servable else None)
+            pins[key] += got is not None
+        elif op in ("insert", "get_or_compute"):
+            if op == "insert":
+                got = cache.insert(key, fresh)
+            else:
+                got = cache.get_or_compute(key, lambda: fresh)
+            if not servable:
+                resident[key] = fresh
+                doomed.discard(key)
+            assert got == resident[key]
+            pins[key] += 1
+        elif op == "read_once":
+            got = cache.read_once(key, lambda: fresh)
+            assert got == (resident[key] if servable else fresh)
+        elif op == "close":
+            if not pins[key]:
+                with pytest.raises(FanStoreError):
+                    cache.close(key)
+                continue
+            cache.close(key)
+            pins[key] -= 1
+            if not pins[key]:
+                del resident[key]
+                doomed.discard(key)
+        else:
+            assert cache.discard(key) is (key in resident)
+            if key in resident:
+                doomed.add(key)
+                quarantined.append(resident[key])
+        assert got not in quarantined
+        entries = cache._entries
+        assert all(entry.refcount >= 1 for entry in entries.values())
+        assert cache.resident_bytes == sum(
+            len(entry.data) for entry in entries.values()
+        )
+        assert len(cache) == sum(1 for n in pins.values() if n)
+        assert {key: cache.refcount(key) for key in pins} == pins
+    assert not cache._flights

@@ -54,7 +54,6 @@ class FakeClock:
 
 
 def breaker(clock, **kw):
-    kw.setdefault("failure_threshold", 3)
     kw.setdefault("slow_threshold", 3)
     kw.setdefault("reset_after", 1.0)
     return CircuitBreaker(clock=clock, **kw)
@@ -165,8 +164,7 @@ class TestCircuitBreakerFSM:
         assert br.state is BreakerState.CLOSED
 
     @pytest.mark.parametrize(
-        "kw", [dict(failure_threshold=0), dict(slow_threshold=0),
-               dict(reset_after=-1.0)]
+        "kw", [dict(slow_threshold=0), dict(reset_after=-1.0)]
     )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -224,7 +222,7 @@ class TestHealthTracker:
         assert h.allow(4)  # the rejoin probe
 
     def test_exhausted_opens_at_once_whatever_the_strike_count(self):
-        h = self.tracker(failure_threshold=3)
+        h = self.tracker()
         opened = []
         h.on_open = opened.append
         assert h.failure(1) is False  # one strike on the books, of three

@@ -20,7 +20,9 @@ backend each took a lock; 18 before ``has_digest``, the registry's
 ``get`` and the cache-miss lambda left the path) where the open/close
 pair it replaced took 25 and 7. A sampled miss (``metrics_every``)
 adds 2 calls and 6 clock reads to that and records what it took, which
-the registry folds into one observation per histogram.
+the registry folds into one observation per histogram. The program's
+own read of a local file through the interposer (``intercept()``) is
+the descriptor path plus the interposer's frames, pinned the same way.
 
 Calls are counted with ``sys.setprofile``; what those calls execute is
 counted too, in bytecodes (``sys.settrace`` opcode events in the same
@@ -280,15 +282,16 @@ def test_read_file_cost_vector(store):
     assert counts["python_calls"] == 10 * n
     # exact: the same reads execute the same calls
     assert _cost_vector(store, client.read_file, paths) == counts
-    # and the same bytecodes: 312 a read. The 12 over 300 are the size
+    # and the same bytecodes: 309 a read. The 12 over 297 are the size
     # test that sends a payload under the floor to zlib's crc32
-    # straight, with no frame (308 while the digest was a Python frame
-    # of its own)
+    # straight, with no frame (312 while ``read_once`` also tested for
+    # a retaining mode, 308 while the digest was a Python frame of its
+    # own)
     assert _opcodes(client.read_file, paths) == LOCAL_READ_OPCODES * n
 
 
 #: bytecodes of one lone local ``read_file`` under ``src/repro``
-LOCAL_READ_OPCODES = 312
+LOCAL_READ_OPCODES = 309
 
 
 def test_read_file_lock_acquisitions_and_digest_passes(packed, monkeypatch):
@@ -341,8 +344,10 @@ def test_a_local_read_hashes_on_every_read(packed, monkeypatch):
 
 
 def test_descriptor_path_cost_vector(store):
-    """``open``/``read``/``close``: 21 calls and 6 locks (22 while the
-    digest was a Python frame). It was 29 and 10 when whole-file reads
+    """``open``/``read``/``close``: 20 calls and 6 locks (21 while the
+    miss called ``_make_room`` for a capacity that only a retaining
+    cache could reach, 22 while the digest was a Python frame). It was
+    29 and 10 when whole-file reads
     stopped making entries resident, 26 and 9 once three frames that
     only forwarded left (``has_digest``, the registry's ``get``, the
     cache-miss lambda) and the writer guard stopped locking while
@@ -366,10 +371,38 @@ def test_descriptor_path_cost_vector(store):
     # canonicality proof), none of them inside the miss; one entry
     # installed pinned at the open and evicted at the close
     assert counts == Counter(
-        python_calls=21 * n, lookups=2 * n, flights=n, installs=n,
+        python_calls=20 * n, lookups=2 * n, flights=n, installs=n,
         evictions=n, backend_gets=n,
     )
     assert _lock_acquisitions(store, open_read_close, paths) == 6 * n
+
+
+def test_intercepted_local_read_cost_vector(store):
+    """The program's own read, ``with open(f"{mount}/{p}", "rb") as h:
+    h.read()`` under :func:`intercept`: the descriptor path plus the
+    interposer's frames — 29 calls, 755 bytecodes and 6 locks a read,
+    one entry installed and freed. It was 30 calls and 793 bytecodes
+    while the miss called ``_make_room`` and the cache tested for a
+    retaining mode (30 and 781 at an earlier count)."""
+    paths, mount = _paths(store), store.mount_point
+
+    def read(path: str) -> None:
+        with open(f"{mount}/{path}", "rb") as fh:
+            fh.read()
+
+    with intercept(store):
+        for path in paths:
+            read(path)
+        counts = _cost_vector(store, read, paths)
+        opcodes = _opcodes(read, paths)
+        locks = _lock_acquisitions(store, read, paths)
+    n = len(paths)
+    assert counts == Counter(
+        python_calls=29 * n, lookups=2 * n, flights=n, installs=n,
+        evictions=n, backend_gets=n,
+    )
+    assert opcodes == 755 * n
+    assert locks == 6 * n
 
 
 #: what a sampled miss feeds: these five histograms, and the codec's
@@ -839,7 +872,7 @@ def test_batched_remote_read_cost_vector(remote_packed, monkeypatch):
         } == {
             "opens": BATCH, "misses": BATCH, "evictions": 0,
             "singleflight_leaders": BATCH, "hits": 0,
-            "singleflight_followers": 0, "rejected": 0, "quarantined": 0,
+            "singleflight_followers": 0, "quarantined": 0,
         }
         assert counts["flights"] == BATCH
         assert counts["installs"] == counts["evictions"] == 0
@@ -1041,16 +1074,18 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
       three ``len``, a drain that found nothing, pop), 29 with a
       ``_respond`` frame between serving and answering, three
       ``_check_rank`` calls and two ``_match`` calls.
-    - 1,020 bytecodes under ``src/repro`` on the reading thread and
+    - 1,017 bytecodes under ``src/repro`` on the reading thread and
       560 on the home's, its serve loop's own included. The home ran
       565 while its idle decision also read the worker pool's in-flight
       count (``self._inflight == 0``: 5 bytecodes); one thread serves
       every request now, so only the mailbox probe decides. The reader's
-      45 over 975 are the digest's size test (12) and ``blob_crc32``'s
+      45 over 972 are the digest's size test (12) and ``blob_crc32``'s
       frame (33); on a host without libdeflate that frame returns at
-      its first test, and the reader runs 995. Its 6 over 969 before
-      that are the type check that makes an OK reply whose value is no
-      blob a corrupt reply (it raised ``TypeError`` before). The home's
+      its first test, and the reader runs 992. It ran 3 more (1,020;
+      995) while ``read_once`` tested for a retaining mode. Before the
+      digest's router it ran 975, whose 6 over 969 are the type check
+      that makes an OK reply whose value is no blob a corrupt reply (it
+      raised ``TypeError`` before). The home's
       3 over 562 are the idle probe's ``tuple`` snapshot of its queue
       (a live-list scan could skip a queued request). It was 983
       and 747 while the home admitted an idle request, its decode
@@ -1108,7 +1143,7 @@ def test_lone_remote_read_cost_vector(remote_packed, monkeypatch):
         "locks": 9 * BATCH,
         "calls": 27 * BATCH,
         "calls_again": 27 * BATCH,
-        "opcodes": (1020 if LARGE_DIGEST == "libdeflate" else 995) * BATCH,
+        "opcodes": (1017 if LARGE_DIGEST == "libdeflate" else 992) * BATCH,
         "home_calls": 17 * BATCH,
         "home_opcodes": 560 * BATCH,
     }

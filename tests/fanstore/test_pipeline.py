@@ -180,7 +180,7 @@ class TestLegacyShim:
 
 class TestCacheGetOrCompute:
     def test_miss_storm_decompresses_once(self):
-        cache = DecompressedCache(1 << 20)
+        cache = DecompressedCache()
         runs = []
         entered = threading.Event()
         release = threading.Event()
@@ -222,7 +222,7 @@ class TestCacheGetOrCompute:
         # an entry another opener installed meanwhile — so under forced
         # preemption no key ever has two factory runs overlapping, nor
         # one starting while its entry is resident
-        cache = DecompressedCache(1 << 20)
+        cache = DecompressedCache()
         keys = [f"d/k{i}" for i in range(4)]
         running = dict.fromkeys(keys, 0)
         guard = threading.Lock()
@@ -287,7 +287,7 @@ class TestCacheGetOrCompute:
         # colliding on a few keys under forced preemption: one flight per
         # key at a time whatever kind leads it, every caller gets the
         # key's bytes, and nothing is left pinned or resident
-        cache = DecompressedCache(1 << 20)
+        cache = DecompressedCache()
         keys = [f"d/k{i}" for i in range(4)]
         running = dict.fromkeys(keys, 0)
         guard = threading.Lock()
@@ -348,7 +348,7 @@ class TestCacheGetOrCompute:
         )
 
     def test_leader_failure_shared_then_fresh_flight(self):
-        cache = DecompressedCache(1 << 20)
+        cache = DecompressedCache()
         boom = FanStoreError("decompress failed")
         entered = threading.Event()
         release = threading.Event()
