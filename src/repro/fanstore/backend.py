@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import errno as _errno
 import hashlib
+import operator
 import os
 import threading
 from pathlib import Path
-from typing import ClassVar, Protocol
+from typing import ClassVar, Iterable, Protocol
 
 from repro.errors import (
     DataIntegrityError,
@@ -38,7 +39,9 @@ class Backend(Protocol):
     """What the daemon asks of a store of compressed objects keyed by
     store path (``test_backend.py::TestBackendContract`` holds every
     implementation to it): ``ingest`` makes one prepared partition
-    file's payloads readable and returns its entries, ``get`` raises
+    file's payloads readable and returns its entries (each stat stamped
+    with ``home_rank`` as it is read, when given), ``put_many`` is
+    ``put`` of each ``(path, data)`` pair, ``get`` raises
     :class:`FileNotFoundInStoreError` when absent, ``discard``
     quarantines a (corrupt) copy — True if there was one.
 
@@ -51,8 +54,11 @@ class Backend(Protocol):
 
     hands_out_stored: ClassVar[bool]
 
-    def ingest(self, partition_file: Path) -> list[PartitionEntry]: ...
+    def ingest(
+        self, partition_file: Path, home_rank: int | None = None
+    ) -> list[PartitionEntry]: ...
     def put(self, path: str, data: bytes) -> None: ...
+    def put_many(self, items: Iterable[tuple[str, bytes]]) -> None: ...
     def get(self, path: str) -> bytes: ...
     def discard(self, path: str) -> bool: ...
     def __contains__(self, path: str) -> bool: ...
@@ -61,13 +67,20 @@ class Backend(Protocol):
     def resident_bytes(self) -> int: ...
 
 
-def _ingest_by_put(self: Backend, partition_file: Path) -> list[PartitionEntry]:
+_PATH_OF = operator.itemgetter(0)  # PartitionEntry.path
+_DATA_OF = operator.itemgetter(4)  # PartitionEntry.data
+
+
+def _ingest_by_put(
+    self: Backend, partition_file: Path, home_rank: int | None = None
+) -> list[PartitionEntry]:
     """``ingest`` for a backend that holds the payloads itself: one
-    read of the partition, each payload ``put`` as a ``bytes`` slice of
-    it (the partition's buffer is dropped)."""
-    entries = read_partition(partition_file, with_data=True)
-    for e in entries:
-        self.put(e.path, e.data)
+    read of the partition, its payloads ``put_many`` as ``bytes``
+    slices of it (the partition's buffer is dropped)."""
+    entries = read_partition(
+        partition_file, with_data=True, home_rank=home_rank
+    )
+    self.put_many(zip(map(_PATH_OF, entries), map(_DATA_OF, entries)))
     return entries
 
 
@@ -90,6 +103,11 @@ class RamBackend:
     def put(self, path: str, data: bytes) -> None:
         with self._lock:
             self._objects[path] = data
+
+    def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
+        """Install every pair under one hold of the lock."""
+        with self._lock:
+            self._objects.update(items)
 
     def get(self, path: str) -> bytes:
         try:
@@ -134,9 +152,13 @@ class PartitionBackend:
         self._lock = threading.Lock()
         self._handles: dict[Path, object] = {}
 
-    def ingest(self, partition_file: Path) -> list[PartitionEntry]:
+    def ingest(
+        self, partition_file: Path, home_rank: int | None = None
+    ) -> list[PartitionEntry]:
         """Metadata-only scan: the payloads stay where they are."""
-        entries = read_partition(partition_file, with_data=False)
+        entries = read_partition(
+            partition_file, with_data=False, home_rank=home_rank
+        )
         for e in entries:
             self.register(
                 e.path, partition_file, e.data_offset, e.compressed_size
@@ -153,6 +175,10 @@ class PartitionBackend:
     def put(self, path: str, data: bytes) -> None:
         with self._lock:
             self._overlay[path] = data
+
+    def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
+        with self._lock:
+            self._overlay.update(items)
 
     def _handle(self, partition_file: Path):
         """Cached read handle for a partition file. The cold open(2)
@@ -277,6 +303,11 @@ class DiskBackend:
             raise
         with self._lock:
             self._index[path] = str(blob)
+
+    def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
+        """One atomic, fsync'd blob per pair, in order."""
+        for path, data in items:
+            self.put(path, data)
 
     def adopt(self, path: str) -> bool:
         """Re-index a blob that already exists on disk (restart

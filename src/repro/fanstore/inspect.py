@@ -168,7 +168,10 @@ def verify_dataset(
 def rebuild_manifest(root: Path) -> PreparedDataset:
     """Reconstruct ``manifest.json`` from the partition files themselves
     (counts, sizes, dominant compressor, fresh digests) — the manifest
-    is derived state, so losing it must never lose the dataset."""
+    is derived state, so losing it must never lose the dataset. A
+    partition that does not scan to its end (torn) stays listed but
+    gets no digest and adds no files: a digest of the torn bytes would
+    make them look prepared, and :func:`repair_dataset` reports it."""
     root = Path(root)
     part_names = sorted(p.name for p in root.glob("part-*.fst"))
     if not part_names:
@@ -179,7 +182,11 @@ def rebuild_manifest(root: Path) -> PreparedDataset:
     num_files = original = compressed = 0
     digests: dict[str, str] = {}
     for name in part_names + ([broadcast] if broadcast else []):
-        for e in read_partition(root / name, with_data=False):
+        try:
+            entries = read_partition(root / name, with_data=False)
+        except FormatError:
+            continue
+        for e in entries:
             comp_hist[registry.get(e.compressor_id).name] += 1
             num_files += 1
             original += e.stat.st_size

@@ -26,9 +26,8 @@ import ctypes
 import io
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from repro.errors import FormatError
 
@@ -48,12 +47,18 @@ FLAG_HAS_DIGEST = 1 << 2  # crc32 covers the compressed payload
 # The crc32 of the *compressed* payload lives in what used to be pure
 # padding, so partitions written before digests existed decode
 # unchanged (their flags word simply lacks FLAG_HAS_DIGEST).
-_STAT_STRUCT = struct.Struct("<IQQIIIQIQQQQiIII52x")
+_STAT_FIELDS = "IQQIIIQIQQQQiIII52x"
+_STAT_STRUCT = struct.Struct("<" + _STAT_FIELDS)
 assert _STAT_STRUCT.size == STAT_LEN
 
+#: one entry's header — path, compressor id, stat, compressed size — in
+#: one piece: written by one ``pack``, read by one ``unpack_from``
+_ENTRY_STRUCT = struct.Struct(f"<{MAGIC_PATH_LEN}sH{_STAT_FIELDS}Q")
+assert _ENTRY_STRUCT.size == ENTRY_HEADER_LEN
+#: where the stat's fields, and its home rank, sit in an unpacked header
+_STAT_START, _HOME_AT, _STAT_END = 2, 2 + 12, 2 + 16
+
 _COUNT_STRUCT = struct.Struct("<I")
-_ID_STRUCT = struct.Struct("<H")
-_SIZE_STRUCT = struct.Struct("<Q")
 
 #: default st_mode for packaged regular files (0644 regular file).
 DEFAULT_FILE_MODE = 0o100644
@@ -61,9 +66,12 @@ DEFAULT_DIR_MODE = 0o040755
 DEFAULT_BLOCK_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class FileStat:
-    """The 144-byte per-file metadata record."""
+class FileStat(NamedTuple):
+    """The 144-byte per-file metadata record.
+
+    A named tuple: a reader builds it from one ``unpack`` with
+    ``_make`` (no per-field Python step), and :meth:`pack` is one
+    ``pack(*self)``."""
 
     st_mode: int = DEFAULT_FILE_MODE
     st_ino: int = 0
@@ -84,44 +92,22 @@ class FileStat:
     crc32: int = 0  # digest of the COMPRESSED payload; see FLAG_HAS_DIGEST
 
     def pack(self) -> bytes:
-        return _STAT_STRUCT.pack(
-            self.st_mode,
-            self.st_ino,
-            self.st_dev,
-            self.st_nlink,
-            self.st_uid,
-            self.st_gid,
-            self.st_size,
-            self.st_blksize,
-            self.st_blocks,
-            self.st_atime_ns,
-            self.st_mtime_ns,
-            self.st_ctime_ns,
-            self.home_rank,
-            self.partition_id,
-            self.flags,
-            self.crc32,
-        )
+        return _STAT_STRUCT.pack(*self)
 
     @classmethod
     def unpack(cls, raw: bytes) -> "FileStat":
         if len(raw) != STAT_LEN:
             raise FormatError(f"stat record must be {STAT_LEN} bytes, got {len(raw)}")
-        fields = _STAT_STRUCT.unpack(raw)
-        return cls(*fields)
+        return cls._make(_STAT_STRUCT.unpack(raw))
 
     def with_locality(
         self, home_rank: int, partition_id: int | None = None
     ) -> "FileStat":
-        """Copy with the locality extras filled in (done at load time)."""
-        return FileStat(
-            self.st_mode, self.st_ino, self.st_dev, self.st_nlink,
-            self.st_uid, self.st_gid, self.st_size, self.st_blksize,
-            self.st_blocks, self.st_atime_ns, self.st_mtime_ns,
-            self.st_ctime_ns, home_rank,
-            self.partition_id if partition_id is None else partition_id,
-            self.flags, self.crc32,
-        )
+        """Copy with the locality extras filled in (a re-homing; a
+        partition read stamps the home rank as it builds the stat)."""
+        if partition_id is None:
+            return self._replace(home_rank=home_rank)
+        return self._replace(home_rank=home_rank, partition_id=partition_id)
 
     @property
     def is_broadcast(self) -> bool:
@@ -137,42 +123,13 @@ class FileStat:
 
     def with_digest(self, crc32: int) -> "FileStat":
         """Copy with the payload digest recorded and flagged present."""
-        return FileStat(
-            self.st_mode, self.st_ino, self.st_dev, self.st_nlink,
-            self.st_uid, self.st_gid, self.st_size, self.st_blksize,
-            self.st_blocks, self.st_atime_ns, self.st_mtime_ns,
-            self.st_ctime_ns, self.home_rank, self.partition_id,
-            self.flags | FLAG_HAS_DIGEST, crc32,
-        )
+        return self._replace(flags=self.flags | FLAG_HAS_DIGEST, crc32=crc32)
 
 
-def _pack_path(path: str) -> bytes:
-    encoded = path.encode("utf-8")
-    if len(encoded) >= MAGIC_PATH_LEN:
-        raise FormatError(
-            f"path exceeds {MAGIC_PATH_LEN - 1} bytes: {path!r}"
-        )
-    if not path or path.startswith("/"):
-        raise FormatError(f"partition paths must be relative and non-empty: {path!r}")
-    return encoded.ljust(MAGIC_PATH_LEN, b"\x00")
+_make_stat = FileStat._make
 
 
-def _unpack_path(raw: bytes, start: int = 0) -> str:
-    """Decode the NUL-padded path field that begins at ``raw[start]``."""
-    limit = start + MAGIC_PATH_LEN
-    end = raw.find(b"\x00", start, limit)
-    if end == start:
-        raise FormatError("empty path in partition entry")
-    if end == -1:
-        end = limit
-    try:
-        return raw[start:end].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"undecodable path bytes: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class PartitionEntry:
+class PartitionEntry(NamedTuple):
     """One packaged file: its metadata plus (optionally) compressed bytes.
 
     ``data`` is None for metadata-only scans; ``compressed_size`` is
@@ -188,25 +145,64 @@ class PartitionEntry:
     data_offset: int = -1  # byte offset of the payload within the partition
 
 
+#: builds a :class:`PartitionEntry` from its fields in order, with no
+#: frame of the named tuple's own ``__new__``
+_tuple_new = tuple.__new__
+
+
 def write_partition(
     entries: Iterable[tuple[str, int, FileStat, bytes]], stream: BinaryIO
 ) -> int:
     """Serialize ``(path, compressor_id, stat, compressed_bytes)`` tuples.
 
     Returns the number of bytes written. Entries are written in input
-    order; the count header requires materializing the iterable.
+    order, each as one write of its header and payload; the count
+    header requires materializing the iterable.
     """
     entries = list(entries)
-    written = stream.write(_COUNT_STRUCT.pack(len(entries)))
+    pack, write = _ENTRY_STRUCT.pack, stream.write
+    written = write(_COUNT_STRUCT.pack(len(entries)))
     for path, compressor_id, stat, data in entries:
         if not 0 <= compressor_id <= 0xFFFF:
             raise FormatError(f"compressor id out of range: {compressor_id}")
-        written += stream.write(_pack_path(path))
-        written += stream.write(_ID_STRUCT.pack(compressor_id))
-        written += stream.write(stat.pack())
-        written += stream.write(_SIZE_STRUCT.pack(len(data)))
-        written += stream.write(data)
+        if not path or path[0] == "/":
+            raise FormatError(
+                f"partition paths must be relative and non-empty: {path!r}"
+            )
+        encoded = path.encode("utf-8")
+        if len(encoded) >= MAGIC_PATH_LEN:  # "256s" would cut it silently
+            raise FormatError(
+                f"path exceeds {MAGIC_PATH_LEN - 1} bytes: {path!r}"
+            )
+        # the path field is NUL-padded by the "256s" code
+        written += write(
+            pack(encoded, compressor_id, *stat, len(data)) + data
+        )
     return written
+
+
+def _parse_header(raw, offset: int, home_rank: int | None):
+    """``(path, compressor id, stat, compressed size)`` of the entry
+    header at ``raw[offset]``: one ``unpack_from``, and the stat built
+    from its slice of the fields, stamped with ``home_rank`` unless that
+    is None (then the stored home rank stays)."""
+    fields = _ENTRY_STRUCT.unpack_from(raw, offset)
+    path_field = fields[0]
+    end = path_field.find(b"\x00")
+    if end == 0:
+        raise FormatError("empty path in partition entry")
+    try:
+        path = (path_field if end < 0 else path_field[:end]).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"undecodable path bytes: {exc}") from exc
+    if home_rank is None:
+        stat = _make_stat(fields[_STAT_START:_STAT_END])
+    else:
+        stat = _make_stat(
+            fields[_STAT_START:_HOME_AT] + (home_rank,)
+            + fields[_HOME_AT + 1:_STAT_END]
+        )
+    return path, fields[1], stat, fields[_STAT_END]
 
 
 def _read_exact(stream: BinaryIO, n: int, what: str) -> bytes:
@@ -224,39 +220,43 @@ def _read_exact(stream: BinaryIO, n: int, what: str) -> bytes:
 
 
 def iter_partition(
-    stream: BinaryIO, *, with_data: bool = True
+    stream: BinaryIO, *, with_data: bool = True, home_rank: int | None = None
 ) -> Iterator[PartitionEntry]:
     """Stream entries from a partition.
 
     With ``with_data=False`` the payload is seeked past, yielding only
     metadata (plus each payload's offset for later ``pread``-style access
-    when the partition stays on local disk).
+    when the partition stays on local disk) — but only a payload the
+    stream holds to its last byte: a torn partition raises the same
+    :class:`FormatError` in both modes. ``home_rank`` (when not None)
+    is stamped into every stat as it is built.
     """
     count = _COUNT_STRUCT.unpack(_read_exact(stream, COUNT_LEN, "count"))[0]
+    if not with_data:
+        start = stream.tell()
+        total = stream.seek(0, io.SEEK_END)
+        stream.seek(start)
     for _ in range(count):
-        path = _unpack_path(_read_exact(stream, MAGIC_PATH_LEN, "path"))
-        compressor_id = _ID_STRUCT.unpack(
-            _read_exact(stream, COMPRESSOR_ID_LEN, "compressor id")
-        )[0]
-        stat = FileStat.unpack(_read_exact(stream, STAT_LEN, "stat"))
-        size = _SIZE_STRUCT.unpack(_read_exact(stream, SIZE_LEN, "size"))[0]
+        header = _read_exact(stream, ENTRY_HEADER_LEN, "entry header")
+        path, compressor_id, stat, size = _parse_header(header, 0, home_rank)
         offset = stream.tell()
         if with_data:
             data = _read_exact(stream, size, "data")
         else:
             data = None
-            stream.seek(size, io.SEEK_CUR)
-        yield PartitionEntry(
-            path=path,
-            compressor_id=compressor_id,
-            stat=stat,
-            compressed_size=size,
-            data=data,
-            data_offset=offset,
+            if offset + size > total:
+                raise FormatError(
+                    f"truncated partition: expected {size} bytes of data"
+                )
+            stream.seek(offset + size)
+        yield _tuple_new(
+            PartitionEntry, (path, compressor_id, stat, size, data, offset)
         )
 
 
-def _entries_from_buffer(buf: bytes) -> list[PartitionEntry]:
+def _entries_from_buffer(
+    buf: bytes, home_rank: int | None = None
+) -> list[PartitionEntry]:
     """Parse a whole in-memory partition, each payload a ``bytes`` slice
     of ``buf``: one read of the partition file and one copy per payload,
     after which ``buf`` can be dropped. A payload is then an object of
@@ -267,35 +267,25 @@ def _entries_from_buffer(buf: bytes) -> list[PartitionEntry]:
     count = _COUNT_STRUCT.unpack_from(buf, 0)[0]
     offset = COUNT_LEN
     entries: list[PartitionEntry] = []
+    append = entries.append
     for _ in range(count):
         if offset + ENTRY_HEADER_LEN > total:
             raise FormatError(
                 "truncated partition: expected "
                 f"{ENTRY_HEADER_LEN} bytes of entry header"
             )
-        path = _unpack_path(buf, offset)
-        offset += MAGIC_PATH_LEN
-        compressor_id = _ID_STRUCT.unpack_from(buf, offset)[0]
-        offset += COMPRESSOR_ID_LEN
-        stat = FileStat(*_STAT_STRUCT.unpack_from(buf, offset))
-        offset += STAT_LEN
-        size = _SIZE_STRUCT.unpack_from(buf, offset)[0]
-        offset += SIZE_LEN
-        if offset + size > total:
+        path, compressor_id, stat, size = _parse_header(buf, offset, home_rank)
+        offset += ENTRY_HEADER_LEN
+        end = offset + size
+        if end > total:
             raise FormatError(
                 f"truncated partition: expected {size} bytes of data"
             )
-        entries.append(
-            PartitionEntry(
-                path=path,
-                compressor_id=compressor_id,
-                stat=stat,
-                compressed_size=size,
-                data=buf[offset:offset + size],
-                data_offset=offset,
-            )
-        )
-        offset += size
+        append(_tuple_new(
+            PartitionEntry,
+            (path, compressor_id, stat, size, buf[offset:end], offset),
+        ))
+        offset = end
     return entries
 
 
@@ -304,13 +294,16 @@ def read_partition(
     *,
     with_data: bool = True,
     zero_copy: bool = False,
+    home_rank: int | None = None,
 ) -> list[PartitionEntry]:
     """Read a whole partition from a path or open stream.
 
     With data, the partition is read in one piece and each payload is
     sliced out of it as ``bytes`` (:func:`_entries_from_buffer`); the
     piece is dropped once parsed. Without, the payloads are seeked past
-    (:func:`iter_partition`).
+    (:func:`iter_partition`). ``home_rank`` (when not None) is stamped
+    into every stat as it is built: a rank ingesting the partition
+    builds each stat once.
 
     ``zero_copy`` is ignored. It once returned payloads as
     ``memoryview`` slices of the piece; ``benchmarks/e2e/traced.py``
@@ -319,11 +312,15 @@ def read_partition(
     if not with_data:
         if isinstance(source, (str, Path)):
             with open(source, "rb") as stream:
-                return list(iter_partition(stream, with_data=False))
-        return list(iter_partition(source, with_data=False))
+                return list(iter_partition(
+                    stream, with_data=False, home_rank=home_rank
+                ))
+        return list(iter_partition(
+            source, with_data=False, home_rank=home_rank
+        ))
     if isinstance(source, (str, Path)):
-        return _entries_from_buffer(Path(source).read_bytes())
-    return _entries_from_buffer(source.read())
+        return _entries_from_buffer(Path(source).read_bytes(), home_rank)
+    return _entries_from_buffer(source.read(), home_rank)
 
 
 def partition_payload_bytes(entries: Iterable[PartitionEntry]) -> int:

@@ -116,12 +116,17 @@ class MetadataTable:
     def insert_entries(
         self, entries: Iterable[PartitionEntry], home_rank: int
     ) -> None:
-        """Index a scanned partition, stamping locality (§IV-C1)."""
+        """Index a scanned partition, stamping locality (§IV-C1). An
+        entry read with ``home_rank`` (``Backend.ingest`` reads so) has
+        its stat stamped already and keeps it: no copy per file."""
         self._index(
             (
                 FileRecord(
                     path=e.path,
-                    stat=e.stat.with_locality(home_rank),
+                    stat=(
+                        e.stat if e.stat.home_rank == home_rank
+                        else e.stat.with_locality(home_rank)
+                    ),
                     compressor_id=e.compressor_id,
                     compressed_size=e.compressed_size,
                     home_rank=home_rank,

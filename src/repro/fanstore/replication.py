@@ -93,9 +93,12 @@ class Replication:
     def _ingest_partition(self, partition_path, what: str) -> None:
         """Ingest one partition file as this rank's and charge its
         payload bytes (how they become readable is the backend's
-        business: RAM, one blob each on disk, or in place)."""
-        entries = self.daemon.backend.ingest(partition_path)
-        self.daemon.metadata.insert_entries(entries, self.daemon.rank)
+        business: RAM, one blob each on disk, or in place). Each stat
+        is built once, stamped with this rank as its home as it is
+        read."""
+        rank = self.daemon.rank
+        entries = self.daemon.backend.ingest(partition_path, home_rank=rank)
+        self.daemon.metadata.insert_entries(entries, rank)
         self._charge_capacity(partition_payload_bytes(entries), what)
 
     def load(self, prepared: PreparedDataset) -> None:
@@ -137,9 +140,8 @@ class Replication:
             timeout=daemon.config.request_timeout,
         )
         for hop in hops:
-            for path, data in hop:
-                daemon.backend.put(path, data)
-                self._replicated_paths.append(path)
+            daemon.backend.put_many(hop)  # one lock hold per hop
+            self._replicated_paths.extend(path for path, _ in hop)
             self._charge_capacity(
                 sum(len(data) for _, data in hop), "extra partition"
             )

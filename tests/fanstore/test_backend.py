@@ -51,6 +51,14 @@ class TestBackendContract:
         backend.put("a/b.bin", b"payload")
         assert backend.get("a/b.bin") == b"payload"
 
+    def test_put_many(self, backend):
+        backend.put("k", b"old")
+        backend.put_many(iter([("k", b"new"), ("a/b", b"xy"), ("c", b"")]))
+        assert [backend.get(p) for p in ("k", "a/b", "c")] == [
+            b"new", b"xy", b""
+        ]
+        assert len(backend) == 3
+
     def test_contains_and_len(self, backend):
         assert "x" not in backend
         backend.put("x", b"1")

@@ -15,6 +15,7 @@ from repro.fanstore.inspect import (
     summarize_dataset,
     verify_dataset,
 )
+from repro.fanstore.layout import read_partition
 from repro.fanstore.prepare import MANIFEST_NAME, PreparedDataset
 
 
@@ -26,8 +27,6 @@ def dataset_copy(prepared_dataset, tmp_path):
 
 
 def read_first_record(prepared) -> str:
-    from repro.fanstore.layout import read_partition
-
     return read_partition(prepared.partition_paths()[0], with_data=False)[0].path
 
 
@@ -94,6 +93,31 @@ class TestRepair:
         reloaded = PreparedDataset.load(dataset_copy.root)
         assert reloaded.partitions == dataset_copy.partitions
         assert verify_dataset(dataset_copy.root) == (15, [])
+
+    def test_rebuild_records_no_digest_for_a_torn_partition(
+        self, dataset_copy
+    ):
+        """A partition cut inside its last payload scans to no end: the
+        rebuilt manifest gives it no digest (a digest would bless the
+        torn bytes), counts none of its files, and repair still reports
+        it unreadable."""
+        torn = dataset_copy.partition_paths()[-1]
+        last = read_partition(torn, with_data=False)[-1]
+        torn.write_bytes(torn.read_bytes()[:-3])
+        (dataset_copy.root / MANIFEST_NAME).unlink()
+        rebuilt = rebuild_manifest(dataset_copy.root)
+        assert torn.name in rebuilt.partitions
+        assert torn.name not in rebuilt.partition_digests
+        assert set(rebuilt.partition_digests) == (
+            set(dataset_copy.partition_digests) - {torn.name}
+        )
+        assert rebuilt.num_files < 15
+        _, problems = repair_dataset(dataset_copy.root)
+        assert [p for p in problems if p.startswith(torn.name)] == [
+            f"{torn.name}: unreadable (truncated partition: expected "
+            f"{last.compressed_size} bytes of data); "
+            "re-prepare from source"
+        ]
 
     def test_repair_rebuilds_corrupt_manifest(self, dataset_copy):
         (dataset_copy.root / MANIFEST_NAME).write_text("{ not json")

@@ -441,7 +441,7 @@ def test_an_absurd_size_ends_in_the_length_check(single_store):
     victim = records[0]
     assert daemon.registry.get(victim.compressor_id).name == "zlib-1"
     metadata.insert(dataclasses.replace(
-        victim, stat=dataclasses.replace(victim.stat, st_size=2**40)
+        victim, stat=victim.stat._replace(st_size=2**40)
     ))
     with pytest.raises(FanStoreError, match=f"stat says {2**40}"):
         single_store.client.read_file(victim.path)

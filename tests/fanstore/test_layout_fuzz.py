@@ -32,12 +32,13 @@ def test_arbitrary_bytes_never_crash(garbage):
 @settings(max_examples=60, deadline=None)
 @given(
     payloads=st.lists(st.binary(max_size=100), min_size=1, max_size=4),
-    cut=st.integers(min_value=1, max_value=400),
+    cut=st.integers(min_value=1, max_value=2000),
 )
 def test_truncations_always_detected(payloads, cut):
-    """Every strict prefix of a valid partition either fails cleanly or
-    (when the cut lands on an entry boundary) yields fewer entries
-    without corrupting any."""
+    """Every strict prefix of a valid partition fails cleanly, in both
+    read modes: the count header promises every entry, so a prefix
+    lacks the header or the payload bytes of at least the last one. The
+    metadata-only scan must not index a payload that is not there."""
     buf = io.BytesIO()
     write_partition(
         [
@@ -47,11 +48,10 @@ def test_truncations_always_detected(payloads, cut):
         buf,
     )
     raw = buf.getvalue()
-    prefix = raw[: min(cut, len(raw) - 1)]
-    try:
-        read_partition(io.BytesIO(prefix))
-    except FormatError:
-        pass  # the expected outcome for mid-entry cuts
+    prefix = raw[: len(raw) - min(cut, len(raw))]
+    for with_data in (True, False):
+        with pytest.raises(FormatError):
+            read_partition(io.BytesIO(prefix), with_data=with_data)
 
 
 @settings(max_examples=60, deadline=None)

@@ -216,12 +216,32 @@ class TestPackedRecord:
                 assert e.stat.st_blocks == (st.st_size + 511) // 512
                 assert e.stat.st_mtime_ns == st.st_mtime_ns
                 assert e.stat.st_ctime_ns == st.st_ctime_ns
+                # the fstat came after the pack's read: whatever that
+                # read did to the atime is recorded
+                assert e.stat.st_atime_ns == st.st_atime_ns
                 assert (e.stat.st_uid, e.stat.st_gid) == (st.st_uid, st.st_gid)
                 assert e.stat.partition_id == pid
                 assert e.stat.home_rank == -1  # stamped at load, not here
                 assert not e.stat.is_broadcast
                 assert e.stat.has_digest
                 assert e.stat.crc32 == blob_crc32(e.data)
+
+    def test_every_file_size_packs_whole(self, tmp_path):
+        """A file is read by one ``os.read`` when it is smaller than the
+        first read asks for, and again, whole, when it is not: both
+        sides of that edge, and an empty file, pack byte for byte."""
+        first = prepare_module._FIRST_READ
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        sizes = (0, 1, first - 1, first, first + 1, 3 * first + 7)
+        for size in sizes:
+            (raw / f"f{size:07d}").write_bytes(os.urandom(size))
+        prep = prepare_dataset(raw, tmp_path / "out", compressor="memcpy",
+                               threads=1)
+        entries = read_partition(prep.partition_paths()[0])
+        assert [e.stat.st_size for e in entries] == list(sizes)
+        for e in entries:
+            assert e.data == (raw / e.path).read_bytes()
 
     def test_partition_roundtrips_through_every_reader(self, raw_dir, tmp_path):
         """The whole-partition parse (every data read, the RAM ingest's

@@ -151,7 +151,7 @@ class TestDeepMode:
         record = fs.daemon.metadata.get(victim)
         stripped = dataclasses.replace(
             record,
-            stat=dataclasses.replace(record.stat, flags=0, crc32=0),
+            stat=record.stat._replace(flags=0, crc32=0),
         )
         fs.daemon.metadata.insert(stripped)
         good = fs.daemon.backend.get(victim)

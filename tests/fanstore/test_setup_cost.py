@@ -9,23 +9,36 @@ extra files, so what is paid once per call or once per partition
 partition file) costs nothing here, and what is paid per file cannot
 hide.
 
-Per packed file ``prepare_dataset`` builds the stat record once and
-canonicalises the name once, through no ``pathlib`` and no
-``dataclasses`` frame: 9 Python calls under ``src/repro`` and 34 C
-calls. Per ingested file ``FanStore(prepared)`` builds the stat twice
-(parsed, then stamped with its home rank), canonicalises once and walks
-no ``dirname``/``basename`` chain: 5 Python calls and 15 C calls, with
-one hold of the table lock per *partition*. The first
-``list_training_files`` reads the directory index in one hold. A store
-over a ``DiskBackend`` scans its journal directory once per launch and
-not at all when it restarts after ``shutdown()``. The
-parent of the PR that added this file executed, per packed file, 54
-``pathlib`` and 4 ``dataclasses`` frames, 3 ``FileStat`` constructions,
-11 Python calls under ``src/repro`` and 99 C calls; per ingested file 2
-``dataclasses`` and 9 ``posixpath`` frames, 7 Python calls, 50 C calls
-and a lock hold; per scanned file a lock hold and a ``normalize``.
-The parent of the PR that moved restart recovery into the journal
-scanned the journal directory twice per launch and once per restart.
+Per packed file ``prepare_dataset`` reads the file with four calls on
+one descriptor (``os.open``, ``os.read``, ``os.fstat``, ``os.close``),
+builds the stat record once, canonicalises the name once, and writes
+the entry — header and payload — with one ``write``, through no
+``pathlib`` and no ``dataclasses`` frame: 7 Python calls under
+``src/repro``. Per ingested file ``FanStore(prepared)`` builds the stat
+once, already stamped with its home rank, canonicalises once and walks
+no ``dirname``/``basename`` chain: 3 Python calls, with one hold of the
+table lock, and one of the RAM backend's lock, per *partition*. The
+first ``list_training_files`` reads the directory index in one hold. A
+store over a ``DiskBackend`` scans its journal directory once per
+launch and not at all when it restarts after ``shutdown()``; its load
+costs each ingested blob one tmp-file open, two fsyncs (the blob's and
+its directory's) and one rename, while a ``PartitionBackend`` load
+opens each partition once and no file per entry.
+
+The parent of the PR that made the stat a named tuple executed, per
+packed file, one ``io.open`` and one ``os.fstat`` (the descriptor read
+through a buffered file object), five ``write`` calls, 9 Python calls
+under ``src/repro`` and 35 C calls; per ingested file two ``FileStat``
+constructions (parsed, then stamped by ``with_locality``), 5 Python
+calls, 18 C calls and one hold of the RAM backend's lock per file (per
+file too on a ring-copy hop). The parent of the PR that added this file
+executed, per packed file, 54 ``pathlib`` and 4 ``dataclasses`` frames,
+3 ``FileStat`` constructions, 11 Python calls under ``src/repro`` and
+99 C calls; per ingested file 2 ``dataclasses`` and 9 ``posixpath``
+frames, 7 Python calls, 50 C calls and a lock hold; per scanned file a
+lock hold and a ``normalize``. The parent of the PR that moved restart
+recovery into the journal scanned the journal directory twice per
+launch and once per restart.
 """
 
 from __future__ import annotations
@@ -38,6 +51,8 @@ import pytest
 
 import repro.fanstore.daemon as daemon_mod
 import repro.fanstore.journal as journal_mod
+from repro.comm.launcher import run_parallel
+from repro.fanstore.backend import PartitionBackend, RamBackend
 from repro.fanstore.daemon import DaemonConfig
 from repro.fanstore.layout import FileStat
 from repro.fanstore.metadata import MetadataTable
@@ -65,25 +80,48 @@ def trees(tmp_path_factory):
     return root
 
 
+#: the descriptor-level calls a packed file is read with
+_FILE_SYSCALLS = frozenset({"open", "read", "fstat", "close"})
+
+
 def _counted(operation):
     """``(counts, result)`` of one ``operation()`` on this thread.
 
     ``repro_calls`` are frames of ``src/repro`` without
     ``repro/analysis`` (the lockdep witness's lock proxies run under
     pytest, not in production); dataclass-generated ``__init__`` frames
-    live in ``<string>`` and are not among them."""
+    live in ``<string>`` and are not among them. A ``FileStat`` is
+    built by its ``__new__`` (keywords) or by ``_make`` (a parsed
+    record, and ``_replace``); ``_make``'s code is every named tuple's,
+    so its frame counts only when its ``cls`` is ``FileStat``.
+    ``writes`` are ``write`` calls on any stream, ``file_syscalls`` the
+    ``os`` calls of :data:`_FILE_SYSCALLS`; ``fsyncs``, ``renames`` and
+    ``opens`` (``io.open``) are what a durable blob costs."""
     counts: Counter = Counter()
-    stat_init = FileStat.__init__.__code__
+    stat_new = FileStat.__new__.__code__
+    make = FileStat._make.__func__.__code__
 
-    def profiler(frame, event, _arg):
+    def profiler(frame, event, arg):
         if event == "c_call":
             counts["c_calls"] += 1
+            name = arg.__name__
+            module = getattr(arg, "__module__", None)
+            if name == "write":
+                counts["writes"] += 1
+            elif module == "posix":
+                counts["file_syscalls"] += name in _FILE_SYSCALLS
+                counts["fsyncs"] += name == "fsync"
+                counts["renames"] += name == "replace"
+            elif module == "io" and name == "open":
+                counts["opens"] += 1
             return
         if event != "call":
             return
         code = frame.f_code
         filename = code.co_filename
-        if code is stat_init:
+        if code is stat_new or (
+            code is make and frame.f_locals.get("cls") is FileStat
+        ):
             counts["FileStat"] += 1
         elif filename.endswith("pathlib.py"):
             counts["pathlib"] += 1
@@ -104,7 +142,8 @@ def _counted(operation):
 
 
 _COUNTED = ("pathlib", "dataclasses", "posixpath", "FileStat", "normalize",
-            "repro_calls", "c_calls")
+            "repro_calls", "c_calls", "writes", "file_syscalls", "fsyncs",
+            "renames", "opens")
 
 
 def _per_file(small: Counter, large: Counter) -> dict[str, float]:
@@ -131,18 +170,30 @@ class _CountingLock:
         return self._lock.__exit__(*exc_info)
 
 
+def _count_lock_holds(monkeypatch, cls) -> list:
+    """Every ``with self._lock`` of any ``cls`` built from now on."""
+    holds: list[None] = []
+    plain_init = cls.__init__
+
+    def counting_init(self, *args) -> None:
+        plain_init(self, *args)
+        self._lock = _CountingLock(self._lock, holds)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return holds
+
+
 @pytest.fixture()
 def table_lock_holds(monkeypatch):
     """Every ``with table._lock`` of any table built during the test."""
-    holds: list[None] = []
-    plain_init = MetadataTable.__init__
+    return _count_lock_holds(monkeypatch, MetadataTable)
 
-    def counting_init(self) -> None:
-        plain_init(self)
-        self._lock = _CountingLock(self._lock, holds)
 
-    monkeypatch.setattr(MetadataTable, "__init__", counting_init)
-    return holds
+@pytest.fixture()
+def backend_lock_holds(monkeypatch):
+    """Every ``with backend._lock`` of any RAM backend built during the
+    test."""
+    return _count_lock_holds(monkeypatch, RamBackend)
 
 
 _fresh = itertools.count()
@@ -167,10 +218,14 @@ def test_pack_cost_per_file(trees):
     assert per_file["FileStat"] == 1  # built once, complete
     assert per_file["normalize"] == 1
     assert per_file["posixpath"] == 1  # normalize's normpath
+    # os.open, os.read, os.fstat (after the read), os.close
+    assert per_file["file_syscalls"] == 4
+    assert per_file["opens"] == 0  # no io.open per file
+    assert per_file["writes"] == 1  # the header and payload as one
     # normalize, _one, compress (the codec's two frames), blob_crc32,
-    # _pack_path, FileStat.pack, the two byte totals
-    assert per_file["repro_calls"] <= 9.1
-    assert per_file["c_calls"] <= 38  # 34, with the same slack
+    # the two byte totals
+    assert per_file["repro_calls"] == 7
+    assert per_file["c_calls"] <= 31  # 28, with slack
     # exact: the same tree executes the same Python calls (the C-call
     # count moves by one: the temp-file name is random)
     again, _ = _counted(lambda: _pack(trees, LARGE))
@@ -178,40 +233,115 @@ def test_pack_cost_per_file(trees):
     assert again == large
 
 
-def test_ingest_and_index_cost_per_file(trees, table_lock_holds):
+def test_ingest_and_index_cost_per_file(
+    trees, table_lock_holds, backend_lock_holds
+):
     options = FanStoreOptions(config=DaemonConfig(metrics_every=0))
 
     def construct(prepared):
-        """``(counts, table-lock holds)`` of one store construction."""
+        """``(counts, table-lock holds, backend-lock holds)`` of one
+        store construction."""
         table_lock_holds.clear()
+        backend_lock_holds.clear()
 
         def operation():
             with FanStore(prepared, options) as fs:
                 return fs.daemon.metadata
 
         counts, table = _counted(operation)
-        holds = len(table_lock_holds)
         assert len(table) == prepared.num_files
-        return counts, holds
+        return counts, len(table_lock_holds), len(backend_lock_holds)
 
-    small, small_holds = construct(_pack(trees, SMALL))
-    large, large_holds = construct(_pack(trees, LARGE))
+    small, small_holds, small_puts = construct(_pack(trees, SMALL))
+    large, large_holds, large_puts = construct(_pack(trees, LARGE))
     per_file = _per_file(small, large)
     assert per_file["pathlib"] == per_file["dataclasses"] == 0
-    assert per_file["FileStat"] == 2  # parsed, then stamped with its home
+    assert per_file["FileStat"] == 1  # built once, stamped with its home
     assert per_file["normalize"] == 1
     assert per_file["posixpath"] == 1  # normpath: no dirname/basename walk
-    # _unpack_path, RamBackend.put, the record generator, with_locality,
-    # normalize
-    assert per_file["repro_calls"] <= 5.1
-    # 15 in production; the lockdep witness's proxy on the backend's
-    # lock adds 3 under pytest (a bound: a per-call C call more or less
-    # shows as a few hundredths)
-    assert per_file["c_calls"] <= 20
-    # one hold of the table lock per partition, none per record
+    assert per_file["writes"] == per_file["file_syscalls"] == 0
+    # _parse_header, the record generator, normalize
+    assert per_file["repro_calls"] == 3
+    # 15 (a bound: a per-call C call more or less shows as a few
+    # hundredths)
+    assert per_file["c_calls"] <= 17
+    # one hold of the table lock and one of the backend lock per
+    # partition, none per record
     assert large_holds == small_holds
-    _, three_partitions = construct(_pack(trees, SMALL, partitions=3))
+    assert large_puts == small_puts
+    _, three_partitions, three_puts = construct(
+        _pack(trees, SMALL, partitions=3)
+    )
     assert three_partitions - small_holds == 2
+    assert three_puts - small_puts == 2
+
+
+def test_a_ring_copy_hop_holds_the_backend_lock_once(
+    trees, backend_lock_holds
+):
+    """Two ranks, one extra copy: each rank installs its neighbour's
+    partition, whatever its size, under one hold of its RAM backend's
+    lock."""
+    config = DaemonConfig(metrics_every=0, extra_partition_budget=1)
+    holds = []
+    for n in (SMALL, LARGE):
+        prepared = _pack(trees, n, partitions=2)
+        backend_lock_holds.clear()
+
+        def body(comm):
+            options = FanStoreOptions(comm=comm, config=config)
+            with FanStore(prepared, options) as fs:
+                return len(fs.daemon.backend)
+
+        # every rank holds its own partition and its neighbour's copy
+        assert run_parallel(body, 2, timeout=60) == [n, n]
+        holds.append(len(backend_lock_holds))
+    assert holds[0] == holds[1]
+
+
+def _disk_construct(prepared, options):
+    """Counts of one store construction over ``options``."""
+
+    def operation():
+        with FanStore(prepared, options) as fs:
+            return len(fs.daemon.metadata)
+
+    counts, files = _counted(operation)
+    assert files == prepared.num_files
+    return counts
+
+
+def test_disk_load_cost_per_blob(trees, tmp_path):
+    """What the SSD mode costs per ingested blob: a ``DiskBackend``
+    installs each payload as its own atomic blob — one tmp-file open,
+    an fsync of the blob and one of its directory, one rename."""
+    def construct(n: int, name: str):
+        return _disk_construct(_pack(trees, n), FanStoreOptions(
+            local_dir=tmp_path / name, config=DaemonConfig(metrics_every=0),
+        ))
+
+    construct(SMALL, "warm")  # the first disk store's imports are no blob's
+    per_blob = _per_file(construct(SMALL, "small"), construct(LARGE, "large"))
+    assert per_blob["opens"] == 1
+    assert per_blob["fsyncs"] == 2
+    assert per_blob["renames"] == 1
+
+
+def test_partition_backend_load_opens_each_partition_once(trees):
+    """Payloads left inside the partition files: the load opens each
+    partition once, for its metadata-only scan, and no file per entry."""
+
+    def construct(prepared):
+        return _disk_construct(prepared, FanStoreOptions(
+            backend=PartitionBackend(), config=DaemonConfig(metrics_every=0),
+        ))
+
+    small = construct(_pack(trees, SMALL))
+    per_file = _per_file(small, construct(_pack(trees, LARGE)))
+    assert per_file["opens"] == per_file["file_syscalls"] == 0
+    assert per_file["fsyncs"] == per_file["renames"] == 0
+    three = construct(_pack(trees, SMALL, partitions=3))
+    assert three["opens"] - small["opens"] == 2
 
 
 def test_first_scan_cost(trees, table_lock_holds):
