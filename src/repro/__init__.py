@@ -30,7 +30,7 @@ user needs; the subpackages carry the full API:
 
 from repro._version import __version__
 from repro.compressors import get_compressor, list_compressors
-from repro.fanstore import FanStore, FanStoreOptions, prepare_dataset
+from repro.fanstore import FanStore, FanStoreOptions
 from repro.obs import MetricsRegistry
 from repro.selection import CompressorSelector, SelectionInputs
 
@@ -45,3 +45,13 @@ __all__ = [
     "CompressorSelector",
     "SelectionInputs",
 ]
+
+
+def __getattr__(name: str):
+    """``prepare_dataset``, imported on first use (see
+    :mod:`repro.fanstore`: ``prepare`` is also a script)."""
+    if name == "prepare_dataset":
+        from repro.fanstore.prepare import prepare_dataset
+
+        return prepare_dataset
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,7 @@ Subsystems map one-to-one onto the paper's design sections:
   disk-fault injection
 """
 
-from repro.fanstore.backend import DiskBackend, PartitionBackend, RamBackend
+from repro.fanstore.backend import DiskBackend, RamBackend
 from repro.fanstore.cache import CacheStats, DecompressedCache
 from repro.fanstore.client import (
     O_CREAT,
@@ -84,7 +84,6 @@ from repro.fanstore.metadata import (
     RereplicationStep,
     normalize,
 )
-from repro.fanstore.prepare import PreparedDataset, prepare_dataset
 from repro.fanstore.scrub import ScrubReport, Scrubber
 from repro.fanstore.store import FanStore, FanStoreOptions
 
@@ -100,7 +99,6 @@ __all__ = [
     "CacheStats",
     "RamBackend",
     "DiskBackend",
-    "PartitionBackend",
     "MetadataTable",
     "FileRecord",
     "normalize",
@@ -148,3 +146,16 @@ __all__ = [
     "O_WRONLY",
     "O_CREAT",
 ]
+
+
+def __getattr__(name: str):
+    """``PreparedDataset`` and ``prepare_dataset``, imported on first
+    use. ``prepare`` is also a script (``python -m
+    repro.fanstore.prepare``), which runs a second copy of itself when
+    the package already imported it: neither this package nor a module
+    it imports may import ``prepare`` at import time."""
+    if name in ("PreparedDataset", "prepare_dataset"):
+        from repro.fanstore import prepare
+
+        return getattr(prepare, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

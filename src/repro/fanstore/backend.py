@@ -3,8 +3,9 @@
 The daemon keeps each partition's compressed file bytes either in RAM
 (a hash table keyed by path — the paper's default when nodes have large
 memory, e.g. the V100 cluster's RAM disk) or on the node-local file
-system (the SSD case). All three present one tiny interface,
-:class:`Backend`, so the daemon is backend-agnostic.
+system (the SSD case: each partition staged whole, read by ``pread``;
+what a run writes kept as one blob file per path). Both present one
+tiny interface, :class:`Backend`, so the daemon is backend-agnostic.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import operator
 import os
 import threading
+import weakref
 from pathlib import Path
 from typing import ClassVar, Iterable, Protocol
 
@@ -22,17 +24,20 @@ from repro.errors import (
     FileNotFoundInStoreError,
     StorageFullError,
 )
-from repro.fanstore.journal import atomic_replace, gc_tmp_files
+from repro.fanstore.journal import atomic_open, atomic_replace, gc_tmp_files
 from repro.fanstore.layout import PartitionEntry, read_partition
 
-#: The calls a backend reads with, bound at import. ``intercept()``
-#: replaces ``builtins.open``, ``os.pread`` and ``os.stat`` for the
-#: whole program while it is active; a store's own reads must reach the
+#: The calls a backend reads and stages with, bound at import.
+#: ``intercept()`` replaces ``builtins.open`` and these ``os`` calls for
+#: the whole program while it is active; a store's own reads must reach the
 #: real calls (the paper's trampolines reach the real libc), not run
 #: through the interposer that serves its clients.
 _open = open
 _pread = os.pread
 _stat = os.stat
+_os_open = os.open
+_os_close = os.close
+_fstat = os.fstat
 
 
 class Backend(Protocol):
@@ -43,7 +48,9 @@ class Backend(Protocol):
     with ``home_rank`` as it is read, when given), ``put_many`` is
     ``put`` of each ``(path, data)`` pair, ``get`` raises
     :class:`FileNotFoundInStoreError` when absent, ``discard``
-    quarantines a (corrupt) copy — True if there was one.
+    quarantines a (corrupt) copy — True if there was one. What
+    ``ingest`` made readable and what ``put`` wrote answer alike; a
+    ``put`` supersedes either.
 
     ``hands_out_stored`` is a class-level fact: True when ``get``
     returns the very object ``put``/``ingest`` stored (immutable
@@ -71,19 +78,6 @@ _PATH_OF = operator.itemgetter(0)  # PartitionEntry.path
 _DATA_OF = operator.itemgetter(4)  # PartitionEntry.data
 
 
-def _ingest_by_put(
-    self: Backend, partition_file: Path, home_rank: int | None = None
-) -> list[PartitionEntry]:
-    """``ingest`` for a backend that holds the payloads itself: one
-    read of the partition, its payloads ``put_many`` as ``bytes``
-    slices of it (the partition's buffer is dropped)."""
-    entries = read_partition(
-        partition_file, with_data=True, home_rank=home_rank
-    )
-    self.put_many(zip(map(_PATH_OF, entries), map(_DATA_OF, entries)))
-    return entries
-
-
 class RamBackend:
     """Compressed bytes in an in-memory hash table.
 
@@ -98,7 +92,16 @@ class RamBackend:
         self._objects: dict[str, bytes] = {}
         self._lock = threading.Lock()
 
-    ingest = _ingest_by_put
+    def ingest(
+        self, partition_file: Path, home_rank: int | None = None
+    ) -> list[PartitionEntry]:
+        """One read of the partition, its payloads installed as
+        ``bytes`` slices of it (the partition's buffer is dropped)."""
+        entries = read_partition(
+            partition_file, with_data=True, home_rank=home_rank
+        )
+        self.put_many(zip(map(_PATH_OF, entries), map(_DATA_OF, entries)))
+        return entries
 
     def put(self, path: str, data: bytes) -> None:
         with self._lock:
@@ -132,133 +135,17 @@ class RamBackend:
             return sum(len(v) for v in self._objects.values())
 
 
-class PartitionBackend:
-    """Compressed bytes left *inside* the partition files on local disk,
-    fetched by ``pread`` at the offsets recorded during the metadata
-    scan — the paper's SSD mode: "if local disks (e.g., SSD) are the
-    back end, the compressed data files are stored in the local file
-    system" (§IV-C1), without unpacking into per-file blobs.
-
-    Requires the partition files to be present locally (the daemon
-    copies them in during load); runtime writes fall back to an overlay
-    dict, since partitions are immutable once prepared.
-    """
-
-    hands_out_stored = False
-
-    def __init__(self) -> None:
-        self._index: dict[str, tuple[Path, int, int]] = {}
-        self._overlay: dict[str, bytes] = {}
-        self._lock = threading.Lock()
-        self._handles: dict[Path, object] = {}
-
-    def ingest(
-        self, partition_file: Path, home_rank: int | None = None
-    ) -> list[PartitionEntry]:
-        """Metadata-only scan: the payloads stay where they are."""
-        entries = read_partition(
-            partition_file, with_data=False, home_rank=home_rank
-        )
-        for e in entries:
-            self.register(
-                e.path, partition_file, e.data_offset, e.compressed_size
-            )
-        return entries
-
-    def register(
-        self, path: str, partition_file: Path, offset: int, size: int
-    ) -> None:
-        """Index one entry's payload location within a partition file."""
-        with self._lock:
-            self._index[path] = (Path(partition_file), offset, size)
-
-    def put(self, path: str, data: bytes) -> None:
-        with self._lock:
-            self._overlay[path] = data
-
-    def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
-        with self._lock:
-            self._overlay.update(items)
-
-    def _handle(self, partition_file: Path):
-        """Cached read handle for a partition file. The cold open(2)
-        happens outside the lock — an open on a slow disk must not
-        stall every other reader; a lost insert race closes the spare
-        handle."""
-        with self._lock:
-            handle = self._handles.get(partition_file)
-        if handle is not None:
-            return handle
-        fresh = _open(partition_file, "rb")
-        with self._lock:
-            handle = self._handles.setdefault(partition_file, fresh)
-        if handle is not fresh:
-            fresh.close()
-        return handle
-
-    def get(self, path: str) -> bytes:
-        with self._lock:
-            if path in self._overlay:
-                return self._overlay[path]
-            entry = self._index.get(path)
-            if entry is None:
-                raise FileNotFoundInStoreError(path)
-            partition_file, offset, size = entry
-        handle = self._handle(partition_file)
-        data = _pread(handle.fileno(), size, offset)
-        if len(data) != size:
-            # the entry is indexed but its bytes are gone: a truncated
-            # or torn partition file is corruption, not absence
-            raise DataIntegrityError(
-                path,
-                f"short pread from {partition_file.name}: "
-                f"{len(data)} of {size} bytes at offset {offset}",
-            )
-        return data
-
-    def discard(self, path: str) -> bool:
-        """Quarantine: forget both the overlay copy and the index entry
-        pointing into the (corrupt) partition region."""
-        with self._lock:
-            had_overlay = self._overlay.pop(path, None) is not None
-            had_index = self._index.pop(path, None) is not None
-            return had_overlay or had_index
-
-    def __contains__(self, path: str) -> bool:
-        with self._lock:
-            return path in self._overlay or path in self._index
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._index) + len(
-                set(self._overlay) - set(self._index)
-            )
-
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes on local disk attributable to this backend (payloads
-        indexed plus overlay writes); partition headers excluded."""
-        with self._lock:
-            indexed = sum(size for _, _, size in self._index.values())
-            overlay = sum(
-                len(v) for k, v in self._overlay.items()
-                if k not in self._index
-            )
-        return indexed + overlay
-
-    def close(self) -> None:
-        with self._lock:
-            for handle in self._handles.values():
-                handle.close()  # type: ignore[attr-defined]
-            self._handles.clear()
-
-
 class DiskBackend:
-    """Compressed bytes as blob files on node-local storage (SSD mode).
+    """Compressed bytes on node-local storage (§IV-C1's SSD case: "the
+    compressed data files are stored in the local file system").
 
-    Blob names are content-addressed from the store path so arbitrary
-    dataset paths can't escape ``root`` or collide with OS limits.
-    """
+    ``ingest`` stages a partition whole into ``root``, and ``get``
+    ``pread``s a payload out of that copy at its scanned offset. What a
+    run writes is one blob file per path (``put``), read first; its name
+    is content-addressed from the store path, so no dataset path can
+    escape ``root``. The journal covers the blobs only: a staged copy is
+    a cache of the shared file system, staged again by every launch.
+    ``get`` and ``in`` take no lock, as in :class:`RamBackend`."""
 
     hands_out_stored = False
 
@@ -268,6 +155,11 @@ class DiskBackend:
         #: store path -> its blob's file name, kept as ``str`` so a read
         #: opens it without a trip through ``Path.__fspath__``
         self._index: dict[str, str] = {}
+        #: store path -> (its staged partition's descriptor, offset, size)
+        self._packed: dict[str, tuple[int, int, int]] = {}
+        #: staged file name -> closes that descriptor (at a re-stage, or
+        #: once this backend is freed)
+        self._staged: dict[str, weakref.finalize] = {}
         self._lock = threading.Lock()
         #: optional :class:`~repro.fanstore.crash.DiskFaultInjector`
         #: consulted before every put (ENOSPC/EMFILE drills)
@@ -281,15 +173,51 @@ class DiskBackend:
         digest = hashlib.sha1(path.encode("utf-8")).hexdigest()
         return self.root / f"{digest}.blob"
 
-    ingest = _ingest_by_put  # one atomic, fsync'd blob per payload
+    def ingest(
+        self, partition_file: Path, home_rank: int | None = None
+    ) -> list[PartitionEntry]:
+        """Copy ``partition_file`` to its own name in ``root`` through
+        :func:`~repro.fanstore.journal.atomic_open`, the bytes moved in
+        the kernel, and index its entries by offset from a metadata-only
+        scan of the copy before its rename (a torn partition stages
+        nothing). A copy already there is replaced, never trusted; the
+        descriptor of one this backend staged is closed."""
+        staged = self.root / Path(partition_file).name
+        source = _os_open(partition_file, os.O_RDONLY)
+        try:
+            with atomic_open(staged) as fh:
+                size, sent = _fstat(source).st_size, 0
+                while sent < size:  # sendfile: no byte enters Python
+                    n = os.sendfile(fh.fileno(), source, sent, size - sent)
+                    if not n:
+                        break  # the source shrank: the scan says how
+                    sent += n
+                fh.seek(0)
+                entries = read_partition(
+                    fh, with_data=False, home_rank=home_rank
+                )
+        finally:
+            _os_close(source)
+        fd = _os_open(staged, os.O_RDONLY)
+        closer = weakref.finalize(self, _os_close, fd)
+        with self._lock:
+            self._packed.update(
+                (e.path, (fd, e.data_offset, e.compressed_size))
+                for e in entries
+            )
+            replaced = self._staged.get(staged.name)
+            self._staged[staged.name] = closer
+        if replaced is not None:
+            replaced()
+        return entries
 
     def put(self, path: str, data: bytes) -> None:
-        """Atomically install ``data`` as the blob for ``path``: a
-        crash mid-put leaves either the old blob or the new one, never
-        torn bytes that a later ``get`` would happily serve. Resource
-        exhaustion (real or injected) surfaces as the typed
-        :class:`~repro.errors.StorageFullError` instead of a half-
-        applied write."""
+        """Atomically install ``data`` as the blob for ``path``, over any
+        staged payload of it: a crash mid-put leaves either the
+        old blob or the new one, never torn bytes that a later ``get``
+        would happily serve. Resource exhaustion (real or injected)
+        surfaces as the typed :class:`~repro.errors.StorageFullError`
+        instead of a half-applied write."""
         blob = self.blob_path(path)
         try:
             if self.injector is not None:
@@ -303,6 +231,7 @@ class DiskBackend:
             raise
         with self._lock:
             self._index[path] = str(blob)
+            self._packed.pop(path, None)
 
     def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
         """One atomic, fsync'd blob per pair, in order."""
@@ -321,43 +250,61 @@ class DiskBackend:
         return True
 
     def read_raw(self, path: str) -> bytes | None:
-        """The bytes on disk behind ``path``, indexed or not (restart
-        recovery digest-checks them before adopting), or None."""
+        """The bytes on disk behind ``path``'s blob, indexed or not
+        (restart recovery digest-checks them before adopting), or None."""
         try:
             return self.blob_path(path).read_bytes()
         except OSError:
             return None
 
     def gc_tmp(self) -> int:
-        """Remove crashed puts' ``*.tmp`` orphans; returns how many."""
+        """Remove the ``*.tmp`` orphans of crashed puts and interrupted
+        staging copies; returns how many."""
         return gc_tmp_files(self.root)
 
     def get(self, path: str) -> bytes:
-        with self._lock:
-            blob = self._index.get(path)
-        if blob is None:
+        # the staged entry first: a put indexes its blob before it drops
+        # the entry, so a put between the two lookups shows one of them
+        packed = self._packed.get(path)
+        blob = self._index.get(path)
+        if blob is not None:
+            with _open(blob, "rb", buffering=0) as fh:
+                return fh.readall()
+        if packed is None:
             raise FileNotFoundInStoreError(path)
-        with _open(blob, "rb", buffering=0) as fh:
-            return fh.readall()
+        fd, offset, size = packed
+        data = _pread(fd, size, offset)
+        if len(data) != size:  # a truncated copy: corruption, not absence
+            raise DataIntegrityError(
+                path, f"short pread from its staged partition: "
+                f"{len(data)} of {size} bytes at offset {offset}",
+            )
+        return data
 
     def discard(self, path: str) -> bool:
-        """Quarantine: forget the (corrupt) blob and unlink it, indexed
-        or not (restart recovery rolls back a torn apply this way)."""
+        """Quarantine: forget the (corrupt) staged payload and blob, the
+        blob unlinked indexed or not (recovery's rollback of a torn
+        apply)."""
         with self._lock:
             indexed = self._index.pop(path, None) is not None
+            packed = self._packed.pop(path, None) is not None
         self.blob_path(path).unlink(missing_ok=True)
-        return indexed
+        return indexed or packed
 
     def __contains__(self, path: str) -> bool:
-        with self._lock:
-            return path in self._index
+        return path in self._packed or path in self._index  # as in get
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._index)
+            return len(self._index.keys() | self._packed.keys())
 
     @property
     def resident_bytes(self) -> int:
+        """Every blob's bytes, and every staged payload no blob holds."""
         with self._lock:
             blobs = list(self._index.values())
-        return sum(_stat(b).st_size for b in blobs)
+            packed = sum(
+                size for path, (_, _, size) in self._packed.items()
+                if path not in self._index
+            )
+        return packed + sum(_stat(b).st_size for b in blobs)

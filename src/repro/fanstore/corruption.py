@@ -42,12 +42,14 @@ import threading
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import FanStoreError, FileNotFoundInStoreError
 from repro.fanstore.layout import read_partition
 from repro.fanstore.metadata import normalize
-from repro.fanstore.prepare import MANIFEST_NAME, PreparedDataset
+
+if TYPE_CHECKING:  # prepare.py is also a script: see repro.fanstore
+    from repro.fanstore.prepare import PreparedDataset
 
 #: sentinel actions a rule can take on a matched file.
 BIT_FLIP = "bit_flip"
@@ -209,6 +211,8 @@ class StorageFaultPlan:
         if bcast is not None:
             targets.append(bcast)
         if include_manifest:
+            from repro.fanstore.prepare import MANIFEST_NAME
+
             targets.append(prepared.root / MANIFEST_NAME)
         return self.apply(targets)
 

@@ -28,7 +28,7 @@ import weakref
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.comm.communicator import Communicator
 from repro.comm.deadline import Deadline
@@ -62,7 +62,6 @@ from repro.fanstore.membership import (
     ring_successor,
 )
 from repro.fanstore.metadata import FileRecord, MetadataTable, normalize
-from repro.fanstore.prepare import PreparedDataset
 from repro.fanstore.replication import Replication
 from repro.fanstore.serve import PeerServer
 # decode_request stays a name of this module: the traced benchmark's
@@ -70,6 +69,9 @@ from repro.fanstore.serve import PeerServer
 from repro.fanstore.wire import Reply, decode_request  # noqa: F401
 from repro.obs.metrics import SAMPLES_MAX, MetricsRegistry
 from repro.obs.tracing import Tracer
+
+if TYPE_CHECKING:  # prepare.py is also a script: see repro.fanstore
+    from repro.fanstore.prepare import PreparedDataset
 
 
 @dataclass

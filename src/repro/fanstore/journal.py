@@ -171,13 +171,14 @@ def gc_tmp_files(directory: Path | str) -> int:
 @contextmanager
 def atomic_open(path: Path | str) -> Iterator[Any]:
     """Streaming variant of :func:`atomic_replace` for writers that
-    build a file incrementally (partition packing): yields a binary
-    handle onto a tmp sibling; on clean exit the bytes are fsynced and
-    renamed into place, on error the tmp is removed and nothing of the
-    final name changes."""
+    build a file incrementally (partition packing, staging a partition):
+    yields a binary handle onto a tmp sibling, readable too, so a writer
+    can check what it wrote before it counts; on clean exit the bytes
+    are fsynced and renamed into place, on error the tmp is removed and
+    nothing of the final name changes."""
     path = Path(path)
     tmp = _tmp_for(path)
-    fh = open(tmp, "wb")  # lint: allow[durable-write] this IS the atomic-apply helper
+    fh = open(tmp, "w+b")  # lint: allow[durable-write] this IS the atomic-apply helper
     try:
         yield fh
         fh.flush()

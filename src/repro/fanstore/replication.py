@@ -29,11 +29,11 @@ from repro.fanstore.exchange import FAILOVER_ATTEMPTS
 from repro.fanstore.layout import partition_payload_bytes
 from repro.fanstore.membership import ClusterView, FailureDetector, RankState
 from repro.fanstore.metadata import FileRecord, RereplicationStep
-from repro.fanstore.prepare import PreparedDataset
 from repro.fanstore.scrub import Scrubber
 
 if TYPE_CHECKING:  # daemon.py builds this class
     from repro.fanstore.daemon import FanStoreDaemon
+    from repro.fanstore.prepare import PreparedDataset
 
 #: the load-time metadata allgather is off the request hot path: a
 #: generous fixed budget, not the per-request deadline machinery
@@ -93,7 +93,7 @@ class Replication:
     def _ingest_partition(self, partition_path, what: str) -> None:
         """Ingest one partition file as this rank's and charge its
         payload bytes (how they become readable is the backend's
-        business: RAM, one blob each on disk, or in place). Each stat
+        business: in RAM, or a staged copy on the local disk). Each stat
         is built once, stamped with this rank as its home as it is
         read."""
         rank = self.daemon.rank

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.comm.communicator import Communicator
 from repro.compressors.registry import CompressorRegistry
@@ -45,11 +46,13 @@ from repro.fanstore.client import FanStoreClient
 from repro.fanstore.daemon import DaemonConfig, FanStoreDaemon
 from repro.fanstore.journal import JournalConfig
 from repro.fanstore.membership import FailureDetector, MembershipConfig
-from repro.fanstore.prepare import PreparedDataset
 from repro.fanstore.scrub import ScrubReport, Scrubber
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.util.service import ServiceMixin
+
+if TYPE_CHECKING:  # prepare.py is also a script: see repro.fanstore
+    from repro.fanstore.prepare import PreparedDataset
 
 #: shutdown-barrier bound: generous (peers may still be draining
 #: epochs), but finite — shutdown must never hang unbounded.
@@ -69,8 +72,11 @@ class FanStoreOptions:
     comm: Communicator | None = None
     #: daemon tunables (:class:`DaemonConfig`); None = defaults.
     config: DaemonConfig | None = None
-    #: directory for a :class:`DiskBackend`; ignored when ``backend``
-    #: is given, None = in-RAM backend.
+    #: node-local directory for a :class:`DiskBackend` (§IV-C1's SSD
+    #: case): each staged partition is copied there whole and read by
+    #: ``pread``, what the run writes is kept there as journalled blobs
+    #: (the journal in ``journal/`` beside them); ignored when
+    #: ``backend`` is given, None = in-RAM backend.
     local_dir: Path | str | None = None
     #: explicit storage backend instance (overrides ``local_dir``).
     backend: Backend | None = None
@@ -116,6 +122,8 @@ class FanStore(ServiceMixin):
         opts = options if options is not None else FanStoreOptions()
         self.options = opts
         if isinstance(prepared, (str, Path)):
+            from repro.fanstore.prepare import PreparedDataset
+
             prepared = PreparedDataset.load(prepared)
         self.prepared = prepared
         self.mount_point = opts.mount_point.rstrip("/") or "/fanstore"
@@ -128,8 +136,9 @@ class FanStore(ServiceMixin):
         comm = opts.comm
         journal_dir = None
         if isinstance(backend, DiskBackend):
-            # the disk-only wiring, all of it (only blob files survive
-            # a process, so only they get a journal)
+            # the disk-only wiring, all of it (only the blob files a
+            # run writes must survive a process, so only they get a
+            # journal; the staged partitions are staged again)
             backend.rank = comm.rank if comm is not None else 0
             if opts.journal:
                 journal_dir = backend.root / "journal"

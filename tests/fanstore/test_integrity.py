@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import errno
 import json
+import os
 import shutil
 import types
 
@@ -16,6 +17,7 @@ from repro.errors import (
     CommError,
     DataIntegrityError,
     FanStoreError,
+    FileNotFoundInStoreError,
     FormatError,
     ManifestError,
 )
@@ -214,6 +216,79 @@ class TestVerifyOnRead:
             )
             assert refused == ["daemon.repair", "fetch.degraded"]
             full.set_free_bytes(None)
+
+    @pytest.mark.parametrize("damage", ["bit_flip", "truncate"])
+    def test_rot_in_a_staged_partition_is_caught_and_healed(
+        self, prepared_dataset, raw_dataset_dir, tmp_path, damage
+    ):
+        """Rot in a ``DiskBackend``'s staged copy of a partition, made
+        under ``local_dir`` and not through the backend: one flipped
+        bit, or the copy cut inside its last payload. The read catches
+        it (a flip by its digest, a cut by the backend's short
+        ``pread``), the staged entry is dropped, the repair lands as a
+        journalled blob and the read returns the good bytes; a new
+        store over the same ``local_dir`` reads every file byte-exact."""
+        options = FanStoreOptions(local_dir=tmp_path / "local")
+        staged = tmp_path / "local" / "part-00000.fst"
+        fs = FanStore(prepared_dataset, options)
+        try:
+            daemon, backend = fs.daemon, fs.daemon.backend
+            last = read_partition(staged, with_data=False)[-1]
+            victim = last.path
+            good, packed = fs.client.read_file(victim), backend.get(victim)
+            end = last.data_offset + last.compressed_size
+            if damage == "bit_flip":
+                fd = os.open(staged, os.O_RDWR)
+                try:
+                    at = end - last.compressed_size // 2
+                    os.pwrite(fd, bytes([os.pread(fd, 1, at)[0] ^ 0x10]), at)
+                finally:
+                    os.close(fd)
+                rotten = backend.get(victim)
+                assert blob_crc32(rotten) != last.stat.crc32
+            else:
+                os.truncate(staged, end - 5)
+                with pytest.raises(DataIntegrityError):
+                    backend.get(victim)
+            assert fs.client.read_file(victim) == good
+            assert daemon.stats.corruption_detected == 1
+            assert daemon.stats.corruption_repaired == 1
+            assert victim not in backend._packed
+            assert backend.blob_path(victim).read_bytes() == packed
+            assert victim in fs.journal.live_state()
+            assert backend.get(victim) == packed
+        finally:
+            fs.shutdown()
+        with FanStore(prepared_dataset, options) as again:
+            assert again.daemon.jstats.recovery_replayed == 1
+            train = raw_dataset_dir / "train"
+            for raw in sorted(p for p in train.rglob("*") if p.is_file()):
+                path = str(raw.relative_to(train))
+                assert again.client.read_file(path) == raw.read_bytes()
+            assert again.daemon.stats.corruption_detected == 0
+
+    def test_a_quarantined_staged_entry_is_repaired_as_a_journalled_blob(
+        self, prepared_dataset, tmp_path
+    ):
+        """``discard`` of a staged payload forgets it (the staged copy
+        stays, a cache of the shared FS); the repair that follows
+        installs the good bytes as a journalled blob, which is what a
+        new store over the same ``local_dir`` reads."""
+        options = FanStoreOptions(local_dir=tmp_path / "local")
+        with FanStore(prepared_dataset, options) as fs:
+            backend = fs.daemon.backend
+            victim = sorted(r.path for r in fs.daemon.metadata.records())[0]
+            good, packed = fs.client.read_file(victim), backend.get(victim)
+            assert backend.discard(victim) is True
+            assert victim not in backend
+            with pytest.raises(FileNotFoundInStoreError):
+                backend.get(victim)
+            assert fs.daemon.repair(victim) == packed
+            assert backend.blob_path(victim).read_bytes() == packed
+            assert victim in fs.journal.live_state()
+        with FanStore(prepared_dataset, options) as again:
+            assert again.daemon.jstats.recovery_replayed == 1
+            assert again.client.read_file(victim) == good
 
     def test_cached_plaintext_is_quarantined_on_repair(self, single_store):
         fs = single_store

@@ -19,6 +19,11 @@ check it, and neither verdict depends on timing:
   through between lines is read — a write that installed a value in
   two steps would show its half-made one here on every run.
 
+``DiskBackend.get`` / ``in`` look a path up in two tables, the staged
+entries and the blobs, without the lock. There the reader is the one
+stepped: a ``put`` that moves a staged path to a blob lands at each
+bytecode of the read in turn, and the read must still find the path.
+
 ``Communicator.iprobe`` reads a rank's mailbox queue without its mutex
 too. There the reader is the one stepped: another thread of the rank
 receives an older message at each line of the probe in turn, and the
@@ -35,9 +40,9 @@ from repro.errors import FileNotFoundInStoreError
 from repro.fanstore import backend as backend_module
 from repro.fanstore import cache as cache_module
 from repro.fanstore import metadata as metadata_module
-from repro.fanstore.backend import RamBackend
+from repro.fanstore.backend import DiskBackend, RamBackend
 from repro.fanstore.cache import DecompressedCache
-from repro.fanstore.layout import FileStat
+from repro.fanstore.layout import FileStat, write_partition
 from repro.fanstore.metadata import FileRecord, MetadataTable
 
 KEYS = [f"d{i % 2}/f{i}" for i in range(8)]
@@ -245,6 +250,59 @@ def test_cache_membership_is_a_plain_answer():
     write, contains, _ = check(DecompressedCache())
     wrong, lines = _stepped(cache_module, write, contains)
     assert wrong == [] and lines > 0
+
+
+def test_a_disk_read_finds_a_path_a_put_moves(tmp_path):
+    """A staged path's ``put`` indexes its blob, then drops the staged
+    entry. At the k-th bytecode ``DiskBackend.get`` (or ``in``)
+    executes, for every k in turn, that put lands; the read must return the
+    staged or the written bytes (``in``: True), never report the path
+    absent. Looking the blob up first, a put landing between the two
+    lookups made a present path read as missing."""
+    part = tmp_path / "part-00000.fst"
+    staged, written = b"staged" * 8, b"written" * 8
+    with open(part, "wb") as stream:
+        write_partition([("k", 0, FileStat(st_size=48), staged)], stream)
+
+    def read(backend):
+        try:
+            return backend.get("k")
+        except FileNotFoundInStoreError as exc:
+            return exc
+
+    for reader, good in (
+        (read, (staged, written)),
+        (lambda backend: "k" in backend, (True,)),
+    ):
+        code = (DiskBackend.get if reader is read
+                else DiskBackend.__contains__).__code__
+        answers: list = []
+        step = 0
+        while True:
+            step += 1
+            backend = DiskBackend(tmp_path / f"local{len(answers)}")
+            backend.ingest(part)
+            executed = 0
+
+            def tracer(frame, event, _arg):
+                nonlocal executed
+                if frame.f_code is not code:
+                    return None
+                frame.f_trace_opcodes = True
+                if event == "opcode":
+                    executed += 1
+                    if executed == step:
+                        backend.put("k", written)
+                return tracer
+
+            sys.settrace(tracer)
+            try:
+                answers.append(reader(backend))
+            finally:
+                sys.settrace(None)
+            if executed < step:  # the put fell after the read's last one
+                break
+        assert len(answers) > 1 and all(a in good for a in answers), answers
 
 
 def test_iprobe_sees_a_message_queued_before_it():

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +308,21 @@ class TestCli:
         assert rc == 0
         assert "packed 7 files" in capsys.readouterr().out
         assert (tmp_path / "out" / MANIFEST_NAME).exists()
+
+    def test_run_as_a_module_it_executes_once(self, raw_dir, tmp_path):
+        """``python -m repro.fanstore.prepare``: importing the packages
+        above it must not import the module itself, or runpy runs a
+        second copy as ``__main__`` and warns — an error here."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(prepare_module.__file__).parents[2])
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.fanstore.prepare", str(raw_dir), str(tmp_path / "out"),
+             "-p", "2", "-c", "memcpy"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "packed 7 files" in result.stdout
 
 
 class TestAutoSelection:

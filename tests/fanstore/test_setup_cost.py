@@ -21,9 +21,13 @@ table lock, and one of the RAM backend's lock, per *partition*. The
 first ``list_training_files`` reads the directory index in one hold. A
 store over a ``DiskBackend`` scans its journal directory once per
 launch and not at all when it restarts after ``shutdown()``; its load
-costs each ingested blob one tmp-file open, two fsyncs (the blob's and
-its directory's) and one rename, while a ``PartitionBackend`` load
-opens each partition once and no file per entry.
+stages each partition whole — one kernel copy (``sendfile``), one
+tmp-file open, two fsyncs (the copy's and its directory's) and one
+rename per *partition* — and costs a file nothing of the kind.
+
+The parent of the PR that staged partitions whole unpacked a
+``DiskBackend`` load into one blob per file: per file one tmp-file
+open, two fsyncs and one rename.
 
 The parent of the PR that made the stat a named tuple executed, per
 packed file, one ``io.open`` and one ``os.fstat`` (the descriptor read
@@ -43,6 +47,7 @@ launch and once per restart.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import sys
 from collections import Counter
@@ -52,7 +57,7 @@ import pytest
 import repro.fanstore.daemon as daemon_mod
 import repro.fanstore.journal as journal_mod
 from repro.comm.launcher import run_parallel
-from repro.fanstore.backend import PartitionBackend, RamBackend
+from repro.fanstore.backend import RamBackend
 from repro.fanstore.daemon import DaemonConfig
 from repro.fanstore.layout import FileStat
 from repro.fanstore.metadata import MetadataTable
@@ -95,8 +100,9 @@ def _counted(operation):
     record, and ``_replace``); ``_make``'s code is every named tuple's,
     so its frame counts only when its ``cls`` is ``FileStat``.
     ``writes`` are ``write`` calls on any stream, ``file_syscalls`` the
-    ``os`` calls of :data:`_FILE_SYSCALLS`; ``fsyncs``, ``renames`` and
-    ``opens`` (``io.open``) are what a durable blob costs."""
+    ``os`` calls of :data:`_FILE_SYSCALLS`; ``fsyncs``, ``renames``,
+    ``opens`` (``io.open``) and ``copies`` (``os.sendfile``) are what a
+    durable file costs."""
     counts: Counter = Counter()
     stat_new = FileStat.__new__.__code__
     make = FileStat._make.__func__.__code__
@@ -112,6 +118,7 @@ def _counted(operation):
                 counts["file_syscalls"] += name in _FILE_SYSCALLS
                 counts["fsyncs"] += name == "fsync"
                 counts["renames"] += name == "replace"
+                counts["copies"] += name == "sendfile"
             elif module == "io" and name == "open":
                 counts["opens"] += 1
             return
@@ -133,17 +140,23 @@ def _counted(operation):
             counts["repro_calls"] += 1
             counts["normalize"] += code.co_qualname == "normalize"
 
+    # another test's garbage, freed by a collection inside the window,
+    # is not this operation's cost (a freed DiskBackend closes its
+    # staged partitions' descriptors)
+    gc.collect()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         result = operation()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return counts, result
 
 
 _COUNTED = ("pathlib", "dataclasses", "posixpath", "FileStat", "normalize",
             "repro_calls", "c_calls", "writes", "file_syscalls", "fsyncs",
-            "renames", "opens")
+            "renames", "opens", "copies")
 
 
 def _per_file(small: Counter, large: Counter) -> dict[str, float]:
@@ -311,37 +324,49 @@ def _disk_construct(prepared, options):
     return counts
 
 
-def test_disk_load_cost_per_blob(trees, tmp_path):
-    """What the SSD mode costs per ingested blob: a ``DiskBackend``
-    installs each payload as its own atomic blob — one tmp-file open,
-    an fsync of the blob and one of its directory, one rename."""
-    def construct(n: int, name: str):
-        return _disk_construct(_pack(trees, n), FanStoreOptions(
+def _disk_constructor(trees, tmp_path):
+    """``construct(prepared, name)``: the counts of one store over a
+    fresh ``local_dir``, after a first store has paid the imports."""
+    def construct(prepared, name: str):
+        return _disk_construct(prepared, FanStoreOptions(
             local_dir=tmp_path / name, config=DaemonConfig(metrics_every=0),
         ))
 
-    construct(SMALL, "warm")  # the first disk store's imports are no blob's
-    per_blob = _per_file(construct(SMALL, "small"), construct(LARGE, "large"))
-    assert per_blob["opens"] == 1
-    assert per_blob["fsyncs"] == 2
-    assert per_blob["renames"] == 1
+    construct(_pack(trees, SMALL), "warm")  # the first disk store's imports
+    return construct
 
 
-def test_partition_backend_load_opens_each_partition_once(trees):
-    """Payloads left inside the partition files: the load opens each
-    partition once, for its metadata-only scan, and no file per entry."""
+def test_disk_load_cost_per_file(trees, tmp_path):
+    """What the SSD mode's load costs a file: nothing — no open, fsync,
+    rename, copy or write; its payload stays in the staged partition."""
+    construct = _disk_constructor(trees, tmp_path)
+    small = construct(_pack(trees, SMALL), "small")
+    per_file = _per_file(small, construct(_pack(trees, LARGE), "large"))
+    for name in ("opens", "file_syscalls", "fsyncs", "renames", "copies",
+                 "writes"):
+        assert per_file[name] == 0, name
 
-    def construct(prepared):
-        return _disk_construct(prepared, FanStoreOptions(
-            backend=PartitionBackend(), config=DaemonConfig(metrics_every=0),
-        ))
 
-    small = construct(_pack(trees, SMALL))
-    per_file = _per_file(small, construct(_pack(trees, LARGE)))
-    assert per_file["opens"] == per_file["file_syscalls"] == 0
-    assert per_file["fsyncs"] == per_file["renames"] == 0
-    three = construct(_pack(trees, SMALL, partitions=3))
-    assert three["opens"] - small["opens"] == 2
+def test_disk_load_cost_per_partition(trees, tmp_path):
+    """What the SSD mode's load costs a partition: it is staged whole,
+    copied by one ``sendfile`` into a tmp file (its one ``io.open``),
+    which is fsynced, renamed into place and its directory fsynced; the
+    source, the directory and the staged copy's read descriptor take an
+    ``os.open`` each."""
+    construct = _disk_constructor(trees, tmp_path)
+    small = construct(_pack(trees, SMALL), "small")
+    three = construct(_pack(trees, SMALL, partitions=3), "three")
+    per_partition = {
+        name: (three[name] - small[name]) / 2
+        for name in ("copies", "fsyncs", "renames", "opens", "file_syscalls")
+    }
+    # file_syscalls: 3 os.open and their 3 os.close (the read
+    # descriptor's when the dropped store is freed), the source's
+    # os.fstat
+    assert per_partition == {
+        "copies": 1, "fsyncs": 2, "renames": 1, "opens": 1,
+        "file_syscalls": 7,
+    }
 
 
 def test_first_scan_cost(trees, table_lock_holds):
